@@ -3,8 +3,8 @@
 The :mod:`repro.obs` layer promises a near-free disabled path (one
 attribute read per call site) and a cheap enabled path (counter folds at
 solve granularity, spans around probes).  This benchmark prices both
-against the same flow-probe workload ``bench_pr3.py`` uses for its
-headline numbers, and **fails the build** when the enabled path costs more
+against a flow-probe workload (``amf_levels`` + ``amf_levels_bisect`` on
+three Zipf cluster sizes), and **fails the build** when the enabled path costs more
 than ``--max-overhead`` (default 1.05 = +5%)::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --out BENCH_OBS.json
@@ -60,7 +60,7 @@ def _configure(config: str) -> None:
 
 
 def run(scale: float, repeats: int) -> dict:
-    """Median of per-repeat paired ratios on the bench_pr3 flow-probe sizes."""
+    """Median of per-repeat paired ratios over the three flow-probe sizes."""
     sizes = [(_scaled(50, scale, 10), _scaled(10, scale, 3)),
              (_scaled(100, scale, 10), _scaled(20, scale, 3)),
              (_scaled(200, scale, 10), _scaled(20, scale, 3))]

@@ -128,18 +128,9 @@ def cmd_solve(args) -> int:
         from repro.core.amf import solve_amf
         from repro.core.sharding import decompose
 
-        alloc = solve_amf(
-            cluster, oracle=args.oracle, shards=True, workers=args.solve_workers or None
-        )
+        alloc = solve_amf(cluster, shards=True, workers=args.solve_workers or None)
         suffix = f", workers={args.solve_workers}" if args.solve_workers else ""
         print(f"sharded solve: {len(decompose(cluster))} components{suffix}")
-    elif args.oracle != "parametric":
-        if args.policy != "amf":
-            print(f"--oracle only applies to the amf policy, not {args.policy!r}", file=sys.stderr)
-            return 2
-        from repro.core.amf import solve_amf
-
-        alloc = solve_amf(cluster, oracle=args.oracle)
     else:
         alloc = get_policy(args.policy)(cluster)
     if tracing:
@@ -341,7 +332,7 @@ def _serve_with_pool(args, state, addresses) -> int:
     from repro.service import AllocationService
 
     state, journal = _serve_journal(args, state)
-    pool = WorkerPool(addresses, oracle=args.oracle, max_cuts=args.max_cuts).start()
+    pool = WorkerPool(addresses, max_cuts=args.max_cuts).start()
     print(f"solver pool: {len(pool.live_workers)} workers at {addresses}")
     service = AllocationService(
         state,
@@ -350,7 +341,6 @@ def _serve_with_pool(args, state, addresses) -> int:
         cache_size=args.cache_size,
         max_cuts=args.max_cuts,
         workers=args.serve_workers or None,
-        oracle=args.oracle,
         backend="dist",
         pool=pool,
         journal=journal,
@@ -386,7 +376,6 @@ def cmd_serve(args) -> int:
         max_cuts=args.max_cuts,
         sharded=not args.no_shards,
         workers=args.serve_workers or None,
-        oracle=args.oracle,
         journal=journal,
         observability=not args.no_obs,
     )
@@ -408,7 +397,6 @@ def cmd_worker(args) -> int:
         args.port,
         max_cuts=args.max_cuts,
         worker_id=args.worker_id,
-        oracle=args.oracle,
         quiet=args.quiet,
     )
 
@@ -464,12 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="with --shards, fan component solves over N processes (0 = serial)",
-    )
-    p_solve.add_argument(
-        "--oracle",
-        choices=("parametric", "legacy", "ggt"),
-        default="parametric",
-        help="feasibility backend (amf only; ggt = one-shot breakpoint sweep, docs/performance.md)",
     )
     _add_trace_arg(p_solve)
     p_solve.set_defaults(fn=cmd_solve)
@@ -535,11 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fan shard solves over N processes (0 = serial)",
     )
+    # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
+    # parses ``serve`` through this parser and reads ``args.oracle``.  There
+    # is one feasibility oracle; the flag selects nothing and goes when that
+    # harness may be edited.
     p_srv.add_argument(
-        "--oracle",
-        choices=("parametric", "legacy", "ggt"),
-        default="parametric",
-        help="feasibility backend for service solves (docs/performance.md)",
+        "--oracle", choices=("parametric",), default="parametric", help=argparse.SUPPRESS
     )
     p_srv.add_argument(
         "--edge",
@@ -590,12 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrk.add_argument("--port", type=int, default=0, help="bind port (0 = ephemeral, printed at boot)")
     p_wrk.add_argument("--max-cuts", type=int, default=64, help="per-shard warm basis bound")
     p_wrk.add_argument("--worker-id", default=None, help="stable identity (default: worker-<port>)")
-    p_wrk.add_argument(
-        "--oracle",
-        choices=("parametric", "legacy", "ggt"),
-        default="parametric",
-        help="fallback backend for solve RPCs that name none (the coordinator's wins)",
-    )
     p_wrk.add_argument("--quiet", action="store_true", help="suppress the listening banner")
     p_wrk.set_defaults(fn=cmd_worker)
 
@@ -627,12 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="fork fan-out for any locally served fallback solves (0 = serial)",
-    )
-    p_coord.add_argument(
-        "--oracle",
-        choices=("parametric", "legacy", "ggt"),
-        default="parametric",
-        help="feasibility backend named in every solve RPC (docs/performance.md)",
     )
     p_coord.add_argument("--quiet", action="store_true", help="suppress access logs")
     p_coord.add_argument("--no-obs", action="store_true", help="disable metrics/tracing")

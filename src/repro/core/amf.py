@@ -48,7 +48,7 @@ from repro.core.allocation import Allocation, scrub_matrix
 from repro.flownet.bipartite import build_network
 from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
-from repro.obs.instruments import record_amf, record_ggt_sweep_depth
+from repro.obs.instruments import record_amf
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER, span
 
@@ -69,8 +69,8 @@ class AmfDiagnostics:
 
     ``feasibility_solves`` counts every probe the solver *asked*;
     the ``probes_*`` fields break down how the parametric oracle *answered*
-    them (all zero on the legacy backend), so warm-reuse is observable all
-    the way up to the service ``/stats`` endpoint.
+    them, so warm-reuse is observable all the way up to the service
+    ``/stats`` endpoint.
     """
 
     rounds: int = 0
@@ -85,12 +85,6 @@ class AmfDiagnostics:
     probes_cold: int = 0  # flow solves starting from zero flow
     probe_rollbacks: int = 0  # probes that cancelled flow before solving
     jobs_folded: int = 0  # degree-1 jobs folded out of the flow network
-    # GGT one-shot sweep (all zero unless oracle="ggt")
-    ggt_sweeps: int = 0  # parametric sweeps run
-    ggt_sweep_flows: int = 0  # flow solves paid by sweeps (incl. contracted)
-    ggt_contractions: int = 0  # contracted subgraph views built
-    ggt_breakpoints: int = 0  # leximin breakpoints recovered by sweeps
-    ggt_flows_avoided: int = 0  # post-sweep probes answered without a flow
     # AMRF multi-resource engine (all zero on scalar / reduced solves)
     amrf_rounds: int = 0  # progressive-filling rounds (max-t LPs)
     amrf_lps: int = 0  # LP solves paid (incl. warm-basis re-solves)
@@ -393,17 +387,10 @@ def _site_cross(cluster: Cluster, sites: frozenset[int]) -> np.ndarray:
 
 class _FeasibilityAdapter:
     """The shared probe state of :func:`amf_levels` and
-    :func:`amf_levels_bisect`: the λ→targets map plus the feasibility oracle
-    behind one interface (both solver variants used to carry near-identical
-    ``targets_at`` / ``feasible`` closures).
-
-    ``backend`` selects the warm :class:`ParametricFeasibility` engine
-    (``"parametric"``, the default), the GGT one-shot sweep oracle
-    (``"ggt"``, :class:`~repro.flownet.ggt.GgtFeasibility` — same verdicts,
-    but the whole breakpoint schedule is recovered up front so feasible
-    probes stop paying flow solves), or the original cold-restart
-    :class:`~repro.flownet.bipartite.FeasibilityNetwork` (``"legacy"``,
-    kept as the control arm for benchmarks and A/B tests).
+    :func:`amf_levels_bisect`: the λ→targets map plus the warm
+    :class:`ParametricFeasibility` oracle behind one interface (both solver
+    variants used to carry near-identical ``targets_at`` / ``feasible``
+    closures).
     """
 
     __slots__ = (
@@ -415,7 +402,6 @@ class _FeasibilityAdapter:
         "frozen",
         "diag",
         "oracle",
-        "network",
         "_finished",
     )
 
@@ -427,9 +413,7 @@ class _FeasibilityAdapter:
         diag: AmfDiagnostics,
         *,
         basis: CutBasis | None = None,
-        backend: str = "parametric",
     ):
-        require(backend in ("parametric", "legacy", "ggt"), f"unknown feasibility backend {backend!r}")
         self.cluster = cluster
         self.floors = floors
         self.caps = caps
@@ -438,19 +422,8 @@ class _FeasibilityAdapter:
         self.frozen = np.zeros(cluster.n_jobs, dtype=bool)
         self.diag = diag
         self._finished = False
-        if backend == "ggt":
-            from repro.flownet.ggt import GgtFeasibility  # lazy: ggt imports this module
-
-            cut_sets = basis.instantiate(cluster) if basis is not None else ()
-            self.oracle = GgtFeasibility(cluster, cut_sets, floors=floors)
-            self.network = None
-        elif backend == "parametric":
-            cut_sets = basis.instantiate(cluster) if basis is not None else ()
-            self.oracle = ParametricFeasibility(cluster, cut_sets)
-            self.network = None
-        else:
-            self.oracle = None
-            self.network = build_network(cluster)
+        cut_sets = basis.instantiate(cluster) if basis is not None else ()
+        self.oracle = ParametricFeasibility(cluster, cut_sets)
 
     def targets_at(self, lam: float) -> np.ndarray:
         t = np.clip(lam * self.weights, self.floors, self.caps)
@@ -463,12 +436,8 @@ class _FeasibilityAdapter:
         """One feasibility probe.  ``need_cut`` forces an infeasible verdict
         to carry a genuinely new min cut (see :meth:`ParametricFeasibility.probe`)."""
         self.diag.feasibility_solves += 1
-        if self.oracle is not None:
-            out = self.oracle.probe(targets, need_cut=need_cut)
-            return out.feasible, out.cut_jobs, out.cut_sites
-        self.network.set_targets(targets)
-        outcome = self.network.solve()
-        return outcome.feasible, outcome.cut_jobs, outcome.cut_sites
+        out = self.oracle.probe(targets, need_cut=need_cut)
+        return out.feasible, out.cut_jobs, out.cut_sites
 
     def finish(self) -> None:
         """Fold the oracle's reuse counters into the diagnostics record.
@@ -478,7 +447,7 @@ class _FeasibilityAdapter:
         happy-path call followed by the ``finally`` one must not
         double-count.
         """
-        if self.oracle is None or self._finished:
+        if self._finished:
             return
         self._finished = True
         st = self.oracle.stats
@@ -488,21 +457,10 @@ class _FeasibilityAdapter:
         self.diag.probes_cold += st.cold_solves
         self.diag.probe_rollbacks += st.rollbacks
         self.diag.jobs_folded += st.folded_jobs
-        gg = getattr(self.oracle, "ggt", None)
-        if gg is not None:
-            self.diag.ggt_sweeps += gg.sweeps
-            self.diag.ggt_sweep_flows += gg.sweep_flows
-            self.diag.ggt_contractions += gg.contractions
-            self.diag.ggt_breakpoints += gg.breakpoints
-            self.diag.ggt_flows_avoided += gg.flows_avoided
-            if gg.sweeps:
-                record_ggt_sweep_depth(gg.max_depth)
 
     def realize(self, levels: np.ndarray) -> np.ndarray | None:
         """The flow already carried by the oracle as a ``(n, m)`` split, when
         it matches ``levels`` — saves :func:`solve_amf` a cold re-solve."""
-        if self.oracle is None:
-            return None
         return self.oracle.allocation_matrix(levels)
 
 
@@ -530,7 +488,6 @@ def amf_levels(
     floors: np.ndarray | None = None,
     diagnostics: AmfDiagnostics | None = None,
     basis: CutBasis | None = None,
-    oracle: str = "parametric",
 ) -> np.ndarray:
     """Compute the AMF aggregate vector ``(A_1..A_n)`` for ``cluster``.
 
@@ -549,16 +506,6 @@ def amf_levels(
         solve discovers is recorded back, so consecutive solves on similar
         clusters converge with fewer max-flow feasibility checks.  Purely an
         accelerator: the result is identical with or without it.
-    oracle:
-        Feasibility backend: ``"parametric"`` (default; warm-started probes
-        on one residual graph, see :mod:`repro.flownet.parametric`),
-        ``"ggt"`` (one GGT divide-and-conquer sweep recovers the full
-        λ→breakpoint schedule up front, then freezing replays the schedule
-        analytically — feasible probes stop paying flow solves, see
-        :mod:`repro.flownet.ggt`), or ``"legacy"`` (cold-restart
-        :class:`FeasibilityNetwork`).  All return identical verdicts; the
-        choice only affects speed.
-
     Returns
     -------
     ``(n,)`` aggregates of the (weighted, floor-respecting) max-min fair
@@ -582,9 +529,9 @@ def amf_levels(
         )
         scalar, k = red
         scaled = None if floors is None else np.asarray(floors, dtype=float) * k
-        return amf_levels(scalar, scaled, diag, basis, oracle)
+        return amf_levels(scalar, scaled, diag, basis)
     with _observed_solve("levels", cluster, diag):
-        levels, _ = _fill_levels(cluster, floors, diag, basis, oracle)
+        levels, _ = _fill_levels(cluster, floors, diag, basis)
     return levels
 
 
@@ -593,7 +540,6 @@ def _fill_levels(
     floors: np.ndarray | None,
     diag: AmfDiagnostics,
     basis: CutBasis | None,
-    backend: str,
 ) -> tuple[np.ndarray, _FeasibilityAdapter | None]:
     """Progressive filling; returns the levels plus the (warm) adapter so
     :func:`solve_amf` can realize the matrix from the oracle's final flow."""
@@ -610,7 +556,7 @@ def _fill_levels(
         require(float(floors.min(initial=0.0)) >= -ABS_TOL, "floors must be non-negative")
         floors = np.maximum(floors, 0.0)
 
-    adapter = _FeasibilityAdapter(cluster, floors, caps, diag, basis=basis, backend=backend)
+    adapter = _FeasibilityAdapter(cluster, floors, caps, diag, basis=basis)
     try:
         return _fill_levels_inner(cluster, floors, caps, weights, diag, basis, adapter)
     finally:
@@ -730,7 +676,6 @@ def solve_amf(
     floors: np.ndarray | None = None,
     diagnostics: AmfDiagnostics | None = None,
     basis: CutBasis | None = None,
-    oracle: str = "parametric",
     *,
     shards: bool = False,
     workers: int | None = None,
@@ -740,8 +685,7 @@ def solve_amf(
     The returned split is *an* AMF allocation; the completion-time add-on
     (:func:`repro.core.completion.optimize_completion_times`) re-splits the
     same aggregates to optimize job completion times.  ``basis`` warm-starts
-    the cutting-plane pool across related solves (see :class:`CutBasis`);
-    ``oracle`` selects the feasibility backend (see :func:`amf_levels`).
+    the cutting-plane pool across related solves (see :class:`CutBasis`).
 
     ``shards=True`` solves each connected component of the job-site graph
     independently and stitches the blocks — the same allocation at
@@ -750,25 +694,23 @@ def solve_amf(
     apply there; use :class:`repro.core.sharding.ShardBasisPool` via
     :func:`~repro.core.sharding.solve_amf_sharded` for warm sharded solves.
 
-    With the parametric oracle the realization is usually free: the final
-    verification probe leaves the oracle's residual graph carrying a max
-    flow at exactly ``levels``, so the matrix is read off that flow instead
-    of re-solving a fresh network.
+    The realization is usually free: the final verification probe leaves
+    the oracle's residual graph carrying a max flow at exactly ``levels``,
+    so the matrix is read off that flow instead of re-solving a fresh
+    network.
     """
     if cluster.is_multiresource:
         from repro.multiresource.engine import solve_multiresource
 
-        return solve_multiresource(
-            cluster, floors, diagnostics, basis, oracle, shards=shards, workers=workers
-        )
+        return solve_multiresource(cluster, floors, diagnostics, basis, shards=shards, workers=workers)
     if shards:
         require(basis is None, "shards=True takes a ShardBasisPool via solve_amf_sharded, not basis=")
         from repro.core.sharding import solve_amf_sharded
 
-        return solve_amf_sharded(cluster, floors, diagnostics, oracle=oracle, workers=workers)
+        return solve_amf_sharded(cluster, floors, diagnostics, workers=workers)
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     with _observed_solve("solve", cluster, diag):
-        levels, adapter = _fill_levels(cluster, floors, diag, basis, oracle)
+        levels, adapter = _fill_levels(cluster, floors, diag, basis)
     matrix = adapter.realize(levels) if adapter is not None else None
     if matrix is not None:
         matrix = _finalize_matrix(cluster, levels, matrix)
@@ -800,7 +742,6 @@ def amf_levels_bisect(
     cluster: Cluster,
     tol: float = 1e-9,
     diagnostics: AmfDiagnostics | None = None,
-    oracle: str = "parametric",
 ) -> np.ndarray:
     """Ablation variant: progressive filling with pure binary search.
 
@@ -817,14 +758,14 @@ def amf_levels_bisect(
     if n == 0:
         return np.zeros(0)
     with _observed_solve("bisect", cluster, diag):
-        return _bisect_levels(cluster, tol, diag, oracle)
+        return _bisect_levels(cluster, tol, diag)
 
 
-def _bisect_levels(cluster: Cluster, tol: float, diag: AmfDiagnostics, oracle: str) -> np.ndarray:
+def _bisect_levels(cluster: Cluster, tol: float, diag: AmfDiagnostics) -> np.ndarray:
     n = cluster.n_jobs
     caps = cluster.aggregate_demand.copy()
     weights = cluster.weights
-    adapter = _FeasibilityAdapter(cluster, np.zeros(n), caps, diag, backend=oracle)
+    adapter = _FeasibilityAdapter(cluster, np.zeros(n), caps, diag)
     try:
         return _bisect_levels_inner(cluster, tol, diag, adapter, caps, weights)
     finally:

@@ -224,7 +224,6 @@ def _solve_shard(
     floors: np.ndarray | None,
     seed_cuts: tuple[frozenset[str], ...],
     max_cuts: int,
-    oracle: str,
     resource_totals: dict[str, float] | None = None,
 ) -> ShardResult:
     """Solve one shard against a *local* basis clone.
@@ -251,12 +250,10 @@ def _solve_shard(
     if shard.cluster.is_multiresource:
         from repro.multiresource.engine import solve_multiresource
 
-        alloc = solve_multiresource(
-            shard.cluster, floors, diag, basis, oracle, resource_totals=resource_totals
-        )
+        alloc = solve_multiresource(shard.cluster, floors, diag, basis, resource_totals=resource_totals)
         matrix = np.array(alloc.matrix)
     else:
-        levels, adapter = _fill_levels(shard.cluster, floors, diag, basis, oracle)
+        levels, adapter = _fill_levels(shard.cluster, floors, diag, basis)
         matrix = adapter.realize(levels) if adapter is not None else None
         if matrix is not None:
             matrix = _finalize_matrix(shard.cluster, levels, matrix)
@@ -283,7 +280,6 @@ def solve_shards(
     *,
     floors: np.ndarray | None = None,
     bases: ShardBasisPool | None = None,
-    oracle: str = "parametric",
     workers: int | None = None,
     resource_totals: dict[str, float] | None = None,
 ) -> list[ShardResult]:
@@ -309,9 +305,7 @@ def solve_shards(
         )
 
     def solve_one(idx: int) -> ShardResult:
-        return _solve_shard(
-            solvable[idx], sub_floors[idx], seeds[idx], max_cuts, oracle, resource_totals
-        )
+        return _solve_shard(solvable[idx], sub_floors[idx], seeds[idx], max_cuts, resource_totals)
 
     results = parallel_map(solve_one, range(len(solvable)), workers=workers)
     if bases is not None:
@@ -327,7 +321,6 @@ def solve_amf_sharded(
     floors: np.ndarray | None = None,
     diagnostics: AmfDiagnostics | None = None,
     bases: ShardBasisPool | None = None,
-    oracle: str = "parametric",
     workers: int | None = None,
 ) -> Allocation:
     """AMF via shard decomposition — same allocation, component-local cost.
@@ -353,9 +346,7 @@ def solve_amf_sharded(
     with span(
         "amf.solve", variant="sharded", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(shards)
     ):
-        results = solve_shards(
-            shards, floors=floors, bases=bases, oracle=oracle, workers=workers, resource_totals=totals
-        )
+        results = solve_shards(shards, floors=floors, bases=bases, workers=workers, resource_totals=totals)
     for res in results:
         merge_diagnostics(diag, res.diagnostics)
         record_shard_solve(res.shard.n_jobs, res.seconds)

@@ -39,6 +39,10 @@ class DiscreteJob:
         require(bool(cleaned), f"job {self.name!r} needs at least one task")
         object.__setattr__(self, "tasks", MappingProxyType(cleaned))
 
+    def __reduce__(self):
+        # MappingProxyType does not pickle; rebuild from a plain dict.
+        return (DiscreteJob, (self.name, dict(self.tasks), self.weight, self.arrival))
+
     @property
     def total_tasks(self) -> int:
         return sum(c for c, _ in self.tasks.values())

@@ -191,7 +191,6 @@ class WorkerClient:
             id=self._next_id(),
             key=request.key,
             cluster=request.cluster,
-            oracle=request.oracle,
             seed_cuts=request.seed_cuts,
             floors=request.floors,
             resource_totals=request.resource_totals,
@@ -273,8 +272,6 @@ class WorkerPool:
     ----------
     addresses:
         ``(host, port)`` pairs of the workers to connect to.
-    oracle:
-        Feasibility backend named in every solve RPC.
     max_cuts:
         Bound on the coordinator's *mirror* basis pool (used to re-warm
         reassigned shards after a failover).
@@ -288,7 +285,6 @@ class WorkerPool:
         self,
         addresses: list[tuple[str, int]],
         *,
-        oracle: str = "parametric",
         max_cuts: int = 64,
         rpc_timeout: float = 120.0,
         connect_timeout: float = 5.0,
@@ -297,7 +293,6 @@ class WorkerPool:
         ping_timeout: float = 2.0,
     ):
         require(len(addresses) >= 1, "worker pool needs at least one address")
-        self.oracle = oracle
         self.assignment = ShardAssignment()
         self.mirror = ShardBasisPool(max_cuts=max_cuts)
         self.stats = DistStats()
@@ -500,7 +495,6 @@ class WorkerPool:
                 id=0,  # assigned per-RPC by the client
                 key=tuple(sorted(shard.key)),
                 cluster=cluster_to_dict(shard.cluster),
-                oracle=self.oracle,
                 seed_cuts=tuple(tuple(sorted(cut)) for cut in seeds),
                 floors=sub_floors,
                 resource_totals=(

@@ -6,7 +6,7 @@ of UTF-8 JSON.  The JSON is a versioned envelope
 
 .. code-block:: json
 
-    {"v": 1, "type": "solve_shard", "id": 7, "body": {...}}
+    {"v": 3, "type": "solve_shard", "id": 7, "body": {...}}
 
 ``v`` is :data:`PROTOCOL_VERSION` (a peer speaking another version is
 refused before its body is interpreted), ``type`` selects one of the
@@ -74,7 +74,10 @@ __all__ = [
 #: dominant-share denominators a multi-resource shard solve depends on) —
 #: a v1 peer would silently solve vector shards against the wrong
 #: denominators, so version disagreement must fail closed, never degrade.
-PROTOCOL_VERSION = 2
+#: Bumped to 3 when :class:`SolveShard` lost ``oracle`` (there is one
+#: feasibility oracle): a v2 coordinator naming one is refused at the
+#: version gate instead of failing on an unknown body field mid-solve.
+PROTOCOL_VERSION = 3
 
 #: Frame ceiling — the HTTP edge's 413 limit, reused byte-for-byte.
 MAX_FRAME_BYTES = MAX_BODY_BYTES
@@ -202,7 +205,6 @@ class SolveShard(Message):
     TYPE: ClassVar[str] = "solve_shard"
     key: tuple[str, ...] = ()
     cluster: dict[str, Any] | None = None
-    oracle: str = "parametric"
     seed_cuts: tuple[tuple[str, ...], ...] = ()
     floors: tuple[float, ...] | None = None
     resource_totals: tuple[tuple[str, float], ...] | None = None
@@ -306,7 +308,7 @@ def decode_message(payload: bytes) -> Message:
         raise ProtocolError(f"envelope must be a JSON object, got {type(obj).__name__}")
     # Version is judged before the field inventory: a foreign version may
     # legitimately use a different envelope shape, and the answer must be
-    # "speak v2", not "malformed frame".
+    # "speak v3", not "malformed frame".
     if obj.get("v") != PROTOCOL_VERSION:
         raise VersionMismatch(
             f"unsupported protocol version {obj.get('v')!r} (speak {PROTOCOL_VERSION})"

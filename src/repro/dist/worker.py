@@ -6,7 +6,7 @@ protocol (:mod:`repro.dist.protocol`), and keeps a
 :class:`~repro.core.sharding.ShardBasisPool` so consecutive solves of the
 same shard warm-start exactly like the in-process sharded solver.  The
 solve itself *is* :func:`repro.core.sharding._solve_shard` — the same pure
-function of (sub-cluster, floors, seed cuts, oracle) the fork pool runs —
+function of (sub-cluster, floors, seed cuts) the fork pool runs —
 which is what makes a distributed allocation bit-identical to
 ``solve_amf(shards=True)``.
 
@@ -77,8 +77,6 @@ class SolverWorker:
     worker_id:
         Stable identity reported in handshakes; defaults to
         ``worker-<port>``.
-    oracle:
-        Default feasibility backend when a request does not name one.
     """
 
     def __init__(
@@ -88,14 +86,12 @@ class SolverWorker:
         *,
         max_cuts: int = 64,
         worker_id: str | None = None,
-        oracle: str = "parametric",
         quiet: bool = True,
     ):
         require(max_cuts >= 1, "max_cuts must be at least 1")
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self.worker_id = worker_id or f"worker-{self.address[1]}"
-        self.oracle = oracle
         self.quiet = quiet
         self.bases = ShardBasisPool(max_cuts=max_cuts)
         self.solves = 0
@@ -251,7 +247,6 @@ class SolverWorker:
             None if floors is None else np.asarray(floors, dtype=float),
             seeds,
             max_cuts,
-            msg.oracle or self.oracle,
             resource_totals=totals,
         )
         with self._lock:
@@ -275,20 +270,15 @@ def run_worker(
     *,
     max_cuts: int = 64,
     worker_id: str | None = None,
-    oracle: str = "parametric",
     quiet: bool = False,
     _conn=None,
 ) -> int:
     """Blocking entry point (``repro.cli worker``): serve until SIGTERM.
 
-    ``oracle`` is the fallback backend for solve RPCs that do not name
-    one (the coordinator's pool names its own in every request, which
-    wins).  ``_conn`` is the pipe :func:`spawn_local_workers` uses to
-    learn the bound address of a child that asked for an ephemeral port.
+    ``_conn`` is the pipe :func:`spawn_local_workers` uses to learn the
+    bound address of a child that asked for an ephemeral port.
     """
-    worker = SolverWorker(
-        host, port, max_cuts=max_cuts, worker_id=worker_id, oracle=oracle, quiet=quiet
-    )
+    worker = SolverWorker(host, port, max_cuts=max_cuts, worker_id=worker_id, quiet=quiet)
     if _conn is not None:
         _conn.send(worker.address)
         _conn.close()

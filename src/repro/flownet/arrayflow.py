@@ -24,7 +24,7 @@ import numpy as np
 from repro._util import ABS_TOL, require
 from repro.obs.tracing import TRACER, span
 
-__all__ = ["ArrayFlowGraph", "ContractedFlowGraph"]
+__all__ = ["ArrayFlowGraph"]
 
 # Below this many residual edges the scalar (list-based) BFS/DFS beats the
 # vectorized path: per-frontier numpy dispatch dominates on small graphs.
@@ -79,12 +79,6 @@ class ArrayFlowGraph:
         self.cap = cap
         self.orig = cap.copy()
 
-        tail_of = np.empty(2 * n_edges, dtype=np.int32)
-        tail_of[0::2] = tails_a
-        tail_of[1::2] = heads_a
-        self._build_adjacency(tail_of)
-
-    def _build_adjacency(self, tail_of: np.ndarray) -> None:
         # CSR adjacency over the paired-edge array: adj[indptr[u]:indptr[u+1]]
         # lists every edge id (forward or twin) whose tail is u, in
         # *descending* insertion order — the order a head/next linked list
@@ -92,13 +86,16 @@ class ArrayFlowGraph:
         # builders append the site->sink arc after all job->site arcs, so a
         # DFS that scans newest-first tries the sink arc before wading
         # through residual twins, and phases find augmenting paths sooner.
+        tail_of = np.empty(2 * n_edges, dtype=np.int32)
+        tail_of[0::2] = tails_a
+        tail_of[1::2] = heads_a
         rev = np.argsort(tail_of[::-1], kind="stable")
         self.adj = (tail_of.size - 1 - rev).astype(np.int32)
         counts = np.bincount(tail_of, minlength=self.n_nodes)
         self.indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
 
         # list mirrors for the sequential blocking-flow inner loop
-        self._to_list = self.to.tolist()
+        self._to_list = to.tolist()
         self._adj_list = self.adj.tolist()
         self._indptr_list = self.indptr.tolist()
 
@@ -136,82 +133,6 @@ class ArrayFlowGraph:
         """Vectorized :meth:`edge_flow` over an array of forward edge ids."""
         tw = np.bitwise_xor(np.asarray(eids, dtype=np.int64), 1)
         return np.maximum(self.cap[tw] - self.orig[tw], 0.0)
-
-    # ------------------------------------------------------------------
-    # Contraction views (the GGT sweep's primitives)
-    # ------------------------------------------------------------------
-    def clone(self) -> "ArrayFlowGraph":
-        """Independent capacity state over the *shared* immutable topology.
-
-        ``cap`` / ``orig`` are copied (so flow evolves independently);
-        ``to`` / ``adj`` / ``indptr`` and their list mirrors are shared —
-        they never change after construction.
-        """
-        g = object.__new__(ArrayFlowGraph)
-        g.n_nodes = self.n_nodes
-        g.to = self.to
-        g.cap = self.cap.copy()
-        g.orig = self.orig.copy()
-        g.indptr = self.indptr
-        g.adj = self.adj
-        g._to_list = self._to_list
-        g._adj_list = self._adj_list
-        g._indptr_list = self._indptr_list
-        return g
-
-    def contract(self, node_map: np.ndarray) -> "ContractedFlowGraph":
-        """Node-contraction view: merge nodes per ``node_map``, compact edges.
-
-        ``node_map[u]`` is the node that ``u`` becomes; a contracted group
-        maps onto one representative (for the GGT sweep: the source side of
-        a min cut onto the source, its complement onto the sink).  Edges
-        interior to a contracted group become self-loops and are *dropped*
-        — a twin pair is a self-loop exactly when both endpoints merge, so
-        pairs drop together and the ``e ^ 1`` mate invariant survives the
-        renumbering — which is what makes the divide-and-conquer cheap: a
-        descendant view's flow work scales with its own side of the cut,
-        not the full graph.  Node ids are kept (settled nodes just lose all
-        incident edges), so reachability masks indexed by original node id
-        stay valid in every descendant.
-
-        Because edge ids change, each view carries ``eid_map``: the
-        composed map from the *root* graph's paired-edge ids to this
-        view's (``-1`` for dropped edges), so capacity bookkeeping keyed
-        by root edge id (source arcs) can be translated in one gather.
-        ``parent_eids`` holds the inverse view: this view's edges as
-        paired-edge ids of the immediate parent, used by
-        :meth:`ContractedFlowGraph.project_flow`.
-
-        The view starts from a *copy* of the parent's current residual
-        state — the "parent's flow carried down" of the divide-and-conquer.
-        """
-        node_map = np.asarray(node_map, dtype=np.int32)
-        require(node_map.shape == (self.n_nodes,), "node_map must have one entry per node")
-        idx = np.arange(self.to.size, dtype=np.int64)
-        to_new = node_map[self.to]
-        tail_new = to_new[idx ^ 1]  # tail of edge e is the head of its twin
-        keep = to_new != tail_new
-        kept = np.flatnonzero(keep)
-        new_of = np.full(self.to.size, -1, dtype=np.int64)
-        new_of[kept] = np.arange(kept.size, dtype=np.int64)
-        g = object.__new__(ContractedFlowGraph)
-        g.n_nodes = self.n_nodes
-        g.to = to_new[kept]
-        g.cap = self.cap[kept]
-        g.orig = self.orig[kept]
-        g._build_adjacency(tail_new[kept])
-        g.parent = self
-        g.node_map = node_map
-        g.parent_eids = kept
-        parent_map = getattr(self, "eid_map", None)
-        if parent_map is None:
-            g.eid_map = new_of
-        else:
-            composed = np.full(parent_map.size, -1, dtype=np.int64)
-            valid = parent_map >= 0
-            composed[valid] = new_of[parent_map[valid]]
-            g.eid_map = composed
-        return g
 
     # ------------------------------------------------------------------
     # Max-flow
@@ -404,30 +325,3 @@ class ArrayFlowGraph:
             seen[nxt] = True
             frontier = nxt.astype(np.int64)
         return seen
-
-
-class ContractedFlowGraph(ArrayFlowGraph):
-    """An :meth:`ArrayFlowGraph.contract` view with a link to its parent."""
-
-    __slots__ = ("parent", "node_map", "parent_eids", "eid_map")
-
-    def live_edges(self) -> np.ndarray:
-        """Boolean mask over the *parent's* paired-edge array of edges this
-        view kept (i.e. edges that did not collapse into self-loops)."""
-        live = np.zeros(self.parent.to.size, dtype=bool)
-        live[self.parent_eids] = True
-        return live
-
-    def project_flow(self) -> np.ndarray:
-        """Copy this view's per-edge residual state back onto the parent.
-
-        Only edges the view kept are written; edges interior to a
-        contracted group keep the parent's state.  Flow conservation at
-        the individual nodes of a contracted group is the *caller's*
-        obligation — the sweep only projects views whose contracted side
-        had every crossing arc saturated, where the merged node absorbs no
-        imbalance.  Returns the parent-edge mask of projected edges.
-        """
-        self.parent.cap[self.parent_eids] = self.cap
-        self.parent.orig[self.parent_eids] = self.orig
-        return self.live_edges()

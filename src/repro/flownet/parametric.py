@@ -185,12 +185,7 @@ class ParametricFeasibility:
             self.observe_cut(sites)
 
         self._last_feasible: np.ndarray | None = None
-        self._anchor: np.ndarray | None = None
-        self._anchor_deficit = 0.0
         self._flow_targets: np.ndarray | None = None
-        # bumped on every actual flow solve; lets callers prove the graph
-        # state is unchanged since an earlier probe (repeat-probe reuse)
-        self._flow_serial = 0
 
     # ------------------------------------------------------------------
     # Screening cuts
@@ -208,62 +203,12 @@ class ParametricFeasibility:
         self._cut_rhs.append(float(self.cluster.capacities[sorted(key)].sum()))
         self._cut_mat = None  # invalidate the stacked cache
 
-    def set_dominance_anchor(self, targets: np.ndarray, deficit: float = 0.0) -> None:
-        """Pin a *flow-verified feasible* vector as a standing dominance bound.
-
-        ``_last_feasible`` tracks the most recent feasible probe — which a
-        falling λ-sequence (bisection) overwrites with ever-smaller vectors.
-        The anchor is checked alongside it and never overwritten, so a
-        caller holding the *final* leximin vector up front (the GGT sweep,
-        :mod:`repro.flownet.ggt`) keeps answering every on-trajectory
-        feasible probe analytically for the whole solve.  The caller must
-        have verified ``targets`` through :meth:`probe` (or an equivalent
-        flow solve) first: dominance is a proof only against a vector the
-        flow check accepted.
-
-        ``deficit`` is an upper bound on the flow shortfall at ``targets``
-        (``demanded - flow_value`` of its verification probe).  The flow
-        check accepts within a slack *relative to each probe's own demanded
-        sum*, so a vector verified near the tolerance boundary dominates
-        smaller vectors whose slack is tighter than its own deficit — for
-        those, the flow's verdict is genuinely undetermined by dominance.
-        Max-flow is 1-Lipschitz in the source capacities, so a dominated
-        vector's deficit never exceeds the anchor's; an accept therefore
-        additionally requires the anchor's deficit to fit inside the
-        *probe's* accept slack.  Anchors verified with ~zero deficit (the
-        sweep's exact leximin vector) pass this for every probe.
-
-        The stored bound carries a hair of padding (1e-12 relative): the
-        anchor and the probes it answers compute the same breakpoints
-        through *different* float expressions (event-sweep crossing vs
-        cutting-plane pool), so exact comparison would lose to ulp noise on
-        precisely the probes the anchor exists for.  The pad is three
-        orders below the flow check's accept slack
-        (``scale * max(ABS_TOL, REL_TOL * demanded)``), so a padded accept
-        can never flip a verdict the flow would decide the other way; its
-        summed contribution to the anchor's deficit is folded into the
-        stored bound.
-        """
-        anchor = np.asarray(targets, dtype=float).copy()
-        pad = 1e-12 * np.maximum(1.0, np.abs(anchor))
-        anchor += pad
-        self._anchor = anchor
-        self._anchor_deficit = float(deficit) + float(pad.sum())
-
-    def _screen_reject(
-        self, targets: np.ndarray, demanded: float, margin: float = 2.0
-    ) -> ProbeOutcome | None:
+    def _screen_reject(self, targets: np.ndarray, demanded: float) -> ProbeOutcome | None:
         """An analytically violated stored cut, or ``None``.
 
         The violation margin is required to clear the flow tolerance with
         headroom, so the screen never rejects a vector the flow check would
         (within tolerance) accept — it is a pure shortcut, not a relaxation.
-        ``margin`` scales the required headroom in units of the flow accept
-        slack; any value > 1 leaves an absolute gap of
-        ``(margin - 1) * slack`` between a reject and the feq boundary,
-        which dwarfs the float-summation noise separating the screen's
-        excess arithmetic from the flow's delivered sum (~``n * eps``
-        relative vs the slack's ``scale * REL_TOL``).
         """
         if not self._cut_rhs:
             return None
@@ -274,9 +219,8 @@ class ParametricFeasibility:
         # A violated cut bounds the max flow: shortfall >= excess.  feq calls
         # the probe infeasible once the shortfall clears
         # ``scale * max(ABS_TOL, REL_TOL * demanded)`` (delivered <= demanded),
-        # so requiring a multiple of that margin guarantees the flow check
-        # would agree.
-        slack = margin * self._scale * max(ABS_TOL, REL_TOL * abs(demanded))
+        # so requiring twice that margin guarantees the flow check would agree.
+        slack = 2.0 * self._scale * max(ABS_TOL, REL_TOL * abs(demanded))
         excess = lhs - self._cut_rhs_arr
         k = int(np.argmax(excess))
         if excess[k] <= slack:
@@ -394,54 +338,40 @@ class ParametricFeasibility:
     # ------------------------------------------------------------------
     # The probe
     # ------------------------------------------------------------------
-    def probe(
-        self, targets: np.ndarray, *, need_cut: bool = False, skip_screen: bool = False
-    ) -> ProbeOutcome:
+    def probe(self, targets: np.ndarray, *, need_cut: bool = False) -> ProbeOutcome:
         """Feasibility verdict for one aggregate target vector.
 
         ``need_cut=True`` guarantees an infeasible verdict carries the
         *minimal* min cut from an actual flow solve (never a replayed
         screening cut) — required by the cutting-plane loop, which must see
-        each site set at most once.  ``skip_screen=True`` is for callers
-        that already evaluated the stored-cut screen at an equal-or-tighter
-        margin (the GGT front-end) — re-running it here could only repeat
-        the same ``None``.
+        each site set at most once.
         """
         if not TRACER.enabled:
-            return self._probe_impl(targets, need_cut=need_cut, skip_screen=skip_screen)
+            return self._probe_impl(targets, need_cut=need_cut)
         with span("flow.probe") as sp:
-            out = self._probe_impl(targets, need_cut=need_cut, skip_screen=skip_screen)
+            out = self._probe_impl(targets, need_cut=need_cut)
             sp.args["mode"] = out.mode
             sp.args["feasible"] = out.feasible
         return out
 
-    def _probe_impl(
-        self, targets: np.ndarray, *, need_cut: bool = False, skip_screen: bool = False
-    ) -> ProbeOutcome:
+    def _probe_impl(self, targets: np.ndarray, *, need_cut: bool = False) -> ProbeOutcome:
         targets = np.asarray(targets, dtype=float)
         st = self.stats
         st.probes += 1
         demanded = float(targets.sum())
 
-        # Exact elementwise dominance: the feasible region is downward
+        # Exact elementwise dominance only: the feasible region is downward
         # closed, so ``targets <= last_feasible`` is a proof.  No tolerance
-        # slack on ``_last_feasible`` — bisection probes sit ~1e-9 apart,
-        # and a fuzzy accept here would flip verdicts the flow check (feq)
-        # decides the other way.  The anchor (see
-        # :meth:`set_dominance_anchor`) is a second, standing bound that
-        # falling probe sequences cannot erode; it carries its own 1e-12
-        # pad, three orders below that probe spacing.
-        for bound, bound_deficit in ((self._last_feasible, 0.0), (self._anchor, self._anchor_deficit)):
-            if (
-                bound is not None
-                and targets.shape == bound.shape
-                and bound_deficit <= self._scale * max(ABS_TOL, REL_TOL * abs(demanded))
-                and bool((targets <= bound).all())
+        # slack — bisection probes sit ~1e-9 apart, and a fuzzy accept here
+        # would flip verdicts the flow check (feq) decides the other way.
+        if self._last_feasible is not None:
+            if targets.shape == self._last_feasible.shape and bool(
+                (targets <= self._last_feasible).all()
             ):
                 st.early_accepts += 1
                 return ProbeOutcome(True, demanded, demanded, frozenset(), frozenset(), "early-accept")
 
-        if self._screen and not need_cut and not skip_screen:
+        if self._screen and not need_cut:
             rejected = self._screen_reject(targets, demanded)
             if rejected is not None:
                 st.cut_rejects += 1
@@ -471,7 +401,6 @@ class ParametricFeasibility:
         """
         st = self.stats
         g = self._graph
-        self._flow_serial += 1
         t_multi = targets[self._multi_idx]
         # Folded jobs deliver at most min(target, demand cap) through their
         # single site; the remainder is undeliverable regardless of flow.

@@ -88,6 +88,14 @@ class Job:
             vec = {}  # canonical scalar job
         object.__setattr__(self, "resources", MappingProxyType(vec))
 
+    def __reduce__(self):
+        # MappingProxyType does not pickle; rebuild from plain dicts so a
+        # job (and the ShardResult holding it) can cross a process pool.
+        return (
+            Job,
+            (self.name, dict(self.workload), dict(self.demand), self.weight, self.arrival, dict(self.resources)),
+        )
+
     @property
     def is_multiresource(self) -> bool:
         """True when this job declares a non-canonical per-task resource vector."""

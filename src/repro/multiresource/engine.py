@@ -9,7 +9,7 @@ pattern used by the scalar solver:
 * **exact scalar routing** — when a single resource exists (R=1) or one
   resource *dominates* every job at every site, the instance is an exact
   change of variables away from the scalar flow problem; it is handed to
-  the flow/GGT fast path and mapped back (:func:`scalar_reduction`).
+  the scalar flow fast path and mapped back (:func:`scalar_reduction`).
 * **progressive filling with one max-``t`` LP per round** — instead of a
   λ-bisection (tens of LPs) per bottleneck, one LP maximizes the common
   weighted share ``t`` directly; its optimal vertex both locates the
@@ -533,7 +533,6 @@ def solve_multiresource(
     floors: np.ndarray | None = None,
     diagnostics: AmfDiagnostics | None = None,
     basis: CutBasis | None = None,
-    oracle: str = "parametric",
     *,
     shards: bool = False,
     workers: int | None = None,
@@ -545,8 +544,8 @@ def solve_multiresource(
 
     Called by :func:`repro.core.amf.solve_amf` when
     ``cluster.is_multiresource``.  The reduction (R=1 or a globally
-    dominant resource) reuses the *entire* scalar machinery — parametric /
-    GGT oracles, cut bases, sharding — bit-identically in the reduced
+    dominant resource) reuses the *entire* scalar machinery — the parametric
+    oracle, cut bases, sharding — bit-identically in the reduced
     variables; otherwise connected components are decomposed here and each
     is solved by :func:`amrf_allocate` under the federation-wide totals.
     """
@@ -564,15 +563,7 @@ def solve_multiresource(
         scaled_floors = None
         if floors is not None:
             scaled_floors = np.asarray(floors, dtype=float) * k
-        sub = solve_amf(
-            scalar,
-            scaled_floors,
-            diag,
-            basis,
-            oracle,
-            shards=shards,
-            workers=workers,
-        )
+        sub = solve_amf(scalar, scaled_floors, diag, basis, shards=shards, workers=workers)
         safe_k = np.where(k > 0.0, k, 1.0)
         if (k == 1.0).all():
             # Identity change of variables (R=1 unit-demand spellings): the
@@ -601,7 +592,6 @@ def solve_multiresource(
                     None if floors is None else np.asarray(floors, dtype=float)[list(shard.job_indices)],
                     diag,
                     basis,
-                    oracle,
                     resource_totals=totals,
                     amrf_basis=amrf_basis,
                     table_cache=table_cache,

@@ -51,7 +51,6 @@ __all__ = [
     "DIST_FAILOVERS",
     "DIST_SHARD_REASSIGNMENTS",
     "DIST_WORKERS_ALIVE",
-    "GGT_RECURSION_DEPTH",
     "PARALLEL_FALLBACK",
     "ADMISSION_ACCEPTED",
     "ADMISSION_SHED",
@@ -63,7 +62,6 @@ __all__ = [
     "JOURNAL_FSYNCS",
     "JOURNAL_CHECKPOINTS",
     "record_amf",
-    "record_ggt_sweep_depth",
     "record_cache",
     "record_queue_flush",
     "record_shard_decomposition",
@@ -112,20 +110,6 @@ _AMF_COUNTERS = {
     ),
     "jobs_folded": REGISTRY.counter(
         "repro_flow_jobs_folded_total", "degree-1 jobs folded out of the flow network"
-    ),
-    # GGT one-shot sweep (oracle="ggt"); zero on every other backend
-    "ggt_sweeps": REGISTRY.counter("repro_ggt_sweeps_total", "GGT parametric sweeps run"),
-    "ggt_sweep_flows": REGISTRY.counter(
-        "repro_ggt_sweep_flows_total", "flow solves paid inside sweeps (incl. contracted)"
-    ),
-    "ggt_contractions": REGISTRY.counter(
-        "repro_ggt_contractions_total", "contracted subgraph views built by sweep recursion"
-    ),
-    "ggt_breakpoints": REGISTRY.counter(
-        "repro_ggt_breakpoints_total", "leximin breakpoints recovered by sweeps"
-    ),
-    "ggt_flows_avoided": REGISTRY.counter(
-        "repro_ggt_flows_avoided_total", "post-sweep probes answered without a flow solve"
     ),
     # AMRF multi-resource engine (repro.multiresource.engine); zero on
     # scalar clusters and on vector clusters served by the scalar reduction
@@ -196,14 +180,6 @@ DIST_SHARD_REASSIGNMENTS = REGISTRY.counter(
 )
 DIST_WORKERS_ALIVE = REGISTRY.gauge("repro_dist_workers_alive", "live workers in the coordinator's pool")
 
-# -- GGT sweep (repro.flownet.ggt) --------------------------------------
-# Depth is a per-sweep observation, not a foldable sum, so it lives in a
-# histogram instead of _AMF_COUNTERS (the divide-and-conquer contract is
-# depth = O(log breakpoints); the distribution makes violations visible).
-GGT_RECURSION_DEPTH = REGISTRY.histogram(
-    "repro_ggt_recursion_depth", "deepest divide-and-conquer level per sweep", start=1.0, factor=2.0, buckets=8
-)
-
 # -- admission control (repro.service.aio) ------------------------------
 ADMISSION_ACCEPTED = REGISTRY.counter(
     "repro_admission_accepted_total", "write requests admitted past the intake queue"
@@ -265,11 +241,6 @@ def record_amf(diag, since=None) -> None:
             value -= getattr(since, field)
         if value:
             counter.inc(value)
-
-
-def record_ggt_sweep_depth(depth: int) -> None:
-    if REGISTRY.enabled and depth > 0:
-        GGT_RECURSION_DEPTH.observe(depth)
 
 
 def record_cache(*, hit: bool, evictions: int = 0) -> None:

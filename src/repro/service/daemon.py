@@ -133,10 +133,10 @@ class AllocationService:
         observability: bool = True,
     ):
         require(state.n_sites > 0, "service needs at least one site")
-        require(
-            oracle in ("parametric", "legacy", "ggt"),
-            f"unknown oracle {oracle!r} (parametric, legacy or ggt)",
-        )
+        # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
+        # passes ``oracle=args.oracle``.  There is one feasibility oracle; the
+        # parameter selects nothing and goes when that harness may be edited.
+        require(oracle == "parametric", f"unknown oracle {oracle!r} (the only oracle is 'parametric')")
         require(backend in ("local", "dist"), f"unknown backend {backend!r} (local or dist)")
         require(
             (backend == "dist") == (pool is not None),
@@ -152,7 +152,6 @@ class AllocationService:
         self.cache = AllocationCache(max_entries=cache_size)
         self.incremental = IncrementalAmfSolver(
             max_cuts=max_cuts,
-            oracle=oracle,
             sharded=sharded or backend == "dist",
             workers=workers,
             shard_backend=pool,
@@ -392,12 +391,6 @@ class AllocationService:
                     "probes_warm": inc.probes_warm,
                     "probes_cold": inc.probes_cold,
                     "probe_rollbacks": inc.probe_rollbacks,
-                    # GGT sweep breakdown (all zero unless oracle="ggt")
-                    "oracle": self.incremental.oracle,
-                    "ggt_sweeps": inc.ggt_sweeps,
-                    "ggt_sweep_flows": inc.ggt_sweep_flows,
-                    "ggt_breakpoints": inc.ggt_breakpoints,
-                    "ggt_flows_avoided": inc.ggt_flows_avoided,
                     # AMRF engine (all zero unless vector clusters were solved)
                     "amrf_rounds": inc.amrf_rounds,
                     "amrf_lps": inc.amrf_lps,

@@ -133,6 +133,9 @@ _allocation_payload = allocation_payload
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-amf"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two unbuffered writes; on a keep-alive
+    # socket Nagle holds the second until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AllocationService:

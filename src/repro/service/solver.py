@@ -68,17 +68,12 @@ class IncrementalStats:
     cuts_generated: int = 0  # cuts still discovered despite warm start
     warm_cuts_seeded: int = 0  # cuts replayed from the basis
     rounds: int = 0
-    # parametric-oracle reuse breakdown (all zero on the legacy backend)
+    # parametric-oracle reuse breakdown
     probes_early_accept: int = 0  # probes answered by feasible-dominance
     probes_cut_reject: int = 0  # probes answered by a stored site cut
     probes_warm: int = 0  # flow solves continuing from existing flow
     probes_cold: int = 0  # flow solves starting from zero flow
     probe_rollbacks: int = 0  # probes that cancelled flow before solving
-    # GGT one-shot sweep (all zero unless oracle="ggt")
-    ggt_sweeps: int = 0  # parametric sweeps run
-    ggt_sweep_flows: int = 0  # flow solves paid inside sweeps
-    ggt_breakpoints: int = 0  # leximin breakpoints recovered by sweeps
-    ggt_flows_avoided: int = 0  # post-sweep probes answered without a flow
     # shard decomposition (all zero when sharded=False)
     shard_solves: int = 0  # components actually solved (cache misses)
     shard_cache_hits: int = 0  # components replayed from the matrix cache
@@ -107,10 +102,6 @@ class IncrementalStats:
         self.probes_warm += diag.probes_warm
         self.probes_cold += diag.probes_cold
         self.probe_rollbacks += diag.probe_rollbacks
-        self.ggt_sweeps += diag.ggt_sweeps
-        self.ggt_sweep_flows += diag.ggt_sweep_flows
-        self.ggt_breakpoints += diag.ggt_breakpoints
-        self.ggt_flows_avoided += diag.ggt_flows_avoided
         self.amrf_rounds += diag.amrf_rounds
         self.amrf_lps += diag.amrf_lps
         self.amrf_probes += diag.amrf_probes
@@ -132,13 +123,6 @@ class IncrementalAmfSolver:
         into a cold solver with the *identical* pipeline (validation,
         diagnostics, allocation plumbing) — the control arm for
         warm-vs-cold A/B measurements such as experiment X9.
-    oracle:
-        Feasibility backend handed to :func:`solve_amf`; the default
-        ``"parametric"`` threads the persistent basis into the oracle's
-        cut-screening pool so stored cuts answer probes without a flow solve.
-        ``"ggt"`` layers a one-shot GGT breakpoint sweep on top of the
-        parametric oracle (see docs/performance.md, layer 5): best when the
-        workload has many distinct leximin levels per solve.
     sharded:
         Solve connected components independently with per-shard bases and a
         per-shard matrix cache (see module docstring).  Off by default — the
@@ -168,7 +152,6 @@ class IncrementalAmfSolver:
         max_cuts: int = 64,
         *,
         persistent: bool = True,
-        oracle: str = "parametric",
         sharded: bool = False,
         workers: int | None = None,
         shard_cache_size: int = 256,
@@ -181,7 +164,6 @@ class IncrementalAmfSolver:
         )
         self.basis = CutBasis(max_cuts=max_cuts)
         self.persistent = persistent
-        self.oracle = oracle
         self.sharded = sharded
         self.workers = workers
         self.shard_cache_size = shard_cache_size
@@ -212,7 +194,7 @@ class IncrementalAmfSolver:
             if self.sharded:
                 alloc = self._solve_sharded(cluster, diag)
             else:
-                alloc = solve_amf(cluster, diagnostics=diag, basis=self.basis, oracle=self.oracle)
+                alloc = solve_amf(cluster, diagnostics=diag, basis=self.basis)
         except Exception:
             # A numerically broken basis must not poison the next attempt;
             # drop it and let the fallback chain take this solve cold.
@@ -266,7 +248,6 @@ class IncrementalAmfSolver:
                 results = solve_shards(
                     misses,
                     bases=self.bases,
-                    oracle=self.oracle,
                     workers=self.workers,
                     resource_totals=totals,
                 )

@@ -21,7 +21,6 @@ provides:
 from repro.workload.zipf import zipf_probabilities, zipf_sample
 from repro.workload.generator import (
     WorkloadSpec,
-    breakpoint_ladder,
     generate_cluster,
     generate_jobs,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "zipf_probabilities",
     "zipf_sample",
     "WorkloadSpec",
-    "breakpoint_ladder",
     "generate_cluster",
     "generate_jobs",
     "ArrivalSpec",

@@ -113,42 +113,3 @@ def generate_cluster(spec: WorkloadSpec, rng: np.random.Generator) -> Cluster:
     """Sample a full batch instance as a :class:`~repro.model.cluster.Cluster`."""
     jobs = generate_jobs(spec, rng)
     return Cluster(sites_for(spec, jobs), jobs)
-
-
-def breakpoint_ladder(
-    k: int, *, site_spread: int = 3, jobs_per_class: int = 2, classes: int = 2
-) -> Cluster:
-    """A deterministic instance whose leximin profile has ``k`` distinct levels
-    (exactly ``k`` whenever ``k`` is a positive multiple of ``classes``).
-
-    Built as ``k // classes`` disconnected *rungs*: rung ``r`` is a clique of
-    ``site_spread`` sites with capacity ``8 * (1 + 0.43 r)`` shared by
-    ``classes`` weight classes of ``jobs_per_class`` jobs each.  Capacities
-    and weights are chosen incommensurate, so every (rung, class) pair
-    water-fills to a distinct fair share — the number of distinct leximin
-    breakpoints equals ``k`` by construction.  This isolates the
-    breakpoint-count axis that separates one-shot GGT sweeps from per-level
-    probing (``benchmarks/bench_pr8.py``): classic Zipf instances
-    (:func:`generate_cluster`) rarely exceed a handful of distinct levels.
-    """
-    require(k >= 1, "need at least one breakpoint")
-    require(classes >= 1 and jobs_per_class >= 1 and site_spread >= 1, "degenerate ladder shape")
-    rungs = max(1, k // classes)
-    sites: list[Site] = []
-    jobs: list[Job] = []
-    for r in range(rungs):
-        cap = 8.0 * (1.0 + 0.43 * r)
-        rung_sites = [f"s{r}_{s}" for s in range(site_spread)]
-        sites.extend(Site(name, cap) for name in rung_sites)
-        for c in range(classes):
-            weight = 1.0 + 0.37 * c
-            for j in range(jobs_per_class):
-                jobs.append(
-                    Job(
-                        f"j{r}_{c}_{j}",
-                        workload={name: 1.0 for name in rung_sites},
-                        demand={name: cap for name in rung_sites},
-                        weight=weight,
-                    )
-                )
-    return Cluster(tuple(sites), tuple(jobs))

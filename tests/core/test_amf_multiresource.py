@@ -4,7 +4,7 @@ The v1 resource API promises that spelling a single-resource cluster as
 vectors (``Site("s", {"cpu": c})``, ``Job(..., resources={"cpu": 1.0})``)
 changes nothing: :func:`repro.core.amf.solve_amf` routes it through
 :func:`repro.multiresource.engine.scalar_reduction` onto the very same
-flow/GGT machinery, so levels, allocation matrices and diagnostics
+scalar flow machinery, so levels, allocation matrices and diagnostics
 counters must match the scalar solve exactly — not approximately.
 """
 
@@ -95,18 +95,6 @@ def test_allocation_bit_identical(inst):
     assert a.policy == b.policy
     assert d_s == d_v
     assert d_v.amrf_lps == 0  # routed, never solved as an LP
-
-
-@settings(max_examples=20, deadline=None)
-@given(instances())
-def test_ggt_oracle_bit_identical(inst):
-    scalar, vector, floors = inst
-    d_s, d_v = AmfDiagnostics(), AmfDiagnostics()
-    a = solve_amf(scalar, floors, d_s, oracle="ggt")
-    b = solve_amf(vector, floors, d_v, oracle="ggt")
-    assert np.array_equal(a.matrix, b.matrix)
-    assert d_s == d_v
-    assert d_s.ggt_sweeps == d_v.ggt_sweeps
 
 
 @settings(max_examples=20, deadline=None)

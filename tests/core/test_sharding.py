@@ -9,12 +9,20 @@ extremes (one big component; every job its own component) — plus exact
 serial-vs-parallel agreement and the warm-basis pool mechanics.
 """
 
+import multiprocessing
+import os
+import tempfile
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import ABS_TOL
+from repro.core import sharding
 from repro.core.amf import solve_amf
 from repro.core.sharding import (
     Shard,
@@ -172,25 +180,58 @@ class TestEquivalence:
             solve_amf(cluster, shards=True, basis=CutBasis())
 
 
+@contextmanager
+def proven_fan_out():
+    """Fail unless >= 2 worker processes ran ``_solve_shard`` inside the block.
+
+    A test about parallelism must not pass serially: a forked worker holds
+    its first shard until a second worker has checked in, so a pool that
+    engaged always shows >= 2 worker PIDs, and one that silently degraded
+    to the serial path shows only the parent's.
+    """
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("fan-out needs >= 2 cores (parallel_map caps workers at os.cpu_count())")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fan-out needs the fork start method")
+    parent = os.getpid()
+    real = sharding._solve_shard
+    with tempfile.TemporaryDirectory() as seen:
+
+        def recorded(*args, **kwargs):
+            Path(seen, str(os.getpid())).touch()
+            deadline = time.monotonic() + 10.0
+            while os.getpid() != parent and len(os.listdir(seen)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real(*args, **kwargs)
+
+        sharding._solve_shard = recorded
+        try:
+            yield
+        finally:
+            sharding._solve_shard = real
+        workers = {int(name) for name in os.listdir(seen)} - {parent}
+    assert len(workers) >= 2, f"shards were solved by worker PIDs {workers}: the pool never engaged"
+
+
 class TestParallelAgreement:
     @settings(max_examples=10, deadline=None)
-    @given(blocks=_blocks, seed=st.integers(0, 2**16))
+    @given(blocks=_blocks.filter(lambda b: len(b) >= 2), seed=st.integers(0, 2**16))
     def test_serial_equals_parallel_bitwise(self, blocks, seed):
         cluster = block_cluster(blocks, seed=seed)
         serial = solve_amf_sharded(cluster, workers=None)
-        fanned = solve_amf_sharded(cluster, workers=4)
+        with proven_fan_out():
+            fanned = solve_amf_sharded(cluster, workers=4)
         np.testing.assert_array_equal(serial.matrix, fanned.matrix)
 
     def test_discovered_cuts_fold_back_identically(self):
         # a tight cluster that generates cuts; the basis pool must end up
         # with the same cut sets whether shards ran serial or fanned
         cluster = block_cluster([(3, 2), (3, 2)], seed=11)
-        pools = []
-        for workers in (None, 4):
-            pool = ShardBasisPool()
-            solve_amf_sharded(cluster, bases=pool, workers=workers)
-            pools.append({key: basis.sets() for key, basis in pool.items()})
-        assert pools[0] == pools[1]
+        serial, fanned = ShardBasisPool(), ShardBasisPool()
+        solve_amf_sharded(cluster, bases=serial, workers=None)
+        with proven_fan_out():
+            solve_amf_sharded(cluster, bases=fanned, workers=4)
+        assert {k: b.sets() for k, b in serial.items()} == {k: b.sets() for k, b in fanned.items()}
 
 
 class TestShardBasisPool:
@@ -214,10 +255,10 @@ class TestShardBasisPool:
         cluster = block_cluster([(3, 2), (3, 2)], seed=11)
         shards = decompose(cluster)
         pool = ShardBasisPool()
-        first = solve_shards(shards, bases=pool, oracle="parametric", workers=None)
+        first = solve_shards(shards, bases=pool, workers=None)
         warm_total = sum(r.diagnostics.warm_cuts_seeded for r in first)
         assert warm_total == 0  # cold pool: nothing to seed
-        second = solve_shards(shards, bases=pool, oracle="parametric", workers=None)
+        second = solve_shards(shards, bases=pool, workers=None)
         for cold, warm in zip(first, second):
             np.testing.assert_array_equal(cold.matrix, warm.matrix)
 

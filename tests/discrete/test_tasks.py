@@ -1,5 +1,7 @@
 """Tests for task-level jobs and discretization."""
 
+import pickle
+
 import pytest
 
 from repro.discrete.tasks import DiscreteJob, discretize_jobs
@@ -36,6 +38,10 @@ class TestDiscreteJob:
         assert f.workload["A"] == pytest.approx(2.0)
         assert f.demand_at("A") == 4.0  # parallelism = task count
         assert f.weight == 2.0 and f.arrival == 1.0
+
+    def test_pickle_round_trip(self):
+        job = DiscreteJob("j", {"A": (2, 1.5), "B": (1, 0.5)}, weight=2.0, arrival=1.0)
+        assert pickle.loads(pickle.dumps(job)) == job
 
 
 class TestDiscretize:

@@ -105,22 +105,6 @@ class TestPoolSolve:
         for mine, theirs in zip(local, remote):
             assert mine.diagnostics == theirs.diagnostics
 
-    def test_ggt_oracle_over_the_wire(self, workers):
-        pool = WorkerPool(
-            [w.address for w in workers], oracle="ggt", heartbeat_interval=0.05
-        ).start()
-        try:
-            cluster = block_cluster([(3, 2), (2, 2)])
-            shards = decompose(cluster)
-            local = solve_shards(shards, oracle="ggt")
-            remote = pool.solve_shards(shards)
-            for mine, theirs in zip(local, remote):
-                assert np.array_equal(mine.matrix, theirs.matrix)
-                assert theirs.diagnostics.ggt_sweeps >= 1
-            assert pool.stats_dict()["probes"]["ggt_sweeps"] == len(shards)
-        finally:
-            pool.stop()
-
     def test_results_in_input_order_and_jobless_skipped(self, pool):
         cluster = block_cluster([(2, 2), (1, 1)])
         shards = decompose(cluster)

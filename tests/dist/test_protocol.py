@@ -75,7 +75,6 @@ MESSAGE_STRATEGIES = {
         id=ids,
         key=site_sets,
         cluster=st.one_of(st.none(), clusters),
-        oracle=st.sampled_from(["parametric", "legacy"]),
         seed_cuts=st.lists(site_sets, max_size=3).map(tuple),
         floors=st.one_of(st.none(), st.lists(floats, max_size=4).map(tuple)),
         resource_totals=st.one_of(

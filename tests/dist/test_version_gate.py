@@ -1,8 +1,9 @@
-"""Protocol v2: resource totals on the wire, fail-closed version gating.
+"""Fail-closed version gating, and resource totals on the wire.
 
 A v1 peer has no notion of federation-wide dominant-share denominators —
 cross-version "best effort" would silently solve multi-resource shards
-with the wrong objective.  So version disagreement must *refuse*, typed,
+with the wrong objective — and a v2 peer still names an ``oracle`` the v3
+``SolveShard`` no longer has.  So version disagreement must *refuse*, typed,
 at every layer: ``decode_message`` raises :class:`VersionMismatch`, the
 worker answers one stream-level ``ErrorReply(id=0)`` and hangs up, and
 the coordinator surfaces that refusal as :class:`DistError` (which the
@@ -42,10 +43,10 @@ def frame(obj: dict) -> bytes:
 
 
 class TestVersionGate:
-    def test_protocol_version_bumped_for_vectors(self):
-        assert PROTOCOL_VERSION == 2
+    def test_protocol_version_bumped_when_oracle_left_the_wire(self):
+        assert PROTOCOL_VERSION == 3
 
-    @pytest.mark.parametrize("v", [1, 3, "2", None])
+    @pytest.mark.parametrize("v", [1, 2, 4, "3", None])
     def test_decode_rejects_foreign_versions(self, v):
         body = {"v": v, "type": "ping", "id": 7, "body": {}}
         with pytest.raises(VersionMismatch):
@@ -76,6 +77,25 @@ class TestVersionGate:
         finally:
             worker.close()
 
+    def test_worker_refuses_v2_solve_shard_before_reading_its_body(self):
+        """A v2 coordinator's ``solve_shard`` carries ``oracle``.  The v3
+        worker must answer the typed version refusal, not ``bad_request``
+        for an unknown body field — so the body here is one that would fail
+        every later check (no cluster, an unknown field, a removed oracle)."""
+        worker = SolverWorker().start()
+        try:
+            with socket.create_connection(worker.address, timeout=10) as sock:
+                body = {"key": ["a"], "oracle": "ggt", "not_a_field": 1}
+                sock.sendall(frame({"v": 2, "type": "solve_shard", "id": 5, "body": body}))
+                reply = recv_message(sock)
+                assert isinstance(reply, ErrorReply)
+                assert (reply.id, reply.code) == (0, "version_mismatch")
+                with pytest.raises(ConnectionClosed):
+                    recv_message(sock)
+            assert worker.solves == 0
+        finally:
+            worker.close()
+
     def test_coordinator_surfaces_refusal_as_dist_error(self):
         """A peer that answers every frame with a stream-level refusal
         (what our side of a cross-version pairing sends) yields a typed
@@ -93,7 +113,7 @@ class TestVersionGate:
                     conn.recv(length)
                     conn.sendall(
                         encode_message(
-                            ErrorReply(id=0, code="version_mismatch", message="speak v2")
+                            ErrorReply(id=0, code="version_mismatch", message="speak v3")
                         )
                     )
                 except OSError:

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import amf
 from repro.core.amf import AmfDiagnostics, amf_levels, amf_levels_bisect, solve_amf
 from repro.flownet.bipartite import build_network
-from repro.flownet.parametric import ParametricFeasibility
+from repro.flownet.parametric import ParametricFeasibility, ProbeStats
 from repro.model.cluster import Cluster
 from repro.workload.generator import WorkloadSpec, generate_cluster
 
@@ -209,28 +210,41 @@ def test_observed_cut_screens_without_flow_solve():
     assert _cold_outcome(cluster, [5.0, 5.0]).feasible is False
 
 
+class _ColdFeasibility:
+    """The reference oracle behind the solver's probe interface: every
+    probe is a fresh ``FeasibilityNetwork`` + Dinic from zero flow — no
+    warm flow, no screens, no folding, no realization shortcut."""
+
+    def __init__(self, cluster, cut_sets=()):
+        self.cluster = cluster
+        self.stats = ProbeStats()
+
+    def probe(self, targets, *, need_cut=False):
+        return _cold_outcome(self.cluster, targets)
+
+    def allocation_matrix(self, levels):
+        return None
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_amf_levels_match_legacy_oracle(seed):
+def test_amf_levels_match_cold_reference(seed, monkeypatch):
     cluster = generate_cluster(
         WorkloadSpec(n_jobs=25, n_sites=6, theta=1.2), np.random.default_rng(seed)
     )
-    d_par, d_leg = AmfDiagnostics(), AmfDiagnostics()
-    lv_par = amf_levels(cluster, diagnostics=d_par, oracle="parametric")
-    lv_leg = amf_levels(cluster, diagnostics=d_leg, oracle="legacy")
-    np.testing.assert_allclose(lv_par, lv_leg, atol=1e-8, rtol=1e-9)
+    d_par, d_ref = AmfDiagnostics(), AmfDiagnostics()
+    lv_par = amf_levels(cluster, diagnostics=d_par)
+    bisect_par = amf_levels_bisect(cluster)
+    agg_par = solve_amf(cluster).aggregates
+    assert d_par.probes_reused > 0  # the warm machinery actually engaged
+
+    monkeypatch.setattr(amf, "ParametricFeasibility", _ColdFeasibility)
+    lv_ref = amf_levels(cluster, diagnostics=d_ref)
+    assert d_ref.probes_reused == d_ref.probes_cold == 0  # the reference really is cold
+    np.testing.assert_allclose(lv_par, lv_ref, atol=1e-8, rtol=1e-9)
     # identical probe-for-probe behaviour, not just identical answers
-    assert d_par.feasibility_solves == d_leg.feasibility_solves
-    np.testing.assert_allclose(
-        amf_levels_bisect(cluster, oracle="parametric"),
-        amf_levels_bisect(cluster, oracle="legacy"),
-        atol=1e-7,
-        rtol=1e-7,
-    )
-    np.testing.assert_allclose(
-        solve_amf(cluster, oracle="parametric").aggregates,
-        solve_amf(cluster, oracle="legacy").aggregates,
-        atol=1e-7,
-    )
+    assert d_par.feasibility_solves == d_ref.feasibility_solves
+    np.testing.assert_allclose(bisect_par, amf_levels_bisect(cluster), atol=1e-7, rtol=1e-7)
+    np.testing.assert_allclose(agg_par, solve_amf(cluster).aggregates, atol=1e-7)
 
 
 def test_degenerate_instances_stop_at_the_model_boundary():

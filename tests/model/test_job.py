@@ -1,5 +1,7 @@
 """Unit tests for repro.model.job."""
 
+import pickle
+
 import pytest
 
 from repro.model.job import Job
@@ -112,3 +114,11 @@ class TestDerivedCopies:
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Job("j", {"A": 1.0}).scaled(0.0)
+
+    def test_pickle_round_trip(self):
+        # the mappingproxy fields must not stop a job crossing a process pool
+        job = Job("j", {"A": 2.0, "B": 1.0}, demand={"A": 0.5}, weight=2.0, arrival=3.0, resources={"cpu": 2.0})
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job
+        with pytest.raises(TypeError):
+            clone.workload["A"] = 9.0  # still frozen on the other side

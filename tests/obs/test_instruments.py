@@ -29,7 +29,7 @@ class TestAmfBitMatch:
         REGISTRY.enable()
         diag = AmfDiagnostics()
         c = small_cluster()
-        # one shared mutable diag across three solver entries, like bench_pr3
+        # one shared mutable diag across three solver entries
         amf_levels(c, diagnostics=diag)
         amf_levels_bisect(c, diagnostics=diag)
         solve_amf(small_cluster(2.5), diagnostics=diag)

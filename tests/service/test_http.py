@@ -1,7 +1,11 @@
 """HTTP front-end: real requests against an in-process ServiceServer."""
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,7 +13,7 @@ import pytest
 
 from repro.model.site import Site
 from repro.service.daemon import AllocationService
-from repro.service.http import ServiceServer, job_from_dict
+from repro.service.http import ServiceServer, _Handler, job_from_dict
 from repro.service.state import ClusterState
 
 
@@ -164,6 +168,39 @@ class TestPassiveAllocate:
         status, payload = call(server, "GET", "/v1/allocate?fresh=perhaps")
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
+
+
+class TestKeepAliveLatency:
+    """Headers and body leave as two writes on a keep-alive socket; with
+    Nagle on, the second waits for the client's delayed ACK (~40 ms)."""
+
+    def test_accepted_connections_disable_nagle(self, server, monkeypatch):
+        seen = []
+        real_setup = _Handler.setup
+
+        def setup(handler):
+            real_setup(handler)
+            seen.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        assert call(server, "GET", "/v1/health")[0] == 200
+        assert seen and all(seen)
+
+    def test_keep_alive_round_trips_do_not_stall(self, server):
+        call(server, "POST", "/v1/allocate", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            samples = []
+            for _ in range(50):
+                t0 = time.perf_counter()
+                conn.request("GET", "/v1/allocate?fresh=false")
+                resp = conn.getresponse()
+                resp.read()
+                samples.append(time.perf_counter() - t0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(samples) < 0.010
 
 
 class TestFlusherResilience:

@@ -25,6 +25,21 @@ class TestParser:
             build_parser().parse_args(["solve", "--policy", "bogus"])
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--oracle", "ggt"], ["worker", "--oracle", "legacy"], ["serve", "--oracle", "ggt"]],
+    )
+    def test_oracle_selection_is_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_serve_still_parses_the_one_oracle(self):
+        # benchmarks/ledger/client.py reads args.oracle off this parser
+        assert build_parser().parse_args(["serve", "--oracle", "parametric"]).oracle == "parametric"
+        assert build_parser().parse_args(["serve"]).oracle == "parametric"
+
+
 class TestCommands:
     def test_validate(self, capsys):
         assert main(["validate", "--jobs", "5", "--sites", "3"]) == 0
