@@ -22,8 +22,17 @@ which suggests the exact algorithm implemented here:
    violates a recorded cut.  Infeasible: the min cut yields a *new violated
    constraint*; add it and repeat (``lam`` strictly decreases, so the loop
    adds each cut at most once).
-4. Freeze every active job that is demand-saturated or sits in a binding
-   cut; the rest continue into the next round.
+4. Freeze every active job that sits in a binding cut (``A_i >=
+   cross_i(S)``) or has reached its cap.  A tight cut also bounds every job
+   it does *not* freeze: ``sum_{i in J} (A_i - cross_i(S)) = cap(S)`` over
+   the members ``J`` leaves no room for another term, so ``A_i <=
+   cross_i(S)`` from here on.  The remaining jobs' caps are lowered to that
+   value — they then saturate inside the piecewise sweep like any
+   demand-capped job — and the cut, now constant, leaves the pool.
+
+A round therefore ends only when a cut that has never bound binds: at most
+``1 + pool size`` rounds (seed + warm-started + discovered cuts), however
+many jobs each cut pins.
 
 The result is exact up to flow tolerance (no level is located by search) and
 is verified max-min by :mod:`repro.core.properties` in the test suite, with
@@ -38,12 +47,13 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import ABS_TOL, feq, require
+from repro._util import ABS_TOL, REL_TOL, require
 from repro.core.allocation import Allocation, scrub_matrix
 from repro.flownet.bipartite import build_network
 from repro.flownet.parametric import ParametricFeasibility
@@ -76,8 +86,8 @@ class AmfDiagnostics:
     rounds: int = 0
     feasibility_solves: int = 0
     cuts_generated: int = 0
-    frozen_by_cap: int = 0
-    frozen_by_cut: int = 0
+    frozen_by_cap: int = 0  # jobs frozen at their own aggregate demand
+    frozen_by_cut: int = 0  # jobs frozen in a binding cut, or at the cross_i(S) one pinned them to
     warm_cuts_seeded: int = 0  # valid cuts replayed from a CutBasis
     probes_early_accept: int = 0  # probes answered by feasible-dominance
     probes_cut_reject: int = 0  # probes answered by a stored site cut
@@ -309,80 +319,111 @@ class SiteCutFill(_PiecewiseEvaluator):
 
 
 class _RoundPool:
-    """All site-cut constraints of one round, built and proposed *batched*.
+    """The live site-cut constraints of one round, over the *active* jobs.
 
-    Semantically K independent :class:`SiteCutFill` evaluators (one per
-    pooled cut), but constructed as a single ``(K, 4n)`` event sweep so a
-    warm-started solve carrying many persisted cuts does not pay K
-    Python-level constructions per round — that overhead would eat the
-    very feasibility-probe savings the warm start buys.
+    Semantically one :class:`SiteCutFill` per row, but swept batched
+    (``(K, 4a)`` events for ``a`` active jobs) so a warm-started solve
+    carrying many persisted cuts does not pay K Python-level constructions.
+    Frozen jobs are constants: each row's ``base`` carries their share of
+    the LHS.  A cutting-plane miss appends one row with :meth:`add`; the
+    rows already swept are kept.
     """
 
-    __slots__ = ("crosses", "rhs", "levels", "consts", "slopes", "total_cap", "top_level")
+    __slots__ = ("floors", "caps", "weights", "top_level", "per")
 
-    def __init__(
-        self,
-        floors: np.ndarray,
-        caps: np.ndarray,
-        weights: np.ndarray,
-        crosses: np.ndarray,
-        rhs: np.ndarray,
-    ):
-        k, n = crosses.shape
-        floors = np.minimum(floors, caps)
-        m_floors = np.minimum(floors, crosses)  # (K, n)
-        m_caps = np.minimum(caps, crosses)
-        f_b = np.broadcast_to(floors, (k, n))
-        c_b = np.broadcast_to(caps, (k, n))
-        w_b = np.broadcast_to(weights, (k, n))
+    def __init__(self, floors: np.ndarray, caps: np.ndarray, weights: np.ndarray):
+        self.floors = np.minimum(floors, caps)
+        self.caps = caps
+        self.weights = weights
+        self.top_level = float((caps / weights).max(initial=0.0))
+        self.per = np.empty(0)  # per row: sup { lam >= 0 : H_k(lam) <= rhs_k }
+
+    def add(self, crosses: np.ndarray, rhs: np.ndarray, base: np.ndarray) -> None:
+        """Sweep ``(k, a)`` more rows: crossing capacities, ``cap(S)`` and the
+        frozen jobs' contribution per row."""
+        k, a = crosses.shape
+        m_floors = np.minimum(self.floors, crosses)  # (k, a)
+        m_caps = np.minimum(self.caps, crosses)
+        f_b = np.broadcast_to(self.floors, (k, a))
+        c_b = np.broadcast_to(self.caps, (k, a))
+        w_b = np.broadcast_to(self.weights, (k, a))
         levels = np.concatenate([f_b / w_b, c_b / w_b, m_floors / w_b, m_caps / w_b], axis=1)
         consts = np.concatenate([-f_b, c_b, m_floors, -m_caps], axis=1)
         slopes = np.concatenate([w_b, -w_b, -w_b, w_b], axis=1)
         order = np.argsort(levels, axis=1, kind="stable")
-        self.levels = np.take_along_axis(levels, order, axis=1)
-        base = (f_b - m_floors).sum(axis=1)
-        self.consts = base[:, None] + np.cumsum(np.take_along_axis(consts, order, axis=1), axis=1)
-        self.slopes = np.cumsum(np.take_along_axis(slopes, order, axis=1), axis=1)
-        self.total_cap = (c_b - m_caps).sum(axis=1)
-        self.top_level = float((caps / weights).max(initial=0.0))
-        self.crosses = crosses
-        self.rhs = rhs
-
-    def max_levels(self) -> np.ndarray:
-        """Per-cut ``sup { lam >= 0 : H_k(lam) <= rhs_k }`` — the vectorized
-        twin of :meth:`_PiecewiseEvaluator.max_level` (same tolerance, same
-        degenerate/plateau handling)."""
-        k_cuts, n_events = self.levels.shape
-        tol = ABS_TOL * np.maximum(1.0, np.abs(self.rhs))
-        thr = self.rhs + tol
-        seg_start_vals = self.consts + self.slopes * self.levels
-        # rows are non-decreasing, so the count of starts <= thr is the
-        # searchsorted(side="right") index:
-        idx = (seg_start_vals <= thr[:, None]).sum(axis=1)
-        k = np.maximum(idx - 1, 0)
-        c = np.take_along_axis(self.consts, k[:, None], axis=1)[:, 0]
-        s = np.take_along_axis(self.slopes, k[:, None], axis=1)[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crossing = (self.rhs - c) / s
-        nxt = np.minimum(idx, n_events - 1)
-        plateau_end = np.take_along_axis(self.levels, nxt[:, None], axis=1)[:, 0]
-        per = np.where(s > 0.0, crossing, np.where(idx < n_events, plateau_end, np.inf))
-        per = np.where(idx == 0, 0.0, per)
-        return np.where(self.total_cap <= thr, np.inf, per)
+        levels = np.take_along_axis(levels, order, axis=1)
+        start = base + (f_b - m_floors).sum(axis=1)  # H_k(0)
+        consts = start[:, None] + np.cumsum(np.take_along_axis(consts, order, axis=1), axis=1)
+        slopes = np.cumsum(np.take_along_axis(slopes, order, axis=1), axis=1)
+        total_cap = base + (c_b - m_caps).sum(axis=1)  # sup of H_k
+        self.per = np.concatenate([self.per, _max_levels(levels, consts, slopes, total_cap, rhs)])
 
     def propose(self) -> tuple[float, np.ndarray]:
-        """Largest lam satisfying all constraints, plus indices of binding ones."""
-        per = self.max_levels()
-        lam = float(per.min())
-        binding = np.nonzero(per <= lam * (1 + 1e-12) + ABS_TOL)[0]
-        return lam, binding
+        """Largest lam satisfying every row, plus the indices of the binding rows."""
+        lam = float(self.per.min())
+        if np.isinf(lam):  # nothing ever binds: the actives run to their caps
+            return lam, np.empty(0, dtype=int)
+        return lam, np.flatnonzero(self.per <= lam * (1 + 1e-12) + ABS_TOL)
 
 
-def _site_cross(cluster: Cluster, sites: frozenset[int]) -> np.ndarray:
-    """Per-job crossing capacity out of site set ``sites`` (demand caps to the complement)."""
-    outside = np.ones(cluster.n_sites, dtype=bool)
-    outside[list(sites)] = False
-    return cluster.demand_caps[:, outside].sum(axis=1)
+def _max_levels(
+    levels: np.ndarray, consts: np.ndarray, slopes: np.ndarray, total_cap: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Per-row ``sup { lam >= 0 : H_k(lam) <= rhs_k }`` — the vectorized twin
+    of :meth:`_PiecewiseEvaluator.max_level` (same tolerance, same
+    degenerate/plateau handling)."""
+    n_events = levels.shape[1]
+    tol = ABS_TOL * np.maximum(1.0, np.abs(rhs))
+    thr = rhs + tol
+    seg_start_vals = consts + slopes * levels
+    # rows are non-decreasing, so the count of starts <= thr is the
+    # searchsorted(side="right") index:
+    idx = (seg_start_vals <= thr[:, None]).sum(axis=1)
+    k = np.maximum(idx - 1, 0)
+    c = np.take_along_axis(consts, k[:, None], axis=1)[:, 0]
+    s = np.take_along_axis(slopes, k[:, None], axis=1)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = (rhs - c) / s
+    nxt = np.minimum(idx, n_events - 1)
+    plateau_end = np.take_along_axis(levels, nxt[:, None], axis=1)[:, 0]
+    per = np.where(s > 0.0, crossing, np.where(idx < n_events, plateau_end, np.inf))
+    per = np.where(idx == 0, 0.0, per)
+    return np.where(total_cap <= thr, np.inf, per)
+
+
+class _SiteCuts:
+    """The site-cut constraints one solve knows: per cut ``cross_i(S)`` and
+    ``cap(S)`` (both depend only on the cluster, so they hold for the whole
+    solve), plus which cuts have not bound yet (``live``)."""
+
+    __slots__ = ("cluster", "seen", "crosses", "rhs", "live")
+
+    def __init__(self, cluster: Cluster):
+        self.cluster = cluster
+        self.seen: set[frozenset[int]] = set()
+        self.crosses: list[np.ndarray] = []
+        self.rhs: list[float] = []
+        self.live: list[int] = []
+
+    def add(self, sites: frozenset[int]) -> bool:
+        """Record site set ``sites`` as a live cut; ``False`` when already known."""
+        if sites in self.seen:
+            return False
+        self.seen.add(sites)
+        outside = np.ones(self.cluster.n_sites, dtype=bool)
+        outside[list(sites)] = False
+        # crossing capacity: the job's demand caps to the complement of S
+        self.crosses.append(self.cluster.demand_caps[:, outside].sum(axis=1))
+        self.rhs.append(float(self.cluster.capacities[sorted(sites)].sum()))
+        self.live.append(len(self.rhs) - 1)
+        return True
+
+    def rows(self, which: list[int], levels: np.ndarray, frozen: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_RoundPool.add`` arguments for cuts ``which``: crossing capacities
+        of the active jobs, ``cap(S)``, and the frozen jobs' fixed LHS share."""
+        crosses = np.stack([self.crosses[k] for k in which])
+        base = np.maximum(levels[frozen] - crosses[:, frozen], 0.0).sum(axis=1)
+        return crosses[:, ~frozen], np.array([self.rhs[k] for k in which]), base
 
 
 class _FeasibilityAdapter:
@@ -411,18 +452,16 @@ class _FeasibilityAdapter:
         floors: np.ndarray,
         caps: np.ndarray,
         diag: AmfDiagnostics,
-        *,
-        basis: CutBasis | None = None,
+        cut_sets: Iterable[frozenset[int]] = (),
     ):
         self.cluster = cluster
         self.floors = floors
-        self.caps = caps
+        self.caps = caps  # the fill loop tightens this in place as cuts bind
         self.weights = cluster.weights
         self.levels = floors.copy()  # frozen jobs keep their entry; active entries are provisional
         self.frozen = np.zeros(cluster.n_jobs, dtype=bool)
         self.diag = diag
         self._finished = False
-        cut_sets = basis.instantiate(cluster) if basis is not None else ()
         self.oracle = ParametricFeasibility(cluster, cut_sets)
 
     def targets_at(self, lam: float) -> np.ndarray:
@@ -546,8 +585,7 @@ def _fill_levels(
     n = cluster.n_jobs
     if n == 0:
         return np.zeros(0), None
-    caps = cluster.aggregate_demand.copy()
-    weights = cluster.weights
+    caps = cluster.aggregate_demand
     if floors is None:
         floors = np.zeros(n)
     else:
@@ -556,9 +594,11 @@ def _fill_levels(
         require(float(floors.min(initial=0.0)) >= -ABS_TOL, "floors must be non-negative")
         floors = np.maximum(floors, 0.0)
 
-    adapter = _FeasibilityAdapter(cluster, floors, caps, diag, basis=basis)
+    # one instantiation serves both the oracle's screen and the fill loop's pool
+    cut_sets = basis.instantiate(cluster) if basis is not None else []
+    adapter = _FeasibilityAdapter(cluster, floors, caps.copy(), diag, cut_sets)
     try:
-        return _fill_levels_inner(cluster, floors, caps, weights, diag, basis, adapter)
+        return _fill_levels_inner(cluster, caps, diag, basis, cut_sets, adapter)
     finally:
         # every exit — including the guard-loop RuntimeErrors — must fold
         # the warm oracle's probe counters into the diagnostics record
@@ -567,103 +607,91 @@ def _fill_levels(
 
 def _fill_levels_inner(
     cluster: Cluster,
-    floors: np.ndarray,
     caps: np.ndarray,
-    weights: np.ndarray,
     diag: AmfDiagnostics,
     basis: CutBasis | None,
+    cut_sets: list[frozenset[int]],
     adapter: _FeasibilityAdapter,
 ) -> tuple[np.ndarray, _FeasibilityAdapter]:
     n = cluster.n_jobs
+    floors, weights = adapter.floors, adapter.weights
     targets_at = adapter.targets_at
     feasible = adapter.feasible
     levels = adapter.levels
     frozen = adapter.frozen
+    # Effective caps: demand caps, lowered to ``cross_i(S)`` whenever a cut
+    # ``S`` binds while job ``i`` is still active (see the freeze step).
+    eff_caps = adapter.caps
 
     ok, _, _ = feasible(targets_at(0.0))
     if not ok:
         raise ValueError("floors are infeasible for this cluster")
 
-    # Cut constraints are valid for the whole solve (their cross/RHS depend
-    # only on the cluster), so the pool persists across rounds; only the
-    # piecewise LHS structure is rebuilt as jobs freeze.  Each cut is a site
-    # set S enforced in its tightest (Gale–Hoffman) form — the seed S = all
-    # sites has zero crossing capacity, i.e. the plain total-capacity fill.
-    all_sites = frozenset(range(cluster.n_sites))
-    cut_crosses: list[np.ndarray] = [np.zeros(n)]
-    cut_rhs: list[float] = [cluster.total_capacity]
-    seen_sites = {all_sites}
-    if basis is not None:
-        for sites in basis.instantiate(cluster):
-            if sites in seen_sites:
-                continue
-            seen_sites.add(sites)
-            cut_crosses.append(_site_cross(cluster, sites))
-            cut_rhs.append(float(cluster.capacities[sorted(sites)].sum()))
-            diag.warm_cuts_seeded += 1
+    # Each cut is a site set S enforced in its tightest (Gale–Hoffman) form —
+    # the seed S = all sites has zero crossing capacity, i.e. the plain
+    # total-capacity fill.
+    cuts = _SiteCuts(cluster)
+    cuts.add(frozenset(range(cluster.n_sites)))
+    for sites in cut_sets:
+        diag.warm_cuts_seeded += cuts.add(sites)
 
     lam_done = 0.0
     while not frozen.all():
         diag.rounds += 1
-        # Effective piecewise parameters: frozen jobs contribute constants.
-        f_eff = np.where(frozen, levels, floors)
-        c_eff = np.where(frozen, levels, caps)
+        active = ~frozen
+        pool = _RoundPool(floors[active], eff_caps[active], weights[active])
+        pool.add(*cuts.rows(cuts.live, levels, frozen))
 
         guard = 0
         while True:
             guard += 1
             if guard > 10 * (n + cluster.n_sites) + 100:  # pragma: no cover
                 raise RuntimeError("AMF cutting-plane loop failed to converge (numeric breakdown)")
-            pool = _RoundPool(f_eff, c_eff, weights, np.stack(cut_crosses), np.array(cut_rhs))
             lam, binding = pool.propose()
             lam_eval = min(lam, max(pool.top_level, lam_done))
             lam_eval = max(lam_eval, lam_done)
             targets = targets_at(lam_eval)
             # need_cut: an infeasible proposal must yield a *new* site set
             # (the pool already enforces every seen one analytically).
-            ok, cut_jobs, cut_sites = feasible(targets, need_cut=True)
+            ok, _, cut_sites = feasible(targets, need_cut=True)
             if ok:
                 break
             require(len(cut_sites) > 0, "infeasible cut without source-side sites (numeric breakdown)")
             sites = frozenset(int(j) for j in cut_sites)
-            # The pool already enforces every seen S at its tightest, so a
-            # violated min cut must expose a *new* site set; a repeat means
-            # the analytic LHS and the flow check disagree beyond tolerance.
-            require(sites not in seen_sites, "rediscovered site cut (numeric breakdown)")
-            seen_sites.add(sites)
-            cut_crosses.append(_site_cross(cluster, sites))
-            cut_rhs.append(float(cluster.capacities[sorted(sites)].sum()))
+            # Live cuts are enforced by the pool at their tightest and bound
+            # ones by the effective caps, so a violated min cut must expose a
+            # *new* site set; a repeat means the analytic LHS and the flow
+            # check disagree beyond tolerance.
+            require(cuts.add(sites), "rediscovered site cut (numeric breakdown)")
+            pool.add(*cuts.rows(cuts.live[-1:], levels, frozen))
             diag.cuts_generated += 1
             if basis is not None:
                 basis.record(frozenset(cluster.sites[j].name for j in sites))
 
-        lam_star = lam_eval
-        new_levels = targets_at(lam_star)
-        to_freeze = np.zeros(n, dtype=bool)
-        # demand-saturated actives
-        cap_sat = (~frozen) & (new_levels >= caps - ABS_TOL * np.maximum(1.0, caps))
-        to_freeze |= cap_sat
-        diag.frozen_by_cap += int(cap_sat.sum())
-        # members of binding cuts: a tight site cut pins exactly the jobs
-        # whose target meets or exceeds their crossing capacity (raising one
-        # would raise the cut LHS above cap(S)).
-        if not np.isinf(lam):
-            for k in binding:
-                cross = pool.crosses[k]
-                in_cut = new_levels >= cross - ABS_TOL * np.maximum(1.0, cross)
-                cut_new = in_cut & ~frozen & ~to_freeze
-                diag.frozen_by_cut += int(cut_new.sum())
-                to_freeze |= in_cut & ~frozen
-        if np.isinf(lam):
-            # no constraint ever binds: everyone saturates at caps
-            to_freeze |= ~frozen
-        if not to_freeze.any():
-            # Safety valve: should be unreachable; freeze everything at the
-            # verified-feasible targets rather than looping forever.
-            to_freeze = ~frozen
-        levels[to_freeze & ~frozen] = new_levels[to_freeze & ~frozen]
+        new_levels = targets  # the vector the max-flow just certified
+        # Saturated actives: at the demand cap, or at the crossing capacity
+        # an earlier round's binding cut pinned them to.
+        to_freeze = active & (new_levels >= eff_caps - ABS_TOL * np.maximum(1.0, eff_caps))
+        pinned = to_freeze & (eff_caps < caps - ABS_TOL * np.maximum(1.0, caps))
+        diag.frozen_by_cut += int(pinned.sum())
+        diag.frozen_by_cap += int(to_freeze.sum() - pinned.sum())
+        # A tight site cut S freezes the jobs whose target meets or exceeds
+        # their crossing capacity (raising one would lift the cut LHS above
+        # cap(S)) and, by the same inequality, caps every other job at
+        # cross_i(S) for good.  With that cap the cut's LHS is constant, so
+        # the cut retires from the pool: a round never ends on it again.
+        for k in [cuts.live[r] for r in binding]:
+            cross = cuts.crosses[k]
+            in_cut = active & (new_levels >= cross - ABS_TOL * np.maximum(1.0, cross))
+            diag.frozen_by_cut += int((in_cut & ~to_freeze).sum())
+            to_freeze |= in_cut
+            np.minimum(eff_caps, cross, out=eff_caps)
+            cuts.live.remove(k)
+        # Progress: a finite ``lam`` retires at least the cut that set it, and
+        # at ``lam = inf`` every active job sits at its effective cap.
+        levels[to_freeze] = new_levels[to_freeze]
         frozen |= to_freeze
-        lam_done = lam_star
+        lam_done = lam_eval
 
     ok, _, _ = feasible(levels)
     if not ok:  # pragma: no cover - guarded by construction
@@ -732,9 +760,10 @@ def _finalize_matrix(cluster: Cluster, levels: np.ndarray, matrix: np.ndarray) -
     rescaling residue (a row scaled up by the flow-tolerance deficit can
     overshoot a demand cap by the same hair)."""
     sums = matrix.sum(axis=1)
-    for i in range(cluster.n_jobs):
-        if sums[i] > 0.0 and not feq(sums[i], levels[i]):
-            matrix[i] *= levels[i] / sums[i]
+    # the rows ``feq(sum, level)`` calls unequal, all at once
+    tol = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(sums), np.abs(levels)))
+    off = (sums > 0.0) & (np.abs(sums - levels) > tol)
+    matrix[off] *= (levels[off] / sums[off])[:, None]
     return scrub_matrix(cluster, matrix)
 
 

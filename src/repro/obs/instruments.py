@@ -91,7 +91,7 @@ _AMF_COUNTERS = {
     ),
     "cuts_generated": REGISTRY.counter("repro_amf_cuts_generated_total", "new site cuts discovered"),
     "frozen_by_cap": REGISTRY.counter("repro_amf_frozen_by_cap_total", "jobs frozen demand-saturated"),
-    "frozen_by_cut": REGISTRY.counter("repro_amf_frozen_by_cut_total", "jobs frozen in a binding cut"),
+    "frozen_by_cut": REGISTRY.counter("repro_amf_frozen_by_cut_total", "jobs frozen in a binding cut or at the crossing capacity one pinned them to"),
     "warm_cuts_seeded": REGISTRY.counter(
         "repro_amf_warm_cuts_seeded_total", "cuts replayed from a CutBasis"
     ),

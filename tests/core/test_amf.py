@@ -325,6 +325,30 @@ class TestDiagnostics:
         assert solve_amf(two_site_cluster, floors=floors).policy == "amf+floors"
 
 
+class TestFinalizeMatrix:
+    def test_row_rescale_matches_the_per_job_feq_loop(self, rng):
+        """The vectorised rescale is the per-row ``feq`` loop, bit for bit:
+        rows a hair off their level (inside and outside tolerance), zero
+        rows and exact rows."""
+        from repro._util import feq
+        from repro.core.allocation import scrub_matrix
+        from repro.core.amf import _finalize_matrix
+
+        c = random_cluster(rng, n_jobs=40, n_sites=5)
+        levels = amf_levels(c)
+        base = solve_amf(c).matrix
+        noise = rng.choice([0.0, 1e-13, 5e-10, 3e-9, 1e-6, -1e-6], size=c.n_jobs)
+        noisy = base * (1.0 + noise)[:, None]
+        noisy[:3] = 0.0
+        expected = noisy.copy()
+        sums = expected.sum(axis=1)
+        for i in range(c.n_jobs):
+            if sums[i] > 0.0 and not feq(sums[i], levels[i]):
+                expected[i] *= levels[i] / sums[i]
+        expected = scrub_matrix(c, expected)
+        assert np.array_equal(_finalize_matrix(c, levels, noisy.copy()), expected)
+
+
 @st.composite
 def small_instances(draw):
     n = draw(st.integers(1, 5))
