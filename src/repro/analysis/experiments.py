@@ -846,12 +846,16 @@ def run_x7_multiresource(
     """X7 (extension): the AMF story generalizes to resource vectors.
 
     Jobs demand (cpu, mem) vectors; sites offer vector capacities.  The
-    per-site DRF baseline vs AMRF (max-min on aggregate dominant shares),
+    per-site DRF baseline vs AMRF (max-min on aggregate dominant shares,
+    i.e. :func:`~repro.core.amf.solve_amf` on the vector cluster),
     compared on the Jain index of dominant shares.  Expected shape: same
     as F1 — AMRF dominates, gap grows with skew.
     """
+    from repro.core.amf import solve_amf
     from repro.metrics.fairness import jain_index
-    from repro.multiresource import MRCluster, MRJob, MRSite, solve_amrf, solve_persite_drf
+    from repro.model.job import Job
+    from repro.model.site import Site
+    from repro.multiresource import solve_persite_drf
     from repro.workload.zipf import zipf_probabilities
 
     n_jobs = _scaled(20, scale, minimum=4)
@@ -860,7 +864,7 @@ def run_x7_multiresource(
     def point(theta, rng):
         popularity = zipf_probabilities(n_sites, float(theta))
         sites = [
-            MRSite(f"s{j}", {"cpu": float(rng.uniform(8, 16)), "mem": float(rng.uniform(16, 64))})
+            Site(f"s{j}", {"cpu": float(rng.uniform(8, 16)), "mem": float(rng.uniform(16, 64))})
             for j in range(n_sites)
         ]
         jobs = []
@@ -871,10 +875,13 @@ def run_x7_multiresource(
             total_tasks = float(rng.uniform(20, 60))
             tasks = {f"s{j}": float(total_tasks * frac) for j, frac in zip(chosen, split)}
             demand = {"cpu": float(rng.uniform(0.5, 2.0)), "mem": float(rng.uniform(0.5, 8.0))}
-            jobs.append(MRJob(f"j{i}", demand, tasks))
-        cluster = MRCluster(sites, jobs)
-        drf = cluster.aggregate_dominant_shares(solve_persite_drf(cluster))
-        amrf = cluster.aggregate_dominant_shares(solve_amrf(cluster))
+            # ``tasks`` is both the work pinned per site and the bound on
+            # simultaneous tasks there (bounded-task DRF's per-site cap).
+            jobs.append(Job(f"j{i}", tasks, demand=tasks, resources=demand))
+        cluster = Cluster(sites, jobs)
+        dom = cluster.dominant_factor()
+        drf = dom * solve_persite_drf(cluster).aggregates
+        amrf = dom * solve_amf(cluster).aggregates
         return {
             "psdrf/jain": jain_index(drf),
             "amrf/jain": jain_index(amrf),

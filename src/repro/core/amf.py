@@ -97,11 +97,9 @@ class AmfDiagnostics:
     jobs_folded: int = 0  # degree-1 jobs folded out of the flow network
     # AMRF multi-resource engine (all zero on scalar / reduced solves)
     amrf_rounds: int = 0  # progressive-filling rounds (max-t LPs)
-    amrf_lps: int = 0  # LP solves paid (incl. warm-basis re-solves)
+    amrf_lps: int = 0  # LP solves paid (max-t, freeze probes, realization)
     amrf_probes: int = 0  # per-job freezing probes actually run
     amrf_probes_skipped: int = 0  # probes answered by the max-t vertex witness
-    amrf_basis_rows_reused: int = 0  # binding rows seeded from an AmrfBasis
-    amrf_table_hits: int = 0  # solves served whole from the table cache
 
     @property
     def probes_reused(self) -> int:
@@ -727,15 +725,15 @@ def solve_amf(
     so the matrix is read off that flow instead of re-solving a fresh
     network.
     """
-    if cluster.is_multiresource:
-        from repro.multiresource.engine import solve_multiresource
-
-        return solve_multiresource(cluster, floors, diagnostics, basis, shards=shards, workers=workers)
     if shards:
         require(basis is None, "shards=True takes a ShardBasisPool via solve_amf_sharded, not basis=")
         from repro.core.sharding import solve_amf_sharded
 
         return solve_amf_sharded(cluster, floors, diagnostics, workers=workers)
+    if cluster.is_multiresource:
+        from repro.multiresource.engine import solve_multiresource
+
+        return solve_multiresource(cluster, floors, diagnostics, basis)
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     with _observed_solve("solve", cluster, diag):
         levels, adapter = _fill_levels(cluster, floors, diag, basis)

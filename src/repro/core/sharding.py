@@ -353,4 +353,5 @@ def solve_amf_sharded(
     if observing:
         record_amf(diag, since=before)
     matrix = stitch(cluster, [(res.shard, res.matrix) for res in results])
-    return Allocation(cluster, matrix, policy="amf" if floors is None else "amf+floors")
+    policy = "amrf" if cluster.is_multiresource else "amf"
+    return Allocation(cluster, matrix, policy=policy if floors is None else policy + "+floors")

@@ -1,55 +1,37 @@
 """Multi-resource extension: AMF meets Dominant Resource Fairness.
 
 The paper's model has one congestible resource per site; production
-schedulers allocate vectors (CPU, memory, ...).  This package implements
-the natural future-work extension the paper points toward:
+schedulers allocate vectors (CPU, memory, ...).  The model is the
+vector-bearing :class:`~repro.model.cluster.Cluster` (``Site`` capacity
+vectors, ``Job.resources`` per-task demand vectors, ``Job.demand`` per-site
+task bounds); this package holds the two policies over it:
 
-* :mod:`repro.multiresource.model` — sites with capacity vectors, jobs
-  with per-task demand vectors and site-pinned task counts,
+* :mod:`repro.multiresource.engine` — **AMRF**, max-min fairness over each
+  job's *aggregate dominant share* across all sites, the multi-resource
+  analogue of the paper's AMF.  It is what
+  :func:`repro.core.amf.solve_amf` runs on a vector cluster: an exact
+  scalar reduction that routes R=1 (and dominant-resource-degenerate)
+  clusters to the flow fast path bit-identically, else progressive filling
+  with one max-t LP per round.
 * :mod:`repro.multiresource.persite` — the per-site **DRF** baseline
   (Ghodsi et al.'s dominant-resource fairness, run independently at every
-  site),
-* :mod:`repro.multiresource.aggregate` — **AMRF**: max-min fairness over
-  each job's *aggregate dominant share* across all sites — the
-  multi-resource analogue of the paper's AMF (feasibility is an LP rather
-  than a max-flow, so the solver uses bisection progressive filling with
-  per-job freezing probes, mirroring :mod:`repro.core.reference`),
-* :mod:`repro.multiresource.engine` — the **production** AMRF engine
-  behind :func:`repro.core.amf.solve_amf` on vector clusters: one max-t LP
-  per progressive-filling round (no bisection), warm vertex bases
-  (:class:`~repro.multiresource.engine.AmrfBasis`), a solved-allocation
-  table cache, connected-component sharding, and an exact scalar reduction
-  that routes R=1 (and dominant-resource-degenerate) clusters to the flow
-  fast path bit-identically.
+  site).
 
 Experiment X7 compares the two on dominant-share balance under skew; the
-single-resource specialization collapses to AMF/PSMF and is cross-checked
-against the flow solvers in the tests.
+engine is refereed by an independent λ-bisection oracle in
+``tests/multiresource/oracle.py``.
 """
 
-from repro.multiresource.model import MRCluster, MRJob, MRSite
 from repro.multiresource.persite import solve_persite_drf
-from repro.multiresource.aggregate import solve_amrf, amrf_shares
 from repro.multiresource.engine import (
-    AmrfBasis,
-    TableCache,
     amrf_allocate,
-    global_table_cache,
     scalar_reduction,
     solve_multiresource,
 )
 
 __all__ = [
-    "MRSite",
-    "MRJob",
-    "MRCluster",
     "solve_persite_drf",
-    "solve_amrf",
-    "amrf_shares",
-    "AmrfBasis",
-    "TableCache",
     "amrf_allocate",
-    "global_table_cache",
     "scalar_reduction",
     "solve_multiresource",
 ]

@@ -2,9 +2,8 @@
 
 This is the multi-resource solver behind :func:`repro.core.amf.solve_amf`
 when a :class:`~repro.model.cluster.Cluster` carries non-canonical resource
-vectors.  It replaces the extension study's bisection + per-job-LP
-architecture (:mod:`repro.multiresource.aggregate`) with the production
-pattern used by the scalar solver:
+vectors — the only multi-resource path in ``src/`` (the λ-bisection it
+replaced lives on as the test oracle ``tests/multiresource/oracle.py``):
 
 * **exact scalar routing** — when a single resource exists (R=1) or one
   resource *dominates* every job at every site, the instance is an exact
@@ -14,22 +13,14 @@ pattern used by the scalar solver:
   λ-bisection (tens of LPs) per bottleneck, one LP maximizes the common
   weighted share ``t`` directly; its optimal vertex both locates the
   bottleneck level *and* witnesses which jobs are provably unblocked, so
-  most per-job freezing probes are skipped.
-* **warm vertex bases** — scipy's HiGHS interface cannot adopt an external
-  basis, so warm starts are implemented at the constraint level: an
-  :class:`AmrfBasis` persists the *binding* site-resource rows of the last
-  optimal vertex, each LP is first solved against only those rows, the
-  full row set is verified vectorized, and violated rows are added and
-  re-solved.  Like :class:`~repro.core.amf.CutBasis` this is purely an
-  accelerator — every returned vertex is verified against all rows.
-* **allocation-table cache** — solved ``(shares, rates)`` tables are kept
-  in a bounded LRU keyed by the vector-aware cluster fingerprint plus the
-  federation totals (the Precomputed-DRF pattern: compute tables once,
-  serve lookups online).
-* **connected-component sharding** — the job-site graph decomposes by the
-  same union-find as the scalar path (:func:`repro.core.sharding.decompose`);
-  dominant-share denominators are federation-wide constants, so each
-  component's leximin is independent given ``resource_totals``.
+  their per-job freezing probes are skipped.
+
+The engine is stateless.  Repeated states are answered above it by the
+service's fingerprint-keyed caches (``AllocationCache`` and
+``IncrementalAmfSolver``'s shard matrices); component sharding is
+:func:`repro.core.sharding.solve_amf_sharded` as for scalar clusters —
+dominant-share denominators are federation-wide constants, so each
+component's leximin is independent given ``resource_totals``.
 
 Fairness-property status (see ``docs/multiresource.md``): Pareto
 efficiency and envy-freeness hold as in DRF; sharing incentive holds
@@ -39,7 +30,6 @@ aggregate task-rate floors (converted to share floors internally).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Mapping
 
 import numpy as np
@@ -52,12 +42,9 @@ from repro.model.job import Job
 from repro.model.site import Site
 
 __all__ = [
-    "AmrfBasis",
-    "TableCache",
     "scalar_reduction",
     "amrf_allocate",
     "solve_multiresource",
-    "global_table_cache",
 ]
 
 _TOL = 1e-9
@@ -149,107 +136,15 @@ def scalar_reduction(
 
 
 # ----------------------------------------------------------------------
-# Warm vertex basis + allocation-table cache
-# ----------------------------------------------------------------------
-class AmrfBasis:
-    """Persistent set of binding site-resource LP rows.
-
-    Keys are ``(site_name, resource)`` pairs, so a basis survives job
-    churn and applies across related clusters, exactly like the scalar
-    :class:`~repro.core.amf.CutBasis` stores site-name cuts.  Seeding a
-    solve from a basis cannot change its result — every vertex is
-    verified against the full row set — it only skips re-discovering
-    which site-resource capacities actually bind.
-    """
-
-    __slots__ = ("rows", "max_rows")
-
-    def __init__(self, max_rows: int = 4096):
-        self.rows: OrderedDict[tuple[str, str], None] = OrderedDict()
-        self.max_rows = max_rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def record(self, key: tuple[str, str]) -> None:
-        if key in self.rows:
-            self.rows.move_to_end(key)
-        else:
-            self.rows[key] = None
-            while len(self.rows) > self.max_rows:
-                self.rows.popitem(last=False)
-
-
-class TableCache:
-    """Bounded LRU of solved AMRF tables (the Precomputed-DRF pattern).
-
-    Maps ``(fingerprint, totals_key, floors_key)`` to a solved
-    ``(shares, rates)`` pair.  The fingerprint covers resource names and
-    values, so a hit guarantees identical solver inputs and the table is
-    served verbatim — online allocation becomes a lookup.
-    """
-
-    def __init__(self, maxsize: int = 64):
-        require(maxsize > 0, "table cache needs a positive size")
-        self.maxsize = maxsize
-        self._tables: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._tables)
-
-    def get(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-        entry = self._tables.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._tables.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: tuple, shares: np.ndarray, rates: np.ndarray) -> None:
-        shares = np.array(shares, dtype=float)
-        rates = np.array(rates, dtype=float)
-        shares.flags.writeable = False
-        rates.flags.writeable = False
-        self._tables[key] = (shares, rates)
-        self._tables.move_to_end(key)
-        while len(self._tables) > self.maxsize:
-            self._tables.popitem(last=False)
-
-    def clear(self) -> None:
-        self._tables.clear()
-
-
-_GLOBAL_TABLES = TableCache(maxsize=64)
-
-
-def global_table_cache() -> TableCache:
-    """The process-wide AMRF table cache (shared by service solvers)."""
-    return _GLOBAL_TABLES
-
-
-def _table_key(
-    cluster: Cluster,
-    totals: Mapping[str, float],
-    floors: np.ndarray | None,
-) -> tuple:
-    totals_key = tuple(sorted((res, float(val)) for res, val in totals.items()))
-    floors_key = None if floors is None else np.asarray(floors, dtype=float).tobytes()
-    return (cluster.fingerprint(), totals_key, floors_key)
-
-
-# ----------------------------------------------------------------------
 # The progressive-filling LP engine
 # ----------------------------------------------------------------------
 class _EngineLP:
     """LP scaffolding over support task-rate variables plus the fill level ``t``.
 
     Variables are the ``n_e`` support edge rates ``x_e`` followed by one
-    ``t`` variable (bounded to 0 when unused).  Site-resource capacity
-    rows are kept as one dense block so the warm-basis loop can verify
-    all of them against a candidate vertex in a single matmul.
+    ``t`` variable (bounded to 0 when unused).  The site-resource capacity
+    rows are one dense block shared by every LP of a solve; each LP adds
+    its own share rows below it.
     """
 
     def __init__(self, cluster: Cluster, dom: np.ndarray):
@@ -263,14 +158,12 @@ class _EngineLP:
         ]
         self.n_e = len(self.edges)
         self.bounds = [(0.0, float(caps[i, j])) for (i, j) in self.edges]
-        self.dom = dom
         J = cluster.job_resource_matrix
         names = cluster.resource_names
         rows: list[np.ndarray] = []
         rhs: list[float] = []
-        keys: list[tuple[str, str]] = []
         for j in range(cluster.n_sites):
-            for r, res in enumerate(names):
+            for r in range(len(names)):
                 row = np.zeros(self.n_e)
                 for e, (i, je) in enumerate(self.edges):
                     if je == j:
@@ -278,10 +171,9 @@ class _EngineLP:
                 if row.any():
                     rows.append(row)
                     rhs.append(float(cluster.site_resource_matrix[j, r]))
-                    keys.append((cluster.sites[j].name, res))
-        self.cap_rows = np.array(rows) if rows else np.zeros((0, self.n_e))
+        cap_rows = np.array(rows) if rows else np.zeros((0, self.n_e))
+        self.cap_block = np.hstack([cap_rows, np.zeros((len(rows), 1))])  # t column
         self.cap_rhs = np.array(rhs)
-        self.cap_keys = keys
         self.share_rows = np.zeros((cluster.n_jobs, self.n_e))
         for e, (i, _j) in enumerate(self.edges):
             self.share_rows[i, e] = dom[i]
@@ -306,68 +198,20 @@ class _EngineLP:
         extra_rhs: np.ndarray,
         *,
         t_max: float | None,
-        basis: AmrfBasis | None,
         diag: AmfDiagnostics,
     ):
-        """Solve with the warm-basis loop; returns the scipy result.
+        """One LP over the capacity block plus ``extra_rows``; returns the scipy result.
 
         ``c``/``extra_rows`` span ``n_e + 1`` variables (``t`` last).
-        Starts from the basis' remembered binding rows, verifies the full
-        capacity block against each candidate vertex, adds violated rows,
-        and re-solves until clean; binding rows are recorded back.
         """
+        # Imported here, not at module level: the perf ledger's tracer
+        # patches ``scipy.optimize.linprog`` by name.
         from scipy.optimize import linprog
 
-        n_rows = len(self.cap_rhs)
-        key_index = {key: idx for idx, key in enumerate(self.cap_keys)}
-        if basis is not None and len(basis.rows) > 0:
-            active = sorted(key_index[k] for k in basis.rows if k in key_index)
-        else:
-            active = list(range(n_rows))
-        if basis is not None:
-            diag.amrf_basis_rows_reused += len(active)
-        bounds = [*self.bounds, (0.0, t_max if t_max is not None else None)]
-        seeded = set(active)
-        tried = set(active)
-        res = None
-        for _attempt in range(n_rows + 2):
-            if active:
-                cap_block = np.hstack(
-                    [self.cap_rows[active], np.zeros((len(active), 1))]
-                )
-                A_ub = np.vstack([cap_block, extra_rows])
-                b_ub = np.concatenate([self.cap_rhs[active], extra_rhs])
-            else:
-                A_ub, b_ub = extra_rows, extra_rhs
-            res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            diag.amrf_lps += 1
-            if not res.success:
-                return res
-            x = res.x[: self.n_e]
-            slack = self.cap_rhs - self.cap_rows @ x
-            scale = np.maximum(1.0, np.abs(self.cap_rhs))
-            violated = [
-                idx
-                for idx in np.flatnonzero(slack < -_FREEZE_TOL * scale)
-                if idx not in tried
-            ]
-            if not violated:
-                if basis is not None:
-                    # Persist the binding rows AND the rows the loop had to
-                    # *discover* (violated at a warm vertex): such a row cuts
-                    # the warm vertex off again next solve, and leaving it
-                    # out re-pays the re-solve every time.  Rows merely
-                    # seeded at the start are NOT blanket-recorded — a cold
-                    # start seeds everything, and recording it all would
-                    # freeze the basis at "every row" forever.
-                    for idx in np.flatnonzero(slack <= _FREEZE_TOL * scale):
-                        basis.record(self.cap_keys[int(idx)])
-                    for idx in tried - seeded:
-                        basis.record(self.cap_keys[int(idx)])
-                return res
-            active = sorted({*active, *violated})
-            tried.update(violated)
-        return res  # pragma: no cover - loop always terminates earlier
+        diag.amrf_lps += 1
+        A_ub = np.vstack([self.cap_block, extra_rows])
+        b_ub = np.concatenate([self.cap_rhs, extra_rhs])
+        return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[*self.bounds, (0.0, t_max)], method="highs")
 
 
 def _amrf_fill(
@@ -375,7 +219,6 @@ def _amrf_fill(
     lp: _EngineLP,
     share_floors: np.ndarray,
     diag: AmfDiagnostics,
-    basis: AmrfBasis | None,
 ) -> np.ndarray:
     """Progressive filling over weighted dominant shares; returns shares."""
     n = cluster.n_jobs
@@ -413,7 +256,7 @@ def _amrf_fill(
         diag.amrf_rounds += 1
         targets = np.where(frozen, shares, share_floors)
         rows, rhs = extra_for(True, targets)
-        res = lp.solve(c_t, rows, rhs, t_max=None, basis=basis, diag=diag)
+        res = lp.solve(c_t, rows, rhs, t_max=None, diag=diag)
         if not res.success:
             raise ValueError("AMRF floors are infeasible for this cluster")
         t_star = float(res.x[-1])
@@ -443,7 +286,7 @@ def _amrf_fill(
             hold[i] = share_floors[i]
             rows, rhs = extra_for(False, hold)
             c_probe = np.append(-lp.share_rows[i], 0.0)
-            res_i = lp.solve(c_probe, rows, rhs, t_max=0.0, basis=basis, diag=diag)
+            res_i = lp.solve(c_probe, rows, rhs, t_max=0.0, diag=diag)
             best = -float(res_i.fun) if res_i.success else target
             probed.append((best - target, i, target))
             if best <= target + _FREEZE_TOL * max(1.0, target):
@@ -472,8 +315,6 @@ def amrf_allocate(
     floors: np.ndarray | None = None,
     resource_totals: Mapping[str, float] | None = None,
     diagnostics: AmfDiagnostics | None = None,
-    basis: AmrfBasis | None = None,
-    table_cache: TableCache | None = None,
 ) -> Allocation:
     """Solve AMRF on a multi-resource cluster with the hardened engine.
 
@@ -482,18 +323,10 @@ def amrf_allocate(
     enforced internally as a dominant-share floor ``dom_i * floors[i]``.
     ``resource_totals`` pins the federation-wide dominant-share
     denominators when solving a sub-cluster (a shard) of a larger
-    federation.  ``basis`` warm-starts the LP row set; ``table_cache``
-    short-circuits repeat solves entirely.
+    federation.
     """
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     totals = dict(resource_totals) if resource_totals is not None else cluster.resource_totals
-    key = _table_key(cluster, totals, floors)
-    if table_cache is not None:
-        entry = table_cache.get(key)
-        if entry is not None:
-            diag.amrf_table_hits += 1
-            _shares, rates = entry
-            return Allocation(cluster, rates, policy="amrf" if floors is None else "amrf+floors")
     with _observed_solve("amrf", cluster, diag):
         dom = cluster.dominant_factor(totals)
         lp = _EngineLP(cluster, dom)
@@ -504,7 +337,7 @@ def amrf_allocate(
             require(f.shape == (cluster.n_jobs,), "floors must have one entry per job")
             require(float(f.min(initial=0.0)) >= 0.0, "floors must be non-negative")
             share_floors = np.minimum(dom * f, lp.share_caps)
-        shares = _amrf_fill(cluster, lp, share_floors, diag, basis)
+        shares = _amrf_fill(cluster, lp, share_floors, diag)
         # Realize a Pareto-efficient witness at the (slightly relaxed)
         # share floors: maximize total rate subject to everyone keeping
         # their fair share.
@@ -517,11 +350,9 @@ def amrf_allocate(
         extra_rows = np.array(rows_list) if rows_list else np.zeros((0, lp.n_e + 1))
         extra_rhs = np.array(rhs_list) if rhs_list else np.zeros(0)
         c_real = np.append(-np.ones(lp.n_e), 0.0)
-        res = lp.solve(c_real, extra_rows, extra_rhs, t_max=0.0, basis=basis, diag=diag)
+        res = lp.solve(c_real, extra_rows, extra_rhs, t_max=0.0, diag=diag)
         require(res.success, "AMRF shares could not be realized (numeric breakdown)")
         rates = scrub_matrix(cluster, lp.rates_from(res.x))
-    if table_cache is not None:
-        table_cache.put(key, shares, rates)
     return Allocation(cluster, rates, policy="amrf" if floors is None else "amrf+floors")
 
 
@@ -534,27 +365,18 @@ def solve_multiresource(
     diagnostics: AmfDiagnostics | None = None,
     basis: CutBasis | None = None,
     *,
-    shards: bool = False,
-    workers: int | None = None,
     resource_totals: Mapping[str, float] | None = None,
-    amrf_basis: AmrfBasis | None = None,
-    table_cache: TableCache | None = None,
 ) -> Allocation:
     """Route a multi-resource solve: exact scalar fast path, else the engine.
 
     Called by :func:`repro.core.amf.solve_amf` when
-    ``cluster.is_multiresource``.  The reduction (R=1 or a globally
-    dominant resource) reuses the *entire* scalar machinery — the parametric
-    oracle, cut bases, sharding — bit-identically in the reduced
-    variables; otherwise connected components are decomposed here and each
-    is solved by :func:`amrf_allocate` under the federation-wide totals.
+    ``cluster.is_multiresource`` and per shard by :mod:`repro.core.sharding`
+    (with the federation-wide ``resource_totals``).  The reduction (R=1 or
+    a globally dominant resource) reuses the scalar machinery — the
+    parametric oracle and ``basis`` — bit-identically in the reduced
+    variables; everything else goes to :func:`amrf_allocate`.
     """
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
-    if table_cache is None:
-        # Production default: repeat solves of an unchanged (sub-)cluster
-        # under the same totals serve from the precomputed table
-        # (fingerprint-keyed, so a hit is exact, never approximate).
-        table_cache = global_table_cache()
     red = scalar_reduction(cluster, resource_totals)
     if red is not None:
         from repro.core.amf import solve_amf
@@ -563,7 +385,7 @@ def solve_multiresource(
         scaled_floors = None
         if floors is not None:
             scaled_floors = np.asarray(floors, dtype=float) * k
-        sub = solve_amf(scalar, scaled_floors, diag, basis, shards=shards, workers=workers)
+        sub = solve_amf(scalar, scaled_floors, diag, basis)
         safe_k = np.where(k > 0.0, k, 1.0)
         if (k == 1.0).all():
             # Identity change of variables (R=1 unit-demand spellings): the
@@ -575,35 +397,4 @@ def solve_multiresource(
             return Allocation(cluster, sub.matrix, policy=sub.policy)
         matrix = sub.matrix / safe_k[:, None]
         return Allocation(cluster, scrub_matrix(cluster, matrix), policy=sub.policy)
-
-    totals = dict(resource_totals) if resource_totals is not None else cluster.resource_totals
-    if shards:
-        from repro.core.sharding import decompose, stitch
-
-        parts = decompose(cluster)
-        if len(parts) > 1:
-            results = []
-            for shard in parts:
-                if not shard.job_indices:
-                    results.append((shard, np.zeros((0, len(shard.site_indices)))))
-                    continue
-                sub = solve_multiresource(
-                    shard.cluster,
-                    None if floors is None else np.asarray(floors, dtype=float)[list(shard.job_indices)],
-                    diag,
-                    basis,
-                    resource_totals=totals,
-                    amrf_basis=amrf_basis,
-                    table_cache=table_cache,
-                )
-                results.append((shard, sub.matrix))
-            matrix = stitch(cluster, results)
-            return Allocation(cluster, matrix, policy="amrf" if floors is None else "amrf+floors")
-    return amrf_allocate(
-        cluster,
-        floors=floors,
-        resource_totals=totals,
-        diagnostics=diag,
-        basis=amrf_basis,
-        table_cache=table_cache,
-    )
+    return amrf_allocate(cluster, floors=floors, resource_totals=resource_totals, diagnostics=diag)

@@ -14,29 +14,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import ABS_TOL
+from repro.core.allocation import Allocation
 from repro.core.waterfilling import solve_capped_level
-from repro.multiresource.model import MRCluster
+from repro.model.cluster import Cluster
 
 
-def _site_drf_rates(cluster: MRCluster, j: int) -> np.ndarray:
+def _site_drf_rates(cluster: Cluster, j: int) -> np.ndarray:
     """Task rates of DRF at site ``j`` for every job (zeros off-support)."""
-    caps = cluster.task_caps[:, j]
+    caps = cluster.demand_caps[:, j]
     present = np.flatnonzero(caps > 0.0)
     n = cluster.n_jobs
     rates = np.zeros(n)
     if present.size == 0:
         return rates
-    dom = cluster.local_dominant_factor(j)[present]  # share per task
-    weights = cluster.weights[present]
-    demand = cluster.demand_matrix[present]  # (p, R)
-    capacity = cluster.capacity_matrix[j]  # (R,)
+    demand = cluster.job_resource_matrix[present]  # (p, R)
+    capacity = cluster.site_resource_matrix[j]  # (R,)
+    n_resources = capacity.size
+    # Local dominant share per task.  A site may offer a subset of the
+    # federation's resources; a present job consumes none of the missing
+    # ones (its demand cap here would be 0), so those columns are skipped.
+    offered = capacity > 0.0
+    dom = (demand[:, offered] / capacity[offered]).max(axis=1)
     share_caps = caps[present] * dom  # share level at which each job's tasks run out
 
     frozen = np.zeros(present.size, dtype=bool)
     levels = np.zeros(present.size)  # frozen dominant-share levels
     remaining = capacity.astype(float).copy()
 
-    for _round in range(present.size + cluster.n_resources + 1):
+    for _round in range(present.size + n_resources + 1):
         if frozen.all():
             break
         active = ~frozen
@@ -44,7 +49,7 @@ def _site_drf_rates(cluster: MRCluster, j: int) -> np.ndarray:
         # each active job contributes min(lam * w, share_cap) / dom * demand_r.
         lam_star = np.inf
         tight_resource = None
-        for r in range(cluster.n_resources):
+        for r in range(n_resources):
             coeff = demand[active, r] / dom[active]
             mask = coeff > 0.0
             if not mask.any():
@@ -63,7 +68,7 @@ def _site_drf_rates(cluster: MRCluster, j: int) -> np.ndarray:
         if tight_resource is None:
             # no resource binds: everyone saturates at task caps
             delta = share_caps[active] - levels[active]
-            for r in range(cluster.n_resources):
+            for r in range(n_resources):
                 remaining[r] -= float((delta * demand[active, r] / dom[active]).sum())
             levels[active] = share_caps[active]
             frozen[active] = True
@@ -73,7 +78,7 @@ def _site_drf_rates(cluster: MRCluster, j: int) -> np.ndarray:
         w_act = cluster.weights[present][active]
         rise = np.minimum(levels[active] + lam_star * w_act, share_caps[active]) - levels[active]
         idx_act = np.flatnonzero(active)
-        for r in range(cluster.n_resources):
+        for r in range(n_resources):
             remaining[r] -= float((rise * demand[idx_act, r] / dom[idx_act]).sum())
         levels[idx_act] += rise
         cap_sat = levels >= share_caps - ABS_TOL
@@ -83,10 +88,9 @@ def _site_drf_rates(cluster: MRCluster, j: int) -> np.ndarray:
     return rates
 
 
-def solve_persite_drf(cluster: MRCluster) -> np.ndarray:
-    """``(n, m)`` task rates of independent per-site DRF."""
+def solve_persite_drf(cluster: Cluster) -> Allocation:
+    """Independent per-site DRF: task rates as an :class:`Allocation` (policy ``"psdrf"``)."""
     rates = np.zeros((cluster.n_jobs, cluster.n_sites))
     for j in range(cluster.n_sites):
         rates[:, j] = _site_drf_rates(cluster, j)
-    cluster.validate_rates(rates)
-    return rates
+    return Allocation(cluster, rates, policy="psdrf")

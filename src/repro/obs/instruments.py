@@ -119,12 +119,6 @@ _AMF_COUNTERS = {
     "amrf_probes_skipped": REGISTRY.counter(
         "repro_amrf_probes_skipped_total", "freeze probes answered by a witness share"
     ),
-    "amrf_basis_rows_reused": REGISTRY.counter(
-        "repro_amrf_basis_rows_reused_total", "binding LP rows replayed from a warm AmrfBasis"
-    ),
-    "amrf_table_hits": REGISTRY.counter(
-        "repro_amrf_table_hits_total", "solves served whole from the allocation-table cache"
-    ),
 }
 
 # -- service: cache / batching / daemon / HTTP --------------------------

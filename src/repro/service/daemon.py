@@ -396,8 +396,6 @@ class AllocationService:
                     "amrf_lps": inc.amrf_lps,
                     "amrf_probes": inc.amrf_probes,
                     "amrf_probes_skipped": inc.amrf_probes_skipped,
-                    "amrf_basis_rows_reused": inc.amrf_basis_rows_reused,
-                    "amrf_table_hits": inc.amrf_table_hits,
                 },
                 "cache": {
                     "entries": len(self.cache),

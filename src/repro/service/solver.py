@@ -84,8 +84,6 @@ class IncrementalStats:
     amrf_lps: int = 0
     amrf_probes: int = 0
     amrf_probes_skipped: int = 0
-    amrf_basis_rows_reused: int = 0
-    amrf_table_hits: int = 0
 
     @property
     def probes_reused(self) -> int:
@@ -106,8 +104,6 @@ class IncrementalStats:
         self.amrf_lps += diag.amrf_lps
         self.amrf_probes += diag.amrf_probes
         self.amrf_probes_skipped += diag.amrf_probes_skipped
-        self.amrf_basis_rows_reused += diag.amrf_basis_rows_reused
-        self.amrf_table_hits += diag.amrf_table_hits
 
 
 class IncrementalAmfSolver:

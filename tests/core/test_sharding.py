@@ -233,6 +233,28 @@ class TestParallelAgreement:
             solve_amf_sharded(cluster, bases=fanned, workers=4)
         assert {k: b.sets() for k, b in serial.items()} == {k: b.sets() for k, b in fanned.items()}
 
+    def test_vector_shards_fan_out_through_solve_amf(self):
+        # Two irreducible (crossing-dominance) cpu/mem components, so the
+        # AMRF engine runs per shard: ``solve_amf(shards=True, workers=)``
+        # must reach the same fork pool as the scalar path.
+        sites, jobs = [], []
+        for b, cpu in enumerate((8.0, 2.0)):
+            sites += [
+                Site(f"b{b}a", {"cpu": cpu, "mem": 2 * cpu}),
+                Site(f"b{b}b", {"cpu": cpu / 2, "mem": 4 * cpu}),
+            ]
+            both = {f"b{b}a": 100.0, f"b{b}b": 100.0}
+            jobs += [
+                Job(f"b{b}j0", both, resources={"cpu": 1.0, "mem": 4.0}),
+                Job(f"b{b}j1", both, resources={"cpu": 4.0, "mem": 1.0}),
+            ]
+        vec = Cluster(sites, jobs)
+        serial = solve_amf_sharded(vec)
+        with proven_fan_out():
+            fanned = solve_amf(vec, shards=True, workers=4)
+        np.testing.assert_array_equal(serial.matrix, fanned.matrix)
+        assert fanned.policy == "amrf"
+
 
 class TestShardBasisPool:
     def test_lru_eviction(self):

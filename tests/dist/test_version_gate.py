@@ -34,7 +34,7 @@ from repro.dist.worker import SolverWorker
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
-from repro.multiresource import TableCache, solve_multiresource
+from repro.multiresource import solve_multiresource
 
 
 def frame(obj: dict) -> bytes:
@@ -184,7 +184,7 @@ class TestResourceTotalsOnTheWire:
         s1, j1 = component("x", 8.0, 8.0)
         s2, j2 = component("y", 2.0, 1.0)
         merged = Cluster(s1 + s2, j1 + j2)
-        local = solve_multiresource(merged, table_cache=TableCache())
+        local = solve_multiresource(merged)
 
         workers = [SolverWorker().start()]
         pool = WorkerPool([w.address for w in workers]).start()

@@ -176,32 +176,27 @@ class TestSerializationRoundTrip:
 
 
 class TestMRModelNonFiniteRegression:
-    """Satellite bugfix: MRSite/MRJob accepted NaN/Inf amounts."""
+    """NaN/Inf amounts are rejected on the multi-resource (vector) ``Site``/``Job``."""
 
     def test_mrsite_rejects_inf_capacity(self):
-        from repro.multiresource import MRSite
-
         with pytest.raises(ValueError, match="finite"):
-            MRSite("s", {"cpu": math.inf})
+            Site("s", {"cpu": math.inf})
 
     def test_mrsite_rejects_nan_capacity(self):
-        from repro.multiresource import MRSite
-
-        with pytest.raises(ValueError, match="finite"):
-            MRSite("s", {"cpu": math.nan})
+        with pytest.raises(ValueError, match="NaN"):
+            Site("s", {"cpu": math.nan})
 
     def test_mrjob_rejects_non_finite_demand(self):
-        from repro.multiresource import MRJob
-
         with pytest.raises(ValueError, match="finite"):
-            MRJob("j", {"cpu": math.inf}, {"s": 1.0})
-        with pytest.raises(ValueError, match="finite"):
-            MRJob("j", {"cpu": math.nan}, {"s": 1.0})
+            Job("j", {"s": 1.0}, resources={"cpu": math.inf})
+        with pytest.raises(ValueError, match="NaN"):
+            Job("j", {"s": 1.0}, resources={"cpu": math.nan})
 
     def test_mrjob_rejects_non_finite_task_count_and_weight(self):
-        from repro.multiresource import MRJob
-
-        with pytest.raises(ValueError):
-            MRJob("j", {"cpu": 1.0}, {"s": math.nan})
-        with pytest.raises(ValueError):
-            MRJob("j", {"cpu": 1.0}, {"s": 1.0}, weight=math.inf)
+        vec = {"cpu": 1.0, "mem": 2.0}
+        with pytest.raises(ValueError, match="finite"):
+            Job("j", {"s": 1.0}, demand={"s": math.nan}, resources=vec)
+        with pytest.raises(ValueError, match="finite"):
+            Job("j", {"s": 1.0}, demand={"s": math.inf}, resources=vec)
+        with pytest.raises(ValueError, match="finite"):
+            Job("j", {"s": 1.0}, resources=vec, weight=math.inf)

@@ -1,13 +1,16 @@
-"""AMRF — Aggregate Multi-Resource Fairness (the AMF analogue for vectors).
+"""AMRF bisection oracle: the independent referee for the production engine.
 
-Max-min fairness over each job's **aggregate dominant share**
+This is the extension study's original solver, kept out of ``src/`` as the
+slow-but-trustworthy cross-check of :mod:`repro.multiresource.engine` (it
+shares no code with it beyond the :class:`~repro.model.cluster.Cluster`
+views).  Max-min fairness over each job's **aggregate dominant share**
 ``s_i = (Σ_j x_ij) * max_r r_ir / C_r``.  Unlike the single-resource case,
 the feasible region of share vectors is a general polytope (per-site,
 per-resource linear constraints), not a flow polytope, so feasibility is
 decided by an LP (``scipy.optimize.linprog``) and progressive filling uses
 bisection with per-job freezing probes — the same trustworthy-but-slow
 architecture as :mod:`repro.core.reference`.  Intended scale: tens of
-jobs (it is an extension study, not the inner loop of a simulator).
+jobs.
 """
 
 from __future__ import annotations
@@ -16,17 +19,17 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro._util import require
-from repro.multiresource.model import MRCluster
+from repro.model.cluster import Cluster
 
-__all__ = ["amrf_shares", "solve_amrf"]
+__all__ = ["amrf_shares", "solve_amrf", "check_rates"]
 
 
 class _RateLP:
     """LP scaffolding over the support task-rate variables ``x_ij``."""
 
-    def __init__(self, cluster: MRCluster):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        caps = cluster.task_caps
+        caps = cluster.demand_caps
         self.edges = [(i, j) for i in range(cluster.n_jobs) for j in range(cluster.n_sites) if caps[i, j] > 0]
         self.bounds = [(0.0, float(caps[i, j])) for (i, j) in self.edges]
         n_e = len(self.edges)
@@ -34,18 +37,18 @@ class _RateLP:
         rows = []
         rhs = []
         for j in range(cluster.n_sites):
-            for r in range(cluster.n_resources):
+            for r in range(len(cluster.resource_names)):
                 row = np.zeros(n_e)
                 for e, (i, je) in enumerate(self.edges):
                     if je == j:
-                        row[e] = cluster.demand_matrix[i, r]
+                        row[e] = cluster.job_resource_matrix[i, r]
                 if row.any():
                     rows.append(row)
-                    rhs.append(cluster.capacity_matrix[j, r])
+                    rhs.append(cluster.site_resource_matrix[j, r])
         self.cap_rows = np.array(rows) if rows else np.zeros((0, n_e))
         self.cap_rhs = np.array(rhs)
         # per-job aggregate dominant-share rows
-        dom = cluster.global_dominant_factor()
+        dom = cluster.dominant_factor()
         self.share_rows = np.zeros((cluster.n_jobs, n_e))
         for e, (i, j) in enumerate(self.edges):
             self.share_rows[i, e] = dom[i]
@@ -66,13 +69,12 @@ class _RateLP:
         return rates
 
 
-def _share_caps(cluster: MRCluster) -> np.ndarray:
+def _share_caps(cluster: Cluster) -> np.ndarray:
     """Per-job upper bound on the aggregate dominant share (task caps alone)."""
-    dom = cluster.global_dominant_factor()
-    return cluster.task_caps.sum(axis=1) * dom
+    return cluster.aggregate_demand * cluster.dominant_factor()
 
 
-def amrf_shares(cluster: MRCluster, tol: float = 1e-9) -> np.ndarray:
+def amrf_shares(cluster: Cluster, tol: float = 1e-9) -> np.ndarray:
     """The AMRF aggregate dominant-share vector (weighted max-min fair)."""
     n = cluster.n_jobs
     if n == 0:
@@ -127,12 +129,32 @@ def amrf_shares(cluster: MRCluster, tol: float = 1e-9) -> np.ndarray:
     return shares
 
 
-def solve_amrf(cluster: MRCluster, tol: float = 1e-9) -> np.ndarray:
+def solve_amrf(cluster: Cluster, tol: float = 1e-9) -> np.ndarray:
     """``(n, m)`` task rates realizing the AMRF shares (one feasible witness)."""
     shares = amrf_shares(cluster, tol=tol)
     lp = _RateLP(cluster)
     res = lp.solve(shares * (1.0 - 1e-9))
     require(res.success, "AMRF shares could not be realized (numeric breakdown)")
     rates = lp.rates_from(res.x)
-    cluster.validate_rates(rates)
+    check_rates(cluster, rates)
     return rates
+
+
+def check_rates(cluster: Cluster, rates: np.ndarray, *, tol: float = 1e-7) -> None:
+    """Assert an ``(n, m)`` task-rate matrix respects caps and capacities.
+
+    Looser than :class:`~repro.core.allocation.Allocation`'s invariants on
+    purpose: HiGHS honors rows only to its own feasibility tolerance, and
+    the oracle returns the raw LP vertex unscrubbed.
+    """
+    caps = cluster.demand_caps
+    capacity = cluster.site_resource_matrix
+    assert rates.shape == caps.shape, "rate matrix shape mismatch"
+    assert float(rates.min(initial=0.0)) >= -tol, "rates must be non-negative"
+    assert float((rates - caps).max(initial=0.0)) <= tol * max(1.0, float(caps.max(initial=1.0))), (
+        "task cap violated"
+    )
+    usage = np.einsum("ij,ir->jr", rates, cluster.job_resource_matrix)
+    assert float((usage - capacity).max(initial=0.0)) <= tol * max(1.0, float(capacity.max())), (
+        "site resource capacity violated"
+    )

@@ -1,4 +1,4 @@
-"""Production AMRF engine: routing, warm bases, table cache, properties.
+"""Production AMRF engine: routing, oracle equivalence, properties.
 
 Three layers of guarantees:
 
@@ -6,8 +6,8 @@ Three layers of guarantees:
   fast path (zero LPs); genuinely multi-resource clusters run the
   progressive-filling LP engine;
 * **equivalence** — the engine's leximin share profile matches the
-  extension study's bisection oracle (:func:`repro.multiresource.amrf_shares`)
-  on random instances, sharded or not, warm or cold;
+  bisection oracle (:func:`tests.multiresource.oracle.amrf_shares`) on
+  random instances, sharded or not;
 * **fairness properties** — Pareto efficiency, envy-freeness and sharing
   incentive on cap-free instances (the DRF hypotheses).
 """
@@ -19,17 +19,8 @@ from repro.core.amf import AmfDiagnostics, solve_amf
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
-from repro.multiresource import (
-    AmrfBasis,
-    MRCluster,
-    MRJob,
-    MRSite,
-    TableCache,
-    amrf_allocate,
-    amrf_shares,
-    scalar_reduction,
-    solve_multiresource,
-)
+from repro.multiresource import amrf_allocate, scalar_reduction, solve_multiresource
+from tests.multiresource.oracle import amrf_shares, check_rates
 
 RESOURCES = ("cpu", "mem")
 
@@ -45,8 +36,8 @@ def crossing_cluster() -> Cluster:
     )
 
 
-def random_mr_pair(rng, n_jobs=None, n_sites=None, *, weights=False):
-    """A random MR instance as both a vector ``Cluster`` and an ``MRCluster``."""
+def random_mr_cluster(rng, n_jobs=None, n_sites=None, *, weights=False) -> Cluster:
+    """A random (cpu, mem) vector cluster with sparse support and mixed task caps."""
     n = n_jobs if n_jobs is not None else int(rng.integers(2, 6))
     m = n_sites if n_sites is not None else int(rng.integers(1, 4))
     site_caps = rng.uniform(1.0, 10.0, (m, len(RESOURCES)))
@@ -71,26 +62,7 @@ def random_mr_pair(rng, n_jobs=None, n_sites=None, *, weights=False):
         )
         for i in range(n)
     ]
-    mr_sites = [MRSite(s.name, s.resource_vector) for s in sites]
-    mr_jobs = [
-        MRJob(
-            jb.name,
-            jb.resource_vector,
-            {site: float(caps[i, int(site[1:])]) for site in jb.workload},
-            weight=float(w[i]),
-        )
-        for i, jb in enumerate(jobs)
-    ]
-    return Cluster(sites, jobs), MRCluster(mr_sites, mr_jobs)
-
-
-def check_valid(cluster: Cluster, matrix: np.ndarray, tol: float = 1e-6) -> None:
-    """Rates within caps and every site-resource capacity respected."""
-    assert float(matrix.min(initial=0.0)) >= -tol
-    assert (matrix - cluster.demand_caps).max(initial=0.0) <= tol * 10
-    usage = np.einsum("ij,ir->jr", matrix, cluster.job_resource_matrix)
-    slack = usage - cluster.site_resource_matrix
-    assert float(slack.max(initial=0.0)) <= tol * float(cluster.site_resource_matrix.max())
+    return Cluster(sites, jobs)
 
 
 class TestRouting:
@@ -105,7 +77,7 @@ class TestRouting:
         diag = AmfDiagnostics()
         alloc = solve_amf(c, diagnostics=diag)
         assert diag.amrf_lps == 0  # no LP ever ran
-        check_valid(c, alloc.matrix)
+        check_rates(c, alloc.matrix)
 
     def test_dominant_resource_routes_to_flow_path(self):
         # cpu dominates: every job's cpu/total ratio exceeds its mem ratio
@@ -128,7 +100,7 @@ class TestRouting:
         alloc = solve_amf(c, diagnostics=diag)
         assert diag.amrf_lps > 0
         assert diag.amrf_rounds > 0
-        check_valid(c, alloc.matrix)
+        check_rates(c, alloc.matrix)
 
     def test_reduction_is_exact_change_of_variables(self):
         c = Cluster(
@@ -177,26 +149,26 @@ class TestRouting:
 class TestEngineVsOracle:
     def test_matches_bisection_oracle_on_random_instances(self, rng):
         for _ in range(8):
-            cluster, mr = random_mr_pair(rng)
-            alloc = solve_multiresource(cluster, table_cache=TableCache())
-            check_valid(cluster, alloc.matrix)
+            cluster = random_mr_cluster(rng)
+            alloc = solve_multiresource(cluster)
+            check_rates(cluster, alloc.matrix)
             got = np.sort(cluster.dominant_factor() * alloc.matrix.sum(axis=1))
-            want = np.sort(amrf_shares(mr))
+            want = np.sort(amrf_shares(cluster))
             assert np.allclose(got, want, atol=1e-5), (got, want)
 
     def test_weighted_instances(self, rng):
         for _ in range(4):
-            cluster, mr = random_mr_pair(rng, weights=True)
-            alloc = solve_multiresource(cluster, table_cache=TableCache())
+            cluster = random_mr_cluster(rng, weights=True)
+            alloc = solve_multiresource(cluster)
             got = np.sort(cluster.dominant_factor() * alloc.matrix.sum(axis=1))
-            want = np.sort(amrf_shares(mr))
+            want = np.sort(amrf_shares(cluster))
             assert np.allclose(got, want, atol=1e-5)
 
     def test_sharded_equals_monolithic(self, rng):
         # Two disconnected components: disjoint sites and job supports.
         for _ in range(4):
-            c1, _ = random_mr_pair(rng, n_sites=2)
-            c2, _ = random_mr_pair(rng, n_sites=2)
+            c1 = random_mr_cluster(rng, n_sites=2)
+            c2 = random_mr_cluster(rng, n_sites=2)
             sites = list(c1.sites) + [
                 Site("t" + s.name, s.resource_vector) for s in c2.sites
             ]
@@ -211,8 +183,8 @@ class TestEngineVsOracle:
                 for j in c2.jobs
             ]
             merged = Cluster(sites, jobs)
-            mono = solve_multiresource(merged, table_cache=TableCache())
-            shard = solve_multiresource(merged, shards=True, table_cache=TableCache())
+            mono = solve_amf(merged)
+            shard = solve_amf(merged, shards=True)
             dom = merged.dominant_factor()
             assert np.allclose(
                 dom * mono.matrix.sum(axis=1),
@@ -223,7 +195,7 @@ class TestEngineVsOracle:
     def test_floors_respected(self):
         c = crossing_cluster()
         floors = np.array([3.0, 0.0])
-        alloc = solve_multiresource(c, floors=floors, table_cache=TableCache())
+        alloc = solve_multiresource(c, floors=floors)
         assert alloc.matrix.sum(axis=1)[0] >= 3.0 - 1e-6
         assert alloc.policy == "amrf+floors"
 
@@ -234,88 +206,6 @@ class TestEngineVsOracle:
         c = crossing_cluster()
         with pytest.raises(ValueError, match="infeasible"):
             amrf_allocate(c, floors=np.array([7.9, 2.9]))
-
-
-class TestWarmStartAndCache:
-    def test_basis_rows_reused_on_resolve(self):
-        c = crossing_cluster()
-        basis = AmrfBasis()
-        d1 = AmfDiagnostics()
-        a1 = amrf_allocate(c, basis=basis, diagnostics=d1)
-        assert len(basis) > 0
-        d2 = AmfDiagnostics()
-        a2 = amrf_allocate(c, basis=basis, diagnostics=d2)
-        assert d2.amrf_basis_rows_reused > 0
-        assert np.allclose(a1.matrix, a2.matrix, atol=1e-7)
-
-    def test_warm_basis_cannot_change_result(self, rng):
-        for _ in range(4):
-            cluster, _ = random_mr_pair(rng)
-            cold = amrf_allocate(cluster)
-            basis = AmrfBasis()
-            amrf_allocate(cluster, basis=basis)
-            warm = amrf_allocate(cluster, basis=basis)
-            dom = cluster.dominant_factor()
-            assert np.allclose(
-                dom * cold.matrix.sum(axis=1),
-                dom * warm.matrix.sum(axis=1),
-                atol=1e-6,
-            )
-
-    def test_table_cache_hit_skips_all_lps(self):
-        c = crossing_cluster()
-        cache = TableCache()
-        d1 = AmfDiagnostics()
-        a1 = amrf_allocate(c, table_cache=cache, diagnostics=d1)
-        assert d1.amrf_lps > 0
-        assert cache.misses == 1
-        d2 = AmfDiagnostics()
-        a2 = amrf_allocate(c, table_cache=cache, diagnostics=d2)
-        assert d2.amrf_table_hits == 1
-        assert d2.amrf_lps == 0
-        assert cache.hits == 1
-        assert np.array_equal(a1.matrix, a2.matrix)  # served verbatim
-
-    def test_table_key_covers_totals_and_floors(self):
-        c = crossing_cluster()
-        cache = TableCache()
-        amrf_allocate(c, table_cache=cache)
-        d = AmfDiagnostics()
-        amrf_allocate(
-            c,
-            table_cache=cache,
-            resource_totals={"cpu": 100.0, "mem": 100.0},
-            diagnostics=d,
-        )
-        assert d.amrf_table_hits == 0  # different totals, different key
-        d2 = AmfDiagnostics()
-        amrf_allocate(c, table_cache=cache, floors=np.array([1.0, 0.0]), diagnostics=d2)
-        assert d2.amrf_table_hits == 0
-
-    def test_lru_eviction(self):
-        cache = TableCache(maxsize=1)
-        cache.put(("a",), np.zeros(1), np.zeros((1, 1)))
-        cache.put(("b",), np.zeros(1), np.zeros((1, 1)))
-        assert cache.get(("a",)) is None
-        assert cache.get(("b",)) is not None
-
-    def test_global_cache_is_production_default(self):
-        from repro.multiresource.engine import global_table_cache
-
-        cache = global_table_cache()
-        c = Cluster(
-            [Site("gdefault", {"cpu": 5.0, "mem": 5.0})],
-            [
-                Job("g0", {"gdefault": 100.0}, resources={"cpu": 1.0, "mem": 3.0}),
-                Job("g1", {"gdefault": 100.0}, resources={"cpu": 3.0, "mem": 1.0}),
-            ],
-        )
-        solve_multiresource(c)
-        d = AmfDiagnostics()
-        solve_multiresource(c, diagnostics=d)
-        assert d.amrf_table_hits >= 1
-        assert d.amrf_lps == 0
-        cache.clear()
 
 
 class TestFairnessProperties:
@@ -344,7 +234,7 @@ class TestFairnessProperties:
 
         for _ in range(4):
             c = self.capfree(rng)
-            alloc = solve_multiresource(c, table_cache=TableCache())
+            alloc = solve_multiresource(c)
             dom = c.dominant_factor()
             shares = dom * alloc.matrix.sum(axis=1)
             caps = c.demand_caps
@@ -377,7 +267,7 @@ class TestFairnessProperties:
         """No job could run more tasks with another job's resource bundle."""
         for _ in range(6):
             c = self.capfree(rng)
-            alloc = solve_multiresource(c, table_cache=TableCache())
+            alloc = solve_multiresource(c)
             J = c.job_resource_matrix
             agg = alloc.matrix.sum(axis=1)
             for i in range(c.n_jobs):
@@ -391,7 +281,7 @@ class TestFairnessProperties:
         is at least 1/n (what an equal split of every resource yields)."""
         for _ in range(6):
             c = self.capfree(rng, n=int(rng.integers(2, 5)), m=1)
-            alloc = solve_multiresource(c, table_cache=TableCache())
+            alloc = solve_multiresource(c)
             shares = c.dominant_factor() * alloc.matrix.sum(axis=1)
             assert float(shares.min()) >= 1.0 / c.n_jobs - 1e-5
 
@@ -401,7 +291,7 @@ class TestFairnessProperties:
         losses mean per-job 1/n is not achievable across sites)."""
         for _ in range(6):
             c = self.capfree(rng, n=int(rng.integers(2, 5)))
-            alloc = solve_multiresource(c, table_cache=TableCache())
+            alloc = solve_multiresource(c)
             dom = c.dominant_factor()
             shares = dom * alloc.matrix.sum(axis=1)
             J, C = c.job_resource_matrix, c.site_resource_matrix

@@ -19,6 +19,7 @@ from repro.model.job import Job
 from repro.model.site import Site
 from repro.service.solver import IncrementalAmfSolver
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
+from tests.multiresource.test_engine import crossing_cluster
 
 
 @st.composite
@@ -146,6 +147,23 @@ class TestSolverBehaviour:
         # identical probe count both times: no warm carry-over
         assert solver.stats.feasibility_solves == 2 * cold_feas
         assert solver.stats.warm_cuts_seeded == 0
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_non_persistent_mode_is_cold_on_vector_clusters(self, sharded):
+        """The cold arm pays the AMRF LPs on every solve, and so does a
+        second instance in the same process: no solver state outlives a
+        solve (regression: a process-global table inside the engine
+        answered the repeats with 0 LPs)."""
+        cluster = crossing_cluster()
+        paid = []
+        for _instance in range(2):
+            solver = IncrementalAmfSolver(persistent=False, sharded=sharded)
+            for _solve in range(2):
+                before = solver.stats.amrf_lps
+                solver(cluster)
+                paid.append(solver.stats.amrf_lps - before)
+        assert paid[0] > 0
+        assert paid == [paid[0]] * 4
 
 
 class TestCutBasis:

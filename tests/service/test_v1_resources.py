@@ -54,14 +54,8 @@ def vector_sites():
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    # The AMRF table cache is process-global; identical fixture clusters
-    # across tests would otherwise serve each other's tables and make
-    # per-test amrf_lps counters nondeterministic.
-    from repro.multiresource import global_table_cache
-
     REGISTRY.reset()
     TRACER.clear()
-    global_table_cache().clear()
     yield
 
 
