@@ -37,7 +37,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -540,8 +540,16 @@ class WorkerPool:
         matrix = np.asarray(reply.matrix, dtype=float).reshape(
             shard.cluster.n_jobs, shard.cluster.n_sites
         )
-        diag_fields = reply.diagnostics or {}
-        diagnostics = AmfDiagnostics(**diag_fields)
+        # Workers may run a build whose counter set differs by a field:
+        # keep the integer counters this build knows, ignore the rest.
+        known = {f.name for f in fields(AmfDiagnostics)}
+        diagnostics = AmfDiagnostics(
+            **{
+                name: value
+                for name, value in (reply.diagnostics or {}).items()
+                if name in known and type(value) is int
+            }
+        )
         return ShardResult(
             shard=shard,
             matrix=matrix,

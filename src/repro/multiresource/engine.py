@@ -11,9 +11,13 @@ replaced lives on as the test oracle ``tests/multiresource/oracle.py``):
   the scalar flow fast path and mapped back (:func:`scalar_reduction`).
 * **progressive filling with one max-``t`` LP per round** — instead of a
   λ-bisection (tens of LPs) per bottleneck, one LP maximizes the common
-  weighted share ``t`` directly; its optimal vertex both locates the
-  bottleneck level *and* witnesses which jobs are provably unblocked, so
-  their per-job freezing probes are skipped.
+  weighted share ``t`` directly, and the same LP says who freezes at that
+  level: a job whose share row carries a positive dual is tight at every
+  optimum (complementary slackness), a job whose share in the optimal
+  vertex exceeds its target is not, and the few jobs neither test decides
+  (a degenerate vertex can give a tight row a zero dual) share one
+  aggregate headroom LP.  The per-job max-share probe this replaced is
+  the test referee ``tests/multiresource/oracle.py::probe_fill_shares``.
 
 The engine is stateless.  Repeated states are answered above it by the
 service's fingerprint-keyed caches (``AllocationCache`` and
@@ -47,8 +51,9 @@ __all__ = [
     "solve_multiresource",
 ]
 
-_TOL = 1e-9
 _FREEZE_TOL = 1e-7
+_DUAL_TOL = 1e-7
+_SPREAD = 100.0
 
 
 # ----------------------------------------------------------------------
@@ -141,54 +146,41 @@ def scalar_reduction(
 class _EngineLP:
     """LP scaffolding over support task-rate variables plus the fill level ``t``.
 
-    Variables are the ``n_e`` support edge rates ``x_e`` followed by one
-    ``t`` variable (bounded to 0 when unused).  The site-resource capacity
-    rows are one dense block shared by every LP of a solve; each LP adds
-    its own share rows below it.
+    Variables are the ``n_e`` support edge rates ``x_e``, then one ``t``
+    variable (bounded to 0 when unused), then any slack columns an LP's own
+    rows bring.  The site-resource capacity rows are one dense block shared
+    by every LP of a solve; each LP adds its own share rows below it.
     """
 
     def __init__(self, cluster: Cluster, dom: np.ndarray):
         self.cluster = cluster
         caps = cluster.demand_caps
-        self.edges = [
-            (i, j)
-            for i in range(cluster.n_jobs)
-            for j in range(cluster.n_sites)
-            if caps[i, j] > 0.0
-        ]
-        self.n_e = len(self.edges)
-        self.bounds = [(0.0, float(caps[i, j])) for (i, j) in self.edges]
-        J = cluster.job_resource_matrix
-        names = cluster.resource_names
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        for j in range(cluster.n_sites):
-            for r in range(len(names)):
-                row = np.zeros(self.n_e)
-                for e, (i, je) in enumerate(self.edges):
-                    if je == j:
-                        row[e] = J[i, r]
-                if row.any():
-                    rows.append(row)
-                    rhs.append(float(cluster.site_resource_matrix[j, r]))
-        cap_rows = np.array(rows) if rows else np.zeros((0, self.n_e))
-        self.cap_block = np.hstack([cap_rows, np.zeros((len(rows), 1))])  # t column
-        self.cap_rhs = np.array(rhs)
-        self.share_rows = np.zeros((cluster.n_jobs, self.n_e))
-        for e, (i, _j) in enumerate(self.edges):
-            self.share_rows[i, e] = dom[i]
-        upper = np.array([b[1] for b in self.bounds], dtype=float)
-        self.share_caps = self.share_rows @ upper if self.n_e else np.zeros(cluster.n_jobs)
+        self.ei, self.ej = np.nonzero(caps > 0.0)  # support edges, row-major
+        self.n_e = n_e = int(self.ei.size)
+        upper = caps[self.ei, self.ej]
+        self.bounds = [(0.0, float(u)) for u in upper]
+        e = np.arange(n_e)
+        R = len(cluster.resource_names)
+        # one row per (site, resource), edge e of job i at site j consuming J[i, r]
+        cap_rows = np.zeros((cluster.n_sites * R, n_e + 1))  # t column stays 0
+        cap_rows[self.ej[:, None] * R + np.arange(R), e[:, None]] = cluster.job_resource_matrix[self.ei]
+        used = cap_rows.any(axis=1)
+        self.cap_block = cap_rows[used]
+        self.cap_rhs = cluster.site_resource_matrix.reshape(-1)[used]
+        self.share_rows = np.zeros((cluster.n_jobs, n_e))
+        self.share_rows[self.ei, e] = dom[self.ei]
+        self.share_caps = self.share_rows @ upper
+        #: ``-s_i`` over ``(x, t)``: the left side of every ``s_i >= rhs`` row
+        self.neg_share = np.hstack([-self.share_rows, np.zeros((cluster.n_jobs, 1))])
 
     def shares_of(self, x: np.ndarray) -> np.ndarray:
         return self.share_rows @ x[: self.n_e]
 
     def rates_from(self, x: np.ndarray) -> np.ndarray:
         rates = np.zeros((self.cluster.n_jobs, self.cluster.n_sites))
-        for e, (i, j) in enumerate(self.edges):
-            # HiGHS honors bounds only to its own tolerance; the model's
-            # lower bound of 0 is exact, so clamping loses nothing.
-            rates[i, j] = max(0.0, x[e])
+        # HiGHS honors bounds only to its own tolerance; the model's
+        # lower bound of 0 is exact, so clamping loses nothing.
+        rates[self.ei, self.ej] = np.maximum(0.0, x[: self.n_e])
         return rates
 
     def solve(
@@ -199,19 +191,24 @@ class _EngineLP:
         *,
         t_max: float | None,
         diag: AmfDiagnostics,
+        slack_max: float | None = None,
     ):
         """One LP over the capacity block plus ``extra_rows``; returns the scipy result.
 
-        ``c``/``extra_rows`` span ``n_e + 1`` variables (``t`` last).
+        ``c``/``extra_rows`` span ``n_e + 1`` variables (``t`` last) plus
+        any non-negative slack columns after them.
         """
         # Imported here, not at module level: the perf ledger's tracer
         # patches ``scipy.optimize.linprog`` by name.
         from scipy.optimize import linprog
 
         diag.amrf_lps += 1
-        A_ub = np.vstack([self.cap_block, extra_rows])
+        n_slack = extra_rows.shape[1] - self.n_e - 1
+        cap_block = np.pad(self.cap_block, ((0, 0), (0, n_slack)))
+        A_ub = np.vstack([cap_block, extra_rows])
         b_ub = np.concatenate([self.cap_rhs, extra_rhs])
-        return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[*self.bounds, (0.0, t_max)], method="highs")
+        bounds = [*self.bounds, (0.0, t_max), *[(0.0, slack_max)] * n_slack]
+        return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
 
 
 def _amrf_fill(
@@ -220,91 +217,99 @@ def _amrf_fill(
     share_floors: np.ndarray,
     diag: AmfDiagnostics,
 ) -> np.ndarray:
-    """Progressive filling over weighted dominant shares; returns shares."""
+    """Progressive filling over weighted dominant shares; returns shares.
+
+    Each round solves one max-``t`` LP and decides from it who freezes:
+    a job whose fill or floor row carries a positive dual is tight on the
+    whole optimal face (complementary slackness), a job whose witness
+    share exceeds its target is not, and whoever is left shares one
+    aggregate headroom LP (``docs/multiresource.md``).
+    """
     n = cluster.n_jobs
     weights = cluster.weights
-    frozen = np.zeros(n, dtype=bool)
-    shares = np.zeros(n)
     share_caps = lp.share_caps
-    # Jobs with no usable edges can only sit at their floor (0).
-    for i in range(n):
-        if share_caps[i] <= 0.0:
-            frozen[i] = True
-            shares[i] = 0.0
-
-    def extra_for(active_t: bool, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows enforcing ``s_i >= targets_i`` (+ ``s_i >= w_i t`` when filling)."""
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        for i in range(n):
-            if targets[i] > 0.0:
-                rows.append(np.append(-lp.share_rows[i], 0.0))
-                rhs.append(-float(targets[i]))
-            if active_t and not frozen[i]:
-                rows.append(np.append(-lp.share_rows[i], float(weights[i])))
-                rhs.append(0.0)
-        if not rows:
-            return np.zeros((0, lp.n_e + 1)), np.zeros(0)
-        return np.array(rows), np.array(rhs)
-
-    floors_targets = np.where(frozen, shares, share_floors)
+    frozen = share_caps <= 0.0  # no usable edges: the job sits at 0
+    shares = np.zeros(n)
     c_t = np.zeros(lp.n_e + 1)
     c_t[-1] = -1.0
     for _round in range(n + 1):
         if frozen.all():
             break
         diag.amrf_rounds += 1
-        targets = np.where(frozen, shares, share_floors)
-        rows, rhs = extra_for(True, targets)
-        res = lp.solve(c_t, rows, rhs, t_max=None, diag=diag)
+        active = ~frozen
+        act = np.flatnonzero(active)
+        base = np.where(frozen, shares, share_floors)  # s_i >= base_i
+        held = np.flatnonzero(base > 0.0)
+        fill_rows = lp.neg_share[act]
+        fill_rows[:, -1] = weights[act]  # s_i >= w_i t
+        res = lp.solve(
+            c_t,
+            np.vstack([lp.neg_share[held], fill_rows]),
+            np.concatenate([-base[held], np.zeros(act.size)]),
+            t_max=None,
+            diag=diag,
+        )
         if not res.success:
-            raise ValueError("AMRF floors are infeasible for this cluster")
+            if share_floors.any():
+                raise ValueError("AMRF floors are infeasible for this cluster")
+            raise ValueError(
+                f"AMRF max-t LP failed (numeric breakdown, HiGHS status {res.status}: {res.message})"
+            )
         t_star = float(res.x[-1])
         witness = lp.shares_of(res.x)
-        newly: list[int] = []
-        candidates: list[int] = []
-        for i in np.flatnonzero(~frozen):
-            target = max(weights[i] * t_star, share_floors[i])
-            scale = max(1.0, target)
-            if share_caps[i] <= target + _FREEZE_TOL * scale:
-                # cap-saturated: x <= caps bounds force s_i <= share_caps[i],
-                # so w_i * t_star <= share_caps[i] and the witness proves
-                # freezing at the target is feasible.
-                shares[i] = target
-                frozen[i] = True
-                newly.append(int(i))
-            elif witness[i] > target + _FREEZE_TOL * scale:
-                # the max-t vertex itself witnesses headroom — no probe
-                diag.amrf_probes_skipped += 1
-            else:
-                candidates.append(int(i))
-        probed: list[tuple[float, int, float]] = []
-        for i in candidates:
-            target = max(weights[i] * t_star, share_floors[i])
+        # Dual weight of each job's own rows.  The t column's dual
+        # constraint normalises sum_i w_i y_i = 1, so the threshold is
+        # scale-free.
+        y = -res.ineqlin.marginals[lp.cap_rhs.size :]
+        dual = np.zeros(n)
+        dual[act] = y[held.size :]
+        dual[held] = np.maximum(dual[held], y[: held.size])
+        target = np.maximum(weights * t_star, share_floors)
+        tol = _FREEZE_TOL * np.maximum(1.0, target)
+        # cap-saturated: x <= caps bounds force s_i <= share_caps[i], so
+        # w_i * t_star <= share_caps[i] and the witness proves freezing at
+        # the target is feasible.
+        newly = active & (share_caps <= target + tol)
+        # A row with positive dual is tight at every optimum, and the
+        # optimal face {t = t*} is where a job's headroom is measured.
+        tight = active & ~newly & (dual > _DUAL_TOL)
+        newly |= tight
+        roomy = active & ~newly & (witness > target + tol)
+        diag.amrf_probes_skipped += int(tight.sum() + roomy.sum())
+        # The undecided share one LP: maximise sum(delta) with
+        # s_i - delta_i >= target_i for them and everyone else held.  Its
+        # optimum is at least any one job's headroom (up to the bound on
+        # delta), so if no delta clears its tolerance they all freeze;
+        # otherwise the jobs that showed headroom leave and the rest ask
+        # again.  Bounding each delta by _SPREAD times the summed
+        # tolerance makes the objective count jobs with headroom instead of
+        # piling it all on the cheapest one (one job per pass), and stays
+        # above that sum, which is what the all-freeze conclusion needs.
+        slack = witness - target
+        hold = np.where(frozen, shares, target)
+        und = np.flatnonzero(active & ~newly & ~roomy)
+        while und.size:
             diag.amrf_probes += 1
-            hold = np.where(frozen, shares, np.maximum(weights * t_star, share_floors))
-            hold[i] = share_floors[i]
-            rows, rhs = extra_for(False, hold)
-            c_probe = np.append(-lp.share_rows[i], 0.0)
-            res_i = lp.solve(c_probe, rows, rhs, t_max=0.0, diag=diag)
-            best = -float(res_i.fun) if res_i.success else target
-            probed.append((best - target, i, target))
-            if best <= target + _FREEZE_TOL * max(1.0, target):
-                shares[i] = target
-                frozen[i] = True
-                newly.append(i)
-        if not newly:
+            order = np.concatenate([np.setdiff1d(np.flatnonzero(hold > 0.0), und), und])
+            rows = np.pad(lp.neg_share[order], ((0, 0), (0, und.size)))
+            rows[-und.size :, -und.size :] = np.eye(und.size)
+            c_u = np.concatenate([np.zeros(lp.n_e + 1), -np.ones(und.size)])
+            bound = _SPREAD * float(tol[und].sum())
+            res_u = lp.solve(c_u, rows, -hold[order], t_max=0.0, diag=diag, slack_max=bound)
+            if not res_u.success:
+                break  # as a failed probe did: freeze at the target
+            delta = res_u.x[-und.size :]
+            slack[und] = np.maximum(slack[und], delta)
+            if not (delta > tol[und]).any():
+                break
+            und = und[delta <= tol[und]]
+        newly[und] = True
+        if not newly.any():
             # Numeric safety: progressive filling must freeze someone each
-            # round; take the tightest probed job (or the slackest-witness
-            # active job when every probe was skipped).
-            if probed:
-                _slack, i, target = min(probed)
-            else:
-                act = np.flatnonzero(~frozen)
-                i = int(act[np.argmin(witness[act] - weights[act] * t_star)])
-                target = max(weights[i] * t_star, share_floors[i])
-            shares[int(i)] = target
-            frozen[int(i)] = True
+            # round; take the active job with the least headroom seen.
+            newly[act[np.argmin(slack[act])]] = True
+        shares[newly] = target[newly]
+        frozen |= newly
     require(bool(frozen.all()), "AMRF progressive filling failed to converge")
     return shares
 
@@ -341,14 +346,9 @@ def amrf_allocate(
         # Realize a Pareto-efficient witness at the (slightly relaxed)
         # share floors: maximize total rate subject to everyone keeping
         # their fair share.
-        rows_list: list[np.ndarray] = []
-        rhs_list: list[float] = []
-        for i in range(cluster.n_jobs):
-            if shares[i] > 0.0:
-                rows_list.append(np.append(-lp.share_rows[i], 0.0))
-                rhs_list.append(-float(shares[i] * (1.0 - 1e-9)))
-        extra_rows = np.array(rows_list) if rows_list else np.zeros((0, lp.n_e + 1))
-        extra_rhs = np.array(rhs_list) if rhs_list else np.zeros(0)
+        held = np.flatnonzero(shares > 0.0)
+        extra_rows = lp.neg_share[held]
+        extra_rhs = -shares[held] * (1.0 - 1e-9)
         c_real = np.append(-np.ones(lp.n_e), 0.0)
         res = lp.solve(c_real, extra_rows, extra_rhs, t_max=0.0, diag=diag)
         require(res.success, "AMRF shares could not be realized (numeric breakdown)")

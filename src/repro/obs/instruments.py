@@ -115,9 +115,11 @@ _AMF_COUNTERS = {
     # scalar clusters and on vector clusters served by the scalar reduction
     "amrf_rounds": REGISTRY.counter("repro_amrf_rounds_total", "AMRF progressive-filling rounds"),
     "amrf_lps": REGISTRY.counter("repro_amrf_lps_total", "LP solves inside the AMRF engine"),
-    "amrf_probes": REGISTRY.counter("repro_amrf_probes_total", "per-job max-share freeze probes"),
+    "amrf_probes": REGISTRY.counter(
+        "repro_amrf_probes_total", "aggregate headroom LPs over jobs a round's LP left undecided"
+    ),
     "amrf_probes_skipped": REGISTRY.counter(
-        "repro_amrf_probes_skipped_total", "freeze probes answered by a witness share"
+        "repro_amrf_probes_skipped_total", "jobs a round decided with no LP (row dual or witness share)"
     ),
 }
 

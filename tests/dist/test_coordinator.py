@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.sharding import ShardBasisPool, decompose, solve_shards
 from repro.dist.coordinator import DistError, ShardAssignment, WorkerPool
+from repro.dist.protocol import ShardSolved
 from repro.dist.worker import SolverWorker
 from repro.model.cluster import Cluster
 from repro.model.job import Job
@@ -75,6 +76,24 @@ class TestShardAssignment:
     def test_no_live_workers_raises(self):
         with pytest.raises(ValueError):
             ShardAssignment().assign(frozenset({"s"}), [])
+
+
+class TestReplyDiagnostics:
+    def test_unknown_counter_does_not_discard_the_matrix(self):
+        """A worker on another build may report a counter this one lacks
+        (``amrf_table_hits`` left ``AmfDiagnostics`` in PR 16); its shard
+        matrix is still valid and its known counters still count."""
+        shard = decompose(block_cluster([(2, 2)]))[0]
+        reply = ShardSolved(
+            id=1,
+            key=tuple(sorted(shard.key)),
+            matrix=[[0.5, 0.25], [0.0, 1.0]],
+            diagnostics={"amrf_table_hits": 1, "amrf_lps": 3, "rounds": "two"},
+        )
+        result = WorkerPool._to_result(shard, reply)
+        assert result.matrix.tolist() == [[0.5, 0.25], [0.0, 1.0]]
+        assert result.diagnostics.amrf_lps == 3
+        assert result.diagnostics.rounds == 0
 
 
 class TestPoolSolve:

@@ -11,6 +11,13 @@ decided by an LP (``scipy.optimize.linprog``) and progressive filling uses
 bisection with per-job freezing probes — the same trustworthy-but-slow
 architecture as :mod:`repro.core.reference`.  Intended scale: tens of
 jobs.
+
+:func:`probe_fill_shares` is the second referee: the engine's own
+round structure (one max-``t`` LP per round) with the freeze decision the
+engine used to make — one max-share probe LP per candidate job.  The
+engine now reads that decision off the round LP's duals and one aggregate
+headroom LP; this asks every job one by one, so it referees the *decision*
+at 1e-9 where the bisection can only referee the shares at its own 1e-5.
 """
 
 from __future__ import annotations
@@ -21,13 +28,13 @@ from scipy.optimize import linprog
 from repro._util import require
 from repro.model.cluster import Cluster
 
-__all__ = ["amrf_shares", "solve_amrf", "check_rates"]
+__all__ = ["amrf_shares", "solve_amrf", "probe_fill_shares", "check_rates"]
 
 
 class _RateLP:
     """LP scaffolding over the support task-rate variables ``x_ij``."""
 
-    def __init__(self, cluster: Cluster):
+    def __init__(self, cluster: Cluster, resource_totals=None):
         self.cluster = cluster
         caps = cluster.demand_caps
         self.edges = [(i, j) for i in range(cluster.n_jobs) for j in range(cluster.n_sites) if caps[i, j] > 0]
@@ -48,7 +55,7 @@ class _RateLP:
         self.cap_rows = np.array(rows) if rows else np.zeros((0, n_e))
         self.cap_rhs = np.array(rhs)
         # per-job aggregate dominant-share rows
-        dom = cluster.dominant_factor()
+        dom = cluster.dominant_factor(resource_totals)
         self.share_rows = np.zeros((cluster.n_jobs, n_e))
         for e, (i, j) in enumerate(self.edges):
             self.share_rows[i, e] = dom[i]
@@ -61,6 +68,23 @@ class _RateLP:
 
     def max_share_of(self, i: int, share_floor: np.ndarray):
         return self.solve(share_floor, objective=-self.share_rows[i])
+
+    def max_level(self, share_floor: np.ndarray, fill_weights: np.ndarray):
+        """Maximise ``t`` (the last variable) with ``s >= share_floor`` and
+        ``s_i >= fill_weights_i * t`` on the rows where the weight is positive."""
+        n, n_e = self.share_rows.shape
+        fill = np.flatnonzero(fill_weights > 0)
+        A_ub = np.vstack(
+            [
+                np.hstack([self.cap_rows, np.zeros((len(self.cap_rows), 1))]),
+                np.hstack([-self.share_rows, np.zeros((n, 1))]),
+                np.hstack([-self.share_rows[fill], fill_weights[fill, None]]),
+            ]
+        )
+        b_ub = np.concatenate([self.cap_rhs, -np.asarray(share_floor, dtype=float), np.zeros(fill.size)])
+        c = np.zeros(n_e + 1)
+        c[-1] = -1.0
+        return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[*self.bounds, (0.0, None)], method="highs")
 
     def rates_from(self, x: np.ndarray) -> np.ndarray:
         rates = np.zeros((self.cluster.n_jobs, self.cluster.n_sites))
@@ -127,6 +151,60 @@ def amrf_shares(cluster: Cluster, tol: float = 1e-9) -> np.ndarray:
             frozen[i] = True
         t_lo = lo
     return shares
+
+
+def probe_fill_shares(
+    cluster: Cluster,
+    floors: np.ndarray | None = None,
+    resource_totals=None,
+    *,
+    tol: float = 1e-7,
+) -> tuple[np.ndarray, int]:
+    """Progressive filling that asks every job whether it can still rise.
+
+    Each round one LP maximises the common weighted level ``t`` of the
+    active jobs (frozen jobs held at their shares, active ones at their
+    floors); then, for every active job not already at its task-cap share,
+    one probe LP maximises that job's share with everyone else held at
+    their round target ``max(w_k t, floor_k)``.  No headroom means frozen.
+    ``floors`` are aggregate task-rate floors as in ``amrf_allocate``.
+    Returns ``(shares, rounds)``.
+    """
+    n = cluster.n_jobs
+    lp = _RateLP(cluster, resource_totals)
+    weights = cluster.weights
+    share_caps = lp.share_rows @ np.array([hi for _lo, hi in lp.bounds])
+    share_floors = np.zeros(n)
+    if floors is not None:
+        dom = cluster.dominant_factor(resource_totals)
+        share_floors = np.minimum(dom * np.asarray(floors, dtype=float), share_caps)
+    frozen = share_caps <= 0.0
+    shares = np.zeros(n)
+    rounds = 0
+    while not frozen.all():
+        rounds += 1
+        require(rounds <= n, "probe fill failed to converge")
+        res = lp.max_level(np.where(frozen, shares, share_floors), np.where(frozen, 0.0, weights))
+        if not res.success:
+            raise ValueError("floors are infeasible for this cluster")
+        target = np.maximum(weights * res.x[-1], share_floors)
+        slack = tol * np.maximum(1.0, target)
+        held = np.where(frozen, shares, target)
+        headroom = np.full(n, np.inf)
+        for i in np.flatnonzero(~frozen):
+            if share_caps[i] <= target[i] + slack[i]:
+                headroom[i] = 0.0
+                continue
+            req = held.copy()
+            req[i] = share_floors[i]
+            res_i = lp.max_share_of(i, req)
+            headroom[i] = -res_i.fun - target[i] if res_i.success else 0.0
+        newly = headroom <= slack
+        if not newly.any():
+            newly[np.argmin(headroom)] = True
+        shares[newly] = target[newly]
+        frozen |= newly
+    return shares, rounds
 
 
 def solve_amrf(cluster: Cluster, tol: float = 1e-9) -> np.ndarray:
