@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro._util import ABS_TOL, fle, require
+from repro._util import ABS_TOL, REL_TOL, require
 from repro.model.cluster import Cluster
 
 
@@ -73,22 +73,18 @@ class Allocation:
             f"allocation exceeds a demand cap by {float(over_cap.max(initial=0.0)):g}",
         )
         if cluster.is_multiresource:
-            usage = matrix.T @ cluster.job_resource_matrix  # (m, R)
-            res_caps = cluster.site_resource_matrix
-            for j in range(cluster.n_sites):
-                for r, res in enumerate(cluster.resource_names):
-                    require(
-                        fle(float(usage[j, r]), float(res_caps[j, r]), scale=scale),
-                        f"site {cluster.sites[j].name!r} over-allocated on {res!r}: "
-                        f"{float(usage[j, r]):g} > {float(res_caps[j, r]):g}",
-                    )
+            used = matrix.T @ cluster.job_resource_matrix  # (m, R)
+            caps = cluster.site_resource_matrix
         else:
-            per_site = matrix.sum(axis=0)
-            for j, used in enumerate(per_site):
-                require(
-                    fle(used, cluster.capacities[j], scale=scale),
-                    f"site {cluster.sites[j].name!r} over-allocated: {used:g} > {cluster.capacities[j]:g}",
-                )
+            used, caps = matrix.sum(axis=0), cluster.capacities
+        # ``fle(used, caps, scale=scale)`` on every site (and resource) at once
+        over = used > caps + scale * np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(used), np.abs(caps)))
+        if over.any():
+            at = tuple(np.argwhere(over)[0])  # (site[, resource]) of the first offender
+            on = f" on {cluster.resource_names[at[1]]!r}" if len(at) > 1 else ""
+            raise ValueError(
+                f"site {cluster.sites[at[0]].name!r} over-allocated{on}: {float(used[at]):g} > {float(caps[at]):g}"
+            )
         matrix.flags.writeable = False
         self.cluster = cluster
         self.matrix = matrix

@@ -127,19 +127,20 @@ def decompose(cluster: Cluster) -> list[Shard]:
     so the decomposition is deterministic for a given cluster.
     """
     uf = _UnionFind(cluster.n_sites)
-    support = cluster.support
-    for i in range(cluster.n_jobs):
-        sites = np.nonzero(support[i])[0]
-        first = int(sites[0])
-        for j in sites[1:]:
-            uf.union(first, int(j))
+    # each job's first-listed site stands for it: a component's root is its
+    # smallest site index whichever order the unions happen in
+    anchors = []
+    for job in cluster.jobs:
+        first, *rest = (cluster.site_index(name) for name in job.workload)
+        anchors.append(first)
+        for j in rest:
+            uf.union(first, j)
     site_groups: dict[int, list[int]] = {}
     for j in range(cluster.n_sites):
         site_groups.setdefault(uf.find(j), []).append(j)
     job_groups: dict[int, list[int]] = {root: [] for root in site_groups}
-    for i in range(cluster.n_jobs):
-        root = uf.find(int(np.nonzero(support[i])[0][0]))
-        job_groups[root].append(i)
+    for i, first in enumerate(anchors):
+        job_groups[uf.find(first)].append(i)
     shards: list[Shard] = []
     for root in sorted(site_groups):
         site_idx = tuple(site_groups[root])

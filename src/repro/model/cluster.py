@@ -16,7 +16,7 @@ import numpy as np
 
 from repro._util import as_float_array, as_float_matrix, nonneg, require
 from repro.model.job import Job
-from repro.model.resources import SLOTS, UnknownResourceError
+from repro.model.resources import UnknownResourceError
 from repro.model.site import Site
 
 
@@ -237,14 +237,7 @@ class Cluster:
             if site.resources is not None:
                 for res, amount in site.resources:
                     h.update(f"R|{site.name}|{res}|{amount.hex()}\n".encode())
-        for job in self._jobs:
-            h.update(f"J|{job.name}|{job.weight.hex()}\n".encode())
-            for site, work in sorted(job.workload.items()):
-                h.update(f"w|{site}|{work.hex()}\n".encode())
-            for site, rate in sorted(job.demand.items()):
-                h.update(f"d|{site}|{rate.hex()}\n".encode())
-            for res, amount in sorted(job.resources.items()):
-                h.update(f"r|{res}|{amount.hex()}\n".encode())
+        h.update(b"".join(job.fingerprint_lines for job in self._jobs))
         return h.hexdigest()
 
     def fingerprint(self) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -95,6 +96,17 @@ class Job:
             Job,
             (self.name, dict(self.workload), dict(self.demand), self.weight, self.arrival, dict(self.resources)),
         )
+
+    @cached_property
+    def fingerprint_lines(self) -> bytes:
+        """This job's share of the byte stream :meth:`Cluster.fingerprint`
+        hashes.  Memoised per instance (a job is immutable; every copy is
+        built through ``__init__`` and starts without it)."""
+        lines = [f"J|{self.name}|{self.weight.hex()}\n"]
+        lines += [f"w|{site}|{work.hex()}\n" for site, work in sorted(self.workload.items())]
+        lines += [f"d|{site}|{rate.hex()}\n" for site, rate in sorted(self.demand.items())]
+        lines += [f"r|{res}|{amount.hex()}\n" for res, amount in sorted(self.resources.items())]
+        return "".join(lines).encode()
 
     @property
     def is_multiresource(self) -> bool:

@@ -53,7 +53,7 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 from repro.obs import instruments
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
-from repro.service.daemon import AllocationService, ServiceClosed
+from repro.service.daemon import AllocationService, ServedAllocation, ServiceClosed
 from repro.service.schema import (
     API_SPEC,
     MAX_BODY_BYTES,
@@ -96,6 +96,16 @@ _STOP = object()  # intake sentinel: solver loop exits after the final drain
 _MAX_HEADERS = 100
 
 
+#: An allocation document's keys: the head names how it was served, the
+#: tail is what the allocation itself determines (see ``_rendered``).
+_HEAD = ("policy", "cached", "solve_ms", "version", "fingerprint")
+_TAIL = ("jobs", "site_usage", "utilization")
+
+
+def _head(payload: dict[str, Any]) -> bytes:
+    return json.dumps({key: payload[key] for key in _HEAD})[:-1].encode() + b", "
+
+
 def _render(
     status: int,
     body: bytes,
@@ -122,8 +132,9 @@ class PublishedView:
 
     The solver thread builds a view after each unit of work; the event
     loop reads whichever view is current at request time.  Nothing in a
-    view is ever mutated — ``jobs`` listings re-decode ``allocate_json``
-    per request so pagination cannot corrupt the shared copy.
+    view is ever mutated — ``jobs`` listings build their page from
+    ``allocate`` as new dicts.  ``allocate_json`` arrives encoded: it is
+    built once per answer of the service, not once per view.
     """
 
     __slots__ = (
@@ -136,6 +147,7 @@ class PublishedView:
         "allocate_resp",
         "health_json",
         "stats_json",
+        "allocate",
         "allocate_json",
         "pending_names",
     )
@@ -150,6 +162,7 @@ class PublishedView:
         health: dict[str, Any],
         stats: dict[str, Any],
         allocate: dict[str, Any],
+        allocate_json: bytes,
         pending_names: tuple[str, ...],
     ):
         self.version = version
@@ -158,7 +171,8 @@ class PublishedView:
         self.solve_p50_s = solve_p50_s
         self.health_json = json.dumps(health).encode()
         self.stats_json = json.dumps(stats).encode()
-        self.allocate_json = json.dumps(allocate).encode()
+        self.allocate = allocate
+        self.allocate_json = allocate_json
         # the fast path: complete keep-alive responses, written verbatim
         self.health_resp = _render(200, self.health_json)
         self.stats_resp = _render(200, self.stats_json)
@@ -194,8 +208,9 @@ class AioServiceServer:
     retry_floor:
         Smallest ``Retry-After`` hint handed to shed requests (seconds).
     request_timeout:
-        Per-read socket budget: a client stalling this long mid-request
-        (headers or body) is answered 408.
+        Budget for one whole request, from the end of its request line to
+        the last body byte: a client that has not delivered headers and
+        body by then is answered 408, however steadily it dribbles.
     idle_timeout:
         How long a keep-alive connection may sit idle between requests
         before being dropped silently.  ``None`` inherits
@@ -223,6 +238,10 @@ class AioServiceServer:
         self.idle_timeout = request_timeout if idle_timeout is None else idle_timeout
         self.quiet = quiet
         self.view: PublishedView | None = None
+        # One slot, replaced, solver thread only: the state version of the
+        # last allocation the service handed over, with the payload and the
+        # encoded document it re-publishes as until that version moves.
+        self._answer: tuple[int, dict[str, Any], bytes] | None = None
         self._intake: queue.Queue = queue.Queue()
         self.admitted = 0
         self.shed = 0
@@ -369,7 +388,7 @@ class AioServiceServer:
                 self._drain_closed()
                 return
 
-    def _process(self, item: _Work) -> tuple[int, dict[str, Any]]:
+    def _process(self, item: _Work) -> tuple[int, dict[str, Any] | bytes]:
         service = self.service
         try:
             if item.kind == "submit":
@@ -390,11 +409,10 @@ class AioServiceServer:
                 events, names = item.payload
                 if events:
                     service.submit_all(events)
-                served = service.allocation(fresh=True)
-                payload = allocation_payload(served)
+                body = self._rendered(service.allocation(fresh=True))[1]
                 if names is not None:
-                    payload["queued_jobs"] = names
-                return 200, payload
+                    body = body[:-1] + b', "queued_jobs": ' + json.dumps(names).encode() + b"}"
+                return 200, body
             return 500, error_envelope("internal", f"unknown work kind {item.kind!r}")
         except ServiceClosed as exc:
             return 503, error_envelope("unavailable", str(exc))
@@ -428,9 +446,27 @@ class AioServiceServer:
                 continue
             self._resolve(item, (503, error_envelope("unavailable", "service is shutting down")))
 
+    def _rendered(self, served: ServedAllocation) -> tuple[dict[str, Any], bytes]:
+        """Render and encode ``served`` — the one time either happens.
+
+        The document is ``head + tail``: five small fields, then everything
+        the allocation determines.  The tail is kept in :attr:`_answer`
+        under the head a cache re-read would carry (``cached``, 0 ms).
+        """
+        payload = allocation_payload(served)
+        tail = json.dumps({key: payload[key] for key in _TAIL})[1:].encode()
+        again = {**payload, "cached": True, "solve_ms": 0.0}
+        self._answer = (served.version, again, _head(again) + tail)
+        return payload, _head(payload) + tail
+
     def _publish(self) -> None:
         service = self.service
-        served = service.allocation(fresh=False)
+        if self._answer is None or self._answer[0] != service.state.version:
+            # a due batch flushed (or first boot): the state moved past the
+            # last answer, so ask again; otherwise that answer is the view
+            allocate, document = self._rendered(service.allocation(fresh=False))
+        else:
+            _, allocate, document = self._answer
         stats = service.stats()
         stats["edge"] = "aio"
         stats["admission"] = self.admission_stats()
@@ -445,13 +481,14 @@ class AioServiceServer:
         }
         p50_ms = stats["solver"]["p50_ms"]
         self.view = PublishedView(
-            version=served.version,
-            fingerprint=served.fingerprint,
+            version=allocate["version"],
+            fingerprint=allocate["fingerprint"],
             pending=stats["state"]["pending_events"],
             solve_p50_s=None if p50_ms is None else p50_ms / 1e3,
             health=health,
             stats=stats,
-            allocate=allocation_payload(served),
+            allocate=allocate,
+            allocate_json=document,
             pending_names=tuple(service.pending_job_names()),
         )
 
@@ -506,8 +543,9 @@ class AioServiceServer:
         try:
             while True:
                 try:
-                    line = await self._timed(reader.readline(), idle=True)
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(self.idle_timeout):
+                        line = await reader.readline()
+                except TimeoutError:
                     break  # idle keep-alive expired: drop silently
                 if not line or line in (b"\r\n", b"\n"):
                     break
@@ -524,8 +562,11 @@ class AioServiceServer:
                     break
                 t0 = time.perf_counter()
                 try:
-                    headers = await self._read_headers(reader)
-                    body = await self._read_body(reader, headers)
+                    # one deadline for the whole request, not one per line:
+                    # a client cannot hold the connection by dribbling headers
+                    async with asyncio.timeout(self.request_timeout):
+                        headers = await self._read_headers(reader)
+                        body = await self._read_body(reader, headers)
                 except _PayloadTooLarge as exc:
                     self._respond(writer, 413, error_envelope("payload_too_large", str(exc)), close=True, t0=t0)
                     break
@@ -537,7 +578,7 @@ class AioServiceServer:
                     # StreamReader's line-length limit
                     self._respond(writer, 400, error_envelope("bad_request", str(exc)), close=True, t0=t0)
                     break
-                except (asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
+                except (TimeoutError, asyncio.IncompleteReadError) as exc:
                     self._respond(
                         writer,
                         408,
@@ -565,17 +606,11 @@ class AioServiceServer:
             except (ConnectionResetError, BrokenPipeError, RuntimeError):
                 pass
 
-    async def _timed(self, coro, *, idle: bool = False):
-        timeout = self.idle_timeout if idle else self.request_timeout
-        if timeout is None:
-            return await coro
-        return await asyncio.wait_for(coro, timeout=timeout)
-
     async def _read_headers(self, reader: asyncio.StreamReader) -> dict[str, str]:
         headers: dict[str, str] = {}
         lines = 0
         while True:
-            line = await self._timed(reader.readline())
+            line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 return headers
             lines += 1
@@ -595,7 +630,7 @@ class AioServiceServer:
             raise _PayloadTooLarge(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
         if length <= 0:
             return b""
-        return await self._timed(reader.readexactly(length))
+        return await reader.readexactly(length)
 
     def _respond(
         self,
@@ -674,7 +709,7 @@ class AioServiceServer:
 
     def _ok(
         self,
-        payload: dict[str, Any],
+        payload: dict[str, Any] | bytes,
         extra: Sequence[tuple[str, str]],
         close: bool,
         t0: float,
@@ -682,7 +717,8 @@ class AioServiceServer:
         status: int = 200,
     ) -> bytes:
         self._count(status, t0)
-        return _render(status, json.dumps(payload).encode(), extra=extra, close=close)
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        return _render(status, body, extra=extra, close=close)
 
     def _view_or_503(self) -> PublishedView:
         view = self.view
@@ -745,9 +781,7 @@ class AioServiceServer:
         if route == "/jobs":
             q = JobsQuery.from_query(query)
             view = self._view_or_503()
-            # decode a private copy: jobs_listing_payload mutates it
-            payload = json.loads(view.allocate_json)
-            return self._ok(jobs_listing_payload(payload, list(view.pending_names), q), extra, close, t0)
+            return self._ok(jobs_listing_payload(view.allocate, list(view.pending_names), q), extra, close, t0)
         return self._error(404, "not_found", f"unknown path {target!r}", extra, close, t0)
 
     async def _post(

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.model.job import Job
 from repro.model.resources import ResourceMismatchError
 
@@ -286,10 +288,16 @@ def allocation_payload(served) -> dict[str, Any]:
 
     Shared by both HTTP edges (:mod:`repro.service.http` and
     :mod:`repro.service.aio`) so a client sees bit-identical payloads
-    whichever edge answered.
+    whichever edge answered.  Costs O(positive cells): one ``nonzero``
+    walked in row-major order, which is each job's site order.
     """
     alloc = served.allocation
     cluster = alloc.cluster
+    sites = [site.name for site in cluster.sites]
+    shares: list[dict[str, float]] = [{} for _ in cluster.jobs]
+    rows, cols = np.nonzero(alloc.matrix > 0.0)
+    for i, j, share in zip(rows.tolist(), cols.tolist(), alloc.matrix[rows, cols].tolist()):
+        shares[i][sites[j]] = share
     return {
         "policy": alloc.policy,
         "cached": served.cached,
@@ -297,17 +305,10 @@ def allocation_payload(served) -> dict[str, Any]:
         "version": served.version,
         "fingerprint": served.fingerprint,
         "jobs": {
-            job.name: {
-                "aggregate": float(alloc.aggregates[i]),
-                "shares": {
-                    site.name: float(alloc.matrix[i, j])
-                    for j, site in enumerate(cluster.sites)
-                    if alloc.matrix[i, j] > 0.0
-                },
-            }
-            for i, job in enumerate(cluster.jobs)
+            job.name: {"aggregate": aggregate, "shares": row}
+            for job, aggregate, row in zip(cluster.jobs, alloc.aggregates.tolist(), shares)
         },
-        "site_usage": {s.name: float(u) for s, u in zip(cluster.sites, alloc.site_usage)},
+        "site_usage": dict(zip(sites, alloc.site_usage.tolist())),
         "utilization": alloc.utilization if cluster.n_jobs else 0.0,
     }
 
@@ -317,28 +318,29 @@ def jobs_listing_payload(
 ) -> dict[str, Any]:
     """``GET /v1/jobs``: paginate + status-filter an allocation payload.
 
-    ``payload`` is :func:`allocation_payload` output (mutated in place:
-    its ``jobs`` mapping is replaced by the requested page), so both edges
-    share one pagination implementation.
+    ``payload`` is :func:`allocation_payload` output and is left untouched
+    (the asyncio edge hands in the published view's own copy): only the
+    requested page's entries are built, as new dicts.
     """
     active = payload["jobs"]
-    for entry in active.values():
-        entry["status"] = "active"
-    items: list[tuple[str, dict[str, Any]]] = []
-    if q.status in ("active", "all"):
-        items.extend(active.items())
+    names = list(active) if q.status in ("active", "all") else []
     if q.status in ("pending", "all"):
-        items.extend((name, {"status": "pending"}) for name in pending_names if name not in active)
-    page = items[q.offset : q.offset + q.limit]
-    payload["jobs"] = dict(page)
-    payload["pagination"] = {
-        "limit": q.limit,
-        "offset": q.offset,
-        "total": len(items),
-        "returned": len(page),
-        "status": q.status,
+        names.extend(name for name in pending_names if name not in active)
+    page = {
+        name: {**active[name], "status": "active"} if name in active else {"status": "pending"}
+        for name in names[q.offset : q.offset + q.limit]
     }
-    return payload
+    return {
+        **payload,
+        "jobs": page,
+        "pagination": {
+            "limit": q.limit,
+            "offset": q.offset,
+            "total": len(names),
+            "returned": len(page),
+            "status": q.status,
+        },
+    }
 
 
 _JOB_FIELDS = {

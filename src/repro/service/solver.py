@@ -191,6 +191,7 @@ class IncrementalAmfSolver:
                 alloc = self._solve_sharded(cluster, diag)
             else:
                 alloc = solve_amf(cluster, diagnostics=diag, basis=self.basis)
+                alloc = alloc.with_matrix(alloc.matrix, policy=self.__name__)
         except Exception:
             # A numerically broken basis must not poison the next attempt;
             # drop it and let the fallback chain take this solve cold.
@@ -199,7 +200,7 @@ class IncrementalAmfSolver:
             self.stats.merge(diag)
             raise
         self.stats.merge(diag)
-        return alloc.with_matrix(alloc.matrix, policy=self.__name__)
+        return alloc
 
     def _solve_sharded(self, cluster: Cluster, diag: AmfDiagnostics) -> Allocation:
         shards = decompose(cluster)
@@ -258,4 +259,4 @@ class IncrementalAmfSolver:
         if observing:
             record_amf(diag, since=before)
         matrix = stitch(cluster, pieces)
-        return Allocation(cluster, matrix, policy="amf")
+        return Allocation(cluster, matrix, policy=self.__name__)

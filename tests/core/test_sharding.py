@@ -35,6 +35,7 @@ from repro.core.sharding import (
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
+from tests.core import reference_decompose
 
 
 def block_cluster(blocks: list[tuple[int, int]], *, idle_sites: int = 0, seed: int = 0) -> Cluster:
@@ -93,6 +94,44 @@ class TestDecompose:
             assert {s.name for s in shard.cluster.sites} == shard.key
             for job in shard.cluster.jobs:
                 assert set(job.workload) <= shard.key
+
+
+class TestDecomposeMatchesReference:
+    """Same shards, order, indices, keys and sub-cluster fingerprints as the
+    dense ``np.nonzero`` walk kept in ``reference_decompose.py``."""
+
+    @staticmethod
+    def same(cluster: Cluster) -> int:
+        got, want = decompose(cluster), reference_decompose.decompose(cluster)
+        assert [(s.key, s.site_indices, s.job_indices) for s in got] == [
+            (s.key, s.site_indices, s.job_indices) for s in want
+        ]
+        assert [s.cluster.fingerprint() for s in got] == [s.cluster.fingerprint() for s in want]
+        return len(got)
+
+    def test_random_sparse_clusters(self):
+        rng = np.random.default_rng(7)
+        sizes = set()
+        for _ in range(150):
+            m = int(rng.integers(1, 14))
+            names = [f"s{j}" for j in range(m)]
+            rng.shuffle(names)  # a job's workload order is not the cluster's site order
+            jobs = []
+            for i in range(int(rng.integers(0, 12))):
+                picked = rng.choice(m, size=int(rng.integers(1, min(m, 3) + 1)), replace=False)
+                jobs.append(Job(f"j{i}", {names[j]: float(rng.uniform(0.1, 2.0)) for j in picked}))
+            sites = [Site(f"s{j}", float(rng.uniform(1.0, 4.0))) for j in range(m)]
+            sizes.add(self.same(Cluster(sites, jobs)))
+        assert len(sizes) > 4
+
+    def test_extremes(self):
+        assert self.same(block_cluster([(2, 2)], idle_sites=3)) == 4  # job-less sites
+        assert self.same(Cluster.uniform(6, 5)) == 1  # one component
+        assert self.same(block_cluster([(1, 1)] * 7)) == 7  # fully disconnected
+        assert self.same(Cluster([Site("only", 1.0)], [])) == 1  # no jobs at all
+        from tests.multiresource.test_engine import random_mr_cluster
+
+        self.same(random_mr_cluster(np.random.default_rng(3), n_jobs=6, n_sites=4))
 
 
 class TestStitch:

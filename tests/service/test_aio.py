@@ -4,6 +4,7 @@ import json
 import math
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -228,6 +229,40 @@ class TestMalformedRequests:
         try:
             raw = raw_request(srv, b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
             assert raw.startswith(b"HTTP/1.1 200 ")  # EOF followed within ~0.1s
+        finally:
+            srv.shutdown()
+
+
+    def test_dribbled_headers_share_one_request_deadline(self):
+        # request_timeout bounds the whole request: a client feeding one
+        # header line per 0.2 s never stalls 0.3 s on any single read, yet is
+        # answered 408 once 0.3 s have passed since its request line
+        srv = AioServiceServer(make_service(), port=0, quiet=True, request_timeout=0.3, idle_timeout=5.0).start()
+        try:
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+                sock.sendall(b"GET /v1/health HTTP/1.1\r\n")
+                t0 = time.monotonic()
+                sock.settimeout(0.2)
+                raw, lines = b"", 0
+                while not raw and lines < 8:
+                    sock.sendall(b"X-Slow-%d: v\r\n" % lines)
+                    lines += 1
+                    try:
+                        raw = sock.recv(65536)  # waits out the 0.2 s between lines
+                    except TimeoutError:
+                        pass
+                elapsed = time.monotonic() - t0
+            assert raw.startswith(b"HTTP/1.1 408 "), f"no 408 after {lines} dribbled lines"
+            assert b"request_timeout" in raw and b"Connection: close" in raw
+            assert 0.25 <= elapsed < 1.0 and lines <= 4
+        finally:
+            srv.shutdown()
+
+    def test_slow_body_still_times_out(self):
+        srv = AioServiceServer(make_service(), port=0, quiet=True, request_timeout=0.2).start()
+        try:
+            raw = raw_request(srv, b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{")
+            assert raw.startswith(b"HTTP/1.1 408 ") and b"request_timeout" in raw
         finally:
             srv.shutdown()
 
