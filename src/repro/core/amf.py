@@ -340,20 +340,22 @@ class _RoundPool:
         """Sweep ``(k, a)`` more rows: crossing capacities, ``cap(S)`` and the
         frozen jobs' contribution per row."""
         k, a = crosses.shape
-        m_floors = np.minimum(self.floors, crosses)  # (k, a)
-        m_caps = np.minimum(self.caps, crosses)
-        f_b = np.broadcast_to(self.floors, (k, a))
-        c_b = np.broadcast_to(self.caps, (k, a))
-        w_b = np.broadcast_to(self.weights, (k, a))
-        levels = np.concatenate([f_b / w_b, c_b / w_b, m_floors / w_b, m_caps / w_b], axis=1)
-        consts = np.concatenate([-f_b, c_b, m_floors, -m_caps], axis=1)
-        slopes = np.concatenate([w_b, -w_b, -w_b, w_b], axis=1)
-        order = np.argsort(levels, axis=1, kind="stable")
-        levels = np.take_along_axis(levels, order, axis=1)
-        start = base + (f_b - m_floors).sum(axis=1)  # H_k(0)
-        consts = start[:, None] + np.cumsum(np.take_along_axis(consts, order, axis=1), axis=1)
-        slopes = np.cumsum(np.take_along_axis(slopes, order, axis=1), axis=1)
-        total_cap = base + (c_b - m_caps).sum(axis=1)  # sup of H_k
+        f, c, w = self.floors, self.caps, self.weights
+        m_floors = np.minimum(f, crosses)  # (k, a)
+        m_caps = np.minimum(c, crosses)
+        # levels, consts and slopes of the four events per job and row, written
+        # in place (f, c and w broadcast over the rows) and each gathered once
+        ev = np.empty((3, k, 4, a))
+        ev[0, :, 0], ev[0, :, 1], ev[0, :, 2], ev[0, :, 3] = f / w, c / w, m_floors / w, m_caps / w
+        ev[1, :, 0], ev[1, :, 1], ev[1, :, 2], ev[1, :, 3] = -f, c, m_floors, -m_caps
+        ev[2, :, 0::3], ev[2, :, 1:3] = w, -w
+        levels, consts, slopes = ev.reshape(3, k, 4 * a)
+        flat = np.argsort(levels, axis=1, kind="stable") + (np.arange(k) * (4 * a))[:, None]
+        levels = levels.take(flat)
+        start = base + (f - m_floors).sum(axis=1)  # H_k(0)
+        consts = start[:, None] + np.cumsum(consts.take(flat), axis=1)
+        slopes = np.cumsum(slopes.take(flat), axis=1)
+        total_cap = base + (c - m_caps).sum(axis=1)  # sup of H_k
         self.per = np.concatenate([self.per, _max_levels(levels, consts, slopes, total_cap, rhs)])
 
     def propose(self) -> tuple[float, np.ndarray]:
@@ -377,13 +379,12 @@ def _max_levels(
     # rows are non-decreasing, so the count of starts <= thr is the
     # searchsorted(side="right") index:
     idx = (seg_start_vals <= thr[:, None]).sum(axis=1)
+    rows = np.arange(levels.shape[0])
     k = np.maximum(idx - 1, 0)
-    c = np.take_along_axis(consts, k[:, None], axis=1)[:, 0]
-    s = np.take_along_axis(slopes, k[:, None], axis=1)[:, 0]
+    c, s = consts[rows, k], slopes[rows, k]
     with np.errstate(divide="ignore", invalid="ignore"):
         crossing = (rhs - c) / s
-    nxt = np.minimum(idx, n_events - 1)
-    plateau_end = np.take_along_axis(levels, nxt[:, None], axis=1)[:, 0]
+    plateau_end = levels[rows, np.minimum(idx, n_events - 1)]
     per = np.where(s > 0.0, crossing, np.where(idx < n_events, plateau_end, np.inf))
     per = np.where(idx == 0, 0.0, per)
     return np.where(total_cap <= thr, np.inf, per)

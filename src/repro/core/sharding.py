@@ -145,16 +145,14 @@ def decompose(cluster: Cluster) -> list[Shard]:
     for root in sorted(site_groups):
         site_idx = tuple(site_groups[root])
         job_idx = tuple(job_groups[root])
-        sub = Cluster(
-            tuple(cluster.sites[j] for j in site_idx),
-            tuple(cluster.jobs[i] for i in job_idx),
-        )
         shards.append(
             Shard(
                 key=frozenset(cluster.sites[j].name for j in site_idx),
                 site_indices=site_idx,
                 job_indices=job_idx,
-                cluster=sub,
+                # one component spanning every site is the cluster itself:
+                # same sites, jobs and order, so the same fingerprint and views
+                cluster=cluster if len(site_groups) == 1 else cluster._subset(site_idx, job_idx),
             )
         )
     return shards

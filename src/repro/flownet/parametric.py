@@ -67,9 +67,10 @@ class ProbeStats:
 class ProbeOutcome:
     """One feasibility verdict; mirrors ``FeasibilityOutcome`` plus ``mode``.
 
-    ``cut_jobs`` / ``cut_sites`` are the job / site indices on the source
-    side of the minimal min cut (mapped back through the degree-1 folding),
-    or an analytically violated stored cut when ``mode == "cut-reject"``.
+    On an infeasible verdict ``cut_jobs`` / ``cut_sites`` are the job / site
+    indices on the source side of the minimal min cut (mapped back through
+    the degree-1 folding), or an analytically violated stored cut when
+    ``mode == "cut-reject"``; a feasible verdict carries empty sets.
     """
 
     feasible: bool
@@ -135,43 +136,30 @@ class ParametricFeasibility:
         self._src = 0
         self._site0 = k_multi + 1
         self._snk = k_multi + m + 1
-        tails: list[int] = []
-        heads: list[int] = []
-        caps_e: list[float] = []
-        for k in range(k_multi):
-            tails.append(self._src)
-            heads.append(1 + k)
-            caps_e.append(0.0)
-        sup_eids: list[int] = []
-        sup_job: list[int] = []
-        sup_site: list[int] = []
+        # The support arcs in row-major order: job by job, each job's sites
+        # ascending — the order that fixes every edge id below.
+        ks, js = np.nonzero(support[self._multi_idx])
+        jobs_of = self._multi_idx[ks]
+        sites_m = np.arange(m, dtype=np.int64)
+        self._source_eids = np.arange(k_multi, dtype=np.int64) * 2
+        self._sup_eids = np.arange(ks.size, dtype=np.int64) * 2 + 2 * k_multi
+        self._site_eids = sites_m * 2 + 2 * (k_multi + ks.size)
+        self._sup_job, self._sup_site = jobs_of.astype(np.int64), js.astype(np.int64)
+        self._graph = ArrayFlowGraph(
+            self._snk + 1,
+            np.concatenate([np.zeros(k_multi, dtype=np.int64), 1 + ks, self._site0 + sites_m]),
+            np.concatenate([1 + np.arange(k_multi), self._site0 + js, np.full(m, self._snk)]),
+            np.concatenate([np.zeros(k_multi), dcaps[jobs_of, js], np.zeros(m)]),
+        )
+        # Rollback walks: per multi-job its (edge, site) arcs, per site its
+        # (edge, job) arcs, both in edge order.
         self._job_edges: list[list[tuple[int, int]]] = [[] for _ in range(k_multi)]
         self._site_edges: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        eid = 2 * k_multi
-        for k, i in enumerate(self._multi_idx):
-            for j in np.flatnonzero(support[i]):
-                j = int(j)
-                tails.append(1 + k)
-                heads.append(self._site0 + j)
-                caps_e.append(float(dcaps[i, j]))
-                sup_eids.append(eid)
-                sup_job.append(int(i))
-                sup_site.append(j)
-                self._job_edges[k].append((eid, j))
-                self._site_edges[j].append((eid, k))
-                eid += 2
-        self._site_eids = np.arange(m, dtype=np.int64) * 2 + eid
-        for j in range(m):
-            tails.append(self._site0 + j)
-            heads.append(self._snk)
-            caps_e.append(0.0)
-        self._graph = ArrayFlowGraph(self._snk + 1, tails, heads, caps_e)
-        self._source_eids = np.arange(k_multi, dtype=np.int64) * 2
+        for eid, k, j in zip(self._sup_eids.tolist(), ks.tolist(), js.tolist()):
+            self._job_edges[k].append((eid, j))
+            self._site_edges[j].append((eid, k))
         self._source_eids_list = self._source_eids.tolist()
         self._site_eids_list = self._site_eids.tolist()
-        self._sup_eids = np.asarray(sup_eids, dtype=np.int64)
-        self._sup_job = np.asarray(sup_job, dtype=np.int64)
-        self._sup_site = np.asarray(sup_site, dtype=np.int64)
 
         # Screening pool (Gale–Hoffman site cuts over the *full* job set).
         self._screen = bool(screen_cuts)
@@ -379,9 +367,10 @@ class ParametricFeasibility:
 
         delivered, t_eff, load, capped, overloaded, warm = self._flow_solve(targets)
         feasible = feq(delivered, demanded, scale=self._scale)
-        if feasible and not need_cut:
-            # A feasible probe's cut is the (near-empty) residual reach set;
-            # no caller consumes it, so skip the reachability sweep.
+        if feasible:
+            # ``need_cut`` promises a cut on an *infeasible* verdict; a feasible
+            # probe's is the (near-empty) residual reach set no caller reads,
+            # so skip the reachability sweep.
             cut_jobs, cut_sites = frozenset(), frozenset()
         else:
             cut_jobs, cut_sites = self._map_cut(

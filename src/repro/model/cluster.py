@@ -27,6 +27,13 @@ class Cluster:
     (:meth:`without_job`, :meth:`with_job`, :meth:`replace_job`) returns a new
     instance, which keeps the strategy-proofness / sharing-incentive probes
     honest (they compare allocations across *independent* instances).
+
+    Every public constructor — ``Cluster(sites, jobs)``,
+    :meth:`from_matrices` and the four mutation helpers — validates (unique
+    names, known sites, offered resources), so data that crosses a boundary
+    (a wire payload, a journal, a ``ClusterState`` snapshot) is checked once.
+    The private :meth:`_subset` does not: it only ever selects from an
+    instance that already was.
     """
 
     def __init__(self, sites: Sequence[Site], jobs: Sequence[Job]):
@@ -54,6 +61,26 @@ class Cluster:
         self._jobs = jobs
         self._site_index = {name: k for k, name in enumerate(site_names)}
         self._job_index = {name: k for k, name in enumerate(job_names)}
+
+    def _subset(self, site_idx: Sequence[int], job_idx: Sequence[int]) -> "Cluster":
+        """The sub-instance on those sites and jobs, in their present order;
+        every chosen job's support must lie inside ``site_idx``.
+
+        Skips validation: unique names and known sites are inherited from
+        this (validated, immutable) cluster.  Offered resources are not — a
+        subset offers only what its own sites do — so a vector cluster takes
+        the validating constructor.
+        """
+        sites = tuple(self._sites[j] for j in site_idx)
+        jobs = tuple(self._jobs[i] for i in job_idx)
+        if self.is_multiresource:
+            return Cluster(sites, jobs)
+        sub = object.__new__(Cluster)
+        sub._sites = sites
+        sub._jobs = jobs
+        sub._site_index = {site.name: k for k, site in enumerate(sites)}
+        sub._job_index = {job.name: k for k, job in enumerate(jobs)}
+        return sub
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -106,15 +133,42 @@ class Cluster:
         arr.flags.writeable = False
         return arr
 
+    def _edge_views(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(workloads, demand_caps)`` from one pass over the support edges."""
+        index, inf = self._site_index, float("inf")
+        rows, cols, work, declared = [], [], [], []
+        for i, job in enumerate(self._jobs):
+            demand = job.demand
+            for site, amount in job.workload.items():
+                rows.append(i)
+                cols.append(index[site])
+                work.append(amount)
+                declared.append(demand.get(site, inf))  # uncapped: the site alone bounds it
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        if not self.is_multiresource:
+            alone = self.capacities[cols]
+        else:
+            # the rate the site sustains if the job ran alone: min over the
+            # resources the job consumes (its strictly positive amounts)
+            need = self.job_resource_matrix[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alone = np.where(need > 0.0, self.site_resource_matrix[cols] / need, inf).min(axis=1)
+
+        def dense(values) -> np.ndarray:
+            mat = np.zeros((self.n_jobs, self.n_sites), dtype=float)
+            mat[rows, cols] = values
+            mat.flags.writeable = False
+            return mat
+
+        # both views are cached by the one pass; nothing else is retained
+        views = dense(work), dense(np.minimum(declared, alone))
+        self.__dict__["workloads"], self.__dict__["demand_caps"] = views
+        return views
+
     @cached_property
     def workloads(self) -> np.ndarray:
         """``(n, m)`` workload matrix ``W``; ``W[i, j] > 0`` iff job ``i`` has work at site ``j``."""
-        mat = np.zeros((self.n_jobs, self.n_sites), dtype=float)
-        for i, job in enumerate(self._jobs):
-            for site, work in job.workload.items():
-                mat[i, self._site_index[site]] = work
-        mat.flags.writeable = False
-        return mat
+        return self._edge_views()[0]
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -133,20 +187,7 @@ class Cluster:
         over the resources the job consumes), and entries outside the
         support are 0.  Solvers therefore only ever need this matrix.
         """
-        caps = np.zeros((self.n_jobs, self.n_sites), dtype=float)
-        mr = self.is_multiresource
-        for i, job in enumerate(self._jobs):
-            vec = job.resource_vector if mr else None
-            for site in job.workload:
-                j = self._site_index[site]
-                if mr:
-                    site_vec = self._sites[j].resource_vector
-                    alone = min(site_vec.get(res, 0.0) / amount for res, amount in vec.items())
-                else:
-                    alone = self._sites[j].capacity
-                caps[i, j] = min(job.demand_at(site), alone)
-        caps.flags.writeable = False
-        return caps
+        return self._edge_views()[1]
 
     # ------------------------------------------------------------------
     # Resource-vector views

@@ -134,6 +134,87 @@ class TestDecomposeMatchesReference:
         self.same(random_mr_cluster(np.random.default_rng(3), n_jobs=6, n_sites=4))
 
 
+def assert_same_cluster(got: Cluster, want: Cluster) -> None:
+    """``got`` (a ``Cluster._subset``) is the validated ``Cluster(sites, jobs)``."""
+    assert got.sites == want.sites and got.jobs == want.jobs
+    assert [got.site_index(s.name) for s in got.sites] == list(range(got.n_sites))
+    assert [got.job_index(j.name) for j in got.jobs] == list(range(got.n_jobs))
+    assert got._site_index == want._site_index and got._job_index == want._job_index
+    for view in ("capacities", "weights", "workloads", "support", "demand_caps", "aggregate_demand"):
+        assert np.array_equal(getattr(got, view), getattr(want, view)), view
+    assert got.resource_names == want.resource_names
+    assert got.is_multiresource == want.is_multiresource
+    assert got.fingerprint() == want.fingerprint()
+
+
+def validated_build(cluster: Cluster, shard: Shard) -> Cluster:
+    """The shard's sub-instance the way ``decompose`` used to build it."""
+    return Cluster([cluster.sites[j] for j in shard.site_indices], [cluster.jobs[i] for i in shard.job_indices])
+
+
+class TestSubset:
+    """A shard is a subset of a validated cluster, and one component spanning
+    every site is the cluster: nothing is constructed or re-validated."""
+
+    def test_one_component_is_the_cluster(self):
+        for cluster in (Cluster.uniform(6, 5), block_cluster([(4, 3)], seed=2), Cluster([Site("only", 1.0)], [])):
+            (shard,) = decompose(cluster)
+            assert shard.cluster is cluster
+            assert shard.site_indices == tuple(range(cluster.n_sites))
+            assert shard.job_indices == tuple(range(cluster.n_jobs))
+
+    def test_one_component_solve_builds_the_views_once(self, monkeypatch):
+        built = []
+        real = Cluster._edge_views
+        monkeypatch.setattr(Cluster, "_edge_views", lambda self: built.append(self) or real(self))
+        cluster = block_cluster([(5, 3)], seed=4)
+        solve_amf_sharded(cluster)  # solves on, and validates against, the same views
+        assert built == [cluster]
+
+    def test_each_subset_equals_the_validated_build(self):
+        rng = np.random.default_rng(12)
+        for seed in range(20):
+            blocks = [(int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(2, 5)))]
+            cluster = block_cluster(blocks, idle_sites=int(rng.integers(0, 3)), seed=seed)
+            shards = decompose(cluster)
+            assert len(shards) >= 2
+            for shard in shards:
+                assert shard.cluster is not cluster
+                assert_same_cluster(shard.cluster, validated_build(cluster, shard))
+
+    def test_jobless_site_keeps_its_zero_job_shard(self):
+        cluster = block_cluster([(2, 2)], idle_sites=1)
+        busy, idle = decompose(cluster)
+        assert busy.cluster is not cluster  # two components: neither is the cluster
+        assert idle.n_jobs == 0 and idle.key == frozenset({"idle0"})
+        assert_same_cluster(idle.cluster, Cluster([cluster.site("idle0")], []))
+        assert idle.cluster.workloads.shape == (0, 1)
+
+    def test_vector_subset_rechecks_its_own_offered_resources(self):
+        # mem is offered by region a only; a mem job pinned to region b passes
+        # the federation's check and must not pass its shard's
+        from repro.model.resources import UnknownResourceError
+
+        sites = [Site("a", {"cpu": 4.0, "mem": 4.0}), Site("b", {"cpu": 4.0})]
+        jobs = [Job("x", {"a": 1.0}, resources={"cpu": 1.0, "mem": 1.0}), Job("y", {"b": 1.0}, resources={"mem": 1.0})]
+        with pytest.raises(UnknownResourceError):
+            decompose(Cluster(sites, jobs))
+        ok = Cluster(sites, [jobs[0], Job("y", {"b": 1.0}, resources={"cpu": 2.0})])
+        for shard in decompose(ok):
+            assert_same_cluster(shard.cluster, validated_build(ok, shard))
+
+    def test_subset_survives_the_fork_pool_round_trip(self):
+        cluster = block_cluster([(3, 2), (2, 3), (2, 2)], seed=9)
+        shards = decompose(cluster)
+        serial = solve_shards(shards, workers=None)
+        with proven_fan_out():
+            fanned = solve_shards(shards, workers=2)
+        for shard, near, far in zip(shards, serial, fanned):
+            assert far.shard.cluster is not shard.cluster  # it really was pickled back
+            assert_same_cluster(far.shard.cluster, shard.cluster)
+            np.testing.assert_array_equal(far.matrix, near.matrix)
+
+
 class TestStitch:
     def test_round_trip_identity(self):
         cluster = block_cluster([(2, 2), (3, 3)], seed=1)

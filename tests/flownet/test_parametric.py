@@ -16,15 +16,31 @@ from hypothesis import strategies as st
 
 from repro.core import amf
 from repro.core.amf import AmfDiagnostics, amf_levels, amf_levels_bisect, solve_amf
+from repro.flownet.arrayflow import ArrayFlowGraph
 from repro.flownet.bipartite import build_network
 from repro.flownet.parametric import ParametricFeasibility, ProbeStats
 from repro.model.cluster import Cluster
+from repro.model.job import Job
+from repro.model.site import Site
 from repro.workload.generator import WorkloadSpec, generate_cluster
+from tests.conftest import random_cluster
+from tests.flownet.reference_network import reference_oracle
+from tests.model.test_cluster import random_two_resource
 
 
 def _cold_outcome(cluster, targets):
     """The reference: fresh network, Dinic from zero flow."""
     return build_network(cluster, np.asarray(targets, dtype=float)).solve()
+
+
+def _assert_cut_matches(warm, cold):
+    """The minimal min cut is promised on an infeasible verdict; a feasible
+    probe carries none (the oracle skips the reachability sweep there)."""
+    if cold.feasible:
+        assert warm.cut_sites == warm.cut_jobs == frozenset()
+    else:
+        assert warm.cut_sites == cold.cut_sites
+        assert warm.cut_jobs == cold.cut_jobs
 
 
 @st.composite
@@ -72,8 +88,7 @@ def test_need_cut_probes_return_the_cold_min_cut(case):
         cold = _cold_outcome(cluster, targets)
         warm = oracle.probe(targets, need_cut=True)
         assert warm.feasible is cold.feasible
-        assert warm.cut_sites == cold.cut_sites
-        assert warm.cut_jobs == cold.cut_jobs
+        _assert_cut_matches(warm, cold)
         assert warm.flow_value == pytest.approx(cold.flow_value, abs=1e-8)
 
 
@@ -122,8 +137,7 @@ def test_falling_probes_roll_back_and_stay_bit_identical(case, fold):
         cold = _cold_outcome(cluster, targets)
         warm = oracle.probe(targets, need_cut=True)
         assert warm.feasible is cold.feasible
-        assert warm.cut_sites == cold.cut_sites
-        assert warm.cut_jobs == cold.cut_jobs
+        _assert_cut_matches(warm, cold)
         assert warm.flow_value == pytest.approx(cold.flow_value, abs=1e-8)
     assert oracle.stats.probes == len(probes)
 
@@ -266,3 +280,103 @@ def test_probe_stats_track_reuse():
     oracle.probe(np.array([0.5, 0.5]))  # dominated by the last feasible probe
     assert oracle.stats.early_accepts == 1
     assert oracle.stats.probes == 2
+
+
+# -- the array-built network is the edge-appending loop's network ---------
+
+_GRAPH_ARRAYS = ("to", "orig", "cap", "adj", "indptr")
+_ORACLE_ARRAYS = (
+    "_source_eids",
+    "_site_eids",
+    "_sup_eids",
+    "_sup_job",
+    "_sup_site",
+    "_folded_idx",
+    "_folded_site",
+    "_folded_cap",
+    "_multi_idx",
+)
+_ORACLE_LISTS = ("_job_edges", "_site_edges", "_source_eids_list", "_site_eids_list")
+
+
+def _assert_same_network(cluster, **kwargs):
+    got, want = ParametricFeasibility(cluster, **kwargs), reference_oracle(cluster, **kwargs)
+    for name in _GRAPH_ARRAYS:
+        a, b = getattr(got._graph, name), getattr(want._graph, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got._graph.n_nodes == want._graph.n_nodes
+    for name in _ORACLE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in _ORACLE_LISTS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert (got._src, got._site0, got._snk) == (want._src, want._site0, want._snk)
+    return got
+
+
+@pytest.mark.parametrize("fold", [True, False])
+def test_network_matches_reference_construction(fold):
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        _assert_same_network(random_cluster(rng, cap_prob=float(rng.choice([0.0, 0.6]))), fold_single_site=fold)
+        _assert_same_network(random_two_resource(rng), fold_single_site=fold)
+    spec = WorkloadSpec(n_jobs=30, n_sites=7, site_spread=3, theta=1.0)
+    _assert_same_network(generate_cluster(spec, rng), fold_single_site=fold)
+
+
+def test_network_matches_reference_on_deciding_cases():
+    sites = [Site("A", 2.0), Site("B", 3.0), Site("idle", 1.0)]
+    # an explicit 0.0 cap keeps its (zero-capacity) arc; ``idle`` has no jobs
+    zero = _assert_same_network(Cluster(sites, [Job("x", {"B": 1.0, "A": 1.0}, demand={"B": 0.0})]))
+    assert zero._sup_site.tolist() == [0, 1]
+    assert zero._graph.orig[zero._sup_eids].tolist() == [2.0, 0.0]
+    assert zero._site_edges[2] == []
+    # every job single-site: k_multi == 0, only the m sink arcs remain
+    folded = _assert_same_network(Cluster(sites, [Job("x", {"A": 1.0}), Job("y", {"B": 1.0})]))
+    assert folded._sup_eids.size == 0 and folded._graph.n_edges == 3
+    _assert_same_network(Cluster(sites, []))  # n_jobs == 0
+
+
+def test_reachability_sweep_runs_once_per_infeasible_probe(monkeypatch):
+    """``need_cut`` buys a min cut on an infeasible verdict only: through one
+    ``amf_levels`` solve the graph is swept exactly once per flow-refuted
+    probe, and feasible probes carry empty cuts in both modes."""
+    sweeps, outcomes = [], []
+    real_reach, real_probe = ArrayFlowGraph.reachable_from, ParametricFeasibility.probe
+    monkeypatch.setattr(ArrayFlowGraph, "reachable_from", lambda g, s: sweeps.append(s) or real_reach(g, s))
+
+    def recorded(self, targets, *, need_cut=False):
+        out = real_probe(self, targets, need_cut=need_cut)
+        outcomes.append((need_cut, out))
+        return out
+
+    monkeypatch.setattr(ParametricFeasibility, "probe", recorded)
+    cluster = generate_cluster(WorkloadSpec(n_jobs=25, n_sites=6, theta=1.2), np.random.default_rng(1))
+    amf_levels(cluster)
+    refuted = [out for _, out in outcomes if not out.feasible and out.mode.startswith("flow")]
+    accepted = [(need, out) for need, out in outcomes if out.feasible]
+    assert refuted and any(need for need, _ in accepted)  # both kinds occurred
+    assert len(sweeps) == len(refuted)
+    assert all(out.cut_sites for out in refuted)
+    assert all(out.cut_sites == out.cut_jobs == frozenset() for _, out in accepted)
+    assert {need for need, _ in accepted} == {True, False}
+
+
+def test_bisect_never_asks_for_a_cut_it_would_not_get(monkeypatch):
+    """``amf_levels_bisect`` reads a probe's cut only at a level it has just
+    seen fail, so skipping the sweep on feasible verdicts cannot move its
+    levels: on 60 seeded draws every ``need_cut`` probe it makes is refuted."""
+    asked = []
+    real_probe = ParametricFeasibility.probe
+
+    def recorded(self, targets, *, need_cut=False):
+        out = real_probe(self, targets, need_cut=need_cut)
+        if need_cut:
+            asked.append(out.feasible)
+        return out
+
+    monkeypatch.setattr(ParametricFeasibility, "probe", recorded)
+    rng = np.random.default_rng(404)
+    for _ in range(60):
+        amf_levels_bisect(random_cluster(rng, cap_prob=0.6))
+    assert len(asked) >= 60 and not any(asked)
