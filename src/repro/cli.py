@@ -308,21 +308,16 @@ def _serve_journal(args, state):
 
 
 def _run_edge(args, service) -> int:
-    """Dispatch to the selected HTTP edge (blocking until shutdown)."""
-    if getattr(args, "edge", "thread") == "aio":
-        from repro.service.aio import serve_aio
+    """Serve ``service`` over HTTP (blocking until shutdown)."""
+    from repro.service.aio import serve_aio
 
-        serve_aio(
-            service,
-            host=args.host,
-            port=args.port,
-            max_pending=getattr(args, "max_pending", 1024),
-            quiet=args.quiet,
-        )
-    else:
-        from repro.service.http import serve
-
-        serve(service, host=args.host, port=args.port, quiet=args.quiet)
+    serve_aio(
+        service,
+        host=args.host,
+        port=args.port,
+        max_pending=getattr(args, "max_pending", 1024),
+        quiet=args.quiet,
+    )
     return 0
 
 
@@ -524,13 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--oracle", choices=("parametric",), default="parametric", help=argparse.SUPPRESS
     )
-    p_srv.add_argument(
-        "--edge",
-        choices=("thread", "aio"),
-        default="thread",
-        help="HTTP front-end: 'thread' (stdlib ThreadingHTTPServer) or 'aio' "
-        "(asyncio, lock-free reads + 429 admission control; docs/service.md)",
-    )
+    # Vestige with one reader: benchmarks/ledger/client.py passes
+    # ``--edge aio`` to ``serve``.  There is one HTTP edge; the flag selects
+    # nothing and goes when that harness may be edited.
+    p_srv.add_argument("--edge", choices=("aio",), default="aio", help=argparse.SUPPRESS)
     p_srv.add_argument(
         "--journal",
         metavar="DIR",
@@ -550,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         metavar="N",
-        help="aio edge only: shed writes with 429 beyond N undispatched work items",
+        help="shed writes with 429 beyond N undispatched work items",
     )
     p_srv.add_argument("--quiet", action="store_true", help="suppress per-request access logs")
     p_srv.add_argument(

@@ -190,7 +190,7 @@ ADMISSION_RETRY_AFTER_SECONDS = REGISTRY.histogram(
     "repro_admission_retry_after_seconds", "Retry-After hints handed to shed requests"
 )
 
-# -- background flusher (both HTTP edges) -------------------------------
+# -- background flush (the aio edge's solver loop) ----------------------
 FLUSH_ERRORS = REGISTRY.counter(
     "repro_flush_errors_total", "background flush cycles that raised (flusher keeps running)"
 )

@@ -10,9 +10,8 @@ See docs/service.md for the architecture and knobs.
 * :mod:`repro.service.cache` — fingerprint-keyed allocation cache.
 * :mod:`repro.service.daemon` — :class:`AllocationService`, the composed pipeline.
 * :mod:`repro.service.journal` — write-ahead journal + crash recovery.
-* :mod:`repro.service.http` — stdlib threaded HTTP/JSON API (``repro.cli serve``).
-* :mod:`repro.service.aio` — asyncio HTTP edge with lock-free reads and
-  admission control (``repro.cli serve --edge aio``).
+* :mod:`repro.service.aio` — the HTTP/JSON v1 API: an asyncio edge with
+  lock-free reads and admission control (``repro.cli serve``).
 """
 
 from repro.service.batching import BatchStats, CoalescingQueue

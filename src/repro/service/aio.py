@@ -1,9 +1,7 @@
 """Asyncio HTTP edge: lock-free reads, admission-controlled writes.
 
-The threaded front-end (:mod:`repro.service.http`) funnels *every*
-request — including pure reads — through the daemon's RLock, so read
-throughput is capped by lock handoffs long before the solver saturates.
-This edge removes the lock from the read path entirely:
+The service's one HTTP front-end (``repro.cli serve`` and ``repro.cli
+coordinator``).  No read takes the daemon's lock:
 
 * **One event loop** (own thread) parses HTTP/1.1 and serves every read
   endpoint (``GET /v1/health``, ``/v1/stats``, ``/v1/metrics``,
@@ -17,8 +15,7 @@ This edge removes the lock from the read path entirely:
   /v1/jobs``, ``/v1/capacity``, ``/v1/allocate``, ``DELETE
   /v1/jobs/<name>``, ``GET /v1/allocate?fresh=true``) travel to it
   through a bounded intake queue and come back as asyncio futures; the
-  coalescing queue stays the only path into the state, exactly as in the
-  threaded edge.
+  coalescing queue stays the only path into the state.
 * **Admission control**: when the intake queue holds ``max_pending``
   items the edge sheds new writes with ``429 too_many_requests`` and a
   ``Retry-After`` hint derived from the published solve p50 and the
@@ -30,12 +27,12 @@ This edge removes the lock from the read path entirely:
 The solver thread publishes a fresh view after every batch of work it
 processes and every queue flush, *before* resolving the write futures —
 so by the time a client sees its 202, the published view already reflects
-at least that state.  Responses are bit-identical to the threaded edge
-(both render through :mod:`repro.service.schema`), including the v1
-error envelope, legacy-alias ``Deprecation``/``Link`` headers, and 413 /
-408 / 503 semantics.  The flush path has the same crash-proofing as the
-threaded flusher: a poisoned batch is counted in
-``repro_flush_errors_total`` and the loop keeps running.
+at least that state.  It also republishes when the distributed pool
+declares a worker dead, the one change ``/v1/stats`` reports that no write
+causes; everything else in a view (``uptime_seconds`` included) is as of
+its publish.  Every route lives under ``/v1/``: any other path answers the
+404 envelope.  A poisoned flush is counted in ``repro_flush_errors_total``
+and the loop keeps running.
 """
 
 from __future__ import annotations
@@ -84,15 +81,11 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Legacy (unversioned) alias paths, mirroring the threaded edge.
-_ALIASED = frozenset({"/health", "/stats", "/metrics", "/traces", "/jobs", "/allocate", "/capacity"})
-
 _JSON = "application/json"
 _STOP = object()  # intake sentinel: solver loop exits after the final drain
 
-#: Header-count bound, matching ``http.client``'s cap so the two edges
-#: expose the same DoS surface (per-line size is bounded separately by the
-#: StreamReader limit).
+#: Header-count bound, matching ``http.client``'s cap (per-line size is
+#: bounded separately by the StreamReader limit).
 _MAX_HEADERS = 100
 
 
@@ -141,6 +134,7 @@ class PublishedView:
         "version",
         "fingerprint",
         "pending",
+        "failovers",
         "solve_p50_s",
         "health_resp",
         "stats_resp",
@@ -158,6 +152,7 @@ class PublishedView:
         version: int,
         fingerprint: str,
         pending: int,
+        failovers: int | None,
         solve_p50_s: float | None,
         health: dict[str, Any],
         stats: dict[str, Any],
@@ -168,6 +163,7 @@ class PublishedView:
         self.version = version
         self.fingerprint = fingerprint
         self.pending = pending
+        self.failovers = failovers  # dist pool failovers reported (None: local)
         self.solve_p50_s = solve_p50_s
         self.health_json = json.dumps(health).encode()
         self.stats_json = json.dumps(stats).encode()
@@ -341,6 +337,7 @@ class AioServiceServer:
         finally:
             self._view_ready.set()
         idle = max(0.002, (self.service.queue.max_delay or 0.01) / 2)
+        pool = self.service.pool
         while True:
             wait = self.service.seconds_until_due()
             timeout = idle if wait is None else max(0.0, min(wait, idle))
@@ -373,6 +370,8 @@ class AioServiceServer:
                 or view is None
                 or view.version != self.service.state.version
                 or view.pending != self.service.pending()
+                # the heartbeat thread declares deaths with no write in flight
+                or (pool is not None and view.failovers != pool.stats.failovers)
             ):
                 try:
                     self._publish()
@@ -484,6 +483,7 @@ class AioServiceServer:
             version=allocate["version"],
             fingerprint=allocate["fingerprint"],
             pending=stats["state"]["pending_events"],
+            failovers=stats["dist"].get("failovers"),
             solve_p50_s=None if p50_ms is None else p50_ms / 1e3,
             health=health,
             stats=stats,
@@ -592,9 +592,9 @@ class AioServiceServer:
                 writer.write(raw)
                 await writer.drain()
                 if close or raw.startswith(b"HTTP/1.1 4") or raw.startswith(b"HTTP/1.1 5"):
-                    # error responses mirror the threaded edge's
-                    # close-on-error for unsynchronizable streams; cheap
-                    # prefix check keeps the fast path allocation-free
+                    # an error answered with Connection: close (a 503 while
+                    # draining) ends the connection; the cheap prefix check
+                    # keeps the fast path allocation-free
                     if close or b"Connection: close" in raw[:512]:
                         break
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -639,11 +639,10 @@ class AioServiceServer:
         payload: dict[str, Any],
         *,
         close: bool = False,
-        extra: Sequence[tuple[str, str]] = (),
         t0: float | None = None,
     ) -> None:
         body = json.dumps(payload).encode()
-        raw = _render(status, body, extra=extra, close=close)
+        raw = _render(status, body, close=close)
         self._count(status, t0)
         writer.write(raw)
 
@@ -660,65 +659,54 @@ class AioServiceServer:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route(self, target: str) -> tuple[str, dict[str, str], str | None, bool]:
+    def _route(self, target: str) -> tuple[str | None, dict[str, str]]:
+        """The route under ``/v1`` and the query; ``None`` off ``/v1``."""
         parts = urlsplit(target)
         query = dict(parse_qsl(parts.query, keep_blank_values=True))
         path = parts.path
         if path == "/v1" or path.startswith("/v1/"):
-            return path[3:] or "/", query, None, True
-        if path in _ALIASED or path.startswith("/jobs/"):
-            return path, query, f"/v1{path}", False
-        return path, query, None, False
+            return path[3:] or "/", query
+        return None, query
 
     async def _dispatch(self, method: str, target: str, body: bytes, *, close: bool, t0: float) -> bytes:
-        route, query, deprecation, versioned = self._route(target)
-        extra: list[tuple[str, str]] = []
-        if deprecation:
-            extra.append(("Deprecation", "true"))
-            extra.append(("Link", f'<{deprecation}>; rel="successor-version"'))
+        route, query = self._route(target)
         try:
-            if method == "GET":
-                return await self._get(route, target, query, extra, close, t0, versioned=versioned)
-            if method == "POST":
-                return await self._post(route, target, body, extra, close, t0)
-            if method == "DELETE":
-                return await self._delete(route, target, extra, close, t0)
-            return self._error(404, "not_found", f"unknown path {target!r}", extra, close, t0)
+            if route is not None:
+                if method == "GET":
+                    return await self._get(route, target, query, close, t0)
+                if method == "POST":
+                    return await self._post(route, target, body, close, t0)
+                if method == "DELETE":
+                    return await self._delete(route, target, close, t0)
+            return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
         except SchemaError as exc:
-            return self._error(400, "bad_request", str(exc), extra, close, t0)
+            return self._error(400, "bad_request", str(exc), close, t0)
         except ServiceClosed as exc:
-            return self._error(503, "unavailable", str(exc), extra, close or True, t0)
+            return self._error(503, "unavailable", str(exc), True, t0)
         except json.JSONDecodeError as exc:
-            return self._error(400, "bad_request", str(exc), extra, close, t0)
+            return self._error(400, "bad_request", str(exc), close, t0)
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            return self._error(500, "internal", f"{type(exc).__name__}: {exc}", extra, close, t0)
+            return self._error(500, "internal", f"{type(exc).__name__}: {exc}", close, t0)
 
     def _error(
         self,
         status: int,
         code: str,
         message: str,
-        extra: Sequence[tuple[str, str]],
         close: bool,
         t0: float,
         detail: Any = None,
+        *,
+        extra: Sequence[tuple[str, str]] = (),
     ) -> bytes:
         self._count(status, t0)
         body = json.dumps(error_envelope(code, message, detail)).encode()
         return _render(status, body, extra=extra, close=close)
 
-    def _ok(
-        self,
-        payload: dict[str, Any] | bytes,
-        extra: Sequence[tuple[str, str]],
-        close: bool,
-        t0: float,
-        *,
-        status: int = 200,
-    ) -> bytes:
+    def _ok(self, payload: dict[str, Any] | bytes, close: bool, t0: float, *, status: int = 200) -> bytes:
         self._count(status, t0)
         body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-        return _render(status, body, extra=extra, close=close)
+        return _render(status, body, close=close)
 
     def _view_or_503(self) -> PublishedView:
         view = self.view
@@ -726,42 +714,23 @@ class AioServiceServer:
             raise ServiceClosed("service is shutting down")
         return view
 
-    async def _get(
-        self,
-        route: str,
-        target: str,
-        query: dict[str, str],
-        extra: list[tuple[str, str]],
-        close: bool,
-        t0: float,
-        *,
-        versioned: bool = False,
-    ) -> bytes:
+    async def _get(self, route: str, target: str, query: dict[str, str], close: bool, t0: float) -> bytes:
         if self._closing:
             raise ServiceClosed("service is shutting down")
         if route == "/health":
             view = self._view_or_503()
-            if not extra and not close:
-                self._count(200, t0)
-                return view.health_resp
             self._count(200, t0)
-            return _render(200, view.health_json, extra=extra, close=close)
+            return _render(200, view.health_json, close=True) if close else view.health_resp
         if route == "/stats":
             view = self._view_or_503()
-            if not extra and not close:
-                self._count(200, t0)
-                return view.stats_resp
             self._count(200, t0)
-            return _render(200, view.stats_json, extra=extra, close=close)
+            return _render(200, view.stats_json, close=True) if close else view.stats_resp
         if route == "/allocate":
             if parse_fresh(query, default=False):
-                return await self._roundtrip("allocate", ((), None), extra, close, t0)
+                return await self._roundtrip("allocate", ((), None), close, t0)
             view = self._view_or_503()
-            if not extra and not close:
-                self._count(200, t0)
-                return view.allocate_resp
             self._count(200, t0)
-            return _render(200, view.allocate_json, extra=extra, close=close)
+            return _render(200, view.allocate_json, close=True) if close else view.allocate_resp
         if route == "/metrics":
             if REGISTRY.enabled:
                 instruments.ADMISSION_QUEUE_DEPTH.set(self._intake.qsize())
@@ -770,29 +739,20 @@ class AioServiceServer:
                 200,
                 REGISTRY.render_prometheus().encode(),
                 "text/plain; version=0.0.4; charset=utf-8",
-                extra=extra,
                 close=close,
             )
         if route == "/traces":
             self._count(200, t0)
-            return _render(200, json.dumps(TRACER.to_chrome()).encode(), extra=extra, close=close)
-        if route == "/spec" and versioned:
-            return self._ok(API_SPEC, extra, close, t0)
+            return _render(200, json.dumps(TRACER.to_chrome()).encode(), close=close)
+        if route == "/spec":
+            return self._ok(API_SPEC, close, t0)
         if route == "/jobs":
             q = JobsQuery.from_query(query)
             view = self._view_or_503()
-            return self._ok(jobs_listing_payload(view.allocate, list(view.pending_names), q), extra, close, t0)
-        return self._error(404, "not_found", f"unknown path {target!r}", extra, close, t0)
+            return self._ok(jobs_listing_payload(view.allocate, list(view.pending_names), q), close, t0)
+        return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
 
-    async def _post(
-        self,
-        route: str,
-        target: str,
-        body: bytes,
-        extra: list[tuple[str, str]],
-        close: bool,
-        t0: float,
-    ) -> bytes:
+    async def _post(self, route: str, target: str, body: bytes, close: bool, t0: float) -> bytes:
         if self._closing:
             raise ServiceClosed("service is shutting down")
         data: dict[str, Any] = {}
@@ -803,54 +763,40 @@ class AioServiceServer:
         try:
             if route == "/allocate":
                 events, names = self._events_from(AllocateRequest.from_json(data))
-                return await self._roundtrip("allocate", (events, names), extra, close, t0)
+                return await self._roundtrip("allocate", (events, names), close, t0)
             if route == "/jobs":
                 events, names = self._events_from(AllocateRequest.from_json(data, require_jobs=True))
-                return await self._roundtrip("submit", (events, names, {}), extra, close, t0)
+                return await self._roundtrip("submit", (events, names, {}), close, t0)
             if route == "/capacity":
                 spec = CapacitySpec.from_json(data)
                 event = CapacityChanged(spec.site, spec.capacity)
-                return await self._roundtrip("submit", ((event,), None, {}), extra, close, t0)
+                return await self._roundtrip("submit", ((event,), None, {}), close, t0)
         except (StateError, ValueError) as exc:
             # schema/model validation happens on the loop, before admission
             if isinstance(exc, SchemaError):
                 raise
             if isinstance(exc, ResourceMismatchError):
-                return self._error(400, "resource_mismatch", str(exc), extra, close, t0)
+                return self._error(400, "resource_mismatch", str(exc), close, t0)
             if isinstance(exc, UnknownResourceError):
-                return self._error(400, "unknown_resource", str(exc), extra, close, t0)
-            return self._error(400, "bad_request", str(exc), extra, close, t0)
-        return self._error(404, "not_found", f"unknown path {target!r}", extra, close, t0)
+                return self._error(400, "unknown_resource", str(exc), close, t0)
+            return self._error(400, "bad_request", str(exc), close, t0)
+        return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
 
-    async def _delete(
-        self,
-        route: str,
-        target: str,
-        extra: list[tuple[str, str]],
-        close: bool,
-        t0: float,
-    ) -> bytes:
+    async def _delete(self, route: str, target: str, close: bool, t0: float) -> bytes:
         if self._closing:
             raise ServiceClosed("service is shutting down")
         prefix = "/jobs/"
         if route.startswith(prefix) and len(route) > len(prefix):
             name = unquote(route[len(prefix):])
-            return await self._roundtrip("delete", name, extra, close, t0)
-        return self._error(404, "not_found", f"unknown path {target!r}", extra, close, t0)
+            return await self._roundtrip("delete", name, close, t0)
+        return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
 
     @staticmethod
     def _events_from(request: AllocateRequest) -> tuple[tuple[ClusterEvent, ...], list[str]]:
         jobs = [spec.to_job() for spec in request.jobs]
         return tuple(JobArrived(job) for job in jobs), [job.name for job in jobs]
 
-    async def _roundtrip(
-        self,
-        kind: str,
-        payload: Any,
-        extra: Sequence[tuple[str, str]],
-        close: bool,
-        t0: float,
-    ) -> bytes:
+    async def _roundtrip(self, kind: str, payload: Any, close: bool, t0: float) -> bytes:
         admitted = self._admit(kind, payload)
         if not isinstance(admitted, asyncio.Future):
             retry = admitted
@@ -858,16 +804,16 @@ class AioServiceServer:
                 429,
                 "too_many_requests",
                 "solver intake queue is full; retry later",
-                [*extra, ("Retry-After", str(max(1, math.ceil(retry))))],
                 close,
                 t0,
                 detail={"retry_after_seconds": retry},
+                extra=[("Retry-After", str(max(1, math.ceil(retry))))],
             )
         status, result = await admitted
         if status >= 400 and "error" in result:
             err = result["error"]
-            return self._error(status, err["code"], err["message"], extra, close, t0, detail=err.get("detail"))
-        return self._ok(result, extra, close, t0, status=status)
+            return self._error(status, err["code"], err["message"], close, t0, detail=err.get("detail"))
+        return self._ok(result, close, t0, status=status)
 
 
 class _PayloadTooLarge(Exception):
@@ -892,7 +838,7 @@ def serve_aio(
     idle_timeout: float | None = None,
     quiet: bool = False,
 ) -> None:
-    """Blocking entry point used by ``python -m repro.cli serve --edge aio``.
+    """Blocking entry point of ``python -m repro.cli serve`` and ``coordinator``.
 
     ``SIGTERM``/``SIGINT`` trigger the graceful stop: in-flight writes
     drain through the solver, the service closes (journal checkpoint

@@ -1,7 +1,7 @@
 """The allocation daemon: state + batching + cache + resilient warm solver.
 
 :class:`AllocationService` is the synchronous core of the online service —
-everything the HTTP front-end (:mod:`repro.service.http`) does is a thin
+everything the HTTP front-end (:mod:`repro.service.aio`) does is a thin
 JSON wrapper over these methods, and the closed-loop benchmark drives the
 same object directly with a virtual clock.  One re-solve pipeline:
 

@@ -3,7 +3,7 @@
 One place defines what travels over HTTP: frozen dataclasses with
 validating ``from_json`` constructors and symmetric ``to_json`` dumps,
 replacing the ad-hoc dict parsing the front-end grew organically.  The
-HTTP layer (:mod:`repro.service.http`) maps :class:`SchemaError` to a 400
+HTTP layer (:mod:`repro.service.aio`) maps :class:`SchemaError` to a 400
 with the uniform error envelope; nothing schema-shaped is parsed anywhere
 else.
 
@@ -286,10 +286,9 @@ def parse_fresh(params: Mapping[str, str], *, default: bool) -> bool:
 def allocation_payload(served) -> dict[str, Any]:
     """JSON body of a :class:`~repro.service.daemon.ServedAllocation`.
 
-    Shared by both HTTP edges (:mod:`repro.service.http` and
-    :mod:`repro.service.aio`) so a client sees bit-identical payloads
-    whichever edge answered.  Costs O(positive cells): one ``nonzero``
-    walked in row-major order, which is each job's site order.
+    The HTTP edge (:mod:`repro.service.aio`) renders every allocation it
+    serves through this.  Costs O(positive cells): one ``nonzero`` walked
+    in row-major order, which is each job's site order.
     """
     alloc = served.allocation
     cluster = alloc.cluster
@@ -378,13 +377,7 @@ API_SPEC: dict[str, Any] = {
     # every schema_version-1 body is still accepted unchanged).
     "schema_version": 2,
     "versioning": {
-        "policy": (
-            "All endpoints live under /v1/. Unversioned paths are deprecated aliases: "
-            "they answer identically but carry 'Deprecation: true' and a "
-            "'Link: </v1/...>; rel=\"successor-version\"' header, and will be removed "
-            "in the release after next. Breaking changes only ever ship as /v2/."
-        ),
-        "legacy_aliases": True,
+        "policy": "All endpoints live under /v1/. Breaking changes only ever ship as /v2/.",
     },
     "error_envelope": {
         "shape": {"error": {"code": "string", "message": "string", "detail": "any | null"}},

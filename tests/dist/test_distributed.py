@@ -143,3 +143,39 @@ class TestServiceBackend:
         finally:
             svc.close()
             worker.close()
+
+    def test_http_stats_see_a_death_with_no_write(self):
+        """A worker the heartbeat declares dead between writes must reach
+        the published ``/v1/stats`` without a write to trigger a publish."""
+        import json
+        import time
+        import urllib.request
+
+        from repro.dist import spawn_local_workers
+        from repro.service import AllocationService, ClusterState
+        from repro.service.aio import AioServiceServer
+
+        processes, addresses = spawn_local_workers(2)
+        try:
+            pool = WorkerPool(addresses, heartbeat_interval=0.1).start()
+            svc = AllocationService(
+                ClusterState([Site("s0", 1.0)]), backend="dist", pool=pool, observability=False
+            )
+            with AioServiceServer(svc, port=0, quiet=True) as srv:
+
+                def workers_alive() -> int:
+                    url = f"http://127.0.0.1:{srv.port}/v1/stats"
+                    with urllib.request.urlopen(url, timeout=10) as resp:
+                        return json.loads(resp.read())["dist"]["workers_alive"]
+
+                assert workers_alive() == 2
+                processes[0].kill()
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and (len(pool.live_workers) != 1 or workers_alive() != 1):
+                    time.sleep(0.05)
+                assert len(pool.live_workers) == 1
+                assert workers_alive() == 1
+        finally:
+            for proc in processes:
+                proc.kill()
+                proc.join(timeout=5)

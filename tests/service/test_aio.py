@@ -1,4 +1,4 @@
-"""Asyncio edge: route parity with the thread edge, admission, shutdown races."""
+"""Asyncio edge: read/write routes, admission, malformed requests, shutdown races."""
 
 import json
 import math
@@ -13,7 +13,6 @@ import pytest
 from repro.model.site import Site
 from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
-from repro.service.http import ServiceServer
 from repro.service.state import ClusterState
 
 
@@ -89,12 +88,6 @@ class TestReadEndpoints:
             assert resp.status == 200
             assert resp.headers["Content-Type"].startswith("text/plain")
 
-    def test_legacy_alias_carries_deprecation_headers(self, server):
-        status, _, headers = call(server, "GET", "/health")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/health" in headers.get("Link", "")
-
     def test_spec_is_versioned_only(self, server):
         status, payload, _ = call(server, "GET", "/v1/spec")
         assert status == 200 and "routes" in payload
@@ -147,29 +140,6 @@ class TestWriteEndpoints:
         assert status == 202
 
 
-class TestParityWithThreadEdge:
-    def test_allocation_payloads_match(self):
-        """Both edges compute the same answer for the same history."""
-        aio = AioServiceServer(make_service(), port=0, quiet=True).start()
-        thr_srv = ServiceServer(make_service(), port=0, quiet=True)
-        thread = threading.Thread(target=thr_srv.serve_forever, daemon=True)
-        thread.start()
-        try:
-            _, from_aio, _ = call(aio, "POST", "/v1/allocate", JOBS)
-            _, from_thr, _ = call(thr_srv, "POST", "/v1/allocate", JOBS)
-            for volatile in ("solve_ms", "cached", "queued_jobs"):
-                from_aio.pop(volatile, None)
-                from_thr.pop(volatile, None)
-            assert from_aio == from_thr
-            _, health_aio, _ = call(aio, "GET", "/v1/health")
-            _, health_thr, _ = call(thr_srv, "GET", "/v1/health")
-            assert health_aio == health_thr
-        finally:
-            aio.shutdown()
-            thr_srv.shutdown()
-            thread.join(timeout=5)
-
-
 class TestAdmission:
     def test_full_intake_sheds_with_retry_after(self):
         srv = AioServiceServer(make_service(), port=0, max_pending=0, quiet=True).start()
@@ -213,8 +183,7 @@ class TestMalformedRequests:
         assert b"Connection: close" in raw
 
     def test_header_flood_is_431(self, server):
-        # the threaded edge inherits http.client's 100-header cap; the
-        # asyncio edge must bound header count the same way
+        # header count is bounded like http.client's 100-header cap
         flood = b"".join(b"X-Flood-%d: v\r\n" % i for i in range(150))
         raw = raw_request(server, b"GET /v1/health HTTP/1.1\r\n" + flood + b"\r\n")
         assert raw.startswith(b"HTTP/1.1 431 ")

@@ -1,8 +1,7 @@
-"""HTTP front-end: real requests against an in-process ServiceServer."""
+"""HTTP front-end: real requests against an in-process AioServiceServer."""
 
 import http.client
 import json
-import socket
 import statistics
 import threading
 import time
@@ -12,8 +11,9 @@ import urllib.request
 import pytest
 
 from repro.model.site import Site
+from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
-from repro.service.http import ServiceServer, _Handler, job_from_dict
+from repro.service.schema import JobSpec
 from repro.service.state import ClusterState
 
 
@@ -21,12 +21,9 @@ from repro.service.state import ClusterState
 def server():
     state = ClusterState([Site("a", 2.0), Site("b", 3.0)])
     service = AllocationService(state, max_delay=0.005)
-    srv = ServiceServer(service, port=0, quiet=True)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
+    srv = AioServiceServer(service, port=0, quiet=True).start()
     yield srv
     srv.shutdown()
-    thread.join(timeout=5)
 
 
 def call(srv, method: str, path: str, body: dict | None = None):
@@ -44,7 +41,7 @@ def call(srv, method: str, path: str, body: dict | None = None):
 
 class TestEndpoints:
     def test_health(self, server):
-        status, payload = call(server, "GET", "/health")
+        status, payload = call(server, "GET", "/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["sites"] == 2 and payload["jobs"] == 0
@@ -53,7 +50,7 @@ class TestEndpoints:
         status, payload = call(
             server,
             "POST",
-            "/allocate",
+            "/v1/allocate",
             {
                 "jobs": [
                     {"name": "x", "workload": {"a": 1.0}},
@@ -68,49 +65,49 @@ class TestEndpoints:
         assert payload["jobs"]["y"]["aggregate"] == pytest.approx(3.0)
         assert payload["jobs"]["x"]["shares"] == {"a": pytest.approx(2.0)}
         # an immediate repeat is served from the cache
-        status, payload = call(server, "POST", "/allocate")
+        status, payload = call(server, "POST", "/v1/allocate")
         assert status == 200 and payload["cached"] is True
 
     def test_jobs_get_reports_current_allocation(self, server):
-        call(server, "POST", "/allocate", {"name": "x", "workload": {"a": 1.0}})
-        status, payload = call(server, "GET", "/jobs")
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        status, payload = call(server, "GET", "/v1/jobs")
         assert status == 200
         assert set(payload["jobs"]) == {"x"}
 
     def test_post_jobs_queues_without_solving(self, server):
-        status, payload = call(server, "POST", "/jobs", {"name": "q", "workload": {"a": 1.0}})
+        status, payload = call(server, "POST", "/v1/jobs", {"name": "q", "workload": {"a": 1.0}})
         assert status == 202
         assert payload["queued_jobs"] == ["q"]
 
     def test_delete_job(self, server):
-        call(server, "POST", "/allocate", {"name": "x", "workload": {"a": 1.0}})
-        status, _ = call(server, "DELETE", "/jobs/x")
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        status, _ = call(server, "DELETE", "/v1/jobs/x")
         assert status == 202
-        status, payload = call(server, "POST", "/allocate")
+        status, payload = call(server, "POST", "/v1/allocate")
         assert status == 200
         assert payload["jobs"] == {}
 
     def test_capacity_change(self, server):
-        call(server, "POST", "/allocate", {"name": "x", "workload": {"a": 1.0}})
-        status, _ = call(server, "POST", "/capacity", {"site": "a", "capacity": 4.0})
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        status, _ = call(server, "POST", "/v1/capacity", {"site": "a", "capacity": 4.0})
         assert status == 202
-        status, payload = call(server, "POST", "/allocate")
+        status, payload = call(server, "POST", "/v1/allocate")
         assert payload["jobs"]["x"]["aggregate"] == pytest.approx(4.0)
 
     def test_stats_counters_move(self, server):
-        call(server, "POST", "/allocate", {"name": "x", "workload": {"a": 1.0}})
-        call(server, "POST", "/allocate")
-        status, payload = call(server, "GET", "/stats")
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        call(server, "POST", "/v1/allocate")
+        status, payload = call(server, "GET", "/v1/stats")
         assert status == 200
         assert payload["solver"]["solves"] == 1
         assert payload["cache"]["hits"] >= 1
         assert payload["state"]["events_accepted"] == 1
 
     def test_background_flusher_applies_batches(self, server):
-        call(server, "POST", "/jobs", {"name": "bg", "workload": {"a": 1.0}})
+        call(server, "POST", "/v1/jobs", {"name": "bg", "workload": {"a": 1.0}})
         deadline = threading.Event()
         for _ in range(200):  # max_delay is 5 ms; poll up to ~2 s
-            _, payload = call(server, "GET", "/health")
+            _, payload = call(server, "GET", "/v1/health")
             if payload["jobs"] == 1:
                 break
             deadline.wait(0.01)
@@ -119,47 +116,47 @@ class TestEndpoints:
 
 class TestErrors:
     def test_unknown_path_404(self, server):
-        status, payload = call(server, "GET", "/nope")
+        status, payload = call(server, "GET", "/v1/nope")
         assert status == 404 and "error" in payload
 
     def test_malformed_job_400(self, server):
-        status, payload = call(server, "POST", "/jobs", {"workload": {"a": 1.0}})
+        status, payload = call(server, "POST", "/v1/jobs", {"workload": {"a": 1.0}})
         assert status == 400 and "error" in payload
 
     def test_malformed_json_400(self, server):
-        url = f"http://127.0.0.1:{server.port}/jobs"
+        url = f"http://127.0.0.1:{server.port}/v1/jobs"
         req = urllib.request.Request(url, data=b"{not json", method="POST")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
         assert err.value.code == 400
 
     def test_capacity_requires_fields(self, server):
-        status, _ = call(server, "POST", "/capacity", {"site": "a"})
+        status, _ = call(server, "POST", "/v1/capacity", {"site": "a"})
         assert status == 400
 
 
 class TestWireFormat:
     def test_job_from_dict_full(self):
-        job = job_from_dict(
+        job = JobSpec.from_json(
             {"name": "j", "workload": {"a": 2}, "demand": {"a": 0.5}, "weight": 2.0, "arrival": 1.5}
-        )
+        ).to_job()
         assert job.name == "j" and job.workload == {"a": 2.0}
         assert job.demand == {"a": 0.5} and job.weight == 2.0 and job.arrival == 1.5
 
     def test_job_from_dict_requires_name_and_workload(self):
         with pytest.raises(ValueError):
-            job_from_dict({"name": "j"})
+            JobSpec.from_json({"name": "j"}).to_job()
 
 
 class TestPassiveAllocate:
     def test_get_allocate_fresh_false_serves_last_answer(self, server):
-        call(server, "POST", "/allocate", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
+        call(server, "POST", "/v1/allocate", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
         status, payload = call(server, "GET", "/v1/allocate?fresh=false")
         assert status == 200
         assert set(payload["jobs"]) == {"x"}
 
     def test_get_allocate_fresh_true_forces_pending_batch(self, server):
-        call(server, "POST", "/jobs", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
+        call(server, "POST", "/v1/jobs", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
         status, payload = call(server, "GET", "/v1/allocate?fresh=true")
         assert status == 200
         assert set(payload["jobs"]) == {"x"}
@@ -171,20 +168,8 @@ class TestPassiveAllocate:
 
 
 class TestKeepAliveLatency:
-    """Headers and body leave as two writes on a keep-alive socket; with
-    Nagle on, the second waits for the client's delayed ACK (~40 ms)."""
-
-    def test_accepted_connections_disable_nagle(self, server, monkeypatch):
-        seen = []
-        real_setup = _Handler.setup
-
-        def setup(handler):
-            real_setup(handler)
-            seen.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-
-        monkeypatch.setattr(_Handler, "setup", setup)
-        assert call(server, "GET", "/v1/health")[0] == 200
-        assert seen and all(seen)
+    """A keep-alive read is answered in one write, so it never waits on
+    the client's delayed ACK (~40 ms)."""
 
     def test_keep_alive_round_trips_do_not_stall(self, server):
         call(server, "POST", "/v1/allocate", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
@@ -205,8 +190,8 @@ class TestKeepAliveLatency:
 
 class TestFlusherResilience:
     def test_flusher_survives_a_poisoned_flush(self, server):
-        # one raising flush() must not kill the background flusher (it
-        # used to die silently, stranding every future batch)
+        # one raising flush() must not stop the solver loop, or every
+        # later batch would strand in the queue
         from repro.obs.instruments import FLUSH_ERRORS
         from repro.obs.registry import REGISTRY
 
@@ -224,13 +209,13 @@ class TestFlusherResilience:
         REGISTRY.enabled = True
         service.flush = poisoned_flush
         try:
-            status, _ = call(server, "POST", "/jobs", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
+            status, _ = call(server, "POST", "/v1/jobs", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
             assert status == 202
             assert blew.wait(timeout=5.0)
-            # the flusher kept running: the queued job still lands
+            # the loop kept running: the queued job still lands
             deadline = 100
             while deadline:
-                _, listing = call(server, "GET", "/jobs")
+                _, listing = call(server, "GET", "/v1/jobs")
                 if listing["pagination"]["total"] == 1:
                     break
                 deadline -= 1
@@ -246,9 +231,7 @@ class TestShutdownRace:
     def test_inflight_writes_get_answer_or_503(self):
         state = ClusterState([Site("a", 2.0), Site("b", 3.0)])
         service = AllocationService(state, max_delay=0.005)
-        srv = ServiceServer(service, port=0, quiet=True)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
+        srv = AioServiceServer(service, port=0, quiet=True).start()
         results, errors = [], []
         start = threading.Barrier(9)
 
@@ -257,7 +240,7 @@ class TestShutdownRace:
             for n in range(10):
                 try:
                     status, _ = call(
-                        srv, "POST", "/jobs", {"jobs": [{"name": f"w{i}-{n}", "workload": {"a": 1.0}}]}
+                        srv, "POST", "/v1/jobs", {"jobs": [{"name": f"w{i}-{n}", "workload": {"a": 1.0}}]}
                     )
                     results.append(status)
                 except (urllib.error.URLError, ConnectionError, OSError) as exc:
@@ -268,11 +251,10 @@ class TestShutdownRace:
         for w in workers:
             w.start()
         start.wait()
-        service.close()  # the serve() teardown order: service first
+        service.close()  # the service closes under the edge, then the edge stops
         srv.shutdown()
         for w in workers:
             w.join(timeout=30)
-        thread.join(timeout=5)
         assert not any(w.is_alive() for w in workers)
         # a write either landed fully (202) or bounced whole (503)
         assert set(results) <= {202, 503}

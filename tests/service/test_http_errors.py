@@ -21,8 +21,9 @@ from repro.model.job import Job
 from repro.model.site import Site
 from repro.obs.registry import REGISTRY, parse_prometheus
 from repro.obs.tracing import TRACER
+from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
-from repro.service.http import MAX_BODY_BYTES, ServiceServer, job_from_dict
+from repro.service.schema import MAX_BODY_BYTES, JobSpec
 from repro.service.state import ClusterState, StateError
 
 
@@ -33,12 +34,9 @@ def server():
     TRACER.clear()
     state = ClusterState([Site("a", 2.0), Site("b", 3.0)])
     service = AllocationService(state, max_delay=0.005)
-    srv = ServiceServer(service, port=0, quiet=True)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
+    srv = AioServiceServer(service, port=0, quiet=True).start()
     yield srv
     srv.shutdown()
-    thread.join(timeout=5)
 
 
 def call(srv, method: str, path: str, body: dict | None = None, raw: bytes | None = None):
@@ -55,30 +53,30 @@ def call(srv, method: str, path: str, body: dict | None = None, raw: bytes | Non
 
 
 def assert_alive(srv):
-    status, payload = call(srv, "GET", "/health")
+    status, payload = call(srv, "GET", "/v1/health")
     assert status == 200 and payload["status"] == "ok"
 
 
 class TestMalformedBodies:
     def test_invalid_json_400(self, server):
-        status, payload = call(server, "POST", "/jobs", raw=b"{not json")
+        status, payload = call(server, "POST", "/v1/jobs", raw=b"{not json")
         assert status == 400 and "error" in payload
         assert_alive(server)
 
     def test_non_object_body_400(self, server):
-        status, payload = call(server, "POST", "/jobs", raw=b"[1, 2, 3]")
+        status, payload = call(server, "POST", "/v1/jobs", raw=b"[1, 2, 3]")
         assert status == 400 and "object" in payload["error"]["message"]
         assert_alive(server)
 
     def test_non_numeric_workload_400(self, server):
         status, payload = call(
-            server, "POST", "/jobs", {"name": "j", "workload": {"a": "lots"}}
+            server, "POST", "/v1/jobs", {"name": "j", "workload": {"a": "lots"}}
         )
         assert status == 400 and "malformed job" in payload["error"]["message"]
         assert_alive(server)
 
     def test_workload_not_a_mapping_400(self, server):
-        status, _ = call(server, "POST", "/jobs", {"name": "j", "workload": [1.0]})
+        status, _ = call(server, "POST", "/v1/jobs", {"name": "j", "workload": [1.0]})
         assert status == 400
         assert_alive(server)
 
@@ -90,29 +88,29 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_workload_400(self, server, value):
         raw = b'{"name": "j", "workload": {"a": %s}}' % value.encode()
-        status, payload = call(server, "POST", "/jobs", raw=raw)
+        status, payload = call(server, "POST", "/v1/jobs", raw=raw)
         assert status == 400 and "finite" in payload["error"]["message"]
         assert_alive(server)
 
     @pytest.mark.parametrize("field", ["weight", "arrival"])
     def test_non_finite_scalar_fields_400(self, server, field):
         raw = json.dumps({"name": "j", "workload": {"a": 1.0}, field: float("nan")}).encode()
-        status, _ = call(server, "POST", "/jobs", raw=raw)
+        status, _ = call(server, "POST", "/v1/jobs", raw=raw)
         assert status == 400
         assert_alive(server)
 
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "0.0", "-2.0"])
     def test_bad_capacity_400(self, server, value):
         raw = b'{"site": "a", "capacity": %s}' % value.encode()
-        status, payload = call(server, "POST", "/capacity", raw=raw)
+        status, payload = call(server, "POST", "/v1/capacity", raw=raw)
         assert status == 400 and "capacity" in payload["error"]["message"]
         assert_alive(server)
         # the bad value never reached the state
-        status, payload = call(server, "GET", "/health")
+        status, payload = call(server, "GET", "/v1/health")
         assert payload["sites"] == 2
 
     def test_finite_capacity_still_accepted(self, server):
-        status, _ = call(server, "POST", "/capacity", {"site": "a", "capacity": 4.0})
+        status, _ = call(server, "POST", "/v1/capacity", {"site": "a", "capacity": 4.0})
         assert status == 202
 
 
@@ -120,36 +118,36 @@ class TestDeleteJob:
     def test_url_encoded_name_round_trip(self, server):
         """A job named "map reduce" must be deletable: the DELETE path
         arrives percent-encoded and the handler must unquote it."""
-        call(server, "POST", "/allocate", {"name": "map reduce", "workload": {"a": 1.0}})
-        status, _ = call(server, "DELETE", "/jobs/" + quote("map reduce"))
+        call(server, "POST", "/v1/allocate", {"name": "map reduce", "workload": {"a": 1.0}})
+        status, _ = call(server, "DELETE", "/v1/jobs/" + quote("map reduce"))
         assert status == 202
-        status, payload = call(server, "POST", "/allocate")
+        status, payload = call(server, "POST", "/v1/allocate")
         assert status == 200 and payload["jobs"] == {}
 
     def test_unicode_name_round_trip(self, server):
         name = "jöb/α"
-        call(server, "POST", "/allocate", {"name": name, "workload": {"b": 1.0}})
-        status, _ = call(server, "DELETE", "/jobs/" + quote(name, safe=""))
+        call(server, "POST", "/v1/allocate", {"name": name, "workload": {"b": 1.0}})
+        status, _ = call(server, "DELETE", "/v1/jobs/" + quote(name, safe=""))
         assert status == 202
-        status, payload = call(server, "POST", "/allocate")
+        status, payload = call(server, "POST", "/v1/allocate")
         assert payload["jobs"] == {}
 
     def test_unknown_job_404(self, server):
-        status, payload = call(server, "DELETE", "/jobs/ghost")
+        status, payload = call(server, "DELETE", "/v1/jobs/ghost")
         assert status == 404 and "unknown job" in payload["error"]["message"]
         assert_alive(server)
 
     def test_queued_but_unflushed_job_is_deletable(self, server):
         # the arrival may still be in the coalescing queue when the DELETE
         # lands; has_job must see pending events, not answer 404
-        call(server, "POST", "/jobs", {"name": "q", "workload": {"a": 1.0}})
-        status, _ = call(server, "DELETE", "/jobs/q")
+        call(server, "POST", "/v1/jobs", {"name": "q", "workload": {"a": 1.0}})
+        status, _ = call(server, "DELETE", "/v1/jobs/q")
         assert status == 202
 
     def test_bare_jobs_path_404(self, server):
-        status, _ = call(server, "DELETE", "/jobs/")
+        status, _ = call(server, "DELETE", "/v1/jobs/")
         assert status == 404
-        status, _ = call(server, "DELETE", "/jobs")
+        status, _ = call(server, "DELETE", "/v1/jobs")
         assert status == 404
 
 
@@ -172,7 +170,7 @@ class TestOversizedBody:
         # the header alone instead of stalling on a 4 MiB read
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
-            conn.putrequest("POST", "/jobs")
+            conn.putrequest("POST", "/v1/jobs")
             conn.putheader("Content-Type", "application/json")
             conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
             conn.endheaders()
@@ -189,7 +187,7 @@ class TestOversizedBody:
     def test_bad_content_length_400(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
-            conn.putrequest("POST", "/jobs")
+            conn.putrequest("POST", "/v1/jobs")
             conn.putheader("Content-Length", "not-a-number")
             conn.endheaders()
             resp = conn.getresponse()
@@ -204,11 +202,11 @@ class TestObservabilityEndpoints:
     def test_metrics_parse_and_cross_check_stats(self, server):
         """/metrics must be valid Prometheus text and its solver counters
         must bit-match the daemon's own /stats diagnostics."""
-        call(server, "POST", "/allocate", {"name": "x", "workload": {"a": 1.0}})
-        call(server, "POST", "/allocate", {"name": "y", "workload": {"b": 2.0}})
-        _, stats = call(server, "GET", "/stats")
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        call(server, "POST", "/v1/allocate", {"name": "y", "workload": {"b": 2.0}})
+        _, stats = call(server, "GET", "/v1/stats")
 
-        url = f"http://127.0.0.1:{server.port}/metrics"
+        url = f"http://127.0.0.1:{server.port}/v1/metrics"
         with urllib.request.urlopen(url, timeout=10) as resp:
             assert resp.status == 200
             assert resp.headers["Content-Type"].startswith("text/plain; version=0.0.4")
@@ -234,8 +232,8 @@ class TestObservabilityEndpoints:
         assert samples["repro_service_requests_total"] >= 3
 
     def test_traces_serve_chrome_json(self, server):
-        call(server, "POST", "/allocate", {"name": "x", "workload": {"a": 1.0}})
-        status, doc = call(server, "GET", "/traces")
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        status, doc = call(server, "GET", "/v1/traces")
         assert status == 200
         names = {ev["name"] for ev in doc["traceEvents"]}
         assert {"service.allocate", "amf.solve", "flow.probe"} <= names
@@ -246,8 +244,8 @@ class TestObservabilityEndpoints:
 
     def test_errors_counted(self, server):
         call(server, "GET", "/nope")
-        _, _ = call(server, "GET", "/health")
-        url = f"http://127.0.0.1:{server.port}/metrics"
+        _, _ = call(server, "GET", "/v1/health")
+        url = f"http://127.0.0.1:{server.port}/v1/metrics"
         with urllib.request.urlopen(url, timeout=10) as resp:
             samples = parse_prometheus(resp.read().decode())
         assert samples["repro_service_errors_total"] >= 1
@@ -284,8 +282,8 @@ class TestWireRoundTrip:
         demand_sites = data.draw(st.sets(st.sampled_from(sorted(workload))))
         demand = {s: data.draw(_values) for s in sorted(demand_sites)}
         job = Job(name, workload, demand, weight=weight, arrival=arrival)
-        # through JSON: exactly what POST /jobs would carry
-        rebuilt = job_from_dict(json.loads(json.dumps(_wire_dict(job))))
+        # through JSON: exactly what POST /v1/jobs would carry
+        rebuilt = JobSpec.from_json(json.loads(json.dumps(_wire_dict(job)))).to_job()
         assert rebuilt.name == job.name
         assert dict(rebuilt.workload) == dict(job.workload)
         assert dict(rebuilt.demand) == dict(job.demand)
@@ -297,7 +295,7 @@ class TestWireRoundTrip:
         site = sorted(workload)[0]
         poisoned = dict(workload, **{site: bad})
         with pytest.raises((StateError, ValueError)):
-            job_from_dict({"name": "j", "workload": poisoned})
+            JobSpec.from_json({"name": "j", "workload": poisoned}).to_job()
 
 
 class TestRequestTimeout408:
@@ -310,12 +308,9 @@ class TestRequestTimeout408:
         REGISTRY.reset()
         state = ClusterState([Site("a", 2.0)])
         service = AllocationService(state, max_delay=0.005, observability=False)
-        srv = ServiceServer(service, port=0, quiet=True, request_timeout=0.5)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
+        srv = AioServiceServer(service, port=0, quiet=True, request_timeout=0.5).start()
         yield srv
         srv.shutdown()
-        thread.join(timeout=5)
 
     def _post_partial(self, srv, declared: int, sent: bytes, *, close_early: bool):
         import socket
@@ -346,11 +341,11 @@ class TestRequestTimeout408:
         assert b"Connection: close" in head
         envelope = json.loads(body)
         assert envelope["error"]["code"] == "request_timeout"
-        assert "incomplete request body" in envelope["error"]["message"]
+        assert "500 expected bytes" in envelope["error"]["message"]
         assert_alive(fast_server)
 
     def test_stalled_body_answers_408_after_timeout(self, fast_server):
-        # never send the rest, never close: the socket timeout must fire
+        # never send the rest, never close: the request deadline must fire
         raw = self._post_partial(fast_server, declared=500, sent=b'{"jo', close_early=False)
         assert b"408" in raw.splitlines()[0]
         assert b"request_timeout" in raw
@@ -365,17 +360,37 @@ class TestRequestTimeout408:
 
 class TestGracefulShutdown503:
     def test_closed_service_answers_503_envelope(self, server):
-        status, payload = call(server, "POST", "/jobs", {"name": "j", "workload": {"a": 1.0}})
+        service = server.service
+        status, payload = call(server, "POST", "/v1/jobs", {"name": "j", "workload": {"a": 1.0}})
         assert status == 202
-        server.service.close()
-        assert server.service.pending() == 0  # queue drained into the state
-        status, payload = call(
-            server, "POST", "/jobs", {"name": "k", "workload": {"a": 1.0}}
-        )
-        assert status == 503
-        assert payload["error"]["code"] == "unavailable"
-        status, payload = call(server, "GET", "/jobs")
-        assert status == 503
+        # hold shutdown's final forced flush open so requests land mid-drain
+        draining, release = threading.Event(), threading.Event()
+        real_flush = service.flush
+
+        def held_flush(*, force=False):
+            if force:
+                draining.set()
+                release.wait(timeout=10)
+            return real_flush(force=force)
+
+        service.flush = held_flush
+        stopper = threading.Thread(target=server.shutdown)
+        stopper.start()
+        try:
+            assert draining.wait(timeout=10)
+            status, payload = call(
+                server, "POST", "/v1/jobs", {"name": "k", "workload": {"a": 1.0}}
+            )
+            assert status == 503
+            assert payload["error"]["code"] == "unavailable"
+            status, payload = call(server, "GET", "/v1/jobs")
+            assert status == 503
+        finally:
+            release.set()
+            stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        assert service.closed
+        assert service.pending() == 0  # queue drained into the state
 
     def test_close_drains_queue_and_flushes_journal(self):
         state = ClusterState([Site("a", 2.0)])

@@ -1,12 +1,11 @@
-"""The v1 control-plane surface: versioned routes, deprecation headers on
-legacy aliases, the uniform error envelope, pagination, and /v1/spec.
+"""The v1 control-plane surface: versioned routes, no unversioned
+aliases, the uniform error envelope, pagination, and /v1/spec.
 
 Golden tests — they pin the wire contract clients are told to rely on
 (docs/api.md), so a failure here is an API break, not a refactor detail.
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -15,8 +14,8 @@ import pytest
 from repro.model.site import Site
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
+from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
-from repro.service.http import ServiceServer
 from repro.service.schema import API_SPEC, JobsQuery, SchemaError
 from repro.service.state import ClusterState
 
@@ -27,12 +26,9 @@ def server():
     TRACER.clear()
     state = ClusterState([Site("a", 2.0), Site("b", 3.0), Site("c", 1.0)])
     service = AllocationService(state, max_delay=0.005)
-    srv = ServiceServer(service, port=0, quiet=True)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
+    srv = AioServiceServer(service, port=0, quiet=True).start()
     yield srv
     srv.shutdown()
-    thread.join(timeout=5)
 
 
 def call(srv, method: str, path: str, body: dict | None = None):
@@ -75,25 +71,16 @@ class TestV1Reachability:
         status, _, _ = call(server, "DELETE", "/v1/jobs/x")
         assert status == 202
 
-    def test_v1_and_legacy_answer_identically(self, server):
-        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
-        _, v1_payload, _ = call(server, "GET", "/v1/jobs")
-        _, legacy_payload, _ = call(server, "GET", "/jobs")
-        assert v1_payload == legacy_payload
-
 
 class TestDeprecationHeaders:
-    @pytest.mark.parametrize("path", ["/health", "/stats", "/jobs"])
-    def test_legacy_alias_carries_deprecation(self, server, path):
-        status, _, headers = call(server, "GET", path)
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert headers.get("Link") == f'</v1{path}>; rel="successor-version"'
-
-    def test_legacy_post_carries_deprecation(self, server):
-        _, _, headers = call(server, "POST", "/allocate", {"name": "x", "workload": {"a": 1.0}})
-        assert headers.get("Deprecation") == "true"
-        assert '</v1/allocate>' in headers.get("Link", "")
+    def test_unversioned_paths_are_plain_404(self, server):
+        # only /v1/ is routed: the pre-v1 paths answer like any unknown path
+        job = {"name": "x", "workload": {"a": 1.0}}
+        for method, path, body in [("GET", "/jobs", None), ("POST", "/allocate", job)]:
+            status, payload, headers = call(server, method, path, body)
+            assert status == 404, path
+            assert payload["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers and "Link" not in headers
 
     @pytest.mark.parametrize("path", ["/v1/health", "/v1/stats", "/v1/jobs", "/v1/spec"])
     def test_v1_routes_are_clean(self, server, path):

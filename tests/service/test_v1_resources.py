@@ -1,6 +1,6 @@
-"""Resource-vector v1 surface on both HTTP edges.
+"""Resource-vector v1 surface over HTTP.
 
-Two promises under test, on the thread edge and the asyncio edge alike:
+Two promises under test:
 
 * **canonical back-compat** — a request spelled with scalars and the same
   request spelled with ``{"slots": x}`` vectors produce *byte-identical*
@@ -11,7 +11,6 @@ Two promises under test, on the thread edge and the asyncio edge alike:
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -22,26 +21,12 @@ from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
 from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
-from repro.service.http import ServiceServer
 from repro.service.state import ClusterState
 
-EDGES = ("thread", "aio")
 
-
-def start_server(kind: str, sites):
+def start_server(sites) -> AioServiceServer:
     service = AllocationService(ClusterState(sites), max_delay=0.005)
-    if kind == "thread":
-        srv = ServiceServer(service, port=0, quiet=True)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-
-        def stop():
-            srv.shutdown()
-            thread.join(timeout=5)
-
-        return srv, stop
-    srv = AioServiceServer(service, port=0, quiet=True).start()
-    return srv, srv.shutdown
+    return AioServiceServer(service, port=0, quiet=True).start()
 
 
 def scalar_sites():
@@ -77,9 +62,8 @@ def call(srv, method: str, path: str, body: dict | None = None):
     return status, json.loads(raw.decode())
 
 
-@pytest.mark.parametrize("kind", EDGES)
 class TestCanonicalByteIdentity:
-    def test_slots_spelling_is_byte_identical(self, kind):
+    def test_slots_spelling_is_byte_identical(self):
         """Same traffic, scalar vs ``{"slots": x}`` spelling, two servers:
         every byte of the cache-hit allocation and the jobs listing match."""
         spellings = [
@@ -88,7 +72,7 @@ class TestCanonicalByteIdentity:
         ]
         bodies = []
         for spelled in spellings:
-            srv, stop = start_server(kind, scalar_sites())
+            srv = start_server(scalar_sites())
             try:
                 status, _ = call(
                     srv,
@@ -111,11 +95,11 @@ class TestCanonicalByteIdentity:
                 assert status == 200
                 bodies.append((hit, jobs))
             finally:
-                stop()
+                srv.shutdown()
         assert bodies[0] == bodies[1]
 
-    def test_explicit_slots_resources_field_is_canonical(self, kind):
-        srv, stop = start_server(kind, scalar_sites())
+    def test_explicit_slots_resources_field_is_canonical(self):
+        srv = start_server(scalar_sites())
         try:
             status, plain = call(
                 srv, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}}
@@ -133,13 +117,12 @@ class TestCanonicalByteIdentity:
             assert spelled["fingerprint"] == plain["fingerprint"]
             assert spelled["jobs"] == plain["jobs"]
         finally:
-            stop()
+            srv.shutdown()
 
 
-@pytest.mark.parametrize("kind", EDGES)
 class TestMultiResourceServing:
-    def test_vector_allocate_end_to_end(self, kind):
-        srv, stop = start_server(kind, vector_sites())
+    def test_vector_allocate_end_to_end(self):
+        srv = start_server(vector_sites())
         try:
             status, _ = call(
                 srv,
@@ -169,10 +152,10 @@ class TestMultiResourceServing:
             assert status == 200
             assert stats["incremental"]["amrf_lps"] >= 1
         finally:
-            stop()
+            srv.shutdown()
 
-    def test_vector_demand_converts_to_task_cap(self, kind):
-        srv, stop = start_server(kind, vector_sites())
+    def test_vector_demand_converts_to_task_cap(self):
+        srv = start_server(vector_sites())
         try:
             status, payload = call(
                 srv,
@@ -189,10 +172,10 @@ class TestMultiResourceServing:
             assert status == 200
             assert payload["jobs"]["j"]["aggregate"] == pytest.approx(2.0, abs=1e-6)
         finally:
-            stop()
+            srv.shutdown()
 
-    def test_vector_capacity_update(self, kind):
-        srv, stop = start_server(kind, vector_sites())
+    def test_vector_capacity_update(self):
+        srv = start_server(vector_sites())
         try:
             status, _ = call(
                 srv,
@@ -210,13 +193,12 @@ class TestMultiResourceServing:
             assert status == 200
             assert payload["jobs"]["j"]["aggregate"] == pytest.approx(16.0, abs=1e-5)
         finally:
-            stop()
+            srv.shutdown()
 
 
-@pytest.mark.parametrize("kind", EDGES)
 class TestResourceErrorCodes:
-    def test_unknown_resource_is_400(self, kind):
-        srv, stop = start_server(kind, vector_sites())
+    def test_unknown_resource_is_400(self):
+        srv = start_server(vector_sites())
         try:
             status, payload = call(
                 srv,
@@ -228,10 +210,10 @@ class TestResourceErrorCodes:
             assert payload["error"]["code"] == "unknown_resource"
             assert "gpu" in payload["error"]["message"]
         finally:
-            stop()
+            srv.shutdown()
 
-    def test_capacity_resource_mismatch_is_400(self, kind):
-        srv, stop = start_server(kind, vector_sites())
+    def test_capacity_resource_mismatch_is_400(self):
+        srv = start_server(vector_sites())
         try:
             status, payload = call(
                 srv, "POST", "/v1/capacity", {"site": "a", "capacity": {"cpu": 9.0}}
@@ -239,10 +221,10 @@ class TestResourceErrorCodes:
             assert status == 400
             assert payload["error"]["code"] == "resource_mismatch"
         finally:
-            stop()
+            srv.shutdown()
 
-    def test_scalar_capacity_on_vector_site_is_mismatch(self, kind):
-        srv, stop = start_server(kind, vector_sites())
+    def test_scalar_capacity_on_vector_site_is_mismatch(self):
+        srv = start_server(vector_sites())
         try:
             status, payload = call(
                 srv, "POST", "/v1/capacity", {"site": "a", "capacity": 5.0}
@@ -250,10 +232,10 @@ class TestResourceErrorCodes:
             assert status == 400
             assert payload["error"]["code"] == "resource_mismatch"
         finally:
-            stop()
+            srv.shutdown()
 
-    def test_demand_map_mismatch_is_400(self, kind):
-        srv, stop = start_server(kind, scalar_sites())
+    def test_demand_map_mismatch_is_400(self):
+        srv = start_server(scalar_sites())
         try:
             status, payload = call(
                 srv,
@@ -264,22 +246,15 @@ class TestResourceErrorCodes:
             assert status == 400
             assert payload["error"]["code"] == "resource_mismatch"
         finally:
-            stop()
+            srv.shutdown()
 
-    def test_rejected_event_never_reaches_the_journal(self, kind, tmp_path):
+    def test_rejected_event_never_reaches_the_journal(self, tmp_path):
         """Fail-synchronous admission: the WAL stays free of doomed events."""
         from repro.service.journal import open_journal
 
         state, journal, _rec = open_journal(tmp_path, fallback_state=ClusterState(vector_sites()))
         service = AllocationService(state, max_delay=0.005, journal=journal)
-        if kind == "thread":
-            srv = ServiceServer(service, port=0, quiet=True)
-            thread = threading.Thread(target=srv.serve_forever, daemon=True)
-            thread.start()
-            stop = lambda: (srv.shutdown(), thread.join(timeout=5))
-        else:
-            srv = AioServiceServer(service, port=0, quiet=True).start()
-            stop = srv.shutdown
+        srv = AioServiceServer(service, port=0, quiet=True).start()
         try:
             status, _ = call(
                 srv,
@@ -291,12 +266,12 @@ class TestResourceErrorCodes:
             text = "".join(p.read_text() for p in tmp_path.glob("*.jsonl"))
             assert "bad" not in text
         finally:
-            stop()
+            srv.shutdown()
 
 
 class TestSpecAdvertisesVectors:
     def test_spec_schema_version_and_codes(self):
-        srv, stop = start_server("thread", scalar_sites())
+        srv = start_server(scalar_sites())
         try:
             status, spec = call(srv, "GET", "/v1/spec")
             assert status == 200
@@ -308,4 +283,4 @@ class TestSpecAdvertisesVectors:
             assert "resources" in job_fields
             assert "resource" in job_fields["demand"]  # dual form documented
         finally:
-            stop()
+            srv.shutdown()

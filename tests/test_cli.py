@@ -39,6 +39,16 @@ class TestParser:
         assert build_parser().parse_args(["serve", "--oracle", "parametric"]).oracle == "parametric"
         assert build_parser().parse_args(["serve"]).oracle == "parametric"
 
+    def test_serve_edge_accepts_only_aio(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--edge", "thread"])
+        assert exc.value.code == 2
+
+    def test_serve_still_parses_the_one_edge(self):
+        # benchmarks/ledger/client.py passes --edge aio to serve
+        assert build_parser().parse_args(["serve", "--edge", "aio"]).edge == "aio"
+        assert build_parser().parse_args(["serve"]).edge == "aio"
+
 
 class TestCommands:
     def test_validate(self, capsys):
