@@ -14,13 +14,6 @@ Subcommands
     Generate an instance and print its diagnostics.
 ``serve``
     Boot the online allocation service (HTTP/JSON; docs/service.md).
-    ``--distributed N`` self-hosts a solver-worker pool of N local
-    processes and proxies shard solves to it (docs/distributed.md).
-``worker``
-    Boot one solver-worker process of the distributed pool.
-``coordinator``
-    Boot the service against already-running workers (``--worker
-    host:port`` per worker).
 """
 
 from __future__ import annotations
@@ -288,15 +281,14 @@ def _serve_journal(args, state):
     directory the built state is checkpointed as the starting point.
     Returns ``(state, journal)`` — journal ``None`` without the flag.
     """
-    directory = getattr(args, "journal", None)
-    if not directory:
+    if not args.journal:
         return state, None
     from repro.service.journal import open_journal
 
     state2, journal, rec = open_journal(
-        directory,
+        args.journal,
         fallback_state=state,
-        fsync_batch=getattr(args, "journal_fsync", 64),
+        fsync_batch=args.journal_fsync,
     )
     if rec.cluster is not None or rec.events:
         print(
@@ -315,54 +307,16 @@ def _run_edge(args, service) -> int:
         service,
         host=args.host,
         port=args.port,
-        max_pending=getattr(args, "max_pending", 1024),
+        max_pending=args.max_pending,
         quiet=args.quiet,
     )
     return 0
 
 
-def _serve_with_pool(args, state, addresses) -> int:
-    """Boot the service distributed: connect a WorkerPool, serve, clean up."""
-    from repro.dist import WorkerPool
-    from repro.service import AllocationService
-
-    state, journal = _serve_journal(args, state)
-    pool = WorkerPool(addresses, max_cuts=args.max_cuts).start()
-    print(f"solver pool: {len(pool.live_workers)} workers at {addresses}")
-    service = AllocationService(
-        state,
-        max_delay=args.max_delay,
-        max_batch=args.max_batch,
-        cache_size=args.cache_size,
-        max_cuts=args.max_cuts,
-        workers=args.serve_workers or None,
-        backend="dist",
-        pool=pool,
-        journal=journal,
-        observability=not args.no_obs,
-    )
-    return _run_edge(args, service)
-
-
 def cmd_serve(args) -> int:
     from repro.service import AllocationService
 
-    state = _serve_state(args)
-    if args.distributed:
-        from repro.dist import spawn_local_workers
-
-        if args.no_shards:
-            print("--distributed implies sharding; drop --no-shards", file=sys.stderr)
-            return 2
-        processes, addresses = spawn_local_workers(args.distributed, max_cuts=args.max_cuts)
-        try:
-            return _serve_with_pool(args, state, addresses)
-        finally:
-            for proc in processes:
-                proc.terminate()
-            for proc in processes:
-                proc.join(timeout=5.0)
-    state, journal = _serve_journal(args, state)
+    state, journal = _serve_journal(args, _serve_state(args))
     service = AllocationService(
         state,
         max_delay=args.max_delay,
@@ -375,29 +329,6 @@ def cmd_serve(args) -> int:
         observability=not args.no_obs,
     )
     return _run_edge(args, service)
-
-
-def _parse_address(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
-    return (host or "127.0.0.1", int(port))
-
-
-def cmd_worker(args) -> int:
-    from repro.dist import run_worker
-
-    return run_worker(
-        args.host,
-        args.port,
-        max_cuts=args.max_cuts,
-        worker_id=args.worker_id,
-        quiet=args.quiet,
-    )
-
-
-def cmd_coordinator(args) -> int:
-    return _serve_with_pool(args, _serve_state(args), args.workers)
 
 
 def cmd_report(args) -> int:
@@ -550,56 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="leave the repro.obs metrics registry and tracer disabled (GET /metrics and /traces serve empty data)",
     )
-    p_srv.add_argument(
-        "--distributed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="self-host a solver pool of N local worker processes and proxy "
-        "shard solves to it (docs/distributed.md; 0 = in-process)",
-    )
     p_srv.set_defaults(fn=cmd_serve)
-
-    p_wrk = sub.add_parser("worker", help="boot one solver-worker process (docs/distributed.md)")
-    p_wrk.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_wrk.add_argument("--port", type=int, default=0, help="bind port (0 = ephemeral, printed at boot)")
-    p_wrk.add_argument("--max-cuts", type=int, default=64, help="per-shard warm basis bound")
-    p_wrk.add_argument("--worker-id", default=None, help="stable identity (default: worker-<port>)")
-    p_wrk.add_argument("--quiet", action="store_true", help="suppress the listening banner")
-    p_wrk.set_defaults(fn=cmd_worker)
-
-    p_coord = sub.add_parser(
-        "coordinator", help="boot the service against running workers (docs/distributed.md)"
-    )
-    p_coord.add_argument(
-        "--worker",
-        dest="workers",
-        action="append",
-        type=_parse_address,
-        required=True,
-        metavar="HOST:PORT",
-        help="address of a running solver worker (repeat per worker)",
-    )
-    p_coord.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_coord.add_argument("--port", type=int, default=8080, help="bind port (0 = ephemeral)")
-    p_coord.add_argument("--sites", type=int, default=4, help="number of sites to boot with")
-    p_coord.add_argument("--capacity", type=float, default=10.0, help="capacity per booted site")
-    p_coord.add_argument("--load", metavar="JSON", help="boot from a cluster JSON file")
-    p_coord.add_argument("--max-delay", type=float, default=0.05, help="seconds an event may wait")
-    p_coord.add_argument("--max-batch", type=int, default=256, help="max events per re-solve")
-    p_coord.add_argument("--cache-size", type=int, default=128, help="allocation cache entries")
-    p_coord.add_argument("--max-cuts", type=int, default=64, help="cutting-plane pool bound")
-    p_coord.add_argument(
-        "--workers-local",
-        dest="serve_workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fork fan-out for any locally served fallback solves (0 = serial)",
-    )
-    p_coord.add_argument("--quiet", action="store_true", help="suppress access logs")
-    p_coord.add_argument("--no-obs", action="store_true", help="disable metrics/tracing")
-    p_coord.set_defaults(fn=cmd_coordinator)
 
     p_rep = sub.add_parser("report", help="run all experiments and write a markdown report")
     p_rep.add_argument("--out", default="report.md", help="output path")

@@ -10,8 +10,8 @@ clusters built through the original scalar API, which is what makes the
 back-compat and bit-identity guarantees of the v1 resource API free.
 
 This module is dependency-free (stdlib only) so that every layer — model
-dataclasses, wire schema, service state, dist protocol — can raise the same
-typed errors without import cycles.
+dataclasses, wire schema, service state — can raise the same typed errors
+without import cycles.
 """
 
 from __future__ import annotations

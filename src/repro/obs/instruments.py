@@ -44,13 +44,6 @@ __all__ = [
     "SHARD_SOLVE_SECONDS",
     "SHARD_CACHE_HITS",
     "SHARD_CACHE_MISSES",
-    "DIST_RPCS",
-    "DIST_RPC_ERRORS",
-    "DIST_RPC_SECONDS",
-    "DIST_HEARTBEAT_MISSES",
-    "DIST_FAILOVERS",
-    "DIST_SHARD_REASSIGNMENTS",
-    "DIST_WORKERS_ALIVE",
     "PARALLEL_FALLBACK",
     "ADMISSION_ACCEPTED",
     "ADMISSION_SHED",
@@ -67,10 +60,6 @@ __all__ = [
     "record_shard_decomposition",
     "record_shard_solve",
     "record_shard_cache",
-    "record_dist_rpc",
-    "record_dist_heartbeat_miss",
-    "record_dist_failover",
-    "set_dist_workers_alive",
     "record_parallel_fallback",
     "record_admission",
     "record_admission_shed",
@@ -158,23 +147,6 @@ SHARD_SOLVE_SECONDS = REGISTRY.histogram("repro_shard_solve_seconds", "per-shard
 # per-shard matrix cache inside the sharded incremental solver.
 SHARD_CACHE_HITS = REGISTRY.counter("repro_shard_cache_hits_total", "shard matrix cache hits")
 SHARD_CACHE_MISSES = REGISTRY.counter("repro_shard_cache_misses_total", "shard matrix cache misses")
-
-# -- distributed control plane (repro.dist) -----------------------------
-DIST_RPCS = REGISTRY.counter("repro_dist_rpcs_total", "solver-pool RPCs issued by the coordinator")
-DIST_RPC_ERRORS = REGISTRY.counter(
-    "repro_dist_rpc_errors_total", "solver-pool RPCs that failed (connection or protocol fault)"
-)
-DIST_RPC_SECONDS = REGISTRY.histogram("repro_dist_rpc_seconds", "solve RPC round-trip latency")
-DIST_HEARTBEAT_MISSES = REGISTRY.counter(
-    "repro_dist_heartbeat_misses_total", "heartbeat probes that raised instead of answering"
-)
-DIST_FAILOVERS = REGISTRY.counter(
-    "repro_dist_failovers_total", "workers declared dead and failed over"
-)
-DIST_SHARD_REASSIGNMENTS = REGISTRY.counter(
-    "repro_dist_shard_reassignments_total", "shard ownerships moved off a dead worker"
-)
-DIST_WORKERS_ALIVE = REGISTRY.gauge("repro_dist_workers_alive", "live workers in the coordinator's pool")
 
 # -- admission control (repro.service.aio) ------------------------------
 ADMISSION_ACCEPTED = REGISTRY.counter(
@@ -276,34 +248,6 @@ def record_shard_cache(*, hits: int = 0, misses: int = 0) -> None:
         SHARD_CACHE_HITS.inc(hits)
     if misses:
         SHARD_CACHE_MISSES.inc(misses)
-
-
-def record_dist_rpc(seconds: float, *, ok: bool = True) -> None:
-    if not REGISTRY.enabled:
-        return
-    DIST_RPCS.inc()
-    if ok:
-        DIST_RPC_SECONDS.observe(seconds)
-    else:
-        DIST_RPC_ERRORS.inc()
-
-
-def record_dist_heartbeat_miss() -> None:
-    if REGISTRY.enabled:
-        DIST_HEARTBEAT_MISSES.inc()
-
-
-def record_dist_failover(reassigned_shards: int) -> None:
-    if not REGISTRY.enabled:
-        return
-    DIST_FAILOVERS.inc()
-    if reassigned_shards:
-        DIST_SHARD_REASSIGNMENTS.inc(reassigned_shards)
-
-
-def set_dist_workers_alive(n: int) -> None:
-    if REGISTRY.enabled:
-        DIST_WORKERS_ALIVE.set(n)
 
 
 def record_parallel_fallback() -> None:

@@ -1,7 +1,7 @@
 """Asyncio HTTP edge: lock-free reads, admission-controlled writes.
 
-The service's one HTTP front-end (``repro.cli serve`` and ``repro.cli
-coordinator``).  No read takes the daemon's lock:
+The service's one HTTP front-end (``repro.cli serve``).  No read takes
+the daemon's lock:
 
 * **One event loop** (own thread) parses HTTP/1.1 and serves every read
   endpoint (``GET /v1/health``, ``/v1/stats``, ``/v1/metrics``,
@@ -27,12 +27,10 @@ coordinator``).  No read takes the daemon's lock:
 The solver thread publishes a fresh view after every batch of work it
 processes and every queue flush, *before* resolving the write futures —
 so by the time a client sees its 202, the published view already reflects
-at least that state.  It also republishes when the distributed pool
-declares a worker dead, the one change ``/v1/stats`` reports that no write
-causes; everything else in a view (``uptime_seconds`` included) is as of
-its publish.  Every route lives under ``/v1/``: any other path answers the
-404 envelope.  A poisoned flush is counted in ``repro_flush_errors_total``
-and the loop keeps running.
+at least that state; everything in a view (``uptime_seconds`` included)
+is as of its publish.  Every route lives under ``/v1/``: any other path
+answers the 404 envelope.  A poisoned flush is counted in
+``repro_flush_errors_total`` and the loop keeps running.
 """
 
 from __future__ import annotations
@@ -134,7 +132,6 @@ class PublishedView:
         "version",
         "fingerprint",
         "pending",
-        "failovers",
         "solve_p50_s",
         "health_resp",
         "stats_resp",
@@ -152,7 +149,6 @@ class PublishedView:
         version: int,
         fingerprint: str,
         pending: int,
-        failovers: int | None,
         solve_p50_s: float | None,
         health: dict[str, Any],
         stats: dict[str, Any],
@@ -163,7 +159,6 @@ class PublishedView:
         self.version = version
         self.fingerprint = fingerprint
         self.pending = pending
-        self.failovers = failovers  # dist pool failovers reported (None: local)
         self.solve_p50_s = solve_p50_s
         self.health_json = json.dumps(health).encode()
         self.stats_json = json.dumps(stats).encode()
@@ -337,7 +332,6 @@ class AioServiceServer:
         finally:
             self._view_ready.set()
         idle = max(0.002, (self.service.queue.max_delay or 0.01) / 2)
-        pool = self.service.pool
         while True:
             wait = self.service.seconds_until_due()
             timeout = idle if wait is None else max(0.0, min(wait, idle))
@@ -370,8 +364,6 @@ class AioServiceServer:
                 or view is None
                 or view.version != self.service.state.version
                 or view.pending != self.service.pending()
-                # the heartbeat thread declares deaths with no write in flight
-                or (pool is not None and view.failovers != pool.stats.failovers)
             ):
                 try:
                     self._publish()
@@ -483,7 +475,6 @@ class AioServiceServer:
             version=allocate["version"],
             fingerprint=allocate["fingerprint"],
             pending=stats["state"]["pending_events"],
-            failovers=stats["dist"].get("failovers"),
             solve_p50_s=None if p50_ms is None else p50_ms / 1e3,
             health=health,
             stats=stats,
@@ -838,7 +829,7 @@ def serve_aio(
     idle_timeout: float | None = None,
     quiet: bool = False,
 ) -> None:
-    """Blocking entry point of ``python -m repro.cli serve`` and ``coordinator``.
+    """Blocking entry point of ``python -m repro.cli serve``.
 
     ``SIGTERM``/``SIGINT`` trigger the graceful stop: in-flight writes
     drain through the solver, the service closes (journal checkpoint

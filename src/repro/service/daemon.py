@@ -85,16 +85,6 @@ class AllocationService:
     workers:
         Fork-pool fan-out for shard solves (``None`` = serial).  The
         allocation is identical under any worker count.
-    backend:
-        Where shard solves run: ``"local"`` (default, in-process) or
-        ``"dist"`` — proxy each shard solve to the solver-worker pool
-        given as ``pool``.  The public API and every allocation are
-        identical either way; if the entire pool dies the resilient chain
-        serves the solve locally (``amf`` cold and below).
-    pool:
-        A *started* :class:`repro.dist.WorkerPool` (required iff
-        ``backend="dist"``).  The service takes ownership: :meth:`close`
-        stops its heartbeats and connections.
     journal:
         Optional :class:`~repro.service.journal.WriteAheadJournal`.  When
         given, every accepted delta is journaled *before* it is queued
@@ -126,8 +116,6 @@ class AllocationService:
         sharded: bool = True,
         workers: int | None = None,
         oracle: str = "parametric",
-        backend: str = "local",
-        pool=None,
         journal: WriteAheadJournal | None = None,
         clock: Callable[[], float] = time.monotonic,
         observability: bool = True,
@@ -137,25 +125,13 @@ class AllocationService:
         # passes ``oracle=args.oracle``.  There is one feasibility oracle; the
         # parameter selects nothing and goes when that harness may be edited.
         require(oracle == "parametric", f"unknown oracle {oracle!r} (the only oracle is 'parametric')")
-        require(backend in ("local", "dist"), f"unknown backend {backend!r} (local or dist)")
-        require(
-            (backend == "dist") == (pool is not None),
-            "backend='dist' requires a pool (and a pool requires backend='dist')",
-        )
         if observability:
             REGISTRY.enable()
             TRACER.enable()
         self.state = state
-        self.backend = backend
-        self.pool = pool
         self.queue = CoalescingQueue(max_delay=max_delay, max_batch=max_batch, clock=clock)
         self.cache = AllocationCache(max_entries=cache_size)
-        self.incremental = IncrementalAmfSolver(
-            max_cuts=max_cuts,
-            sharded=sharded or backend == "dist",
-            workers=workers,
-            shard_backend=pool,
-        )
+        self.incremental = IncrementalAmfSolver(max_cuts=max_cuts, sharded=sharded, workers=workers)
         self._last_touched_sites: frozenset[str] | None = frozenset()
         self.resilience = ResilienceStats()
         self.policy = ResilientPolicy(self.incremental, fallbacks, stats=self.resilience)
@@ -335,8 +311,7 @@ class AllocationService:
         touched-sites journal records every accepted delta and a restart
         from the same state store resumes exactly where the daemon
         stopped — then :class:`ServiceClosed` guards all intake/serve
-        paths (HTTP answers 503), and a distributed backend's pool is
-        stopped (heartbeats end, worker connections close).  Idempotent.
+        paths (HTTP answers 503).  Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -346,8 +321,6 @@ class AllocationService:
                 self.journal.checkpoint(self.state)
                 self.journal.close()
             self._closed = True
-        if self.pool is not None:
-            self.pool.stop()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -433,10 +406,5 @@ class AllocationService:
                     "served_by": dict(self.resilience.served_by),
                     "errors": list(self.resilience.errors[-5:]),
                 },
-                "dist": (
-                    {"backend": "local"}
-                    if self.pool is None
-                    else {"backend": "dist", **self.pool.stats_dict()}
-                ),
                 "journal": None if self.journal is None else self.journal.stats_dict(),
             }

@@ -38,9 +38,7 @@ __all__ = [
     "API_SPEC",
 ]
 
-#: Largest accepted request body (HTTP answers 413 above it) — also the
-#: frame ceiling of the distributed wire protocol (:mod:`repro.dist
-#: .protocol`), so one limit bounds every byte stream the system parses.
+#: Largest accepted request body (HTTP answers 413 above it).
 MAX_BODY_BYTES = 4 << 20
 
 #: ``GET /v1/jobs`` pagination bounds (documented in docs/api.md).

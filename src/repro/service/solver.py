@@ -130,17 +130,6 @@ class IncrementalAmfSolver:
     shard_cache_size:
         LRU bound on the per-shard matrix cache (entries are sub-cluster
         fingerprints, i.e. one per distinct component state seen).
-    shard_backend:
-        Where shard solves run: any object with a
-        ``solve_shards(shards) -> list[ShardResult]`` method — in practice
-        a started :class:`repro.dist.WorkerPool`, which proxies each solve
-        to a remote worker process holding that shard's warm basis.
-        ``None`` (the default) solves in-process via
-        :func:`repro.core.sharding.solve_shards`.  The allocation is
-        bit-identical either way (each shard solve is the same pure
-        function of its sub-cluster and seed cuts); a backend that raises
-        (e.g. :class:`repro.dist.DistError` when the whole pool is dead)
-        degrades through the resilient chain like any other solver fault.
     """
 
     def __init__(
@@ -151,26 +140,17 @@ class IncrementalAmfSolver:
         sharded: bool = False,
         workers: int | None = None,
         shard_cache_size: int = 256,
-        shard_backend=None,
     ):
         require(shard_cache_size >= 1, "shard_cache_size must be at least 1")
-        require(
-            shard_backend is None or sharded,
-            "shard_backend requires sharded=True (there is nothing to distribute otherwise)",
-        )
         self.basis = CutBasis(max_cuts=max_cuts)
         self.persistent = persistent
         self.sharded = sharded
         self.workers = workers
         self.shard_cache_size = shard_cache_size
-        self.shard_backend = shard_backend
         self.bases = ShardBasisPool(max_cuts=max_cuts)
         self._shard_matrices: OrderedDict[str, np.ndarray] = OrderedDict()
         self.stats = IncrementalStats()
-        if shard_backend is not None:
-            self.__name__ = "amf-dist"
-        else:
-            self.__name__ = "amf-incremental" if persistent else "amf-cold"
+        self.__name__ = "amf-incremental" if persistent else "amf-cold"
 
     @property
     def shard_cache_entries(self) -> int:
@@ -239,15 +219,12 @@ class IncrementalAmfSolver:
             self.stats.shard_cache_hits += hits
             self.stats.shard_cache_misses += len(misses)
             record_shard_cache(hits=hits, misses=len(misses))
-            if self.shard_backend is not None:
-                results = self.shard_backend.solve_shards(misses, resource_totals=totals)
-            else:
-                results = solve_shards(
-                    misses,
-                    bases=self.bases,
-                    workers=self.workers,
-                    resource_totals=totals,
-                )
+            results = solve_shards(
+                misses,
+                bases=self.bases,
+                workers=self.workers,
+                resource_totals=totals,
+            )
             for res in results:
                 merge_diagnostics(diag, res.diagnostics)
                 record_shard_solve(res.shard.n_jobs, res.seconds)

@@ -147,6 +147,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClusterState([])
 
+    def test_no_distributed_backend(self):
+        # one process serves: the service takes no backend= or pool=
+        state = ClusterState([Site("a", 1.0)])
+        with pytest.raises(TypeError):
+            AllocationService(state, backend="dist")
+        with pytest.raises(TypeError):
+            AllocationService(state, pool=object())
+
 
 class TestAccountingRegressions:
     """Pinning tests for the PR-9 service-edge bugfix sweep."""

@@ -233,3 +233,10 @@ class TestShardingStats:
         assert sharding["enabled"] is True
         assert sharding["last_shards"] >= 1
         assert sharding["shard_solves"] >= 1
+
+    def test_stats_have_no_dist_section(self, server):
+        # one process serves: there is no solver-worker pool to report on
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        _, stats, _ = call(server, "GET", "/v1/stats")
+        assert "dist" not in stats
+        assert {"state", "solver", "sharding", "resilience", "admission"} <= stats.keys()

@@ -27,12 +27,31 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [["solve", "--oracle", "ggt"], ["worker", "--oracle", "legacy"], ["serve", "--oracle", "ggt"]],
+        [["solve", "--oracle", "ggt"], ["serve", "--oracle", "legacy"], ["serve", "--oracle", "ggt"]],
     )
     def test_oracle_selection_is_gone(self, argv):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the distributed control plane (repro.dist) is deleted: serve
+            # no longer self-hosts a solver-worker pool ...
+            ["serve", "--distributed", "2"],
+            # ... and the solver-worker process has no subcommand ...
+            ["worker"],
+            # ... nor does the service booted against running workers
+            ["coordinator", "--worker", "127.0.0.1:1"],
+        ],
+    )
+    def test_distributed_plane_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
     def test_serve_still_parses_the_one_oracle(self):
         # benchmarks/ledger/client.py reads args.oracle off this parser
