@@ -10,7 +10,6 @@ import pytest
 from repro.core.amf import amf_levels
 from repro.core.persite import solve_psmf
 from repro.core.waterfilling import water_fill
-from repro.flownet.bipartite import build_network
 from repro.flownet.parametric import ParametricFeasibility
 from repro.workload.generator import WorkloadSpec, generate_cluster
 
@@ -42,14 +41,14 @@ def test_bench_water_fill(benchmark):
 
 
 def test_bench_feasibility_maxflow(benchmark, medium_cluster):
+    """One cold probe: build the oracle's network and solve it from zero flow."""
     targets = medium_cluster.aggregate_demand * 0.2
 
     def solve():
-        net = build_network(medium_cluster, targets)
-        return net.solve()
+        return ParametricFeasibility(medium_cluster).probe(targets)
 
     outcome = benchmark(solve)
-    assert outcome.demanded > 0
+    assert outcome.demanded > 0 and outcome.mode == "flow-cold"
 
 
 def test_bench_psmf(benchmark, medium_cluster):
@@ -62,37 +61,20 @@ def test_bench_amf_levels(benchmark, medium_cluster):
     assert levels.min() >= 0
 
 
-def test_bench_probe_sequence_legacy(benchmark, medium_cluster, record_bench):
-    """Cold path: one FeasibilityNetwork build + solve per λ probe."""
-    lams = _lambda_schedule(medium_cluster)
-    weights = medium_cluster.weights
-    caps = medium_cluster.aggregate_demand
-
-    def run():
-        verdicts = []
-        for lam in lams:
-            net = build_network(medium_cluster, np.minimum(lam * weights, caps))
-            verdicts.append(net.solve().feasible)
-        return verdicts
-
-    verdicts = benchmark(run)
-    assert len(verdicts) == len(lams)
-    record_bench("probe_sequence_legacy", benchmark)
-
-
 def test_bench_probe_sequence_parametric(benchmark, medium_cluster, record_bench):
-    """Warm path: one ParametricFeasibility oracle across the same λ probes.
+    """Warm path: one ParametricFeasibility oracle across an AMF-like λ schedule.
 
-    Asserts verdict-for-verdict agreement with the cold path — the speedup
-    is only meaningful if the answers are the same.
+    Asserts verdict-for-verdict agreement with the cold path, one fresh
+    oracle per probe — the speedup is only meaningful if the answers are
+    the same.
     """
     lams = _lambda_schedule(medium_cluster)
     weights = medium_cluster.weights
     caps = medium_cluster.aggregate_demand
-    cold = []
-    for lam in lams:
-        net = build_network(medium_cluster, np.minimum(lam * weights, caps))
-        cold.append(net.solve().feasible)
+    cold = [
+        ParametricFeasibility(medium_cluster).probe(np.minimum(lam * weights, caps)).feasible
+        for lam in lams
+    ]
 
     def run():
         oracle = ParametricFeasibility(medium_cluster)

@@ -55,7 +55,6 @@ import numpy as np
 
 from repro._util import ABS_TOL, REL_TOL, require
 from repro.core.allocation import Allocation, scrub_matrix
-from repro.flownet.bipartite import build_network
 from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
 from repro.obs.instruments import record_amf
@@ -747,11 +746,12 @@ def solve_amf(
 
 
 def _realize(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
-    """Realize aggregate ``levels`` as a feasible job-site matrix via max-flow."""
-    network = build_network(cluster, levels)
-    outcome = network.solve()
-    require(outcome.feasible, "levels are not feasible on this cluster")
-    return _finalize_matrix(cluster, levels, network.allocation_matrix())
+    """Realize aggregate ``levels`` as a feasible job-site matrix on a cold
+    oracle: the job-less path, and the fallback when the warm oracle
+    cannot hand back its flow."""
+    matrix = ParametricFeasibility(cluster).allocation_matrix(levels)
+    require(matrix is not None, "levels are not feasible on this cluster")
+    return _finalize_matrix(cluster, levels, matrix)
 
 
 def _finalize_matrix(cluster: Cluster, levels: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -29,7 +29,8 @@ split optimizers over the *same* aggregate vector:
 Feasibility of a completion-time target vector reduces to a circulation:
 ``SRC -> job_i`` pinned to ``[A_i, A_i]``, support edges carrying lower
 bounds ``w_ij / T_i`` and caps ``d_ij``, sites capped by ``c_j``
-(:func:`repro.flownet.lower_bounds.feasible_flow_with_lower_bounds`).
+(:func:`repro.flownet.bounded.bounded_flow`), built from the cluster's
+support arrays.
 
 The lexicographic engine prunes criticality probes with a *witness*: a job
 whose realized completion time at the optimum is already strictly below the
@@ -42,8 +43,7 @@ import numpy as np
 
 from repro._util import ABS_TOL, require
 from repro.core.allocation import Allocation, scrub_matrix
-from repro.flownet.bipartite import SNK, SRC, job_key, site_key
-from repro.flownet.lower_bounds import BoundedEdge, feasible_flow_with_lower_bounds
+from repro.flownet.bounded import bounded_flow
 from repro.model.cluster import Cluster
 
 __all__ = ["optimize_completion_times", "proportional_split", "minimal_stretch"]
@@ -57,53 +57,48 @@ CT_SEARCH_RTOL = 1e-7
 # ----------------------------------------------------------------------
 
 
-def _edges_for_targets(
-    cluster: Cluster,
-    levels: np.ndarray,
-    deadlines: np.ndarray,
-) -> list[BoundedEdge] | None:
-    """Bounded-edge list for: aggregates pinned to ``levels``, job ``i`` done by ``deadlines[i]``.
-
-    Returns ``None`` when a deadline is locally impossible (lower bounds
-    exceed an edge cap or the job's aggregate), letting the caller treat the
-    target as infeasible without running a flow.
-    """
-    W = cluster.workloads
-    caps = cluster.demand_caps
-    edges: list[BoundedEdge] = []
-    for i in range(cluster.n_jobs):
-        if levels[i] <= ABS_TOL:
-            continue  # job receives nothing; it has no split to optimize
-        edges.append(BoundedEdge(SRC, job_key(i), float(levels[i]), float(levels[i])))
-        lower_sum = 0.0
-        for j in np.flatnonzero(cluster.support[i]):
-            lower = 0.0
-            if np.isfinite(deadlines[i]) and W[i, j] > 0.0:
-                lower = W[i, j] / deadlines[i]
-                if lower > caps[i, j] * (1 + 1e-12) + ABS_TOL:
-                    return None
-                lower = min(lower, float(caps[i, j]))
-            lower_sum += lower
-            edges.append(BoundedEdge(job_key(i), site_key(int(j)), lower, float(caps[i, j])))
-        if lower_sum > levels[i] * (1 + 1e-9) + ABS_TOL:
-            return None
-    for j in range(cluster.n_sites):
-        edges.append(BoundedEdge(site_key(j), SNK, 0.0, float(cluster.capacities[j])))
-    return edges
-
-
 def _solve_targets(cluster: Cluster, levels: np.ndarray, deadlines: np.ndarray) -> np.ndarray | None:
-    """Allocation matrix meeting ``deadlines`` with aggregates ``levels``, or ``None``."""
-    edges = _edges_for_targets(cluster, levels, deadlines)
-    if edges is None:
+    """Allocation matrix meeting ``deadlines`` with aggregates ``levels``, or ``None``.
+
+    Jobs with a positive level get ``src -> job_i`` pinned to
+    ``[A_i, A_i]`` and one ``[w_ij / T_i, d_ij]`` edge per support site;
+    jobs at level 0 have no split to optimize.  A deadline that is locally
+    impossible (a lower bound above its edge cap, or lower bounds summing
+    past the job's aggregate) is refused without running a flow.
+    """
+    n, m = cluster.n_jobs, cluster.n_sites
+    served = np.flatnonzero(levels > ABS_TOL)
+    rows, cols = np.nonzero(cluster.support)
+    keep = levels[rows] > ABS_TOL
+    rows, cols = rows[keep], cols[keep]
+    work = cluster.workloads[rows, cols]
+    caps = cluster.demand_caps[rows, cols]
+    due = deadlines[rows]
+    timed = np.isfinite(due) & (work > 0.0)
+    lower = np.zeros(rows.size)
+    lower[timed] = work[timed] / due[timed]
+    if bool((lower > caps * (1 + 1e-12) + ABS_TOL).any()):
         return None
-    flows = feasible_flow_with_lower_bounds(edges, SRC, SNK)
+    lower = np.minimum(lower, caps)
+    lower_sum = np.bincount(rows, weights=lower, minlength=n)[served]
+    if bool((lower_sum > levels[served] * (1 + 1e-9) + ABS_TOL).any()):
+        return None
+    # nodes: src 0, jobs 1..n, sites n+1..n+m, snk n+m+1
+    snk = n + m + 1
+    sites = np.arange(m)
+    flows = bounded_flow(
+        n + m + 2,
+        np.concatenate([np.zeros(served.size, dtype=np.int64), 1 + rows, 1 + n + sites]),
+        np.concatenate([1 + served, 1 + n + cols, np.full(m, snk)]),
+        np.concatenate([levels[served], lower, np.zeros(m)]),
+        np.concatenate([levels[served], caps, cluster.capacities]),
+        0,
+        snk,
+    )
     if flows is None:
         return None
-    matrix = np.zeros((cluster.n_jobs, cluster.n_sites))
-    for i in range(cluster.n_jobs):
-        for j in np.flatnonzero(cluster.support[i]):
-            matrix[i, j] = flows.get((job_key(i), site_key(int(j))), 0.0)
+    matrix = np.zeros((n, m))
+    matrix[rows, cols] = flows[served.size : served.size + rows.size]
     return scrub_matrix(cluster, matrix)
 
 

@@ -20,10 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro._util import ABS_TOL, flt
+from repro._util import ABS_TOL, feq, flt
 from repro.core.allocation import Allocation
-from repro.flownet.bipartite import SNK, SRC, build_network, job_key
-from repro.flownet.dinic import Dinic
+from repro.flownet.arrayflow import ArrayFlowGraph
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 
@@ -37,24 +36,50 @@ PROPERTY_TOL = 1e-6
 # ----------------------------------------------------------------------
 
 
+def _job_site_graph(cluster: Cluster) -> ArrayFlowGraph:
+    """``src -> job_i -> site_j -> snk`` over the support, source arcs empty.
+
+    Nodes: ``src = 0``, jobs ``1..n``, sites ``n+1..n+m``, ``snk`` last.
+    Job ``i``'s source arc has forward id ``2 * i``.
+    """
+    n, m = cluster.n_jobs, cluster.n_sites
+    rows, cols = np.nonzero(cluster.support)
+    return ArrayFlowGraph(
+        n + m + 2,
+        np.concatenate([np.zeros(n, dtype=np.int64), 1 + rows, 1 + n + np.arange(m)]),
+        np.concatenate([1 + np.arange(n), 1 + n + cols, np.full(m, n + m + 1)]),
+        np.concatenate([np.zeros(n), cluster.demand_caps[rows, cols], cluster.capacities]),
+    )
+
+
+def _hold(graph: ArrayFlowGraph, cluster: Cluster, targets: np.ndarray) -> None:
+    """Reset ``graph`` to zero flow with the source arcs at ``targets`` and
+    route a max flow, which must saturate them."""
+    n = cluster.n_jobs
+    graph.orig[0 : 2 * n : 2] = targets
+    graph.reset_flow()
+    demanded = float(targets.sum())
+    held = graph.max_flow(0, graph.n_nodes - 1, limit=demanded)
+    if not feq(held, demanded, scale=max(1.0, float(n + cluster.n_sites))):  # pragma: no cover
+        raise ValueError("held aggregates are not feasible?")
+
+
 def pareto_headroom(alloc: Allocation) -> float:
     """Total aggregate increase available without decreasing any job.
 
-    Returns 0 for Pareto-efficient allocations.  Exact: installs the current
-    aggregates as saturated source edges, opens parallel source edges up to
-    each job's aggregate demand, and measures the extra max-flow.
+    Returns 0 for Pareto-efficient allocations.  Exact: routes the current
+    aggregates through saturated source arcs, raises each arc to the job's
+    aggregate demand, and measures the extra max-flow continued from there
+    (an augmenting path never returns flow into the source, so no job's
+    aggregate falls).
     """
     cluster = alloc.cluster
-    network = build_network(cluster, alloc.aggregates)
-    outcome = network.solve()
-    if not outcome.feasible:  # pragma: no cover - Allocation invariants prevent this
-        raise ValueError("allocation aggregates are not feasible?")
+    graph = _job_site_graph(cluster)
+    _hold(graph, cluster, alloc.aggregates)
     extra = cluster.aggregate_demand - alloc.aggregates
-    for i in range(cluster.n_jobs):
-        if extra[i] > ABS_TOL:
-            network.graph.add_edge(SRC, job_key(i), float(extra[i]))
-    more = Dinic(network.graph).max_flow(SRC, SNK)
-    return float(more.value)
+    for i in np.flatnonzero(extra > ABS_TOL):
+        graph.increase_capacity(2 * int(i), float(extra[i]))
+    return float(graph.max_flow(0, graph.n_nodes - 1))
 
 
 def is_pareto_efficient(alloc: Allocation, tol: float = PROPERTY_TOL) -> bool:
@@ -63,33 +88,36 @@ def is_pareto_efficient(alloc: Allocation, tol: float = PROPERTY_TOL) -> bool:
     return pareto_headroom(alloc) <= tol * scale
 
 
-def max_min_violations(alloc: Allocation, tol: float = PROPERTY_TOL) -> list[tuple[str, float]]:
-    """Jobs whose aggregate could rise at the expense of only richer jobs.
+def max_min_gains(alloc: Allocation) -> np.ndarray:
+    """Per job, how far its aggregate could rise at the expense of only richer jobs.
 
     For each job ``i``, jobs at a (weighted) level <= ``i``'s are *protected*
-    at their current aggregates; richer jobs are released entirely.  If the
-    network then admits extra flow into ``i``, the allocation is not max-min
-    fair and ``i`` is reported with its available headroom.
+    at their current aggregates; richer jobs are released entirely.  The
+    gain is the extra max-flow into ``i`` once its source arc is raised to
+    its aggregate demand.  Demand-saturated jobs are trivially at their
+    max-min level and gain 0.
     """
     cluster = alloc.cluster
     levels = alloc.normalized_aggregates()
-    out: list[tuple[str, float]] = []
     scale = max(1.0, cluster.total_capacity)
-    for i in range(cluster.n_jobs):
-        if alloc.aggregates[i] >= cluster.aggregate_demand[i] - ABS_TOL * scale:
-            continue  # demand-saturated jobs are trivially at their max-min level
+    graph = _job_site_graph(cluster)
+    gains = np.zeros(cluster.n_jobs)
+    headroom = cluster.aggregate_demand - alloc.aggregates
+    for i in np.flatnonzero(headroom > ABS_TOL * scale):
         protected = levels <= levels[i] * (1 + PROPERTY_TOL) + PROPERTY_TOL
-        targets = np.where(protected, alloc.aggregates, 0.0)
-        network = build_network(cluster, targets)
-        outcome = network.solve()
-        if not outcome.feasible:  # pragma: no cover
-            raise ValueError("protected aggregates are not feasible?")
-        headroom = cluster.aggregate_demand[i] - alloc.aggregates[i]
-        network.graph.add_edge(SRC, job_key(i), float(headroom))
-        gain = Dinic(network.graph).max_flow(SRC, SNK).value
-        if gain > tol * scale:
-            out.append((cluster.jobs[i].name, float(gain)))
-    return out
+        _hold(graph, cluster, np.where(protected, alloc.aggregates, 0.0))
+        graph.increase_capacity(2 * int(i), float(headroom[i]))
+        gains[i] = graph.max_flow(0, graph.n_nodes - 1)
+    return gains
+
+
+def max_min_violations(alloc: Allocation, tol: float = PROPERTY_TOL) -> list[tuple[str, float]]:
+    """Jobs whose aggregate could rise at the expense of only richer jobs,
+    each with its available headroom (see :func:`max_min_gains`)."""
+    cluster = alloc.cluster
+    scale = max(1.0, cluster.total_capacity)
+    gains = max_min_gains(alloc)
+    return [(cluster.jobs[i].name, float(gains[i])) for i in np.flatnonzero(gains > tol * scale)]
 
 
 def is_max_min_fair(alloc: Allocation, tol: float = PROPERTY_TOL) -> bool:

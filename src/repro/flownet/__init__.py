@@ -1,31 +1,22 @@
-"""Flow-network substrate.
+"""Flow-network substrate: one max-flow kernel.
 
-A from-scratch maximum-flow engine used by the AMF solver (feasibility of
-aggregate targets), the Pareto-efficiency checker (residual reachability) and
-the completion-time add-on (flows with per-edge lower bounds).
+Every flow question in the library runs on :class:`ArrayFlowGraph`, a
+from-scratch Dinic over numpy edge arrays with a CSR adjacency:
 
-The implementation is Dinic's algorithm over an adjacency-list residual
-graph with float capacities and a global tolerance; see
-:mod:`repro.flownet.dinic`.  ``networkx`` is deliberately *not* used here —
-it serves only as an independent oracle in the test suite.
+* :class:`ParametricFeasibility` answers the AMF solver's aggregate-target
+  probes warm on one residual graph, and realizes the final split from it;
+* the property checkers (:mod:`repro.core.properties`) solve the job-site
+  network at the held aggregates and continue warm from there;
+* :func:`bounded_flow` reduces the completion-time add-on's flows with
+  per-edge lower bounds to one max-flow.
+
+``networkx`` is deliberately *not* used here, and neither is a second
+kernel: the dict-keyed ``FlowGraph``/``Dinic`` stack lives under
+``tests/flownet/dictflow`` as the reference the kernel is checked against.
 """
 
-from repro.flownet.graph import FlowGraph
-from repro.flownet.dinic import Dinic, MaxFlowResult
-from repro.flownet.mincut import min_cut_partition
-from repro.flownet.lower_bounds import BoundedEdge, feasible_flow_with_lower_bounds
 from repro.flownet.arrayflow import ArrayFlowGraph
-from repro.flownet.parametric import ParametricFeasibility, ProbeOutcome, ProbeStats
+from repro.flownet.bounded import bounded_flow
+from repro.flownet.parametric import ParametricFeasibility
 
-__all__ = [
-    "FlowGraph",
-    "Dinic",
-    "MaxFlowResult",
-    "min_cut_partition",
-    "BoundedEdge",
-    "feasible_flow_with_lower_bounds",
-    "ArrayFlowGraph",
-    "ParametricFeasibility",
-    "ProbeOutcome",
-    "ProbeStats",
-]
+__all__ = ["ArrayFlowGraph", "ParametricFeasibility", "bounded_flow"]

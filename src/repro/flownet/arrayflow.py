@@ -1,9 +1,9 @@
-"""Array-native residual flow graph: the parametric engine's kernel.
+"""Array-native residual flow graph: the library's one max-flow kernel.
 
-Same paired-edge layout as :class:`repro.flownet.graph.FlowGraph` (edge
-``e`` and its residual twin at ``e ^ 1``), but stored in numpy ``int32`` /
-``float64`` arrays with a CSR adjacency, so the BFS level construction of
-Dinic's algorithm — the phase that touches every edge — runs vectorized.
+Paired-edge layout (edge ``e`` and its residual twin at ``e ^ 1``) stored
+in numpy ``int32`` / ``float64`` arrays with a CSR adjacency, so the BFS
+level construction of Dinic's algorithm — the phase that touches every
+edge — runs vectorized.
 The blocking-flow DFS is inherently sequential; it runs over plain Python
 lists (scalar indexing into numpy arrays is an order of magnitude slower
 than list indexing) and syncs the capacity array back once per phase.

@@ -30,9 +30,12 @@ node.  Min cuts of the reduced graph map back exactly (the source side of
 the minimal min cut is flow-invariant), so verdicts *and* cuts match the
 cold path.
 
-Verdicts are identical to a cold :class:`~repro.flownet.bipartite
-.FeasibilityNetwork` solve — same tolerance, same minimal min cut — which
-the hypothesis suite checks probe-by-probe (tests/flownet/test_parametric).
+Verdicts are identical to a cold job-site network solve — same tolerance,
+same minimal min cut — which the hypothesis suite checks probe-by-probe
+against the dict-keyed reference stack (tests/flownet/test_parametric).
+A fresh oracle is also the cold path: ``ParametricFeasibility(cluster)
+.probe(targets).feasible`` is the one-shot feasibility check, and
+``allocation_matrix`` on a fresh oracle is a cold realization.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class ProbeStats:
 
 @dataclass(frozen=True, slots=True)
 class ProbeOutcome:
-    """One feasibility verdict; mirrors ``FeasibilityOutcome`` plus ``mode``.
+    """One feasibility verdict and the way the oracle reached it (``mode``).
 
     On an infeasible verdict ``cut_jobs`` / ``cut_sites`` are the job / site
     indices on the source side of the minimal min cut (mapped back through
@@ -92,22 +95,14 @@ class ParametricFeasibility:
     cut_sets:
         Site-index sets seeded into the screening pool, typically
         ``CutBasis.instantiate(cluster)`` from the incremental solver.
-    fold_single_site:
-        Fold degree-1 jobs into their site's sink-arc capacity.
-    screen_cuts:
-        Answer probes from stored Gale–Hoffman cuts when possible.  Probes
-        with ``need_cut=True`` always bypass the screen so callers get a
-        genuinely *new* min cut (the AMF cutting-plane loop requires it).
+
+    Degree-1 jobs are always folded into their site's sink-arc capacity,
+    and probes are answered from stored Gale–Hoffman cuts when possible —
+    except probes with ``need_cut=True``, which bypass the screen so callers
+    get a genuinely *new* min cut (the AMF cutting-plane loop requires it).
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        cut_sets: Iterable[frozenset[int]] = (),
-        *,
-        fold_single_site: bool = True,
-        screen_cuts: bool = True,
-    ):
+    def __init__(self, cluster: Cluster, cut_sets: Iterable[frozenset[int]] = ()):
         self.cluster = cluster
         self.stats = ProbeStats()
         n, m = cluster.n_jobs, cluster.n_sites
@@ -118,7 +113,7 @@ class ParametricFeasibility:
         dcaps = cluster.demand_caps
 
         degree = support.sum(axis=1)
-        folded = (degree == 1) if fold_single_site else np.zeros(n, dtype=bool)
+        folded = degree == 1
         self._folded_idx = np.flatnonzero(folded)
         self._multi_idx = np.flatnonzero(~folded)
         if self._folded_idx.size:
@@ -162,7 +157,6 @@ class ParametricFeasibility:
         self._site_eids_list = self._site_eids.tolist()
 
         # Screening pool (Gale–Hoffman site cuts over the *full* job set).
-        self._screen = bool(screen_cuts)
         self._cut_sets: set[frozenset[int]] = set()
         self._cut_sites_list: list[frozenset[int]] = []
         self._cut_crosses: list[np.ndarray] = []
@@ -359,7 +353,7 @@ class ParametricFeasibility:
                 st.early_accepts += 1
                 return ProbeOutcome(True, demanded, demanded, frozenset(), frozenset(), "early-accept")
 
-        if self._screen and not need_cut:
+        if not need_cut:
             rejected = self._screen_reject(targets, demanded)
             if rejected is not None:
                 st.cut_rejects += 1
@@ -430,7 +424,7 @@ class ParametricFeasibility:
         ``targets`` (a later infeasible probe may have moved it), one warm
         re-solve restores it — still far cheaper than a cold realization.
         Returns ``None`` when ``targets`` turns out not to be fully
-        deliverable (callers fall back to the legacy realization).
+        deliverable, or has the wrong shape.
         """
         targets = np.asarray(targets, dtype=float)
         if targets.shape != (self._n,):

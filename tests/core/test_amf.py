@@ -349,6 +349,30 @@ class TestFinalizeMatrix:
         assert np.array_equal(_finalize_matrix(c, levels, noisy.copy()), expected)
 
 
+class TestColdRealization:
+    """``_realize``: the cold-oracle split ``solve_amf`` falls back to."""
+
+    def test_fallback_realizes_the_warm_aggregates(self, rng, monkeypatch):
+        from repro.core import amf
+
+        clusters = [random_cluster(rng, cap_prob=p) for p in (0.0, 0.6) for _ in range(10)]
+        warm = [solve_amf(c) for c in clusters]
+        monkeypatch.setattr(amf._FeasibilityAdapter, "realize", lambda self, levels: None)
+        calls, real = [], amf._realize
+        monkeypatch.setattr(amf, "_realize", lambda c, levels: calls.append(c) or real(c, levels))
+        for c, w in zip(clusters, warm):
+            cold = solve_amf(c)
+            assert cold.policy == "amf"
+            np.testing.assert_allclose(cold.aggregates, w.aggregates, rtol=0, atol=1e-9)
+        assert calls == clusters  # every solve took the fallback
+
+    def test_jobless_cluster(self):
+        c = Cluster.from_matrices([1.0, 2.0], np.zeros((0, 2)))
+        alloc = solve_amf(c)
+        assert alloc.matrix.shape == (0, 2)
+        assert alloc.policy == "amf"
+
+
 @st.composite
 def small_instances(draw):
     n = draw(st.integers(1, 5))

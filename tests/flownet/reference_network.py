@@ -17,14 +17,7 @@ from repro.flownet.parametric import ParametricFeasibility, ProbeStats
 from repro.model.cluster import Cluster
 
 
-def reference_init(
-    self,
-    cluster: Cluster,
-    cut_sets: Iterable[frozenset[int]] = (),
-    *,
-    fold_single_site: bool = True,
-    screen_cuts: bool = True,
-):
+def reference_init(self, cluster: Cluster, cut_sets: Iterable[frozenset[int]] = ()):
     self.cluster = cluster
     self.stats = ProbeStats()
     n, m = cluster.n_jobs, cluster.n_sites
@@ -35,7 +28,7 @@ def reference_init(
     dcaps = cluster.demand_caps
 
     degree = support.sum(axis=1)
-    folded = (degree == 1) if fold_single_site else np.zeros(n, dtype=bool)
+    folded = degree == 1
     self._folded_idx = np.flatnonzero(folded)
     self._multi_idx = np.flatnonzero(~folded)
     if self._folded_idx.size:
@@ -92,7 +85,6 @@ def reference_init(
     self._sup_site = np.asarray(sup_site, dtype=np.int64)
 
     # Screening pool (Gale–Hoffman site cuts over the *full* job set).
-    self._screen = bool(screen_cuts)
     self._cut_sets: set[frozenset[int]] = set()
     self._cut_sites_list: list[frozenset[int]] = []
     self._cut_crosses: list[np.ndarray] = []
@@ -106,8 +98,8 @@ def reference_init(
     self._flow_targets: np.ndarray | None = None
 
 
-def reference_oracle(cluster: Cluster, **kwargs) -> ParametricFeasibility:
+def reference_oracle(cluster: Cluster) -> ParametricFeasibility:
     """A ``ParametricFeasibility`` built by :func:`reference_init`."""
     oracle = object.__new__(ParametricFeasibility)
-    reference_init(oracle, cluster, **kwargs)
+    reference_init(oracle, cluster)
     return oracle

@@ -1,8 +1,9 @@
 """Property tests: ArrayFlowGraph agrees with the pointer-based Dinic.
 
 The array kernel is only allowed to be *faster* — every max-flow value,
-every min-cut side, warm or cold, must match what ``FlowGraph`` +
-:class:`Dinic` compute on the same edges.  Hypothesis drives random
+every min-cut side, warm or cold, must match what the reference stack's
+``FlowGraph`` + ``Dinic`` (tests/flownet/dictflow) compute on the same
+edges.  Hypothesis drives random
 digraphs and random bipartite job-site instances through both engines.
 """
 
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 import repro.flownet.arrayflow as arrayflow_mod
 from repro.flownet.arrayflow import ArrayFlowGraph
-from repro.flownet.dinic import Dinic
-from repro.flownet.graph import FlowGraph
+from tests.flownet.dictflow.dinic import Dinic
+from tests.flownet.dictflow.graph import FlowGraph
 
 
 def _reference(n_nodes, tails, heads, caps, s, t):

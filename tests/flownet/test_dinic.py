@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flownet.dinic import Dinic
-from repro.flownet.graph import INF, FlowGraph
+from tests.flownet.dictflow.dinic import Dinic
+from tests.flownet.dictflow.graph import INF, FlowGraph
 
 
 def solve(edges, s, t):

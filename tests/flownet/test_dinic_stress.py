@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.flownet.dinic import Dinic
-from repro.flownet.graph import FlowGraph
+from tests.flownet.dictflow.dinic import Dinic
+from tests.flownet.dictflow.graph import FlowGraph
 
 
 class TestDeepGraphs:

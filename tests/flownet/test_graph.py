@@ -1,8 +1,8 @@
-"""Unit tests for repro.flownet.graph."""
+"""Unit tests for the reference stack's FlowGraph (tests/flownet/dictflow)."""
 
 import pytest
 
-from repro.flownet.graph import INF, FlowGraph
+from tests.flownet.dictflow.graph import INF, FlowGraph
 
 
 class TestNodes:

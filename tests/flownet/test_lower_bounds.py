@@ -1,111 +1,154 @@
-"""Unit tests for flows with per-edge lower bounds."""
+"""Unit tests for flows with per-edge lower bounds (``bounded_flow``)."""
 
 import numpy as np
 import pytest
 
-from repro.flownet.graph import INF
-from repro.flownet.lower_bounds import BoundedEdge, feasible_flow_with_lower_bounds
+from repro.flownet.bounded import bounded_flow
+from tests.flownet.dictflow.lower_bounds import BoundedEdge, feasible_flow_with_lower_bounds
+
+INF = float("inf")
+
+
+def solve(edges, source, sink):
+    """``bounded_flow`` over ``(tail, head, lower, upper)`` tuples on named nodes."""
+    names = {source: 0, sink: 1}
+    for tail, head, *_ in edges:
+        names.setdefault(tail, len(names))
+        names.setdefault(head, len(names))
+    return bounded_flow(
+        len(names),
+        [names[e[0]] for e in edges],
+        [names[e[1]] for e in edges],
+        [e[2] for e in edges],
+        [e[3] for e in edges],
+        0,
+        1,
+    )
 
 
 class TestBoundedEdge:
     def test_valid(self):
-        e = BoundedEdge("a", "b", 1.0, 2.0)
-        assert e.lower == 1.0 and e.upper == 2.0
+        flows = solve([("s", "t", 1.0, 2.0)], "s", "t")
+        assert 1.0 <= flows[0] <= 2.0
 
     def test_rejects_negative_lower(self):
         with pytest.raises(ValueError):
-            BoundedEdge("a", "b", -1.0, 2.0)
+            solve([("s", "t", -1.0, 2.0)], "s", "t")
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            BoundedEdge("a", "b", 3.0, 2.0)
+            solve([("s", "t", 3.0, 2.0)], "s", "t")
 
     def test_equal_bounds_allowed(self):
-        BoundedEdge("a", "b", 2.0, 2.0)
+        assert solve([("s", "t", 2.0, 2.0)], "s", "t")[0] == pytest.approx(2.0)
 
 
 def flows_valid(edges, flows):
-    """Every original edge's flow within its bounds, conservation at internal nodes."""
-    for e in edges:
-        f = flows[(e.tail, e.head)]
-        assert f >= e.lower - 1e-7
-        assert f <= e.upper + 1e-7
+    """Every edge's flow within its bounds."""
+    for (_, _, lower, upper), f in zip(edges, flows):
+        assert f >= lower - 1e-7
+        assert f <= upper + 1e-7
 
 
 class TestFeasibleFlow:
     def test_simple_feasible(self):
-        edges = [BoundedEdge("s", "a", 1.0, 3.0), BoundedEdge("a", "t", 1.0, 3.0)]
-        flows = feasible_flow_with_lower_bounds(edges, "s", "t")
+        edges = [("s", "a", 1.0, 3.0), ("a", "t", 1.0, 3.0)]
+        flows = solve(edges, "s", "t")
         assert flows is not None
         flows_valid(edges, flows)
-        assert flows[("s", "a")] == pytest.approx(flows[("a", "t")], abs=1e-9)
+        assert flows[0] == pytest.approx(flows[1], abs=1e-9)
 
     def test_infeasible_bottleneck(self):
         # s->a must carry >= 2 but a->t can carry at most 1
-        edges = [BoundedEdge("s", "a", 2.0, 3.0), BoundedEdge("a", "t", 0.0, 1.0)]
-        assert feasible_flow_with_lower_bounds(edges, "s", "t") is None
+        assert solve([("s", "a", 2.0, 3.0), ("a", "t", 0.0, 1.0)], "s", "t") is None
 
     def test_exact_pinned_edge(self):
-        edges = [BoundedEdge("s", "a", 2.0, 2.0), BoundedEdge("a", "t", 0.0, 5.0)]
-        flows = feasible_flow_with_lower_bounds(edges, "s", "t")
+        flows = solve([("s", "a", 2.0, 2.0), ("a", "t", 0.0, 5.0)], "s", "t")
         assert flows is not None
-        assert flows[("s", "a")] == pytest.approx(2.0)
+        assert flows[0] == pytest.approx(2.0)
 
     def test_flow_value_pinned(self):
-        edges = [BoundedEdge("s", "a", 0.0, 5.0), BoundedEdge("a", "t", 0.0, 5.0)]
-        flows = feasible_flow_with_lower_bounds(edges, "s", "t", flow_value=3.0)
+        # a pinned entry edge fixes the total value
+        flows = solve([("s0", "s", 3.0, 3.0), ("s", "a", 0.0, 5.0), ("a", "t", 0.0, 5.0)], "s0", "t")
         assert flows is not None
-        assert flows[("s", "a")] == pytest.approx(3.0)
+        assert flows[1] == pytest.approx(3.0)
 
     def test_flow_value_infeasible(self):
-        edges = [BoundedEdge("s", "a", 0.0, 5.0), BoundedEdge("a", "t", 0.0, 2.0)]
-        assert feasible_flow_with_lower_bounds(edges, "s", "t", flow_value=3.0) is None
+        edges = [("s0", "s", 3.0, 3.0), ("s", "a", 0.0, 5.0), ("a", "t", 0.0, 2.0)]
+        assert solve(edges, "s0", "t") is None
 
     def test_diamond_with_lower_bounds(self):
         edges = [
-            BoundedEdge("s", "a", 1.0, 4.0),
-            BoundedEdge("s", "b", 1.0, 4.0),
-            BoundedEdge("a", "t", 0.0, 2.0),
-            BoundedEdge("b", "t", 0.0, 2.0),
+            ("s", "a", 1.0, 4.0),
+            ("s", "b", 1.0, 4.0),
+            ("a", "t", 0.0, 2.0),
+            ("b", "t", 0.0, 2.0),
         ]
-        flows = feasible_flow_with_lower_bounds(edges, "s", "t")
+        flows = solve(edges, "s", "t")
         assert flows is not None
         flows_valid(edges, flows)
 
     def test_parallel_edges_accumulate(self):
-        edges = [
-            BoundedEdge("s", "a", 1.0, 1.0),
-            BoundedEdge("s", "a", 1.0, 1.0),
-            BoundedEdge("a", "t", 0.0, 5.0),
-        ]
-        flows = feasible_flow_with_lower_bounds(edges, "s", "t")
+        edges = [("s", "a", 1.0, 1.0), ("s", "a", 1.0, 1.0), ("a", "t", 0.0, 5.0)]
+        flows = solve(edges, "s", "t")
         assert flows is not None
-        assert flows[("s", "a")] == pytest.approx(2.0)
+        assert flows[0] + flows[1] == pytest.approx(2.0)
+        assert flows[2] == pytest.approx(2.0)
 
     def test_infinite_upper(self):
-        edges = [BoundedEdge("s", "a", 1.0, INF), BoundedEdge("a", "t", 0.0, INF)]
-        flows = feasible_flow_with_lower_bounds(edges, "s", "t")
+        flows = solve([("s", "a", 1.0, INF), ("a", "t", 0.0, INF)], "s", "t")
         assert flows is not None
-        assert flows[("s", "a")] >= 1.0 - 1e-9
+        assert flows[0] >= 1.0 - 1e-9
 
     def test_conservation_random(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             # random bipartite with safe lower bounds (<= a feasible proportional flow)
             n, m = 3, 3
-            edges = [BoundedEdge("s", ("l", i), 0.0, 10.0) for i in range(n)]
+            edges = [("s", ("l", i), 0.0, 10.0) for i in range(n)]
             for i in range(n):
                 for j in range(m):
-                    edges.append(BoundedEdge(("l", i), ("r", j), float(rng.uniform(0, 0.2)), 5.0))
-            edges += [BoundedEdge(("r", j), "t", 0.0, 10.0) for j in range(m)]
-            flows = feasible_flow_with_lower_bounds(edges, "s", "t")
+                    edges.append((("l", i), ("r", j), float(rng.uniform(0, 0.2)), 5.0))
+            edges += [(("r", j), "t", 0.0, 10.0) for j in range(m)]
+            flows = solve(edges, "s", "t")
             assert flows is not None
+            flow = {(e[0], e[1]): f for e, f in zip(edges, flows)}
             # conservation at every internal node
             for i in range(n):
-                inflow = flows[("s", ("l", i))]
-                outflow = sum(flows[(("l", i), ("r", j))] for j in range(m))
+                inflow = flow[("s", ("l", i))]
+                outflow = sum(flow[(("l", i), ("r", j))] for j in range(m))
                 assert inflow == pytest.approx(outflow, abs=1e-6)
             for j in range(m):
-                inflow = sum(flows[(("l", i), ("r", j))] for i in range(n))
-                outflow = flows[(("r", j), "t")]
+                inflow = sum(flow[(("l", i), ("r", j))] for i in range(n))
+                outflow = flow[(("r", j), "t")]
                 assert inflow == pytest.approx(outflow, abs=1e-6)
+
+    def test_verdicts_match_the_reference(self):
+        """Random layered graphs with random bounds: feasible exactly when
+        the dict-keyed reference finds a flow, and then within bounds with
+        conservation at every internal node."""
+        rng = np.random.default_rng(21)
+        verdicts = set()
+        for _ in range(200):
+            n_mid = int(rng.integers(1, 5))
+            edges = []
+            for k in range(n_mid):
+                edges.append(("s", k, float(rng.uniform(0, 1.0)), float(rng.uniform(1.0, 3.0))))
+                edges.append((k, "t", float(rng.uniform(0, 1.5)), float(rng.uniform(1.5, 3.0))))
+            for _ in range(int(rng.integers(0, 4))):
+                a, b = rng.integers(0, n_mid, 2)
+                if a != b:
+                    edges.append((int(a), int(b), 0.0, float(rng.uniform(0, 1.0))))
+            flows = solve(edges, "s", "t")
+            ref = feasible_flow_with_lower_bounds([BoundedEdge(*e) for e in edges], "s", "t")
+            assert (flows is None) == (ref is None)
+            verdicts.add(flows is None)
+            if flows is None:
+                continue
+            flows_valid(edges, flows)
+            net = {}
+            for (tail, head, *_), f in zip(edges, flows):
+                net[tail] = net.get(tail, 0.0) - f
+                net[head] = net.get(head, 0.0) + f
+            assert all(abs(net[k]) <= 1e-7 for k in range(n_mid))
+        assert verdicts == {True, False}  # both verdicts occurred

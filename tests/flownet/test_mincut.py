@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.flownet.dinic import Dinic
-from repro.flownet.graph import FlowGraph
-from repro.flownet.mincut import cut_capacity, min_cut_partition
+from tests.flownet.dictflow.dinic import Dinic
+from tests.flownet.dictflow.graph import FlowGraph
+from tests.flownet.dictflow.mincut import cut_capacity, min_cut_partition
 
 
 def build(edges):

@@ -2,10 +2,10 @@
 
 The acceptance bar for the warm engine: on any probe sequence, the
 ``feasible`` bit returned by :class:`ParametricFeasibility` must be
-*bit-identical* to what a cold ``build_network(...).solve()`` (fresh
-pointer graph + Dinic from zero flow) returns for the same targets — no
-matter in which order the probes arrive, whether folding or cut screening
-is on, and which internal answer mode (early-accept, cut-reject, warm or
+*bit-identical* to what a cold ``build_network(...).solve()`` on the
+dict-keyed reference stack (fresh pointer graph + Dinic from zero flow)
+returns for the same targets — no matter in which order the probes
+arrive, and which internal answer mode (early-accept, cut-reject, warm or
 cold flow) produced the verdict.
 """
 
@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from repro.core import amf
 from repro.core.amf import AmfDiagnostics, amf_levels, amf_levels_bisect, solve_amf
 from repro.flownet.arrayflow import ArrayFlowGraph
-from repro.flownet.bipartite import build_network
 from repro.flownet.parametric import ParametricFeasibility, ProbeStats
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.workload.generator import WorkloadSpec, generate_cluster
 from tests.conftest import random_cluster
+from tests.flownet.dictflow.bipartite import build_network
 from tests.flownet.reference_network import reference_oracle
 from tests.model.test_cluster import random_two_resource
 
@@ -67,10 +67,10 @@ def clusters_and_probes(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(clusters_and_probes(), st.booleans(), st.booleans())
-def test_probe_verdicts_bit_identical_to_cold(case, fold, screen):
+@given(clusters_and_probes())
+def test_probe_verdicts_bit_identical_to_cold(case):
     cluster, probes = case
-    oracle = ParametricFeasibility(cluster, fold_single_site=fold, screen_cuts=screen)
+    oracle = ParametricFeasibility(cluster)
     for targets in probes:
         cold = _cold_outcome(cluster, targets)
         warm = oracle.probe(targets)
@@ -122,8 +122,8 @@ def falling_sequences(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(falling_sequences(), st.booleans())
-def test_falling_probes_roll_back_and_stay_bit_identical(case, fold):
+@given(falling_sequences())
+def test_falling_probes_roll_back_and_stay_bit_identical(case):
     """The cancel-and-reuse arm: falling targets cancel just the excess flow,
     and the verdicts (and minimal cuts) still bit-match cold solves.
 
@@ -132,7 +132,7 @@ def test_falling_probes_roll_back_and_stay_bit_identical(case, fold):
     early-accept) — the deterministic test below pins that the arm fires.
     """
     cluster, probes = case
-    oracle = ParametricFeasibility(cluster, fold_single_site=fold)
+    oracle = ParametricFeasibility(cluster)
     for targets in probes:
         cold = _cold_outcome(cluster, targets)
         warm = oracle.probe(targets, need_cut=True)
@@ -226,8 +226,8 @@ def test_observed_cut_screens_without_flow_solve():
 
 class _ColdFeasibility:
     """The reference oracle behind the solver's probe interface: every
-    probe is a fresh ``FeasibilityNetwork`` + Dinic from zero flow — no
-    warm flow, no screens, no folding, no realization shortcut."""
+    probe and every realization is a fresh ``FeasibilityNetwork`` + Dinic
+    from zero flow — no warm flow, no screens, no folding."""
 
     def __init__(self, cluster, cut_sets=()):
         self.cluster = cluster
@@ -237,7 +237,8 @@ class _ColdFeasibility:
         return _cold_outcome(self.cluster, targets)
 
     def allocation_matrix(self, levels):
-        return None
+        network = build_network(self.cluster, np.asarray(levels, dtype=float))
+        return network.allocation_matrix() if network.solve().feasible else None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -299,8 +300,8 @@ _ORACLE_ARRAYS = (
 _ORACLE_LISTS = ("_job_edges", "_site_edges", "_source_eids_list", "_site_eids_list")
 
 
-def _assert_same_network(cluster, **kwargs):
-    got, want = ParametricFeasibility(cluster, **kwargs), reference_oracle(cluster, **kwargs)
+def _assert_same_network(cluster):
+    got, want = ParametricFeasibility(cluster), reference_oracle(cluster)
     for name in _GRAPH_ARRAYS:
         a, b = getattr(got._graph, name), getattr(want._graph, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -314,14 +315,13 @@ def _assert_same_network(cluster, **kwargs):
     return got
 
 
-@pytest.mark.parametrize("fold", [True, False])
-def test_network_matches_reference_construction(fold):
+def test_network_matches_reference_construction():
     rng = np.random.default_rng(77)
     for _ in range(40):
-        _assert_same_network(random_cluster(rng, cap_prob=float(rng.choice([0.0, 0.6]))), fold_single_site=fold)
-        _assert_same_network(random_two_resource(rng), fold_single_site=fold)
+        _assert_same_network(random_cluster(rng, cap_prob=float(rng.choice([0.0, 0.6]))))
+        _assert_same_network(random_two_resource(rng))
     spec = WorkloadSpec(n_jobs=30, n_sites=7, site_spread=3, theta=1.0)
-    _assert_same_network(generate_cluster(spec, rng), fold_single_site=fold)
+    _assert_same_network(generate_cluster(spec, rng))
 
 
 def test_network_matches_reference_on_deciding_cases():
