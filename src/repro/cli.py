@@ -121,9 +121,8 @@ def cmd_solve(args) -> int:
         from repro.core.amf import solve_amf
         from repro.core.sharding import decompose
 
-        alloc = solve_amf(cluster, shards=True, workers=args.solve_workers or None)
-        suffix = f", workers={args.solve_workers}" if args.solve_workers else ""
-        print(f"sharded solve: {len(decompose(cluster))} components{suffix}")
+        alloc = solve_amf(cluster, shards=True)
+        print(f"sharded solve: {len(decompose(cluster))} components")
     else:
         alloc = get_policy(args.policy)(cluster)
     if tracing:
@@ -324,7 +323,6 @@ def cmd_serve(args) -> int:
         cache_size=args.cache_size,
         max_cuts=args.max_cuts,
         sharded=not args.no_shards,
-        workers=args.serve_workers or None,
         journal=journal,
         observability=not args.no_obs,
     )
@@ -370,14 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         action="store_true",
         help="solve connected components independently (amf only; identical allocation)",
-    )
-    p_solve.add_argument(
-        "--workers",
-        dest="solve_workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --shards, fan component solves over N processes (0 = serial)",
     )
     _add_trace_arg(p_solve)
     p_solve.set_defaults(fn=cmd_solve)
@@ -435,14 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="solve monolithically instead of per connected component (docs/performance.md)",
     )
-    p_srv.add_argument(
-        "--workers",
-        dest="serve_workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan shard solves over N processes (0 = serial)",
-    )
+    # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
+    # reads ``args.serve_workers``.  Shards are solved serially; the flag
+    # accepts only 0 and goes when that harness may be edited.
+    p_srv.add_argument("--workers", dest="serve_workers", type=int, choices=(0,), default=0, help=argparse.SUPPRESS)
     # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
     # parses ``serve`` through this parser and reads ``args.oracle``.  There
     # is one feasibility oracle; the flag selects nothing and goes when that

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -89,7 +88,6 @@ class AmfDiagnostics:
     frozen_by_cut: int = 0  # jobs frozen in a binding cut, or at the cross_i(S) one pinned them to
     warm_cuts_seeded: int = 0  # valid cuts replayed from a CutBasis
     probes_early_accept: int = 0  # probes answered by feasible-dominance
-    probes_cut_reject: int = 0  # probes answered by a stored site cut
     probes_warm: int = 0  # flow solves continuing from existing flow
     probes_cold: int = 0  # flow solves starting from zero flow
     probe_rollbacks: int = 0  # probes that cancelled flow before solving
@@ -103,7 +101,7 @@ class AmfDiagnostics:
     @property
     def probes_reused(self) -> int:
         """Probes that avoided a cold flow solve (the warm-reuse headline)."""
-        return self.probes_early_accept + self.probes_cut_reject + self.probes_warm
+        return self.probes_early_accept + self.probes_warm
 
 
 class CutBasis:
@@ -164,9 +162,8 @@ class CutBasis:
     def sets(self) -> tuple[frozenset[str], ...]:
         """Stored site-name sets, LRU order (oldest first).
 
-        The shard layer uses this to clone a basis into a fork-pool worker
-        and to fold a worker's discoveries back into the pooled basis
-        (:mod:`repro.core.sharding`).
+        :class:`~repro.core.sharding.ShardBasisPool` seeds a new shard's
+        basis from the sets of the stored bases whose keys it contains.
         """
         return tuple(self._cuts)
 
@@ -429,7 +426,8 @@ class _FeasibilityAdapter:
     :func:`amf_levels_bisect`: the λ→targets map plus the warm
     :class:`ParametricFeasibility` oracle behind one interface (both solver
     variants used to carry near-identical ``targets_at`` / ``feasible``
-    closures).
+    closures).  The site cuts a solve knows live in the fill loop's
+    :class:`_SiteCuts`, not here.
     """
 
     __slots__ = (
@@ -450,7 +448,6 @@ class _FeasibilityAdapter:
         floors: np.ndarray,
         caps: np.ndarray,
         diag: AmfDiagnostics,
-        cut_sets: Iterable[frozenset[int]] = (),
     ):
         self.cluster = cluster
         self.floors = floors
@@ -460,7 +457,7 @@ class _FeasibilityAdapter:
         self.frozen = np.zeros(cluster.n_jobs, dtype=bool)
         self.diag = diag
         self._finished = False
-        self.oracle = ParametricFeasibility(cluster, cut_sets)
+        self.oracle = ParametricFeasibility(cluster)
 
     def targets_at(self, lam: float) -> np.ndarray:
         t = np.clip(lam * self.weights, self.floors, self.caps)
@@ -489,7 +486,6 @@ class _FeasibilityAdapter:
         self._finished = True
         st = self.oracle.stats
         self.diag.probes_early_accept += st.early_accepts
-        self.diag.probes_cut_reject += st.cut_rejects
         self.diag.probes_warm += st.warm_solves
         self.diag.probes_cold += st.cold_solves
         self.diag.probe_rollbacks += st.rollbacks
@@ -592,9 +588,8 @@ def _fill_levels(
         require(float(floors.min(initial=0.0)) >= -ABS_TOL, "floors must be non-negative")
         floors = np.maximum(floors, 0.0)
 
-    # one instantiation serves both the oracle's screen and the fill loop's pool
     cut_sets = basis.instantiate(cluster) if basis is not None else []
-    adapter = _FeasibilityAdapter(cluster, floors, caps.copy(), diag, cut_sets)
+    adapter = _FeasibilityAdapter(cluster, floors, caps.copy(), diag)
     try:
         return _fill_levels_inner(cluster, caps, diag, basis, cut_sets, adapter)
     finally:
@@ -704,7 +699,6 @@ def solve_amf(
     basis: CutBasis | None = None,
     *,
     shards: bool = False,
-    workers: int | None = None,
 ) -> Allocation:
     """Compute an AMF allocation (aggregates via :func:`amf_levels`, split via max-flow).
 
@@ -715,9 +709,8 @@ def solve_amf(
 
     ``shards=True`` solves each connected component of the job-site graph
     independently and stitches the blocks — the same allocation at
-    component-local cost, optionally fanned out over ``workers`` processes
-    (see :mod:`repro.core.sharding`).  A monolithic ``basis`` does not
-    apply there; use :class:`repro.core.sharding.ShardBasisPool` via
+    component-local cost (see :mod:`repro.core.sharding`).  A monolithic
+    ``basis`` does not apply there; use :class:`repro.core.sharding.ShardBasisPool` via
     :func:`~repro.core.sharding.solve_amf_sharded` for warm sharded solves.
 
     The realization is usually free: the final verification probe leaves
@@ -729,20 +722,31 @@ def solve_amf(
         require(basis is None, "shards=True takes a ShardBasisPool via solve_amf_sharded, not basis=")
         from repro.core.sharding import solve_amf_sharded
 
-        return solve_amf_sharded(cluster, floors, diagnostics, workers=workers)
+        return solve_amf_sharded(cluster, floors, diagnostics)
     if cluster.is_multiresource:
         from repro.multiresource.engine import solve_multiresource
 
         return solve_multiresource(cluster, floors, diagnostics, basis)
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     with _observed_solve("solve", cluster, diag):
-        levels, adapter = _fill_levels(cluster, floors, diag, basis)
-    matrix = adapter.realize(levels) if adapter is not None else None
-    if matrix is not None:
-        matrix = _finalize_matrix(cluster, levels, matrix)
-    else:
-        matrix = _realize(cluster, levels)
+        matrix = _solve_matrix(cluster, floors, diag, basis)
     return Allocation(cluster, matrix, policy="amf" if floors is None else "amf+floors")
+
+
+def _solve_matrix(
+    cluster: Cluster,
+    floors: np.ndarray | None,
+    diag: AmfDiagnostics,
+    basis: CutBasis | None,
+) -> np.ndarray:
+    """The scalar solve body :func:`solve_amf` and each shard solve share:
+    progressive filling, then the split read off the warm oracle's final
+    flow, or a cold realization when the oracle cannot hand it back."""
+    levels, adapter = _fill_levels(cluster, floors, diag, basis)
+    matrix = adapter.realize(levels) if adapter is not None else None
+    if matrix is None:
+        return _realize(cluster, levels)
+    return _finalize_matrix(cluster, levels, matrix)
 
 
 def _realize(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
@@ -779,7 +783,7 @@ def amf_levels_bisect(
     cross-check in tests.  Shares the λ→targets/probe machinery with
     :func:`amf_levels` via :class:`_FeasibilityAdapter`; bisection is the
     workload the parametric oracle accelerates hardest (descending probes
-    are answered by rollback or stored-cut screening instead of a rebuild).
+    cancel excess flow locally instead of rebuilding the network).
     """
     n = cluster.n_jobs
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
@@ -833,8 +837,8 @@ def _bisect_levels_inner(
                 lo = mid
             else:
                 hi = mid
-        # the cut that pins this round's bottleneck must come from a real
-        # flow solve (screening replays would not name the minimal cut)
+        # the cut that pins this round's bottleneck: the minimal min cut at
+        # the lowest level seen to fail
         _, cut_jobs = feasible(targets_at(hi), need_cut=True)
         member = np.array(sorted(cut_jobs), dtype=int)
         freeze = np.zeros(n, dtype=bool)

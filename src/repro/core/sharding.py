@@ -21,10 +21,10 @@ levels per job are identical).
 
 Why bother: the cutting-plane solver's cost is superlinear in the
 component size (every feasibility probe is a max-flow on the whole graph),
-so solving K small blocks is cheaper than one coupled instance even
-serially — and the blocks are embarrassingly parallel, so the PR 3 fork
-pool (:func:`repro.analysis.parallel.parallel_map`) fans them out with
-``workers=``.  Per-shard :class:`~repro.core.amf.CutBasis` entries
+so solving K small blocks one after another is cheaper than one coupled
+instance.  Shards are solved serially in the calling thread: fanning them
+over a process pool measured no faster (docs/performance.md, "Removed").
+Per-shard :class:`~repro.core.amf.CutBasis` entries
 (:class:`ShardBasisPool`) keep warm starts *local*: churn inside one
 component never dilutes another component's cut pool, and the online
 service caches solved shard matrices by sub-cluster fingerprint so a delta
@@ -41,15 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import require
-from repro.analysis.parallel import parallel_map
 from repro.core.allocation import Allocation
-from repro.core.amf import (
-    AmfDiagnostics,
-    CutBasis,
-    _fill_levels,
-    _finalize_matrix,
-    _realize,
-)
+from repro.core.amf import AmfDiagnostics, CutBasis, _solve_matrix
 from repro.model.cluster import Cluster
 from repro.obs.instruments import record_amf, record_shard_decomposition, record_shard_solve
 from repro.obs.registry import REGISTRY
@@ -95,7 +88,6 @@ class ShardResult:
     matrix: np.ndarray  # (shard jobs, shard sites)
     diagnostics: AmfDiagnostics
     seconds: float
-    discovered_cuts: tuple[frozenset[str], ...]  # basis contents after the solve
 
 
 class _UnionFind:
@@ -221,51 +213,28 @@ class ShardBasisPool:
 def _solve_shard(
     shard: Shard,
     floors: np.ndarray | None,
-    seed_cuts: tuple[frozenset[str], ...],
-    max_cuts: int,
+    basis: CutBasis | None,
     resource_totals: dict[str, float] | None = None,
 ) -> ShardResult:
-    """Solve one shard against a *local* basis clone.
-
-    The clone keeps the protocol identical under fork fan-out (a child
-    cannot mutate the parent's pool) and in the serial fallback: the solve
-    seeds from ``seed_cuts``, and whatever the local basis holds afterwards
-    is returned for the caller to fold back into the pooled basis.
+    """Solve one shard, warm from (and recording into) its pooled ``basis``.
 
     ``resource_totals`` carries the *federation-wide* per-resource
     capacities for multi-resource shards — dominant-share denominators are
     global constants, which is exactly what makes MR leximin separable
     over components.
     """
-    basis = CutBasis(max_cuts=max_cuts)
-    for sites in seed_cuts:
-        basis.record(sites)
     diag = AmfDiagnostics()
     t0 = time.perf_counter()
-    # The monolithic pipeline minus its obs wrapper: per-shard metrics are
-    # recorded once by the parent (merged delta), never in a fork child
-    # whose registry copy is discarded — serial and parallel runs must
-    # leave identical counters behind.
+    # The monolithic pipeline minus its obs wrapper: the caller records the
+    # merged per-shard counters once.
     if shard.cluster.is_multiresource:
         from repro.multiresource.engine import solve_multiresource
 
         alloc = solve_multiresource(shard.cluster, floors, diag, basis, resource_totals=resource_totals)
         matrix = np.array(alloc.matrix)
     else:
-        levels, adapter = _fill_levels(shard.cluster, floors, diag, basis)
-        matrix = adapter.realize(levels) if adapter is not None else None
-        if matrix is not None:
-            matrix = _finalize_matrix(shard.cluster, levels, matrix)
-        else:
-            matrix = _realize(shard.cluster, levels)
-    seconds = time.perf_counter() - t0
-    return ShardResult(
-        shard=shard,
-        matrix=matrix,
-        diagnostics=diag,
-        seconds=seconds,
-        discovered_cuts=basis.sets(),
-    )
+        matrix = _solve_matrix(shard.cluster, floors, diag, basis)
+    return ShardResult(shard=shard, matrix=matrix, diagnostics=diag, seconds=time.perf_counter() - t0)
 
 
 def merge_diagnostics(dst: AmfDiagnostics, src: AmfDiagnostics) -> None:
@@ -279,39 +248,22 @@ def solve_shards(
     *,
     floors: np.ndarray | None = None,
     bases: ShardBasisPool | None = None,
-    workers: int | None = None,
     resource_totals: dict[str, float] | None = None,
 ) -> list[ShardResult]:
-    """Solve every job-bearing shard; serial or fanned over the fork pool.
+    """Solve every job-bearing shard, in order, in the calling thread.
 
     Results come back in ``shards`` order (job-less shards are skipped —
     their block is identically zero).  When ``bases`` is given each shard
-    seeds from its pooled basis and its discoveries are recorded back, so
-    the pool warms regardless of worker count; the allocation itself is
-    bit-identical under any ``workers`` (each shard's solve is a pure
-    function of its sub-cluster, floors and seed cuts).
+    solves against its pooled basis, which seeds the solve and records the
+    cuts it discovers; the allocation is the same with or without it.
     """
-    solvable = [sh for sh in shards if sh.n_jobs > 0]
-    if not solvable:
-        return []
-    max_cuts = bases.max_cuts if bases is not None else 64
-    seeds: list[tuple[frozenset[str], ...]] = []
-    sub_floors: list[np.ndarray | None] = []
-    for sh in solvable:
-        seeds.append(bases.basis_for(sh.key).sets() if bases is not None else ())
-        sub_floors.append(
-            None if floors is None else np.asarray(floors, dtype=float)[list(sh.job_indices)]
-        )
-
-    def solve_one(idx: int) -> ShardResult:
-        return _solve_shard(solvable[idx], sub_floors[idx], seeds[idx], max_cuts, resource_totals)
-
-    results = parallel_map(solve_one, range(len(solvable)), workers=workers)
-    if bases is not None:
-        for res in results:
-            pooled = bases.basis_for(res.shard.key)
-            for sites in res.discovered_cuts:
-                pooled.record(sites)
+    results = []
+    for sh in shards:
+        if sh.n_jobs == 0:
+            continue
+        sub_floors = None if floors is None else np.asarray(floors, dtype=float)[list(sh.job_indices)]
+        basis = bases.basis_for(sh.key) if bases is not None else None
+        results.append(_solve_shard(sh, sub_floors, basis, resource_totals))
     return results
 
 
@@ -320,14 +272,12 @@ def solve_amf_sharded(
     floors: np.ndarray | None = None,
     diagnostics: AmfDiagnostics | None = None,
     bases: ShardBasisPool | None = None,
-    workers: int | None = None,
 ) -> Allocation:
     """AMF via shard decomposition — same allocation, component-local cost.
 
     Drop-in for :func:`~repro.core.amf.solve_amf` (also reachable as
     ``solve_amf(..., shards=True)``): decompose, solve each component
-    independently (``workers`` > 1 fans them over the fork pool), stitch
-    the blocks.  ``bases`` replaces the monolithic ``basis`` with a
+    independently, stitch the blocks.  ``bases`` replaces the monolithic ``basis`` with a
     :class:`ShardBasisPool` so warm starts stay component-local.  Purely a
     cost optimization — the separability argument in the module docstring
     is pinned by the hypothesis equivalence suite in
@@ -345,7 +295,7 @@ def solve_amf_sharded(
     with span(
         "amf.solve", variant="sharded", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(shards)
     ):
-        results = solve_shards(shards, floors=floors, bases=bases, workers=workers, resource_totals=totals)
+        results = solve_shards(shards, floors=floors, bases=bases, resource_totals=totals)
     for res in results:
         merge_diagnostics(diag, res.diagnostics)
         record_shard_solve(res.shard.n_jobs, res.seconds)

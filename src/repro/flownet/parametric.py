@@ -14,16 +14,14 @@ retries).  :class:`ParametricFeasibility` answers that sequence on a single
   (walk each shrunk source arc's flow back along its job→site edges),
   then the solve continues warm; no rebuild, no reset.
 
-Two structure-exploiting screens run before the flow network is touched:
+One screen runs before the flow network is touched: **dominance
+early-accept** — targets elementwise below the last verified feasible
+vector are feasible by downward closure of the region.  Every other probe,
+and so every infeasible verdict, is a flow solve.  (The site cuts a solve
+knows are enforced analytically by the AMF fill loop's own pool,
+``repro.core.amf._SiteCuts``, before it probes.)
 
-* **Dominance early-accept** — targets elementwise below the last verified
-  feasible vector are feasible by downward closure of the region.
-* **Gale–Hoffman cut screening** — stored site cuts (seeded from a
-  :class:`~repro.core.amf.CutBasis` and grown from this solve's own min
-  cuts) reject infeasible targets analytically: for a site set ``S``,
-  ``sum_i max(0, A_i - cross_i(S)) > cap(S)`` certifies infeasibility.
-
-A third preprocessing pass **folds degree-1 jobs** out of the network: a
+A preprocessing pass **folds degree-1 jobs** out of the network: a
 job supported by a single site must route its whole target through it, so
 it becomes a capacity subtraction on that site's sink arc instead of a
 node.  Min cuts of the reduced graph map back exactly (the source side of
@@ -41,11 +39,10 @@ A fresh oracle is also the cold path: ``ParametricFeasibility(cluster)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from repro._util import ABS_TOL, REL_TOL, feq
+from repro._util import ABS_TOL, feq
 from repro.flownet.arrayflow import ArrayFlowGraph
 from repro.model.cluster import Cluster
 from repro.obs.tracing import TRACER, span
@@ -59,7 +56,6 @@ class ProbeStats:
 
     probes: int = 0
     early_accepts: int = 0  # answered by the last-feasible dominance check
-    cut_rejects: int = 0  # answered analytically by a stored site cut
     warm_solves: int = 0  # flow solves continuing from existing flow
     cold_solves: int = 0  # flow solves starting from zero flow
     rollbacks: int = 0  # probes that cancelled excess flow before solving
@@ -72,8 +68,7 @@ class ProbeOutcome:
 
     On an infeasible verdict ``cut_jobs`` / ``cut_sites`` are the job / site
     indices on the source side of the minimal min cut (mapped back through
-    the degree-1 folding), or an analytically violated stored cut when
-    ``mode == "cut-reject"``; a feasible verdict carries empty sets.
+    the degree-1 folding); a feasible verdict carries empty sets.
     """
 
     feasible: bool
@@ -81,7 +76,7 @@ class ProbeOutcome:
     demanded: float
     cut_jobs: frozenset[int]
     cut_sites: frozenset[int]
-    mode: str  # "early-accept" | "cut-reject" | "flow-warm" | "flow-cold"
+    mode: str  # "early-accept" | "flow-warm" | "flow-cold"
 
 
 class ParametricFeasibility:
@@ -92,17 +87,11 @@ class ParametricFeasibility:
     cluster:
         The instance; topology and demand caps are fixed for the oracle's
         lifetime (targets are the only moving part).
-    cut_sets:
-        Site-index sets seeded into the screening pool, typically
-        ``CutBasis.instantiate(cluster)`` from the incremental solver.
 
-    Degree-1 jobs are always folded into their site's sink-arc capacity,
-    and probes are answered from stored Gale–Hoffman cuts when possible —
-    except probes with ``need_cut=True``, which bypass the screen so callers
-    get a genuinely *new* min cut (the AMF cutting-plane loop requires it).
+    Degree-1 jobs are always folded into their site's sink-arc capacity.
     """
 
-    def __init__(self, cluster: Cluster, cut_sets: Iterable[frozenset[int]] = ()):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.stats = ProbeStats()
         n, m = cluster.n_jobs, cluster.n_sites
@@ -156,67 +145,8 @@ class ParametricFeasibility:
         self._source_eids_list = self._source_eids.tolist()
         self._site_eids_list = self._site_eids.tolist()
 
-        # Screening pool (Gale–Hoffman site cuts over the *full* job set).
-        self._cut_sets: set[frozenset[int]] = set()
-        self._cut_sites_list: list[frozenset[int]] = []
-        self._cut_crosses: list[np.ndarray] = []
-        self._cut_rhs: list[float] = []
-        self._cut_mat: np.ndarray | None = None
-        self._cut_rhs_arr: np.ndarray | None = None
-        for sites in cut_sets:
-            self.observe_cut(sites)
-
         self._last_feasible: np.ndarray | None = None
         self._flow_targets: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Screening cuts
-    # ------------------------------------------------------------------
-    def observe_cut(self, sites: Iterable[int]) -> None:
-        """Add one site set to the screening pool (idempotent)."""
-        key = frozenset(int(j) for j in sites)
-        if not key or key in self._cut_sets:
-            return
-        self._cut_sets.add(key)
-        outside = np.ones(self._m, dtype=bool)
-        outside[list(key)] = False
-        self._cut_sites_list.append(key)
-        self._cut_crosses.append(self.cluster.demand_caps[:, outside].sum(axis=1))
-        self._cut_rhs.append(float(self.cluster.capacities[sorted(key)].sum()))
-        self._cut_mat = None  # invalidate the stacked cache
-
-    def _screen_reject(self, targets: np.ndarray, demanded: float) -> ProbeOutcome | None:
-        """An analytically violated stored cut, or ``None``.
-
-        The violation margin is required to clear the flow tolerance with
-        headroom, so the screen never rejects a vector the flow check would
-        (within tolerance) accept — it is a pure shortcut, not a relaxation.
-        """
-        if not self._cut_rhs:
-            return None
-        if self._cut_mat is None:
-            self._cut_mat = np.stack(self._cut_crosses)
-            self._cut_rhs_arr = np.asarray(self._cut_rhs)
-        lhs = np.maximum(targets[None, :] - self._cut_mat, 0.0).sum(axis=1)
-        # A violated cut bounds the max flow: shortfall >= excess.  feq calls
-        # the probe infeasible once the shortfall clears
-        # ``scale * max(ABS_TOL, REL_TOL * demanded)`` (delivered <= demanded),
-        # so requiring twice that margin guarantees the flow check would agree.
-        slack = 2.0 * self._scale * max(ABS_TOL, REL_TOL * abs(demanded))
-        excess = lhs - self._cut_rhs_arr
-        k = int(np.argmax(excess))
-        if excess[k] <= slack:
-            return None
-        cross = self._cut_mat[k]
-        jobs = frozenset(int(i) for i in np.flatnonzero(targets > cross + ABS_TOL))
-        return ProbeOutcome(
-            feasible=False,
-            flow_value=demanded - float(excess[k]),  # certified upper bound
-            demanded=demanded,
-            cut_jobs=jobs,
-            cut_sites=self._cut_sites_list[k],
-            mode="cut-reject",
-        )
 
     # ------------------------------------------------------------------
     # Flow-state maintenance
@@ -323,20 +253,20 @@ class ParametricFeasibility:
     def probe(self, targets: np.ndarray, *, need_cut: bool = False) -> ProbeOutcome:
         """Feasibility verdict for one aggregate target vector.
 
-        ``need_cut=True`` guarantees an infeasible verdict carries the
-        *minimal* min cut from an actual flow solve (never a replayed
-        screening cut) — required by the cutting-plane loop, which must see
-        each site set at most once.
+        An infeasible verdict always comes from a flow solve and carries
+        its *minimal* min cut — the cutting-plane loop relies on that to see
+        each site set at most once.  ``need_cut`` marks the probes whose cut
+        the caller reads; it does not change how the probe is answered.
         """
         if not TRACER.enabled:
-            return self._probe_impl(targets, need_cut=need_cut)
+            return self._probe_impl(targets)
         with span("flow.probe") as sp:
-            out = self._probe_impl(targets, need_cut=need_cut)
+            out = self._probe_impl(targets)
             sp.args["mode"] = out.mode
             sp.args["feasible"] = out.feasible
         return out
 
-    def _probe_impl(self, targets: np.ndarray, *, need_cut: bool = False) -> ProbeOutcome:
+    def _probe_impl(self, targets: np.ndarray) -> ProbeOutcome:
         targets = np.asarray(targets, dtype=float)
         st = self.stats
         st.probes += 1
@@ -353,27 +283,18 @@ class ParametricFeasibility:
                 st.early_accepts += 1
                 return ProbeOutcome(True, demanded, demanded, frozenset(), frozenset(), "early-accept")
 
-        if not need_cut:
-            rejected = self._screen_reject(targets, demanded)
-            if rejected is not None:
-                st.cut_rejects += 1
-                return rejected
-
         delivered, t_eff, load, capped, overloaded, warm = self._flow_solve(targets)
         feasible = feq(delivered, demanded, scale=self._scale)
         if feasible:
-            # ``need_cut`` promises a cut on an *infeasible* verdict; a feasible
+            # A cut is promised on an *infeasible* verdict only; a feasible
             # probe's is the (near-empty) residual reach set no caller reads,
             # so skip the reachability sweep.
             cut_jobs, cut_sites = frozenset(), frozenset()
+            self._last_feasible = targets.copy()
         else:
             cut_jobs, cut_sites = self._map_cut(
                 self._graph.reachable_from(self._src), t_eff, capped, overloaded
             )
-        if feasible:
-            self._last_feasible = targets.copy()
-        elif cut_sites:
-            self.observe_cut(cut_sites)  # future descending probes screen on it
         return ProbeOutcome(
             feasible, delivered, demanded, cut_jobs, cut_sites, "flow-warm" if warm else "flow-cold"
         )

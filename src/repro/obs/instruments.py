@@ -87,9 +87,6 @@ _AMF_COUNTERS = {
     "probes_early_accept": REGISTRY.counter(
         "repro_flow_probes_early_accept_total", "probes answered by feasible-dominance"
     ),
-    "probes_cut_reject": REGISTRY.counter(
-        "repro_flow_probes_cut_reject_total", "probes answered by a stored site cut"
-    ),
     "probes_warm": REGISTRY.counter(
         "repro_flow_probes_warm_total", "flow solves continuing from existing flow"
     ),

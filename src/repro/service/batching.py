@@ -10,6 +10,12 @@ successive solves each rendered stale by the next event.
 * a batch never exceeds ``max_batch`` events (bounding how much state can
   shift between consecutive allocations).
 
+The queue only groups events; it never rewrites them.  The daemon applies
+a drained batch event by event with
+:meth:`~repro.service.state.ClusterState.apply_all`, the call journal
+recovery replays, so a live flush and a replay reach the same state with
+the same rejections.
+
 The queue takes an injectable ``clock`` so tests and the closed-loop
 benchmark can drive it with virtual time; the HTTP daemon runs it against
 ``time.monotonic``.  Thread safety is the *caller's* job (the daemon holds
@@ -19,16 +25,14 @@ testable.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Collection, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from repro._util import require
-from repro.model.resources import ResourceError, normalize_resources
-from repro.service.state import CapacityChanged, ClusterEvent, JobArrived, JobDeparted
+from repro.service.state import ClusterEvent
 
-__all__ = ["BatchStats", "CoalescingQueue", "coalesce_batch"]
+__all__ = ["BatchStats", "CoalescingQueue"]
 
 
 @dataclass(slots=True)
@@ -38,8 +42,6 @@ class BatchStats:
     events: int = 0
     batches: int = 0
     max_batch: int = 0
-    folded: int = 0  # events cancelled by net-effect folding (coalesce_batch)
-    sizes: list[int] = field(default_factory=list)
 
     @property
     def mean_batch(self) -> float:
@@ -49,112 +51,6 @@ class BatchStats:
         self.events += size
         self.batches += 1
         self.max_batch = max(self.max_batch, size)
-        self.sizes.append(size)
-
-
-def coalesce_batch(
-    batch: list[ClusterEvent],
-    *,
-    has_job: Callable[[str], bool],
-    known_sites: Collection[str],
-) -> tuple[list[ClusterEvent], int, list[str]]:
-    """Fold a drained batch to its *net effect* on the state.
-
-    Replays the batch against a simulated presence map and emits the
-    minimal event list producing the same final state: an
-    arrive-then-depart pair vanishes, repeated capacity changes keep only
-    the last per site, a depart-then-arrive cycle of a present job becomes
-    one replacement pair.  Rejections that sequential application would
-    log (duplicate arrival, unknown departure, bad capacity) are returned
-    with the exact :class:`~repro.service.state.StateError` phrasing, so
-    the daemon's rejection log reads identically either way.
-
-    Folding is what keeps the sharded solver's delta→shard routing sharp:
-    the events that survive touch exactly the sites the batch *net*
-    touched, so untouched components keep their fingerprints — and their
-    cached shard matrices.
-
-    Returns ``(events, folded, rejections)`` where ``folded`` counts the
-    input events that no longer appear in the output.
-    """
-    # Per-job simulation: initial presence from the live state, then replay.
-    initial: dict[str, bool] = {}
-    present: dict[str, bool] = {}
-    final_job: dict[str, tuple[int, JobArrived]] = {}  # last accepted arrival per name
-    cycled: set[str] = set()  # present jobs that departed at some point
-    caps: dict[str, CapacityChanged] = {}  # last valid capacity per site
-    cap_order: list[str] = []
-    rejections: list[str] = []
-    known = set(known_sites)
-
-    def presence(name: str) -> bool:
-        if name not in initial:
-            initial[name] = present[name] = has_job(name)
-        return present[name]
-
-    for idx, event in enumerate(batch):
-        if isinstance(event, JobArrived):
-            name = event.job.name
-            if presence(name):
-                rejections.append(f"job {name!r} already present")
-                continue
-            unknown = set(event.job.workload) - known
-            if unknown:
-                rejections.append(f"job {name!r} references unknown sites {sorted(unknown)}")
-                continue
-            present[name] = True
-            final_job[name] = (idx, event)
-        elif isinstance(event, JobDeparted):
-            if presence(event.name):
-                present[event.name] = False
-                if initial[event.name]:
-                    cycled.add(event.name)
-            else:
-                rejections.append(f"unknown job {event.name!r}")
-        elif isinstance(event, CapacityChanged):
-            if event.site not in known:
-                rejections.append(f"unknown site {event.site!r}")
-                continue
-            if isinstance(event.capacity, Mapping):
-                # Vector capacity: shape checks only — whether the resource
-                # set matches the site's is the state's call (it needs the
-                # Site object, which folding deliberately does not see).
-                try:
-                    normalize_resources(event.capacity, f"site {event.site!r} capacity")
-                except ResourceError as exc:
-                    rejections.append(str(exc))
-                    continue
-            elif not (math.isfinite(event.capacity) and event.capacity > 0.0):
-                rejections.append(
-                    f"site {event.site!r}: capacity must be positive and finite, got {event.capacity}"
-                )
-                continue
-            if event.site not in caps:
-                cap_order.append(event.site)
-            caps[event.site] = event
-        else:
-            rejections.append(f"unknown event type {type(event).__name__!r}")
-
-    # Emission order must reproduce sequential application's final job
-    # order: a (re-)inserted job lands at the position of its last accepted
-    # arrival, so departures go first and arrivals follow in arrival order.
-    events: list[ClusterEvent] = []
-    arrivals: list[tuple[int, JobArrived]] = []
-    for name in initial:
-        was, now = initial[name], present[name]
-        if was and not now:
-            events.append(JobDeparted(name))
-        elif not was and now:
-            arrivals.append(final_job[name])
-        elif was and now and name in cycled:
-            # departed and re-arrived within the batch: replace, moving the
-            # job to its re-arrival position like sequential replay would
-            events.append(JobDeparted(name))
-            arrivals.append(final_job[name])
-    events.extend(ev for _, ev in sorted(arrivals))
-    for site in cap_order:
-        events.append(caps[site])
-    return events, len(batch) - len(events), rejections
 
 
 class CoalescingQueue:

@@ -7,7 +7,7 @@ same object directly with a virtual clock.  One re-solve pipeline:
 
 1. deltas land in a :class:`~repro.service.batching.CoalescingQueue`;
 2. when the batch is due (or a caller demands freshness) it is applied to
-   the :class:`~repro.service.state.ClusterState` in one step;
+   the :class:`~repro.service.state.ClusterState` event by event;
 3. the resulting snapshot is looked up in the fingerprint-keyed
    :class:`~repro.service.cache.AllocationCache`;
 4. on a miss, the :class:`~repro.core.policies.ResilientPolicy` chain
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.core.policies import PolicyFn, ResilienceStats, ResilientPolicy
 from repro.obs import instruments
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER, span
-from repro.service.batching import CoalescingQueue, coalesce_batch
+from repro.service.batching import CoalescingQueue
 from repro.service.cache import AllocationCache
 from repro.service.journal import WriteAheadJournal
 from repro.service.solver import IncrementalAmfSolver
@@ -41,6 +42,11 @@ from repro.service.state import ClusterEvent, ClusterState, JobArrived
 from repro.sim.scheduler import SolveStats
 
 __all__ = ["ServedAllocation", "ServiceClosed", "AllocationService"]
+
+#: Solves the ``/v1/stats`` latency percentiles are taken over (the most
+#: recent ones): a window keeps the stats and each publish's read of them
+#: bounded however long the daemon runs.
+SOLVE_WINDOW = 1024
 
 
 class ServiceClosed(RuntimeError):
@@ -68,8 +74,8 @@ class AllocationService:
     state:
         The mutable cluster store (must contain the sites; jobs optional).
     max_delay / max_batch:
-        Coalescing knobs — how long an event may wait, and how many may
-        fold into one re-solve.
+        Coalescing knobs — how long an event may wait, and how many one
+        re-solve may take.
     cache_size:
         LRU entries in the allocation cache.
     max_cuts:
@@ -82,9 +88,6 @@ class AllocationService:
         per-shard warm bases and a per-shard matrix cache (see
         :class:`~repro.service.solver.IncrementalAmfSolver`).  On by
         default: a delta then re-solves only the component it touches.
-    workers:
-        Fork-pool fan-out for shard solves (``None`` = serial).  The
-        allocation is identical under any worker count.
     journal:
         Optional :class:`~repro.service.journal.WriteAheadJournal`.  When
         given, every accepted delta is journaled *before* it is queued
@@ -125,17 +128,20 @@ class AllocationService:
         # passes ``oracle=args.oracle``.  There is one feasibility oracle; the
         # parameter selects nothing and goes when that harness may be edited.
         require(oracle == "parametric", f"unknown oracle {oracle!r} (the only oracle is 'parametric')")
+        # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
+        # passes ``workers=args.serve_workers or None``.  Shards are solved in
+        # the calling thread; the parameter goes when that harness may be edited.
+        require(workers is None, f"workers={workers!r}: shard solves run serially in the service")
         if observability:
             REGISTRY.enable()
             TRACER.enable()
         self.state = state
         self.queue = CoalescingQueue(max_delay=max_delay, max_batch=max_batch, clock=clock)
         self.cache = AllocationCache(max_entries=cache_size)
-        self.incremental = IncrementalAmfSolver(max_cuts=max_cuts, sharded=sharded, workers=workers)
-        self._last_touched_sites: frozenset[str] | None = frozenset()
+        self.incremental = IncrementalAmfSolver(max_cuts=max_cuts, sharded=sharded)
         self.resilience = ResilienceStats()
         self.policy = ResilientPolicy(self.incremental, fallbacks, stats=self.resilience)
-        self.solve_stats = SolveStats()
+        self.solve_stats = SolveStats(samples=deque(maxlen=SOLVE_WINDOW))
         self.rejections: list[str] = []  # bounded log of deltas the state refused
         self.max_rejections = 200
         self.events_accepted = 0
@@ -203,21 +209,15 @@ class AllocationService:
             if not batch:
                 return 0
             t0 = time.perf_counter()
-            version_before = self.state.version
-            # Net-effect folding: only the surviving deltas hit the state,
-            # so untouched shards keep their fingerprints (and their cached
-            # matrices); fold-time rejections replicate what sequential
-            # application would have logged.
-            events, folded, fold_rejected = coalesce_batch(
-                batch, has_job=self.state.has_job, known_sites=self.state.site_names
-            )
-            self.queue.stats.folded += folded
-            applied, rejected = self.state.apply_all(events)
-            self._last_touched_sites = self.state.touched_sites_since(version_before)
+            # Event by event, as journal recovery replays it.  A shard's
+            # matrix is cached by its sub-cluster fingerprint, which depends
+            # on the final state only, so a batch re-solves exactly the
+            # shards whose final state it changed.
+            applied, rejected = self.state.apply_all(batch)
             instruments.record_queue_flush(len(batch), time.perf_counter() - t0)
             if REGISTRY.enabled:
                 instruments.QUEUE_DEPTH.set(len(self.queue))
-            for message in (*fold_rejected, *rejected):
+            for message in rejected:
                 self.events_rejected += 1
                 if len(self.rejections) < self.max_rejections:
                     self.rejections.append(message)
@@ -225,7 +225,7 @@ class AllocationService:
                     self.rejections_dropped += 1
             if self.journal is not None:
                 # The queue is empty and every journaled event <= seq is
-                # folded into the state — the only moment a checkpoint is
+                # applied to the state — the only moment a checkpoint is
                 # sound.  sync() first: group commit must not outlive the
                 # batch that rode on it.
                 self.journal.sync()
@@ -307,8 +307,7 @@ class AllocationService:
     def close(self) -> None:
         """Graceful shutdown: drain the queue, then refuse new work.
 
-        The pending batch is applied to the state first — so the
-        touched-sites journal records every accepted delta and a restart
+        The pending batch is applied to the state first — so a restart
         from the same state store resumes exactly where the daemon
         stopped — then :class:`ServiceClosed` guards all intake/serve
         paths (HTTP answers 503).  Idempotent.
@@ -360,7 +359,10 @@ class AllocationService:
                     # parametric-oracle reuse breakdown (docs/performance.md)
                     "probes_reused": inc.probes_reused,
                     "probes_early_accept": inc.probes_early_accept,
-                    "probes_cut_reject": inc.probes_cut_reject,
+                    # Vestige with one reader: benchmarks/ledger/metrics.py's
+                    # parametric.cut_reject row.  The oracle has no cut
+                    # screen; the field reads 0 until that harness is edited.
+                    "probes_cut_reject": 0,
                     "probes_warm": inc.probes_warm,
                     "probes_cold": inc.probes_cold,
                     "probe_rollbacks": inc.probe_rollbacks,
@@ -380,25 +382,22 @@ class AllocationService:
                 "batching": {
                     "batches": self.queue.stats.batches,
                     "coalesced_events": self.queue.stats.events,
-                    "folded_events": self.queue.stats.folded,
+                    # Vestige with one reader: benchmarks/ledger/metrics.py's
+                    # batching.folded row.  Batches are applied as drained;
+                    # the field reads 0 until that harness is edited.
+                    "folded_events": 0,
                     "mean_batch": self.queue.stats.mean_batch,
                     "max_batch": self.queue.stats.max_batch,
                     "max_delay": self.queue.max_delay,
                 },
                 "sharding": {
                     "enabled": self.incremental.sharded,
-                    "workers": self.incremental.workers,
                     "last_shards": inc.last_shards,
                     "shard_solves": inc.shard_solves,
                     "shard_cache_hits": inc.shard_cache_hits,
                     "shard_cache_misses": inc.shard_cache_misses,
                     "shard_cache_entries": self.incremental.shard_cache_entries,
                     "shard_bases": len(self.incremental.bases),
-                    "last_touched_sites": (
-                        None
-                        if self._last_touched_sites is None
-                        else sorted(self._last_touched_sites)
-                    ),
                 },
                 "resilience": {
                     "solves": self.resilience.solves,

@@ -70,7 +70,6 @@ class IncrementalStats:
     rounds: int = 0
     # parametric-oracle reuse breakdown
     probes_early_accept: int = 0  # probes answered by feasible-dominance
-    probes_cut_reject: int = 0  # probes answered by a stored site cut
     probes_warm: int = 0  # flow solves continuing from existing flow
     probes_cold: int = 0  # flow solves starting from zero flow
     probe_rollbacks: int = 0  # probes that cancelled flow before solving
@@ -88,7 +87,7 @@ class IncrementalStats:
     @property
     def probes_reused(self) -> int:
         """Probes that avoided a cold flow solve (the warm-reuse headline)."""
-        return self.probes_early_accept + self.probes_cut_reject + self.probes_warm
+        return self.probes_early_accept + self.probes_warm
 
     def merge(self, diag: AmfDiagnostics) -> None:
         self.feasibility_solves += diag.feasibility_solves
@@ -96,7 +95,6 @@ class IncrementalStats:
         self.warm_cuts_seeded += diag.warm_cuts_seeded
         self.rounds += diag.rounds
         self.probes_early_accept += diag.probes_early_accept
-        self.probes_cut_reject += diag.probes_cut_reject
         self.probes_warm += diag.probes_warm
         self.probes_cold += diag.probes_cold
         self.probe_rollbacks += diag.probe_rollbacks
@@ -123,10 +121,6 @@ class IncrementalAmfSolver:
         Solve connected components independently with per-shard bases and a
         per-shard matrix cache (see module docstring).  Off by default — the
         monolithic path is the reference; the daemon opts in.
-    workers:
-        Fork-pool fan-out for shard solves (``None`` = serial; see
-        :func:`repro.analysis.parallel.parallel_map`).  Results are
-        bit-identical under any worker count.
     shard_cache_size:
         LRU bound on the per-shard matrix cache (entries are sub-cluster
         fingerprints, i.e. one per distinct component state seen).
@@ -138,14 +132,12 @@ class IncrementalAmfSolver:
         *,
         persistent: bool = True,
         sharded: bool = False,
-        workers: int | None = None,
         shard_cache_size: int = 256,
     ):
         require(shard_cache_size >= 1, "shard_cache_size must be at least 1")
         self.basis = CutBasis(max_cuts=max_cuts)
         self.persistent = persistent
         self.sharded = sharded
-        self.workers = workers
         self.shard_cache_size = shard_cache_size
         self.bases = ShardBasisPool(max_cuts=max_cuts)
         self._shard_matrices: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -219,12 +211,7 @@ class IncrementalAmfSolver:
             self.stats.shard_cache_hits += hits
             self.stats.shard_cache_misses += len(misses)
             record_shard_cache(hits=hits, misses=len(misses))
-            results = solve_shards(
-                misses,
-                bases=self.bases,
-                workers=self.workers,
-                resource_totals=totals,
-            )
+            results = solve_shards(misses, bases=self.bases, resource_totals=totals)
             for res in results:
                 merge_diagnostics(diag, res.diagnostics)
                 record_shard_solve(res.shard.n_jobs, res.seconds)

@@ -14,7 +14,6 @@ models, carried over HTTP, or replayed from a trace.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -89,9 +88,6 @@ class ClusterState:
     service's allocation cache effective.
     """
 
-    #: How many per-version touch records :meth:`touched_sites_since` keeps.
-    JOURNAL_LIMIT = 1024
-
     def __init__(self, sites: Iterable[Site], jobs: Iterable[Job] = ()):
         self._sites: dict[str, Site] = {}
         for site in sites:
@@ -101,11 +97,9 @@ class ClusterState:
         self._jobs: dict[str, Job] = {}
         self.version = 0
         self._snapshot: Cluster | None = None
-        self._touched: deque[tuple[int, frozenset[str]]] = deque(maxlen=self.JOURNAL_LIMIT)
         for job in jobs:
             self.add_job(job)
         self.version = 0
-        self._touched.clear()
 
     # ------------------------------------------------------------------
     @property
@@ -130,10 +124,9 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Deltas
     # ------------------------------------------------------------------
-    def _mutated(self, touched: frozenset[str]) -> None:
+    def _mutated(self) -> None:
         self.version += 1
         self._snapshot = None
-        self._touched.append((self.version, touched))
 
     def offered_resources(self) -> frozenset[str]:
         """Resource names any site currently offers (``{"slots"}`` when scalar)."""
@@ -155,14 +148,14 @@ class ClusterState:
                 f"(sites offer {sorted(self.offered_resources())})"
             )
         self._jobs[job.name] = job
-        self._mutated(frozenset(job.workload))
+        self._mutated()
 
     def remove_job(self, name: str) -> Job:
         try:
             job = self._jobs.pop(name)
         except KeyError:
             raise StateError(f"unknown job {name!r}") from None
-        self._mutated(frozenset(job.workload))
+        self._mutated()
         return job
 
     def set_capacity(self, site: str, capacity: float | Mapping[str, float]) -> None:
@@ -188,7 +181,7 @@ class ClusterState:
                     f"{sorted(old.resource_vector)}"
                 )
             self._sites[site] = Site(old.name, float(capacity), old.tags)
-        self._mutated(frozenset((site,)))
+        self._mutated()
 
     def validate_event(self, event: ClusterEvent) -> None:
         """Resource-shape checks whose verdict cannot change between submit
@@ -239,6 +232,7 @@ class ClusterState:
         Batch application is best-effort per event: a rejected delta is
         reported, not fatal, because coalesced batches routinely contain a
         departure for a job whose arrival was rejected moments earlier.
+        The daemon's flush and journal recovery both apply batches here.
         """
         applied = 0
         rejections: list[str] = []
@@ -249,27 +243,6 @@ class ClusterState:
             except (StateError, ResourceError) as exc:
                 rejections.append(str(exc))
         return applied, rejections
-
-    # ------------------------------------------------------------------
-    def touched_sites_since(self, version: int) -> frozenset[str] | None:
-        """Sites any delta touched after ``version`` (the delta→shard router).
-
-        An arrival or departure touches its workload's sites; a capacity
-        change touches one site.  The sharded solver only re-solves the
-        components whose site sets intersect this — every other shard's
-        sub-cluster fingerprint is provably unchanged.  Returns ``None``
-        when the bounded journal no longer covers ``version`` (caller must
-        assume everything changed); the journal keeps the last
-        :data:`JOURNAL_LIMIT` mutations, far beyond any coalesced batch.
-        """
-        if version >= self.version:
-            return frozenset()
-        relevant = [sites for v, sites in self._touched if v > version]
-        # coverage check: every version in (version, self.version] must be
-        # journaled, i.e. the journal reaches back to version + 1
-        if len(relevant) < self.version - version:
-            return None
-        return frozenset().union(*relevant) if relevant else frozenset()
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Cluster:

@@ -10,6 +10,7 @@ records per-solve wall time and instance size, feeding experiment X2
 from __future__ import annotations
 
 import time
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +22,18 @@ from repro.model.cluster import Cluster
 
 @dataclass(slots=True)
 class SolveStats:
-    """Aggregated statistics over all solves of one wrapped policy."""
+    """Aggregated statistics over all solves of one wrapped policy.
+
+    ``samples`` keeps every solve's wall time by default; a bounded
+    ``deque`` keeps the most recent ones only (the service daemon's window),
+    and :meth:`percentile_ms` is then over that window.
+    """
 
     solves: int = 0
     total_seconds: float = 0.0
     max_seconds: float = 0.0
     total_jobs_seen: int = 0
-    samples: list[float] = field(default_factory=list)
+    samples: MutableSequence[float] = field(default_factory=list)
 
     @property
     def mean_ms(self) -> float:

@@ -316,7 +316,7 @@ class TestDiagnostics:
         d = AmfDiagnostics()
         with pytest.raises(RuntimeError, match="mid-fill fault"):
             amf_levels(two_site_cluster, diagnostics=d)
-        folded = d.probes_early_accept + d.probes_cut_reject + d.probes_warm + d.probes_cold
+        folded = d.probes_early_accept + d.probes_warm + d.probes_cold
         assert folded >= 1
 
     def test_solve_amf_policy_label(self, two_site_cluster):

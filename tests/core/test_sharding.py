@@ -5,15 +5,15 @@ connected component of the job-site bipartite graph independently yields
 the *same* allocation as the monolithic solve (the feasible region is a
 product of component-local regions, so the leximin decomposes).  The
 hypothesis suite here pins that equivalence — including the degenerate
-extremes (one big component; every job its own component) — plus exact
-serial-vs-parallel agreement and the warm-basis pool mechanics.
+extremes (one big component; every job its own component) — plus the
+warm-basis pool mechanics, and that shards are solved in the calling
+process.
 """
 
 import multiprocessing
 import os
+import pickle
 import tempfile
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -203,16 +203,13 @@ class TestSubset:
         for shard in decompose(ok):
             assert_same_cluster(shard.cluster, validated_build(ok, shard))
 
-    def test_subset_survives_the_fork_pool_round_trip(self):
+    def test_subset_survives_a_pickle_round_trip(self):
         cluster = block_cluster([(3, 2), (2, 3), (2, 2)], seed=9)
-        shards = decompose(cluster)
-        serial = solve_shards(shards, workers=None)
-        with proven_fan_out():
-            fanned = solve_shards(shards, workers=2)
-        for shard, near, far in zip(shards, serial, fanned):
-            assert far.shard.cluster is not shard.cluster  # it really was pickled back
-            assert_same_cluster(far.shard.cluster, shard.cluster)
-            np.testing.assert_array_equal(far.matrix, near.matrix)
+        for shard in decompose(cluster):
+            back = pickle.loads(pickle.dumps(shard))
+            assert back.cluster is not shard.cluster
+            assert_same_cluster(back.cluster, shard.cluster)
+            np.testing.assert_array_equal(solve_amf(back.cluster).matrix, solve_amf(shard.cluster).matrix)
 
 
 class TestStitch:
@@ -300,80 +297,39 @@ class TestEquivalence:
             solve_amf(cluster, shards=True, basis=CutBasis())
 
 
-@contextmanager
-def proven_fan_out():
-    """Fail unless >= 2 worker processes ran ``_solve_shard`` inside the block.
-
-    A test about parallelism must not pass serially: a forked worker holds
-    its first shard until a second worker has checked in, so a pool that
-    engaged always shows >= 2 worker PIDs, and one that silently degraded
-    to the serial path shows only the parent's.
+def test_shard_solves_stay_in_the_calling_process(monkeypatch):
+    """A raised process-wide worker default (``REPRO_WORKERS`` /
+    ``set_default_workers``, which experiment sweeps read) must not reach
+    the shard-solve path: the service's solver and ``solve_amf(shards=True)``
+    both solve every shard in the calling process.  Where a fork pool could
+    engage (>= 2 cores and fork), a fanned-out solve would show other PIDs.
     """
     if (os.cpu_count() or 1) < 2:
-        pytest.skip("fan-out needs >= 2 cores (parallel_map caps workers at os.cpu_count())")
+        pytest.skip("a fork pool needs >= 2 cores to engage")
     if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fan-out needs the fork start method")
-    parent = os.getpid()
+        pytest.skip("a fork pool needs the fork start method")
+    from repro.analysis.parallel import set_default_workers
+    from repro.service.solver import IncrementalAmfSolver
+
+    cluster = block_cluster([(3, 2), (2, 3), (2, 2)], seed=9)
     real = sharding._solve_shard
     with tempfile.TemporaryDirectory() as seen:
+        calls = Path(seen, "pids")
 
         def recorded(*args, **kwargs):
-            Path(seen, str(os.getpid())).touch()
-            deadline = time.monotonic() + 10.0
-            while os.getpid() != parent and len(os.listdir(seen)) < 2 and time.monotonic() < deadline:
-                time.sleep(0.001)
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return real(*args, **kwargs)
 
-        sharding._solve_shard = recorded
+        monkeypatch.setattr(sharding, "_solve_shard", recorded)
+        set_default_workers(4)
         try:
-            yield
+            IncrementalAmfSolver(sharded=True)(cluster)
+            solve_amf(cluster, shards=True)
         finally:
-            sharding._solve_shard = real
-        workers = {int(name) for name in os.listdir(seen)} - {parent}
-    assert len(workers) >= 2, f"shards were solved by worker PIDs {workers}: the pool never engaged"
-
-
-class TestParallelAgreement:
-    @settings(max_examples=10, deadline=None)
-    @given(blocks=_blocks.filter(lambda b: len(b) >= 2), seed=st.integers(0, 2**16))
-    def test_serial_equals_parallel_bitwise(self, blocks, seed):
-        cluster = block_cluster(blocks, seed=seed)
-        serial = solve_amf_sharded(cluster, workers=None)
-        with proven_fan_out():
-            fanned = solve_amf_sharded(cluster, workers=4)
-        np.testing.assert_array_equal(serial.matrix, fanned.matrix)
-
-    def test_discovered_cuts_fold_back_identically(self):
-        # a tight cluster that generates cuts; the basis pool must end up
-        # with the same cut sets whether shards ran serial or fanned
-        cluster = block_cluster([(3, 2), (3, 2)], seed=11)
-        serial, fanned = ShardBasisPool(), ShardBasisPool()
-        solve_amf_sharded(cluster, bases=serial, workers=None)
-        with proven_fan_out():
-            solve_amf_sharded(cluster, bases=fanned, workers=4)
-        assert {k: b.sets() for k, b in serial.items()} == {k: b.sets() for k, b in fanned.items()}
-
-    def test_vector_shards_fan_out_through_solve_amf(self):
-        # Two irreducible (crossing-dominance) cpu/mem components, so the
-        # AMRF engine runs per shard: ``solve_amf(shards=True, workers=)``
-        # must reach the same fork pool as the scalar path.
-        sites, jobs = [], []
-        for b, cpu in enumerate((8.0, 2.0)):
-            sites += [
-                Site(f"b{b}a", {"cpu": cpu, "mem": 2 * cpu}),
-                Site(f"b{b}b", {"cpu": cpu / 2, "mem": 4 * cpu}),
-            ]
-            both = {f"b{b}a": 100.0, f"b{b}b": 100.0}
-            jobs += [
-                Job(f"b{b}j0", both, resources={"cpu": 1.0, "mem": 4.0}),
-                Job(f"b{b}j1", both, resources={"cpu": 4.0, "mem": 1.0}),
-            ]
-        vec = Cluster(sites, jobs)
-        serial = solve_amf_sharded(vec)
-        with proven_fan_out():
-            fanned = solve_amf(vec, shards=True, workers=4)
-        np.testing.assert_array_equal(serial.matrix, fanned.matrix)
-        assert fanned.policy == "amrf"
+            set_default_workers(None)
+        pids = calls.read_text().split()
+    assert pids == [str(os.getpid())] * 6
 
 
 class TestShardBasisPool:
@@ -397,10 +353,10 @@ class TestShardBasisPool:
         cluster = block_cluster([(3, 2), (3, 2)], seed=11)
         shards = decompose(cluster)
         pool = ShardBasisPool()
-        first = solve_shards(shards, bases=pool, workers=None)
+        first = solve_shards(shards, bases=pool)
         warm_total = sum(r.diagnostics.warm_cuts_seeded for r in first)
         assert warm_total == 0  # cold pool: nothing to seed
-        second = solve_shards(shards, bases=pool, workers=None)
+        second = solve_shards(shards, bases=pool)
         for cold, warm in zip(first, second):
             np.testing.assert_array_equal(cold.matrix, warm.matrix)
 

@@ -8,8 +8,6 @@ under ``src/`` imports it."""
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.flownet.arrayflow import ArrayFlowGraph
@@ -17,7 +15,7 @@ from repro.flownet.parametric import ParametricFeasibility, ProbeStats
 from repro.model.cluster import Cluster
 
 
-def reference_init(self, cluster: Cluster, cut_sets: Iterable[frozenset[int]] = ()):
+def reference_init(self, cluster: Cluster):
     self.cluster = cluster
     self.stats = ProbeStats()
     n, m = cluster.n_jobs, cluster.n_sites
@@ -83,16 +81,6 @@ def reference_init(self, cluster: Cluster, cut_sets: Iterable[frozenset[int]] = 
     self._sup_eids = np.asarray(sup_eids, dtype=np.int64)
     self._sup_job = np.asarray(sup_job, dtype=np.int64)
     self._sup_site = np.asarray(sup_site, dtype=np.int64)
-
-    # Screening pool (Gale–Hoffman site cuts over the *full* job set).
-    self._cut_sets: set[frozenset[int]] = set()
-    self._cut_sites_list: list[frozenset[int]] = []
-    self._cut_crosses: list[np.ndarray] = []
-    self._cut_rhs: list[float] = []
-    self._cut_mat: np.ndarray | None = None
-    self._cut_rhs_arr: np.ndarray | None = None
-    for sites in cut_sets:
-        self.observe_cut(sites)
 
     self._last_feasible: np.ndarray | None = None
     self._flow_targets: np.ndarray | None = None

@@ -5,8 +5,8 @@ The acceptance bar for the warm engine: on any probe sequence, the
 *bit-identical* to what a cold ``build_network(...).solve()`` on the
 dict-keyed reference stack (fresh pointer graph + Dinic from zero flow)
 returns for the same targets — no matter in which order the probes
-arrive, and which internal answer mode (early-accept, cut-reject, warm or
-cold flow) produced the verdict.
+arrive, and which internal answer mode (early-accept, warm or cold flow)
+produced the verdict.
 """
 
 import numpy as np
@@ -212,24 +212,12 @@ def test_single_job_single_site():
     assert oracle.probe(np.array([0.0])).feasible
 
 
-def test_observed_cut_screens_without_flow_solve():
-    cluster = Cluster.from_matrices([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
-    oracle = ParametricFeasibility(cluster)
-    oracle.observe_cut({0, 1})  # total capacity 2.0
-    out = oracle.probe(np.array([5.0, 5.0]))
-    assert not out.feasible
-    assert out.mode == "cut-reject"
-    assert oracle.stats.cut_rejects == 1
-    # the screen is advisory only: the verdict still matches a cold solve
-    assert _cold_outcome(cluster, [5.0, 5.0]).feasible is False
-
-
 class _ColdFeasibility:
     """The reference oracle behind the solver's probe interface: every
     probe and every realization is a fresh ``FeasibilityNetwork`` + Dinic
-    from zero flow — no warm flow, no screens, no folding."""
+    from zero flow — no warm flow, no early accept, no folding."""
 
-    def __init__(self, cluster, cut_sets=()):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.stats = ProbeStats()
 

@@ -266,13 +266,10 @@ class TestShutdownRace:
             w.join(timeout=30)
         assert not any(w.is_alive() for w in workers)
         assert set(results) <= {202, 503}
-        # every accepted event is either applied or folded away - nothing
+        # every accepted event is either applied or rejected - nothing
         # half-applied, nothing lost
         assert service.closed
-        assert (
-            service.events_accepted
-            == service.state.version + service.events_rejected + service.queue.stats.folded
-        )
+        assert service.events_accepted == service.state.version + service.events_rejected
 
     def test_shutdown_is_idempotent_and_closes_service(self, server):
         service = server.service

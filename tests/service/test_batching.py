@@ -1,4 +1,7 @@
-"""CoalescingQueue on a fully controlled virtual clock."""
+"""CoalescingQueue on a fully controlled virtual clock, and what the daemon
+does with a drained batch."""
+
+import pickle
 
 import pytest
 
@@ -81,7 +84,19 @@ class TestDrainAndStats:
         assert q.stats.events == 5
         assert q.stats.max_batch == 3
         assert q.stats.mean_batch == pytest.approx(2.5)
-        assert q.stats.sizes == [2, 3]
+
+    def test_stats_stay_the_same_size_however_many_drains(self):
+        """The counters are all the stats keep: no per-batch record grows
+        with uptime.  (300 and 10 000 drains both pickle their counts as
+        two-byte ints, so equal lengths mean nothing else was kept.)"""
+        q, _ = make_queue(max_delay=0.0)
+        sizes = {}
+        for n in range(1, 10_001):
+            q.push(JobDeparted("x"))
+            q.drain()
+            if n in (300, 10_000):
+                sizes[n] = len(pickle.dumps(q.stats))
+        assert sizes[300] == sizes[10_000]
 
     def test_empty_drain_not_counted(self):
         q, _ = make_queue()
@@ -97,28 +112,26 @@ class TestValidation:
             CoalescingQueue(max_batch=0)
 
 
-# -- net-effect folding -------------------------------------------------
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+# -- a drained batch applied by the daemon -------------------------------
 
 from repro.model.job import Job  # noqa: E402
 from repro.model.site import Site  # noqa: E402
-from repro.service.batching import coalesce_batch  # noqa: E402
+from repro.service.daemon import AllocationService  # noqa: E402
 from repro.service.state import CapacityChanged, ClusterState, JobArrived  # noqa: E402
 
-_SITES = ("a", "b")
+
+def make_state(jobs=(), sites=(("a", 2.0), ("b", 3.0))):
+    return ClusterState([Site(name, cap) for name, cap in sites], jobs)
 
 
-def make_state(jobs=()):
-    state = ClusterState([Site("a", 2.0), Site("b", 3.0)])
-    for job in jobs:
-        state.add_job(job)
-    return state
-
-
-def fold(batch, state):
-    return coalesce_batch(batch, has_job=state.has_job, known_sites=state.site_names)
+def flush(batch, state):
+    """Queue ``batch`` on a daemon over ``state``, flush it as one batch and
+    return the daemon's rejection log."""
+    service = AllocationService(state, max_delay=60.0, observability=False)
+    service.submit_all(batch)
+    service.flush(force=True)
+    assert service.events_accepted == state.version + service.events_rejected
+    return service.rejections
 
 
 def arrive(name, site="a"):
@@ -126,90 +139,86 @@ def arrive(name, site="a"):
 
 
 class TestCoalesceBatch:
+    """A coalesced batch leaves the state, and the rejection log, exactly
+    where applying its events one by one does."""
+
     def test_arrive_then_depart_vanishes(self):
         state = make_state()
-        events, folded, rejections = fold([arrive("x"), JobDeparted("x")], state)
-        assert events == [] and folded == 2 and rejections == []
+        assert flush([arrive("x"), JobDeparted("x")], state) == []
+        assert state.job_names == [] and state.version == 2
 
     def test_last_capacity_wins(self):
         state = make_state()
         batch = [CapacityChanged("a", 1.0), CapacityChanged("a", 2.0), CapacityChanged("a", 3.0)]
-        events, folded, _ = fold(batch, state)
-        assert events == [CapacityChanged("a", 3.0)] and folded == 2
+        assert flush(batch, state) == []
+        assert state.snapshot().site("a").capacity == 3.0
 
     def test_invalid_capacity_does_not_shadow_valid(self):
         state = make_state()
-        batch = [CapacityChanged("a", 2.0), CapacityChanged("a", -1.0)]
-        events, _, rejections = fold(batch, state)
-        assert events == [CapacityChanged("a", 2.0)]
+        rejections = flush([CapacityChanged("a", 2.5), CapacityChanged("a", -1.0)], state)
         assert rejections == ["site 'a': capacity must be positive and finite, got -1.0"]
+        assert state.snapshot().site("a").capacity == 2.5
 
     def test_present_job_cycle_becomes_replacement_pair(self):
-        job = Job("x", {"a": 1.0})
-        state = make_state([job])
-        replacement = arrive("x", site="b")
-        events, folded, rejections = fold([JobDeparted("x"), replacement], state)
-        assert events == [JobDeparted("x"), replacement] and folded == 0 and rejections == []
+        state = make_state([Job("x", {"a": 1.0}), Job("y", {"a": 1.0})])
+        assert flush([JobDeparted("x"), arrive("x", site="b")], state) == []
+        # the re-arrived job takes its new spec and its re-arrival position
+        assert state.job_names == ["y", "x"]
+        assert dict(state.snapshot().job("x").workload) == {"b": 1.0}
 
     def test_duplicate_arrival_rejected_with_state_phrasing(self):
         state = make_state([Job("x", {"a": 1.0})])
-        events, _, rejections = fold([arrive("x")], state)
-        assert events == [] and rejections == ["job 'x' already present"]
+        assert flush([arrive("x")], state) == ["job 'x' already present"]
 
     def test_unknown_site_arrival_rejected(self):
         state = make_state()
-        events, _, rejections = fold([arrive("x", site="zz")], state)
-        assert events == []
-        assert rejections == ["job 'x' references unknown sites ['zz']"]
+        assert flush([arrive("x", site="zz")], state) == ["job 'x' references unknown sites ['zz']"]
+        assert state.job_names == []
 
     def test_unknown_departure_rejected(self):
-        state = make_state()
-        _, _, rejections = fold([JobDeparted("ghost")], state)
-        assert rejections == ["unknown job 'ghost'"]
+        assert flush([JobDeparted("ghost")], make_state()) == ["unknown job 'ghost'"]
 
     def test_unknown_capacity_site_rejected(self):
-        state = make_state()
-        _, _, rejections = fold([CapacityChanged("zz", 1.0)], state)
-        assert rejections == ["unknown site 'zz'"]
+        assert flush([CapacityChanged("zz", 1.0)], make_state()) == ["unknown site 'zz'"]
 
 
-@st.composite
-def random_batches(draw):
-    names = ["x", "y", "z"]
-    initial = draw(st.sets(st.sampled_from(names)))
-    events = []
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["arrive", "depart", "capacity"]))
-        if kind == "arrive":
-            name = draw(st.sampled_from(names))
-            site = draw(st.sampled_from([*_SITES, "zz"]))
-            events.append(JobArrived(Job(name, {site: draw(st.floats(0.1, 2.0))})))
-        elif kind == "depart":
-            events.append(JobDeparted(draw(st.sampled_from(names))))
-        else:
-            site = draw(st.sampled_from([*_SITES, "zz"]))
-            cap = draw(st.sampled_from([1.0, 2.5, 0.0, -1.0, float("inf")]))
-            events.append(CapacityChanged(site, cap))
-    return sorted(initial), events
+def test_mixed_batch_is_applied_as_drained_and_routes_one_shard():
+    """One flush of every case at once: an arrive/depart pair, a present
+    job's depart/re-arrive cycle, two capacity changes to one site, a
+    duplicate arrival and an unknown departure.  The state and rejections
+    are ``apply_all`` of the raw batch, and only the shard the batch
+    changed re-solves: the other two replay from the shard matrix cache."""
+    sites = (("a", 2.0), ("b", 3.0), ("c", 1.0), ("d", 4.0))
+    jobs = [
+        Job("x", {"a": 1.0, "b": 2.0}),
+        Job("y", {"b": 1.0}),
+        Job("z", {"c": 2.0}),
+        Job("w", {"d": 1.0}),
+    ]
+    batch = [
+        arrive("t"),
+        JobDeparted("x"),
+        CapacityChanged("b", 1.5),
+        JobDeparted("t"),
+        JobArrived(Job("x", {"a": 3.0, "b": 1.0})),
+        arrive("y"),
+        CapacityChanged("b", 2.5),
+        JobDeparted("ghost"),
+    ]
+    reference = make_state(jobs, sites)
+    _, want = reference.apply_all(batch)
 
+    state = make_state(jobs, sites)
+    service = AllocationService(state, max_delay=60.0, observability=False)
+    service.allocation()  # three job-bearing shards solved and cached
+    before = service.stats()["sharding"]
+    service.submit_all(batch)
+    service.allocation()
+    after = service.stats()["sharding"]
 
-class TestFoldingEquivalence:
-    """The folded batch must leave the state exactly where sequential
-    application would — same snapshot, same rejection log."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(random_batches())
-    def test_net_effect_and_rejections_identical(self, script):
-        initial, batch = script
-        seed = [Job(n, {"a": 1.0}) for n in initial]
-        sequential = make_state(seed)
-        folded_state = make_state(seed)
-
-        _, seq_rejections = sequential.apply_all(batch)
-        events, folded, fold_rejections = fold(batch, folded_state)
-        applied, late_rejections = folded_state.apply_all(events)
-
-        assert late_rejections == []  # surviving events always apply cleanly
-        assert fold_rejections == seq_rejections
-        assert folded == len(batch) - len(events)
-        assert folded_state.snapshot().fingerprint() == sequential.snapshot().fingerprint()
+    assert want == ["job 'y' already present", "unknown job 'ghost'"]
+    assert service.rejections == want
+    assert state.snapshot().fingerprint() == reference.snapshot().fingerprint()
+    assert state.version == reference.version == 6
+    assert after["shard_cache_hits"] - before["shard_cache_hits"] == 2
+    assert after["shard_cache_misses"] - before["shard_cache_misses"] == 1

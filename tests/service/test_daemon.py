@@ -6,7 +6,7 @@ import pytest
 from repro.core.amf import solve_amf
 from repro.model.job import Job
 from repro.model.site import Site
-from repro.service.daemon import AllocationService
+from repro.service.daemon import SOLVE_WINDOW, AllocationService
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
 
 
@@ -155,6 +155,15 @@ class TestValidation:
         with pytest.raises(TypeError):
             AllocationService(state, pool=object())
 
+    def test_shard_solves_take_no_workers(self):
+        # the ledger harness still passes workers=None; nothing else is taken
+        state = ClusterState([Site("a", 1.0)])
+        AllocationService(state, workers=None, observability=False)
+        with pytest.raises(ValueError, match="serially"):
+            AllocationService(state, workers=2, observability=False)
+        sharding = AllocationService(state, observability=False).stats()["sharding"]
+        assert "workers" not in sharding and "last_touched_sites" not in sharding
+
 
 class TestAccountingRegressions:
     """Pinning tests for the PR-9 service-edge bugfix sweep."""
@@ -197,6 +206,20 @@ class TestAccountingRegressions:
         # the daemon keeps working after the failed request
         service.submit(JobArrived(Job("late", {"b": 1.0})))
         assert service.allocation().allocation.cluster.n_jobs == 3
+
+    def test_latency_samples_stay_in_a_window(self):
+        # every solve used to append one float for the life of the process,
+        # and every /v1/stats read sorted all of them
+        service, _ = make_service()
+        service.submit(JobArrived(Job("x", {"a": 1.0})))
+        service.allocation()
+        for _ in range(20_000):
+            service.solve_stats.record(0.002, 1)
+        assert service.solve_stats.solves == 20_001
+        assert len(service.solve_stats.samples) == SOLVE_WINDOW
+        solver = service.stats()["solver"]
+        assert solver["solves"] == 20_001
+        assert solver["p50_ms"] == pytest.approx(2.0) and solver["p99_ms"] == pytest.approx(2.0)
 
     def test_uptime_uses_injected_clock(self):
         # uptime came from time.time() while everything else used the

@@ -53,6 +53,25 @@ class TestParser:
         err = capsys.readouterr().err
         assert "invalid choice" in err or "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # shard solves run serially: solve has no fan-out flag ...
+            ["solve", "--shards", "--workers", "2"],
+            # ... and serve's hidden vestige takes only 0
+            ["serve", "--workers", "2"],
+        ],
+    )
+    def test_shard_fan_out_is_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_serve_still_parses_zero_workers(self):
+        # benchmarks/ledger/client.py reads args.serve_workers off this parser
+        assert build_parser().parse_args(["serve", "--workers", "0"]).serve_workers == 0
+        assert build_parser().parse_args(["serve"]).serve_workers == 0
+
     def test_serve_still_parses_the_one_oracle(self):
         # benchmarks/ledger/client.py reads args.oracle off this parser
         assert build_parser().parse_args(["serve", "--oracle", "parametric"]).oracle == "parametric"
