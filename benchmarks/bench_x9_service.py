@@ -3,10 +3,10 @@
 Closed-loop load generator (arrivals + exponential sojourns) driving the
 full service pipeline — coalescing queue, fingerprint cache, warm-started
 incremental AMF behind the resilient chain — on a virtual clock.  Every
-warm solution is verified against a cold solve of the identical snapshot
-through the identical pipeline (docs/service.md).  Claims: incremental ==
-cold exactly, and the persisted cut basis makes warm re-solves measurably
-faster (fewer max-flow feasibility probes per solve).
+warm solution is verified against a cold ``solve_amf`` of the identical
+snapshot behind the same resilient chain (docs/service.md).  Claims:
+incremental == cold, and the persisted per-shard cut pools make warm
+re-solves measurably faster (fewer max-flow feasibility probes per solve).
 """
 
 from repro.analysis.experiments import run_x9_service

@@ -1018,16 +1018,19 @@ def run_x9_service(
     serving traffic that hits the allocation cache.
 
     Every warm solution is checked against a cold oracle on the identical
-    snapshot: the *same* resilient pipeline (validation, diagnostics,
-    allocation plumbing) built around an :class:`IncrementalAmfSolver` with
-    ``persistent=False``, so the timed A/B differs **only** in whether the
-    cutting-plane basis survives between solves.  The experiment thus
-    simultaneously *proves* incremental == cold and *measures* what the
-    warm start, the batching and the cache each buy.
+    snapshot: :func:`~repro.core.amf.solve_amf` behind the *same*
+    resilient chain (validation, fallbacks), its probes counted through an
+    :class:`~repro.core.amf.AmfDiagnostics`.  Both arms solve per connected
+    component, so the timed A/B differs **only** in the warm state the
+    daemon's solver keeps between solves (per-shard cut pools and the
+    shard-matrix memo).  The experiment thus simultaneously *proves*
+    incremental == cold and *measures* what the warm start, the batching
+    and the cache each buy.
     """
     from repro._util import ABS_TOL
+    from repro.core.amf import AmfDiagnostics, solve_amf
     from repro.core.policies import ResilientPolicy
-    from repro.service import AllocationService, ClusterState, IncrementalAmfSolver, events_from_schedule
+    from repro.service import AllocationService, ClusterState, events_from_schedule
     from repro.sim.scheduler import SolveStats
 
     n_arrivals = _scaled(120, scale, minimum=10)
@@ -1048,8 +1051,12 @@ def run_x9_service(
             max_delay=coalesce_gaps * mean_gap,
             clock=lambda: now[0],
         )
-        cold_solver = IncrementalAmfSolver(persistent=False)
-        cold_policy = ResilientPolicy(cold_solver, ("amf", "psmf"))
+        cold_diag = AmfDiagnostics()
+
+        def amf_cold(cluster):
+            return solve_amf(cluster, diagnostics=cold_diag)
+
+        cold_policy = ResilientPolicy(amf_cold, ("amf", "psmf"))
         cold_stats = SolveStats()
         max_dev = 0.0
         jobs_solved = 0
@@ -1101,7 +1108,7 @@ def run_x9_service(
                     "cold_mean_ms": cold_stats.mean_ms,
                     "cold_p50_ms": cold_stats.percentile_ms(50),
                     "cold_p99_ms": cold_stats.percentile_ms(99),
-                    "cold_feas_per_solve": cold_solver.stats.feasibility_solves / max(1, cold_stats.solves),
+                    "cold_feas_per_solve": cold_diag.feasibility_solves / max(1, cold_stats.solves),
                     "speedup": cold_stats.mean_ms / warm.mean_ms if warm.solves else np.nan,
                     "max_abs_deviation": max_dev,
                     "tolerance": ABS_TOL * max(1.0, float(population)) * 10,

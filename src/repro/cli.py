@@ -114,17 +114,7 @@ def cmd_solve(args) -> int:
     else:
         cluster = generate_cluster(_spec(args), rng)
     tracing = _start_tracing(args)
-    if args.shards:
-        if args.policy != "amf":
-            print(f"--shards only applies to the amf policy, not {args.policy!r}", file=sys.stderr)
-            return 2
-        from repro.core.amf import solve_amf
-        from repro.core.sharding import decompose
-
-        alloc = solve_amf(cluster, shards=True)
-        print(f"sharded solve: {len(decompose(cluster))} components")
-    else:
-        alloc = get_policy(args.policy)(cluster)
+    alloc = get_policy(args.policy)(cluster)
     if tracing:
         _finish_tracing(args)
     print(alloc.pretty())
@@ -364,11 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--check", action="store_true", help="also run property checks")
     p_solve.add_argument("--load", metavar="JSON", help="solve a cluster loaded from a JSON file instead of generating one")
     p_solve.add_argument("--save", metavar="JSON", help="write the allocation (with cluster) to a JSON file")
-    p_solve.add_argument(
-        "--shards",
-        action="store_true",
-        help="solve connected components independently (amf only; identical allocation)",
-    )
     _add_trace_arg(p_solve)
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -420,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--max-batch", type=int, default=256, help="max events coalesced into one re-solve")
     p_srv.add_argument("--cache-size", type=int, default=128, help="allocation cache entries (LRU)")
     p_srv.add_argument("--max-cuts", type=int, default=64, help="persistent cutting-plane pool bound")
-    p_srv.add_argument(
-        "--no-shards",
-        action="store_true",
-        help="solve monolithically instead of per connected component (docs/performance.md)",
-    )
+    # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
+    # reads ``args.no_shards``.  Every solve is per connected component, so
+    # AllocationService refuses the flag before anything binds; it goes when
+    # that harness may be edited.
+    p_srv.add_argument("--no-shards", action="store_true", help=argparse.SUPPRESS)
     # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
     # reads ``args.serve_workers``.  Shards are solved serially; the flag
     # accepts only 0 and goes when that harness may be edited.

@@ -16,7 +16,7 @@ from repro.core.allocation import Allocation
 from repro.core.waterfilling import water_fill
 from repro.core.persite import solve_psmf
 from repro.core.amf import solve_amf, amf_levels
-from repro.core.sharding import ShardBasisPool, decompose, solve_amf_sharded
+from repro.core.sharding import ShardBasisPool, decompose
 from repro.core.enhanced import solve_amf_enhanced
 from repro.core.completion import optimize_completion_times, proportional_split
 from repro.core.policies import POLICIES, get_policy
@@ -28,7 +28,6 @@ __all__ = [
     "solve_psmf",
     "solve_amf",
     "amf_levels",
-    "solve_amf_sharded",
     "decompose",
     "ShardBasisPool",
     "solve_amf_enhanced",

@@ -15,21 +15,32 @@ per-job normalized aggregates, and the leximin optimum of a product region
 is the concatenation of the per-factor leximin optima: raising the minimum
 inside one component never trades off against another component, because
 no constraint couples them.  Hence solving each component independently
-and stitching the blocks back together *is* the monolithic AMF allocation
-(progressive filling just interleaves the components' rounds; the frozen
-levels per job are identical).
+and stitching the blocks back together *is* the AMF allocation of the whole
+cluster (progressive filling over the whole graph just interleaves the
+components' rounds; the frozen levels per job are identical), and it is
+the only way :func:`~repro.core.amf.solve_amf` and
+:func:`~repro.core.amf.amf_levels` solve.
 
-Why bother: the cutting-plane solver's cost is superlinear in the
-component size (every feasibility probe is a max-flow on the whole graph),
-so solving K small blocks one after another is cheaper than one coupled
-instance.  Shards are solved serially in the calling thread: fanning them
-over a process pool measured no faster (docs/performance.md, "Removed").
+**Why nothing fills the whole graph at once.**  Besides costing more
+(every probe is a max-flow on the whole graph), it was less exact: the
+parametric oracle accepts a probe at ``feq(delivered, demanded, scale=n +
+m)`` of the *probed* cluster, so the accept window grows with the whole
+federation.  On a 384-job, 96-site federation of 24 regions
+(``tests/core/data/federation_gap.json``) the whole-graph fill froze one
+region's 14 tied jobs anywhere in 1.5711675–1.5712625, where a sequential
+LP puts all of them at 1.5712537; per component the solve matches that LP
+to 4e-15 in every region, and capping the whole-graph scale at 100 (one
+region's ``n + m`` is about 20) closes the gap to 1.5e-13, confirming the
+cause (``tests/core/test_sharding.py::TestFederationGap``).
+
+Shards are solved serially in the calling thread: fanning them over a
+process pool measured no faster (docs/performance.md, "Removed").
 Per-shard :class:`~repro.core.amf.CutBasis` entries
 (:class:`ShardBasisPool`) keep warm starts *local*: churn inside one
 component never dilutes another component's cut pool, and the online
 service caches solved shard matrices by sub-cluster fingerprint so a delta
 re-solves only the shard it actually touches
-(:class:`repro.service.solver.IncrementalAmfSolver` with ``sharded=True``).
+(:class:`repro.service.solver.IncrementalAmfSolver`).
 """
 
 from __future__ import annotations
@@ -41,12 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import require
-from repro.core.allocation import Allocation
 from repro.core.amf import AmfDiagnostics, CutBasis, _solve_matrix
 from repro.model.cluster import Cluster
-from repro.obs.instruments import record_amf, record_shard_decomposition, record_shard_solve
-from repro.obs.registry import REGISTRY
-from repro.obs.tracing import TRACER, span
 
 __all__ = [
     "Shard",
@@ -55,7 +62,6 @@ __all__ = [
     "decompose",
     "stitch",
     "solve_shards",
-    "solve_amf_sharded",
 ]
 
 
@@ -225,8 +231,7 @@ def _solve_shard(
     """
     diag = AmfDiagnostics()
     t0 = time.perf_counter()
-    # The monolithic pipeline minus its obs wrapper: the caller records the
-    # merged per-shard counters once.
+    # No obs wrapper here: the caller records the merged per-shard counters once.
     if shard.cluster.is_multiresource:
         from repro.multiresource.engine import solve_multiresource
 
@@ -265,42 +270,3 @@ def solve_shards(
         basis = bases.basis_for(sh.key) if bases is not None else None
         results.append(_solve_shard(sh, sub_floors, basis, resource_totals))
     return results
-
-
-def solve_amf_sharded(
-    cluster: Cluster,
-    floors: np.ndarray | None = None,
-    diagnostics: AmfDiagnostics | None = None,
-    bases: ShardBasisPool | None = None,
-) -> Allocation:
-    """AMF via shard decomposition — same allocation, component-local cost.
-
-    Drop-in for :func:`~repro.core.amf.solve_amf` (also reachable as
-    ``solve_amf(..., shards=True)``): decompose, solve each component
-    independently, stitch the blocks.  ``bases`` replaces the monolithic ``basis`` with a
-    :class:`ShardBasisPool` so warm starts stay component-local.  Purely a
-    cost optimization — the separability argument in the module docstring
-    is pinned by the hypothesis equivalence suite in
-    ``tests/core/test_sharding.py``.
-    """
-    diag = diagnostics if diagnostics is not None else AmfDiagnostics()
-    if floors is not None:
-        floors = np.asarray(floors, dtype=float)
-        require(floors.shape == (cluster.n_jobs,), "floors must have one entry per job")
-    shards = decompose(cluster)
-    record_shard_decomposition(len(shards))
-    totals = cluster.resource_totals if cluster.is_multiresource else None
-    observing = REGISTRY.enabled or TRACER.enabled
-    before = dataclasses.replace(diag) if observing else None
-    with span(
-        "amf.solve", variant="sharded", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(shards)
-    ):
-        results = solve_shards(shards, floors=floors, bases=bases, resource_totals=totals)
-    for res in results:
-        merge_diagnostics(diag, res.diagnostics)
-        record_shard_solve(res.shard.n_jobs, res.seconds)
-    if observing:
-        record_amf(diag, since=before)
-    matrix = stitch(cluster, [(res.shard, res.matrix) for res in results])
-    policy = "amrf" if cluster.is_multiresource else "amf"
-    return Allocation(cluster, matrix, policy=policy if floors is None else policy + "+floors")

@@ -250,13 +250,12 @@ class ParametricFeasibility:
     # ------------------------------------------------------------------
     # The probe
     # ------------------------------------------------------------------
-    def probe(self, targets: np.ndarray, *, need_cut: bool = False) -> ProbeOutcome:
+    def probe(self, targets: np.ndarray) -> ProbeOutcome:
         """Feasibility verdict for one aggregate target vector.
 
         An infeasible verdict always comes from a flow solve and carries
         its *minimal* min cut — the cutting-plane loop relies on that to see
-        each site set at most once.  ``need_cut`` marks the probes whose cut
-        the caller reads; it does not change how the probe is answered.
+        each site set at most once.
         """
         if not TRACER.enabled:
             return self._probe_impl(targets)

@@ -21,10 +21,10 @@ replaced lives on as the test oracle ``tests/multiresource/oracle.py``):
 
 The engine is stateless.  Repeated states are answered above it by the
 service's fingerprint-keyed caches (``AllocationCache`` and
-``IncrementalAmfSolver``'s shard matrices); component sharding is
-:func:`repro.core.sharding.solve_amf_sharded` as for scalar clusters —
-dominant-share denominators are federation-wide constants, so each
-component's leximin is independent given ``resource_totals``.
+``IncrementalAmfSolver``'s shard matrices).  It is called once per
+connected component (:func:`repro.core.amf.solve_amf`), as for scalar
+clusters — dominant-share denominators are federation-wide constants, so
+each component's leximin is independent given ``resource_totals``.
 
 Fairness-property status (see ``docs/multiresource.md``): Pareto
 efficiency and envy-freeness hold as in DRF; sharing incentive holds
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro._util import require
 from repro.core.allocation import Allocation, scrub_matrix
-from repro.core.amf import AmfDiagnostics, CutBasis, _observed_solve
+from repro.core.amf import AmfDiagnostics, CutBasis, _observed_solve, _solve_matrix
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
@@ -367,25 +367,26 @@ def solve_multiresource(
     *,
     resource_totals: Mapping[str, float] | None = None,
 ) -> Allocation:
-    """Route a multi-resource solve: exact scalar fast path, else the engine.
+    """Route a multi-resource solve of one component: exact scalar fast
+    path, else the engine.
 
-    Called by :func:`repro.core.amf.solve_amf` when
-    ``cluster.is_multiresource`` and per shard by :mod:`repro.core.sharding`
-    (with the federation-wide ``resource_totals``).  The reduction (R=1 or
-    a globally dominant resource) reuses the scalar machinery — the
-    parametric oracle and ``basis`` — bit-identically in the reduced
-    variables; everything else goes to :func:`amrf_allocate`.
+    Called per connected component by :func:`repro.core.amf.solve_amf`
+    (through :mod:`repro.core.sharding`, with the federation-wide
+    ``resource_totals``).  The reduction (R=1 or a globally dominant
+    resource) runs the scalar component body — the parametric oracle and
+    ``basis`` — bit-identically in the reduced variables; everything else
+    goes to :func:`amrf_allocate`.
     """
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     red = scalar_reduction(cluster, resource_totals)
     if red is not None:
-        from repro.core.amf import solve_amf
-
         scalar, k = red
         scaled_floors = None
         if floors is not None:
             scaled_floors = np.asarray(floors, dtype=float) * k
-        sub = solve_amf(scalar, scaled_floors, diag, basis)
+        policy = "amf" if floors is None else "amf+floors"
+        # validated and clamped on the scalar cluster first, as a scalar solve is
+        sub = Allocation(scalar, _solve_matrix(scalar, scaled_floors, diag, basis), policy=policy)
         safe_k = np.where(k > 0.0, k, 1.0)
         if (k == 1.0).all():
             # Identity change of variables (R=1 unit-demand spellings): the

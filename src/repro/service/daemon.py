@@ -79,15 +79,13 @@ class AllocationService:
     cache_size:
         LRU entries in the allocation cache.
     max_cuts:
-        Persistent cutting-plane pool bound for the warm solver.
+        Per-shard cutting-plane pool bound for the warm solver
+        (:class:`~repro.service.solver.IncrementalAmfSolver`, which solves
+        connected components independently, so a delta re-solves only the
+        component it touches).
     fallbacks:
         The chain behind the incremental solver (default: cold AMF, then
         per-site max-min; proportional is always the implicit last rung).
-    sharded:
-        Solve connected components of the job-site graph independently with
-        per-shard warm bases and a per-shard matrix cache (see
-        :class:`~repro.service.solver.IncrementalAmfSolver`).  On by
-        default: a delta then re-solves only the component it touches.
     journal:
         Optional :class:`~repro.service.journal.WriteAheadJournal`.  When
         given, every accepted delta is journaled *before* it is queued
@@ -132,13 +130,17 @@ class AllocationService:
         # passes ``workers=args.serve_workers or None``.  Shards are solved in
         # the calling thread; the parameter goes when that harness may be edited.
         require(workers is None, f"workers={workers!r}: shard solves run serially in the service")
+        # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
+        # passes ``sharded=not args.no_shards``.  Every solve is per connected
+        # component; the parameter goes when that harness may be edited.
+        require(sharded is True, f"sharded={sharded!r}: the service always solves per connected component")
         if observability:
             REGISTRY.enable()
             TRACER.enable()
         self.state = state
         self.queue = CoalescingQueue(max_delay=max_delay, max_batch=max_batch, clock=clock)
         self.cache = AllocationCache(max_entries=cache_size)
-        self.incremental = IncrementalAmfSolver(max_cuts=max_cuts, sharded=sharded)
+        self.incremental = IncrementalAmfSolver(max_cuts=max_cuts)
         self.resilience = ResilienceStats()
         self.policy = ResilientPolicy(self.incremental, fallbacks, stats=self.resilience)
         self.solve_stats = SolveStats(samples=deque(maxlen=SOLVE_WINDOW))
@@ -355,7 +357,7 @@ class AllocationService:
                     "feasibility_solves": inc.feasibility_solves,
                     "cuts_generated": inc.cuts_generated,
                     "warm_cuts_seeded": inc.warm_cuts_seeded,
-                    "basis_size": len(self.incremental.basis),
+                    "basis_size": self.incremental.bases.total_cuts,
                     # parametric-oracle reuse breakdown (docs/performance.md)
                     "probes_reused": inc.probes_reused,
                     "probes_early_accept": inc.probes_early_accept,
@@ -391,7 +393,6 @@ class AllocationService:
                     "max_delay": self.queue.max_delay,
                 },
                 "sharding": {
-                    "enabled": self.incremental.sharded,
                     "last_shards": inc.last_shards,
                     "shard_solves": inc.shard_solves,
                     "shard_cache_hits": inc.shard_cache_hits,

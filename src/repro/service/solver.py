@@ -3,18 +3,18 @@
 A long-lived daemon re-solves AMF on clusters that differ from the previous
 one by a handful of deltas, so the bottleneck structure — which job sets
 hit which site sets — barely moves between solves.
-:class:`IncrementalAmfSolver` exploits that by threading a persistent
-:class:`~repro.core.amf.CutBasis` through every solve: cuts discovered once
-are replayed (revalidated against the current capacities) instead of
-rediscovered through extra max-flow feasibility probes.
+:class:`IncrementalAmfSolver` exploits that in two ways, on the same
+per-component decomposition every AMF solve uses (:mod:`repro.core.sharding`):
 
-``sharded=True`` layers the PR 5 decomposition on top: the cluster is split
-into connected components (:mod:`repro.core.sharding`), each component gets
-its *own* warm basis (:class:`~repro.core.sharding.ShardBasisPool`) and its
-solved sub-matrix is cached by sub-cluster fingerprint — so a delta that
-touches one component re-solves that component alone and replays every
-other shard's matrix verbatim.  This is the "delta→shard routing" the
-service relies on: a shard's fingerprint changes iff the delta touched it.
+* each component gets its *own* warm cut pool
+  (:class:`~repro.core.sharding.ShardBasisPool`): cuts discovered once are
+  replayed (revalidated against the current capacities) instead of
+  rediscovered through extra max-flow feasibility probes;
+* each component's solved sub-matrix is cached by sub-cluster fingerprint,
+  so a delta that touches one component re-solves that component alone and
+  replays every other shard's matrix verbatim.  This is the "delta→shard
+  routing" the service relies on: a shard's fingerprint changes iff the
+  delta touched it.
 
 The solver is a plain ``Cluster -> Allocation`` callable, so it drops into
 :class:`~repro.core.policies.ResilientPolicy` as the primary of the chain
@@ -22,9 +22,8 @@ The solver is a plain ``Cluster -> Allocation`` callable, so it drops into
     incremental AMF -> cold AMF -> per-site max-min -> proportional
 
 which is how the daemon wires it (:mod:`repro.service.daemon`): a failed
-warm solve *clears its basis* (and, sharded, the whole shard pool and
-matrix cache) and degrades to a cold solve, preserving the degraded-mode
-guarantee of docs/robustness.md.
+warm solve *clears* the shard pool and matrix cache and degrades to a cold
+solve, preserving the degraded-mode guarantee of docs/robustness.md.
 """
 
 from __future__ import annotations
@@ -37,7 +36,11 @@ import numpy as np
 
 from repro._util import require
 from repro.core.allocation import Allocation
-from repro.core.amf import AmfDiagnostics, CutBasis, solve_amf
+# Vestige with one reader: benchmarks/ledger/tracer.py patches
+# ``repro.service.solver.solve_amf`` for its ``amf.solve`` span, and a missing
+# target nulls ``amf.fill_ms`` on every workload.  Nothing here calls it; the
+# import goes when that harness may be edited.
+from repro.core.amf import AmfDiagnostics, solve_amf  # noqa: F401
 from repro.core.sharding import (
     ShardBasisPool,
     decompose,
@@ -73,7 +76,7 @@ class IncrementalStats:
     probes_warm: int = 0  # flow solves continuing from existing flow
     probes_cold: int = 0  # flow solves starting from zero flow
     probe_rollbacks: int = 0  # probes that cancelled flow before solving
-    # shard decomposition (all zero when sharded=False)
+    # shard decomposition
     shard_solves: int = 0  # components actually solved (cache misses)
     shard_cache_hits: int = 0  # components replayed from the matrix cache
     shard_cache_misses: int = 0
@@ -105,76 +108,46 @@ class IncrementalStats:
 
 
 class IncrementalAmfSolver:
-    """AMF with a cutting-plane pool persisted across solves.
+    """Per-component AMF with warm cut pools and a shard-matrix memo.
 
     Parameters
     ----------
     max_cuts:
-        LRU bound on the persistent basis (see :class:`CutBasis`), and on
-        each per-shard basis in sharded mode.
-    persistent:
-        ``False`` clears all warm state before every solve, turning this
-        into a cold solver with the *identical* pipeline (validation,
-        diagnostics, allocation plumbing) — the control arm for
-        warm-vs-cold A/B measurements such as experiment X9.
-    sharded:
-        Solve connected components independently with per-shard bases and a
-        per-shard matrix cache (see module docstring).  Off by default — the
-        monolithic path is the reference; the daemon opts in.
+        LRU bound on each per-shard cut pool (see :class:`~repro.core.amf.CutBasis`).
     shard_cache_size:
         LRU bound on the per-shard matrix cache (entries are sub-cluster
         fingerprints, i.e. one per distinct component state seen).
     """
 
-    def __init__(
-        self,
-        max_cuts: int = 64,
-        *,
-        persistent: bool = True,
-        sharded: bool = False,
-        shard_cache_size: int = 256,
-    ):
+    def __init__(self, max_cuts: int = 64, *, shard_cache_size: int = 256):
         require(shard_cache_size >= 1, "shard_cache_size must be at least 1")
-        self.basis = CutBasis(max_cuts=max_cuts)
-        self.persistent = persistent
-        self.sharded = sharded
         self.shard_cache_size = shard_cache_size
         self.bases = ShardBasisPool(max_cuts=max_cuts)
         self._shard_matrices: OrderedDict[str, np.ndarray] = OrderedDict()
         self.stats = IncrementalStats()
-        self.__name__ = "amf-incremental" if persistent else "amf-cold"
+        self.__name__ = "amf-incremental"
 
     @property
     def shard_cache_entries(self) -> int:
         return len(self._shard_matrices)
 
-    def _clear_warm_state(self) -> None:
-        self.basis.clear()
-        self.bases.clear()
-        self._shard_matrices.clear()
-
     def __call__(self, cluster: Cluster) -> Allocation:
-        if not self.persistent:
-            self._clear_warm_state()
         diag = AmfDiagnostics()
         self.stats.solves += 1
         try:
-            if self.sharded:
-                alloc = self._solve_sharded(cluster, diag)
-            else:
-                alloc = solve_amf(cluster, diagnostics=diag, basis=self.basis)
-                alloc = alloc.with_matrix(alloc.matrix, policy=self.__name__)
+            alloc = self._solve(cluster, diag)
         except Exception:
             # A numerically broken basis must not poison the next attempt;
-            # drop it and let the fallback chain take this solve cold.
-            self._clear_warm_state()
+            # drop all warm state and let the fallback chain take this solve cold.
+            self.bases.clear()
+            self._shard_matrices.clear()
             self.stats.failures += 1
             self.stats.merge(diag)
             raise
         self.stats.merge(diag)
         return alloc
 
-    def _solve_sharded(self, cluster: Cluster, diag: AmfDiagnostics) -> Allocation:
+    def _solve(self, cluster: Cluster, diag: AmfDiagnostics) -> Allocation:
         shards = decompose(cluster)
         record_shard_decomposition(len(shards))
         self.stats.last_shards = len(shards)

@@ -3,7 +3,9 @@
 Once a site cut ``S`` is tight, every still-active job is capped at its
 crossing capacity ``cross_i(S)``; the solver applies that cap in closed
 form instead of ending one round per job.  So a round ends only when a cut
-that has never bound binds: ``rounds <= 1 + pool size``.  The old rule —
+that has never bound binds: ``rounds <= 1 + pool size`` per connected
+component, i.e. ``rounds <= 2 k + seeded + generated`` over a solve of
+``k`` job-bearing components.  The old rule —
 freeze a job only in the round whose level reaches its ``cross_i(S)`` —
 lives on here as :func:`one_job_per_round_levels`, the oracle the new
 levels are compared against.
@@ -19,13 +21,13 @@ from repro._util import ABS_TOL
 from repro.core import properties
 from repro.core.amf import (
     AmfDiagnostics,
-    CutBasis,
     SiteCutFill,
     amf_levels,
     solve_amf,
 )
 from repro.core.enhanced import sharing_incentive_floors
 from repro.core.reference import reference_feasible
+from repro.core.sharding import ShardBasisPool, decompose
 from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
 from repro.model.site import Site
@@ -56,7 +58,7 @@ def one_job_per_round_levels(cluster, floors=None):
         while True:
             per = [SiteCutFill(f, c, w, cross(s)).max_level(cluster.capacities[sorted(s)].sum()) for s in cuts]
             lam = max(min(min(per), max((c / w).max(), lam_done)), lam_done)
-            out = oracle.probe(targets(lam), need_cut=True)
+            out = oracle.probe(targets(lam))
             if out.feasible:
                 break
             cuts.append(frozenset(out.cut_sites))
@@ -118,25 +120,26 @@ def weighted_floored_warm(draw):
     jobs = generate_jobs(spec, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     cluster = Cluster(sites_for(spec, jobs), jobs)
     floors = sharing_incentive_floors(cluster) if draw(st.booleans()) else None
-    basis = CutBasis()
+    bases = ShardBasisPool()
     if draw(st.booleans()):  # warm: cuts learnt on the cluster with two sites rescaled
         k = draw(st.sampled_from([0.5, 0.8, 1.5]))
         sites = [Site(s.name, s.capacity * (k if j < 2 else 1.0)) for j, s in enumerate(cluster.sites)]
-        amf_levels(Cluster(sites, jobs), basis=basis)
-    return cluster, floors, basis
+        amf_levels(Cluster(sites, jobs), bases=bases)
+    return cluster, floors, bases
 
 
 class TestRoundBound:
     @given(weighted_floored_warm())
     @settings(max_examples=80, deadline=None)
     def test_rounds_bounded_by_pool_and_levels_match_references(self, inst):
-        cluster, floors, basis = inst
+        cluster, floors, bases = inst
         d = AmfDiagnostics()
-        alloc = solve_amf(cluster, floors, d, basis)
+        alloc = solve_amf(cluster, floors, d, bases)
         lv = alloc.aggregates
-        # every round but the last retires a cut of the pool
+        # per component, every round but the last retires a cut of its pool
         # (total-capacity seed + warm seeds + discoveries)
-        assert d.rounds <= 2 + d.warm_cuts_seeded + d.cuts_generated
+        k = sum(1 for shard in decompose(cluster) if shard.n_jobs)
+        assert d.rounds <= 2 * k + d.warm_cuts_seeded + d.cuts_generated
         assert d.frozen_by_cap + d.frozen_by_cut == cluster.n_jobs
         slow, _ = one_job_per_round_levels(cluster, floors)
         assert np.abs(lv - slow).max() < 1e-9
@@ -168,10 +171,11 @@ class TestLedgerConnectedCluster:
         return out
 
     def test_levels_match_one_job_per_round_oracle(self, states):
-        basis = CutBasis()
+        bases = ShardBasisPool()
         for cluster in states:
+            assert len(decompose(cluster)) == 1  # one component: the bound is per solve
             d = AmfDiagnostics()
-            lv = amf_levels(cluster, diagnostics=d, basis=basis)
+            lv = amf_levels(cluster, diagnostics=d, bases=bases)
             slow, slow_rounds = one_job_per_round_levels(cluster)
             assert np.abs(lv - slow).max() <= 1e-9 * max(1.0, float(np.abs(slow).max()))
             assert d.rounds <= 2 + d.warm_cuts_seeded + d.cuts_generated < slow_rounds

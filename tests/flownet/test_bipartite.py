@@ -1,7 +1,7 @@
 """Hand-checked job-site feasibility cases, run on the shipped oracle.
 
 :class:`ParametricFeasibility` is the one feasibility path: ``probe`` for
-verdicts, ``probe(need_cut=True)`` for the minimal min cut and
+verdicts (an infeasible one carries its minimal min cut) and
 ``allocation_matrix`` for the split.  A fresh oracle per call is the cold
 path; one oracle across calls is the warm one.
 """
@@ -55,13 +55,13 @@ class TestOutcome:
     def test_cut_identifies_bottleneck_jobs_and_sites(self):
         # jobs 0,1 share a unit site; target 0.6 each is infeasible
         c = Cluster.from_matrices([1.0, 10.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        out = ParametricFeasibility(c).probe(np.array([0.6, 0.6, 1.0]), need_cut=True)
+        out = ParametricFeasibility(c).probe(np.array([0.6, 0.6, 1.0]))
         assert not out.feasible
         assert out.cut_jobs == {0, 1}
         assert out.cut_sites == {0}
 
     def test_feasible_outcome_flow_matches_demand(self):
-        out = ParametricFeasibility(cluster2x2()).probe(np.array([1.0, 0.5]), need_cut=True)
+        out = ParametricFeasibility(cluster2x2()).probe(np.array([1.0, 0.5]))
         assert out.feasible
         assert out.flow_value == pytest.approx(1.5)
 

@@ -80,13 +80,13 @@ def test_probe_verdicts_bit_identical_to_cold(case):
 
 @settings(max_examples=50, deadline=None)
 @given(clusters_and_probes())
-def test_need_cut_probes_return_the_cold_min_cut(case):
-    """With ``need_cut`` the oracle must surface the same minimal cut."""
+def test_probes_return_the_cold_min_cut(case):
+    """Every warm verdict surfaces the same minimal cut as a cold solve."""
     cluster, probes = case
     oracle = ParametricFeasibility(cluster)
     for targets in probes:
         cold = _cold_outcome(cluster, targets)
-        warm = oracle.probe(targets, need_cut=True)
+        warm = oracle.probe(targets)
         assert warm.feasible is cold.feasible
         _assert_cut_matches(warm, cold)
         assert warm.flow_value == pytest.approx(cold.flow_value, abs=1e-8)
@@ -135,7 +135,7 @@ def test_falling_probes_roll_back_and_stay_bit_identical(case):
     oracle = ParametricFeasibility(cluster)
     for targets in probes:
         cold = _cold_outcome(cluster, targets)
-        warm = oracle.probe(targets, need_cut=True)
+        warm = oracle.probe(targets)
         assert warm.feasible is cold.feasible
         _assert_cut_matches(warm, cold)
         assert warm.flow_value == pytest.approx(cold.flow_value, abs=1e-8)
@@ -150,7 +150,7 @@ def test_falling_probe_fires_the_rollback_arm():
     oracle = ParametricFeasibility(cluster)
     for targets in ([10.0], [0.5], [0.0]):
         cold = _cold_outcome(cluster, targets)
-        warm = oracle.probe(targets, need_cut=True)
+        warm = oracle.probe(targets)
         assert warm.feasible is cold.feasible
         assert warm.flow_value == pytest.approx(cold.flow_value, abs=1e-9)
     assert oracle.stats.rollbacks >= 1
@@ -162,7 +162,7 @@ def test_feasible_flow_value_matches_demand(case):
     cluster, probes = case
     oracle = ParametricFeasibility(cluster)
     for targets in probes:
-        out = oracle.probe(targets, need_cut=True)
+        out = oracle.probe(targets)
         if out.feasible:
             assert out.flow_value == pytest.approx(float(np.sum(targets)), abs=1e-7)
             alloc = oracle.allocation_matrix(targets)
@@ -197,7 +197,7 @@ def test_all_jobs_single_site_fold_entirely():
     oracle = ParametricFeasibility(cluster)
     assert oracle.stats.folded_jobs == 3
     assert oracle.probe(np.array([1.0, 1.0, 1.0])).feasible
-    out = oracle.probe(np.array([2.0, 1.0, 2.0]), need_cut=True)
+    out = oracle.probe(np.array([2.0, 1.0, 2.0]))
     assert not out.feasible
     cold = _cold_outcome(cluster, [2.0, 1.0, 2.0])
     assert out.feasible is cold.feasible
@@ -221,7 +221,7 @@ class _ColdFeasibility:
         self.cluster = cluster
         self.stats = ProbeStats()
 
-    def probe(self, targets, *, need_cut=False):
+    def probe(self, targets):
         return _cold_outcome(self.cluster, targets)
 
     def allocation_matrix(self, levels):
@@ -258,7 +258,7 @@ def test_degenerate_instances_stop_at_the_model_boundary():
         Cluster([], [])
     # the in-model degenerates the oracle must survive: zero targets
     cluster = Cluster.from_matrices([1.0], [[1.0]])
-    out = ParametricFeasibility(cluster).probe(np.zeros(1), need_cut=True)
+    out = ParametricFeasibility(cluster).probe(np.zeros(1))
     assert out.feasible and out.flow_value == 0.0
 
 
@@ -326,45 +326,25 @@ def test_network_matches_reference_on_deciding_cases():
 
 
 def test_reachability_sweep_runs_once_per_infeasible_probe(monkeypatch):
-    """``need_cut`` buys a min cut on an infeasible verdict only: through one
-    ``amf_levels`` solve the graph is swept exactly once per flow-refuted
-    probe, and feasible probes carry empty cuts in both modes."""
+    """Every flow-refuted probe carries its minimal cut, and a feasible probe
+    skips the reachability sweep: through one ``amf_levels`` solve the graph
+    is swept exactly once per flow-refuted probe, and feasible probes carry
+    empty cuts."""
     sweeps, outcomes = [], []
     real_reach, real_probe = ArrayFlowGraph.reachable_from, ParametricFeasibility.probe
     monkeypatch.setattr(ArrayFlowGraph, "reachable_from", lambda g, s: sweeps.append(s) or real_reach(g, s))
 
-    def recorded(self, targets, *, need_cut=False):
-        out = real_probe(self, targets, need_cut=need_cut)
-        outcomes.append((need_cut, out))
+    def recorded(self, targets):
+        out = real_probe(self, targets)
+        outcomes.append(out)
         return out
 
     monkeypatch.setattr(ParametricFeasibility, "probe", recorded)
     cluster = generate_cluster(WorkloadSpec(n_jobs=25, n_sites=6, theta=1.2), np.random.default_rng(1))
     amf_levels(cluster)
-    refuted = [out for _, out in outcomes if not out.feasible and out.mode.startswith("flow")]
-    accepted = [(need, out) for need, out in outcomes if out.feasible]
-    assert refuted and any(need for need, _ in accepted)  # both kinds occurred
+    refuted = [out for out in outcomes if not out.feasible and out.mode.startswith("flow")]
+    accepted = [out for out in outcomes if out.feasible and out.mode.startswith("flow")]
+    assert refuted and accepted  # both kinds occurred
     assert len(sweeps) == len(refuted)
     assert all(out.cut_sites for out in refuted)
-    assert all(out.cut_sites == out.cut_jobs == frozenset() for _, out in accepted)
-    assert {need for need, _ in accepted} == {True, False}
-
-
-def test_bisect_never_asks_for_a_cut_it_would_not_get(monkeypatch):
-    """``amf_levels_bisect`` reads a probe's cut only at a level it has just
-    seen fail, so skipping the sweep on feasible verdicts cannot move its
-    levels: on 60 seeded draws every ``need_cut`` probe it makes is refuted."""
-    asked = []
-    real_probe = ParametricFeasibility.probe
-
-    def recorded(self, targets, *, need_cut=False):
-        out = real_probe(self, targets, need_cut=need_cut)
-        if need_cut:
-            asked.append(out.feasible)
-        return out
-
-    monkeypatch.setattr(ParametricFeasibility, "probe", recorded)
-    rng = np.random.default_rng(404)
-    for _ in range(60):
-        amf_levels_bisect(random_cluster(rng, cap_prob=0.6))
-    assert len(asked) >= 60 and not any(asked)
+    assert all(out.cut_sites == out.cut_jobs == frozenset() for out in outcomes if out.feasible)

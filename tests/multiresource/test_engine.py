@@ -183,8 +183,8 @@ class TestEngineVsOracle:
                 for j in c2.jobs
             ]
             merged = Cluster(sites, jobs)
-            mono = solve_amf(merged)
-            shard = solve_amf(merged, shards=True)
+            mono = solve_multiresource(merged)  # the engine over both components at once
+            shard = solve_amf(merged)
             dom = merged.dominant_factor()
             assert np.allclose(
                 dom * mono.matrix.sum(axis=1),

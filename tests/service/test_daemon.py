@@ -128,6 +128,15 @@ class TestPipelineAccounting:
         assert service.incremental.stats.cuts_generated <= cuts_before + 1
         assert service.incremental.stats.warm_cuts_seeded > 0
 
+    def test_basis_size_counts_the_shard_pools_cuts(self):
+        # "y" can offload at most 0.1 onto "b", so the solve discovers cut {a}
+        service, _ = make_service()
+        service.submit_all([JobArrived(Job("x", {"a": 1.0})), JobArrived(Job("y", {"a": 1.0, "b": 1.0}, demand={"b": 0.1}))])
+        service.allocation()
+        assert service.incremental.stats.cuts_generated > 0
+        inc = service.stats()["incremental"]
+        assert inc["basis_size"] == service.incremental.bases.total_cuts > 0
+
     def test_fallback_chain_engages_on_solver_failure(self):
         service, _ = make_service()
 
@@ -163,6 +172,13 @@ class TestValidation:
             AllocationService(state, workers=2, observability=False)
         sharding = AllocationService(state, observability=False).stats()["sharding"]
         assert "workers" not in sharding and "last_touched_sites" not in sharding
+
+    def test_every_service_solves_per_component(self):
+        # the ledger harness still passes sharded=True; False is refused
+        state = ClusterState([Site("a", 1.0)])
+        AllocationService(state, sharded=True, observability=False)
+        with pytest.raises(ValueError, match="per connected component"):
+            AllocationService(state, sharded=False, observability=False)
 
 
 class TestAccountingRegressions:

@@ -1,10 +1,10 @@
 """Warm-started incremental AMF == cold AMF, on arbitrary event sequences.
 
 This is the service's central correctness claim (docs/service.md): the
-persisted cut basis is *purely* an accelerator.  Hypothesis drives random
-clusters through random churn (arrivals, departures, capacity changes) and
-checks the warm solver's aggregates against a cold :func:`solve_amf` on
-every intermediate snapshot.
+per-shard cut pools and the shard-matrix memo are *purely* accelerators.
+Hypothesis drives random clusters through random churn (arrivals,
+departures, capacity changes) and checks the warm solver's aggregates
+against a cold :func:`solve_amf` on every intermediate snapshot.
 """
 
 import numpy as np
@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from repro._util import ABS_TOL
 from repro.core.amf import AmfDiagnostics, CutBasis, amf_levels, solve_amf
+from repro.core.sharding import ShardBasisPool
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.service.solver import IncrementalAmfSolver
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
+from tests.core.test_sharding import monolithic
 from tests.multiresource.test_engine import crossing_cluster
 
 
@@ -79,10 +81,10 @@ class TestIncrementalEqualsCold:
     @given(churn_scripts())
     @settings(max_examples=30, deadline=None)
     def test_basis_seeding_never_changes_levels(self, script):
-        """amf_levels with a pre-populated basis == without, exactly."""
+        """amf_levels with a pre-populated shard pool == without, exactly."""
         sites, jobs, events = script
         state = ClusterState(sites, jobs)
-        basis = CutBasis()
+        bases = ShardBasisPool()
         snapshots = []
         for event in [None, *events]:
             if event is not None:
@@ -90,9 +92,9 @@ class TestIncrementalEqualsCold:
             if state.n_jobs:
                 snapshots.append(state.snapshot())
         for cluster in snapshots:
-            amf_levels(cluster, basis=basis)  # populate/rotate the basis
+            amf_levels(cluster, bases=bases)  # populate/rotate the pool
         for cluster in snapshots:
-            warm = amf_levels(cluster, basis=basis)
+            warm = amf_levels(cluster, bases=bases)
             cold = amf_levels(cluster)
             np.testing.assert_allclose(warm, cold, atol=ABS_TOL * 10, rtol=1e-9)
 
@@ -111,7 +113,8 @@ class TestSolverBehaviour:
         solver(cluster)
         first_cuts = solver.stats.cuts_generated
         first_feas = solver.stats.feasibility_solves
-        solver(cluster)
+        # a new capacity on "b" misses the shard-matrix memo; cut {a} replays
+        solver(Cluster([Site("a", 1.0), Site("b", 9.0)], cluster.jobs))
         assert solver.stats.cuts_generated == first_cuts  # nothing rediscovered
         assert solver.stats.feasibility_solves - first_feas <= first_feas
         assert solver.stats.warm_cuts_seeded > 0
@@ -120,50 +123,45 @@ class TestSolverBehaviour:
         cluster = self.make_cluster()
         solver = IncrementalAmfSolver()
         solver(cluster)
-        assert len(solver.basis) > 0
+        assert solver.bases.total_cuts > 0
 
         import repro.service.solver as solver_mod
 
         def poisoned(*args, **kwargs):
             raise RuntimeError("poisoned")
 
-        monkeypatch.setattr(solver_mod, "solve_amf", poisoned)
+        monkeypatch.setattr(solver_mod, "solve_shards", poisoned)
         with pytest.raises(RuntimeError, match="poisoned"):
             solver(cluster)
         monkeypatch.undo()
-        assert len(solver.basis) == 0
+        assert solver.bases.total_cuts == 0
         assert solver.stats.failures == 1
         solver(cluster)  # recovers cold
 
-    def test_non_persistent_mode_is_cold(self):
+    def test_cold_solve_amf_pays_equal_probes(self):
+        """X9's cold arm: ``solve_amf`` carries nothing from one solve to the
+        next, so it pays the same probes every time and seeds no cut."""
         cluster = self.make_cluster()
-        solver = IncrementalAmfSolver(persistent=False)
-        assert solver.__name__ == "amf-cold"
-        diag = AmfDiagnostics()
-        amf_levels(cluster, diagnostics=diag)
-        cold_feas = diag.feasibility_solves
-        solver(cluster)
-        solver(cluster)
-        # identical probe count both times: no warm carry-over
-        assert solver.stats.feasibility_solves == 2 * cold_feas
-        assert solver.stats.warm_cuts_seeded == 0
+        paid = []
+        for _ in range(2):
+            diag = AmfDiagnostics()
+            solve_amf(cluster, diagnostics=diag)
+            assert diag.cuts_generated > 0 and diag.warm_cuts_seeded == 0
+            paid.append(diag.feasibility_solves)
+        assert paid[0] == paid[1]
 
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_non_persistent_mode_is_cold_on_vector_clusters(self, sharded):
-        """The cold arm pays the AMRF LPs on every solve, and so does a
-        second instance in the same process: no solver state outlives a
-        solve (regression: a process-global table inside the engine
-        answered the repeats with 0 LPs)."""
+    def test_cold_solve_pays_equal_lps_on_vectors(self):
+        """Two ``solve_amf`` calls on a vector cluster pay the same AMRF
+        LPs (regression: a process-global table inside the engine answered
+        the repeats with 0 LPs)."""
         cluster = crossing_cluster()
         paid = []
-        for _instance in range(2):
-            solver = IncrementalAmfSolver(persistent=False, sharded=sharded)
-            for _solve in range(2):
-                before = solver.stats.amrf_lps
-                solver(cluster)
-                paid.append(solver.stats.amrf_lps - before)
+        for _ in range(2):
+            diag = AmfDiagnostics()
+            solve_amf(cluster, diagnostics=diag)
+            paid.append(diag.amrf_lps)
         assert paid[0] > 0
-        assert paid == [paid[0]] * 4
+        assert paid == [paid[0]] * 2
 
 
 class TestCutBasis:
@@ -199,7 +197,7 @@ class TestCutBasis:
 
 
 class TestShardedSolver:
-    """IncrementalAmfSolver(sharded=True): same answers, per-shard caching."""
+    """IncrementalAmfSolver: same answers, per-shard caching."""
 
     def two_block_cluster(self) -> Cluster:
         sites = [Site("a", 1.0), Site("b", 10.0), Site("c", 2.0)]
@@ -213,9 +211,11 @@ class TestShardedSolver:
     @given(churn_scripts())
     @settings(max_examples=40, deadline=None)
     def test_sharded_matches_cold_oracle(self, script):
+        """Against the whole-graph test reference (one fill over every
+        component at once): per-component warm == monolithic cold."""
         sites, jobs, events = script
         state = ClusterState(sites, jobs)
-        solver = IncrementalAmfSolver(sharded=True)
+        solver = IncrementalAmfSolver()
         for event in [None, *events]:
             if event is not None:
                 state.apply(event)
@@ -223,14 +223,14 @@ class TestShardedSolver:
             if cluster.n_jobs == 0:
                 continue
             warm = solver(cluster)
-            cold = solve_amf(cluster)
+            cold = monolithic(cluster)
             np.testing.assert_allclose(
                 warm.aggregates, cold.aggregates, atol=ABS_TOL * 10, rtol=1e-9
             )
 
     def test_repeat_solve_hits_shard_cache(self):
         cluster = self.two_block_cluster()
-        solver = IncrementalAmfSolver(sharded=True)
+        solver = IncrementalAmfSolver()
         first = solver(cluster)
         assert solver.stats.last_shards == 2
         assert solver.stats.shard_solves == 2
@@ -242,7 +242,7 @@ class TestShardedSolver:
 
     def test_delta_resolves_only_touched_shard(self):
         cluster = self.two_block_cluster()
-        solver = IncrementalAmfSolver(sharded=True)
+        solver = IncrementalAmfSolver()
         solver(cluster)
         # grow job z's block only: the {a, b} shard must replay from cache
         touched = Cluster(
@@ -255,7 +255,7 @@ class TestShardedSolver:
 
     def test_failure_clears_shard_state(self, monkeypatch):
         cluster = self.two_block_cluster()
-        solver = IncrementalAmfSolver(sharded=True)
+        solver = IncrementalAmfSolver()
         solver(cluster)
         assert solver.shard_cache_entries == 2 and len(solver.bases) == 2
 
@@ -273,15 +273,7 @@ class TestShardedSolver:
         solver(cluster)  # recovers cold
 
     def test_shard_cache_lru_bound(self):
-        solver = IncrementalAmfSolver(sharded=True, shard_cache_size=2)
+        solver = IncrementalAmfSolver(shard_cache_size=2)
         for cap in (1.0, 2.0, 3.0):
             solver(Cluster([Site("a", cap), Site("b", 1.0)], [Job("x", {"a": 1.0}), Job("z", {"b": 1.0})]))
         assert solver.shard_cache_entries == 2
-
-    def test_non_persistent_sharded_stays_cold(self):
-        cluster = self.two_block_cluster()
-        solver = IncrementalAmfSolver(persistent=False, sharded=True)
-        solver(cluster)
-        solver(cluster)
-        assert solver.stats.shard_cache_hits == 0
-        assert solver.stats.warm_cuts_seeded == 0

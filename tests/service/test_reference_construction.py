@@ -85,7 +85,7 @@ def replay(build, seed: int):
     rng = np.random.default_rng(seed)
     sites, jobs, arrival = build(rng)
     state = ClusterState(sites, jobs)
-    solver = IncrementalAmfSolver(sharded=True)
+    solver = IncrementalAmfSolver()
     alive = [j.name for j in jobs]
     matrices = [solver(state.snapshot()).matrix]
     for step in range(EVENTS):

@@ -67,6 +67,23 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
 
+    def test_solve_has_no_shards_flag(self, capsys):
+        # every solve is per connected component: there is nothing to switch on
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--shards"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+    def test_serve_no_shards_is_refused_before_binding(self, monkeypatch):
+        # benchmarks/ledger/client.py reads args.no_shards, so serve still
+        # parses the hidden flag; the service refuses it before the edge binds
+        bound = []
+        monkeypatch.setattr("repro.cli._run_edge", lambda args, service: bound.append(service) or 0)
+        assert build_parser().parse_args(["serve"]).no_shards is False
+        with pytest.raises(ValueError, match="per connected component"):
+            main(["serve", "--no-shards", "--port", "0", "--quiet", "--no-obs"])
+        assert bound == []
+
     def test_serve_still_parses_zero_workers(self):
         # benchmarks/ledger/client.py reads args.serve_workers off this parser
         assert build_parser().parse_args(["serve", "--workers", "0"]).serve_workers == 0
