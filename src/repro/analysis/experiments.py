@@ -1099,6 +1099,10 @@ def run_x9_service(
             "cache_hit_rate": service.cache.stats.hit_rate,
             "warm_feas_per_solve": inc.feasibility_solves / max(1, inc.solves),
             "warm_cuts_per_solve": inc.cuts_generated / max(1, inc.solves),
+            # component fills certified by one probe of their final levels,
+            # and how many of those the probe refuted
+            "warm_deferred_per_solve": inc.deferred_checks / max(1, inc.solves),
+            "warm_refuted_per_solve": inc.deferred_refuted / max(1, inc.solves),
             "fallbacks": float(service.resilience.fallback_activations),
             "mean_active_jobs": jobs_solved / max(1, warm.solves),
         }

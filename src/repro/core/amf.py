@@ -34,6 +34,15 @@ A round therefore ends only when a cut that has never bound binds: at most
 ``1 + pool size`` rounds (seed + warm-started + discovered cuts), however
 many jobs each cut pins.
 
+**A warm fill defers step 3.**  When a component's pool was seeded with
+cuts from an earlier solve (:class:`CutBasis`), every round ends on the
+pool's proposal alone and one max-flow certifies the final levels, started
+from the component's previous split.  Every round's targets lie below the
+final levels and the feasible region is downward-closed, so a certified
+vector is exactly the one the per-round loop would have produced; a
+refuted one hands its min cut to the pool and the per-round loop runs
+from round one.
+
 The result is exact up to flow tolerance (no level is located by search) and
 is verified max-min by :mod:`repro.core.properties` in the test suite, with
 :mod:`repro.core.reference` as an independent oracle.
@@ -91,6 +100,8 @@ class AmfDiagnostics:
     frozen_by_cap: int = 0  # jobs frozen at their own aggregate demand
     frozen_by_cut: int = 0  # jobs frozen in a binding cut, or at the cross_i(S) one pinned them to
     warm_cuts_seeded: int = 0  # valid cuts replayed from a CutBasis
+    deferred_checks: int = 0  # warm fills certified by one probe of their final levels
+    deferred_refuted: int = 0  # of those, refuted: the per-round loop ran instead
     probes_early_accept: int = 0  # probes answered by feasible-dominance
     probes_warm: int = 0  # flow solves continuing from existing flow
     probes_cold: int = 0  # flow solves starting from zero flow
@@ -129,29 +140,58 @@ class CutBasis:
     current cluster (vanished sites are dropped; the inequality stays
     valid).
 
-    Seeding a solve with these cuts cannot change its result — feasibility
-    is still certified by max-flow every round — it only lets the solver
-    skip re-discovering bottlenecks it has already seen, which is what makes
-    the online service's warm-started re-solves cheap
-    (:class:`repro.service.solver.IncrementalAmfSolver`).
+    Seeding a solve with these cuts cannot change its result — the final
+    levels are still certified by max-flow (see :func:`_certified_fill`) —
+    it only lets the solver skip re-discovering bottlenecks it has already
+    seen, which is what makes the online service's warm-started re-solves
+    cheap (:class:`repro.service.solver.IncrementalAmfSolver`).
 
     The pool is a bounded LRU (``max_cuts``): recently re-recorded cuts
     survive, stale ones age out, so long-lived daemons don't accrete
     constraints from clusters that no longer resemble the present one.
+
+    The basis also keeps the component's last solved split
+    (:meth:`keep_split`), keyed by job and site names: the one max-flow that
+    certifies a warm fill starts from it (:meth:`split_on`).
     """
 
-    __slots__ = ("_cuts", "max_cuts")
+    __slots__ = ("_cuts", "max_cuts", "_split")
 
     def __init__(self, max_cuts: int = 64):
         require(max_cuts >= 1, "max_cuts must be at least 1")
         self.max_cuts = max_cuts
         self._cuts: OrderedDict[frozenset[str], None] = OrderedDict()
+        self._split: tuple[tuple[str, ...], tuple[str, ...], np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._cuts)
 
     def clear(self) -> None:
         self._cuts.clear()
+        self._split = None
+
+    def keep_split(self, cluster: Cluster, matrix: np.ndarray) -> None:
+        """Remember ``matrix``, a solved ``(n, m)`` split of ``cluster``."""
+        self._split = (
+            tuple(job.name for job in cluster.jobs),
+            tuple(site.name for site in cluster.sites),
+            matrix,
+        )
+
+    def split_on(self, cluster: Cluster) -> np.ndarray | None:
+        """The kept split re-indexed onto ``cluster``: rows of departed jobs
+        and columns of vanished sites dropped, new jobs and sites zero."""
+        if self._split is None:
+            return None
+        jobs, sites, matrix = self._split
+        job_at = {name: i for i, name in enumerate(jobs)}
+        site_at = {name: j for j, name in enumerate(sites)}
+        rows = np.array([job_at.get(job.name, -1) for job in cluster.jobs], dtype=np.intp)
+        cols = np.array([site_at.get(site.name, -1) for site in cluster.sites], dtype=np.intp)
+        kept_rows, kept_cols = rows >= 0, cols >= 0
+        out = np.zeros((cluster.n_jobs, cluster.n_sites))
+        out[np.ix_(kept_rows, kept_cols)] = matrix[np.ix_(rows[kept_rows], cols[kept_cols])]
+        return out
 
     def record(self, site_names: frozenset[str]) -> None:
         """Remember one site set ``S`` (refreshes LRU position if known)."""
@@ -417,6 +457,10 @@ class _SiteCuts:
         self.live.append(len(self.rhs) - 1)
         return True
 
+    def revive(self) -> None:
+        """Every known cut live again, in the order they were added."""
+        self.live = list(range(len(self.rhs)))
+
     def rows(self, which: list[int], levels: np.ndarray, frozen: np.ndarray) -> tuple[np.ndarray, ...]:
         """``_RoundPool.add`` arguments for cuts ``which``: crossing capacities
         of the active jobs, ``cap(S)``, and the frozen jobs' fixed LHS share."""
@@ -462,6 +506,12 @@ class _FeasibilityAdapter:
         self.diag = diag
         self._finished = False
         self.oracle = ParametricFeasibility(cluster)
+
+    def restart(self, caps: np.ndarray) -> None:
+        """Back to round one: nothing frozen, effective caps at ``caps``."""
+        self.levels[:] = self.floors
+        self.frozen[:] = False
+        self.caps[:] = caps
 
     def targets_at(self, lam: float) -> np.ndarray:
         t = np.clip(lam * self.weights, self.floors, self.caps)
@@ -625,6 +675,84 @@ def _fill_levels_inner(
     cut_sets: list[frozenset[int]],
     adapter: _FeasibilityAdapter,
 ) -> tuple[np.ndarray, _FeasibilityAdapter]:
+    ok, _, _ = adapter.feasible(adapter.targets_at(0.0))
+    if not ok:
+        raise ValueError("floors are infeasible for this cluster")
+
+    # Each cut is a site set S enforced in its tightest (Gale–Hoffman) form —
+    # the seed S = all sites has zero crossing capacity, i.e. the plain
+    # total-capacity fill.
+    cuts = _SiteCuts(cluster)
+    cuts.add(frozenset(range(cluster.n_sites)))
+    seeded = sum(cuts.add(sites) for sites in cut_sets)
+    diag.warm_cuts_seeded += seeded
+    if seeded and _certified_fill(cluster, caps, diag, basis, cuts, adapter):
+        return adapter.levels, adapter
+
+    _fill_rounds(cluster, caps, diag, basis, cuts, adapter, probe=True)
+    ok, _, _ = adapter.feasible(adapter.levels)
+    if not ok:  # pragma: no cover - guarded by construction
+        raise RuntimeError("AMF solver produced infeasible levels")
+    return adapter.levels, adapter
+
+
+def _certified_fill(
+    cluster: Cluster,
+    caps: np.ndarray,
+    diag: AmfDiagnostics,
+    basis: CutBasis,
+    cuts: _SiteCuts,
+    adapter: _FeasibilityAdapter,
+) -> bool:
+    """A warm fill: every round from the cut pool alone, then one probe of
+    the final levels, started from the component's previous split.
+
+    Each round's targets are elementwise at most the final levels (frozen
+    jobs keep theirs; active ones only rise).  The feasible region is
+    downward-closed, so when the final vector is feasible every per-round
+    probe would have answered "feasible" too, and the per-round loop would
+    have produced these very levels.  ``False`` means the probe refuted
+    them: its minimal min cut joins the pool and the basis, the round
+    counters are rolled back, and the caller runs the per-round loop from
+    round one.
+    """
+    tally = diag.rounds, diag.frozen_by_cap, diag.frozen_by_cut
+    _fill_rounds(cluster, caps, diag, basis, cuts, adapter, probe=False)
+    diag.deferred_checks += 1
+    split = basis.split_on(cluster)
+    if split is not None:
+        adapter.oracle.seed(split, adapter.levels)
+    ok, _, cut_sites = adapter.feasible(adapter.levels)
+    if ok:
+        return True
+    diag.deferred_refuted += 1
+    diag.rounds, diag.frozen_by_cap, diag.frozen_by_cut = tally
+    sites = frozenset(int(j) for j in cut_sites)
+    if sites and cuts.add(sites):
+        diag.cuts_generated += 1
+        basis.record(frozenset(cluster.sites[j].name for j in sites))
+    cuts.revive()
+    adapter.restart(caps)
+    return False
+
+
+def _fill_rounds(
+    cluster: Cluster,
+    caps: np.ndarray,
+    diag: AmfDiagnostics,
+    basis: CutBasis | None,
+    cuts: _SiteCuts,
+    adapter: _FeasibilityAdapter,
+    *,
+    probe: bool,
+) -> None:
+    """The progressive-filling rounds, freezing into ``adapter``'s state.
+
+    With ``probe`` every round's proposal is checked by one max-flow and a
+    violated min cut joins the pool; without it the pool's proposal ends
+    the round and the caller certifies the final levels
+    (:func:`_certified_fill`).
+    """
     n = cluster.n_jobs
     floors, weights = adapter.floors, adapter.weights
     targets_at = adapter.targets_at
@@ -634,18 +762,6 @@ def _fill_levels_inner(
     # Effective caps: demand caps, lowered to ``cross_i(S)`` whenever a cut
     # ``S`` binds while job ``i`` is still active (see the freeze step).
     eff_caps = adapter.caps
-
-    ok, _, _ = feasible(targets_at(0.0))
-    if not ok:
-        raise ValueError("floors are infeasible for this cluster")
-
-    # Each cut is a site set S enforced in its tightest (Gale–Hoffman) form —
-    # the seed S = all sites has zero crossing capacity, i.e. the plain
-    # total-capacity fill.
-    cuts = _SiteCuts(cluster)
-    cuts.add(frozenset(range(cluster.n_sites)))
-    for sites in cut_sets:
-        diag.warm_cuts_seeded += cuts.add(sites)
 
     lam_done = 0.0
     while not frozen.all():
@@ -663,6 +779,8 @@ def _fill_levels_inner(
             lam_eval = min(lam, max(pool.top_level, lam_done))
             lam_eval = max(lam_eval, lam_done)
             targets = targets_at(lam_eval)
+            if not probe:
+                break
             # an infeasible proposal must yield a *new* site set (the pool
             # already enforces every seen one analytically)
             ok, _, cut_sites = feasible(targets)
@@ -680,7 +798,7 @@ def _fill_levels_inner(
             if basis is not None:
                 basis.record(frozenset(cluster.sites[j].name for j in sites))
 
-        new_levels = targets  # the vector the max-flow just certified
+        new_levels = targets  # certified by this round's max-flow, or by the caller's
         # Saturated actives: at the demand cap, or at the crossing capacity
         # an earlier round's binding cut pinned them to.
         to_freeze = active & (new_levels >= eff_caps - ABS_TOL * np.maximum(1.0, eff_caps))
@@ -704,11 +822,6 @@ def _fill_levels_inner(
         levels[to_freeze] = new_levels[to_freeze]
         frozen |= to_freeze
         lam_done = lam_eval
-
-    ok, _, _ = feasible(levels)
-    if not ok:  # pragma: no cover - guarded by construction
-        raise RuntimeError("AMF solver produced infeasible levels")
-    return levels, adapter
 
 
 def solve_amf(
@@ -766,12 +879,14 @@ def _solve_matrix(
 ) -> np.ndarray:
     """The scalar solve body of one component: progressive filling, then
     the split read off the warm oracle's final flow, or a cold realization
-    when the oracle cannot hand it back."""
+    when the oracle cannot hand it back.  The split is kept in ``basis``
+    for the component's next warm fill to start its flow from."""
     levels, adapter = _fill_levels(cluster, floors, diag, basis)
     matrix = adapter.realize(levels)
-    if matrix is None:
-        return _realize(cluster, levels)
-    return _finalize_matrix(cluster, levels, matrix)
+    matrix = _realize(cluster, levels) if matrix is None else _finalize_matrix(cluster, levels, matrix)
+    if basis is not None:
+        basis.keep_split(cluster, matrix)
+    return matrix
 
 
 def _realize(cluster: Cluster, levels: np.ndarray) -> np.ndarray:

@@ -173,7 +173,9 @@ class ShardBasisPool:
     under churn (a new job bridges two site groups) the fresh key misses —
     the new basis is seeded from every stored basis whose key is a *subset*
     of the merged key, because a Gale-Hoffman site cut stays valid on any
-    cluster containing those sites (see :class:`CutBasis`).
+    cluster containing those sites (see :class:`CutBasis`).  Each basis
+    also keeps its component's last solved split; a merged key starts
+    without one.
     """
 
     __slots__ = ("_bases", "max_shards", "max_cuts")

@@ -13,6 +13,10 @@ retries).  :class:`ParametricFeasibility` answers that sequence on a single
 * **λ falls** — the excess flow above the new targets is cancelled locally
   (walk each shrunk source arc's flow back along its job→site edges),
   then the solve continues warm; no rebuild, no reset.
+* **across solves** — :meth:`~ParametricFeasibility.seed` installs a
+  feasible flow read off a previous allocation (clipped to the demand
+  caps, scaled to the targets and the site spare), so a re-solve of a
+  slightly changed cluster routes only what changed.
 
 One screen runs before the flow network is touched: **dominance
 early-accept** — targets elementwise below the last verified feasible
@@ -298,13 +302,10 @@ class ParametricFeasibility:
             feasible, delivered, demanded, cut_jobs, cut_sites, "flow-warm" if warm else "flow-cold"
         )
 
-    def _flow_solve(self, targets: np.ndarray):
-        """Install ``targets`` (warm) and run max flow; the graph is left
-        holding a maximum flow for exactly this vector (``_flow_targets``).
-        """
-        st = self.stats
-        g = self._graph
-        t_multi = targets[self._multi_idx]
+    def _folded_load(self, targets: np.ndarray):
+        """What the folded jobs take at ``targets``: their deliverable
+        targets, which of them are capped, the per-site load and the site
+        spare left for the network."""
         # Folded jobs deliver at most min(target, demand cap) through their
         # single site; the remainder is undeliverable regardless of flow.
         t_fold = targets[self._folded_idx]
@@ -314,7 +315,53 @@ class ParametricFeasibility:
             load = np.bincount(self._folded_site, weights=t_eff, minlength=self._m)
         else:
             load = np.zeros(self._m)
-        spare = np.maximum(self._capacities - load, 0.0)
+        return t_eff, capped, load, np.maximum(self._capacities - load, 0.0)
+
+    def seed(self, split: np.ndarray, targets: np.ndarray) -> None:
+        """Replace the carried flow with one read off ``split``, an ``(n, m)``
+        job-site matrix — typically the component's previous allocation
+        mapped onto this cluster.
+
+        Any non-negative matrix will do: entries are clipped to the demand
+        caps (off-support entries are never read), rows scaled down to
+        ``targets`` and columns to the site spare left after the folded
+        jobs' load.  The installed flow is therefore feasible for
+        ``targets``, and the next :meth:`probe` of ``targets`` continues
+        from it instead of routing the whole demand from zero.  Verdicts
+        and minimal cuts do not depend on the starting flow.
+        """
+        targets = np.asarray(targets, dtype=float)
+        g = self._graph
+        n, m = self._n, self._m
+        rows_of, sites_of = self._sup_job, self._sup_site
+        sup = self._sup_eids
+        *_, spare = self._folded_load(targets)
+        flow = np.clip(np.asarray(split, dtype=float)[rows_of, sites_of], 0.0, g.orig[sup])
+        rows = np.bincount(rows_of, weights=flow, minlength=n)
+        flow *= np.divide(targets, rows, out=np.ones(n), where=rows > targets)[rows_of]
+        cols = np.bincount(sites_of, weights=flow, minlength=m)
+        flow *= np.divide(spare, cols, out=np.ones(m), where=cols > spare)[sites_of]
+        rows = np.bincount(rows_of, weights=flow, minlength=n)[self._multi_idx]
+        cols = np.bincount(sites_of, weights=flow, minlength=m)
+        t_multi = targets[self._multi_idx]
+        for eids, carried, bound in (
+            (sup, flow, g.orig[sup]),
+            (self._source_eids, rows, t_multi),
+            (self._site_eids, cols, spare),
+        ):
+            g.orig[eids] = bound
+            g.cap[eids] = np.maximum(bound - carried, 0.0)
+            g.cap[eids + 1] = carried
+        self._flow_targets = None  # a feasible flow, not yet a maximum one
+
+    def _flow_solve(self, targets: np.ndarray):
+        """Install ``targets`` (warm) and run max flow; the graph is left
+        holding a maximum flow for exactly this vector (``_flow_targets``).
+        """
+        st = self.stats
+        g = self._graph
+        t_multi = targets[self._multi_idx]
+        t_eff, capped, load, spare = self._folded_load(targets)
         overloaded = load > self._capacities + ABS_TOL * np.maximum(1.0, self._capacities)
 
         warm = bool((g.cap[self._source_eids + 1] > 0.0).any())

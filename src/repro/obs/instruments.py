@@ -84,6 +84,12 @@ _AMF_COUNTERS = {
     "warm_cuts_seeded": REGISTRY.counter(
         "repro_amf_warm_cuts_seeded_total", "cuts replayed from a CutBasis"
     ),
+    "deferred_checks": REGISTRY.counter(
+        "repro_amf_deferred_checks_total", "warm fills certified by one probe of their final levels"
+    ),
+    "deferred_refuted": REGISTRY.counter(
+        "repro_amf_deferred_refuted_total", "deferred checks refuted (the per-round loop ran instead)"
+    ),
     "probes_early_accept": REGISTRY.counter(
         "repro_flow_probes_early_accept_total", "probes answered by feasible-dominance"
     ),

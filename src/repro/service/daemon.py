@@ -357,6 +357,8 @@ class AllocationService:
                     "feasibility_solves": inc.feasibility_solves,
                     "cuts_generated": inc.cuts_generated,
                     "warm_cuts_seeded": inc.warm_cuts_seeded,
+                    "deferred_checks": inc.deferred_checks,
+                    "deferred_refuted": inc.deferred_refuted,
                     "basis_size": self.incremental.bases.total_cuts,
                     # parametric-oracle reuse breakdown (docs/performance.md)
                     "probes_reused": inc.probes_reused,

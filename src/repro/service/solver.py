@@ -9,7 +9,9 @@ per-component decomposition every AMF solve uses (:mod:`repro.core.sharding`):
 * each component gets its *own* warm cut pool
   (:class:`~repro.core.sharding.ShardBasisPool`): cuts discovered once are
   replayed (revalidated against the current capacities) instead of
-  rediscovered through extra max-flow feasibility probes;
+  rediscovered through extra max-flow feasibility probes, and a component
+  with replayed cuts certifies its whole fill with one probe whose flow
+  starts from the split it was served last;
 * each component's solved sub-matrix is cached by sub-cluster fingerprint,
   so a delta that touches one component re-solves that component alone and
   replays every other shard's matrix verbatim.  This is the "delta→shard
@@ -70,6 +72,8 @@ class IncrementalStats:
     feasibility_solves: int = 0
     cuts_generated: int = 0  # cuts still discovered despite warm start
     warm_cuts_seeded: int = 0  # cuts replayed from the basis
+    deferred_checks: int = 0  # warm fills certified by one probe of their final levels
+    deferred_refuted: int = 0  # of those, refuted (the per-round loop ran instead)
     rounds: int = 0
     # parametric-oracle reuse breakdown
     probes_early_accept: int = 0  # probes answered by feasible-dominance
@@ -96,6 +100,8 @@ class IncrementalStats:
         self.feasibility_solves += diag.feasibility_solves
         self.cuts_generated += diag.cuts_generated
         self.warm_cuts_seeded += diag.warm_cuts_seeded
+        self.deferred_checks += diag.deferred_checks
+        self.deferred_refuted += diag.deferred_refuted
         self.rounds += diag.rounds
         self.probes_early_accept += diag.probes_early_accept
         self.probes_warm += diag.probes_warm

@@ -348,3 +348,78 @@ def test_reachability_sweep_runs_once_per_infeasible_probe(monkeypatch):
     assert len(sweeps) == len(refuted)
     assert all(out.cut_sites for out in refuted)
     assert all(out.cut_sites == out.cut_jobs == frozenset() for out in outcomes if out.feasible)
+
+
+# -- a flow seeded from a previous split ------------------------------------
+
+
+@st.composite
+def previous_splits(draw):
+    """A cluster, the split a previous state of it was served, and targets.
+
+    The previous state had other jobs (some departed since, so their rows
+    must be dropped) and larger site capacities (since shrunk); jobs that
+    arrived since have no row.  Its split is arbitrary non-negative noise,
+    including entries above today's demand caps and off-support entries.
+    """
+    n_sites = draw(st.integers(min_value=1, max_value=4))
+    names = [f"s{j}" for j in range(n_sites)]
+    caps = [draw(st.floats(min_value=0.2, max_value=6.0)) for _ in range(n_sites)]
+
+    def job(name):
+        support = sorted(draw(st.sets(st.sampled_from(names), min_size=1, max_size=n_sites)))
+        demand = {s: draw(st.floats(min_value=0.05, max_value=3.0)) for s in support if draw(st.booleans())}
+        return Job(name, {s: draw(st.floats(min_value=0.1, max_value=4.0)) for s in support}, demand)
+
+    kept = [job(f"k{i}") for i in range(draw(st.integers(min_value=0, max_value=4)))]
+    departed = [job(f"d{i}") for i in range(draw(st.integers(min_value=0, max_value=2)))]
+    arrived = [job(f"a{i}") for i in range(draw(st.integers(min_value=0, max_value=2)))]
+    if not kept + arrived:
+        arrived = [job("a")]
+    grown = [Site(s, c * draw(st.sampled_from([1.0, 1.5, 3.0]))) for s, c in zip(names, caps)]
+    before = Cluster(grown, departed + kept)
+    noise = np.array(
+        [[draw(st.floats(min_value=0.0, max_value=8.0)) for _ in names] for _ in before.jobs]
+    ).reshape(before.n_jobs, n_sites)
+    cluster = Cluster([Site(s, c) for s, c in zip(names, caps)], kept + arrived)
+    fraction = draw(st.floats(min_value=0.0, max_value=1.2))
+    return before, noise, cluster, fraction * cluster.aggregate_demand
+
+
+@settings(max_examples=80, deadline=None)
+@given(previous_splits())
+def test_seeded_flow_is_feasible_and_probes_like_a_fresh_oracle(case):
+    before, noise, cluster, targets = case
+    basis = amf.CutBasis()
+    basis.keep_split(before, noise)
+    split = basis.split_on(cluster)
+    assert split.shape == (cluster.n_jobs, cluster.n_sites)
+    assert not split[[i for i, job in enumerate(cluster.jobs) if job.name.startswith("a")]].any()
+
+    oracle = ParametricFeasibility(cluster)
+    oracle.probe(np.zeros(cluster.n_jobs))  # the fill's floors check comes first
+    oracle.seed(split, targets)
+    g, tol = oracle._graph, 1e-12
+    sup = g.flows(oracle._sup_eids)
+    src = g.flows(oracle._source_eids)
+    snk = g.flows(oracle._site_eids)
+    assert (sup >= 0.0).all()
+    assert (sup <= cluster.demand_caps[oracle._sup_job, oracle._sup_site] + tol).all()
+    assert (src <= targets[oracle._multi_idx] + tol).all()
+    *_, spare = oracle._folded_load(targets)
+    assert (snk <= spare + tol).all()
+    # conservation at every multi job and every site
+    rows = np.bincount(oracle._sup_job, weights=sup, minlength=cluster.n_jobs)[oracle._multi_idx]
+    np.testing.assert_allclose(src, rows, rtol=0, atol=tol)
+    np.testing.assert_allclose(snk, np.bincount(oracle._sup_site, weights=sup, minlength=cluster.n_sites), atol=tol)
+
+    got = oracle.probe(targets)
+    want = ParametricFeasibility(cluster).probe(targets)
+    assert got.feasible is want.feasible
+    assert (got.cut_jobs, got.cut_sites) == (want.cut_jobs, want.cut_sites)
+    assert got.flow_value == pytest.approx(want.flow_value, abs=1e-9)
+    if src.sum() > 0.0:
+        assert got.mode == "flow-warm"
+    if got.feasible:
+        alloc = oracle.allocation_matrix(targets)
+        np.testing.assert_allclose(alloc.sum(axis=1), targets, atol=1e-9)

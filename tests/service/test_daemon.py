@@ -127,6 +127,10 @@ class TestPipelineAccounting:
         assert service.cache.stats.hits == 1
         assert service.incremental.stats.cuts_generated <= cuts_before + 1
         assert service.incremental.stats.warm_cuts_seeded > 0
+        # the warm solve certified its fill with one deferred probe
+        inc = service.stats()["incremental"]
+        assert inc["deferred_checks"] == service.incremental.stats.deferred_checks == 1
+        assert inc["deferred_refuted"] == 0
 
     def test_basis_size_counts_the_shard_pools_cuts(self):
         # "y" can offload at most 0.1 onto "b", so the solve discovers cut {a}

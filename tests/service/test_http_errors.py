@@ -223,6 +223,8 @@ class TestObservabilityEndpoints:
             ("probes_cold", "repro_flow_probes_cold_total"),
             ("cuts_generated", "repro_amf_cuts_generated_total"),
             ("warm_cuts_seeded", "repro_amf_warm_cuts_seeded_total"),
+            ("deferred_checks", "repro_amf_deferred_checks_total"),
+            ("deferred_refuted", "repro_amf_deferred_refuted_total"),
         ]:
             assert samples[sample] == inc[diag_key], diag_key
         cache = stats["cache"]

@@ -7,6 +7,8 @@ departures, capacity changes) and checks the warm solver's aggregates
 against a cold :func:`solve_amf` on every intermediate snapshot.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,16 @@ from hypothesis import strategies as st
 
 from repro._util import ABS_TOL
 from repro.core.amf import AmfDiagnostics, CutBasis, amf_levels, solve_amf
-from repro.core.sharding import ShardBasisPool
+from repro.core.sharding import ShardBasisPool, decompose
+from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.service.solver import IncrementalAmfSolver
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
+from repro.workload.generator import WorkloadSpec, generate_jobs, sites_for
 from tests.core.test_sharding import monolithic
+from tests.multiresource.oracle import probe_fill_shares
 from tests.multiresource.test_engine import crossing_cluster
 
 
@@ -57,6 +62,29 @@ def churn_scripts(draw):
             site = draw(st.sampled_from([s.name for s in sites]))
             events.append(CapacityChanged(site, draw(st.floats(0.5, 4.0))))
     return sites, jobs, events
+
+
+def connected_stream(spec: WorkloadSpec, seed: int, events: int):
+    """Snapshots of one Zipf cluster under seeded churn: arrivals,
+    departures and capacity changes (from the original capacity, so no site
+    drifts to zero)."""
+    rng = np.random.default_rng(seed)
+    jobs = generate_jobs(spec, rng)
+    sites = sites_for(spec, jobs)
+    state = ClusterState(sites, jobs)
+    yield state.snapshot()
+    for step in range(events):
+        kind = rng.choice(["arrive", "depart", "capacity"], p=[0.45, 0.45, 0.10])
+        if kind == "arrive" or state.n_jobs < 3:
+            job = generate_jobs(dataclasses.replace(spec, n_jobs=1), rng)[0]
+            state.apply(JobArrived(Job(f"a{step}", job.workload, job.demand, weight=job.weight)))
+        elif kind == "depart":
+            names = [job.name for job in state.snapshot().jobs]
+            state.apply(JobDeparted(names[int(rng.integers(len(names)))]))
+        else:
+            site = sites[int(rng.integers(len(sites)))]
+            state.apply(CapacityChanged(site.name, site.capacity * float(rng.uniform(0.8, 1.25))))
+        yield state.snapshot()
 
 
 class TestIncrementalEqualsCold:
@@ -277,3 +305,57 @@ class TestShardedSolver:
         for cap in (1.0, 2.0, 3.0):
             solver(Cluster([Site("a", cap), Site("b", 1.0)], [Job("x", {"a": 1.0}), Job("z", {"b": 1.0})]))
         assert solver.shard_cache_entries == 2
+
+
+class TestWarmWriteProbeCount:
+    """A count gate, not a timing claim: on the paper's setting (one 200 x 20
+    Zipf component) a warm write ends every round on its seeded cut pool and
+    pays one certifying max-flow, started from the previous split."""
+
+    def test_connected_stream(self, monkeypatch):
+        outcomes = []
+        real = ParametricFeasibility.probe
+
+        def recorded(self, targets):
+            out = real(self, targets)
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr(ParametricFeasibility, "probe", recorded)
+        solver = IncrementalAmfSolver()
+        spec = WorkloadSpec(n_jobs=200, n_sites=20, site_spread=4, theta=1.0)
+        probes, cold_routes = [], []
+        for k, cluster in enumerate(connected_stream(spec, seed=0, events=30)):
+            assert len(decompose(cluster)) == 1
+            before = dataclasses.replace(solver.stats)
+            outcomes.clear()
+            solver(cluster)
+            if k == 0:  # the boot solve: a fresh pool, today's per-round loop
+                assert solver.stats.deferred_checks == 0
+                continue
+            assert solver.stats.deferred_checks - before.deferred_checks == 1
+            paid = solver.stats.feasibility_solves - before.feasibility_solves
+            if solver.stats.deferred_refuted == before.deferred_refuted:
+                assert paid <= 3
+            probes.append(paid)
+            # the one cold flow solve left is the zero-target floors check
+            cold_routes += [out for out in outcomes if out.mode == "flow-cold" and out.demanded > 0.0]
+        assert cold_routes == []
+        assert solver.stats.deferred_refuted <= 3
+        assert np.mean(probes) <= 3.0
+
+
+class TestLpReferee:
+    """The served aggregates on a connected churn stream equal an
+    independent sequential LP (``probe_fill_shares``: scipy only, no flow
+    code) on every snapshot."""
+
+    def test_connected_stream_matches_the_lp(self):
+        solver = IncrementalAmfSolver()
+        spec = WorkloadSpec(n_jobs=32, n_sites=8, site_spread=3, theta=1.0)
+        for cluster in connected_stream(spec, seed=5, events=20):
+            assert len(decompose(cluster)) == 1
+            served = solver(cluster).aggregates
+            shares, _ = probe_fill_shares(cluster)
+            np.testing.assert_allclose(served, shares / cluster.dominant_factor(), rtol=0, atol=1e-9)
+        assert solver.stats.deferred_checks >= 15  # the warm path really served the stream
