@@ -9,7 +9,9 @@
   completion-time add-on (split optimization under fixed aggregates).
 * :mod:`~repro.core.properties` — Pareto / envy-freeness /
   strategy-proofness / sharing-incentive checkers.
-* :mod:`~repro.core.reference` — slow, independent oracle used by tests.
+
+The LP oracle every solver here is tested against lives outside the
+package, in ``tests/oracle.py``.
 """
 
 from repro.core.allocation import Allocation

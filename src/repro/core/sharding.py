@@ -17,8 +17,8 @@ inside one component never trades off against another component, because
 no constraint couples them.  Hence solving each component independently
 and stitching the blocks back together *is* the AMF allocation of the whole
 cluster (progressive filling over the whole graph just interleaves the
-components' rounds; the frozen levels per job are identical), and it is
-the only way :func:`~repro.core.amf.solve_amf` and
+components' rounds; in exact arithmetic the frozen levels per job are
+identical), and it is the only way :func:`~repro.core.amf.solve_amf` and
 :func:`~repro.core.amf.amf_levels` solve.
 
 **Why nothing fills the whole graph at once.**  Besides costing more

@@ -18,8 +18,7 @@ task bounds); this package holds the two policies over it:
   site).
 
 Experiment X7 compares the two on dominant-share balance under skew; the
-engine is refereed by an independent λ-bisection oracle in
-``tests/multiresource/oracle.py``.
+engine is refereed by the repo's one LP oracle, ``tests/oracle.py``.
 """
 
 from repro.multiresource.persite import solve_persite_drf

@@ -2,8 +2,7 @@
 
 This is the multi-resource solver behind :func:`repro.core.amf.solve_amf`
 when a :class:`~repro.model.cluster.Cluster` carries non-canonical resource
-vectors — the only multi-resource path in ``src/`` (the λ-bisection it
-replaced lives on as the test oracle ``tests/multiresource/oracle.py``):
+vectors — the only multi-resource path in ``src/``:
 
 * **exact scalar routing** — when a single resource exists (R=1) or one
   resource *dominates* every job at every site, the instance is an exact
@@ -17,7 +16,7 @@ replaced lives on as the test oracle ``tests/multiresource/oracle.py``):
   vertex exceeds its target is not, and the few jobs neither test decides
   (a degenerate vertex can give a tight row a zero dual) share one
   aggregate headroom LP.  The per-job max-share probe this replaced is
-  the test referee ``tests/multiresource/oracle.py::probe_fill_shares``.
+  the test referee ``tests/oracle.py::probe_fill_shares``.
 
 The engine is stateless.  Repeated states are answered above it by the
 service's fingerprint-keyed caches (``AllocationCache`` and

@@ -3,7 +3,7 @@
 Layers of evidence:
 
 1. hand-computable instances (including the paper-style motivating ones),
-2. agreement with the LP reference solver (independent code path),
+2. agreement with the LP oracle (:mod:`tests.oracle`, independent code path),
 3. agreement with the bisection variant,
 4. exact flow-based max-min / Pareto verification,
 5. hypothesis-driven random instances for the structural invariants.
@@ -23,10 +23,10 @@ from repro.core.amf import (
     amf_levels_bisect,
     solve_amf,
 )
-from repro.core.reference import reference_feasible, reference_levels
 from repro.model.cluster import Cluster
 
 from tests.conftest import random_cluster
+from tests.oracle import lp_feasible, probe_fill_shares
 
 
 class TestPiecewiseFill:
@@ -224,7 +224,8 @@ class TestWeighted:
     def test_weighted_matches_reference(self, rng):
         for _ in range(10):
             c = random_cluster(rng, weight_spread=2.0)
-            assert np.abs(amf_levels(c) - reference_levels(c)).max() < 1e-5
+            shares, _ = probe_fill_shares(c)
+            assert np.abs(amf_levels(c) - shares / c.dominant_factor()).max() < 1e-9
 
 
 class TestFloors:
@@ -265,9 +266,8 @@ class TestCrossValidation:
     def test_matches_lp_reference(self, seed):
         rng = np.random.default_rng(seed)
         c = random_cluster(rng)
-        lv = amf_levels(c)
-        ref = reference_levels(c)
-        assert np.abs(lv - ref).max() < 1e-5
+        shares, _ = probe_fill_shares(c)
+        assert np.abs(amf_levels(c) - shares / c.dominant_factor()).max() < 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_bisection(self, seed):
@@ -280,7 +280,7 @@ class TestCrossValidation:
         rng = np.random.default_rng(200 + seed)
         c = random_cluster(rng)
         lv = amf_levels(c)
-        assert reference_feasible(c, lv - 1e-9)
+        assert lp_feasible(c, lv - 1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_allocation_is_maxmin_and_pareto(self, seed):

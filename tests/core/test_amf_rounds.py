@@ -26,13 +26,13 @@ from repro.core.amf import (
     solve_amf,
 )
 from repro.core.enhanced import sharing_incentive_floors
-from repro.core.reference import reference_feasible
 from repro.core.sharding import ShardBasisPool, decompose
 from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
 from repro.model.site import Site
 from repro.service.state import ClusterState
 from repro.workload.generator import WorkloadSpec, generate_jobs, sites_for
+from tests.oracle import lp_feasible
 
 
 def one_job_per_round_levels(cluster, floors=None):
@@ -144,10 +144,8 @@ class TestRoundBound:
         slow, _ = one_job_per_round_levels(cluster, floors)
         assert np.abs(lv - slow).max() < 1e-9
         # Independent of any fill loop: the LP for feasibility, the flow
-        # deciders for optimality.  (amf_levels_bisect and reference_levels
-        # cannot referee this corpus: at the parent commit each under-fills
-        # 0.4% / 2% of such draws against an LP-feasible, max-min vector.)
-        assert reference_feasible(cluster, lv - 1e-9)
+        # deciders for optimality.
+        assert lp_feasible(cluster, lv - 1e-9)
         assert properties.is_pareto_efficient(alloc)
         if floors is None:
             assert properties.is_max_min_fair(alloc)

@@ -41,7 +41,7 @@ from repro.model.job import Job
 from repro.model.serialize import cluster_from_dict
 from repro.model.site import Site
 from tests.core import reference_decompose
-from tests.multiresource.oracle import probe_fill_shares
+from tests.oracle import probe_fill_shares
 
 
 def monolithic(cluster: Cluster, floors: np.ndarray | None = None) -> Allocation:

@@ -5,9 +5,9 @@ Three layers of guarantees:
 * **routing** — R=1 and dominant-resource clusters take the scalar flow
   fast path (zero LPs); genuinely multi-resource clusters run the
   progressive-filling LP engine;
-* **equivalence** — the engine's leximin share profile matches the
-  bisection oracle (:func:`tests.multiresource.oracle.amrf_shares`) on
-  random instances, sharded or not;
+* **equivalence** — the engine's leximin shares match the LP oracle
+  (:func:`tests.oracle.probe_fill_shares`) on random instances, sharded
+  or not;
 * **fairness properties** — Pareto efficiency, envy-freeness and sharing
   incentive on cap-free instances (the DRF hypotheses).
 """
@@ -20,7 +20,7 @@ from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.multiresource import amrf_allocate, scalar_reduction, solve_multiresource
-from tests.multiresource.oracle import amrf_shares, check_rates
+from tests.oracle import check_rates, probe_fill_shares
 
 RESOURCES = ("cpu", "mem")
 
@@ -147,22 +147,22 @@ class TestRouting:
 
 
 class TestEngineVsOracle:
-    def test_matches_bisection_oracle_on_random_instances(self, rng):
+    def test_matches_probe_fill_oracle_on_random_instances(self, rng):
         for _ in range(8):
             cluster = random_mr_cluster(rng)
             alloc = solve_multiresource(cluster)
             check_rates(cluster, alloc.matrix)
-            got = np.sort(cluster.dominant_factor() * alloc.matrix.sum(axis=1))
-            want = np.sort(amrf_shares(cluster))
-            assert np.allclose(got, want, atol=1e-5), (got, want)
+            got = cluster.dominant_factor() * alloc.matrix.sum(axis=1)
+            want, _ = probe_fill_shares(cluster)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
 
     def test_weighted_instances(self, rng):
         for _ in range(4):
             cluster = random_mr_cluster(rng, weights=True)
             alloc = solve_multiresource(cluster)
-            got = np.sort(cluster.dominant_factor() * alloc.matrix.sum(axis=1))
-            want = np.sort(amrf_shares(cluster))
-            assert np.allclose(got, want, atol=1e-5)
+            got = cluster.dominant_factor() * alloc.matrix.sum(axis=1)
+            want, _ = probe_fill_shares(cluster)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
 
     def test_sharded_equals_monolithic(self, rng):
         # Two disconnected components: disjoint sites and job supports.

@@ -4,8 +4,8 @@ The engine reads the freeze decision off the round's max-``t`` LP (a share
 row with positive dual is tight at every optimum), lets the optimal vertex
 witness headroom, and settles whoever is left with one aggregate headroom
 LP.  The referee is the rule it replaced — one max-share probe LP per
-candidate job — kept as :func:`tests.multiresource.oracle.probe_fill_shares`
-and sharing no code with the engine.  Compared here are the *fill* shares
+candidate job — kept as the repo's LP oracle, :func:`tests.oracle.probe_fill_shares`,
+which shares no code with the engine.  Compared here are the *fill* shares
 (what ``_amrf_fill`` returns): the realization LP behind ``amrf_allocate``
 relaxes them by 1e-9 and may trade that sliver between jobs.
 """
@@ -20,7 +20,7 @@ from repro.model.job import Job
 from repro.model.site import Site
 from repro.multiresource import amrf_allocate, engine, scalar_reduction
 from repro.service.state import ClusterState
-from tests.multiresource.oracle import probe_fill_shares
+from tests.oracle import probe_fill_shares
 from tests.multiresource.test_engine import random_mr_cluster
 
 
@@ -106,6 +106,16 @@ class TestProbeFillDifferential:
             transients.add(cluster.n_jobs - workloads.VECTOR_JOBS)
             assert_matches_probe_fill(cluster)
         assert transients >= set(range(workloads.VECTOR_TRANSIENTS + 1))
+
+    def test_draw_the_bisection_oracle_under_filled(self):
+        """Draw k=41 of the engine tests' stream: the bisection oracle this
+        one replaced read a failed HiGHS probe as "frozen" there and missed
+        the engine by 0.199."""
+        rng = np.random.default_rng(12345)
+        for k in range(42):
+            cluster = random_mr_cluster(rng, weights=bool(k % 2))
+        assert scalar_reduction(cluster) is None
+        assert assert_matches_probe_fill(cluster).amrf_rounds > 0
 
     def test_shard_denominators(self, rng):
         """Federation-wide totals (what a shard solve passes) reach both sides."""

@@ -1,19 +1,20 @@
 """Per-site DRF and AMRF on the vector-bearing ``Cluster``.
 
-``TestAmrf`` runs the bisection oracle (:mod:`tests.multiresource.oracle`)
-on the textbook instances, so the referee the engine is compared against
-in ``test_engine.py`` is itself pinned to known answers.
+``TestAmrf`` runs the LP oracle (:mod:`tests.oracle`) on the textbook
+instances, so the referee the engine is compared against in
+``test_engine.py`` is itself pinned to known answers; the served rates
+(``solve_amf``) are checked against caps and capacities.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.amf import amf_levels
+from repro.core.amf import amf_levels, solve_amf
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.multiresource import solve_persite_drf
-from tests.multiresource.oracle import amrf_shares, solve_amrf
+from tests.oracle import check_rates, probe_fill_shares
 
 
 def task_job(name, resources, tasks, weight=1.0) -> Job:
@@ -100,7 +101,8 @@ class TestAmrf:
     def test_single_site_matches_drf(self):
         c = ghodsi()
         drf_shares = dominant_shares(c, solve_persite_drf(c).matrix)
-        assert np.allclose(amrf_shares(c), drf_shares, atol=1e-6)
+        shares, _ = probe_fill_shares(c)
+        assert np.allclose(shares, drf_shares, atol=1e-9)
 
     def test_single_resource_matches_amf(self):
         mr = Cluster(
@@ -111,13 +113,14 @@ class TestAmrf:
                 task_job("s", {"cpu": 1.0}, {"A": 10.0, "B": 10.0}),
             ],
         )
-        aggregates = solve_amrf(mr).sum(axis=1)
+        shares, _ = probe_fill_shares(mr)
+        aggregates = shares / mr.dominant_factor()
         flow = Cluster.from_matrices(
             [1.0, 1.0],
             [[10.0, 0.0], [10.0, 0.0], [10.0, 10.0]],
             [[10.0, np.inf], [10.0, np.inf], [10.0, 10.0]],
         )
-        assert np.allclose(aggregates, amf_levels(flow), atol=1e-6)
+        assert np.allclose(aggregates, amf_levels(flow), atol=1e-9)
 
     def test_cross_site_compensation(self):
         """The AMF signature, in vector form: the spread job yields the hot site."""
@@ -128,9 +131,10 @@ class TestAmrf:
                 task_job("spread", {"cpu": 1.0, "mem": 1.0}, {"hot": 100.0, "idle": 100.0}),
             ],
         )
-        rates = solve_amrf(mr)
-        # pinned gets (nearly) the whole hot site's cpu
-        assert rates[0, 0] == pytest.approx(4.0, rel=1e-3)
+        rates = solve_amf(mr).matrix
+        check_rates(mr, rates)
+        # pinned gets the whole hot site's cpu
+        assert rates[0, 0] == pytest.approx(4.0, abs=1e-9)
 
     def test_shares_weighted(self):
         mr = Cluster(
@@ -140,8 +144,8 @@ class TestAmrf:
                 task_job("y", {"cpu": 1.0}, {"s": 100.0}, weight=2.0),
             ],
         )
-        shares = amrf_shares(mr)
-        assert shares[1] / shares[0] == pytest.approx(2.0, rel=1e-4)
+        shares, _ = probe_fill_shares(mr)
+        assert shares[1] / shares[0] == pytest.approx(2.0, rel=1e-9)
 
     def test_rates_feasible_randomized(self):
         rng = np.random.default_rng(0)
@@ -160,7 +164,7 @@ class TestAmrf:
                     )
                 )
             mr = Cluster(sites, jobs)
-            solve_amrf(mr)  # check_rates inside
+            check_rates(mr, solve_amf(mr).matrix)
             solve_persite_drf(mr)  # Allocation validates
 
     def test_amrf_at_least_as_balanced_as_drf(self):
@@ -184,5 +188,5 @@ class TestAmrf:
                 )
             mr = Cluster(sites, jobs)
             drf = jain_index(dominant_shares(mr, solve_persite_drf(mr).matrix))
-            amrf = jain_index(dominant_shares(mr, solve_amrf(mr)))
+            amrf = jain_index(probe_fill_shares(mr)[0])
             assert amrf >= drf - 1e-6

@@ -25,7 +25,7 @@ from repro.service.solver import IncrementalAmfSolver
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
 from repro.workload.generator import WorkloadSpec, generate_jobs, sites_for
 from tests.core.test_sharding import monolithic
-from tests.multiresource.oracle import probe_fill_shares
+from tests.oracle import probe_fill_shares
 from tests.multiresource.test_engine import crossing_cluster
 
 
@@ -109,7 +109,7 @@ class TestIncrementalEqualsCold:
     @given(churn_scripts())
     @settings(max_examples=30, deadline=None)
     def test_basis_seeding_never_changes_levels(self, script):
-        """amf_levels with a pre-populated shard pool == without, exactly."""
+        """amf_levels with a pre-populated shard pool == without, at 1e-9."""
         sites, jobs, events = script
         state = ClusterState(sites, jobs)
         bases = ShardBasisPool()
