@@ -1,8 +1,8 @@
 """X9 (extension) — the online allocation service under Poisson churn.
 
 Closed-loop load generator (arrivals + exponential sojourns) driving the
-full service pipeline — coalescing queue, fingerprint cache, warm-started
-incremental AMF behind the resilient chain — on a virtual clock.  Every
+full service pipeline — coalescing queue, warm-started incremental AMF
+and its component memo behind the resilient chain — on a virtual clock.  Every
 warm solution is verified against a cold ``solve_amf`` of the identical
 snapshot behind the same resilient chain (docs/service.md).  Claims:
 incremental == cold, and the persisted per-shard cut pools make warm
@@ -23,7 +23,7 @@ def test_x9_service(run_once):
     # the warm solver must agree with the cold oracle on every snapshot
     assert agg["max_abs_deviation"] <= agg["tolerance"]
     assert agg["fallbacks"] == 0.0
-    # serving traffic between re-solves is absorbed by the cache
+    # serving traffic between re-solves is answered by the component memo
     assert agg["cache_hit_rate"] > 0.5
     # batching coalesces: fewer solves than events
     assert agg["solves"] < agg["events"]

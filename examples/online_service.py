@@ -3,7 +3,7 @@
 Boots the full :class:`~repro.service.daemon.AllocationService` pipeline
 in-process (no HTTP needed), streams a burst of arrivals, departures and
 a capacity change through it, and prints what each layer contributed:
-batched re-solves, cache hits, and cutting planes replayed from the
+batched re-solves, component-memo replays, and cutting planes replayed from the
 persistent basis instead of rediscovered via max-flow probes.
 
 The same pipeline is served over HTTP by ``python -m repro.cli serve``
@@ -20,7 +20,7 @@ from repro.service import AllocationService, CapacityChanged, ClusterState, JobA
 def show(service: AllocationService, note: str) -> None:
     served = service.allocation()
     alloc = served.allocation
-    origin = "cache" if served.cached else f"solved in {served.seconds * 1e3:.2f} ms"
+    origin = "memo" if served.cached else f"solved in {served.seconds * 1e3:.2f} ms"
     print(f"--- {note}  [{alloc.policy}, {origin}, state v{served.version}]")
     for job, agg in zip(alloc.cluster.jobs, alloc.aggregates):
         print(f"    {job.name:8s} aggregate = {agg:.3f}")
@@ -39,7 +39,7 @@ def main() -> None:
         ]
     )
     show(service, "three jobs arrive (one coalesced batch)")
-    show(service, "read again with no churn")  # served from the allocation cache
+    show(service, "read again with no churn")  # served from the component memo
 
     service.submit(JobArrived(Job("crawler", {"west": 1.0})))
     show(service, "crawler arrives on the idle site")
@@ -53,13 +53,14 @@ def main() -> None:
     print("\npipeline counters:")
     print(f"    events accepted     : {stats['state']['events_accepted']}")
     print(f"    batches / solves    : {stats['batching']['batches']} / {inc['solves']}")
-    print(f"    cache hit rate      : {stats['cache']['hit_rate']:.2f}")
+    print(f"    memo hit rate       : {stats['cache']['hit_rate']:.2f}")
     print(f"    cuts discovered     : {inc['cuts_generated']}")
     print(f"    cuts replayed warm  : {inc['warm_cuts_seeded']}")
     print(f"    fallback activations: {stats['resilience']['fallback_activations']}")
     print("\nThe warm solves replay the bottleneck cut discovered on the first")
-    print("batch instead of re-deriving it from max-flow probes; reads between")
-    print("deltas never touch the solver at all (docs/service.md).")
+    print("batch instead of re-deriving it from max-flow probes; a read between")
+    print("deltas is answered from the component memo, solving nothing")
+    print("(docs/service.md).")
 
 
 if __name__ == "__main__":

@@ -1015,7 +1015,7 @@ def run_x9_service(
     pipeline on a *virtual* clock: events coalesce into batches
     (``max_delay`` = ``coalesce_gaps`` mean event gaps), each batch triggers
     one warm re-solve, and ``queries_per_batch`` read queries model the
-    serving traffic that hits the allocation cache.
+    serving traffic the component memo answers without solving.
 
     Every warm solution is checked against a cold oracle on the identical
     snapshot: :func:`~repro.core.amf.solve_amf` behind the *same*
@@ -1023,9 +1023,9 @@ def run_x9_service(
     :class:`~repro.core.amf.AmfDiagnostics`.  Both arms solve per connected
     component, so the timed A/B differs **only** in the warm state the
     daemon's solver keeps between solves (per-shard cut pools and the
-    shard-matrix memo).  The experiment thus simultaneously *proves*
+    component memo).  The experiment thus simultaneously *proves*
     incremental == cold and *measures* what the warm start, the batching
-    and the cache each buy.
+    and the memo each buy.
     """
     from repro._util import ABS_TOL
     from repro.core.amf import AmfDiagnostics, solve_amf
@@ -1096,7 +1096,7 @@ def run_x9_service(
             "warm_mean_ms": warm.mean_ms,
             "warm_p50_ms": warm.percentile_ms(50),
             "warm_p99_ms": warm.percentile_ms(99),
-            "cache_hit_rate": service.cache.stats.hit_rate,
+            "cache_hit_rate": service.stats()["cache"]["hit_rate"],
             "warm_feas_per_solve": inc.feasibility_solves / max(1, inc.solves),
             "warm_cuts_per_solve": inc.cuts_generated / max(1, inc.solves),
             # component fills certified by one probe of their final levels,

@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--load", metavar="JSON", help="boot from a cluster JSON file instead of empty sites")
     p_srv.add_argument("--max-delay", type=float, default=0.05, help="seconds an event may wait for its batch")
     p_srv.add_argument("--max-batch", type=int, default=256, help="max events coalesced into one re-solve")
-    p_srv.add_argument("--cache-size", type=int, default=128, help="allocation cache entries (LRU)")
+    p_srv.add_argument("--cache-size", type=int, default=128, help="component memo entries (LRU)")
     p_srv.add_argument("--max-cuts", type=int, default=64, help="persistent cutting-plane pool bound")
     # Vestige with one reader: benchmarks/ledger/client.py::InProcessServer
     # reads ``args.no_shards``.  Every solve is per connected component, so

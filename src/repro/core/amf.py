@@ -15,8 +15,9 @@ which suggests the exact algorithm implemented here:
    ``sum_i max(0, A_i - cross_i(S)) <= cap(S)`` where ``cross_i(S)`` is
    job ``i``'s demand cap out of ``S`` (seeded with ``S`` = all sites,
    i.e. the total-capacity cut).
-2. Propose ``lam = min_S max{lam : LHS_S(lam) <= cap(S)}`` — exact via the
-   piecewise-linear :class:`SiteCutFill` (no binary search).
+2. Propose ``lam = min_S max{lam : LHS_S(lam) <= cap(S)}`` — exact by one
+   batched sweep over each cut's piecewise-linear LHS (:class:`_RoundPool`;
+   no binary search).
 3. Check feasibility at the proposal with one max-flow.  Feasible: the
    proposal is this round's max-min level, because any larger ``lam``
    violates a recorded cut.  Infeasible: the min cut yields a *new violated
@@ -78,8 +79,6 @@ __all__ = [
     "amf_levels",
     "amf_levels_bisect",
     "AmfDiagnostics",
-    "PiecewiseFill",
-    "SiteCutFill",
     "CutBasis",
 ]
 
@@ -222,135 +221,6 @@ class CutBasis:
         return out
 
 
-class _PiecewiseEvaluator:
-    """Segment-sweep machinery shared by :class:`PiecewiseFill` and
-    :class:`SiteCutFill`: a continuous, non-decreasing piecewise-linear
-    function built from ``(level, const_jump, slope_jump)`` event rows.
-    """
-
-    __slots__ = ("base", "levels", "consts", "slopes", "total_cap", "top_level")
-
-    def _build(self, events: np.ndarray, base: float, total_cap: float, top_level: float) -> None:
-        order = np.argsort(events[:, 0], kind="stable")
-        events = events[order]
-        self.base = base  # value before any breakpoint
-        self.levels = events[:, 0]
-        self.consts = base + np.cumsum(events[:, 1])
-        self.slopes = np.cumsum(events[:, 2])
-        self.total_cap = total_cap  # sup of the function (value as lam -> inf)
-        self.top_level = top_level
-
-    def value(self, lam: float) -> float:
-        """Evaluate the function at ``lam`` (``lam`` must be >= 0)."""
-        k = int(np.searchsorted(self.levels, lam, side="right")) - 1
-        if k < 0:
-            return self.base
-        return float(self.consts[k] + self.slopes[k] * lam)
-
-    def max_level(self, rhs: float) -> float:
-        """``sup { lam >= 0 : value(lam) <= rhs }`` (``inf`` when never binding; 0 when even the base exceeds ``rhs``)."""
-        tol = ABS_TOL * max(1.0, abs(rhs))
-        if self.total_cap <= rhs + tol:
-            return np.inf
-        # values at each segment's *start* (== end of previous segment, by continuity):
-        seg_start_vals = self.consts + self.slopes * self.levels
-        # first segment whose start value exceeds rhs — with float slack: a
-        # constraint frozen exactly tight in an earlier round can have its
-        # base land an ulp above rhs, and must read as a plateau, not as
-        # "already violated at lam = 0".
-        idx = int(np.searchsorted(seg_start_vals, rhs + tol, side="right"))
-        if idx == 0:
-            # even the base value is above rhs (only possible with infeasible
-            # floors, which the solver rejects up front) — degenerate answer.
-            return 0.0
-        k = idx - 1  # value(segment start of k) <= rhs + tol < value(segment start of k+1)
-        c, s = self.consts[k], self.slopes[k]
-        if s <= 0.0:
-            # Plateau sitting at ~rhs: the sup is where the function finally
-            # climbs past it, i.e. the next breakpoint.
-            return float(self.levels[idx]) if idx < len(self.levels) else np.inf
-        return float((rhs - c) / s)
-
-
-class PiecewiseFill(_PiecewiseEvaluator):
-    """Exact evaluator for ``G(lam) = sum_i clip(lam * w_i, f_i, c_i)``.
-
-    ``G`` is continuous, non-decreasing and piecewise linear; this class
-    precomputes its segment structure (event sweep over the per-job
-    breakpoints ``f_i / w_i`` and ``c_i / w_i``) so that
-
-    * :meth:`value` evaluates ``G`` in ``O(log n)``, and
-    * :meth:`max_level` solves ``sup { lam : G(lam) <= rhs }`` exactly.
-
-    Frozen jobs are modelled by ``f_i = c_i = level_i`` (constant terms).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, floors: np.ndarray, caps: np.ndarray, weights: np.ndarray):
-        caps = np.asarray(caps, dtype=float)
-        floors = np.minimum(np.asarray(floors, dtype=float), caps)
-        weights = np.asarray(weights, dtype=float)
-        require(bool((weights > 0).all()), "weights must be positive")
-        require(bool(np.isfinite(caps).all()), "caps must be finite (clip to site capacity first)")
-        starts = floors / weights
-        ends = caps / weights
-        # Event sweep: +w slope when a job starts rising, -w / +c when it caps.
-        events = np.concatenate(
-            [
-                np.stack([starts, -floors, weights], axis=1),
-                np.stack([ends, caps, -weights], axis=1),
-            ]
-        )
-        self._build(events, float(floors.sum()), float(caps.sum()), float(ends.max(initial=0.0)))
-
-
-class SiteCutFill(_PiecewiseEvaluator):
-    """Exact evaluator for the site-cut constraint LHS
-
-    ``H(lam) = sum_i max(0, clip(lam * w_i, f_i, c_i) - x_i)``
-
-    where ``x_i`` is job ``i``'s *crossing capacity* out of a site set
-    ``S`` (its demand caps to sites outside ``S``).  ``H(lam) <= cap(S)``
-    is the tightest valid inequality induced by ``S`` (Gale–Hoffman): the
-    maximizing job set ``J = { i : t_i(lam) > x_i }`` is implied at every
-    level rather than frozen in, which is what lets :class:`CutBasis`
-    persist bottleneck *site sets* across job churn.
-
-    Sweep identity: ``max(0, t - x) = clip(lam*w, f, c) -
-    clip(lam*w, min(f, x), min(c, x))`` — a difference of two
-    :class:`PiecewiseFill`-style terms, i.e. four events per job.  With
-    ``x = 0`` this degenerates to :class:`PiecewiseFill` exactly.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, floors: np.ndarray, caps: np.ndarray, weights: np.ndarray, cross: np.ndarray):
-        caps = np.asarray(caps, dtype=float)
-        floors = np.minimum(np.asarray(floors, dtype=float), caps)
-        weights = np.asarray(weights, dtype=float)
-        cross = np.asarray(cross, dtype=float)
-        require(bool((weights > 0).all()), "weights must be positive")
-        require(bool(np.isfinite(caps).all()), "caps must be finite (clip to site capacity first)")
-        require(bool((cross >= 0).all()), "crossing capacities must be non-negative")
-        m_floors = np.minimum(floors, cross)
-        m_caps = np.minimum(caps, cross)
-        events = np.concatenate(
-            [
-                np.stack([floors / weights, -floors, weights], axis=1),
-                np.stack([caps / weights, caps, -weights], axis=1),
-                np.stack([m_floors / weights, m_floors, -weights], axis=1),
-                np.stack([m_caps / weights, -m_caps, weights], axis=1),
-            ]
-        )
-        self._build(
-            events,
-            float((floors - m_floors).sum()),
-            float((caps - m_caps).sum()),
-            float((caps / weights).max(initial=0.0)),
-        )
-
-
 # ----------------------------------------------------------------------
 # Solver
 # ----------------------------------------------------------------------
@@ -359,9 +229,13 @@ class SiteCutFill(_PiecewiseEvaluator):
 class _RoundPool:
     """The live site-cut constraints of one round, over the *active* jobs.
 
-    Semantically one :class:`SiteCutFill` per row, but swept batched
-    (``(K, 4a)`` events for ``a`` active jobs) so a warm-started solve
-    carrying many persisted cuts does not pay K Python-level constructions.
+    Row ``k`` is the site-cut LHS ``H_k(lam) = sum_i max(0, clip(lam * w_i,
+    f_i, c_i) - x_ki)``: by ``max(0, t - x) = clip(lam*w, f, c) - clip(lam*w,
+    min(f, x), min(c, x))`` four breakpoint events per job, all rows swept
+    at once (``(K, 4a)`` events for ``a`` active jobs) so a warm-started
+    solve carrying many persisted cuts does not pay K Python-level
+    constructions.  The one-cut-at-a-time evaluator it replaced is the test
+    reference ``tests/core/reference_fill.py``.
     Frozen jobs are constants: each row's ``base`` carries their share of
     the LHS.  A cutting-plane miss appends one row with :meth:`add`; the
     rows already swept are kept.
@@ -409,9 +283,10 @@ class _RoundPool:
 def _max_levels(
     levels: np.ndarray, consts: np.ndarray, slopes: np.ndarray, total_cap: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Per-row ``sup { lam >= 0 : H_k(lam) <= rhs_k }`` — the vectorized twin
-    of :meth:`_PiecewiseEvaluator.max_level` (same tolerance, same
-    degenerate/plateau handling)."""
+    """Per-row ``sup { lam >= 0 : H_k(lam) <= rhs_k }`` (``inf`` when the row
+    never binds; 0 when even ``H_k(0)`` exceeds ``rhs_k``; a plateau sitting
+    at ``rhs_k`` ends at the next breakpoint).  Tests hold it to the
+    one-row evaluator ``tests/core/reference_fill.py`` at 1e-12."""
     n_events = levels.shape[1]
     tol = ABS_TOL * np.maximum(1.0, np.abs(rhs))
     thr = rhs + tol

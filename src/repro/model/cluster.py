@@ -291,9 +291,9 @@ class Cluster:
         remaining work hashes identically.  Job/site *order* is included
         because the allocation matrix layout depends on it.
 
-        The digest is the cache key of the online allocation service
-        (:mod:`repro.service`): equal fingerprints guarantee equal solver
-        inputs, so a cached allocation matrix can be replayed verbatim.
+        A component's digest keys the online allocation service's component
+        memo (:mod:`repro.service.solver`): equal fingerprints guarantee
+        equal solver inputs, so a memoized matrix can be replayed verbatim.
         """
         return self._fingerprint
 

@@ -19,8 +19,8 @@ vectors — the only multi-resource path in ``src/``:
   the test referee ``tests/oracle.py::probe_fill_shares``.
 
 The engine is stateless.  Repeated states are answered above it by the
-service's fingerprint-keyed caches (``AllocationCache`` and
-``IncrementalAmfSolver``'s shard matrices).  It is called once per
+service's component memo (``IncrementalAmfSolver``'s solved component
+matrices, keyed by fingerprint and resource totals).  It is called once per
 connected component (:func:`repro.core.amf.solve_amf`), as for scalar
 clusters — dominant-share denominators are federation-wide constants, so
 each component's leximin is independent given ``resource_totals``.

@@ -115,10 +115,10 @@ _AMF_COUNTERS = {
     ),
 }
 
-# -- service: cache / batching / daemon / HTTP --------------------------
-CACHE_HITS = REGISTRY.counter("repro_cache_hits_total", "allocation cache hits")
-CACHE_MISSES = REGISTRY.counter("repro_cache_misses_total", "allocation cache misses")
-CACHE_EVICTIONS = REGISTRY.counter("repro_cache_evictions_total", "allocation cache LRU evictions")
+# -- service: component memo / batching / daemon / HTTP -----------------
+CACHE_HITS = REGISTRY.counter("repro_cache_hits_total", "allocations the component memo answered whole")
+CACHE_MISSES = REGISTRY.counter("repro_cache_misses_total", "allocations that solved at least one component")
+CACHE_EVICTIONS = REGISTRY.counter("repro_cache_evictions_total", "component memo LRU evictions")
 
 QUEUE_DEPTH = REGISTRY.gauge("repro_queue_depth", "events pending in the coalescing queue")
 QUEUE_BATCHES = REGISTRY.counter("repro_queue_batches_total", "batches drained from the coalescing queue")
@@ -133,10 +133,10 @@ SERVICE_REQUEST_SECONDS = REGISTRY.histogram(
     "repro_service_request_seconds", "HTTP request handling latency"
 )
 SERVICE_SOLVE_SECONDS = REGISTRY.histogram(
-    "repro_service_solve_seconds", "allocation pipeline latency on cache misses"
+    "repro_service_solve_seconds", "allocation pipeline latency when a component was solved"
 )
 
-# -- shard decomposition (repro.core.sharding + service shard cache) ----
+# -- shard decomposition (repro.core.sharding + service component memo) -
 SHARD_SOLVES = REGISTRY.counter("repro_shard_solves_total", "individual shard solves (job-bearing components)")
 SHARD_COUNT = REGISTRY.histogram(
     "repro_shard_count", "connected components per sharded solve", start=1.0, factor=2.0, buckets=10
@@ -145,11 +145,11 @@ SHARD_JOBS = REGISTRY.histogram(
     "repro_shard_jobs", "jobs per solved shard", start=1.0, factor=2.0, buckets=12
 )
 SHARD_SOLVE_SECONDS = REGISTRY.histogram("repro_shard_solve_seconds", "per-shard solve latency")
-# Deliberately distinct from repro_cache_*: those bit-match the service
-# AllocationCache stats (/metrics vs /stats cross-check); these count the
-# per-shard matrix cache inside the sharded incremental solver.
-SHARD_CACHE_HITS = REGISTRY.counter("repro_shard_cache_hits_total", "shard matrix cache hits")
-SHARD_CACHE_MISSES = REGISTRY.counter("repro_shard_cache_misses_total", "shard matrix cache misses")
+# Deliberately distinct from repro_cache_*: those count whole answers and
+# bit-match /v1/stats ``cache`` (/metrics vs /stats cross-check); these count
+# the component memo's lookups, one per component, inside the warm solver.
+SHARD_CACHE_HITS = REGISTRY.counter("repro_shard_cache_hits_total", "component memo hits")
+SHARD_CACHE_MISSES = REGISTRY.counter("repro_shard_cache_misses_total", "component memo misses")
 
 # -- admission control (repro.service.aio) ------------------------------
 ADMISSION_ACCEPTED = REGISTRY.counter(
@@ -214,12 +214,10 @@ def record_amf(diag, since=None) -> None:
             counter.inc(value)
 
 
-def record_cache(*, hit: bool, evictions: int = 0) -> None:
+def record_cache(*, hit: bool) -> None:
     if not REGISTRY.enabled:
         return
     (CACHE_HITS if hit else CACHE_MISSES).inc()
-    if evictions:
-        CACHE_EVICTIONS.inc(evictions)
 
 
 def record_queue_flush(batch_size: int, seconds: float) -> None:

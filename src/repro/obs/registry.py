@@ -1,7 +1,7 @@
 """Zero-dependency process-global metrics registry.
 
-The solver, flow engine, cache, batching queue, simulator and HTTP service
-all count things (``AmfDiagnostics``, ``ProbeStats``, ``CacheStats`` ...),
+The solver, flow engine, component memo, batching queue, simulator and HTTP
+service all count things (``AmfDiagnostics``, ``ProbeStats``, ``BatchStats`` ...),
 but until now each record was an island: visible only to whoever held the
 Python object.  :class:`MetricsRegistry` is the shared sink those counters
 fold into, so one scrape of ``GET /metrics`` (or one

@@ -6,8 +6,8 @@ See docs/service.md for the architecture and knobs.
 
 * :mod:`repro.service.state` — :class:`ClusterState` delta store + events.
 * :mod:`repro.service.solver` — warm-started incremental AMF.
+* :mod:`repro.service.cache` — the solver's component memo.
 * :mod:`repro.service.batching` — event coalescing queue.
-* :mod:`repro.service.cache` — fingerprint-keyed allocation cache.
 * :mod:`repro.service.daemon` — :class:`AllocationService`, the composed pipeline.
 * :mod:`repro.service.journal` — write-ahead journal + crash recovery.
 * :mod:`repro.service.aio` — the HTTP/JSON v1 API: an asyncio edge with
@@ -15,7 +15,6 @@ See docs/service.md for the architecture and knobs.
 """
 
 from repro.service.batching import BatchStats, CoalescingQueue
-from repro.service.cache import AllocationCache, CacheStats
 from repro.service.daemon import AllocationService, ServedAllocation, ServiceClosed
 from repro.service.journal import (
     RecoveredJournal,
@@ -36,10 +35,8 @@ from repro.service.state import (
 )
 
 __all__ = [
-    "AllocationCache",
     "AllocationService",
     "BatchStats",
-    "CacheStats",
     "CapacityChanged",
     "ClusterEvent",
     "ClusterState",

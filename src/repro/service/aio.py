@@ -442,7 +442,7 @@ class AioServiceServer:
 
         The document is ``head + tail``: five small fields, then everything
         the allocation determines.  The tail is kept in :attr:`_answer`
-        under the head a cache re-read would carry (``cached``, 0 ms).
+        under the head a memo replay would carry (``cached``, 0 ms).
         """
         payload = allocation_payload(served)
         tail = json.dumps({key: payload[key] for key in _TAIL})[1:].encode()

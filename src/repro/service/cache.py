@@ -1,83 +1,66 @@
-"""Allocation cache keyed by the canonical cluster fingerprint.
+"""The component memo: solved component matrices keyed by fingerprint.
 
-Between deltas the service's cluster is *identical* — same fingerprint —
-so every read (``/allocate`` with nothing queued, ``/jobs``, observers
-polling) can be served from the last solve instead of re-running AMF.
-:meth:`Cluster.fingerprint` covers exactly the solver inputs, so a hit is
-a proof of equal inputs, and the cached *matrix* (not the Allocation
-object) is replayed: rebinding it to the caller's ``Cluster`` instance
-revalidates every invariant on the way out.
+AMF is separable over connected components (:mod:`repro.core.sharding`),
+so the warm solver (:class:`~repro.service.solver.IncrementalAmfSolver`)
+keeps each solved component's sub-matrix here, keyed by the component's
+:meth:`~repro.model.cluster.Cluster.fingerprint` (plus the federation's
+resource totals on vector clusters).  The fingerprint covers exactly the
+solver inputs, so a hit is a proof of equal inputs and the stored block is
+the answer.  A delta changes the key of the component it touched and no
+other; a revisited state finds every component here and solves none.  This
+is the service's only memory of solved states.
 
-Bounded LRU; entries from states the churn has left behind age out.
+Bounded LRU; entries from component states the churn has left behind age
+out, but never one the current call uses (:meth:`AllocationCache.trim`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import require
-from repro.core.allocation import Allocation
-from repro.model.cluster import Cluster
-from repro.obs.instruments import CACHE_EVICTIONS, record_cache
-from repro.obs.registry import REGISTRY
 
-__all__ = ["CacheStats", "AllocationCache"]
-
-
-@dataclass(slots=True)
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
+__all__ = ["AllocationCache"]
 
 
 class AllocationCache:
-    """LRU of ``fingerprint -> (matrix, policy)`` with hit/miss accounting."""
+    """LRU of ``component key -> solved sub-matrix``."""
 
     def __init__(self, max_entries: int = 128):
         require(max_entries >= 1, "max_entries must be at least 1")
         self.max_entries = max_entries
-        self._entries: OrderedDict[str, tuple[np.ndarray, str]] = OrderedDict()
-        self.stats = CacheStats()
+        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, cluster: Cluster) -> Allocation | None:
-        """Cached allocation for ``cluster``, rebound and revalidated, or ``None``."""
-        # fingerprint() hashes the full instance — compute it once per lookup.
-        key = cluster.fingerprint()
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            record_cache(hit=False)
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        record_cache(hit=True)
-        matrix, policy = entry
-        return Allocation(cluster, matrix.copy(), policy=policy)
+    def get(self, key: str) -> np.ndarray | None:
+        """The stored block for ``key`` (now the most recent entry), or ``None``."""
+        matrix = self._entries.get(key)
+        if matrix is not None:
+            self._entries.move_to_end(key)
+        return matrix
 
-    def put(self, cluster: Cluster, alloc: Allocation) -> None:
-        key = cluster.fingerprint()
-        self._entries[key] = (np.array(alloc.matrix, dtype=float, copy=True), alloc.policy)
+    def put(self, key: str, matrix: np.ndarray) -> None:
+        self._entries[key] = matrix
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
+
+    def trim(self, keep: int) -> int:
+        """Drop the least recent entries down to ``max(max_entries, keep)``.
+
+        Every :meth:`get` hit and :meth:`put` moves its key to the recent
+        end, so keeping the ``keep`` most recent entries keeps every block a
+        call of ``keep`` components used: a state with more components than
+        the bound is still answered from here when revisited.  Returns the
+        number of entries dropped.
+        """
+        dropped = 0
+        while len(self._entries) > max(self.max_entries, keep):
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            if REGISTRY.enabled:
-                CACHE_EVICTIONS.inc()
+            dropped += 1
+        return dropped
 
     def clear(self) -> None:
         self._entries.clear()

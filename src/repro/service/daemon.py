@@ -1,4 +1,4 @@
-"""The allocation daemon: state + batching + cache + resilient warm solver.
+"""The allocation daemon: state + batching + resilient warm solver.
 
 :class:`AllocationService` is the synchronous core of the online service —
 everything the HTTP front-end (:mod:`repro.service.aio`) does is a thin
@@ -8,11 +8,12 @@ same object directly with a virtual clock.  One re-solve pipeline:
 1. deltas land in a :class:`~repro.service.batching.CoalescingQueue`;
 2. when the batch is due (or a caller demands freshness) it is applied to
    the :class:`~repro.service.state.ClusterState` event by event;
-3. the resulting snapshot is looked up in the fingerprint-keyed
-   :class:`~repro.service.cache.AllocationCache`;
-4. on a miss, the :class:`~repro.core.policies.ResilientPolicy` chain
-   ``incremental AMF -> cold AMF -> psmf -> proportional`` solves it, the
-   warm solver reusing the previous solution's cut pool.
+3. the :class:`~repro.core.policies.ResilientPolicy` chain
+   ``incremental AMF -> cold AMF -> psmf -> proportional`` answers the
+   resulting snapshot.  The warm solver replays every component it finds in
+   its component memo (keyed by component fingerprint) and solves the rest
+   from its cut pools, so a revisited state solves no component and is
+   served as ``cached``.
 
 All public methods are thread-safe (one reentrant lock around the whole
 pipeline): correctness first — the solver itself is the bottleneck, not
@@ -35,7 +36,6 @@ from repro.obs import instruments
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER, span
 from repro.service.batching import CoalescingQueue
-from repro.service.cache import AllocationCache
 from repro.service.journal import WriteAheadJournal
 from repro.service.solver import IncrementalAmfSolver
 from repro.service.state import ClusterEvent, ClusterState, JobArrived
@@ -61,7 +61,7 @@ class ServedAllocation:
     def __init__(self, allocation: Allocation, *, cached: bool, seconds: float, version: int, fingerprint: str):
         self.allocation = allocation
         self.cached = cached
-        self.seconds = seconds  # solve wall time (0.0 on a cache hit)
+        self.seconds = seconds  # solve wall time (0.0 when no component was solved)
         self.version = version
         self.fingerprint = fingerprint
 
@@ -77,7 +77,8 @@ class AllocationService:
         Coalescing knobs — how long an event may wait, and how many one
         re-solve may take.
     cache_size:
-        LRU entries in the allocation cache.
+        LRU entries in the warm solver's component memo (one per distinct
+        component state solved).
     max_cuts:
         Per-shard cutting-plane pool bound for the warm solver
         (:class:`~repro.service.solver.IncrementalAmfSolver`, which solves
@@ -139,11 +140,12 @@ class AllocationService:
             TRACER.enable()
         self.state = state
         self.queue = CoalescingQueue(max_delay=max_delay, max_batch=max_batch, clock=clock)
-        self.cache = AllocationCache(max_entries=cache_size)
-        self.incremental = IncrementalAmfSolver(max_cuts=max_cuts)
+        self.incremental = IncrementalAmfSolver(max_cuts=max_cuts, shard_cache_size=cache_size)
         self.resilience = ResilienceStats()
         self.policy = ResilientPolicy(self.incremental, fallbacks, stats=self.resilience)
         self.solve_stats = SolveStats(samples=deque(maxlen=SOLVE_WINDOW))
+        self.memo_hits = 0  # answers that solved no component
+        self.memo_misses = 0  # answers that solved at least one
         self.rejections: list[str] = []  # bounded log of deltas the state refused
         self.max_rejections = 200
         self.events_accepted = 0
@@ -286,17 +288,26 @@ class AllocationService:
             if cluster.n_jobs == 0:
                 empty = Allocation(cluster, np.zeros((0, cluster.n_sites)), policy="empty")
                 return ServedAllocation(empty, cached=True, seconds=0.0, version=version, fingerprint=fp)
-            hit = self.cache.get(cluster)
-            if hit is not None:
-                return ServedAllocation(hit, cached=True, seconds=0.0, version=version, fingerprint=fp)
             t0 = time.perf_counter()
             with span("service.allocate", jobs=cluster.n_jobs, version=version):
                 alloc = self.policy(cluster)
             dt = time.perf_counter() - t0
+            # cached: the primary served, every component from its memo.  A
+            # fallback served because the primary raised or its answer failed
+            # validation; either way the primary's warm state is suspect, and
+            # dropping it means a revisit solves again instead of replaying it.
+            served = alloc.policy == self.incremental.__name__
+            if not served:
+                self.incremental.reset()
+            cached = served and self.incremental.replayed
+            instruments.record_cache(hit=cached)
+            if cached:
+                self.memo_hits += 1
+                return ServedAllocation(alloc, cached=True, seconds=0.0, version=version, fingerprint=fp)
+            self.memo_misses += 1
             self.solve_stats.record(dt, cluster.n_jobs)
             if REGISTRY.enabled:
                 instruments.SERVICE_SOLVE_SECONDS.observe(dt)
-            self.cache.put(cluster, alloc)
             return ServedAllocation(alloc, cached=False, seconds=dt, version=version, fingerprint=fp)
 
     # ------------------------------------------------------------------
@@ -331,6 +342,7 @@ class AllocationService:
         with self._lock:
             s = self.solve_stats
             inc = self.incremental.stats
+            answers = self.memo_hits + self.memo_misses
             return {
                 "uptime_seconds": self._clock() - self._started,
                 "state": {
@@ -376,12 +388,13 @@ class AllocationService:
                     "amrf_probes": inc.amrf_probes,
                     "amrf_probes_skipped": inc.amrf_probes_skipped,
                 },
+                # the component memo: answers served without / with a solve
                 "cache": {
-                    "entries": len(self.cache),
-                    "hits": self.cache.stats.hits,
-                    "misses": self.cache.stats.misses,
-                    "hit_rate": self.cache.stats.hit_rate,
-                    "evictions": self.cache.stats.evictions,
+                    "entries": self.incremental.shard_cache_entries,
+                    "hits": self.memo_hits,
+                    "misses": self.memo_misses,
+                    "hit_rate": self.memo_hits / answers if answers else 0.0,
+                    "evictions": inc.shard_evictions,
                 },
                 "batching": {
                     "batches": self.queue.stats.batches,

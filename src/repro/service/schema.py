@@ -358,7 +358,7 @@ _JOB_FIELDS = {
 
 _ALLOCATION_FIELDS = {
     "policy": "string — solver that produced the matrix",
-    "cached": "bool — replayed from the allocation cache",
+    "cached": "bool — replayed from the component memo: no component was solved",
     "solve_ms": "number — solve wall time (0 on a cache hit)",
     "version": "int — state version the allocation reflects",
     "fingerprint": "string — canonical cluster fingerprint",

@@ -12,11 +12,14 @@ per-component decomposition every AMF solve uses (:mod:`repro.core.sharding`):
   rediscovered through extra max-flow feasibility probes, and a component
   with replayed cuts certifies its whole fill with one probe whose flow
   starts from the split it was served last;
-* each component's solved sub-matrix is cached by sub-cluster fingerprint,
-  so a delta that touches one component re-solves that component alone and
-  replays every other shard's matrix verbatim.  This is the "delta→shard
-  routing" the service relies on: a shard's fingerprint changes iff the
-  delta touched it.
+* each component's solved sub-matrix is kept in the *component memo*
+  (:class:`~repro.service.cache.AllocationCache`), keyed
+  by sub-cluster fingerprint (plus the federation's resource totals on
+  vector clusters), so a delta that touches one component re-solves that
+  component alone and replays every other shard's matrix verbatim.  This is
+  the "delta→shard routing" the service relies on: a shard's fingerprint
+  changes iff the delta touched it.  The memo is also the service's only
+  memory of solved states: a revisited state solves no component at all.
 
 The solver is a plain ``Cluster -> Allocation`` callable, so it drops into
 :class:`~repro.core.policies.ResilientPolicy` as the primary of the chain
@@ -24,19 +27,15 @@ The solver is a plain ``Cluster -> Allocation`` callable, so it drops into
     incremental AMF -> cold AMF -> per-site max-min -> proportional
 
 which is how the daemon wires it (:mod:`repro.service.daemon`): a failed
-warm solve *clears* the shard pool and matrix cache and degrades to a cold
+warm solve *clears* the shard pool and component memo and degrades to a cold
 solve, preserving the degraded-mode guarantee of docs/robustness.md.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro._util import require
 from repro.core.allocation import Allocation
 # Vestige with one reader: benchmarks/ledger/tracer.py patches
 # ``repro.service.solver.solve_amf`` for its ``amf.solve`` span, and a missing
@@ -52,6 +51,7 @@ from repro.core.sharding import (
 )
 from repro.model.cluster import Cluster
 from repro.obs.instruments import (
+    CACHE_EVICTIONS,
     record_amf,
     record_shard_cache,
     record_shard_decomposition,
@@ -59,99 +59,70 @@ from repro.obs.instruments import (
 )
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER, span
+from repro.service.cache import AllocationCache
 
 __all__ = ["IncrementalStats", "IncrementalAmfSolver"]
 
 
 @dataclass(slots=True)
-class IncrementalStats:
-    """Accumulated warm-start effectiveness counters."""
+class IncrementalStats(AmfDiagnostics):
+    """Every solve's :class:`~repro.core.amf.AmfDiagnostics`, summed, plus the
+    solver's call and component-memo counters."""
 
-    solves: int = 0
-    failures: int = 0  # warm solves that raised (basis was reset)
-    feasibility_solves: int = 0
-    cuts_generated: int = 0  # cuts still discovered despite warm start
-    warm_cuts_seeded: int = 0  # cuts replayed from the basis
-    deferred_checks: int = 0  # warm fills certified by one probe of their final levels
-    deferred_refuted: int = 0  # of those, refuted (the per-round loop ran instead)
-    rounds: int = 0
-    # parametric-oracle reuse breakdown
-    probes_early_accept: int = 0  # probes answered by feasible-dominance
-    probes_warm: int = 0  # flow solves continuing from existing flow
-    probes_cold: int = 0  # flow solves starting from zero flow
-    probe_rollbacks: int = 0  # probes that cancelled flow before solving
-    # shard decomposition
-    shard_solves: int = 0  # components actually solved (cache misses)
-    shard_cache_hits: int = 0  # components replayed from the matrix cache
+    solves: int = 0  # calls that solved at least one component
+    failures: int = 0  # warm solves that raised (warm state was reset)
+    shard_solves: int = 0  # components actually solved (memo misses)
+    shard_cache_hits: int = 0  # components replayed from the memo
     shard_cache_misses: int = 0
+    shard_evictions: int = 0  # memo entries dropped by its LRU bound
     last_shards: int = 0  # components in the most recent decomposition
-    # AMRF multi-resource engine (all zero on scalar / reduced solves)
-    amrf_rounds: int = 0
-    amrf_lps: int = 0
-    amrf_probes: int = 0
-    amrf_probes_skipped: int = 0
-
-    @property
-    def probes_reused(self) -> int:
-        """Probes that avoided a cold flow solve (the warm-reuse headline)."""
-        return self.probes_early_accept + self.probes_warm
-
-    def merge(self, diag: AmfDiagnostics) -> None:
-        self.feasibility_solves += diag.feasibility_solves
-        self.cuts_generated += diag.cuts_generated
-        self.warm_cuts_seeded += diag.warm_cuts_seeded
-        self.deferred_checks += diag.deferred_checks
-        self.deferred_refuted += diag.deferred_refuted
-        self.rounds += diag.rounds
-        self.probes_early_accept += diag.probes_early_accept
-        self.probes_warm += diag.probes_warm
-        self.probes_cold += diag.probes_cold
-        self.probe_rollbacks += diag.probe_rollbacks
-        self.amrf_rounds += diag.amrf_rounds
-        self.amrf_lps += diag.amrf_lps
-        self.amrf_probes += diag.amrf_probes
-        self.amrf_probes_skipped += diag.amrf_probes_skipped
 
 
 class IncrementalAmfSolver:
-    """Per-component AMF with warm cut pools and a shard-matrix memo.
+    """Per-component AMF with warm cut pools and a component memo.
 
     Parameters
     ----------
     max_cuts:
         LRU bound on each per-shard cut pool (see :class:`~repro.core.amf.CutBasis`).
     shard_cache_size:
-        LRU bound on the per-shard matrix cache (entries are sub-cluster
-        fingerprints, i.e. one per distinct component state seen).
+        LRU bound on the component memo (:attr:`memo`, one entry per
+        distinct component state seen); a call with more components than
+        the bound keeps all of its own.
+
+    After each call :attr:`replayed` says whether every component was
+    answered from the memo, i.e. the call solved nothing.
     """
 
-    def __init__(self, max_cuts: int = 64, *, shard_cache_size: int = 256):
-        require(shard_cache_size >= 1, "shard_cache_size must be at least 1")
-        self.shard_cache_size = shard_cache_size
+    def __init__(self, max_cuts: int = 64, *, shard_cache_size: int = 128):
         self.bases = ShardBasisPool(max_cuts=max_cuts)
-        self._shard_matrices: OrderedDict[str, np.ndarray] = OrderedDict()
+        self.memo = AllocationCache(max_entries=shard_cache_size)
         self.stats = IncrementalStats()
+        self.replayed = False
         self.__name__ = "amf-incremental"
 
     @property
     def shard_cache_entries(self) -> int:
-        return len(self._shard_matrices)
+        return len(self.memo)
+
+    def reset(self) -> None:
+        """Drop all warm state: the shard cut pools and the component memo."""
+        self.bases.clear()
+        self.memo.clear()
 
     def __call__(self, cluster: Cluster) -> Allocation:
         diag = AmfDiagnostics()
-        self.stats.solves += 1
+        self.replayed = False
         try:
-            alloc = self._solve(cluster, diag)
+            return self._solve(cluster, diag)
         except Exception:
             # A numerically broken basis must not poison the next attempt;
             # drop all warm state and let the fallback chain take this solve cold.
-            self.bases.clear()
-            self._shard_matrices.clear()
+            self.reset()
             self.stats.failures += 1
-            self.stats.merge(diag)
             raise
-        self.stats.merge(diag)
-        return alloc
+        finally:
+            merge_diagnostics(self.stats, diag)
 
     def _solve(self, cluster: Cluster, diag: AmfDiagnostics) -> Allocation:
         shards = decompose(cluster)
@@ -161,7 +132,7 @@ class IncrementalAmfSolver:
         before = dataclasses.replace(diag) if observing else None
         # Multi-resource shards are only separable *given* the federation's
         # resource totals (the dominant-share denominators), so the totals
-        # ride along to every shard solve — and into the cache key, because
+        # ride along to every shard solve — and into the memo key, because
         # the same sub-cluster under different global totals solves to a
         # different matrix.
         totals = cluster.resource_totals if cluster.is_multiresource else None
@@ -180,26 +151,30 @@ class IncrementalAmfSolver:
                 if sh.n_jobs == 0:
                     continue
                 key = sh.cluster.fingerprint() + totals_tag
-                cached = self._shard_matrices.get(key)
-                if cached is not None:
-                    self._shard_matrices.move_to_end(key)
+                matrix = self.memo.get(key)
+                if matrix is not None:
                     hits += 1
-                    pieces.append((sh, cached))
+                    pieces.append((sh, matrix))
                 else:
                     misses.append(sh)
             self.stats.shard_cache_hits += hits
             self.stats.shard_cache_misses += len(misses)
             record_shard_cache(hits=hits, misses=len(misses))
+            if misses:
+                self.stats.solves += 1
             results = solve_shards(misses, bases=self.bases, resource_totals=totals)
             for res in results:
                 merge_diagnostics(diag, res.diagnostics)
                 record_shard_solve(res.shard.n_jobs, res.seconds)
                 self.stats.shard_solves += 1
-                self._shard_matrices[res.shard.cluster.fingerprint() + totals_tag] = res.matrix
-                while len(self._shard_matrices) > self.shard_cache_size:
-                    self._shard_matrices.popitem(last=False)
+                self.memo.put(res.shard.cluster.fingerprint() + totals_tag, res.matrix)
                 pieces.append((res.shard, res.matrix))
-        if observing:
+            evicted = self.memo.trim(keep=len(pieces))
+            self.stats.shard_evictions += evicted
+            if evicted and REGISTRY.enabled:
+                CACHE_EVICTIONS.inc(evicted)
+        if observing and misses:
             record_amf(diag, since=before)
         matrix = stitch(cluster, pieces)
+        self.replayed = not misses
         return Allocation(cluster, matrix, policy=self.__name__)

@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 from repro.core import properties
 from repro.core.amf import (
     AmfDiagnostics,
-    PiecewiseFill,
-    SiteCutFill,
     amf_levels,
     amf_levels_bisect,
     solve_amf,
@@ -26,6 +24,7 @@ from repro.core.amf import (
 from repro.model.cluster import Cluster
 
 from tests.conftest import random_cluster
+from tests.core.reference_fill import PiecewiseFill, SiteCutFill
 from tests.oracle import lp_feasible, probe_fill_shares
 
 
@@ -155,6 +154,58 @@ class TestSiteCutFill:
         sf = SiteCutFill(np.zeros(1), np.array([2.0]), np.ones(1), np.array([5.0]))
         assert sf.value(10.0) == 0.0
         assert np.isinf(sf.max_level(0.0))
+
+
+class TestRoundPoolMatchesSiteCutFill:
+    """The solver's batched sweep (``_RoundPool`` / ``_max_levels``) against
+    the one-cut evaluator it replaced, row by row."""
+
+    @staticmethod
+    def draw(rng):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        caps = rng.uniform(0.5, 5.0, n)
+        floors = np.where(rng.random(n) < 0.4, rng.uniform(0.0, 1.2, n) * caps, 0.0)  # some above cap
+        w = rng.uniform(0.2, 3.0, n) if rng.random() < 0.6 else np.ones(n)
+        crosses = np.where(rng.random((k, n)) < 0.35, 0.0, rng.uniform(0.0, 6.0, (k, n)))
+        return floors, caps, w, crosses
+
+    @staticmethod
+    def rhs_for(rng, sf):
+        """Random levels plus the sweep's exact breakpoint values (plateau
+        rows and segment starts), 0, and never-binding values."""
+        mode = int(rng.integers(5))
+        if mode == 0:
+            starts = sf.consts + sf.slopes * sf.levels
+            return float(starts[int(rng.integers(len(starts)))])
+        if mode == 1:
+            return 0.0
+        if mode == 2:
+            return sf.total_cap * float(rng.uniform(1.0, 1.5))
+        return float(rng.uniform(0.0, 1.1 * max(sf.total_cap, 1e-3)))
+
+    def test_every_row_equals_the_one_cut_evaluator(self):
+        from repro.core.amf import _RoundPool
+
+        rng = np.random.default_rng(20261017)
+        rows = plateaus = infinite = 0
+        for _ in range(600):
+            floors, caps, w, crosses = self.draw(rng)
+            refs = [SiteCutFill(floors, caps, w, x) for x in crosses]
+            rhs = np.array([self.rhs_for(rng, sf) for sf in refs])
+            pool = _RoundPool(floors, caps, w)
+            pool.add(crosses, rhs, np.zeros(len(rhs)))
+            for sf, r, got in zip(refs, rhs, pool.per):
+                want = sf.max_level(float(r))
+                if np.isinf(want):
+                    infinite += 1
+                    assert np.isinf(got)
+                else:
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+                k = int(np.searchsorted(sf.levels, want, side="left"))
+                plateaus += bool(np.isfinite(want) and 0 < k < len(sf.levels) and sf.slopes[k - 1] <= 0.0)
+                rows += 1
+        # the draws reach every branch of the sweep
+        assert rows >= 1500 and infinite > 100 and plateaus > 20
 
 
 class TestHandCases:

@@ -21,7 +21,6 @@ from repro._util import ABS_TOL
 from repro.core import properties
 from repro.core.amf import (
     AmfDiagnostics,
-    SiteCutFill,
     amf_levels,
     solve_amf,
 )
@@ -32,6 +31,7 @@ from repro.model.cluster import Cluster
 from repro.model.site import Site
 from repro.service.state import ClusterState
 from repro.workload.generator import WorkloadSpec, generate_jobs, sites_for
+from tests.core.reference_fill import SiteCutFill
 from tests.oracle import lp_feasible
 
 

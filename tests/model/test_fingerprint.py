@@ -1,4 +1,4 @@
-"""Tests for Cluster.fingerprint() — the allocation cache key."""
+"""Tests for Cluster.fingerprint() — the component memo's key."""
 
 import dataclasses
 import hashlib

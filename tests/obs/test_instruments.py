@@ -8,11 +8,14 @@ import pytest
 
 from repro.core.amf import AmfDiagnostics, amf_levels, amf_levels_bisect, solve_amf
 from repro.model.cluster import Cluster
+from repro.model.job import Job
+from repro.model.site import Site
 from repro.obs import instruments
 from repro.obs.registry import REGISTRY
 from repro.obs.simobs import SimObserver
 from repro.obs.tracing import TRACER
-from repro.service.cache import AllocationCache
+from repro.service.daemon import AllocationService
+from repro.service.state import CapacityChanged, ClusterState, JobArrived
 
 
 def small_cluster(cap_a: float = 2.0) -> Cluster:
@@ -105,16 +108,21 @@ class TestSpanNesting:
 
 class TestCacheInstruments:
     def test_hit_miss_eviction_counters(self):
-        REGISTRY.enable()
-        cache = AllocationCache(max_entries=1)
-        a, b = small_cluster(2.0), small_cluster(2.5)
-        assert cache.get(a) is None
-        cache.put(a, solve_amf(a))
-        assert cache.get(a) is not None
-        cache.put(b, solve_amf(b))  # evicts a
-        assert instruments.CACHE_MISSES.value == 1
+        """``repro_cache_*`` count the component memo: a miss per answer that
+        solved a component, a hit per answer it replayed whole, an eviction
+        per entry its LRU bound dropped."""
+        service = AllocationService(ClusterState([Site("a", 2.0), Site("b", 3.0)]), cache_size=1)
+        assert REGISTRY.enabled  # the service switched the registry on
+        service.submit(JobArrived(Job("x", {"a": 1.0})))
+        service.allocation()  # miss
+        service.allocation()  # hit
+        service.submit(CapacityChanged("a", 2.5))
+        service.allocation()  # miss: evicts the first state's component
+        assert instruments.CACHE_MISSES.value == 2
         assert instruments.CACHE_HITS.value == 1
         assert instruments.CACHE_EVICTIONS.value == 1
+        cache = service.stats()["cache"]
+        assert (cache["misses"], cache["hits"], cache["evictions"]) == (2, 1, 1)
 
 
 class TestSimObserver:

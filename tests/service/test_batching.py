@@ -187,7 +187,7 @@ def test_mixed_batch_is_applied_as_drained_and_routes_one_shard():
     job's depart/re-arrive cycle, two capacity changes to one site, a
     duplicate arrival and an unknown departure.  The state and rejections
     are ``apply_all`` of the raw batch, and only the shard the batch
-    changed re-solves: the other two replay from the shard matrix cache."""
+    changed re-solves: the other two replay from the component memo."""
     sites = (("a", 2.0), ("b", 3.0), ("c", 1.0), ("d", 4.0))
     jobs = [
         Job("x", {"a": 1.0, "b": 2.0}),

@@ -8,6 +8,7 @@ from repro.model.job import Job
 from repro.model.site import Site
 from repro.service.daemon import SOLVE_WINDOW, AllocationService
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
+from tests.multiresource.test_engine import crossing_cluster
 
 
 class FakeClock:
@@ -122,9 +123,9 @@ class TestPipelineAccounting:
         service.submit(JobDeparted("late"))
         service.allocation()
         # The departure returns the cluster to an already-seen fingerprint,
-        # so the third read is a cache hit, not a solve.
+        # so the component memo answers the third read: no component solved.
         assert service.incremental.stats.solves == 2
-        assert service.cache.stats.hits == 1
+        assert service.stats()["cache"]["hits"] == 1
         assert service.incremental.stats.cuts_generated <= cuts_before + 1
         assert service.incremental.stats.warm_cuts_seeded > 0
         # the warm solve certified its fill with one deferred probe
@@ -153,6 +154,93 @@ class TestPipelineAccounting:
         served = service.allocation()
         assert served.allocation.policy == "amf"
         assert service.resilience.fallback_activations == 1
+
+
+class TestComponentMemo:
+    """The warm solver's component memo is the daemon's only memory of
+    solved states: a revisit runs the chain, and the primary answers it
+    without solving a component."""
+
+    def test_revisited_multi_component_state_solves_nothing(self):
+        service, _ = make_service()
+        service.submit_all([JobArrived(Job("x", {"a": 1.0})), JobArrived(Job("y", {"b": 1.0}))])
+        first = service.allocation()
+        assert not first.cached and service.incremental.stats.last_shards == 2
+        service.submit(JobArrived(Job("z", {"a": 1.0})))
+        assert not service.allocation().cached
+        service.submit(JobDeparted("z"))
+        inc = service.incremental.stats
+        solves, shard_solves = inc.solves, inc.shard_solves
+        revisit = service.allocation()
+        assert revisit.cached and revisit.seconds == 0.0
+        assert revisit.allocation.policy == "amf-incremental"
+        assert (inc.solves, inc.shard_solves) == (solves, shard_solves)
+        assert service.solve_stats.solves == 2
+        assert revisit.fingerprint == first.fingerprint
+        np.testing.assert_array_equal(revisit.allocation.matrix, first.allocation.matrix)
+        cache = service.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 2)
+
+    def test_vector_flap_answers_cached(self):
+        cluster = crossing_cluster()
+        service = AllocationService(ClusterState(cluster.sites, cluster.jobs), clock=FakeClock())
+        assert not service.allocation().cached
+        clone = cluster.jobs[0]
+        service.submit(JobArrived(Job("clone", clone.workload, resources=clone.resources)))
+        assert not service.allocation().cached
+        service.submit(JobDeparted("clone"))
+        served = service.allocation()
+        assert served.cached and served.seconds == 0.0
+        assert service.incremental.stats.solves == 2
+
+    def test_fallback_answer_is_solved_again_on_revisit(self, monkeypatch):
+        service, _ = make_service()
+
+        def boom(cluster, diag):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service.incremental, "_solve", boom)
+        service.submit(JobArrived(Job("x", {"a": 1.0})))
+        answers = [service.allocation(), service.allocation()]
+        assert [a.allocation.policy for a in answers] == ["amf", "amf"]
+        assert not any(a.cached for a in answers)
+        assert service.resilience.served_by == {"amf": 2}
+        assert service.solve_stats.solves == 2
+        assert service.stats()["cache"]["misses"] == 2
+
+    def test_new_state_of_solved_components_answers_cached(self):
+        # {x} on a and {y, w} on b were each solved before, never together
+        service, _ = make_service()
+        service.submit_all([JobArrived(Job("x", {"a": 1.0})), JobArrived(Job("y", {"b": 1.0}))])
+        for event in (JobArrived(Job("z", {"a": 1.0})), JobArrived(Job("w", {"b": 1.0}))):
+            assert not service.allocation().cached
+            service.submit(event)
+        assert not service.allocation().cached
+        service.submit(JobDeparted("z"))
+        served = service.allocation()
+        assert served.cached and served.seconds == 0.0
+        assert service.incremental.stats.solves == 3
+        assert sorted(j.name for j in served.allocation.cluster.jobs) == ["w", "x", "y"]
+        np.testing.assert_allclose(served.allocation.aggregates, solve_amf(served.allocation.cluster).aggregates)
+
+    def test_invalid_replay_is_not_cached_and_clears_the_memo(self):
+        service, _ = make_service()
+        service.submit(JobArrived(Job("x", {"a": 1.0})))
+        first = service.allocation()
+        entries = service.incremental.memo._entries
+        for key in entries:
+            entries[key] = entries[key] * 10.0  # replaying it over-commits site a
+        replay = service.allocation()
+        assert service.incremental.replayed  # the primary answered from its memo ...
+        assert replay.allocation.policy == "amf"  # ... but failed validation
+        assert not replay.cached and replay.seconds > 0.0
+        assert service.resilience.served_by == {"amf-incremental": 1, "amf": 1}
+        assert service.solve_stats.solves == 2 and service.stats()["cache"]["hits"] == 0
+        assert service.incremental.shard_cache_entries == 0
+        again = service.allocation()  # the bad block is gone: the primary solves
+        assert not again.cached and again.allocation.policy == "amf-incremental"
+        np.testing.assert_array_equal(again.allocation.matrix, first.allocation.matrix)
+        assert service.allocation().cached
 
 
 class TestValidation:

@@ -307,6 +307,131 @@ class TestShardedSolver:
         assert solver.shard_cache_entries == 2
 
 
+class TestComponentMemo:
+    """The component memo is the service's only memory of solved states:
+    an LRU of component fingerprint -> solved sub-matrix."""
+
+    @staticmethod
+    def one_site(cap: float) -> Cluster:
+        return Cluster([Site("a", cap)], [Job("x", {"a": 1.0}), Job("y", {"a": 2.0})])
+
+    def test_miss_then_hit(self):
+        solver = IncrementalAmfSolver()
+        c = self.one_site(2.0)
+        solver(c)
+        assert not solver.replayed and solver.stats.solves == 1
+        solver(c)
+        assert solver.replayed and solver.stats.solves == 1
+        assert (solver.stats.shard_cache_misses, solver.stats.shard_cache_hits) == (1, 1)
+
+    def test_equal_clusters_share_entries(self):
+        solver = IncrementalAmfSolver()
+        solver(self.one_site(2.0))
+        solver(self.one_site(2.0))  # a freshly built but identical cluster
+        assert solver.replayed
+
+    def test_different_clusters_do_not_collide(self):
+        solver = IncrementalAmfSolver()
+        solver(self.one_site(2.0))
+        solver(self.one_site(2.5))
+        assert not solver.replayed and solver.stats.solves == 2
+
+    def test_hit_rebinds_to_callers_cluster(self):
+        solver = IncrementalAmfSolver()
+        solver(self.one_site(2.0))
+        c2 = self.one_site(2.0)
+        hit = solver(c2)
+        assert solver.replayed and hit.cluster is c2
+        np.testing.assert_allclose(hit.aggregates, solve_amf(c2).aggregates)
+
+    def test_returned_matrix_is_a_copy(self):
+        solver = IncrementalAmfSolver()
+        c = self.one_site(2.0)
+        solver(c)
+        first, second = solver(c), solver(c)
+        (stored,) = solver.memo._entries.values()
+        # each replay stitches its own matrix: no aliasing between answers
+        # or with the memo entry, so a caller can never corrupt the memo
+        assert not np.shares_memory(first.matrix, second.matrix)
+        assert not np.shares_memory(first.matrix, stored)
+        np.testing.assert_array_equal(first.matrix, stored)
+
+    def test_eviction_order_and_counters(self):
+        solver = IncrementalAmfSolver(shard_cache_size=2)
+        for cap in (2.0, 2.5, 3.5):
+            solver(self.one_site(cap))
+        assert solver.shard_cache_entries == 2
+        assert solver.stats.shard_evictions == 1
+        solver(self.one_site(3.5))
+        assert solver.replayed  # the newest entry survived
+        solver(self.one_site(2.0))
+        assert not solver.replayed  # the oldest was evicted
+        assert solver.stats.shard_evictions == 2
+
+    def test_hit_refreshes_recency(self):
+        solver = IncrementalAmfSolver(shard_cache_size=2)
+        for cap in (2.0, 2.5):
+            solver(self.one_site(cap))
+        solver(self.one_site(2.0))  # touch the older entry
+        solver(self.one_site(3.5))  # evicts 2.5, not the touched 2.0
+        solver(self.one_site(2.0))
+        assert solver.replayed
+        solver(self.one_site(2.5))
+        assert not solver.replayed
+
+    def test_rejects_bad_bound(self):
+        with pytest.raises(ValueError):
+            IncrementalAmfSolver(shard_cache_size=0)
+
+    def test_call_keeps_every_component_it_used(self):
+        # three components against a bound of two: a revisit still solves none
+        sites = [Site(s, 1.0 + i) for i, s in enumerate("abc")]
+        cluster = Cluster(sites, [Job(f"j{s.name}", {s.name: 1.0}) for s in sites])
+        solver = IncrementalAmfSolver(shard_cache_size=2)
+        solver(cluster)
+        assert solver.shard_cache_entries == 3 and solver.stats.shard_evictions == 0
+        solver(cluster)
+        assert solver.replayed and solver.stats.shard_solves == 3
+        solver(self.one_site(2.0))  # one new component: back down to the bound
+        assert solver.shard_cache_entries == 2 and solver.stats.shard_evictions == 2
+
+    def test_clear(self):
+        """A failed solve is the memo's only clear: afterwards it holds
+        nothing, and the next call for the same cluster misses and solves."""
+        solver = IncrementalAmfSolver()
+        c = self.one_site(2.0)
+        solver(c)
+        assert solver.shard_cache_entries == 1
+        import repro.service.solver as solver_mod
+
+        def poisoned(*args, **kwargs):
+            raise RuntimeError("poisoned")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "solve_shards", poisoned)
+            with pytest.raises(RuntimeError, match="poisoned"):
+                solver(self.one_site(2.5))  # a miss, so the poisoned solve runs
+        assert solver.shard_cache_entries == 0
+        solver(c)
+        assert not solver.replayed
+        assert (solver.stats.shard_cache_misses, solver.stats.shard_cache_hits) == (3, 0)
+
+    def test_stats_fold_every_diagnostic(self):
+        """IncrementalStats is an AmfDiagnostics: every solver counter sums
+        over the calls, the memo's answers adding nothing."""
+        solver = IncrementalAmfSolver()
+        cluster = TestSolverBehaviour().make_cluster()
+        diag = AmfDiagnostics()
+        solve_amf(cluster, diagnostics=diag)
+        solver(cluster)
+        solver(cluster)  # replayed from the memo
+        assert isinstance(solver.stats, AmfDiagnostics)
+        for field in dataclasses.fields(AmfDiagnostics):
+            assert getattr(solver.stats, field.name) == getattr(diag, field.name), field.name
+        assert diag.rounds > 0 and diag.feasibility_solves > 0
+        assert (solver.stats.solves, solver.stats.shard_cache_hits) == (1, 1)
+
+
 class TestWarmWriteProbeCount:
     """A count gate, not a timing claim: on the paper's setting (one 200 x 20
     Zipf component) a warm write ends every round on its seeded cut pool and

@@ -20,6 +20,72 @@ from repro.service.schema import API_SPEC, JobsQuery, SchemaError
 from repro.service.state import ClusterState
 
 
+# The /v1/stats leaves as the service has always served them.
+STATS_KEYS = {
+    "admission.admitted",
+    "admission.intake_depth",
+    "admission.max_pending",
+    "admission.retry_floor",
+    "admission.shed",
+    "batching.batches",
+    "batching.coalesced_events",
+    "batching.folded_events",
+    "batching.max_batch",
+    "batching.max_delay",
+    "batching.mean_batch",
+    "cache.entries",
+    "cache.evictions",
+    "cache.hit_rate",
+    "cache.hits",
+    "cache.misses",
+    "edge",
+    "incremental.amrf_lps",
+    "incremental.amrf_probes",
+    "incremental.amrf_probes_skipped",
+    "incremental.amrf_rounds",
+    "incremental.basis_size",
+    "incremental.cuts_generated",
+    "incremental.deferred_checks",
+    "incremental.deferred_refuted",
+    "incremental.failures",
+    "incremental.feasibility_solves",
+    "incremental.probe_rollbacks",
+    "incremental.probes_cold",
+    "incremental.probes_cut_reject",
+    "incremental.probes_early_accept",
+    "incremental.probes_reused",
+    "incremental.probes_warm",
+    "incremental.rounds",
+    "incremental.solves",
+    "incremental.warm_cuts_seeded",
+    "journal",
+    "resilience.errors",
+    "resilience.fallback_activations",
+    "resilience.served_by",
+    "resilience.solves",
+    "sharding.last_shards",
+    "sharding.shard_bases",
+    "sharding.shard_cache_entries",
+    "sharding.shard_cache_hits",
+    "sharding.shard_cache_misses",
+    "sharding.shard_solves",
+    "solver.max_ms",
+    "solver.mean_ms",
+    "solver.p50_ms",
+    "solver.p99_ms",
+    "solver.solves",
+    "state.events_accepted",
+    "state.events_rejected",
+    "state.jobs",
+    "state.pending_events",
+    "state.rejections_dropped",
+    "state.rejections_logged",
+    "state.sites",
+    "state.version",
+    "uptime_seconds",
+}
+
+
 @pytest.fixture
 def server():
     REGISTRY.reset()
@@ -233,6 +299,21 @@ class TestShardingStats:
         assert "enabled" not in sharding  # every solve is per component
         assert sharding["last_shards"] >= 1
         assert sharding["shard_solves"] >= 1
+
+    def test_stats_key_set_is_pinned(self, server):
+        """Every /v1/stats field, dotted down to its leaf: clients (and the
+        perf ledger) read these names, so removing a layer keeps them."""
+
+        def leaves(doc, prefix=""):
+            for key, value in doc.items():
+                if isinstance(value, dict) and key != "served_by":
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        call(server, "POST", "/v1/allocate", {"name": "x", "workload": {"a": 1.0}})
+        _, stats, _ = call(server, "GET", "/v1/stats")
+        assert set(leaves(stats)) == STATS_KEYS
 
     def test_stats_have_no_dist_section(self, server):
         # one process serves: there is no solver-worker pool to report on
