@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--no-obs",
         action="store_true",
-        help="leave the repro.obs metrics registry and tracer disabled (GET /metrics and /traces serve empty data)",
+        help="leave the repro.obs metrics registry and tracer disabled (GET /v1/traces serves no spans and "
+        "/v1/metrics only the counters it reads from /v1/stats)",
     )
     p_srv.set_defaults(fn=cmd_serve)
 

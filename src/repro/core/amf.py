@@ -55,9 +55,7 @@ guarantees, :mod:`repro.core.enhanced`): progressive filling then runs
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,9 +65,8 @@ from repro._util import ABS_TOL, REL_TOL, require
 from repro.core.allocation import Allocation, scrub_matrix
 from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
-from repro.obs.instruments import record_amf, record_shard_decomposition, record_shard_solve
-from repro.obs.registry import REGISTRY
-from repro.obs.tracing import TRACER, span
+from repro.obs.instruments import record_shard_decomposition, record_shard_solve
+from repro.obs.tracing import span
 
 if TYPE_CHECKING:
     from repro.core.sharding import ShardBasisPool
@@ -424,25 +421,6 @@ class _FeasibilityAdapter:
         return self.oracle.allocation_matrix(levels)
 
 
-@contextmanager
-def _observed_solve(variant: str, cluster: Cluster, diag: AmfDiagnostics, **args):
-    """Span + diagnostics-delta recording around one solver entry.
-
-    The registry folds in the *delta* of ``diag`` over this entry (one
-    mutable diagnostics record is commonly shared across consecutive
-    solver calls), so registry totals bit-match the diagnostics no matter
-    how callers batch them.  Disabled observability costs two attribute
-    reads.
-    """
-    if not (REGISTRY.enabled or TRACER.enabled):
-        yield
-        return
-    before = dataclasses.replace(diag)
-    with span("amf.solve", variant=variant, jobs=cluster.n_jobs, sites=cluster.n_sites, **args):
-        yield
-    record_amf(diag, since=before)
-
-
 def amf_levels(
     cluster: Cluster,
     floors: np.ndarray | None = None,
@@ -497,7 +475,7 @@ def amf_levels(
 
     floors = _job_floors(cluster, floors)
     levels = np.zeros(cluster.n_jobs)
-    with _observed_solve("levels", cluster, diag):
+    with span("amf.solve", variant="levels", jobs=cluster.n_jobs, sites=cluster.n_sites):
         for shard in decompose(cluster):
             if shard.n_jobs:
                 idx = list(shard.job_indices)
@@ -735,7 +713,7 @@ def solve_amf(
     parts = decompose(cluster)
     record_shard_decomposition(len(parts))
     totals = cluster.resource_totals if cluster.is_multiresource else None
-    with _observed_solve("solve", cluster, diag, shards=len(parts)):
+    with span("amf.solve", variant="solve", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(parts)):
         results = solve_shards(parts, floors=floors, bases=bases, resource_totals=totals)
         for res in results:
             merge_diagnostics(diag, res.diagnostics)
@@ -808,7 +786,7 @@ def amf_levels_bisect(
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     if n == 0:
         return np.zeros(0)
-    with _observed_solve("bisect", cluster, diag):
+    with span("amf.solve", variant="bisect", jobs=cluster.n_jobs, sites=cluster.n_sites):
         return _bisect_levels(cluster, tol, diag)
 
 

@@ -39,6 +39,37 @@ ALLOCATION_FORMAT = "repro-allocation-v1"
 
 
 # ----------------------------------------------------------------------
+# Job (the one job encoding: clusters and the service journal both use it)
+# ----------------------------------------------------------------------
+
+
+def job_to_dict(job: Job) -> dict[str, Any]:
+    """Serialize a job; fields at their defaults are omitted."""
+    out: dict[str, Any] = {"name": job.name, "workload": dict(job.workload)}
+    if job.demand:
+        out["demand"] = dict(job.demand)
+    if job.weight != 1.0:
+        out["weight"] = job.weight
+    if job.arrival != 0.0:
+        out["arrival"] = job.arrival
+    if job.resources:
+        out["resources"] = dict(job.resources)
+    return out
+
+
+def job_from_dict(data: dict[str, Any]) -> Job:
+    """Rebuild a job from :func:`job_to_dict` output (exact float round-trip)."""
+    return Job(
+        data["name"],
+        {k: float(v) for k, v in data["workload"].items()},
+        {k: float(v) for k, v in data.get("demand", {}).items()},
+        weight=float(data.get("weight", 1.0)),
+        arrival=float(data.get("arrival", 0.0)),
+        resources={k: float(v) for k, v in data.get("resources", {}).items()},
+    )
+
+
+# ----------------------------------------------------------------------
 # Cluster
 # ----------------------------------------------------------------------
 
@@ -57,17 +88,7 @@ def cluster_to_dict(cluster: Cluster) -> dict[str, Any]:
             }
             for s in cluster.sites
         ],
-        "jobs": [
-            {
-                "name": j.name,
-                "workload": dict(j.workload),
-                **({"demand": dict(j.demand)} if j.demand else {}),
-                **({"weight": j.weight} if j.weight != 1.0 else {}),
-                **({"arrival": j.arrival} if j.arrival != 0.0 else {}),
-                **({"resources": dict(j.resources)} if j.resources else {}),
-            }
-            for j in cluster.jobs
-        ],
+        "jobs": [job_to_dict(j) for j in cluster.jobs],
     }
 
 
@@ -84,18 +105,7 @@ def cluster_from_dict(data: dict[str, Any]) -> Cluster:
         )
         for s in data["sites"]
     ]
-    jobs = [
-        Job(
-            j["name"],
-            {k: float(v) for k, v in j["workload"].items()},
-            {k: float(v) for k, v in j.get("demand", {}).items()},
-            weight=float(j.get("weight", 1.0)),
-            arrival=float(j.get("arrival", 0.0)),
-            resources={k: float(v) for k, v in j.get("resources", {}).items()},
-        )
-        for j in data["jobs"]
-    ]
-    return Cluster(sites, jobs)
+    return Cluster(sites, [job_from_dict(j) for j in data["jobs"]])
 
 
 def save_cluster(cluster: Cluster, path: str | Path) -> None:

@@ -39,10 +39,11 @@ import numpy as np
 
 from repro._util import require
 from repro.core.allocation import Allocation, scrub_matrix
-from repro.core.amf import AmfDiagnostics, CutBasis, _observed_solve, _solve_matrix
+from repro.core.amf import AmfDiagnostics, CutBasis, _solve_matrix
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
+from repro.obs.tracing import span
 
 __all__ = [
     "scalar_reduction",
@@ -331,7 +332,7 @@ def amrf_allocate(
     """
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     totals = dict(resource_totals) if resource_totals is not None else cluster.resource_totals
-    with _observed_solve("amrf", cluster, diag):
+    with span("amf.solve", variant="amrf", jobs=cluster.n_jobs, sites=cluster.n_sites):
         dom = cluster.dominant_factor(totals)
         lp = _EngineLP(cluster, dom)
         if floors is None:

@@ -4,7 +4,9 @@ Two process-global singletons, both **off by default** with a
 one-attribute-read fast path on every hot call site:
 
 * :data:`~repro.obs.registry.REGISTRY` — counters / gauges / histograms,
-  rendered as Prometheus text (``GET /metrics``, :func:`render_prometheus`).
+  rendered as Prometheus text (:func:`render_prometheus`).  ``GET
+  /v1/metrics`` appends :func:`~repro.obs.instruments.render_stats`: the
+  service's own counters, read from the ``/v1/stats`` snapshot it publishes.
 * :data:`~repro.obs.tracing.TRACER` — a ring buffer of recent spans with
   parent-child nesting (``amf.solve`` → ``flow.probe`` → ``flow.max_flow``),
   exported as Chrome-trace JSON (``GET /traces``, ``--trace-out``).
@@ -14,7 +16,7 @@ and the CLI does under ``--trace-out``.  See docs/observability.md for the
 instrument catalog and export walk-throughs.
 """
 
-from repro.obs.instruments import record_amf, record_cache, record_queue_flush
+from repro.obs.instruments import record_queue_flush, render_stats
 from repro.obs.registry import (
     REGISTRY,
     Counter,
@@ -42,10 +44,9 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "parse_prometheus",
-    "record_amf",
-    "record_cache",
     "record_queue_flush",
     "render_prometheus",
+    "render_stats",
     "span",
     "traced",
 ]

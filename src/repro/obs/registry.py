@@ -1,11 +1,12 @@
 """Zero-dependency process-global metrics registry.
 
-The solver, flow engine, component memo, batching queue, simulator and HTTP
-service all count things (``AmfDiagnostics``, ``ProbeStats``, ``BatchStats`` ...),
-but until now each record was an island: visible only to whoever held the
-Python object.  :class:`MetricsRegistry` is the shared sink those counters
-fold into, so one scrape of ``GET /metrics`` (or one
-:func:`render_prometheus` call) shows what every layer did.
+The process-global home of the instruments no per-object record holds:
+latency histograms, the HTTP edge's request counters, the simulator's step
+telemetry.  Counters a per-service record already keeps (the solver's
+``AmfDiagnostics``, the component memo, ``BatchStats``, ``JournalStats``)
+stay in that record; ``GET /v1/metrics`` renders them from the service's
+``/v1/stats`` snapshot (:func:`repro.obs.instruments.render_stats`) after
+this registry's text.
 
 Three instrument kinds, mirroring the Prometheus data model:
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Iterable
 
 __all__ = [
     "Counter",
@@ -296,10 +296,3 @@ def parse_prometheus(text: str) -> dict[str, float]:
             raise ValueError(f"line {lineno}: bad sample value {raw!r}") from exc
         samples[key] = value
     return samples
-
-
-def all_samples(registries: Iterable[MetricsRegistry] = ()) -> dict[str, float]:
-    """Flat sample dict of the global registry (plus any extras), via the
-    text format — guarantees tests compare exactly what a scraper sees."""
-    text = REGISTRY.render_prometheus() + "".join(r.render_prometheus() for r in registries)
-    return parse_prometheus(text)

@@ -20,16 +20,16 @@ the daemon's lock:
   items the edge sheds new writes with ``429 too_many_requests`` and a
   ``Retry-After`` hint derived from the published solve p50 and the
   total backlog — open-loop load above solver capacity degrades into
-  explicit backpressure instead of unbounded queueing (the
-  ``repro_admission_*`` instruments count both outcomes).  Reads are
-  never shed.
+  explicit backpressure instead of unbounded queueing (``/v1/stats``
+  ``admission`` counts both outcomes).  Reads are never shed.
 
 The solver thread publishes a fresh view after every batch of work it
 processes and every queue flush, *before* resolving the write futures —
 so by the time a client sees its 202, the published view already reflects
 at least that state; everything in a view (``uptime_seconds`` included)
-is as of its publish.  Every route lives under ``/v1/``: any other path
-answers the 404 envelope.  A poisoned flush is counted in
+is as of its publish, and ``/v1/metrics`` renders the service's counters
+from the same view's stats.  Every route lives under ``/v1/``: any other
+path answers the 404 envelope.  A poisoned flush is counted in
 ``repro_flush_errors_total`` and the loop keeps running.
 """
 
@@ -46,6 +46,7 @@ from typing import Any, Sequence
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.obs import instruments
+from repro.obs.instruments import render_stats
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
 from repro.service.daemon import AllocationService, ServedAllocation, ServiceClosed
@@ -62,7 +63,7 @@ from repro.service.schema import (
     parse_fresh,
 )
 from repro.model.resources import ResourceMismatchError, UnknownResourceError
-from repro.service.state import CapacityChanged, ClusterEvent, JobArrived, JobDeparted, StateError
+from repro.service.state import CapacityChanged, ClusterEvent, JobArrived, JobDeparted
 
 __all__ = ["PublishedView", "AioServiceServer", "serve_aio"]
 
@@ -80,6 +81,7 @@ _REASONS = {
 }
 
 _JSON = "application/json"
+_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 _STOP = object()  # intake sentinel: solver loop exits after the final drain
 
 #: Header-count bound, matching ``http.client``'s cap (per-line size is
@@ -125,7 +127,8 @@ class PublishedView:
     loop reads whichever view is current at request time.  Nothing in a
     view is ever mutated — ``jobs`` listings build their page from
     ``allocate`` as new dicts.  ``allocate_json`` arrives encoded: it is
-    built once per answer of the service, not once per view.
+    built once per answer of the service, not once per view.  ``stats`` is
+    the dict ``stats_json`` encodes; ``/v1/metrics`` renders from it.
     """
 
     __slots__ = (
@@ -138,6 +141,7 @@ class PublishedView:
         "allocate_resp",
         "health_json",
         "stats_json",
+        "stats",
         "allocate",
         "allocate_json",
         "pending_names",
@@ -162,6 +166,7 @@ class PublishedView:
         self.solve_p50_s = solve_p50_s
         self.health_json = json.dumps(health).encode()
         self.stats_json = json.dumps(stats).encode()
+        self.stats = stats
         self.allocate = allocate
         self.allocate_json = allocate_json
         # the fast path: complete keep-alive responses, written verbatim
@@ -405,16 +410,9 @@ class AioServiceServer:
                     body = body[:-1] + b', "queued_jobs": ' + json.dumps(names).encode() + b"}"
                 return 200, body
             return 500, error_envelope("internal", f"unknown work kind {item.kind!r}")
-        except ServiceClosed as exc:
-            return 503, error_envelope("unavailable", str(exc))
-        except ResourceMismatchError as exc:
-            return 400, error_envelope("resource_mismatch", str(exc))
-        except UnknownResourceError as exc:
-            return 400, error_envelope("unknown_resource", str(exc))
-        except (SchemaError, StateError, ValueError) as exc:
-            return 400, error_envelope("bad_request", str(exc))
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            return 500, error_envelope("internal", f"{type(exc).__name__}: {exc}")
+            status, code, message = _error_for(exc)
+            return status, error_envelope(code, message)
 
     def _resolve(self, item: _Work, result: tuple[int, dict[str, Any]]) -> None:
         def _set() -> None:
@@ -521,7 +519,6 @@ class AioServiceServer:
         work = _Work(kind, payload, loop.create_future(), loop)
         self._intake.put(work)
         self.admitted += 1
-        instruments.record_admission(depth=self._intake.qsize())
         if self._solver_done:
             # raced past the closing check after the solver's final drain
             self._drain_closed()
@@ -670,14 +667,10 @@ class AioServiceServer:
                 if method == "DELETE":
                     return await self._delete(route, target, close, t0)
             return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
-        except SchemaError as exc:
-            return self._error(400, "bad_request", str(exc), close, t0)
-        except ServiceClosed as exc:
-            return self._error(503, "unavailable", str(exc), True, t0)
-        except json.JSONDecodeError as exc:
-            return self._error(400, "bad_request", str(exc), close, t0)
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            return self._error(500, "internal", f"{type(exc).__name__}: {exc}", close, t0)
+            status, code, message = _error_for(exc)
+            # a 503 means the service is going away: end the connection too
+            return self._error(status, code, message, close or status == 503, t0)
 
     def _error(
         self,
@@ -723,15 +716,12 @@ class AioServiceServer:
             self._count(200, t0)
             return _render(200, view.allocate_json, close=True) if close else view.allocate_resp
         if route == "/metrics":
+            view = self._view_or_503()
             if REGISTRY.enabled:
                 instruments.ADMISSION_QUEUE_DEPTH.set(self._intake.qsize())
             self._count(200, t0)
-            return _render(
-                200,
-                REGISTRY.render_prometheus().encode(),
-                "text/plain; version=0.0.4; charset=utf-8",
-                close=close,
-            )
+            text = REGISTRY.render_prometheus() + render_stats(view.stats)
+            return _render(200, text.encode(), _PROMETHEUS, close=close)
         if route == "/traces":
             self._count(200, t0)
             return _render(200, json.dumps(TRACER.to_chrome()).encode(), close=close)
@@ -746,31 +736,23 @@ class AioServiceServer:
     async def _post(self, route: str, target: str, body: bytes, close: bool, t0: float) -> bytes:
         if self._closing:
             raise ServiceClosed("service is shutting down")
+        # schema/model validation happens here on the loop, before admission;
+        # whatever it raises (a non-UTF-8 body included) maps in _dispatch
         data: dict[str, Any] = {}
         if body:
             data = json.loads(body.decode())
             if not isinstance(data, dict):
                 raise SchemaError("request body must be a JSON object")
-        try:
-            if route == "/allocate":
-                events, names = self._events_from(AllocateRequest.from_json(data))
-                return await self._roundtrip("allocate", (events, names), close, t0)
-            if route == "/jobs":
-                events, names = self._events_from(AllocateRequest.from_json(data, require_jobs=True))
-                return await self._roundtrip("submit", (events, names, {}), close, t0)
-            if route == "/capacity":
-                spec = CapacitySpec.from_json(data)
-                event = CapacityChanged(spec.site, spec.capacity)
-                return await self._roundtrip("submit", ((event,), None, {}), close, t0)
-        except (StateError, ValueError) as exc:
-            # schema/model validation happens on the loop, before admission
-            if isinstance(exc, SchemaError):
-                raise
-            if isinstance(exc, ResourceMismatchError):
-                return self._error(400, "resource_mismatch", str(exc), close, t0)
-            if isinstance(exc, UnknownResourceError):
-                return self._error(400, "unknown_resource", str(exc), close, t0)
-            return self._error(400, "bad_request", str(exc), close, t0)
+        if route == "/allocate":
+            events, names = self._events_from(AllocateRequest.from_json(data))
+            return await self._roundtrip("allocate", (events, names), close, t0)
+        if route == "/jobs":
+            events, names = self._events_from(AllocateRequest.from_json(data, require_jobs=True))
+            return await self._roundtrip("submit", (events, names, {}), close, t0)
+        if route == "/capacity":
+            spec = CapacitySpec.from_json(data)
+            event = CapacityChanged(spec.site, spec.capacity)
+            return await self._roundtrip("submit", ((event,), None, {}), close, t0)
         return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
 
     async def _delete(self, route: str, target: str, close: bool, t0: float) -> bytes:
@@ -805,6 +787,21 @@ class AioServiceServer:
             err = result["error"]
             return self._error(status, err["code"], err["message"], close, t0, detail=err.get("detail"))
         return self._ok(result, close, t0, status=status)
+
+
+def _error_for(exc: Exception) -> tuple[int, str, str]:
+    """``(status, code, message)`` of the error envelope ``exc`` answers:
+    the one exception map of every request path."""
+    if isinstance(exc, ServiceClosed):
+        return 503, "unavailable", str(exc)
+    if isinstance(exc, ResourceMismatchError):
+        return 400, "resource_mismatch", str(exc)
+    if isinstance(exc, UnknownResourceError):
+        return 400, "unknown_resource", str(exc)
+    if isinstance(exc, ValueError):
+        # SchemaError, StateError, JSONDecodeError, UnicodeDecodeError, ...
+        return 400, "bad_request", str(exc)
+    return 500, "internal", f"{type(exc).__name__}: {exc}"
 
 
 class _PayloadTooLarge(Exception):

@@ -178,9 +178,7 @@ class AllocationService:
         first push, so an *acknowledged* event is always on disk.  If a
         push raises mid-sequence (classic WAL semantics: the caller must
         treat an errored request's outcome as unknown), the accept count
-        and depth gauge still reflect exactly what was enqueued — a
-        partially-pushed sequence used to leave ``events_accepted`` short
-        and the gauge stale.
+        still reflects exactly what was enqueued.
         """
         with self._lock:
             self._check_open()
@@ -199,10 +197,7 @@ class AllocationService:
                     accepted += 1
             finally:
                 self.events_accepted += accepted
-                depth = len(self.queue)
-                if REGISTRY.enabled:
-                    instruments.QUEUE_DEPTH.set(depth)
-            return depth
+            return len(self.queue)
 
     def flush(self, *, force: bool = False) -> int:
         """Apply the pending batch if due (or ``force``); returns events applied."""
@@ -218,9 +213,7 @@ class AllocationService:
             # on the final state only, so a batch re-solves exactly the
             # shards whose final state it changed.
             applied, rejected = self.state.apply_all(batch)
-            instruments.record_queue_flush(len(batch), time.perf_counter() - t0)
-            if REGISTRY.enabled:
-                instruments.QUEUE_DEPTH.set(len(self.queue))
+            instruments.record_queue_flush(time.perf_counter() - t0)
             for message in rejected:
                 self.events_rejected += 1
                 if len(self.rejections) < self.max_rejections:
@@ -300,7 +293,6 @@ class AllocationService:
             if not served:
                 self.incremental.reset()
             cached = served and self.incremental.replayed
-            instruments.record_cache(hit=cached)
             if cached:
                 self.memo_hits += 1
                 return ServedAllocation(alloc, cached=True, seconds=0.0, version=version, fingerprint=fp)
@@ -338,7 +330,9 @@ class AllocationService:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """JSON-ready counters for ``/stats`` and the benchmark report."""
+        """JSON-ready counters for ``/v1/stats`` and the benchmark report;
+        ``/v1/metrics`` renders its counters from the same dict
+        (:data:`repro.obs.instruments.STATS_METRICS`)."""
         with self._lock:
             s = self.solve_stats
             inc = self.incremental.stats
@@ -371,6 +365,8 @@ class AllocationService:
                     "warm_cuts_seeded": inc.warm_cuts_seeded,
                     "deferred_checks": inc.deferred_checks,
                     "deferred_refuted": inc.deferred_refuted,
+                    "frozen_by_cap": inc.frozen_by_cap,
+                    "frozen_by_cut": inc.frozen_by_cut,
                     "basis_size": self.incremental.bases.total_cuts,
                     # parametric-oracle reuse breakdown (docs/performance.md)
                     "probes_reused": inc.probes_reused,
@@ -382,6 +378,7 @@ class AllocationService:
                     "probes_warm": inc.probes_warm,
                     "probes_cold": inc.probes_cold,
                     "probe_rollbacks": inc.probe_rollbacks,
+                    "jobs_folded": inc.jobs_folded,
                     # AMRF engine (all zero unless vector clusters were solved)
                     "amrf_rounds": inc.amrf_rounds,
                     "amrf_lps": inc.amrf_lps,

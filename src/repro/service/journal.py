@@ -56,9 +56,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro._util import require
 from repro.model.cluster import Cluster
-from repro.model.job import Job
-from repro.model.serialize import cluster_from_dict, cluster_to_dict
-from repro.obs import instruments
+from repro.model.serialize import cluster_from_dict, cluster_to_dict, job_from_dict, job_to_dict
 from repro.service.state import (
     CapacityChanged,
     ClusterEvent,
@@ -90,36 +88,12 @@ class JournalError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Event wire format (shared with nothing: the journal owns its encoding)
+# Event wire format (a job travels as repro.model.serialize's job dict)
 # ----------------------------------------------------------------------
-def _job_to_json(job: Job) -> dict[str, Any]:
-    out: dict[str, Any] = {"name": job.name, "workload": dict(job.workload)}
-    if job.demand:
-        out["demand"] = dict(job.demand)
-    if job.weight != 1.0:
-        out["weight"] = job.weight
-    if job.arrival != 0.0:
-        out["arrival"] = job.arrival
-    if job.resources:
-        out["resources"] = dict(job.resources)
-    return out
-
-
-def _job_from_json(data: dict[str, Any]) -> Job:
-    return Job(
-        data["name"],
-        {k: float(v) for k, v in data["workload"].items()},
-        {k: float(v) for k, v in data.get("demand", {}).items()},
-        weight=float(data.get("weight", 1.0)),
-        arrival=float(data.get("arrival", 0.0)),
-        resources={k: float(v) for k, v in data.get("resources", {}).items()},
-    )
-
-
 def event_to_json(event: ClusterEvent) -> dict[str, Any]:
     """One event as a JSON-compatible dict (``k`` discriminates the kind)."""
     if isinstance(event, JobArrived):
-        out: dict[str, Any] = {"k": "arrive", "job": _job_to_json(event.job)}
+        out: dict[str, Any] = {"k": "arrive", "job": job_to_dict(event.job)}
     elif isinstance(event, JobDeparted):
         out = {"k": "depart", "name": event.name}
     elif isinstance(event, CapacityChanged):
@@ -138,7 +112,7 @@ def event_from_json(data: dict[str, Any]) -> ClusterEvent:
     kind = data.get("k")
     t = float(data.get("t", 0.0))
     if kind == "arrive":
-        return JobArrived(_job_from_json(data["job"]), t)
+        return JobArrived(job_from_dict(data["job"]), t)
     if kind == "depart":
         return JobDeparted(str(data["name"]), t)
     if kind == "capacity":
@@ -272,7 +246,6 @@ class WriteAheadJournal:
         self.stats.appends += len(events)
         self.stats.bytes_written += len(blob)
         self._since_checkpoint += len(events)
-        instruments.record_journal_append(len(events), len(blob))
         if self._unsynced >= self.fsync_batch or self._clock() - self._last_sync >= self.fsync_interval:
             self.sync()
         return self.seq
@@ -285,7 +258,6 @@ class WriteAheadJournal:
         self._unsynced = 0
         self._last_sync = self._clock()
         self.stats.fsyncs += 1
-        instruments.record_journal_fsync()
 
     # -- checkpointing -------------------------------------------------
     def checkpoint(self, state: ClusterState) -> None:
@@ -332,7 +304,6 @@ class WriteAheadJournal:
                 path.unlink(missing_ok=True)
         self._since_checkpoint = 0
         self.stats.checkpoints += 1
-        instruments.record_journal_checkpoint()
 
     def maybe_checkpoint(self, state: ClusterState) -> bool:
         """Checkpoint if ``checkpoint_every`` events accrued since the last."""

@@ -1,11 +1,12 @@
 """Typed wire schema for the v1 control-plane API.
 
-One place defines what travels over HTTP: frozen dataclasses with
-validating ``from_json`` constructors and symmetric ``to_json`` dumps,
-replacing the ad-hoc dict parsing the front-end grew organically.  The
-HTTP layer (:mod:`repro.service.aio`) maps :class:`SchemaError` to a 400
-with the uniform error envelope; nothing schema-shaped is parsed anywhere
-else.
+One place defines what travels over HTTP into the service: frozen
+dataclasses with validating ``from_json`` constructors, replacing the
+ad-hoc dict parsing the front-end grew organically.  Nothing here writes a
+request back out; a job's canonical dict is
+:func:`repro.model.serialize.job_to_dict`.  The HTTP layer
+(:mod:`repro.service.aio`) maps :class:`SchemaError` to a 400 with the
+uniform error envelope; nothing schema-shaped is parsed anywhere else.
 
 The machine-readable counterpart is :data:`API_SPEC`, served verbatim at
 ``GET /v1/spec``: every route, its request schema and its response fields,
@@ -155,18 +156,6 @@ class JobSpec:
             resources=self.resources,
         )
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name, "workload": dict(self.workload)}
-        if self.demand:
-            out["demand"] = dict(self.demand)
-        if self.weight != 1.0:
-            out["weight"] = self.weight
-        if self.arrival != 0.0:
-            out["arrival"] = self.arrival
-        if self.resources:
-            out["resources"] = dict(self.resources)
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class CapacitySpec:
@@ -194,10 +183,6 @@ class CapacitySpec:
         capacity = _number(data["capacity"], "capacity")
         _require(capacity > 0.0, f"capacity must be positive and finite, got {capacity}")
         return cls(site=str(data["site"]), capacity=capacity)
-
-    def to_json(self) -> dict[str, Any]:
-        cap = dict(self.capacity) if isinstance(self.capacity, dict) else self.capacity
-        return {"site": self.site, "capacity": cap}
 
 
 @dataclass(frozen=True, slots=True)

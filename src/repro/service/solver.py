@@ -33,7 +33,6 @@ solve, preserving the degraded-mode guarantee of docs/robustness.md.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.core.allocation import Allocation
@@ -50,15 +49,8 @@ from repro.core.sharding import (
     stitch,
 )
 from repro.model.cluster import Cluster
-from repro.obs.instruments import (
-    CACHE_EVICTIONS,
-    record_amf,
-    record_shard_cache,
-    record_shard_decomposition,
-    record_shard_solve,
-)
-from repro.obs.registry import REGISTRY
-from repro.obs.tracing import TRACER, span
+from repro.obs.instruments import record_shard_decomposition, record_shard_solve
+from repro.obs.tracing import span
 from repro.service.cache import AllocationCache
 
 __all__ = ["IncrementalStats", "IncrementalAmfSolver"]
@@ -128,8 +120,6 @@ class IncrementalAmfSolver:
         shards = decompose(cluster)
         record_shard_decomposition(len(shards))
         self.stats.last_shards = len(shards)
-        observing = REGISTRY.enabled or TRACER.enabled
-        before = dataclasses.replace(diag) if observing else None
         # Multi-resource shards are only separable *given* the federation's
         # resource totals (the dominant-share denominators), so the totals
         # ride along to every shard solve — and into the memo key, because
@@ -159,7 +149,6 @@ class IncrementalAmfSolver:
                     misses.append(sh)
             self.stats.shard_cache_hits += hits
             self.stats.shard_cache_misses += len(misses)
-            record_shard_cache(hits=hits, misses=len(misses))
             if misses:
                 self.stats.solves += 1
             results = solve_shards(misses, bases=self.bases, resource_totals=totals)
@@ -169,12 +158,7 @@ class IncrementalAmfSolver:
                 self.stats.shard_solves += 1
                 self.memo.put(res.shard.cluster.fingerprint() + totals_tag, res.matrix)
                 pieces.append((res.shard, res.matrix))
-            evicted = self.memo.trim(keep=len(pieces))
-            self.stats.shard_evictions += evicted
-            if evicted and REGISTRY.enabled:
-                CACHE_EVICTIONS.inc(evicted)
-        if observing and misses:
-            record_amf(diag, since=before)
+            self.stats.shard_evictions += self.memo.trim(keep=len(pieces))
         matrix = stitch(cluster, pieces)
         self.replayed = not misses
         return Allocation(cluster, matrix, policy=self.__name__)

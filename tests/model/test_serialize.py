@@ -13,6 +13,8 @@ from repro.model.serialize import (
     allocation_to_dict,
     cluster_from_dict,
     cluster_to_dict,
+    job_from_dict,
+    job_to_dict,
     load_allocation,
     load_cluster,
     save_allocation,
@@ -61,6 +63,43 @@ class TestClusterRoundtrip:
         save_cluster(rich_cluster(), path)
         c2 = load_cluster(path)
         assert c2.n_jobs == 2
+
+
+#: ``repro-cluster-v1`` bytes of :func:`golden_cluster`; a change here
+#: breaks every cluster file already on disk.
+GOLDEN_CLUSTER = (
+    b'{"format": "repro-cluster-v1", "sites": [{"name": "east", "capacity": 10.0}, '
+    b'{"name": "west", "capacity": {"cpu": 4.0, "mem": 8.0}, "tags": ["gpu"]}], '
+    b'"jobs": [{"name": "j0", "workload": {"east": 5.0}}, '
+    b'{"name": "j1", "workload": {"east": 1.0, "west": 2.5}, "demand": {"west": 0.5}, '
+    b'"weight": 3.0, "arrival": 1.5, "resources": {"cpu": 1.0, "mem": 2.0}}]}'
+)
+
+
+def golden_cluster() -> Cluster:
+    return Cluster(
+        [Site("east", 10.0), Site("west", {"cpu": 4.0, "mem": 8.0}, ("gpu",))],
+        [
+            Job("j0", {"east": 5.0}),
+            Job("j1", {"east": 1.0, "west": 2.5}, {"west": 0.5}, weight=3.0, arrival=1.5, resources={"cpu": 1.0, "mem": 2.0}),
+        ],
+    )
+
+
+class TestGoldenBytes:
+    def test_cluster_dict_bytes_are_pinned(self):
+        assert json.dumps(cluster_to_dict(golden_cluster())).encode() == GOLDEN_CLUSTER
+
+    def test_golden_cluster_round_trips(self):
+        rebuilt = cluster_from_dict(json.loads(GOLDEN_CLUSTER))
+        assert rebuilt.fingerprint() == golden_cluster().fingerprint()
+        assert json.dumps(cluster_to_dict(rebuilt)).encode() == GOLDEN_CLUSTER
+
+    def test_jobs_use_the_one_job_encoding(self):
+        doc = cluster_to_dict(golden_cluster())
+        assert doc["jobs"] == [job_to_dict(job) for job in golden_cluster().jobs]
+        for entry in doc["jobs"]:
+            assert job_to_dict(job_from_dict(entry)) == entry
 
 
 class TestAllocationRoundtrip:

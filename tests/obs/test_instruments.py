@@ -1,8 +1,7 @@
-"""Instrument fold-ins: the registry must bit-match the solver's own
-diagnostics, spans must nest amf.solve -> flow.probe -> flow.max_flow,
-and everything must stay silent while observability is off."""
-
-import dataclasses
+"""The instrument catalog: library solves record spans but no counters,
+spans nest amf.solve -> flow.probe -> flow.max_flow, the stats table
+renders the service's own counters, and everything stays silent while
+observability is off."""
 
 import pytest
 
@@ -11,7 +10,8 @@ from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.obs import instruments
-from repro.obs.registry import REGISTRY
+from repro.obs.instruments import STATS_METRICS, render_stats
+from repro.obs.registry import REGISTRY, parse_prometheus
 from repro.obs.simobs import SimObserver
 from repro.obs.tracing import TRACER
 from repro.service.daemon import AllocationService
@@ -25,49 +25,24 @@ def small_cluster(cap_a: float = 2.0) -> Cluster:
     )
 
 
-class TestAmfBitMatch:
-    def test_counters_match_diagnostics_over_a_solve_sequence(self):
-        """The ISSUE acceptance criterion: registry probe counters equal the
-        sum of AmfDiagnostics over the same solve sequence, bit for bit."""
+class TestLibrarySolves:
+    def test_library_solves_write_no_counters(self):
+        """A library solve returns its diagnostics and records spans; its
+        counts live in that record alone, never in the process-global
+        registry, so they cannot leak into a service's /v1/metrics."""
         REGISTRY.enable()
-        diag = AmfDiagnostics()
-        c = small_cluster()
-        # one shared mutable diag across three solver entries
-        amf_levels(c, diagnostics=diag)
-        amf_levels_bisect(c, diagnostics=diag)
-        solve_amf(small_cluster(2.5), diagnostics=diag)
-        for field, counter in instruments._AMF_COUNTERS.items():
-            assert counter.value == getattr(diag, field), field
-        assert instruments.AMF_SOLVES.value == 3
-
-    def test_shared_diag_not_double_counted(self):
-        """Delta recording: re-using one diag object across entries must not
-        fold earlier solves' counts in again."""
-        REGISTRY.enable()
-        diag = AmfDiagnostics()
-        c = small_cluster()
-        amf_levels(c, diagnostics=diag)
-        first = dataclasses.replace(diag)
-        rounds_after_first = instruments._AMF_COUNTERS["rounds"].value
-        assert rounds_after_first == first.rounds > 0
-        amf_levels(c, diagnostics=diag)
-        # the diag doubled; the counter tracked it exactly (no re-fold)
-        assert diag.rounds == 2 * first.rounds
-        assert instruments._AMF_COUNTERS["rounds"].value == diag.rounds
-
-    def test_default_diag_still_recorded(self):
-        REGISTRY.enable()
-        amf_levels(small_cluster())
-        assert instruments.AMF_SOLVES.value == 1
-        assert instruments._AMF_COUNTERS["rounds"].value > 0
-
-    def test_disabled_registry_records_nothing(self):
-        assert not REGISTRY.enabled
+        before = REGISTRY.render_prometheus()
         diag = AmfDiagnostics()
         amf_levels(small_cluster(), diagnostics=diag)
-        assert diag.rounds > 0  # the solver's own record still fills
-        assert instruments.AMF_SOLVES.value == 0
-        assert all(c.value == 0 for c in instruments._AMF_COUNTERS.values())
+        amf_levels_bisect(small_cluster(), diagnostics=diag)
+        solve_amf(small_cluster(2.5), diagnostics=diag)
+        assert diag.rounds > 0
+        assert not [name for name in REGISTRY.names() if name.startswith(("repro_amf_", "repro_flow_"))]
+        # only the shard histograms moved; every counter reads as before
+        after = parse_prometheus(REGISTRY.render_prometheus())
+        for key, value in parse_prometheus(before).items():
+            if not key.startswith("repro_shard_"):
+                assert after[key] == value, key
 
 
 class TestSpanNesting:
@@ -108,21 +83,49 @@ class TestSpanNesting:
 
 class TestCacheInstruments:
     def test_hit_miss_eviction_counters(self):
-        """``repro_cache_*`` count the component memo: a miss per answer that
-        solved a component, a hit per answer it replayed whole, an eviction
-        per entry its LRU bound dropped."""
+        """``repro_cache_*`` are rows of the stats table: a miss per answer
+        that solved a component, a hit per answer the memo replayed whole,
+        an eviction per entry its LRU bound dropped."""
         service = AllocationService(ClusterState([Site("a", 2.0), Site("b", 3.0)]), cache_size=1)
-        assert REGISTRY.enabled  # the service switched the registry on
         service.submit(JobArrived(Job("x", {"a": 1.0})))
         service.allocation()  # miss
         service.allocation()  # hit
         service.submit(CapacityChanged("a", 2.5))
         service.allocation()  # miss: evicts the first state's component
-        assert instruments.CACHE_MISSES.value == 2
-        assert instruments.CACHE_HITS.value == 1
-        assert instruments.CACHE_EVICTIONS.value == 1
+        samples = parse_prometheus(render_stats(service.stats()))
+        assert samples["repro_cache_misses_total"] == 2
+        assert samples["repro_cache_hits_total"] == 1
+        assert samples["repro_cache_evictions_total"] == 1
         cache = service.stats()["cache"]
         assert (cache["misses"], cache["hits"], cache["evictions"]) == (2, 1, 1)
+
+
+class TestStatsMetrics:
+    def test_table_rows_name_stats_fields(self):
+        """Every row names a ``section.key`` the service's stats carry, no
+        row doubles as a registry instrument, and a service without a
+        journal renders its ``repro_journal_*`` rows as 0."""
+        stats = AllocationService(ClusterState([Site("a", 2.0)]), observability=False).stats()
+        stats["admission"] = {"admitted": 0, "shed": 0}  # the aio edge adds this section
+        names = [metric.name for metric in STATS_METRICS]
+        assert len(set(names)) == len(names)
+        assert not set(names) & set(REGISTRY.names())
+        for metric in STATS_METRICS:
+            section, key = metric.path.split(".")
+            assert stats[section] is None or key in stats[section], metric.path
+            assert metric.kind in {"counter", "gauge"}
+        samples = parse_prometheus(render_stats(stats))
+        assert set(samples) == set(names)
+        assert stats["journal"] is None
+        assert all(samples[m.name] == 0 for m in STATS_METRICS if m.path.startswith("journal."))
+
+    def test_render_matches_registry_exposition(self):
+        """HELP and TYPE lines as the registry writes them; a section the
+        dict lacks (here every one but ``batching``) renders as 0."""
+        text = render_stats({"batching": {"batches": 3, "coalesced_events": 7}})
+        assert "# HELP repro_queue_batches_total batches drained from the coalescing queue\n" in text
+        assert "# TYPE repro_queue_batches_total counter\nrepro_queue_batches_total 3\n" in text
+        assert "# TYPE repro_queue_depth gauge\nrepro_queue_depth 0\n" in text
 
 
 class TestSimObserver:

@@ -85,6 +85,55 @@ class TestWireFormat:
             event_from_json({"k": "mystery"})
 
 
+#: One segment line per event kind, exactly as the journal writes them: a
+#: change here strands every journal already on disk.
+GOLDEN_SITES = [Site("a", {"cpu": 8.0, "mem": 16.0}), Site("b", {"cpu": 4.0, "mem": 8.0}), Site("c", 5.0)]
+GOLDEN_EVENTS = [
+    JobArrived(
+        Job("j1", {"a": 1.5, "b": 0.25}, {"a": 0.75}, weight=2.0, arrival=3.5, resources={"cpu": 2.0, "mem": 1.0}),
+        1.25,
+    ),
+    JobArrived(Job("j2", {"c": 1.0})),
+    CapacityChanged("b", {"cpu": 6.0, "mem": 8.0}, 2.0),
+    CapacityChanged("c", 3.0),
+    JobDeparted("j2", 4.0),
+]
+GOLDEN_SEGMENT = (
+    b'{"seq":1,"k":"arrive","job":{"name":"j1","workload":{"a":1.5,"b":0.25},"demand":{"a":0.75},'
+    b'"weight":2.0,"arrival":3.5,"resources":{"cpu":2.0,"mem":1.0}},"t":1.25}\n'
+    b'{"seq":2,"k":"arrive","job":{"name":"j2","workload":{"c":1.0}}}\n'
+    b'{"seq":3,"k":"capacity","site":"b","capacity":{"cpu":6.0,"mem":8.0},"t":2.0}\n'
+    b'{"seq":4,"k":"capacity","site":"c","capacity":3.0}\n'
+    b'{"seq":5,"k":"depart","name":"j2","t":4.0}\n'
+)
+#: fingerprint of GOLDEN_SITES after GOLDEN_EVENTS: what recovering a
+#: journal that holds GOLDEN_SEGMENT must rebuild
+GOLDEN_FINGERPRINT = "d17bf9de6ce63673f5f2a72ad4dad4eed4c64b27c132f3e6d60087f14555bc28"
+
+
+class TestGoldenSegment:
+    def test_segment_bytes_are_pinned(self, tmp_path):
+        j = WriteAheadJournal(tmp_path, fsync_batch=1)
+        j.append(GOLDEN_EVENTS)
+        j.close()
+        assert (tmp_path / "segment-000000000000.jsonl").read_bytes() == GOLDEN_SEGMENT
+
+    def test_golden_lines_round_trip(self):
+        for line, event in zip(GOLDEN_SEGMENT.splitlines(), GOLDEN_EVENTS):
+            record = json.loads(line)
+            del record["seq"]
+            assert event_to_json(event_from_json(record)) == record == event_to_json(event)
+
+    def test_golden_segment_replays_to_the_same_state(self, tmp_path):
+        (tmp_path / "segment-000000000000.jsonl").write_bytes(GOLDEN_SEGMENT)
+        state, rec = recover_state(tmp_path, fallback_sites=GOLDEN_SITES)
+        assert len(rec.events) == 5 and rec.dropped_lines == 0
+        assert state.snapshot().fingerprint() == GOLDEN_FINGERPRINT
+        live = ClusterState(GOLDEN_SITES)
+        assert live.apply_all(GOLDEN_EVENTS) == (5, [])
+        assert live.snapshot().fingerprint() == GOLDEN_FINGERPRINT
+
+
 # ----------------------------------------------------------------------
 # Append side
 # ----------------------------------------------------------------------

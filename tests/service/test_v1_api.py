@@ -49,6 +49,9 @@ STATS_KEYS = {
     "incremental.deferred_refuted",
     "incremental.failures",
     "incremental.feasibility_solves",
+    "incremental.frozen_by_cap",
+    "incremental.frozen_by_cut",
+    "incremental.jobs_folded",
     "incremental.probe_rollbacks",
     "incremental.probes_cold",
     "incremental.probes_cut_reject",
