@@ -29,8 +29,11 @@ so by the time a client sees its 202, the published view already reflects
 at least that state; everything in a view (``uptime_seconds`` included)
 is as of its publish, and ``/v1/metrics`` renders the service's counters
 from the same view's stats.  Every route lives under ``/v1/``: any other
-path answers the 404 envelope.  A poisoned flush is counted in
-``repro_flush_errors_total`` and the loop keeps running.
+path answers the 404 envelope.  Every failure — framing, validation, the
+solver's — is mapped by ``_error_for`` and rendered by ``_error``; a
+request the edge cannot frame is answered 400 and its connection closed.
+A poisoned flush is counted in ``repro_flush_errors_total`` and the loop
+keeps running.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import queue
 import threading
 import time
 import traceback
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.obs import instruments
@@ -88,6 +91,10 @@ _STOP = object()  # intake sentinel: solver loop exits after the final drain
 #: bounded separately by the StreamReader limit).
 _MAX_HEADERS = 100
 
+
+#: Routes served from the published view: route -> ``PublishedView``
+#: attribute prefix (``<kind>_resp`` keep-alive bytes, ``<kind>_json`` body).
+_VIEW_READS = {"/health": "health", "/stats": "stats", "/allocate": "allocate"}
 
 #: An allocation document's keys: the head names how it was served, the
 #: tail is what the allocation itself determines (see ``_rendered``).
@@ -176,16 +183,33 @@ class PublishedView:
         self.pending_names = pending_names
 
 
-class _Work:
-    """One admitted write, en route from the event loop to the solver."""
+class _HttpError(Exception):
+    """One error answer: status, envelope ``code`` and ``message``, an
+    optional ``detail`` and extra response headers.
 
-    __slots__ = ("kind", "payload", "future", "loop")
+    Raised anywhere on a request's path; :func:`_error_for` passes it
+    through unchanged and :meth:`AioServiceServer._error` renders it.
+    """
 
-    def __init__(self, kind: str, payload: Any, future: asyncio.Future, loop: asyncio.AbstractEventLoop):
-        self.kind = kind
-        self.payload = payload
-        self.future = future
-        self.loop = loop
+    def __init__(
+        self, status: int, code: str, message: str, detail: Any = None, headers: Sequence[tuple[str, str]] = ()
+    ):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+        self.message = message
+        self.detail = detail
+        self.headers = headers
+
+
+class _Work(NamedTuple):
+    """One admitted write, en route from the event loop to the solver:
+    ``call(payload)`` runs on the solver thread."""
+
+    call: Callable[[Any], Any]
+    payload: Any
+    future: asyncio.Future
+    loop: asyncio.AbstractEventLoop
 
 
 class AioServiceServer:
@@ -384,37 +408,36 @@ class AioServiceServer:
                 self._drain_closed()
                 return
 
-    def _process(self, item: _Work) -> tuple[int, dict[str, Any] | bytes]:
-        service = self.service
+    def _process(self, item: _Work) -> tuple[int, dict[str, Any] | bytes] | Exception:
+        """Run one write: ``(status, body)``, or the exception it raised
+        (answered on the event loop, like any other failure)."""
         try:
-            if item.kind == "submit":
-                events, names, status_payload = item.payload
-                pending = service.submit_all(events)
-                payload = {"pending_events": pending}
-                if names is not None:
-                    payload["queued_jobs"] = names
-                payload.update(status_payload)
-                return 202, payload
-            if item.kind == "delete":
-                name = item.payload
-                if not service.has_job(name):
-                    return 404, error_envelope("not_found", f"unknown job {name!r}")
-                pending = service.submit(JobDeparted(name))
-                return 202, {"pending_events": pending}
-            if item.kind == "allocate":
-                events, names = item.payload
-                if events:
-                    service.submit_all(events)
-                body = self._rendered(service.allocation(fresh=True))[1]
-                if names is not None:
-                    body = body[:-1] + b', "queued_jobs": ' + json.dumps(names).encode() + b"}"
-                return 200, body
-            return 500, error_envelope("internal", f"unknown work kind {item.kind!r}")
+            return item.call(item.payload)
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            status, code, message = _error_for(exc)
-            return status, error_envelope(code, message)
+            return exc
 
-    def _resolve(self, item: _Work, result: tuple[int, dict[str, Any]]) -> None:
+    def _submit(self, payload: tuple[tuple[ClusterEvent, ...], list[str] | None]) -> tuple[int, dict[str, Any]]:
+        events, names = payload
+        body: dict[str, Any] = {"pending_events": self.service.submit_all(events)}
+        if names is not None:
+            body["queued_jobs"] = names
+        return 202, body
+
+    def _depart(self, name: str) -> tuple[int, dict[str, Any]]:
+        if not self.service.has_job(name):
+            raise _HttpError(404, "not_found", f"unknown job {name!r}")
+        return 202, {"pending_events": self.service.submit(JobDeparted(name))}
+
+    def _allocate(self, payload: tuple[tuple[ClusterEvent, ...], list[str] | None]) -> tuple[int, bytes]:
+        events, names = payload
+        if events:
+            self.service.submit_all(events)
+        body = self._rendered(self.service.allocation(fresh=True))[1]
+        if names is not None:
+            body = body[:-1] + b', "queued_jobs": ' + json.dumps(names).encode() + b"}"
+        return 200, body
+
+    def _resolve(self, item: _Work, result: Any) -> None:
         def _set() -> None:
             if not item.future.done():
                 item.future.set_result(result)
@@ -431,9 +454,8 @@ class AioServiceServer:
                 item = self._intake.get_nowait()
             except queue.Empty:
                 return
-            if item is _STOP:
-                continue
-            self._resolve(item, (503, error_envelope("unavailable", "service is shutting down")))
+            if item is not _STOP:
+                self._resolve(item, ServiceClosed("service is shutting down"))
 
     def _rendered(self, served: ServedAllocation) -> tuple[dict[str, Any], bytes]:
         """Render and encode ``served`` — the one time either happens.
@@ -508,15 +530,22 @@ class AioServiceServer:
         batches = max(1, math.ceil(backlog / self.service.queue.max_batch))
         return max(self.retry_floor, batches * p50)
 
-    def _admit(self, kind: str, payload: Any) -> asyncio.Future | float:
-        """Try to enqueue work; returns a future, or the Retry-After on shed."""
+    def _admit(self, call: Callable[[Any], Any], payload: Any) -> asyncio.Future:
+        """Enqueue ``call(payload)`` for the solver thread and return the
+        future of its result; raise the 429 when the intake is full."""
         if self._intake.qsize() >= self.max_pending:
             retry = self._retry_after()
             self.shed += 1
             instruments.record_admission_shed(retry)
-            return retry
+            raise _HttpError(
+                429,
+                "too_many_requests",
+                "solver intake queue is full; retry later",
+                {"retry_after_seconds": retry},
+                (("Retry-After", str(max(1, math.ceil(retry)))),),
+            )
         loop = asyncio.get_running_loop()
-        work = _Work(kind, payload, loop.create_future(), loop)
+        work = _Work(call, payload, loop.create_future(), loop)
         self._intake.put(work)
         self.admitted += 1
         if self._solver_done:
@@ -530,62 +559,40 @@ class AioServiceServer:
     async def _handle_conn(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
             while True:
+                t0 = None
                 try:
-                    async with asyncio.timeout(self.idle_timeout):
-                        line = await reader.readline()
-                except TimeoutError:
-                    break  # idle keep-alive expired: drop silently
-                if not line or line in (b"\r\n", b"\n"):
-                    break
-                try:
-                    method, target, _version = line.decode("latin-1").split(None, 2)
-                except ValueError:
-                    writer.write(
-                        _render(
-                            400,
-                            json.dumps(error_envelope("bad_request", "malformed request line")).encode(),
-                            close=True,
-                        )
-                    )
-                    break
-                t0 = time.perf_counter()
-                try:
+                    try:
+                        async with asyncio.timeout(self.idle_timeout):
+                            line = await reader.readline()
+                    except TimeoutError:
+                        break  # idle keep-alive expired: drop silently
+                    if line in (b"", b"\r\n", b"\n"):
+                        break
+                    t0 = time.perf_counter()
+                    parts = line.decode("latin-1").split(None, 2)
+                    if len(parts) != 3:
+                        raise _HttpError(400, "bad_request", "malformed request line")
+                    method, target = parts[0].upper(), parts[1]
                     # one deadline for the whole request, not one per line:
                     # a client cannot hold the connection by dribbling headers
                     async with asyncio.timeout(self.request_timeout):
                         headers = await self._read_headers(reader)
                         body = await self._read_body(reader, headers)
-                except _PayloadTooLarge as exc:
-                    self._respond(writer, 413, error_envelope("payload_too_large", str(exc)), close=True, t0=t0)
-                    break
-                except _HeadersTooLarge as exc:
-                    self._respond(writer, 431, error_envelope("headers_too_large", str(exc)), close=True, t0=t0)
-                    break
-                except (_BadRequest, ValueError) as exc:
-                    # a malformed Content-Length, or a header line over the
-                    # StreamReader's line-length limit
-                    self._respond(writer, 400, error_envelope("bad_request", str(exc)), close=True, t0=t0)
-                    break
-                except (TimeoutError, asyncio.IncompleteReadError) as exc:
-                    self._respond(
-                        writer,
-                        408,
-                        error_envelope("request_timeout", f"timed out reading request: {exc}"),
-                        close=True,
-                        t0=t0,
-                    )
+                    route, query = self._route(target)
+                except ConnectionError:
+                    raise  # the client went away: nobody to answer
+                except Exception as exc:  # noqa: BLE001 - no request framed: answer, hang up
+                    writer.write(self._fail(exc, True, t0))
                     break
                 close = headers.get("connection", "").lower() == "close"
-                raw = await self._dispatch(method.upper(), target, body, close=close, t0=t0)
+                raw = await self._dispatch(method, route, query, target, body, close=close, t0=t0)
                 writer.write(raw)
                 await writer.drain()
-                if close or raw.startswith(b"HTTP/1.1 4") or raw.startswith(b"HTTP/1.1 5"):
-                    # an error answered with Connection: close (a 503 while
-                    # draining) ends the connection; the cheap prefix check
-                    # keeps the fast path allocation-free
-                    if close or b"Connection: close" in raw[:512]:
-                        break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+                # a 503 always closes (see _error); the prefix check keeps
+                # the fast path allocation-free
+                if close or raw.startswith(b"HTTP/1.1 503 "):
+                    break
+        except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             try:
@@ -603,36 +610,25 @@ class AioServiceServer:
                 return headers
             lines += 1
             if lines > _MAX_HEADERS:
-                raise _HeadersTooLarge(f"more than {_MAX_HEADERS} header lines")
+                raise _HttpError(431, "headers_too_large", f"more than {_MAX_HEADERS} header lines")
             key, _, value = line.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
+            key, value = key.strip().lower(), value.strip()
+            if key == "content-length" and headers.get(key, value) != value:
+                raise _HttpError(400, "bad_request", f"conflicting Content-Length {headers[key]!r} and {value!r}")
+            headers[key] = value
 
     async def _read_body(self, reader: asyncio.StreamReader, headers: dict[str, str]) -> bytes:
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            raise _BadRequest(
-                f"malformed Content-Length {headers.get('content-length')!r}"
-            ) from None
+        """The body ``Content-Length`` frames, refusing any other framing:
+        bytes the edge cannot delimit must never run as the next request."""
+        if "transfer-encoding" in headers:
+            raise _HttpError(400, "bad_request", "Transfer-Encoding is not supported; send Content-Length")
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HttpError(400, "bad_request", f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise _PayloadTooLarge(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
-        if length <= 0:
-            return b""
-        return await reader.readexactly(length)
-
-    def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict[str, Any],
-        *,
-        close: bool = False,
-        t0: float | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode()
-        raw = _render(status, body, close=close)
-        self._count(status, t0)
-        writer.write(raw)
+            raise _HttpError(413, "payload_too_large", f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        return await reader.readexactly(length) if length else b""
 
     @staticmethod
     def _count(status: int, t0: float | None) -> None:
@@ -656,36 +652,74 @@ class AioServiceServer:
             return path[3:] or "/", query
         return None, query
 
-    async def _dispatch(self, method: str, target: str, body: bytes, *, close: bool, t0: float) -> bytes:
-        route, query = self._route(target)
-        try:
-            if route is not None:
-                if method == "GET":
-                    return await self._get(route, target, query, close, t0)
-                if method == "POST":
-                    return await self._post(route, target, body, close, t0)
-                if method == "DELETE":
-                    return await self._delete(route, target, close, t0)
-            return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            status, code, message = _error_for(exc)
-            # a 503 means the service is going away: end the connection too
-            return self._error(status, code, message, close or status == 503, t0)
-
-    def _error(
-        self,
-        status: int,
-        code: str,
-        message: str,
-        close: bool,
-        t0: float,
-        detail: Any = None,
-        *,
-        extra: Sequence[tuple[str, str]] = (),
+    async def _dispatch(
+        self, method: str, route: str | None, query: dict[str, str], target: str, body: bytes, *, close: bool, t0: float
     ) -> bytes:
-        self._count(status, t0)
-        body = json.dumps(error_envelope(code, message, detail)).encode()
-        return _render(status, body, extra=extra, close=close)
+        """Answer one framed request: every route, and every way it fails."""
+        try:
+            if route is not None and method in ("GET", "POST", "DELETE"):
+                if self._closing:
+                    raise ServiceClosed("service is shutting down")
+                if method == "GET":
+                    if route == "/allocate" and parse_fresh(query, default=False):
+                        return await self._roundtrip(self._allocate, ((), None), close, t0)
+                    kind = _VIEW_READS.get(route)
+                    if kind is not None:
+                        # the fast path: a published response, written verbatim
+                        view = self._view_or_503()
+                        self._count(200, t0)
+                        if close:
+                            return _render(200, getattr(view, kind + "_json"), close=True)
+                        return getattr(view, kind + "_resp")
+                    if route == "/metrics":
+                        view = self._view_or_503()
+                        if REGISTRY.enabled:
+                            instruments.ADMISSION_QUEUE_DEPTH.set(self._intake.qsize())
+                        self._count(200, t0)  # the scrape counts itself
+                        text = REGISTRY.render_prometheus() + render_stats(view.stats)
+                        return _render(200, text.encode(), _PROMETHEUS, close=close)
+                    if route == "/traces":
+                        return self._ok(TRACER.to_chrome(), close, t0)
+                    if route == "/spec":
+                        return self._ok(API_SPEC, close, t0)
+                    if route == "/jobs":
+                        q = JobsQuery.from_query(query)
+                        view = self._view_or_503()
+                        return self._ok(jobs_listing_payload(view.allocate, list(view.pending_names), q), close, t0)
+                elif method == "POST":
+                    # schema/model validation happens here on the loop, before
+                    # admission; whatever it raises (a non-UTF-8 body included)
+                    # is answered by _fail
+                    data: dict[str, Any] = {}
+                    if body:
+                        data = json.loads(body.decode())
+                        if not isinstance(data, dict):
+                            raise SchemaError("request body must be a JSON object")
+                    if route == "/allocate":
+                        request = AllocateRequest.from_json(data)
+                        return await self._roundtrip(self._allocate, self._events_from(request), close, t0)
+                    if route == "/jobs":
+                        request = AllocateRequest.from_json(data, require_jobs=True)
+                        return await self._roundtrip(self._submit, self._events_from(request), close, t0)
+                    if route == "/capacity":
+                        spec = CapacitySpec.from_json(data)
+                        event = CapacityChanged(spec.site, spec.capacity)
+                        return await self._roundtrip(self._submit, ((event,), None), close, t0)
+                elif route.startswith("/jobs/") and len(route) > len("/jobs/"):
+                    return await self._roundtrip(self._depart, unquote(route[len("/jobs/"):]), close, t0)
+            raise _HttpError(404, "not_found", f"unknown path {target!r}")
+        except Exception as exc:  # noqa: BLE001 - surfaced to the client
+            return self._fail(exc, close, t0)
+
+    def _fail(self, exc: Exception, close: bool, t0: float | None) -> bytes:
+        """The one way a failure leaves the edge: mapped, then rendered."""
+        return self._error(_error_for(exc), close, t0)
+
+    def _error(self, err: _HttpError, close: bool, t0: float | None) -> bytes:
+        self._count(err.status, t0)
+        body = json.dumps(error_envelope(err.code, err.message, err.detail)).encode()
+        # a 503 means the service is going away: end the connection too
+        return _render(err.status, body, extra=err.headers, close=close or err.status == 503)
 
     def _ok(self, payload: dict[str, Any] | bytes, close: bool, t0: float, *, status: int = 200) -> bytes:
         self._count(status, t0)
@@ -698,122 +732,37 @@ class AioServiceServer:
             raise ServiceClosed("service is shutting down")
         return view
 
-    async def _get(self, route: str, target: str, query: dict[str, str], close: bool, t0: float) -> bytes:
-        if self._closing:
-            raise ServiceClosed("service is shutting down")
-        if route == "/health":
-            view = self._view_or_503()
-            self._count(200, t0)
-            return _render(200, view.health_json, close=True) if close else view.health_resp
-        if route == "/stats":
-            view = self._view_or_503()
-            self._count(200, t0)
-            return _render(200, view.stats_json, close=True) if close else view.stats_resp
-        if route == "/allocate":
-            if parse_fresh(query, default=False):
-                return await self._roundtrip("allocate", ((), None), close, t0)
-            view = self._view_or_503()
-            self._count(200, t0)
-            return _render(200, view.allocate_json, close=True) if close else view.allocate_resp
-        if route == "/metrics":
-            view = self._view_or_503()
-            if REGISTRY.enabled:
-                instruments.ADMISSION_QUEUE_DEPTH.set(self._intake.qsize())
-            self._count(200, t0)
-            text = REGISTRY.render_prometheus() + render_stats(view.stats)
-            return _render(200, text.encode(), _PROMETHEUS, close=close)
-        if route == "/traces":
-            self._count(200, t0)
-            return _render(200, json.dumps(TRACER.to_chrome()).encode(), close=close)
-        if route == "/spec":
-            return self._ok(API_SPEC, close, t0)
-        if route == "/jobs":
-            q = JobsQuery.from_query(query)
-            view = self._view_or_503()
-            return self._ok(jobs_listing_payload(view.allocate, list(view.pending_names), q), close, t0)
-        return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
-
-    async def _post(self, route: str, target: str, body: bytes, close: bool, t0: float) -> bytes:
-        if self._closing:
-            raise ServiceClosed("service is shutting down")
-        # schema/model validation happens here on the loop, before admission;
-        # whatever it raises (a non-UTF-8 body included) maps in _dispatch
-        data: dict[str, Any] = {}
-        if body:
-            data = json.loads(body.decode())
-            if not isinstance(data, dict):
-                raise SchemaError("request body must be a JSON object")
-        if route == "/allocate":
-            events, names = self._events_from(AllocateRequest.from_json(data))
-            return await self._roundtrip("allocate", (events, names), close, t0)
-        if route == "/jobs":
-            events, names = self._events_from(AllocateRequest.from_json(data, require_jobs=True))
-            return await self._roundtrip("submit", (events, names, {}), close, t0)
-        if route == "/capacity":
-            spec = CapacitySpec.from_json(data)
-            event = CapacityChanged(spec.site, spec.capacity)
-            return await self._roundtrip("submit", ((event,), None, {}), close, t0)
-        return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
-
-    async def _delete(self, route: str, target: str, close: bool, t0: float) -> bytes:
-        if self._closing:
-            raise ServiceClosed("service is shutting down")
-        prefix = "/jobs/"
-        if route.startswith(prefix) and len(route) > len(prefix):
-            name = unquote(route[len(prefix):])
-            return await self._roundtrip("delete", name, close, t0)
-        return self._error(404, "not_found", f"unknown path {target!r}", close, t0)
-
     @staticmethod
     def _events_from(request: AllocateRequest) -> tuple[tuple[ClusterEvent, ...], list[str]]:
         jobs = [spec.to_job() for spec in request.jobs]
         return tuple(JobArrived(job) for job in jobs), [job.name for job in jobs]
 
-    async def _roundtrip(self, kind: str, payload: Any, close: bool, t0: float) -> bytes:
-        admitted = self._admit(kind, payload)
-        if not isinstance(admitted, asyncio.Future):
-            retry = admitted
-            return self._error(
-                429,
-                "too_many_requests",
-                "solver intake queue is full; retry later",
-                close,
-                t0,
-                detail={"retry_after_seconds": retry},
-                extra=[("Retry-After", str(max(1, math.ceil(retry))))],
-            )
-        status, result = await admitted
-        if status >= 400 and "error" in result:
-            err = result["error"]
-            return self._error(status, err["code"], err["message"], close, t0, detail=err.get("detail"))
-        return self._ok(result, close, t0, status=status)
+    async def _roundtrip(self, call: Callable[[Any], Any], payload: Any, close: bool, t0: float) -> bytes:
+        result = await self._admit(call, payload)
+        if isinstance(result, Exception):
+            raise result
+        status, body = result
+        return self._ok(body, close, t0, status=status)
 
 
-def _error_for(exc: Exception) -> tuple[int, str, str]:
-    """``(status, code, message)`` of the error envelope ``exc`` answers:
-    the one exception map of every request path."""
+def _error_for(exc: Exception) -> _HttpError:
+    """The error answer for ``exc``: the one exception map of every request
+    path (an :class:`_HttpError` already is one)."""
+    if isinstance(exc, _HttpError):
+        return exc
     if isinstance(exc, ServiceClosed):
-        return 503, "unavailable", str(exc)
+        return _HttpError(503, "unavailable", str(exc))
+    if isinstance(exc, (TimeoutError, asyncio.IncompleteReadError)):
+        return _HttpError(408, "request_timeout", f"timed out reading request: {exc}")
     if isinstance(exc, ResourceMismatchError):
-        return 400, "resource_mismatch", str(exc)
+        return _HttpError(400, "resource_mismatch", str(exc))
     if isinstance(exc, UnknownResourceError):
-        return 400, "unknown_resource", str(exc)
+        return _HttpError(400, "unknown_resource", str(exc))
     if isinstance(exc, ValueError):
-        # SchemaError, StateError, JSONDecodeError, UnicodeDecodeError, ...
-        return 400, "bad_request", str(exc)
-    return 500, "internal", f"{type(exc).__name__}: {exc}"
-
-
-class _PayloadTooLarge(Exception):
-    """Content-Length above :data:`MAX_BODY_BYTES` (mapped to 413)."""
-
-
-class _HeadersTooLarge(Exception):
-    """More than :data:`_MAX_HEADERS` header lines (mapped to 431)."""
-
-
-class _BadRequest(Exception):
-    """A request the parser cannot interpret (mapped to 400)."""
+        # SchemaError, StateError, JSONDecodeError, UnicodeDecodeError, a line
+        # over the StreamReader's limit, a target urlsplit rejects, ...
+        return _HttpError(400, "bad_request", str(exc))
+    return _HttpError(500, "internal", f"{type(exc).__name__}: {exc}")
 
 
 def serve_aio(

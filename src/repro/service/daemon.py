@@ -31,7 +31,7 @@ import numpy as np
 
 from repro._util import require
 from repro.core.allocation import Allocation
-from repro.core.policies import PolicyFn, ResilienceStats, ResilientPolicy
+from repro.core.policies import ResilienceStats, ResilientPolicy
 from repro.obs import instruments
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER, span
@@ -47,6 +47,10 @@ __all__ = ["ServedAllocation", "ServiceClosed", "AllocationService"]
 #: recent ones): a window keeps the stats and each publish's read of them
 #: bounded however long the daemon runs.
 SOLVE_WINDOW = 1024
+
+#: The chain behind the incremental solver: cold AMF, then per-site
+#: max-min (proportional is always the implicit last rung).
+FALLBACKS = ("amf", "psmf")
 
 
 class ServiceClosed(RuntimeError):
@@ -84,9 +88,6 @@ class AllocationService:
         (:class:`~repro.service.solver.IncrementalAmfSolver`, which solves
         connected components independently, so a delta re-solves only the
         component it touches).
-    fallbacks:
-        The chain behind the incremental solver (default: cold AMF, then
-        per-site max-min; proportional is always the implicit last rung).
     journal:
         Optional :class:`~repro.service.journal.WriteAheadJournal`.  When
         given, every accepted delta is journaled *before* it is queued
@@ -114,7 +115,6 @@ class AllocationService:
         max_batch: int = 256,
         cache_size: int = 128,
         max_cuts: int = 64,
-        fallbacks: Sequence[str | PolicyFn] = ("amf", "psmf"),
         sharded: bool = True,
         workers: int | None = None,
         oracle: str = "parametric",
@@ -142,7 +142,7 @@ class AllocationService:
         self.queue = CoalescingQueue(max_delay=max_delay, max_batch=max_batch, clock=clock)
         self.incremental = IncrementalAmfSolver(max_cuts=max_cuts, shard_cache_size=cache_size)
         self.resilience = ResilienceStats()
-        self.policy = ResilientPolicy(self.incremental, fallbacks, stats=self.resilience)
+        self.policy = ResilientPolicy(self.incremental, FALLBACKS, stats=self.resilience)
         self.solve_stats = SolveStats(samples=deque(maxlen=SOLVE_WINDOW))
         self.memo_hits = 0  # answers that solved no component
         self.memo_misses = 0  # answers that solved at least one

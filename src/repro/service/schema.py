@@ -365,7 +365,11 @@ API_SPEC: dict[str, Any] = {
     "error_envelope": {
         "shape": {"error": {"code": "string", "message": "string", "detail": "any | null"}},
         "codes": {
-            "bad_request": "400 — malformed JSON, schema violation, non-finite number",
+            "bad_request": (
+                "400 — malformed JSON, schema violation, non-finite number; or a request the edge "
+                "cannot frame (malformed request line or target, Transfer-Encoding, a Content-Length "
+                "that is not one non-negative decimal), answered with Connection: close"
+            ),
             "resource_mismatch": (
                 "400 — resource-name sets disagree: a vector capacity update that adds or "
                 "drops a site resource, a scalar update on a vector site, or a demand map "

@@ -1,6 +1,7 @@
 """Asyncio edge: read/write routes, admission, malformed requests, shutdown races."""
 
 import json
+import logging
 import math
 import socket
 import threading
@@ -11,9 +12,11 @@ import urllib.request
 import pytest
 
 from repro.model.site import Site
+from repro.obs.registry import parse_prometheus
 from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
 from repro.service.state import ClusterState
+from tests.service.wire import exchange
 
 
 def make_service(**kwargs):
@@ -56,6 +59,16 @@ def raw_request(srv, payload: bytes) -> bytes:
             if not data:
                 return b"".join(chunks)
             chunks.append(data)
+
+
+def errors_total(srv) -> float:
+    url = f"http://127.0.0.1:{srv.port}/v1/metrics"
+    with urllib.request.urlopen(url, timeout=10) as resp:
+        return parse_prometheus(resp.read().decode())["repro_service_errors_total"]
+
+
+#: A request hidden in a body: run as a request, it deletes job ``victim``.
+SMUGGLED = b"DELETE /v1/jobs/victim HTTP/1.1\r\nHost: t\r\n\r\n"
 
 
 class TestReadEndpoints:
@@ -181,6 +194,56 @@ class TestMalformedRequests:
         assert raw.startswith(b"HTTP/1.1 400 ")
         assert b"bad_request" in raw and b"Content-Length" in raw
         assert b"Connection: close" in raw
+
+    @pytest.mark.parametrize("content_length", ["-1", "+5", "1 2", ""])
+    def test_content_length_must_be_one_decimal(self, server, content_length):
+        raw = raw_request(
+            server,
+            b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: %s\r\n\r\n{}" % content_length.encode(),
+        )
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert b"bad_request" in raw and b"Connection: close" in raw
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Transfer-Encoding: chunked\r\n",
+            b"Content-Length: -%d\r\n" % len(SMUGGLED),
+            b"Content-Length: %d\r\nContent-Length: 0\r\n" % len(SMUGGLED),
+        ],
+        ids=["transfer_encoding", "negative_length", "conflicting_lengths"],
+    )
+    def test_body_never_runs_as_the_next_request(self, server, framing):
+        # a body the edge cannot delimit is refused before it is read: it
+        # must not be parsed as a second request on the keep-alive connection
+        status, payload, _ = call(server, "POST", "/v1/allocate", {"name": "victim", "workload": {"a": 1.0}})
+        assert status == 200 and "victim" in payload["jobs"]
+        responses = exchange(server.port, b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n" + framing + b"\r\n" + SMUGGLED)
+        status, payload, _ = call(server, "POST", "/v1/allocate", {})  # applies anything queued
+        assert "victim" in payload["jobs"]
+        assert len(responses) == 1
+        assert responses[0].startswith(b"HTTP/1.1 400 ")
+        assert b"bad_request" in responses[0] and b"Connection: close" in responses[0]
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", b"GET //[ HTTP/1.1\r\nHost: t\r\n\r\n"],
+        ids=["line_over_reader_limit", "target_urlsplit_rejects"],
+    )
+    def test_unframeable_request_line_is_answered(self, server, caplog, line):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            raw = raw_request(server, line)
+            status, _, _ = call(server, "GET", "/v1/health")  # a new connection is served
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert b'"bad_request"' in raw and b"Connection: close" in raw
+        assert status == 200
+        assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
+
+    def test_malformed_request_line_is_counted(self, server):
+        before = errors_total(server)
+        raw = raw_request(server, b"GARBAGE\r\n\r\n")
+        assert raw.startswith(b"HTTP/1.1 400 ") and b"malformed request line" in raw
+        assert errors_total(server) == before + 1
 
     def test_header_flood_is_431(self, server):
         # header count is bounded like http.client's 100-header cap
