@@ -1,7 +1,8 @@
 """Experiment harness: sweeps, seed-replication, ASCII tables.
 
-Used by ``benchmarks/`` (one module per paper figure/table) and by the CLI
-(``python -m repro.cli``) to regenerate every experiment series.
+Used by the CLI (``python -m repro.cli experiment``) to regenerate every
+experiment series, and by ``tests/analysis/test_experiments.py`` to gate
+each experiment's shape claim.
 """
 
 from repro.analysis.tables import render_table, render_series, fmt

@@ -1,12 +1,15 @@
-"""The reproduction's experiment definitions (F1-F8, T1-T3 of DESIGN.md §4).
+"""The reproduction's experiment definitions (F1-F8, T1-T4, X1-X9 of DESIGN.md §4).
 
 Each ``run_*`` function regenerates one figure/table: it returns an
 :class:`ExperimentOutput` whose ``text`` is the printable series/table and
-whose ``data`` carries the raw numbers (used by tests that assert the
-*shape* of each result — who wins, by how much, where the gap grows).
+whose ``data`` carries the raw numbers.  ``tests/analysis/test_experiments.py``
+holds one shape claim per :data:`EXPERIMENTS` id — who wins, by how much,
+where the gap grows — and gates it on ``data`` in tier-1.
 
-Every function accepts ``scale`` (default 1.0): benchmarks use a reduced
-scale so ``pytest benchmarks/`` stays fast, while the CLI runs full size.
+Every function accepts ``scale`` (default 1.0): the claim gates use a
+reduced scale so tier-1 stays fast, while the CLI runs full size
+(``python -m repro.cli experiment <ids> --scale 0.3`` prints the reduced
+tables).
 """
 
 from __future__ import annotations

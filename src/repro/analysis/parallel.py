@@ -3,10 +3,10 @@
 Every figure in the reproduction is an embarrassingly parallel grid of
 ``fn(point, seed)`` evaluations — independent solves on independently
 generated clusters.  :func:`parallel_map` owns the process-pool plumbing so
-:func:`~repro.analysis.sweep.sweep1d`, the report runner and the benchmark
-suite can fan out with one ``workers=`` argument and stay bit-identical to
-the serial path (every task seeds its own ``np.random.default_rng``; no
-state crosses task boundaries).
+:func:`~repro.analysis.sweep.sweep1d`, the report runner and the
+``experiment`` CLI can fan out with one ``workers=`` argument and stay
+bit-identical to the serial path (every task seeds its own
+``np.random.default_rng``; no state crosses task boundaries).
 
 Two deliberate design points:
 

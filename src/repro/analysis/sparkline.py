@@ -1,6 +1,6 @@
 """Unicode sparklines: make figure *shapes* visible in terminal output.
 
-The benchmark harness prints figures as tables; a sparkline column gives
+The experiment CLI prints figures as tables; a sparkline column gives
 the reader the curve at a glance (rising, falling, crossover), which is
 what reproducing a figure's *shape* is about.
 """

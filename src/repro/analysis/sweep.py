@@ -2,7 +2,7 @@
 
 Every figure in the reproduction is a 1-D sweep (skew, #jobs, #sites,
 load) of scalar metrics averaged over random seeds.  :func:`sweep1d` owns
-that loop so the benchmark modules stay declarative.
+that loop so the experiment definitions stay declarative.
 """
 
 from __future__ import annotations

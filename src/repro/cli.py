@@ -4,7 +4,7 @@ Subcommands
 -----------
 
 ``experiment <ID ...>``
-    Regenerate paper figures/tables (F1..F8, T1..T3, or ``all``).
+    Regenerate paper figures/tables (any id of ``experiment --list``, or ``all``).
 ``solve``
     Solve one random (or demo) instance under a policy and print the
     allocation, balance metrics and properties.
@@ -90,10 +90,14 @@ def cmd_experiment(args) -> int:
             doc = (fn.__doc__ or "").strip().splitlines()[0]
             print(f"{eid:4s} {doc}")
         return 0
+    choices = f"choices: {' '.join(EXPERIMENTS)} or 'all'"
+    if not args.ids:
+        print(f"usage: repro-amf experiment <id ...|all> [--scale S]; {choices}", file=sys.stderr)
+        return 2
     ids = list(EXPERIMENTS) if "all" in args.ids else [i.upper() for i in args.ids]
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiments: {unknown}; choices: {list(EXPERIMENTS)} or 'all'", file=sys.stderr)
+        print(f"unknown experiments: {unknown}; {choices}", file=sys.stderr)
         return 2
     tracing = _start_tracing(args)
     for eid in ids:
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiment", help="regenerate paper figures/tables")
-    p_exp.add_argument("ids", nargs="*", default=[], help="experiment ids (F1..F8, T1..T3, X1..X2) or 'all'")
+    p_exp.add_argument("ids", nargs="*", default=[], help=f"experiment ids ({' '.join(EXPERIMENTS)}) or 'all'")
     p_exp.add_argument("--scale", type=float, default=1.0, help="size scale (use <1 for a quick run)")
     p_exp.add_argument("--list", action="store_true", help="list experiments and exit")
     p_exp.add_argument(

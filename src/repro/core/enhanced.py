@@ -6,7 +6,7 @@ a sharing-incentive violation (the abstract: "it does not necessarily
 satisfy the sharing incentive property. We propose an enhanced version of
 AMF to guarantee the sharing incentive property.").
 
-The minimal failing shape (reproduced in the tests and benchmark T2): a job
+The minimal failing shape (reproduced in the tests and experiment T2): a job
 with a small demand cap at an idle site and work at a busy site reaches its
 AMF level partly via the idle site, so progressive filling freezes it at a
 *common aggregate* that is below its equal-partition entitlement.

@@ -17,7 +17,7 @@ recovery replays, so a live flush and a replay reach the same state with
 the same rejections.
 
 The queue takes an injectable ``clock`` so tests and the closed-loop
-benchmark can drive it with virtual time; the HTTP daemon runs it against
+experiment X9 can drive it with virtual time; the HTTP daemon runs it against
 ``time.monotonic``.  Thread safety is the *caller's* job (the daemon holds
 one lock around state + queue + cache), keeping this class trivially
 testable.

@@ -2,7 +2,7 @@
 
 :class:`AllocationService` is the synchronous core of the online service —
 everything the HTTP front-end (:mod:`repro.service.aio`) does is a thin
-JSON wrapper over these methods, and the closed-loop benchmark drives the
+JSON wrapper over these methods, and the closed-loop experiment X9 drives the
 same object directly with a virtual clock.  One re-solve pipeline:
 
 1. deltas land in a :class:`~repro.service.batching.CoalescingQueue`;

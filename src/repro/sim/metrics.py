@@ -126,7 +126,7 @@ class SimulationResult:
         return sum(1 for r in self.records if r.degraded)
 
     def summary(self) -> dict[str, float]:
-        """Flat dict of headline statistics (what the benchmarks print)."""
+        """Flat dict of headline statistics (what the experiments print)."""
         return {
             "n_jobs": float(len(self.records)),
             "n_finished": float(self.n_finished),

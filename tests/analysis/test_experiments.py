@@ -1,10 +1,18 @@
-"""Smoke + shape tests for the experiment definitions (tiny scale).
+"""The paper's shape claims, one gate per experiment, plus smoke tests.
 
-Full-size experiment shape claims live in tests/integration/test_paper_claims.py;
-here we verify every experiment runs end-to-end at minimal scale and emits
-well-formed output.
+``CLAIMS`` maps every id in :data:`repro.analysis.experiments.EXPERIMENTS`
+to the runs that gate it.  A run is the experiment's kwargs and one check
+of its ``data``; the check fails if the claimed winner flips or the gap
+it claims closes.  A claim asserted at two scales keeps one run per scale.
+Each run executes once: assertions on the same kwargs share one check.
+The abstract's margins at their own scales (F1's growing gap, F3's CT
+add-on, T2's SI repair) stay in ``tests/integration/test_paper_claims.py``.
+
+``python -m repro.cli experiment <ids|all> --scale 0.3`` prints the same
+tables; this module is where their claims are enforced.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
@@ -15,9 +23,219 @@ from repro.analysis.experiments import (
     run_t1_properties,
     run_t2_sharing_incentive,
 )
+from repro.obs.registry import REGISTRY
+from repro.obs.tracing import TRACER
 
 
-TINY = dict(scale=0.12, seeds=(0,))
+@pytest.fixture(autouse=True)
+def restore_obs():
+    """X9 boots an ``AllocationService``, which switches the process-global
+    registry and tracer on; put both back so the modules after this one do
+    not run traced."""
+    reg_on, trc_on = REGISTRY.enabled, TRACER.enabled
+    yield
+    REGISTRY.enabled, TRACER.enabled = reg_on, trc_on
+
+
+# ----------------------------------------------------------------------
+# The claims, keyed by experiment id
+# ----------------------------------------------------------------------
+
+
+def _at_least(metric, winner="amf", loser="psmf", slack=1e-9):
+    """``winner`` scores at least ``loser`` on ``metric`` at every sweep point."""
+
+    def check(data):
+        sw = data["sweep"]
+        for x in sw.x_values:
+            assert sw.metric_at(f"{winner}/{metric}", x) >= sw.metric_at(f"{loser}/{metric}", x) - slack, x
+
+    return check
+
+
+def _finite_mean(values):
+    arr = np.asarray(values, dtype=float)
+    finite = arr[np.isfinite(arr)]
+    return float(finite.mean()) if finite.size else np.nan
+
+
+def _f3_amf_drains_no_worse_at_high_skew(data):
+    sw = data["sweep"]
+    assert sw.metric_at("amf/mean_jct", 2.0) <= sw.metric_at("psmf/mean_jct", 2.0) * 1.15
+
+
+def _f4_deciles_non_decreasing(data):
+    for name, deciles in data["series"].items():
+        assert (np.diff(np.asarray(deciles)) >= -1e-9).all(), name
+
+
+def _f7_jct_grows_with_load(data):
+    sw = data["sweep"]
+    for p in ("psmf", "amf"):
+        assert sw.metric_at(f"{p}/mean_jct", 0.9) >= sw.metric_at(f"{p}/mean_jct", 0.4) * 0.8
+
+
+def _f8_cutting_planes_beat_bisection(data):
+    rows = data["rows"]
+    for row in rows:
+        assert row["cutting_solves"] <= row["bisect_solves"]
+    assert rows[-1]["cutting_ms"] <= rows[-1]["bisect_ms"]
+
+
+def _t1_property_table(data):
+    """AMF is Pareto, max-min fair, envy-free and survives the SP probe, but
+    not always sharing-incentive; AMF-E always is; PSMF is not max-min fair."""
+    counters, total = data["counters"], data["total"]
+    for prop in ("pareto", "max_min", "envy_free", "sp"):
+        assert counters["amf"][prop] == total, prop
+    assert counters["amf"]["si"] < total
+    assert counters["amf-e"]["si"] == total
+    assert counters["psmf"]["max_min"] < total
+
+
+def _t2_enhanced_amf_repairs_sharing_incentive(data):
+    """Plain AMF violates SI on hub-and-spoke; AMF-E never does."""
+    hub, zipf = data["hub"], data["zipf"]
+    assert hub["amf"]["violated"] > 0
+    assert hub["amf-e"]["violated"] == 0
+    assert zipf["amf-e"]["violated"] == 0
+
+
+def _t3_ct_stretch_ablation(data):
+    """The full stretch optimizer is at least as good as its single-round
+    variant on max stretch, neither starves an edge, and the CT add-on does
+    not slow the simulated batch against the raw max-flow split."""
+    static, sim = data["static"], data["sim"]
+    assert _finite_mean(static["stretch/max_stretch"]) <= _finite_mean(static["stretch1/max_stretch"]) * 1.01 + 1e-9
+    assert _finite_mean(static["stretch/starved"]) == 0.0
+    assert _finite_mean(static["stretch1/starved"]) == 0.0
+    assert _finite_mean(sim["amf-ct-quick/mean_jct"]) <= _finite_mean(sim["amf/mean_jct"]) * 1.05
+
+
+def _t4_amf_and_psmf_are_monotone(data):
+    for name in ("amf", "psmf"):
+        assert data["data"][name]["population_breaches"] == 0, name
+        assert data["data"][name]["resource_breaches"] == 0, name
+
+
+def _x2_psmf_is_cheapest_and_all_interactive(data):
+    stats = data["stats"]
+    assert stats["psmf"]["mean_ms"] <= stats["amf"]["mean_ms"]
+    for name, s in stats.items():
+        assert s["mean_ms"] < 1000.0, name
+
+
+def _x3_aggregates_track_weights(data):
+    sw = data["sweep"]
+    assert sw.metric_at("measured_ratio", 1.0) == pytest.approx(1.0, rel=0.15)
+    assert 2.0 < sw.metric_at("measured_ratio", 4.0) <= 4.5
+
+
+def _x4_amf_pays_less_for_locality(data):
+    sw = data["sweep"]
+    for theta in sw.x_values:
+        assert sw.metric_at("amf/min_level", theta) <= sw.metric_at("oblivious/min_level", theta) * 1.001
+        assert sw.metric_at("amf/locality_price", theta) <= sw.metric_at("psmf/locality_price", theta) + 1e-9
+    assert sw.metric_at("psmf/locality_price", 2.0) > sw.metric_at("psmf/locality_price", 0.0)
+
+
+def _x5_churn_is_bounded(data):
+    for name, vals in data["acc"].items():
+        assert 0.0 <= float(np.mean(vals)) <= 2.0, name
+
+
+def _x6_discrete_converges_and_keeps_the_order(data):
+    sw = data["sweep"]
+    coarse, fine = sw.metric_at("amf/gap_pct", 0.2), sw.metric_at("amf/gap_pct", 5.0)
+    assert fine <= coarse + 1e-9
+    assert fine < 10.0
+    for g in sw.x_values:
+        assert sw.metric_at("amf/discrete_jct", g) <= sw.metric_at("psmf/discrete_jct", g) * 1.08
+
+
+def _x7_amrf_dominates_per_site_drf(data):
+    _at_least("jain", "amrf", "psdrf")(data)
+    _at_least("min_share", "amrf", "psdrf")(data)
+
+
+def _x8_churn_keeps_every_policy_sane(data):
+    sw = data["sweep"]
+    for name in ("psmf", "amf"):
+        for jct in sw.series([f"{name}/mean_jct"])[f"{name}/mean_jct"]:
+            assert np.isfinite(jct) and jct > 0.0, name
+        for jain in sw.series([f"{name}/time_avg_jain"])[f"{name}/time_avg_jain"]:
+            assert 0.0 <= jain <= 1.0 + 1e-9, name
+        for lost in sw.series([f"{name}/work_lost"])[f"{name}/work_lost"]:
+            assert lost >= 0.0, name
+
+
+def _x9_warm_service_equals_cold_and_pays(data):
+    """Warm == cold on every snapshot, no fallback, the memo answers the
+    reads, batching coalesces, and the warm start saves feasibility probes."""
+    agg = data["aggregate"]
+    assert agg["max_abs_deviation"] <= agg["tolerance"]
+    assert agg["fallbacks"] == 0.0
+    assert agg["cache_hit_rate"] > 0.5
+    assert agg["solves"] < agg["events"]
+    assert agg["warm_feas_per_solve"] < agg["cold_feas_per_solve"]
+
+
+THREE_POLICIES = ("psmf", "amf", "amf-ct-quick")
+
+CLAIMS = {
+    "F1": ((dict(scale=0.5, seeds=(0, 1), thetas=(0.0, 0.5, 1.0, 1.5, 2.0)), _at_least("jain")),),
+    "F2": ((dict(scale=0.5, seeds=(0, 1), thetas=(0.0, 1.0, 2.0)), _at_least("min_max")),),
+    # Each (theta, seed) point and each policy simulates on its own, so the
+    # check runs only the point and policies it reads: the same numbers as
+    # the full sweep, bit for bit, at a fraction of the cost.
+    "F3": (
+        (dict(scale=0.3, seeds=(0, 1), thetas=(2.0,), policies=("psmf", "amf")), _f3_amf_drains_no_worse_at_high_skew),
+    ),
+    "F4": ((dict(scale=0.3, theta=1.5, policies=THREE_POLICIES), _f4_deciles_non_decreasing),),
+    "F5": ((dict(scale=0.4, seeds=(0, 1), n_jobs_values=(20, 60, 160)), _at_least("jain")),),
+    "F6": ((dict(scale=0.4, seeds=(0, 1), n_sites_values=(4, 8, 16)), _at_least("jain")),),
+    "F7": (
+        (dict(scale=0.25, seeds=(0,), loads=(0.4, 0.7, 0.9), policies=("psmf", "amf")), _f7_jct_grows_with_load),
+    ),
+    "F8": ((dict(scale=0.4, sizes=((50, 10), (100, 20), (200, 20))), _f8_cutting_planes_beat_bisection),),
+    "T1": ((dict(scale=0.8, seeds=(0, 1, 2), sp_attempts=2), _t1_property_table),),
+    "T2": ((dict(scale=0.6, seeds=tuple(range(8))), _t2_enhanced_amf_repairs_sharing_incentive),),
+    "T3": ((dict(scale=0.35, seeds=(0, 1)), _t3_ct_stretch_ablation),),
+    "T4": ((dict(scale=1.0, seeds=(0, 1, 2, 3)), _t4_amf_and_psmf_are_monotone),),
+    "X1": ((dict(scale=0.3, seeds=(0,), thetas=(0.0, 1.5)), _at_least("time_avg_jain", slack=0.02)),),
+    "X2": ((dict(scale=0.4, policies=THREE_POLICIES), _x2_psmf_is_cheapest_and_all_interactive),),
+    "X3": ((dict(scale=0.4, seeds=(0, 1), weight_ratios=(1.0, 4.0)), _x3_aggregates_track_weights),),
+    "X4": ((dict(scale=0.4, seeds=(0, 1), thetas=(0.0, 1.0, 2.0)), _x4_amf_pays_less_for_locality),),
+    "X5": ((dict(scale=0.4, seeds=(0,), policies=("psmf", "amf")), _x5_churn_is_bounded),),
+    "X6": (
+        (dict(scale=0.5, seeds=(0,), granularities=(0.2, 1.0, 5.0)), _x6_discrete_converges_and_keeps_the_order),
+    ),
+    "X7": ((dict(scale=1.0, seeds=(0, 1), thetas=(0.0, 2.0)), _x7_amrf_dominates_per_site_drf),),
+    "X8": (
+        (
+            dict(scale=0.3, seeds=(0,), mtbf_factors=(4.0, 1.0), policies=("psmf", "amf")),
+            _x8_churn_keeps_every_policy_sane,
+        ),
+    ),
+    "X9": ((dict(scale=0.5, seeds=(0,), queries_per_batch=4), _x9_warm_service_equals_cold_and_pays),),
+}
+
+
+def test_every_experiment_has_one_claim():
+    assert set(CLAIMS) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("eid", sorted(CLAIMS))
+def test_claim(eid):
+    for kwargs, check in CLAIMS[eid]:
+        out = EXPERIMENTS[eid](**kwargs)
+        assert out.experiment == eid
+        check(out.data)
+
+
+# ----------------------------------------------------------------------
+# Every experiment runs end to end at minimal scale
+# ----------------------------------------------------------------------
 
 
 class TestRegistry:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.policies import POLICIES, get_policy
+from repro.workload.generator import WorkloadSpec, generate_cluster
 
 from tests.conftest import random_cluster
 
@@ -52,3 +53,10 @@ class TestRegistry:
         alloc = get_policy("amf-e-ct")(two_site_cluster)
         floors = sharing_incentive_floors(two_site_cluster)
         assert (alloc.aggregates >= floors - 1e-6).all()
+
+    def test_psmf_and_amf_on_a_zipf_cluster(self):
+        from repro.core.amf import amf_levels
+
+        c = generate_cluster(WorkloadSpec(n_jobs=100, n_sites=20, theta=1.2), np.random.default_rng(0))
+        assert get_policy("psmf")(c).utilization > 0
+        assert amf_levels(c).min() >= 0

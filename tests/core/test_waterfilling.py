@@ -46,6 +46,12 @@ class TestWaterFill:
         a = water_fill(10.0, np.array([1.0, 2.0, 4.0, 6.0]))
         assert np.allclose(a, [1.0, 2.0, 3.5, 3.5])
 
+    def test_thousand_weighted_agents_fill_the_capacity(self):
+        rng = np.random.default_rng(1)
+        caps = rng.uniform(0.1, 5.0, 1000)
+        weights = rng.uniform(0.5, 2.0, 1000)
+        assert water_fill(300.0, caps, weights).sum() == pytest.approx(300.0, rel=1e-6)
+
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
             water_fill(-1.0, np.array([1.0]))

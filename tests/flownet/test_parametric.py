@@ -212,6 +212,30 @@ def test_single_job_single_site():
     assert oracle.probe(np.array([0.0])).feasible
 
 
+@pytest.fixture(scope="module")
+def zipf_cluster():
+    return generate_cluster(WorkloadSpec(n_jobs=100, n_sites=20, theta=1.2), np.random.default_rng(0))
+
+
+def test_first_probe_of_a_fresh_oracle_is_a_cold_flow(zipf_cluster):
+    outcome = ParametricFeasibility(zipf_cluster).probe(zipf_cluster.aggregate_demand * 0.2)
+    assert outcome.demanded > 0 and outcome.mode == "flow-cold"
+
+
+def test_ascending_then_bisecting_schedule_matches_fresh_oracles(zipf_cluster):
+    """One oracle across an AMF-like λ schedule (six rising probes, then six
+    halving ones, as when bisection keeps failing high) answers every probe
+    as a fresh oracle does."""
+    weights, caps = zipf_cluster.weights, zipf_cluster.aggregate_demand
+    hi = float(np.max(caps / np.maximum(weights, 1e-12)))
+    lams = [lam * hi for lam in np.linspace(0.05, 0.6, 6)] + [hi * 0.5**k for k in range(1, 7)]
+    oracle = ParametricFeasibility(zipf_cluster)
+    warm = [oracle.probe(np.minimum(lam * weights, caps)).feasible for lam in lams]
+    cold = [ParametricFeasibility(zipf_cluster).probe(np.minimum(lam * weights, caps)).feasible for lam in lams]
+    assert warm == cold
+    assert True in warm and False in warm
+
+
 class _ColdFeasibility:
     """The reference oracle behind the solver's probe interface: every
     probe and every realization is a fresh ``FeasibilityNetwork`` + Dinic

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS
 from repro.cli import build_parser, main
 
 
@@ -126,6 +127,18 @@ class TestCommands:
     def test_experiment_unknown_id(self, capsys):
         assert main(["experiment", "F99"]) == 2
         assert "unknown experiments" in capsys.readouterr().err
+
+    def test_experiment_without_ids_is_a_usage_error(self, capsys):
+        assert main(["experiment"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert all(eid in err for eid in EXPERIMENTS)
+
+    def test_experiment_help_lists_every_id(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "--help"])
+        out = capsys.readouterr().out
+        assert all(eid in out for eid in EXPERIMENTS)
 
     def test_experiment_runs_tiny(self, capsys):
         assert main(["experiment", "T2", "--scale", "0.15"]) == 0
