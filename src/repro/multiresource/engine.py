@@ -16,7 +16,10 @@ vectors — the only multi-resource path in ``src/``:
   vertex exceeds its target is not, and the few jobs neither test decides
   (a degenerate vertex can give a tight row a zero dual) share one
   aggregate headroom LP.  The per-job max-share probe this replaced is
-  the test referee ``tests/oracle.py::probe_fill_shares``.
+  the test referee ``tests/oracle.py::probe_fill_shares``.  Each LP goes to
+  HiGHS through scipy's bundled binding as the same ``HighsLp``, options
+  and post-check ``scipy.optimize.linprog(method="highs")`` would use, so
+  its answer is ``linprog``'s bit for bit without the wrapper's cost.
 
 The engine is stateless.  Repeated states are answered above it by the
 service's component memo (``IncrementalAmfSolver``'s solved component
@@ -33,7 +36,8 @@ aggregate task-rate floors (converted to share floors internally).
 
 from __future__ import annotations
 
-from typing import Mapping
+import functools
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -143,13 +147,67 @@ def scalar_reduction(
 # ----------------------------------------------------------------------
 # The progressive-filling LP engine
 # ----------------------------------------------------------------------
+class _LpResult(NamedTuple):
+    """What the engine reads off one LP: ``x`` and the row duals (capacity
+    rows first, then the LP's own rows in order) are ``None`` unless ``ok``."""
+
+    ok: bool
+    message: str
+    x: np.ndarray | None
+    duals: np.ndarray | None
+
+
+@functools.cache
+def _highs():
+    """scipy's HiGHS binding (``scipy.optimize._highspy._core``), imported on
+    the engine's first LP, where ``linprog`` was: imported with this module
+    it measured ~0.15 s slower on a served cold boot (the ledger's
+    ``setup_s`` on ``churn_vector``, 2-core box)."""
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+@functools.cache
+def _highs_options():
+    """The options ``scipy.optimize.linprog(method="highs")`` passes HiGHS."""
+    highs = _highs()
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+#: ``linprog``'s post-check tolerance on bounds and rows: ``sqrt(1e-9) * 10``.
+_FEAS_TOL = float(np.sqrt(1e-9) * 10)
+
+
+def _run_highs(model) -> tuple[object, np.ndarray | None, np.ndarray | None]:
+    """One HiGHS solve of a ``HighsLp``: ``(model status, x, row duals)``,
+    the last two ``None`` unless HiGHS reports an optimum."""
+    core = _highs()
+    highs = core._Highs()
+    highs.passOptions(_highs_options())
+    error = core.HighsStatus.kError
+    solved = highs.passModel(model) != error and highs.run() != error
+    status = highs.getModelStatus()
+    if not solved or status != core.HighsModelStatus.kOptimal:
+        return status, None, None
+    solution = highs.getSolution()
+    return status, np.array(solution.col_value), np.array(solution.row_dual)
+
+
 class _EngineLP:
     """LP scaffolding over support task-rate variables plus the fill level ``t``.
 
     Variables are the ``n_e`` support edge rates ``x_e``, then one ``t``
     variable (bounded to 0 when unused), then any slack columns an LP's own
-    rows bring.  The site-resource capacity rows are one dense block shared
-    by every LP of a solve; each LP adds its own share rows below it.
+    rows bring.  The site-resource capacity rows are one block shared by
+    every LP of a solve, kept in column-major order so each LP's CSC matrix
+    is that block with its own share rows appended below.
     """
 
     def __init__(self, cluster: Cluster, dom: np.ndarray):
@@ -157,21 +215,24 @@ class _EngineLP:
         caps = cluster.demand_caps
         self.ei, self.ej = np.nonzero(caps > 0.0)  # support edges, row-major
         self.n_e = n_e = int(self.ei.size)
-        upper = caps[self.ei, self.ej]
-        self.bounds = [(0.0, float(u)) for u in upper]
+        self.upper = caps[self.ei, self.ej]
         e = np.arange(n_e)
         R = len(cluster.resource_names)
         # one row per (site, resource), edge e of job i at site j consuming J[i, r]
-        cap_rows = np.zeros((cluster.n_sites * R, n_e + 1))  # t column stays 0
+        cap_rows = np.zeros((cluster.n_sites * R, n_e))
         cap_rows[self.ej[:, None] * R + np.arange(R), e[:, None]] = cluster.job_resource_matrix[self.ei]
         used = cap_rows.any(axis=1)
-        self.cap_block = cap_rows[used]
+        cap_block = cap_rows[used]
         self.cap_rhs = cluster.site_resource_matrix.reshape(-1)[used]
+        self.cap_col, self.cap_row = np.nonzero(cap_block.T)  # sorted by column, then row
+        self.cap_val = cap_block[self.cap_row, self.cap_col]
         self.share_rows = np.zeros((cluster.n_jobs, n_e))
         self.share_rows[self.ei, e] = dom[self.ei]
-        self.share_caps = self.share_rows @ upper
-        #: ``-s_i`` over ``(x, t)``: the left side of every ``s_i >= rhs`` row
-        self.neg_share = np.hstack([-self.share_rows, np.zeros((cluster.n_jobs, 1))])
+        self.share_caps = self.share_rows @ self.upper
+        self.weights = cluster.weights
+        #: job i's edges are ``first[i]:first[i + 1]``; ``-dom_i`` is each one's ``-s_i`` coefficient
+        self.first = np.searchsorted(self.ei, np.arange(cluster.n_jobs + 1))
+        self.neg_dom = -dom[self.ei]
 
     def shares_of(self, x: np.ndarray) -> np.ndarray:
         return self.share_rows @ x[: self.n_e]
@@ -186,29 +247,68 @@ class _EngineLP:
     def solve(
         self,
         c: np.ndarray,
-        extra_rows: np.ndarray,
-        extra_rhs: np.ndarray,
+        held: np.ndarray,
+        held_rhs: np.ndarray,
         *,
         t_max: float | None,
         diag: AmfDiagnostics,
+        fill: np.ndarray | None = None,
+        n_slack: int = 0,
         slack_max: float | None = None,
-    ):
-        """One LP over the capacity block plus ``extra_rows``; returns the scipy result.
+    ) -> _LpResult:
+        """One LP: minimise ``c @ (x, t, slacks)`` over the capacity block plus
+        ``-s_i <= held_rhs[k]`` for ``i = held[k]``, then ``-s_i + w_i t <= 0``
+        for each ``i`` in ``fill``; the last ``n_slack`` of those rows each
+        gain their own slack column ``+delta``.
 
-        ``c``/``extra_rows`` span ``n_e + 1`` variables (``t`` last) plus
-        any non-negative slack columns after them.
+        The matrix, bounds and options are the ones ``linprog(method="highs")``
+        hands HiGHS for the same LP, and its feasibility post-check applies:
+        an optimum whose ``x`` breaks a bound or row by more than
+        :data:`_FEAS_TOL` (or holds a NaN) is a failure.
         """
-        # Imported here, not at module level: the perf ledger's tracer
-        # patches ``scipy.optimize.linprog`` by name.
-        from scipy.optimize import linprog
-
         diag.amrf_lps += 1
-        n_slack = extra_rows.shape[1] - self.n_e - 1
-        cap_block = np.pad(self.cap_block, ((0, 0), (0, n_slack)))
-        A_ub = np.vstack([cap_block, extra_rows])
-        b_ub = np.concatenate([self.cap_rhs, extra_rhs])
-        bounds = [*self.bounds, (0.0, t_max), *[(0.0, slack_max)] * n_slack]
-        return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        jobs = held if fill is None else np.concatenate([held, fill])
+        n_cap, n_rows, n_e = self.cap_rhs.size, jobs.size, self.n_e
+        n_row, n_col = n_cap + n_rows, n_e + 1 + n_slack
+        # the share rows: row k holds -dom_i on each of job i = jobs[k]'s edges
+        deg = self.first[jobs + 1] - self.first[jobs]
+        edges = np.arange(int(deg.sum())) + np.repeat(self.first[jobs] - (np.cumsum(deg) - deg), deg)
+        fill_rows = np.arange(held.size, n_rows)
+        slack_rows = np.arange(n_rows - n_slack, n_rows)
+        slack_cols = n_e + 1 + np.arange(n_slack)
+        col = np.concatenate([self.cap_col, edges, np.full(fill_rows.size, n_e), slack_cols])
+        own_row = np.concatenate([np.repeat(np.arange(n_rows), deg), fill_rows, slack_rows])
+        row = np.concatenate([self.cap_row, n_cap + own_row])
+        val = np.concatenate([self.cap_val, self.neg_dom[edges], self.weights[jobs[held.size :]], np.ones(n_slack)])
+        # a stable sort by column keeps each column's rows ascending
+        order = np.argsort(col, kind="stable")
+        core = _highs()
+        inf = core.kHighsInf
+        t_upper = inf if t_max is None else t_max
+        upper = np.concatenate([self.upper, [t_upper], np.full(n_slack, inf if slack_max is None else slack_max)])
+        rhs = np.concatenate([self.cap_rhs, held_rhs, np.zeros(n_rows - held.size)])
+        model = core.HighsLp()
+        model.num_col_, model.num_row_ = n_col, n_row
+        matrix = model.a_matrix_
+        matrix.num_col_, matrix.num_row_ = n_col, n_row
+        matrix.format_ = core.MatrixFormat.kColwise
+        matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_col))])
+        matrix.index_ = row[order]
+        matrix.value_ = val[order]
+        model.col_cost_ = c
+        model.col_lower_ = np.zeros(n_col)
+        model.col_upper_ = upper
+        model.row_lower_ = np.full(n_row, -inf)
+        model.row_upper_ = rhs
+        status, x, duals = _run_highs(model)
+        message = f"HiGHS status {int(status)}: {status.name}"
+        if x is not None:
+            activity = np.bincount(row, weights=val * x[col], minlength=n_row)
+            in_bounds = (x >= -_FEAS_TOL).all() and (x <= upper + _FEAS_TOL).all()
+            if not (in_bounds and (activity <= rhs + _FEAS_TOL).all()):
+                message += f", but x breaks a bound or row by more than {_FEAS_TOL:.2e}"
+                x = duals = None
+        return _LpResult(x is not None, message, x, duals)
 
 
 def _amrf_fill(
@@ -240,27 +340,18 @@ def _amrf_fill(
         act = np.flatnonzero(active)
         base = np.where(frozen, shares, share_floors)  # s_i >= base_i
         held = np.flatnonzero(base > 0.0)
-        fill_rows = lp.neg_share[act]
-        fill_rows[:, -1] = weights[act]  # s_i >= w_i t
-        res = lp.solve(
-            c_t,
-            np.vstack([lp.neg_share[held], fill_rows]),
-            np.concatenate([-base[held], np.zeros(act.size)]),
-            t_max=None,
-            diag=diag,
-        )
-        if not res.success:
+        # s_i >= base_i for the held, s_i >= w_i t for the active
+        res = lp.solve(c_t, held, -base[held], fill=act, t_max=None, diag=diag)
+        if not res.ok:
             if share_floors.any():
                 raise ValueError("AMRF floors are infeasible for this cluster")
-            raise ValueError(
-                f"AMRF max-t LP failed (numeric breakdown, HiGHS status {res.status}: {res.message})"
-            )
+            raise ValueError(f"AMRF max-t LP failed (numeric breakdown, {res.message})")
         t_star = float(res.x[-1])
         witness = lp.shares_of(res.x)
         # Dual weight of each job's own rows.  The t column's dual
         # constraint normalises sum_i w_i y_i = 1, so the threshold is
         # scale-free.
-        y = -res.ineqlin.marginals[lp.cap_rhs.size :]
+        y = -res.duals[lp.cap_rhs.size :]
         dual = np.zeros(n)
         dual[act] = y[held.size :]
         dual[held] = np.maximum(dual[held], y[: held.size])
@@ -291,12 +382,12 @@ def _amrf_fill(
         while und.size:
             diag.amrf_probes += 1
             order = np.concatenate([np.setdiff1d(np.flatnonzero(hold > 0.0), und), und])
-            rows = np.pad(lp.neg_share[order], ((0, 0), (0, und.size)))
-            rows[-und.size :, -und.size :] = np.eye(und.size)
             c_u = np.concatenate([np.zeros(lp.n_e + 1), -np.ones(und.size)])
             bound = _SPREAD * float(tol[und].sum())
-            res_u = lp.solve(c_u, rows, -hold[order], t_max=0.0, diag=diag, slack_max=bound)
-            if not res_u.success:
+            res_u = lp.solve(
+                c_u, order, -hold[order], t_max=0.0, diag=diag, n_slack=und.size, slack_max=bound
+            )
+            if not res_u.ok:
                 break  # as a failed probe did: freeze at the target
             delta = res_u.x[-und.size :]
             slack[und] = np.maximum(slack[und], delta)
@@ -347,11 +438,9 @@ def amrf_allocate(
         # share floors: maximize total rate subject to everyone keeping
         # their fair share.
         held = np.flatnonzero(shares > 0.0)
-        extra_rows = lp.neg_share[held]
-        extra_rhs = -shares[held] * (1.0 - 1e-9)
         c_real = np.append(-np.ones(lp.n_e), 0.0)
-        res = lp.solve(c_real, extra_rows, extra_rhs, t_max=0.0, diag=diag)
-        require(res.success, "AMRF shares could not be realized (numeric breakdown)")
+        res = lp.solve(c_real, held, -shares[held] * (1.0 - 1e-9), t_max=0.0, diag=diag)
+        require(res.ok, "AMRF shares could not be realized (numeric breakdown)")
         rates = scrub_matrix(cluster, lp.rates_from(res.x))
     return Allocation(cluster, rates, policy="amrf" if floors is None else "amrf+floors")
 

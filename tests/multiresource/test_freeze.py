@@ -12,6 +12,8 @@ relaxes them by 1e-9 and may trade that sliver between jobs.
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.sparse import csc_array
 
 from benchmarks.ledger import workloads
 from repro.core.amf import AmfDiagnostics
@@ -67,9 +69,9 @@ def slack_columns(monkeypatch):
     sizes: list[int] = []
     solve = engine._EngineLP.solve
 
-    def recording(self, c, extra_rows, extra_rhs, **kwargs):
-        sizes.append(extra_rows.shape[1] - self.n_e - 1)
-        return solve(self, c, extra_rows, extra_rhs, **kwargs)
+    def recording(self, *args, n_slack=0, **kwargs):
+        sizes.append(n_slack)
+        return solve(self, *args, n_slack=n_slack, **kwargs)
 
     monkeypatch.setattr(engine._EngineLP, "solve", recording)
     return sizes
@@ -228,13 +230,13 @@ class TestFloors:
 
 
 class TestRoundLpFailure:
+    """Failures injected at the engine's HiGHS seam, ``engine._run_highs``."""
+
     def failing(self, monkeypatch):
-        from scipy.optimize import OptimizeResult
+        def run_highs(_model):
+            return HighsModelStatus.kSolveError, None, None
 
-        def linprog(*_args, **_kwargs):
-            return OptimizeResult(success=False, status=4, message="numerical difficulties")
-
-        monkeypatch.setattr("scipy.optimize.linprog", linprog)
+        monkeypatch.setattr(engine, "_run_highs", run_highs)
 
     def test_without_floors_is_a_numeric_breakdown_not_infeasible_floors(self, monkeypatch):
         self.failing(monkeypatch)
@@ -246,3 +248,39 @@ class TestRoundLpFailure:
         self.failing(monkeypatch)
         with pytest.raises(ValueError, match="floors are infeasible"):
             amrf_allocate(floor_cluster(["p"]), floors=np.array([5.0, 0.0, 0.0, 0.0]))
+
+    def overfilling(self, monkeypatch, excess: float) -> list[float]:
+        """HiGHS reports an optimum, but one edge is raised until the LP's
+        tightest capacity row (the rows with a positive right-hand side)
+        holds ``excess`` more than its capacity.  Returns each LP's breach."""
+        run = engine._run_highs
+        breaches = []
+
+        def run_highs(model):
+            status, x, duals = run(model)
+            a = model.a_matrix_
+            A = csc_array((a.value_, a.index_, a.start_), shape=(model.num_row_, model.num_col_)).toarray()
+            rhs = np.asarray(model.row_upper_)
+            over = np.where(rhs > 0.0, A @ x - rhs, -np.inf)
+            r = int(np.argmax(over))
+            e = int(np.argmax(A[r]))
+            x = x.copy()
+            x[e] += (excess - over[r]) / A[r, e]
+            breaches.append(float((A @ x - rhs)[r]))
+            return status, x, duals
+
+        monkeypatch.setattr(engine, "_run_highs", run_highs)
+        return breaches
+
+    def test_an_optimum_that_breaks_a_capacity_row_is_a_numeric_breakdown(self, monkeypatch):
+        breaches = self.overfilling(monkeypatch, 2.0 * engine._FEAS_TOL)
+        with pytest.raises(ValueError, match=r"numeric breakdown.*status 7") as err:
+            amrf_allocate(floor_cluster(["p"]))
+        assert "floors" not in str(err.value)
+        assert breaches == [pytest.approx(2.0 * engine._FEAS_TOL, rel=1e-6)]
+
+    def test_a_breach_inside_the_tolerance_is_accepted(self, monkeypatch):
+        """The post-check's tolerance is linprog's, not zero."""
+        breaches = self.overfilling(monkeypatch, 0.5 * engine._FEAS_TOL)
+        amrf_allocate(floor_cluster(["p"]))
+        assert len(breaches) >= 2 and max(breaches) == pytest.approx(0.5 * engine._FEAS_TOL, rel=1e-6)
