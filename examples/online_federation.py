@@ -9,7 +9,7 @@ Run:  python examples/online_federation.py
 
 import numpy as np
 
-from repro.analysis.tables import render_series
+from repro.analysis.tables import series_table
 from repro.sim.engine import simulate
 from repro.workload.arrivals import ArrivalSpec, generate_arrival_jobs
 from repro.workload.generator import WorkloadSpec
@@ -33,7 +33,7 @@ def main() -> None:
             series[f"{name}/slowdown"].append(round(res.mean_slowdown, 3))
             series[f"{name}/p95_jct"].append(round(res.jct_percentile(95), 2))
 
-    print(render_series("load", list(loads), series, title="Open system: slowdown & tail JCT vs offered load"))
+    print(series_table("load", list(loads), series, title="Open system: slowdown & tail JCT vs offered load").render())
     print()
     print("Reading the table: slowdown rises with load for every policy (queueing),")
     print("but AMF holds the multi-site jobs' slowdowns down by compensating across sites.")

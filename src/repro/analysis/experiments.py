@@ -1,27 +1,34 @@
 """The reproduction's experiment definitions (F1-F8, T1-T4, X1-X9 of DESIGN.md §4).
 
-Each ``run_*`` function regenerates one figure/table: it returns an
-:class:`ExperimentOutput` whose ``text`` is the printable series/table and
-whose ``data`` carries the raw numbers.  ``tests/analysis/test_experiments.py``
-holds one shape claim per :data:`EXPERIMENTS` id — who wins, by how much,
-where the gap grows — and gates it on ``data`` in tier-1.
+Each ``run_*`` function regenerates one figure/table and returns an
+:class:`ExperimentOutput`: its ``tables`` hold the numbers as rows
+(:class:`~repro.analysis.tables.Table`), ``text`` is their one rendering,
+``data`` carries the raw values the shape claims read, and ``timed`` names
+the columns and rows that hold wall-clock times.  The twelve swept
+experiments share one form, :func:`_swept`: ``sweep1d`` over the x axis,
+``f"{policy}/{metric}"`` columns of seed means, one table.
+
+``tests/analysis/test_experiments.py`` holds one shape claim per
+:data:`EXPERIMENTS` id — who wins, by how much, where the gap grows — and
+pins every untimed cell of its run to ``tests/analysis/claims_golden.json``.
 
 Every function accepts ``scale`` (default 1.0): the claim gates use a
 reduced scale so tier-1 stays fast, while the CLI runs full size
 (``python -m repro.cli experiment <ids> --scale 0.3`` prints the reduced
-tables).
+tables).  A swept axis that shrinks with ``scale`` goes through
+:func:`_axis`, so no point is solved or printed twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import time
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.analysis.sweep import sweep1d
-from repro.analysis.tables import render_series, render_table
+from repro.analysis.sweep import finite_mean, sweep1d
+from repro.analysis.tables import Table, series_table
 from repro.core import properties
 from repro.core.amf import AmfDiagnostics, amf_levels, amf_levels_bisect
 from repro.core.completion import optimize_completion_times, proportional_split
@@ -35,11 +42,22 @@ from repro.workload.generator import WorkloadSpec, generate_cluster, generate_jo
 
 @dataclass(slots=True)
 class ExperimentOutput:
-    """Printable report + raw data of one experiment."""
+    """One experiment's tables, their printable text and its raw data.
+
+    ``text`` is rendered from ``tables`` unless given.  ``timed`` names the
+    header columns and row labels (first cells) whose cells are wall-clock
+    times: they differ from run to run, so no golden pins them.
+    """
 
     experiment: str
-    text: str
+    text: str = ""
     data: dict = field(default_factory=dict)
+    tables: Sequence[Table] = ()
+    timed: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not self.text:
+            self.text = "\n\n".join(t.render() for t in self.tables)
 
     def __str__(self) -> str:
         return self.text
@@ -47,6 +65,49 @@ class ExperimentOutput:
 
 def _scaled(value: int, scale: float, minimum: int = 2) -> int:
     return max(minimum, int(round(value * scale)))
+
+
+def _axis(values: Sequence, scale: float | tuple[float, ...]) -> list:
+    """A swept axis at ``scale``: each value :func:`_scaled`, repeats dropped in order.
+
+    A tuple value (F8's ``(n_jobs, n_sites)``) scales coordinate-wise by a
+    tuple ``scale``.  Two values that scale onto one point would solve and
+    print it twice, so the later one goes.
+    """
+    if isinstance(scale, tuple):
+        points = (tuple(_scaled(v, s) for v, s in zip(value, scale)) for value in values)
+    else:
+        points = (_scaled(value, scale) for value in values)
+    return list(dict.fromkeys(points))
+
+
+def _per_policy(policies: Sequence[str], metrics_of: Callable[[str], Mapping[str, float]]) -> dict[str, float]:
+    """``{f"{policy}/{metric}": value}`` over ``policies``, one ``metrics_of(policy)`` each."""
+    return {f"{name}/{key}": val for name in policies for key, val in metrics_of(name).items()}
+
+
+def _columns(policies: Sequence[str], *metrics: str) -> list[str]:
+    """The ``f"{policy}/{metric}"`` columns, grouped by metric."""
+    return [f"{name}/{metric}" for metric in metrics for name in policies]
+
+
+def _swept(
+    eid: str,
+    title: str,
+    x_label: str,
+    x_values: Sequence,
+    point: Callable[[object, np.random.Generator], Mapping[str, float]],
+    seeds: Sequence[int],
+    columns: Sequence[str],
+    *,
+    sparklines: bool = True,
+    **data,
+) -> ExperimentOutput:
+    """The one sweep form: ``point(x, rng)`` per x and seed, then one row per x
+    of ``columns``' seed means.  ``data`` gets the sweep under ``"sweep"``."""
+    sw = sweep1d(x_label, list(x_values), point, seeds=seeds)
+    table = series_table(x_label, sw.x_values, sw.series(columns), title=title, sparklines=sparklines)
+    return ExperimentOutput(eid, data={"sweep": sw, **data}, tables=[table])
 
 
 DEFAULT_SEEDS = (11, 23, 37)
@@ -59,12 +120,19 @@ DEFAULT_SEEDS = (11, 23, 37)
 
 def _balance_point(spec: WorkloadSpec, rng: np.random.Generator, policies: Sequence[str]) -> dict[str, float]:
     cluster = generate_cluster(spec, rng)
-    out: dict[str, float] = {}
-    for name in policies:
-        rep = balance_report(get_policy(name)(cluster))
-        for key, val in rep.row().items():
-            out[f"{name}/{key}"] = val
-    return out
+    return _per_policy(policies, lambda name: balance_report(get_policy(name)(cluster)).row())
+
+
+def _balance_vs_skew(eid, title, scale, seeds, thetas, policies, metrics) -> ExperimentOutput:
+    n_jobs = _scaled(100, scale)
+    n_sites = _scaled(20, scale, minimum=4)
+
+    def point(theta, rng):
+        spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=float(theta))
+        return _balance_point(spec, rng, policies)
+
+    columns = _columns(policies, *metrics)
+    return _swept(eid, title, "theta", thetas, point, seeds, columns, n_jobs=n_jobs, n_sites=n_sites)
 
 
 def run_f1_balance_vs_skew(
@@ -74,17 +142,8 @@ def run_f1_balance_vs_skew(
     policies: Sequence[str] = ("psmf", "amf"),
 ) -> ExperimentOutput:
     """F1: Jain index and CoV of comparable levels vs Zipf skew theta."""
-    n_jobs = _scaled(100, scale)
-    n_sites = _scaled(20, scale, minimum=4)
-
-    def point(theta, rng):
-        spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=float(theta))
-        return _balance_point(spec, rng, policies)
-
-    sw = sweep1d("theta", list(thetas), point, seeds=seeds)
-    keys = [f"{p}/jain" for p in policies] + [f"{p}/cov" for p in policies]
-    text = render_series("theta", sw.x_values, sw.series(keys), title="F1: allocation balance vs workload skew", sparklines=True)
-    return ExperimentOutput("F1", text, {"sweep": sw, "n_jobs": n_jobs, "n_sites": n_sites})
+    title = "F1: allocation balance vs workload skew"
+    return _balance_vs_skew("F1", title, scale, seeds, thetas, policies, ("jain", "cov"))
 
 
 def run_f2_minmax_vs_skew(
@@ -94,39 +153,13 @@ def run_f2_minmax_vs_skew(
     policies: Sequence[str] = ("psmf", "amf"),
 ) -> ExperimentOutput:
     """F2: min and max comparable level vs skew (who gets starved, who hoards)."""
-    n_jobs = _scaled(100, scale)
-    n_sites = _scaled(20, scale, minimum=4)
-
-    def point(theta, rng):
-        spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=float(theta))
-        return _balance_point(spec, rng, policies)
-
-    sw = sweep1d("theta", list(thetas), point, seeds=seeds)
-    keys = [f"{p}/min_level" for p in policies] + [f"{p}/max_level" for p in policies] + [
-        f"{p}/min_max" for p in policies
-    ]
-    text = render_series("theta", sw.x_values, sw.series(keys), title="F2: min/max allocation level vs skew", sparklines=True)
-    return ExperimentOutput("F2", text, {"sweep": sw})
+    title = "F2: min/max allocation level vs skew"
+    return _balance_vs_skew("F2", title, scale, seeds, thetas, policies, ("min_level", "max_level", "min_max"))
 
 
 # ----------------------------------------------------------------------
 # F3 / F4 — job completion time (dynamic batch simulation)
 # ----------------------------------------------------------------------
-
-
-def _sim_point(
-    spec: WorkloadSpec,
-    rng: np.random.Generator,
-    policies: Sequence[str],
-) -> dict[str, float]:
-    jobs = generate_jobs(spec, rng)
-    sites = sites_for(spec, jobs)
-    out: dict[str, float] = {}
-    for name in policies:
-        res = simulate(sites, jobs, name)
-        for key, val in res.summary().items():
-            out[f"{name}/{key}"] = val
-    return out
 
 
 def run_f3_jct_vs_skew(
@@ -141,12 +174,12 @@ def run_f3_jct_vs_skew(
 
     def point(theta, rng):
         spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=float(theta))
-        return _sim_point(spec, rng, policies)
+        jobs = generate_jobs(spec, rng)
+        sites = sites_for(spec, jobs)
+        return _per_policy(policies, lambda name: simulate(sites, jobs, name).summary())
 
-    sw = sweep1d("theta", list(thetas), point, seeds=seeds)
-    keys = [f"{p}/mean_jct" for p in policies] + [f"{p}/makespan" for p in policies]
-    text = render_series("theta", sw.x_values, sw.series(keys), title="F3: batch JCT vs workload skew", sparklines=True)
-    return ExperimentOutput("F3", text, {"sweep": sw})
+    columns = _columns(policies, "mean_jct", "makespan")
+    return _swept("F3", "F3: batch JCT vs workload skew", "theta", thetas, point, seeds, columns)
 
 
 def run_f4_jct_distribution(
@@ -163,15 +196,14 @@ def run_f4_jct_distribution(
     jobs = generate_jobs(spec, rng)
     sites = sites_for(spec, jobs)
     deciles = list(range(10, 101, 10))
-    series: dict[str, list[float]] = {}
     results = {}
+    series: dict[str, list[float]] = {}
     for name in policies:
-        res = simulate(sites, jobs, name)
-        results[name] = res
-        jcts = res.jcts()
+        results[name] = simulate(sites, jobs, name)
+        jcts = results[name].jcts()
         series[name] = [float(np.percentile(jcts, q)) if jcts.size else np.nan for q in deciles]
-    text = render_series("percentile", deciles, series, title=f"F4: JCT deciles at theta={theta}", sparklines=True)
-    return ExperimentOutput("F4", text, {"results": results, "deciles": deciles, "series": series})
+    table = series_table("percentile", deciles, series, title=f"F4: JCT deciles at theta={theta}", sparklines=True)
+    return ExperimentOutput("F4", data={"results": results, "deciles": deciles, "series": series}, tables=[table])
 
 
 # ----------------------------------------------------------------------
@@ -188,16 +220,14 @@ def run_f5_vs_njobs(
 ) -> ExperimentOutput:
     """F5: balance metrics vs number of jobs at fixed skew."""
     n_sites = _scaled(20, scale, minimum=4)
-    values = [_scaled(v, scale) for v in n_jobs_values]
 
     def point(n, rng):
         spec = WorkloadSpec(n_jobs=int(n), n_sites=n_sites, theta=theta)
         return _balance_point(spec, rng, policies)
 
-    sw = sweep1d("n_jobs", values, point, seeds=seeds)
-    keys = [f"{p}/jain" for p in policies] + [f"{p}/min_max" for p in policies]
-    text = render_series("n_jobs", sw.x_values, sw.series(keys), title="F5: balance vs number of jobs", sparklines=True)
-    return ExperimentOutput("F5", text, {"sweep": sw})
+    columns = _columns(policies, "jain", "min_max")
+    title = "F5: balance vs number of jobs"
+    return _swept("F5", title, "n_jobs", _axis(n_jobs_values, scale), point, seeds, columns)
 
 
 def run_f6_vs_nsites(
@@ -209,16 +239,14 @@ def run_f6_vs_nsites(
 ) -> ExperimentOutput:
     """F6: balance metrics vs number of sites at fixed skew."""
     n_jobs = _scaled(100, scale)
-    values = [max(2, int(round(v * max(scale, 0.25)))) for v in n_sites_values]
 
     def point(m, rng):
         spec = WorkloadSpec(n_jobs=n_jobs, n_sites=int(m), theta=theta, site_spread=min(4, int(m)))
         return _balance_point(spec, rng, policies)
 
-    sw = sweep1d("n_sites", values, point, seeds=seeds)
-    keys = [f"{p}/jain" for p in policies] + [f"{p}/min_max" for p in policies]
-    text = render_series("n_sites", sw.x_values, sw.series(keys), title="F6: balance vs number of sites", sparklines=True)
-    return ExperimentOutput("F6", text, {"sweep": sw})
+    columns = _columns(policies, "jain", "min_max")
+    title = "F6: balance vs number of sites"
+    return _swept("F6", title, "n_sites", _axis(n_sites_values, max(scale, 0.25)), point, seeds, columns)
 
 
 # ----------------------------------------------------------------------
@@ -243,18 +271,15 @@ def run_f7_dynamic_load(
             load=float(load),
         )
         sites, jobs = generate_arrival_jobs(spec, rng)
-        out: dict[str, float] = {}
-        for name in policies:
-            res = simulate(sites, jobs, name)
-            out[f"{name}/mean_jct"] = res.mean_jct
-            out[f"{name}/mean_slowdown"] = res.mean_slowdown
-            out[f"{name}/p95_jct"] = res.jct_percentile(95)
-        return out
 
-    sw = sweep1d("load", list(loads), point, seeds=seeds)
-    keys = [f"{p}/mean_jct" for p in policies] + [f"{p}/mean_slowdown" for p in policies]
-    text = render_series("load", sw.x_values, sw.series(keys), title="F7: dynamic JCT vs offered load", sparklines=True)
-    return ExperimentOutput("F7", text, {"sweep": sw})
+        def metrics(name):
+            res = simulate(sites, jobs, name)
+            return {"mean_jct": res.mean_jct, "mean_slowdown": res.mean_slowdown, "p95_jct": res.jct_percentile(95)}
+
+        return _per_policy(policies, metrics)
+
+    columns = _columns(policies, "mean_jct", "mean_slowdown")
+    return _swept("F7", "F7: dynamic JCT vs offered load", "load", loads, point, seeds, columns)
 
 
 # ----------------------------------------------------------------------
@@ -268,38 +293,26 @@ def run_f8_scalability(
     sizes: Sequence[tuple[int, int]] = ((50, 10), (100, 20), (200, 20), (500, 50), (1000, 50), (2000, 100)),
 ) -> ExperimentOutput:
     """F8: AMF solver wall time and max-flow count vs instance size."""
-    sizes = [(max(4, int(n * scale)), max(2, int(m * max(scale, 0.2)))) for n, m in sizes]
     rng = np.random.default_rng(seed)
     rows = []
-    data = []
-    for n, m in sizes:
+    for n, m in _axis(sizes, (scale, max(scale, 0.2))):
         spec = WorkloadSpec(n_jobs=n, n_sites=m, theta=1.2, site_spread=min(4, m))
         cluster = generate_cluster(spec, rng)
-        d1 = AmfDiagnostics()
-        t0 = time.perf_counter()
-        amf_levels(cluster, diagnostics=d1)
-        dt1 = time.perf_counter() - t0
-        d2 = AmfDiagnostics()
-        t0 = time.perf_counter()
-        amf_levels_bisect(cluster, diagnostics=d2)
-        dt2 = time.perf_counter() - t0
-        rows.append([n, m, dt1 * 1e3, d1.feasibility_solves, dt2 * 1e3, d2.feasibility_solves])
-        data.append(
-            {
-                "n": n,
-                "m": m,
-                "cutting_ms": dt1 * 1e3,
-                "cutting_solves": d1.feasibility_solves,
-                "bisect_ms": dt2 * 1e3,
-                "bisect_solves": d2.feasibility_solves,
-            }
-        )
-    text = render_table(
+        row = [n, m]
+        for solve in (amf_levels, amf_levels_bisect):
+            diag = AmfDiagnostics()
+            t0 = time.perf_counter()
+            solve(cluster, diagnostics=diag)
+            row += [(time.perf_counter() - t0) * 1e3, diag.feasibility_solves]
+        rows.append(row)
+    keys = ("n", "m", "cutting_ms", "cutting_solves", "bisect_ms", "bisect_solves")
+    table = Table(
+        "F8: AMF solver scalability (cutting planes vs bisection)",
         ["n_jobs", "n_sites", "cutting ms", "cutting flows", "bisect ms", "bisect flows"],
         rows,
-        title="F8: AMF solver scalability (cutting planes vs bisection)",
     )
-    return ExperimentOutput("F8", text, {"rows": data})
+    data = {"rows": [dict(zip(keys, row)) for row in rows]}
+    return ExperimentOutput("F8", data=data, tables=[table], timed=frozenset({"cutting ms", "bisect ms"}))
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +335,8 @@ def run_t1_properties(
 
     n_jobs = _scaled(12, scale, minimum=4)
     n_sites = _scaled(5, scale, minimum=2)
-    counters: dict[str, dict[str, int]] = {p: {"pareto": 0, "max_min": 0, "envy_free": 0, "si": 0, "sp": 0} for p in policies}
+    props = ("pareto", "max_min", "envy_free", "si", "sp")
+    counters: dict[str, dict[str, int]] = {p: dict.fromkeys(props, 0) for p in policies}
     # Half the battery is generic Zipf batches, half is hub-and-spoke (the
     # regime where plain AMF fails sharing incentive — the paper's "not
     # necessarily" claim); all other properties are regime-independent.
@@ -338,24 +352,17 @@ def run_t1_properties(
     for cluster, rng in instances:
         for name in policies:
             policy = get_policy(name)
-            alloc = policy(cluster)
-            rep = properties.check_all(alloc)
-            counters[name]["pareto"] += rep.pareto
-            counters[name]["max_min"] += rep.max_min
-            counters[name]["envy_free"] += rep.envy_free
-            counters[name]["si"] += rep.sharing_incentive
+            rep = properties.check_all(policy(cluster))
             manip = properties.strategy_proofness_probe(cluster, policy, rng, attempts=sp_attempts)
-            counters[name]["sp"] += not manip
-    rows = [
-        [name, *(f"{counters[name][k]}/{total}" for k in ("pareto", "max_min", "envy_free", "si", "sp"))]
-        for name in policies
-    ]
-    text = render_table(
+            held = (rep.pareto, rep.max_min, rep.envy_free, rep.sharing_incentive, not manip)
+            for prop, ok in zip(props, held):
+                counters[name][prop] += ok
+    table = Table(
+        "T1: property satisfaction over random instances",
         ["policy", "pareto", "aggregate max-min", "envy-free", "sharing incentive", "strategy-proof (probe)"],
-        rows,
-        title="T1: property satisfaction over random instances",
+        [[name, *(f"{counters[name][k]}/{total}" for k in props)] for name in policies],
     )
-    return ExperimentOutput("T1", text, {"counters": counters, "total": total})
+    return ExperimentOutput("T1", data={"counters": counters, "total": total}, tables=[table])
 
 
 # ----------------------------------------------------------------------
@@ -411,16 +418,16 @@ def run_t2_sharing_incentive(
             WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=theta, demand_scale=0.03), rng
         )
     )
-    rows = []
-    for family, stats in (("hub-and-spoke", hub_stats), ("generic zipf", zipf_stats)):
-        for name, s in stats.items():
-            rows.append([family, name, f"{s['violated']}/{s['instances']}", s["jobs"], s["worst"]])
-    text = render_table(
+    table = Table(
+        "T2: sharing-incentive violations, AMF vs enhanced AMF",
         ["family", "policy", "instances violated", "violating jobs", "worst shortfall"],
-        rows,
-        title="T2: sharing-incentive violations, AMF vs enhanced AMF",
+        [
+            [family, name, f"{s['violated']}/{s['instances']}", s["jobs"], s["worst"]]
+            for family, stats in (("hub-and-spoke", hub_stats), ("generic zipf", zipf_stats))
+            for name, s in stats.items()
+        ],
     )
-    return ExperimentOutput("T2", text, {"hub": hub_stats, "zipf": zipf_stats, "stats": hub_stats})
+    return ExperimentOutput("T2", data={"hub": hub_stats, "zipf": zipf_stats, "stats": hub_stats}, tables=[table])
 
 
 # ----------------------------------------------------------------------
@@ -445,13 +452,24 @@ def run_t3_ct_ablation(
       full lexicographic mode is a static optimizer, not a per-event
       policy, so it appears in the static view only.
     """
+    from repro.core.amf import solve_amf
+
     n_jobs = _scaled(40, scale, minimum=4)
     n_sites = _scaled(10, scale, minimum=3)
-    static_modes = ("raw-maxflow", "proportional", "stretch1", "makespan", "stretch")
+    static_keys = ("mean_stretch", "max_stretch", "starved")
+    sim_keys = ("mean_jct", "p95_jct", "makespan")
+    splits = {
+        "raw-maxflow": lambda cluster, levels: solve_amf(cluster),
+        "proportional": proportional_split,
+        **{
+            mode: lambda cluster, levels, mode=mode: optimize_completion_times(cluster, levels, mode=mode)
+            for mode in ("stretch1", "makespan", "stretch")
+        },
+    }
     sim_variants = ("amf", "amf-prop", "amf-ct-quick")
 
-    static_acc: dict[str, list[float]] = {f"{m}/{k}": [] for m in static_modes for k in ("mean_stretch", "max_stretch", "starved")}
-    sim_acc: dict[str, list[float]] = {f"{v}/{k}": [] for v in sim_variants for k in ("mean_jct", "p95_jct", "makespan")}
+    static_acc: dict[str, list[float]] = {f"{m}/{k}": [] for m in splits for k in static_keys}
+    sim_acc: dict[str, list[float]] = {f"{v}/{k}": [] for v in sim_variants for k in sim_keys}
 
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -462,20 +480,12 @@ def run_t3_ct_ablation(
         levels = amf_levels(cluster)
         ideal = cluster.workloads.sum(axis=1) / np.maximum(levels, 1e-300)
 
-        def record_static(mode: str, alloc) -> None:
-            stretch = alloc.completion_times() / ideal
+        for mode, split in splits.items():
+            stretch = split(cluster, levels).completion_times() / ideal
             finite = stretch[np.isfinite(stretch) & (levels > 1e-12)]
             static_acc[f"{mode}/mean_stretch"].append(float(finite.mean()) if finite.size else np.nan)
             static_acc[f"{mode}/max_stretch"].append(float(finite.max()) if finite.size else np.nan)
             static_acc[f"{mode}/starved"].append(float(np.isinf(stretch).sum()))
-
-        from repro.core.amf import solve_amf
-
-        record_static("raw-maxflow", solve_amf(cluster))
-        record_static("proportional", proportional_split(cluster, levels))
-        record_static("stretch1", optimize_completion_times(cluster, levels, mode="stretch1"))
-        record_static("makespan", optimize_completion_times(cluster, levels, mode="makespan"))
-        record_static("stretch", optimize_completion_times(cluster, levels, mode="stretch"))
 
         for name in sim_variants:
             res = simulate(sites, jobs, name)
@@ -483,30 +493,17 @@ def run_t3_ct_ablation(
             sim_acc[f"{name}/p95_jct"].append(res.jct_percentile(95))
             sim_acc[f"{name}/makespan"].append(res.makespan)
 
-    def _mean(values: list[float]) -> float:
-        arr = np.asarray(values, dtype=float)
-        finite = arr[np.isfinite(arr)]
-        return float(finite.mean()) if finite.size else np.nan
-
-    static_rows = [
-        [m, *(_mean(static_acc[f"{m}/{k}"]) for k in ("mean_stretch", "max_stretch", "starved"))]
-        for m in static_modes
-    ]
-    sim_rows = [
-        [v, *(_mean(sim_acc[f"{v}/{k}"]) for k in ("mean_jct", "p95_jct", "makespan"))]
-        for v in sim_variants
-    ]
-    text = render_table(
+    static = Table(
+        f"T3a: static split quality under fixed AMF aggregates (theta={theta})",
         ["split mode", "mean stretch", "max stretch", "starved edges"],
-        static_rows,
-        title=f"T3a: static split quality under fixed AMF aggregates (theta={theta})",
+        [[m, *(finite_mean(static_acc[f"{m}/{k}"]) for k in static_keys)] for m in splits],
     )
-    text += "\n\n" + render_table(
+    sim = Table(
+        "T3b: simulated batch JCT (per-event re-solve)",
         ["policy", "mean JCT", "p95 JCT", "makespan"],
-        sim_rows,
-        title="T3b: simulated batch JCT (per-event re-solve)",
+        [[v, *(finite_mean(sim_acc[f"{v}/{k}"]) for k in sim_keys)] for v in sim_variants],
     )
-    return ExperimentOutput("T3", text, {"static": static_acc, "sim": sim_acc})
+    return ExperimentOutput("T3", data={"static": static_acc, "sim": sim_acc}, tables=[static, sim])
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +531,6 @@ def run_t4_monotonicity(
     """
     n_jobs = _scaled(6, scale, minimum=3)
     n_sites = _scaled(4, scale, minimum=2)
-    rows = []
     data: dict[str, dict[str, int]] = {}
     for name in policies:
         policy = get_policy(name)
@@ -545,14 +541,13 @@ def run_t4_monotonicity(
             cluster = generate_cluster(spec, rng)
             pop += len(properties.population_monotonicity_probe(cluster, policy))
             res += len(properties.resource_monotonicity_probe(cluster, policy))
-        rows.append([name, pop, res])
         data[name] = {"population_breaches": pop, "resource_breaches": res}
-    text = render_table(
+    table = Table(
+        f"T4: monotonicity probes over {len(seeds)} instances (all departures / site growths)",
         ["policy", "population breaches", "resource breaches"],
-        rows,
-        title=f"T4: monotonicity probes over {len(seeds)} instances (all departures / site growths)",
+        [[name, *breaches.values()] for name, breaches in data.items()],
     )
-    return ExperimentOutput("T4", text, {"data": data})
+    return ExperimentOutput("T4", data={"data": data}, tables=[table])
 
 
 # ----------------------------------------------------------------------
@@ -582,18 +577,17 @@ def run_x1_dynamic_balance(
         spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=float(theta))
         jobs = generate_jobs(spec, rng)
         sites = sites_for(spec, jobs)
-        out: dict[str, float] = {}
-        for name in policies:
+
+        def metrics(name):
             obs = BalanceObserver()
             simulate(sites, jobs, name, observer=obs)
-            out[f"{name}/time_avg_jain"] = obs.time_avg_jain
-            out[f"{name}/time_avg_cov"] = obs.time_avg_cov
-        return out
+            return {"time_avg_jain": obs.time_avg_jain, "time_avg_cov": obs.time_avg_cov}
 
-    sw = sweep1d("theta", list(thetas), point, seeds=seeds)
-    keys = [f"{p}/time_avg_jain" for p in policies] + [f"{p}/time_avg_cov" for p in policies]
-    text = render_series("theta", sw.x_values, sw.series(keys), title="X1: time-averaged dynamic balance vs skew", sparklines=True)
-    return ExperimentOutput("X1", text, {"sweep": sw})
+        return _per_policy(policies, metrics)
+
+    columns = _columns(policies, "time_avg_jain", "time_avg_cov")
+    title = "X1: time-averaged dynamic balance vs skew"
+    return _swept("X1", title, "theta", thetas, point, seeds, columns)
 
 
 # ----------------------------------------------------------------------
@@ -622,24 +616,19 @@ def run_x2_scheduler_overhead(
     jobs = generate_jobs(spec, rng)
     sites = sites_for(spec, jobs)
     rows = []
-    data = {}
     for name in policies:
         timed = TimedPolicy(name)
         simulate(sites, jobs, timed)
         s = timed.stats
         rows.append([name, s.solves, s.mean_ms, s.percentile_ms(95), s.max_ms, s.mean_active_jobs])
-        data[name] = {
-            "solves": s.solves,
-            "mean_ms": s.mean_ms,
-            "p95_ms": s.percentile_ms(95),
-            "max_ms": s.max_ms,
-        }
-    text = render_table(
+    keys = ("solves", "mean_ms", "p95_ms", "max_ms")
+    table = Table(
+        "X2: per-event scheduling overhead (dynamic batch)",
         ["policy", "solves", "mean ms", "p95 ms", "max ms", "mean active jobs"],
         rows,
-        title="X2: per-event scheduling overhead (dynamic batch)",
     )
-    return ExperimentOutput("X2", text, {"stats": data})
+    data = {"stats": {row[0]: dict(zip(keys, row[1:])) for row in rows}}
+    return ExperimentOutput("X2", data=data, tables=[table], timed=frozenset({"mean ms", "p95 ms", "max ms"}))
 
 
 # ----------------------------------------------------------------------
@@ -682,14 +671,9 @@ def run_x3_weighted_fairness(
         measured = float(np.mean(prem) / np.mean(std)) if std else np.nan
         return {"measured_ratio": measured, "target_ratio": float(ratio)}
 
-    sw = sweep1d("weight_ratio", list(weight_ratios), point, seeds=seeds)
-    text = render_series(
-        "weight_ratio",
-        sw.x_values,
-        sw.series(["target_ratio", "measured_ratio"]),
-        title="X3: weighted AMF — premium/standard aggregate ratio",
-    )
-    return ExperimentOutput("X3", text, {"sweep": sw})
+    title = "X3: weighted AMF — premium/standard aggregate ratio"
+    columns = ["target_ratio", "measured_ratio"]
+    return _swept("X3", title, "weight_ratio", weight_ratios, point, seeds, columns, sparklines=False)
 
 
 # ----------------------------------------------------------------------
@@ -721,25 +705,18 @@ def run_x4_price_of_locality(
         spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=float(theta))
         cluster = generate_cluster(spec, rng)
         oblivious_min = float((locality_oblivious_levels(cluster) / cluster.weights).min())
-        out: dict[str, float] = {"oblivious/min_level": oblivious_min}
-        for name in ("psmf", "amf"):
-            alloc = get_policy(name)(cluster)
-            out[f"{name}/min_level"] = float(alloc.normalized_aggregates().min())
-            out[f"{name}/locality_price"] = price_of_locality(cluster, alloc.aggregates)
-        return out
 
-    sw = sweep1d("theta", list(thetas), point, seeds=seeds)
-    keys = [
-        "oblivious/min_level",
-        "amf/min_level",
-        "psmf/min_level",
-        "amf/locality_price",
-        "psmf/locality_price",
-    ]
-    text = render_series(
-        "theta", sw.x_values, sw.series(keys), title="X4: the price of locality", sparklines=True
-    )
-    return ExperimentOutput("X4", text, {"sweep": sw})
+        def metrics(name):
+            alloc = get_policy(name)(cluster)
+            return {
+                "min_level": float(alloc.normalized_aggregates().min()),
+                "locality_price": price_of_locality(cluster, alloc.aggregates),
+            }
+
+        return {"oblivious/min_level": oblivious_min, **_per_policy(("psmf", "amf"), metrics)}
+
+    columns = ["oblivious/min_level", *_columns(("amf", "psmf"), "min_level", "locality_price")]
+    return _swept("X4", "X4: the price of locality", "theta", thetas, point, seeds, columns)
 
 
 # ----------------------------------------------------------------------
@@ -774,13 +751,12 @@ def run_x5_allocation_churn(
             obs = ChurnObserver()
             simulate(sites, jobs, name, observer=obs)
             acc[name].append(obs.mean_churn)
-    rows = [[name, float(np.mean(acc[name])), float(np.max(acc[name]))] for name in policies]
-    text = render_table(
+    table = Table(
+        f"X5: allocation churn (fraction of capacity reassigned, theta={theta})",
         ["policy", "mean churn / event", "max (over seeds)"],
-        rows,
-        title=f"X5: allocation churn (fraction of capacity reassigned, theta={theta})",
+        [[name, float(np.mean(acc[name])), float(np.max(acc[name]))] for name in policies],
     )
-    return ExperimentOutput("X5", text, {"acc": acc})
+    return ExperimentOutput("X5", data={"acc": acc}, tables=[table])
 
 
 # ----------------------------------------------------------------------
@@ -813,27 +789,21 @@ def run_x6_discrete_convergence(
         spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=theta, demand_scale=None, mean_work=30.0)
         jobs = generate_jobs(spec, rng)
         sites = [Site(s.name, max(2.0, float(int(s.capacity)))) for s in sites_for(spec, jobs)]
-        out: dict[str, float] = {}
-        for name in policies:
+
+        def metrics(name):
             fluid = simulate(sites, jobs, name)
             discrete = simulate_discrete(sites, discretize_jobs(jobs, float(granularity)), name)
-            out[f"{name}/fluid_jct"] = fluid.mean_jct
-            out[f"{name}/discrete_jct"] = discrete.mean_jct
-            out[f"{name}/gap_pct"] = 100.0 * (discrete.mean_jct / fluid.mean_jct - 1.0)
-        return out
+            return {
+                "fluid_jct": fluid.mean_jct,
+                "discrete_jct": discrete.mean_jct,
+                "gap_pct": 100.0 * (discrete.mean_jct / fluid.mean_jct - 1.0),
+            }
 
-    sw = sweep1d("granularity", list(granularities), point, seeds=seeds)
-    keys = [f"{p}/discrete_jct" for p in policies] + [f"{p}/fluid_jct" for p in policies] + [
-        f"{p}/gap_pct" for p in policies
-    ]
-    text = render_series(
-        "granularity",
-        sw.x_values,
-        sw.series(keys),
-        title="X6: discrete slot scheduling converges to the fluid model",
-        sparklines=True,
-    )
-    return ExperimentOutput("X6", text, {"sweep": sw})
+        return _per_policy(policies, metrics)
+
+    columns = _columns(policies, "discrete_jct", "fluid_jct", "gap_pct")
+    title = "X6: discrete slot scheduling converges to the fluid model"
+    return _swept("X6", title, "granularity", granularities, point, seeds, columns)
 
 
 # ----------------------------------------------------------------------
@@ -863,6 +833,7 @@ def run_x7_multiresource(
 
     n_jobs = _scaled(20, scale, minimum=4)
     n_sites = _scaled(5, scale, minimum=2)
+    solvers = {"psdrf": solve_persite_drf, "amrf": solve_amf}
 
     def point(theta, rng):
         popularity = zipf_probabilities(n_sites, float(theta))
@@ -883,23 +854,16 @@ def run_x7_multiresource(
             jobs.append(Job(f"j{i}", tasks, demand=tasks, resources=demand))
         cluster = Cluster(sites, jobs)
         dom = cluster.dominant_factor()
-        drf = dom * solve_persite_drf(cluster).aggregates
-        amrf = dom * solve_amf(cluster).aggregates
-        return {
-            "psdrf/jain": jain_index(drf),
-            "amrf/jain": jain_index(amrf),
-            "psdrf/min_share": float(drf.min()),
-            "amrf/min_share": float(amrf.min()),
-        }
 
-    sw = sweep1d("theta", list(thetas), point, seeds=seeds)
-    text = render_series(
-        "theta",
-        sw.x_values,
-        sw.series(["psdrf/jain", "amrf/jain", "psdrf/min_share", "amrf/min_share"]),
-        title="X7: multi-resource — per-site DRF vs AMRF (dominant-share balance)",
-    )
-    return ExperimentOutput("X7", text, {"sweep": sw})
+        def metrics(name):
+            shares = dom * solvers[name](cluster).aggregates
+            return {"jain": jain_index(shares), "min_share": float(shares.min())}
+
+        return _per_policy(solvers, metrics)
+
+    title = "X7: multi-resource — per-site DRF vs AMRF (dominant-share balance)"
+    columns = _columns(solvers, "jain", "min_share")
+    return _swept("X7", title, "theta", thetas, point, seeds, columns, sparklines=False)
 
 
 # ----------------------------------------------------------------------
@@ -947,8 +911,8 @@ def run_x8_fault_tolerance(
         t0 = total_work / total_cap
         fspec = FailureSpec(mtbf=float(factor) * t0, mttr=0.25 * float(factor) * t0, horizon=4.0 * t0)
         faults = generate_failure_trace([s.name for s in sites], fspec, rng)
-        out: dict[str, float] = {}
-        for name in policies:
+
+        def metrics(name):
             resilient = ResilientPolicy(name)
             avail = AvailabilityObserver(policy=resilient)
             balance = BalanceObserver()
@@ -960,40 +924,35 @@ def run_x8_fault_tolerance(
                 failure_mode=failure_mode,
                 observer=CompositeObserver([balance, avail]),
             )
-            out[f"{name}/mean_jct"] = result.mean_jct
-            out[f"{name}/time_avg_jain"] = balance.time_avg_jain
-            out[f"{name}/work_lost"] = result.work_lost
-            out[f"{name}/work_reexecuted"] = result.work_reexecuted
-            out[f"{name}/fallbacks"] = float(resilient.stats.fallback_activations)
-            out[f"{name}/availability"] = avail.availability
             agg = resilience[name]
             agg["solves"] += resilient.stats.solves
             agg["fallbacks"] += resilient.stats.fallback_activations
             agg["errors"] += len(resilient.stats.errors)
             for served, count in resilient.stats.served_by.items():
                 agg["served_by"][served] = agg["served_by"].get(served, 0) + count
-        return out
+            return {
+                "mean_jct": result.mean_jct,
+                "time_avg_jain": balance.time_avg_jain,
+                "work_lost": result.work_lost,
+                "work_reexecuted": result.work_reexecuted,
+                "fallbacks": float(resilient.stats.fallback_activations),
+                "availability": avail.availability,
+            }
 
-    sw = sweep1d("mtbf_factor", list(mtbf_factors), point, seeds=seeds)
-    keys = [f"{p}/time_avg_jain" for p in policies] + [f"{p}/mean_jct" for p in policies] + [
-        f"{p}/work_reexecuted" for p in policies
-    ]
-    text = render_series(
-        "mtbf_factor",
-        sw.x_values,
-        sw.series(keys),
-        title=f"X8: fault tolerance under site churn ({failure_mode} mode; MTBF in units of T0)",
-        sparklines=True,
-    )
-    lines = ["", "solver fallback chain (aggregated over the sweep):"]
+        return _per_policy(policies, metrics)
+
+    title = f"X8: fault tolerance under site churn ({failure_mode} mode; MTBF in units of T0)"
+    columns = _columns(policies, "time_avg_jain", "mean_jct", "work_reexecuted")
+    out = _swept("X8", title, "mtbf_factor", mtbf_factors, point, seeds, columns, resilience=resilience)
+    # The tally is filled in by the sweep's points, so it is known only now.
+    lines = ["solver fallback chain (aggregated over the sweep):"]
     for name, agg in resilience.items():
         served = ", ".join(f"{k}={v}" for k, v in sorted(agg["served_by"].items())) or "none"
         lines.append(
             f"  {name}: {agg['solves']} solves, {agg['fallbacks']} fallback activations, "
             f"{agg['errors']} errors; served by: {served}"
         )
-    text += "\n".join(lines)
-    return ExperimentOutput("X8", text, {"sweep": sw, "resilience": resilience})
+    return ExperimentOutput("X8", data=out.data, tables=[replace(out.tables[0], note="\n".join(lines))])
 
 
 # ----------------------------------------------------------------------
@@ -1127,17 +1086,14 @@ def run_x9_service(
     agg = {k: float(np.mean([r[k] for r in runs])) for k in runs[0]}
     if verify:
         agg["max_abs_deviation"] = float(max(r["max_abs_deviation"] for r in runs))
-    rows = [[k, f"{v:.4g}"] for k, v in agg.items()]
-    text = render_table(
+    table = Table(
+        f"X9: online service under Poisson churn (~{population} concurrent jobs, {n_sites} sites, "
+        f"load={load}, {queries_per_batch} queries/batch)",
         ["metric", "mean over seeds"],
-        rows,
-        title=(
-            f"X9: online service under Poisson churn "
-            f"(~{population} concurrent jobs, {n_sites} sites, load={load}, "
-            f"{queries_per_batch} queries/batch)"
-        ),
+        [[k, v] for k, v in agg.items()],
     )
-    return ExperimentOutput("X9", text, {"aggregate": agg, "runs": runs})
+    timed = frozenset(k for k in agg if k.endswith("_ms") or k in ("speedup", "solves_per_sec"))
+    return ExperimentOutput("X9", data={"aggregate": agg, "runs": runs}, tables=[table], timed=timed)
 
 
 # ----------------------------------------------------------------------

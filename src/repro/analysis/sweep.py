@@ -1,8 +1,10 @@
 """Parameter sweeps with seed replication.
 
-Every figure in the reproduction is a 1-D sweep (skew, #jobs, #sites,
-load) of scalar metrics averaged over random seeds.  :func:`sweep1d` owns
-that loop so the experiment definitions stay declarative.
+Twelve of the reproduction's experiments are a 1-D sweep (skew, #jobs,
+#sites, load, ...) of scalar metrics averaged over random seeds.
+:func:`sweep1d` owns that loop, and ``repro.analysis.experiments._swept``
+is its one caller: it turns the seed means into the experiment's table.
+:func:`finite_mean` is the one seed average, shared with T3's ablation.
 """
 
 from __future__ import annotations
@@ -32,16 +34,15 @@ class SweepResult:
         return self.mean[metric][self.x_values.index(x)]
 
 
-def replicate(
-    fn: Callable[[np.random.Generator], Mapping[str, float]],
-    seeds: Sequence[int],
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Run ``fn`` once per seed; return per-metric mean and std."""
-    rows = [fn(np.random.default_rng(seed)) for seed in seeds]
-    keys = list(rows[0])
-    mean = {k: float(np.mean([r[k] for r in rows])) for k in keys}
-    std = {k: float(np.std([r[k] for r in rows])) for k in keys}
-    return mean, std
+def finite_mean(values) -> float:
+    """Mean of the finite entries of ``values``; NaN when there are none.
+
+    A starved static completion time (``inf``) should not wipe out a mean
+    over seeds.
+    """
+    arr = np.asarray(values, dtype=float)
+    finite = arr[np.isfinite(arr)]
+    return float(finite.mean()) if finite.size else np.nan
 
 
 def sweep1d(
@@ -54,8 +55,8 @@ def sweep1d(
     """Evaluate ``fn(x, rng)`` for every ``x`` and seed; aggregate per metric.
 
     ``fn`` returns a flat ``{metric: value}`` mapping; metrics must be the
-    same for every point.  Non-finite samples are dropped per-metric (a
-    starved static completion time should not wipe out the mean).
+    same for every point.  Each metric's mean is :func:`finite_mean` over
+    the seeds, and its std is taken over the same finite samples.
 
     ``workers`` fans the ``(x, seed)`` grid over a process pool
     (:mod:`repro.analysis.parallel`); every task owns its seed's generator,
@@ -69,8 +70,6 @@ def sweep1d(
         for key in rows[0]:
             samples = np.asarray([r[key] for r in rows], dtype=float)
             finite = samples[np.isfinite(samples)]
-            m = float(finite.mean()) if finite.size else np.nan
-            s = float(finite.std()) if finite.size else np.nan
-            result.mean.setdefault(key, []).append(m)
-            result.std.setdefault(key, []).append(s)
+            result.mean.setdefault(key, []).append(finite_mean(samples))
+            result.std.setdefault(key, []).append(float(finite.std()) if finite.size else np.nan)
     return result

@@ -1,4 +1,4 @@
-"""The paper's shape claims, one gate per experiment, plus smoke tests.
+"""The paper's shape claims and their numbers, one gate per experiment, plus smoke tests.
 
 ``CLAIMS`` maps every id in :data:`repro.analysis.experiments.EXPERIMENTS`
 to the runs that gate it.  A run is the experiment's kwargs and one check
@@ -8,21 +8,38 @@ Each run executes once: assertions on the same kwargs share one check.
 The abstract's margins at their own scales (F1's growing gap, F3's CT
 add-on, T2's SI repair) stay in ``tests/integration/test_paper_claims.py``.
 
+The same runs pin the numbers.  ``claims_golden.json`` holds, per id, every
+table of its runs as rows (``"parent"``), written by :func:`capture`, minus
+the columns and rows the output names as ``timed``.  ``test_claim[<ID>]``
+compares each cell with it: floats at rel 1e-6 / abs 1e-9, strings and
+integer counts exactly.  A cell moved on purpose gets an ``"expected"``
+value and a ``"why"``, both keyed ``"<table>/<row>/<column>"``; when every
+moved number is right, re-capture instead::
+
+    PYTHONPATH=src:. python -c "from tests.analysis.test_experiments import capture; capture()"
+
 ``python -m repro.cli experiment <ids|all> --scale 0.3`` prints the same
 tables; this module is where their claims are enforced.
 """
+
+import json
+import math
+from pathlib import Path
+import re
 
 import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
     EXPERIMENTS,
+    _axis,
     run_f1_balance_vs_skew,
     run_f4_jct_distribution,
     run_f8_scalability,
     run_t1_properties,
     run_t2_sharing_incentive,
 )
+from repro.analysis.sweep import finite_mean as _finite_mean
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
 
@@ -51,12 +68,6 @@ def _at_least(metric, winner="amf", loser="psmf", slack=1e-9):
             assert sw.metric_at(f"{winner}/{metric}", x) >= sw.metric_at(f"{loser}/{metric}", x) - slack, x
 
     return check
-
-
-def _finite_mean(values):
-    arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    return float(finite.mean()) if finite.size else np.nan
 
 
 def _f3_amf_drains_no_worse_at_high_skew(data):
@@ -226,11 +237,171 @@ def test_every_experiment_has_one_claim():
 
 
 @pytest.mark.parametrize("eid", sorted(CLAIMS))
-def test_claim(eid):
+def test_claim(eid, golden):
+    tables = []
     for kwargs, check in CLAIMS[eid]:
         out = EXPERIMENTS[eid](**kwargs)
         assert out.experiment == eid
         check(out.data)
+        assert _timing_names(out) == out.timed
+        tables += _untimed(out)
+    assert _moved(tables, golden[eid]) == []
+
+
+# ----------------------------------------------------------------------
+# The golden: every claim run's untimed cells
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("claims_golden.json")
+
+#: A header or row name that reads as a wall-clock time; its output must
+#: declare it in ``timed``, and the golden may not hold it.
+TIMING_NAME = re.compile(r"(^|[ _])ms$|^speedup$|_per_sec$")
+
+
+def _timing_names(out) -> set[str]:
+    names = {name for table in out.tables for name in table.header}
+    names |= {str(row[0]) for table in out.tables for row in table.rows}
+    return {name for name in names if TIMING_NAME.search(name)}
+
+
+def _cell(value):
+    """One table cell as JSON: integers and finite floats stay numbers, the rest are strings."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else str(float(value))
+    return str(value)
+
+
+def _untimed(out) -> list[dict]:
+    """``out``'s tables as JSON, without the columns and rows ``out.timed`` names."""
+    tables = []
+    for table in out.tables:
+        keep = [c for c, name in enumerate(table.header) if name not in out.timed]
+        rows = [row for row in table.rows if str(row[0]) not in out.timed]
+        tables.append(
+            {
+                "title": table.title,
+                "header": [table.header[c] for c in keep],
+                "rows": [[_cell(row[c]) for c in keep] for row in rows],
+            }
+        )
+    return tables
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, float) and isinstance(want, float):
+        return math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-9)
+    return type(got) is type(want) and got == want
+
+
+def _moved(tables: list[dict], entry: dict) -> list[str]:
+    """Every cell of ``tables`` that differs from the golden ``entry``: from
+    its ``"expected"`` value where the entry lists one, else from its
+    ``"parent"`` value."""
+    parent, expected = entry["parent"], entry.get("expected", {})
+
+    def shape(ts):
+        return [(t["title"], t["header"], len(t["rows"])) for t in ts]
+
+    if shape(tables) != shape(parent):
+        return [f"tables {shape(tables)} != golden {shape(parent)}"]
+    moved = []
+    for t, (got, want) in enumerate(zip(tables, parent)):
+        for r, (got_row, want_row) in enumerate(zip(got["rows"], want["rows"])):
+            for c, (cell, golden_cell) in enumerate(zip(got_row, want_row)):
+                golden_cell = expected.get(f"{t}/{r}/{c}", golden_cell)
+                if not _same(cell, golden_cell):
+                    moved.append(f"{want['title']} [{want_row[0]}, {want['header'][c]}]: {cell!r} != {golden_cell!r}")
+    return moved
+
+
+def capture(path: Path = GOLDEN) -> None:
+    """Write every claim run's untimed tables as the ``"parent"`` side of the golden."""
+    claims = {
+        eid: {"parent": [table for kwargs, _ in CLAIMS[eid] for table in _untimed(EXPERIMENTS[eid](**kwargs))]}
+        for eid in sorted(CLAIMS)
+    }
+    path.write_text(json.dumps({"claims": claims}, indent=1, ensure_ascii=True) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, dict]:
+    return json.loads(GOLDEN.read_text())["claims"]
+
+
+class TestGolden:
+    def test_pins_exactly_the_claims(self, golden):
+        assert set(golden) == set(CLAIMS)
+        for eid, entry in golden.items():
+            assert entry["parent"] and all(table["rows"] for table in entry["parent"]), eid
+
+    def test_every_expected_cell_moved_and_says_why(self, golden):
+        for eid, entry in golden.items():
+            expected, why = entry.get("expected", {}), entry.get("why", {})
+            assert set(expected) == set(why), eid
+            for key, value in expected.items():
+                t, r, c = (int(k) for k in key.split("/"))
+                assert not _same(value, entry["parent"][t]["rows"][r][c]), f"{eid} {key}: stale expected value"
+                assert why[key].strip(), f"{eid} {key}"
+
+    def test_stores_no_timing_cell(self, golden):
+        for eid, entry in golden.items():
+            for table in entry["parent"]:
+                names = [*table["header"], *(str(row[0]) for row in table["rows"])]
+                assert not [name for name in names if TIMING_NAME.search(name)], eid
+
+
+class TestGoldenCompare:
+    """The comparison itself, on a synthetic entry (no experiment runs)."""
+
+    ENTRY = {"parent": [{"title": "T", "header": ["policy", "level", "count", "held"], "rows": [["amf", 1.0, 3, "10/10"]]}]}
+
+    @staticmethod
+    def _tables(*rows):
+        return [{"title": "T", "header": ["policy", "level", "count", "held"], "rows": [list(row) for row in rows]}]
+
+    def test_equal_within_tolerance(self):
+        assert _moved(self._tables(["amf", 1.0 + 5e-7, 3, "10/10"]), self.ENTRY) == []
+        assert _moved(self._tables(["amf", 1.0, 3, "10/10"]), {"parent": json.loads(json.dumps(self.ENTRY["parent"]))}) == []
+
+    @pytest.mark.parametrize(
+        "row",
+        [["amf", 1.00001, 3, "10/10"], ["amf", 1.0, 4, "10/10"], ["amf", 1.0, 3.0, "10/10"], ["amf", 1.0, 3, "9/10"]],
+        ids=["float", "count", "count_as_float", "string"],
+    )
+    def test_every_cell_kind_is_caught(self, row):
+        assert len(_moved(self._tables(row), self.ENTRY)) == 1
+
+    def test_a_lost_row_is_caught(self):
+        assert _moved(self._tables(), self.ENTRY)
+
+    def test_expected_replaces_parent(self):
+        entry = {**self.ENTRY, "expected": {"0/0/1": 2.0}, "why": {"0/0/1": "moved on purpose"}}
+        assert _moved(self._tables(["amf", 2.0, 3, "10/10"]), entry) == []
+        assert len(_moved(self._tables(["amf", 1.0, 3, "10/10"]), entry)) == 1
+
+    def test_untimed_drops_declared_columns_and_rows(self):
+        from repro.analysis.experiments import ExperimentOutput
+        from repro.analysis.tables import Table
+
+        table = Table("T", ["metric", "value", "wall ms"], [["solves", 4, 1.5], ["warm_ms", 2.5, 0.1]])
+        out = ExperimentOutput("X", tables=[table], timed=frozenset({"wall ms", "warm_ms"}))
+        assert _timing_names(out) == out.timed
+        assert _untimed(out) == [{"title": "T", "header": ["metric", "value"], "rows": [["solves", 4]]}]
+
+
+class TestScaledAxes:
+    def test_no_sweep_point_repeats(self):
+        """At these scales two axis values used to round onto one point."""
+        for eid, scale in (("F6", 0.3), ("F5", 0.05)):
+            xs = EXPERIMENTS[eid](scale=scale).data["sweep"].x_values
+            assert len(xs) == len(set(xs)), (eid, xs)
+
+    def test_axis_keeps_the_first_of_repeats(self):
+        assert _axis((4, 8, 16, 32, 64), 0.3) == [2, 5, 10, 19]
+        assert _axis(((50, 10), (100, 20), (200, 20)), (0.01, 0.2)) == [(2, 2), (2, 4)]
 
 
 # ----------------------------------------------------------------------

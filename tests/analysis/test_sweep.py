@@ -3,25 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sweep import replicate, sweep1d
+from repro.analysis.sweep import finite_mean, sweep1d
 
 
-class TestReplicate:
-    def test_mean_and_std(self):
-        def fn(rng):
-            return {"v": float(rng.integers(0, 10))}
+class TestFiniteMean:
+    def test_drops_non_finite_samples(self):
+        assert finite_mean([1.0, np.inf, 3.0, np.nan]) == pytest.approx(2.0)
 
-        mean, std = replicate(fn, seeds=[0, 1, 2, 3])
-        assert 0 <= mean["v"] <= 10
-        assert std["v"] >= 0
-
-    def test_deterministic_per_seed(self):
-        def fn(rng):
-            return {"v": float(rng.random())}
-
-        m1, _ = replicate(fn, seeds=[5])
-        m2, _ = replicate(fn, seeds=[5])
-        assert m1 == m2
+    def test_nothing_finite_gives_nan(self):
+        assert np.isnan(finite_mean([np.inf, -np.inf]))
 
 
 class TestSweep1d:

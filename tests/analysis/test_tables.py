@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.analysis.tables import fmt, render_series, render_table
+from repro.analysis.tables import fmt, render_table, series_table
 
 
 class TestFmt:
@@ -42,11 +42,11 @@ class TestRenderTable:
 
 class TestRenderSeries:
     def test_one_row_per_x(self):
-        text = render_series("theta", [0.0, 1.0], {"amf": [1.0, 0.9], "psmf": [0.8, 0.6]})
+        text = series_table("theta", [0.0, 1.0], {"amf": [1.0, 0.9], "psmf": [0.8, 0.6]}).render()
         lines = text.splitlines()
         assert len(lines) == 4
         assert "amf" in lines[0] and "psmf" in lines[0]
 
     def test_values_in_order(self):
-        text = render_series("x", [5], {"y": [0.25]})
+        text = series_table("x", [5], {"y": [0.25]}).render()
         assert "0.25" in text and "5" in text
