@@ -898,9 +898,11 @@ def run_x8_fault_tolerance(
 
     n_jobs = _scaled(30, scale)
     n_sites = _scaled(8, scale, minimum=3)
-    resilience: dict[str, dict] = {
-        name: {"solves": 0, "fallbacks": 0, "errors": 0, "served_by": {}} for name in policies
-    }
+    fallbacks = ("psmf",)
+    # every policy a point's chain can be served by: the counts travel in
+    # each point's metrics, which a forked sweep worker returns (a tally
+    # the points added to here would stay in the worker)
+    rungs = {name: tuple(dict.fromkeys((name, *fallbacks, "proportional-fallback"))) for name in policies}
 
     def point(factor, rng):
         spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=theta)
@@ -913,7 +915,7 @@ def run_x8_fault_tolerance(
         faults = generate_failure_trace([s.name for s in sites], fspec, rng)
 
         def metrics(name):
-            resilient = ResilientPolicy(name)
+            resilient = ResilientPolicy(name, fallbacks)
             avail = AvailabilityObserver(policy=resilient)
             balance = BalanceObserver()
             result = simulate(
@@ -924,12 +926,7 @@ def run_x8_fault_tolerance(
                 failure_mode=failure_mode,
                 observer=CompositeObserver([balance, avail]),
             )
-            agg = resilience[name]
-            agg["solves"] += resilient.stats.solves
-            agg["fallbacks"] += resilient.stats.fallback_activations
-            agg["errors"] += len(resilient.stats.errors)
-            for served, count in resilient.stats.served_by.items():
-                agg["served_by"][served] = agg["served_by"].get(served, 0) + count
+            served_by = resilient.stats.served_by
             return {
                 "mean_jct": result.mean_jct,
                 "time_avg_jain": balance.time_avg_jain,
@@ -937,14 +934,33 @@ def run_x8_fault_tolerance(
                 "work_reexecuted": result.work_reexecuted,
                 "fallbacks": float(resilient.stats.fallback_activations),
                 "availability": avail.availability,
+                "solves": float(resilient.stats.solves),
+                "errors": float(len(resilient.stats.errors)),
+                **{f"served_by:{rung}": float(served_by.get(rung, 0)) for rung in rungs[name]},
             }
 
         return _per_policy(policies, metrics)
 
     title = f"X8: fault tolerance under site churn ({failure_mode} mode; MTBF in units of T0)"
     columns = _columns(policies, "time_avg_jain", "mean_jct", "work_reexecuted")
-    out = _swept("X8", title, "mtbf_factor", mtbf_factors, point, seeds, columns, resilience=resilience)
-    # The tally is filled in by the sweep's points, so it is known only now.
+    out = _swept("X8", title, "mtbf_factor", mtbf_factors, point, seeds, columns)
+    sw = out.data["sweep"]
+
+    def total(key: str) -> int:
+        # a count's per-x mean over the seeds, times the seeds, summed over x
+        return sum(round(mean * len(seeds)) for mean in sw.mean[key])
+
+    resilience = {
+        name: {
+            "solves": total(f"{name}/solves"),
+            "fallbacks": total(f"{name}/fallbacks"),
+            "errors": total(f"{name}/errors"),
+            "served_by": {
+                rung: count for rung in rungs[name] if (count := total(f"{name}/served_by:{rung}"))
+            },
+        }
+        for name in policies
+    }
     lines = ["solver fallback chain (aggregated over the sweep):"]
     for name, agg in resilience.items():
         served = ", ".join(f"{k}={v}" for k, v in sorted(agg["served_by"].items())) or "none"
@@ -952,7 +968,8 @@ def run_x8_fault_tolerance(
             f"  {name}: {agg['solves']} solves, {agg['fallbacks']} fallback activations, "
             f"{agg['errors']} errors; served by: {served}"
         )
-    return ExperimentOutput("X8", data=out.data, tables=[replace(out.tables[0], note="\n".join(lines))])
+    data = {**out.data, "resilience": resilience}
+    return ExperimentOutput("X8", data=data, tables=[replace(out.tables[0], note="\n".join(lines))])
 
 
 # ----------------------------------------------------------------------

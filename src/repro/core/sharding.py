@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "Shard",
     "ShardResult",
     "ShardBasisPool",
+    "connected_components",
     "decompose",
     "stitch",
     "solve_shards",
@@ -116,6 +118,33 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def connected_components(
+    n_sites: int, supports: Iterable[Sequence[int]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``(site positions, job positions)`` of each connected component.
+
+    ``supports`` lists each job's site positions.  Every site lands in
+    exactly one component (job-less site groups included), every job in the
+    component of its support; components are ordered by their smallest site
+    position, and positions ascend inside each.
+    """
+    uf = _UnionFind(n_sites)
+    # each job's first-listed site stands for it: a component's root is its
+    # smallest site position whichever order the unions happen in
+    anchors = []
+    for first, *rest in supports:
+        anchors.append(first)
+        for j in rest:
+            uf.union(first, j)
+    site_groups: dict[int, list[int]] = {}
+    for j in range(n_sites):
+        site_groups.setdefault(uf.find(j), []).append(j)
+    job_groups: dict[int, list[int]] = {root: [] for root in site_groups}
+    for i, first in enumerate(anchors):
+        job_groups[uf.find(first)].append(i)
+    return [(tuple(site_groups[root]), tuple(job_groups[root])) for root in sorted(site_groups)]
+
+
 def decompose(cluster: Cluster) -> list[Shard]:
     """Partition ``cluster`` into connected components of the job-site graph.
 
@@ -123,37 +152,29 @@ def decompose(cluster: Cluster) -> list[Shard]:
     (job-less site groups become shards with zero jobs), every job in the
     shard of its support.  Shards are ordered by their smallest site index,
     so the decomposition is deterministic for a given cluster.
+
+    A :class:`~repro.service.state.ClusterState` snapshot carries the
+    partition the state keeps between versions, and gets it back without a
+    walk (sub-instances of untouched components included); any other
+    cluster is walked here, which makes this walk the oracle for that one.
     """
-    uf = _UnionFind(cluster.n_sites)
-    # each job's first-listed site stands for it: a component's root is its
-    # smallest site index whichever order the unions happen in
-    anchors = []
-    for job in cluster.jobs:
-        first, *rest = (cluster.site_index(name) for name in job.workload)
-        anchors.append(first)
-        for j in rest:
-            uf.union(first, j)
-    site_groups: dict[int, list[int]] = {}
-    for j in range(cluster.n_sites):
-        site_groups.setdefault(uf.find(j), []).append(j)
-    job_groups: dict[int, list[int]] = {root: [] for root in site_groups}
-    for i, first in enumerate(anchors):
-        job_groups[uf.find(first)].append(i)
-    shards: list[Shard] = []
-    for root in sorted(site_groups):
-        site_idx = tuple(site_groups[root])
-        job_idx = tuple(job_groups[root])
-        shards.append(
-            Shard(
-                key=frozenset(cluster.sites[j].name for j in site_idx),
-                site_indices=site_idx,
-                job_indices=job_idx,
-                # one component spanning every site is the cluster itself:
-                # same sites, jobs and order, so the same fingerprint and views
-                cluster=cluster if len(site_groups) == 1 else cluster._subset(site_idx, job_idx),
-            )
+    blocks = cluster._blocks()
+    if blocks is not None:
+        return [Shard(part.key, part.sites, job_idx, sub) for part, job_idx, sub in blocks]
+    groups = connected_components(
+        cluster.n_sites, ([cluster.site_index(name) for name in job.workload] for job in cluster.jobs)
+    )
+    return [
+        Shard(
+            key=frozenset(cluster.sites[j].name for j in site_idx),
+            site_indices=site_idx,
+            job_indices=job_idx,
+            # one component spanning every site is the cluster itself:
+            # same sites, jobs and order, so the same fingerprint and views
+            cluster=cluster if len(groups) == 1 else cluster._subset(site_idx, job_idx),
         )
-    return shards
+        for site_idx, job_idx in groups
+    ]
 
 
 def stitch(cluster: Cluster, results: list[tuple[Shard, np.ndarray]]) -> np.ndarray:
@@ -161,7 +182,8 @@ def stitch(cluster: Cluster, results: list[tuple[Shard, np.ndarray]]) -> np.ndar
     matrix = np.zeros((cluster.n_jobs, cluster.n_sites))
     for shard, sub in results:
         if shard.job_indices:
-            matrix[np.ix_(shard.job_indices, shard.site_indices)] = sub
+            rows = np.array(shard.job_indices, dtype=np.intp)[:, None]
+            matrix[rows, np.array(shard.site_indices, dtype=np.intp)] = sub
     return matrix
 
 

@@ -31,10 +31,20 @@ class Cluster:
     Every public constructor — ``Cluster(sites, jobs)``,
     :meth:`from_matrices` and the four mutation helpers — validates (unique
     names, known sites, offered resources), so data that crosses a boundary
-    (a wire payload, a journal, a ``ClusterState`` snapshot) is checked once.
-    The private :meth:`_subset` does not: it only ever selects from an
-    instance that already was.
+    (a wire payload, a journal) is checked once.  The private
+    :meth:`_trusted` does not, and its two callers have already checked:
+    :meth:`_subset` selects from an instance that was validated, and a
+    :class:`~repro.service.state.ClusterState` snapshot holds jobs the state
+    checked one by one on arrival (same duplicate-name, known-site and
+    offered-resource rules; sites and each site's resource names never
+    change).
     """
+
+    #: The connected components of the job-site graph, when the instance is
+    #: a snapshot of a store that keeps them between versions
+    #: (:class:`~repro.service.state.ClusterState`); ``None`` otherwise.
+    #: :func:`~repro.core.sharding.decompose` returns them without a walk.
+    _components: tuple["Component", ...] | None = None
 
     def __init__(self, sites: Sequence[Site], jobs: Sequence[Job]):
         sites = tuple(sites)
@@ -62,6 +72,21 @@ class Cluster:
         self._site_index = {name: k for k, name in enumerate(site_names)}
         self._job_index = {name: k for k, name in enumerate(job_names)}
 
+    @classmethod
+    def _trusted(
+        cls, sites: tuple[Site, ...], jobs: tuple[Job, ...], components: tuple["Component", ...] | None = None
+    ) -> "Cluster":
+        """An instance over parts that were already checked, without checking;
+        ``components`` is the caller's partition of the job-site graph."""
+        self = object.__new__(cls)
+        self._sites = sites
+        self._jobs = jobs
+        self._site_index = {site.name: k for k, site in enumerate(sites)}
+        self._job_index = {job.name: k for k, job in enumerate(jobs)}
+        if components is not None:
+            self._components = components
+        return self
+
     def _subset(self, site_idx: Sequence[int], job_idx: Sequence[int]) -> "Cluster":
         """The sub-instance on those sites and jobs, in their present order;
         every chosen job's support must lie inside ``site_idx``.
@@ -75,12 +100,31 @@ class Cluster:
         jobs = tuple(self._jobs[i] for i in job_idx)
         if self.is_multiresource:
             return Cluster(sites, jobs)
-        sub = object.__new__(Cluster)
-        sub._sites = sites
-        sub._jobs = jobs
-        sub._site_index = {site.name: k for k, site in enumerate(sites)}
-        sub._job_index = {job.name: k for k, job in enumerate(jobs)}
-        return sub
+        return Cluster._trusted(sites, jobs)
+
+    def _blocks(self) -> list[tuple["Component", tuple[int, ...], "Cluster"]] | None:
+        """The carried components as ``(component, job indices, sub-instance)``.
+
+        In component order; ``None`` when the instance carries none.  A
+        component no earlier snapshot built its sub-instance for gets it
+        here (:meth:`_subset`), kept on the record for later snapshots; one
+        component spanning every site is this instance itself (so the list
+        is not cached on it: that would make every snapshot a reference
+        cycle, freed only by the cyclic collector).
+        """
+        parts = self._components
+        if parts is None:
+            return None
+        if len(parts) == 1:
+            return [(parts[0], tuple(range(self.n_jobs)), self)]
+        index = self._job_index
+        blocks = []
+        for part in parts:
+            job_idx = tuple(map(index.__getitem__, part.jobs))
+            if part.cluster is None:
+                part.cluster = self._subset(part.sites, job_idx)
+            blocks.append((part, job_idx, part.cluster))
+        return blocks
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -134,7 +178,37 @@ class Cluster:
         return arr
 
     def _edge_views(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(workloads, demand_caps)`` from one pass over the support edges."""
+        """``(workloads, demand_caps)``, both cached by the one call.
+
+        An instance carrying several components writes each component's
+        views into its block, the way :func:`~repro.core.sharding.stitch`
+        writes matrices: an untouched component's views carry over from the
+        snapshot that built them.  Anything else walks its support edges.
+        A vector instance always walks: its components offer only their own
+        sites' resources and are validated when built, which is the
+        solver's business (``decompose``), not the views'.
+        """
+        blocks = None if self.is_multiresource else self._blocks()
+        if blocks is not None and len(blocks) > 1:
+            views = self._assembled_views(blocks)
+        else:
+            views = self._walked_views()
+        self.__dict__["workloads"], self.__dict__["demand_caps"] = views
+        return views
+
+    def _assembled_views(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        work = np.zeros((self.n_jobs, self.n_sites), dtype=float)
+        caps = np.zeros((self.n_jobs, self.n_sites), dtype=float)
+        for part, job_idx, sub in blocks:
+            if job_idx:
+                rows, cols = np.array(job_idx, dtype=np.intp)[:, None], np.array(part.sites, dtype=np.intp)
+                work[rows, cols] = sub.workloads
+                caps[rows, cols] = sub.demand_caps
+        work.flags.writeable = False
+        caps.flags.writeable = False
+        return work, caps
+
+    def _walked_views(self) -> tuple[np.ndarray, np.ndarray]:
         index, inf = self._site_index, float("inf")
         rows, cols, work, declared = [], [], [], []
         for i, job in enumerate(self._jobs):
@@ -160,10 +234,7 @@ class Cluster:
             mat.flags.writeable = False
             return mat
 
-        # both views are cached by the one pass; nothing else is retained
-        views = dense(work), dense(np.minimum(declared, alone))
-        self.__dict__["workloads"], self.__dict__["demand_caps"] = views
-        return views
+        return dense(work), dense(np.minimum(declared, alone))
 
     @cached_property
     def workloads(self) -> np.ndarray:
@@ -270,14 +341,7 @@ class Cluster:
     # ------------------------------------------------------------------
     @cached_property
     def _fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for site in self._sites:
-            h.update(f"S|{site.name}|{site.capacity.hex()}\n".encode())
-            # Vector capacities get extra lines; canonical scalar sites emit
-            # none, keeping pre-vector fingerprints byte-for-byte stable.
-            if site.resources is not None:
-                for res, amount in site.resources:
-                    h.update(f"R|{site.name}|{res}|{amount.hex()}\n".encode())
+        h = hashlib.sha256(b"".join(site.fingerprint_lines for site in self._sites))
         h.update(b"".join(job.fingerprint_lines for job in self._jobs))
         return h.hexdigest()
 
@@ -408,3 +472,23 @@ class Cluster:
         per_site = np.outer(wshare, self.capacities)  # (n, m) equal split
         banked = np.minimum(per_site, self.demand_caps)
         return np.where(self.support, banked, 0.0).sum(axis=1)
+
+
+class Component:
+    """One connected component of a job-site graph, as a long-lived store keeps it.
+
+    ``key`` is the component's site-name set, ``sites`` its site indices
+    (ascending) and ``jobs`` its job names in the instance's job order.
+    ``cluster`` caches the sub-instance once a snapshot has built it
+    (:meth:`Cluster._blocks`).  The store replaces a record whenever its
+    component changes, so every snapshot carrying a record agrees with its
+    cache.
+    """
+
+    __slots__ = ("key", "sites", "jobs", "cluster")
+
+    def __init__(self, key: frozenset[str], sites: tuple[int, ...], jobs: tuple[str, ...]):
+        self.key = key
+        self.sites = sites
+        self.jobs = jobs
+        self.cluster: Cluster | None = None

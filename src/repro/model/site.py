@@ -37,6 +37,9 @@ class Site:
     # Sorted (resource, amount) pairs when multi-resource; None for the
     # canonical scalar site.  A tuple keeps the frozen dataclass hashable.
     resources: tuple[tuple[str, float], ...] | None = field(default=None)
+    # This site's share of the byte stream Cluster.fingerprint hashes, built
+    # once: a snapshot hashes every site on every version.
+    fingerprint_lines: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require(bool(self.name), "site name must be non-empty")
@@ -67,6 +70,12 @@ class Site:
             math.isfinite(self.capacity) and self.capacity > 0.0,
             f"site {self.name!r}: capacity must be positive and finite, got {self.capacity}",
         )
+        # Vector capacities get extra lines; canonical scalar sites emit
+        # none, keeping pre-vector fingerprints byte-for-byte stable.
+        lines = [f"S|{self.name}|{self.capacity.hex()}\n"]
+        if self.resources is not None:
+            lines += [f"R|{self.name}|{res}|{amount.hex()}\n" for res, amount in self.resources]
+        object.__setattr__(self, "fingerprint_lines", "".join(lines).encode())
 
     @property
     def is_multiresource(self) -> bool:

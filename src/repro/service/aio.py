@@ -91,15 +91,18 @@ _STOP = object()  # intake sentinel: solver loop exits after the final drain
 #: bounded separately by the StreamReader limit).
 _MAX_HEADERS = 100
 
+#: Seconds shutdown waits for closed connections' handlers to end before
+#: cancelling the rest.
+_SHUTDOWN_GRACE = 2.0
+
 
 #: Routes served from the published view: route -> ``PublishedView``
 #: attribute prefix (``<kind>_resp`` keep-alive bytes, ``<kind>_json`` body).
 _VIEW_READS = {"/health": "health", "/stats": "stats", "/allocate": "allocate"}
 
-#: An allocation document's keys: the head names how it was served, the
-#: tail is what the allocation itself determines (see ``_rendered``).
+#: An allocation document's head keys: how it was served.  The tail, what
+#: the allocation itself determines, follows them (see ``_rendered``).
 _HEAD = ("policy", "cached", "solve_ms", "version", "fingerprint")
-_TAIL = ("jobs", "site_usage", "utilization")
 
 
 def _head(payload: dict[str, Any]) -> bytes:
@@ -212,6 +215,25 @@ class _Work(NamedTuple):
     loop: asyncio.AbstractEventLoop
 
 
+class _Connection(asyncio.StreamReaderProtocol):
+    """One accepted connection's stream protocol, holding its transport in
+    ``open_transports`` from accept to loss so shutdown can close it."""
+
+    def __init__(self, handler: Callable, open_transports: set):
+        super().__init__(asyncio.StreamReader(), handler)
+        self._open = open_transports
+        self._tracked: asyncio.BaseTransport | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._tracked = transport
+        self._open.add(transport)
+        super().connection_made(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._open.discard(self._tracked)
+        super().connection_lost(exc)
+
+
 class AioServiceServer:
     """The asyncio edge bound to one :class:`AllocationService`.
 
@@ -273,6 +295,7 @@ class AioServiceServer:
         self._loop_ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
+        self._transports: set[asyncio.BaseTransport] = set()  # accepted and not yet lost
         self._port: int | None = None
         self._solver_thread = threading.Thread(target=self._solver_loop, name="amf-aio-solver", daemon=True)
         self._loop_thread = threading.Thread(target=self._run_loop, name="amf-aio-loop", daemon=True)
@@ -328,7 +351,9 @@ class AioServiceServer:
         asyncio.set_event_loop(loop)
         try:
             self._server = loop.run_until_complete(
-                asyncio.start_server(self._handle_conn, self.host, self._requested_port)
+                loop.create_server(
+                    lambda: _Connection(self._handle_conn, self._transports), self.host, self._requested_port
+                )
             )
             self._port = self._server.sockets[0].getsockname()[1]
             self._loop_ready.set()
@@ -341,16 +366,38 @@ class AioServiceServer:
                 loop.close()
 
     async def _shutdown_async(self) -> None:
+        loop = asyncio.get_running_loop()
         if self._server is not None:
+            # Stop accepting, then give the connections already accepted two
+            # turns to wrap their sockets in transports before the server
+            # closes: on Python 3.11 a setup that runs after Server.close
+            # fails and drops its socket unclosed.
+            for sock in self._server.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
+        # Close every connection and let its handler end on the EOF; a
+        # connection still being set up has its transport a turn later, so
+        # repeat until no task is left.  Cancelling is the last resort: a
+        # handler cancelled before its first step never closes its
+        # transport.
         current = asyncio.current_task()
-        tasks = [t for t in asyncio.all_tasks() if t is not current]
-        if tasks:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-        asyncio.get_running_loop().stop()
+        deadline = loop.time() + _SHUTDOWN_GRACE
+        while (tasks := [t for t in asyncio.all_tasks() if t is not current]) and loop.time() < deadline:
+            for transport in list(self._transports):
+                transport.close()
+            await asyncio.wait(tasks, timeout=0.01)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for transport in list(self._transports):
+            transport.abort()  # still flushing to a client that stopped reading
+        # a socket closes in its transport's connection_lost callback, which
+        # runs on the loop's next turn: take that turn before stopping
+        await asyncio.sleep(0)
+        loop.stop()
 
     # ------------------------------------------------------------------
     # Solver thread: the only toucher of the AllocationService
@@ -461,11 +508,11 @@ class AioServiceServer:
         """Render and encode ``served`` — the one time either happens.
 
         The document is ``head + tail``: five small fields, then everything
-        the allocation determines.  The tail is kept in :attr:`_answer`
-        under the head a memo replay would carry (``cached``, 0 ms).
+        the allocation determines (``allocation_payload`` encodes it, per
+        component).  The tail is kept in :attr:`_answer` under the head a
+        memo replay would carry (``cached``, 0 ms).
         """
-        payload = allocation_payload(served)
-        tail = json.dumps({key: payload[key] for key in _TAIL})[1:].encode()
+        payload, tail = allocation_payload(served)
         again = {**payload, "cached": True, "solve_ms": 0.0}
         self._answer = (served.version, again, _head(again) + tail)
         return payload, _head(payload) + tail

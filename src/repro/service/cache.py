@@ -10,6 +10,13 @@ the answer.  A delta changes the key of the component it touched and no
 other; a revisited state finds every component here and solves none.  This
 is the service's only memory of solved states.
 
+Each entry also keeps its component's rendered jobs once the HTTP edge has
+encoded them (:func:`repro.service.schema.allocation_payload`): the
+fingerprint covers every job name, site name and solver input the encoding
+reads, so a replayed component is not encoded again either.  The solver
+drops them from entries its latest answer no longer uses, so rendered jobs
+cost memory for the current state only, not for every entry the LRU holds.
+
 Bounded LRU; entries from component states the churn has left behind age
 out, but never one the current call uses (:meth:`AllocationCache.trim`).
 """
@@ -22,30 +29,42 @@ import numpy as np
 
 from repro._util import require
 
-__all__ = ["AllocationCache"]
+__all__ = ["ComponentEntry", "AllocationCache"]
+
+
+class ComponentEntry:
+    """One memoized component: its solved sub-matrix, and its jobs as the
+    renderer encoded them (``None`` until the first render)."""
+
+    __slots__ = ("matrix", "rendered")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.rendered: list | None = None
 
 
 class AllocationCache:
-    """LRU of ``component key -> solved sub-matrix``."""
+    """LRU of ``component key -> ComponentEntry``."""
 
     def __init__(self, max_entries: int = 128):
         require(max_entries >= 1, "max_entries must be at least 1")
         self.max_entries = max_entries
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[str, ComponentEntry] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> np.ndarray | None:
-        """The stored block for ``key`` (now the most recent entry), or ``None``."""
-        matrix = self._entries.get(key)
-        if matrix is not None:
+    def get(self, key: str) -> ComponentEntry | None:
+        """The entry for ``key`` (now the most recent one), or ``None``."""
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
-        return matrix
+        return entry
 
-    def put(self, key: str, matrix: np.ndarray) -> None:
-        self._entries[key] = matrix
+    def put(self, key: str, matrix: np.ndarray) -> ComponentEntry:
+        entry = self._entries[key] = ComponentEntry(matrix)
         self._entries.move_to_end(key)
+        return entry
 
     def trim(self, keep: int) -> int:
         """Drop the least recent entries down to ``max(max_entries, keep)``.

@@ -58,16 +58,32 @@ class ServiceClosed(RuntimeError):
 
 
 class ServedAllocation:
-    """One answer from the service: the allocation plus how it was produced."""
+    """One answer from the service: the allocation plus how it was produced.
 
-    __slots__ = ("allocation", "cached", "seconds", "version", "fingerprint")
+    ``components`` is the warm solver's ``(job indices, site indices, memo
+    entry)`` per job-bearing component when it served the answer, so the
+    renderer encodes only components no earlier answer did; ``None`` (a
+    fallback, an empty state) renders the allocation as one block.
+    """
 
-    def __init__(self, allocation: Allocation, *, cached: bool, seconds: float, version: int, fingerprint: str):
+    __slots__ = ("allocation", "cached", "seconds", "version", "fingerprint", "components")
+
+    def __init__(
+        self,
+        allocation: Allocation,
+        *,
+        cached: bool,
+        seconds: float,
+        version: int,
+        fingerprint: str,
+        components: tuple | None = None,
+    ):
         self.allocation = allocation
         self.cached = cached
         self.seconds = seconds  # solve wall time (0.0 when no component was solved)
         self.version = version
         self.fingerprint = fingerprint
+        self.components = components
 
 
 class AllocationService:
@@ -292,15 +308,20 @@ class AllocationService:
             served = alloc.policy == self.incremental.__name__
             if not served:
                 self.incremental.reset()
+            components = self.incremental.components if served else None
             cached = served and self.incremental.replayed
             if cached:
                 self.memo_hits += 1
-                return ServedAllocation(alloc, cached=True, seconds=0.0, version=version, fingerprint=fp)
+                return ServedAllocation(
+                    alloc, cached=True, seconds=0.0, version=version, fingerprint=fp, components=components
+                )
             self.memo_misses += 1
             self.solve_stats.record(dt, cluster.n_jobs)
             if REGISTRY.enabled:
                 instruments.SERVICE_SOLVE_SECONDS.observe(dt)
-            return ServedAllocation(alloc, cached=False, seconds=dt, version=version, fingerprint=fp)
+            return ServedAllocation(
+                alloc, cached=False, seconds=dt, version=version, fingerprint=fp, components=components
+            )
 
     # ------------------------------------------------------------------
     # Shutdown

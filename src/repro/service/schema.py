@@ -16,8 +16,10 @@ surface without reading docs/api.md.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 import numpy as np
@@ -266,33 +268,83 @@ def parse_fresh(params: Mapping[str, str], *, default: bool) -> bool:
     raise SchemaError(f"'fresh' must be a boolean flag, got {raw!r}")
 
 
-def allocation_payload(served) -> dict[str, Any]:
-    """JSON body of a :class:`~repro.service.daemon.ServedAllocation`.
+def allocation_payload(served) -> tuple[dict[str, Any], bytes]:
+    """JSON body of a :class:`~repro.service.daemon.ServedAllocation`, as a
+    payload dict and its encoded tail.
 
+    The document is a head (``policy``, ``cached``, ``solve_ms``,
+    ``version``, ``fingerprint``) and a tail (``jobs``, ``site_usage``,
+    ``utilization``).  ``tail`` is the tail fields' encoding without the
+    opening brace, so ``json.dumps`` of the head fields with its closing
+    brace replaced by ``", "``, then ``tail``, is ``json.dumps(payload)``.
     The HTTP edge (:mod:`repro.service.aio`) renders every allocation it
-    serves through this.  Costs O(positive cells): one ``nonzero`` walked
-    in row-major order, which is each job's site order.
+    serves through this.
+
+    Jobs are rendered per component (``served.components``, else the whole
+    allocation as one block), and a component whose memo entry already
+    holds its rendered jobs is not rendered again: the tail's ``jobs`` is
+    a join, in job order, of each job's encoded ``"name": {...}``.
     """
     alloc = served.allocation
     cluster = alloc.cluster
     sites = [site.name for site in cluster.sites]
-    shares: list[dict[str, float]] = [{} for _ in cluster.jobs]
-    rows, cols = np.nonzero(alloc.matrix > 0.0)
-    for i, j, share in zip(rows.tolist(), cols.tolist(), alloc.matrix[rows, cols].tolist()):
-        shares[i][sites[j]] = share
-    return {
+    blocks = served.components
+    if blocks is None:
+        blocks = ((range(cluster.n_jobs), range(cluster.n_sites), None),)
+    rendered: list = [None] * cluster.n_jobs
+    for job_idx, site_idx, entry in blocks:
+        jobs = None if entry is None else entry.rendered
+        if jobs is None:
+            jobs = _render_jobs(alloc, sites, job_idx, site_idx)
+            if entry is not None:
+                entry.rendered = jobs
+        for i, job in zip(job_idx, jobs):
+            rendered[i] = job
+    site_usage = dict(zip(sites, alloc.site_usage.tolist()))
+    utilization = alloc.utilization if cluster.n_jobs else 0.0
+    payload = {
         "policy": alloc.policy,
         "cached": served.cached,
         "solve_ms": 1e3 * served.seconds,
         "version": served.version,
         "fingerprint": served.fingerprint,
-        "jobs": {
-            job.name: {"aggregate": aggregate, "shares": row}
-            for job, aggregate, row in zip(cluster.jobs, alloc.aggregates.tolist(), shares)
-        },
-        "site_usage": dict(zip(sites, alloc.site_usage.tolist())),
-        "utilization": alloc.utilization if cluster.n_jobs else 0.0,
+        "jobs": {name: entry for name, entry, _ in rendered},
+        "site_usage": site_usage,
+        "utilization": utilization,
     }
+    jobs_json = ", ".join(text for _, _, text in rendered)
+    tail = f'"jobs": {{{jobs_json}}}, "site_usage": {json.dumps(site_usage)}, '
+    tail += f'"utilization": {json.dumps(utilization)}}}'
+    return payload, tail.encode()
+
+
+def _render_jobs(alloc, sites: list[str], job_idx, site_idx) -> list[tuple[str, dict[str, Any], str]]:
+    """``(name, entry, '"name": entry' encoded)`` of each job of one block.
+
+    Costs O(positive cells): one ``nonzero`` over the block walked in
+    row-major order, which is each job's site order.  The aggregate is
+    the job's full-width row sum (``alloc.aggregates``): a sum over the
+    block's columns alone can differ from it in the last bit.  The text is
+    what ``json.dumps`` writes for this one shape — names through its
+    ASCII string encoder, floats (all finite) through ``float.__repr__`` —
+    without its per-call cost, which a per-job ``json.dumps`` pays twice.
+    """
+    rows, cols = list(job_idx), list(site_idx)
+    block = alloc.matrix[np.ix_(rows, cols)]
+    block_sites = [sites[j] for j in cols]
+    quoted = [_quote(site) for site in block_sites]
+    cells: list[list[tuple[int, float]]] = [[] for _ in rows]
+    hit_rows, hit_cols = np.nonzero(block > 0.0)
+    for k, j, share in zip(hit_rows.tolist(), hit_cols.tolist(), block[hit_rows, hit_cols].tolist()):
+        cells[k].append((j, share))
+    jobs = alloc.cluster.jobs
+    out = []
+    for i, aggregate, row in zip(rows, alloc.aggregates[rows].tolist(), cells):
+        name = jobs[i].name
+        entry = {"aggregate": aggregate, "shares": {block_sites[j]: share for j, share in row}}
+        shares = ", ".join(f"{quoted[j]}: {share!r}" for j, share in row)
+        out.append((name, entry, f'{_quote(name)}: {{"aggregate": {aggregate!r}, "shares": {{{shares}}}}}'))
+    return out
 
 
 def jobs_listing_payload(
@@ -300,7 +352,7 @@ def jobs_listing_payload(
 ) -> dict[str, Any]:
     """``GET /v1/jobs``: paginate + status-filter an allocation payload.
 
-    ``payload`` is :func:`allocation_payload` output and is left untouched
+    ``payload`` is :func:`allocation_payload`'s dict and is left untouched
     (the asyncio edge hands in the published view's own copy): only the
     requested page's entries are built, as new dicts.
     """

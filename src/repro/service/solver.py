@@ -42,6 +42,7 @@ from repro.core.allocation import Allocation
 # import goes when that harness may be edited.
 from repro.core.amf import AmfDiagnostics, solve_amf  # noqa: F401
 from repro.core.sharding import (
+    Shard,
     ShardBasisPool,
     decompose,
     merge_diagnostics,
@@ -51,7 +52,7 @@ from repro.core.sharding import (
 from repro.model.cluster import Cluster
 from repro.obs.instruments import record_shard_decomposition, record_shard_solve
 from repro.obs.tracing import span
-from repro.service.cache import AllocationCache
+from repro.service.cache import AllocationCache, ComponentEntry
 
 __all__ = ["IncrementalStats", "IncrementalAmfSolver"]
 
@@ -83,7 +84,10 @@ class IncrementalAmfSolver:
         the bound keeps all of its own.
 
     After each call :attr:`replayed` says whether every component was
-    answered from the memo, i.e. the call solved nothing.
+    answered from the memo, i.e. the call solved nothing, and
+    :attr:`components` lists the call's job-bearing components as ``(job
+    indices, site indices, memo entry)``: what the renderer reuses
+    (:func:`repro.service.schema.allocation_payload`).
     """
 
     def __init__(self, max_cuts: int = 64, *, shard_cache_size: int = 128):
@@ -91,6 +95,7 @@ class IncrementalAmfSolver:
         self.memo = AllocationCache(max_entries=shard_cache_size)
         self.stats = IncrementalStats()
         self.replayed = False
+        self.components: tuple[tuple[tuple[int, ...], tuple[int, ...], ComponentEntry], ...] = ()
         self.__name__ = "amf-incremental"
 
     @property
@@ -131,23 +136,20 @@ class IncrementalAmfSolver:
             if totals is None
             else "|T:" + ",".join(f"{res}={amount.hex()}" for res, amount in sorted(totals.items()))
         )
-        pieces: list[tuple] = []
+        pieces: list[tuple[Shard, ComponentEntry]] = []
         with span(
             "amf.solve", variant="sharded", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(shards)
         ):
             misses = []
-            hits = 0
             for sh in shards:
                 if sh.n_jobs == 0:
                     continue
-                key = sh.cluster.fingerprint() + totals_tag
-                matrix = self.memo.get(key)
-                if matrix is not None:
-                    hits += 1
-                    pieces.append((sh, matrix))
+                entry = self.memo.get(sh.cluster.fingerprint() + totals_tag)
+                if entry is not None:
+                    pieces.append((sh, entry))
                 else:
                     misses.append(sh)
-            self.stats.shard_cache_hits += hits
+            self.stats.shard_cache_hits += len(pieces)
             self.stats.shard_cache_misses += len(misses)
             if misses:
                 self.stats.solves += 1
@@ -156,9 +158,16 @@ class IncrementalAmfSolver:
                 merge_diagnostics(diag, res.diagnostics)
                 record_shard_solve(res.shard.n_jobs, res.seconds)
                 self.stats.shard_solves += 1
-                self.memo.put(res.shard.cluster.fingerprint() + totals_tag, res.matrix)
-                pieces.append((res.shard, res.matrix))
+                pieces.append((res.shard, self.memo.put(res.shard.cluster.fingerprint() + totals_tag, res.matrix)))
             self.stats.shard_evictions += self.memo.trim(keep=len(pieces))
-        matrix = stitch(cluster, pieces)
+        matrix = stitch(cluster, [(sh, entry.matrix) for sh, entry in pieces])
         self.replayed = not misses
+        # Only the entries this answer uses keep their rendered jobs: those
+        # are as large as the component, and a state churned past is seldom
+        # revisited (a revisit renders its components again).
+        used = {entry for _, entry in pieces}
+        for *_, entry in self.components:
+            if entry not in used:
+                entry.rendered = None
+        self.components = tuple((sh.job_indices, sh.site_indices, entry) for sh, entry in pieces)
         return Allocation(cluster, matrix, policy=self.__name__)

@@ -7,18 +7,28 @@ mutable store that absorbs those deltas and hands out immutable snapshots
 on demand, with a monotone ``version`` so downstream layers (batching
 queue, component memo) can tell "nothing changed" from "re-solve needed".
 
+The state also keeps the connected components of the job-site graph
+between versions (:mod:`repro.core.sharding`): an arrival unions the
+components its sites touch, a departure re-splits the component it leaves,
+and a capacity change renews the one component holding the site.  Every
+other component keeps its record — and with it the sub-instance, views and
+fingerprint some earlier snapshot built — so a delta costs the component it
+touches, not the federation.
+
 Events are plain frozen dataclasses so they can be generated by workload
 models, carried over HTTP, or replayed from a trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from repro._util import require
-from repro.model.cluster import Cluster
+from repro.core.sharding import connected_components
+from repro.model.cluster import Cluster, Component
 from repro.model.job import Job
 from repro.model.resources import (
     ResourceError,
@@ -86,6 +96,11 @@ class ClusterState:
     :class:`Cluster` until the next mutation, so repeated reads between
     deltas are free — and share a fingerprint, which is what lets the
     warm solver's component memo answer them.
+
+    Each job is checked once, on arrival, with the rules of the validating
+    ``Cluster(sites, jobs)`` (free name, known sites, offered resources);
+    the snapshot is then built without re-checking, and carries the
+    component partition (see the module docstring).
     """
 
     def __init__(self, sites: Iterable[Site], jobs: Iterable[Job] = ()):
@@ -94,7 +109,20 @@ class ClusterState:
             require(site.name not in self._sites, f"duplicate site {site.name!r}")
             self._sites[site.name] = site
         require(len(self._sites) > 0, "service state needs at least one site")
+        self._site_index = {name: k for k, name in enumerate(self._sites)}
+        # sites are fixed and a capacity update keeps each site's resource
+        # names, so what the sites offer never changes
+        self._offered = frozenset(itertools.chain.from_iterable(s.resource_vector for s in self._sites.values()))
         self._jobs: dict[str, Job] = {}
+        # arrival number of each job: the snapshot's job order
+        self._arrival: dict[str, int] = {}
+        self._arrivals = itertools.count()
+        # the partition: component records by their smallest site index, and
+        # each site's component (every site starts alone)
+        self._components: dict[int, Component] = {
+            k: Component(frozenset((name,)), (k,), ()) for k, name in enumerate(self._sites)
+        }
+        self._root = list(range(len(self._sites)))
         self.version = 0
         self._snapshot: Cluster | None = None
         for job in jobs:
@@ -129,25 +157,43 @@ class ClusterState:
         self._snapshot = None
 
     def offered_resources(self) -> frozenset[str]:
-        """Resource names any site currently offers (``{"slots"}`` when scalar)."""
-        names: set[str] = set()
-        for site in self._sites.values():
-            names.update(site.resource_vector)
-        return frozenset(names)
+        """Resource names any site offers (``{"slots"}`` when scalar); fixed
+        for the state's lifetime."""
+        return self._offered
+
+    def _refuse_unoffered(self, job: Job) -> None:
+        missing = set(job.resource_vector) - self._offered
+        if missing:
+            raise UnknownResourceError(
+                f"job {job.name!r} demands unknown resources {sorted(missing)} "
+                f"(sites offer {sorted(self._offered)})"
+            )
 
     def add_job(self, job: Job) -> None:
         if job.name in self._jobs:
             raise StateError(f"job {job.name!r} already present")
-        unknown = set(job.workload) - set(self._sites)
+        unknown = set(job.workload).difference(self._site_index)
         if unknown:
             raise StateError(f"job {job.name!r} references unknown sites {sorted(unknown)}")
-        missing = set(job.resource_vector) - self.offered_resources()
-        if missing:
-            raise UnknownResourceError(
-                f"job {job.name!r} demands unknown resources {sorted(missing)} "
-                f"(sites offer {sorted(self.offered_resources())})"
-            )
+        self._refuse_unoffered(job)
         self._jobs[job.name] = job
+        self._arrival[job.name] = next(self._arrivals)
+        # union: the components the job's sites lie in become one, with the
+        # job last (it is the newest arrival)
+        roots = sorted({self._root[self._site_index[site]] for site in job.workload})
+        parts = [self._components.pop(root) for root in roots]
+        if len(parts) == 1:
+            (part,) = parts
+            self._place(Component(part.key, part.sites, (*part.jobs, job.name)))
+        else:
+            jobs = sorted(itertools.chain.from_iterable(p.jobs for p in parts), key=self._arrival.__getitem__)
+            self._place(
+                Component(
+                    frozenset().union(*(p.key for p in parts)),
+                    tuple(sorted(itertools.chain.from_iterable(p.sites for p in parts))),
+                    (*jobs, job.name),
+                )
+            )
         self._mutated()
 
     def remove_job(self, name: str) -> Job:
@@ -155,8 +201,30 @@ class ClusterState:
             job = self._jobs.pop(name)
         except KeyError:
             raise StateError(f"unknown job {name!r}") from None
+        del self._arrival[name]
+        # re-split the component the job leaves, and it alone
+        part = self._components.pop(self._root[self._site_index[next(iter(job.workload))]])
+        rest = tuple(other for other in part.jobs if other != name)
+        local = {j: k for k, j in enumerate(part.sites)}
+        groups = connected_components(
+            len(part.sites),
+            ([local[self._site_index[site]] for site in self._jobs[other].workload] for other in rest),
+        )
+        if len(groups) == 1:
+            self._place(Component(part.key, part.sites, rest))
+        else:
+            names = list(self._sites)
+            for site_pos, job_pos in groups:
+                sites = tuple(part.sites[k] for k in site_pos)
+                self._place(Component(frozenset(names[j] for j in sites), sites, tuple(rest[i] for i in job_pos)))
         self._mutated()
         return job
+
+    def _place(self, part: Component) -> None:
+        root = part.sites[0]
+        self._components[root] = part
+        for j in part.sites:
+            self._root[j] = root
 
     def set_capacity(self, site: str, capacity: float | Mapping[str, float]) -> None:
         if site not in self._sites:
@@ -181,6 +249,9 @@ class ClusterState:
                     f"{sorted(old.resource_vector)}"
                 )
             self._sites[site] = Site(old.name, float(capacity), old.tags)
+        # renew the site's component: same sites and jobs, a fresh sub-instance
+        part = self._components[self._root[self._site_index[site]]]
+        self._place(Component(part.key, part.sites, part.jobs))
         self._mutated()
 
     def validate_event(self, event: ClusterEvent) -> None:
@@ -194,12 +265,7 @@ class ClusterState:
         because queued events legitimately change them.
         """
         if isinstance(event, JobArrived):
-            missing = set(event.job.resource_vector) - self.offered_resources()
-            if missing:
-                raise UnknownResourceError(
-                    f"job {event.job.name!r} demands unknown resources {sorted(missing)} "
-                    f"(sites offer {sorted(self.offered_resources())})"
-                )
+            self._refuse_unoffered(event.job)
         elif isinstance(event, CapacityChanged) and event.site in self._sites:
             old = self._sites[event.site]
             if isinstance(event.capacity, Mapping):
@@ -246,9 +312,17 @@ class ClusterState:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Cluster:
-        """Immutable :class:`Cluster` of the current state (cached per version)."""
+        """Immutable :class:`Cluster` of the current state (cached per version).
+
+        Jobs in arrival order; it carries the component partition, in
+        ``decompose`` order.
+        """
         if self._snapshot is None:
-            self._snapshot = Cluster(tuple(self._sites.values()), tuple(self._jobs.values()))
+            self._snapshot = Cluster._trusted(
+                tuple(self._sites.values()),
+                tuple(self._jobs.values()),
+                tuple(self._components[root] for root in sorted(self._components)),
+            )
         return self._snapshot
 
 

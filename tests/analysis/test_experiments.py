@@ -461,6 +461,17 @@ class TestSmoke:
         out = EXPERIMENTS["T3"](scale=0.1, seeds=(0,))
         assert "split mode" in out.text and "T3b" in out.text
 
+    def test_x8_fallback_note_is_the_same_with_workers(self, monkeypatch):
+        # the chain's counts ride in each point's metrics, so forked sweep
+        # workers report them too (a tally kept in this process read 0)
+        kwargs = dict(scale=0.15, seeds=(0, 1), mtbf_factors=(2.0, 1.0), policies=("psmf", "amf"))
+        serial = EXPERIMENTS["X8"](**kwargs)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        forked = EXPERIMENTS["X8"](**kwargs)
+        assert forked.tables[0].note == serial.tables[0].note
+        assert forked.data["resilience"] == serial.data["resilience"]
+        assert all(agg["solves"] > 0 for agg in serial.data["resilience"].values())
+
     def test_x8_runs(self):
         out = EXPERIMENTS["X8"](scale=0.15, seeds=(0,), mtbf_factors=(2.0,), policies=("psmf", "amf"))
         sw = out.data["sweep"]

@@ -228,8 +228,8 @@ class TestComponentMemo:
         service.submit(JobArrived(Job("x", {"a": 1.0})))
         first = service.allocation()
         entries = service.incremental.memo._entries
-        for key in entries:
-            entries[key] = entries[key] * 10.0  # replaying it over-commits site a
+        for entry in entries.values():
+            entry.matrix = entry.matrix * 10.0  # replaying it over-commits site a
         replay = service.allocation()
         assert service.incremental.replayed  # the primary answered from its memo ...
         assert replay.allocation.policy == "amf"  # ... but failed validation

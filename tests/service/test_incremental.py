@@ -349,7 +349,7 @@ class TestComponentMemo:
         c = self.one_site(2.0)
         solver(c)
         first, second = solver(c), solver(c)
-        (stored,) = solver.memo._entries.values()
+        (stored,) = (entry.matrix for entry in solver.memo._entries.values())
         # each replay stitches its own matrix: no aliasing between answers
         # or with the memo entry, so a caller can never corrupt the memo
         assert not np.shares_memory(first.matrix, second.matrix)

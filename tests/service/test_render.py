@@ -39,6 +39,12 @@ def served_of(alloc: Allocation, *, cached=False, seconds=0.00123, version=7) ->
     )
 
 
+def document_of(payload: dict, tail: bytes) -> bytes:
+    """The head fields encoded, their closing brace traded for the tail."""
+    head = {key: payload[key] for key in ("policy", "cached", "solve_ms", "version", "fingerprint")}
+    return json.dumps(head)[:-1].encode() + b", " + tail
+
+
 def random_allocations() -> list[Allocation]:
     rng = np.random.default_rng(20261001)
     out = []
@@ -63,8 +69,10 @@ class TestRendererMatchesReference:
         for alloc in random_allocations():
             for cached in (False, True):
                 served = served_of(alloc, cached=cached, seconds=0.0 if cached else 0.00123)
-                new = allocation_payload(served)
-                assert json.dumps(new) == json.dumps(reference_render.allocation_payload(served))
+                new, tail = allocation_payload(served)
+                want = json.dumps(reference_render.allocation_payload(served))
+                assert json.dumps(new) == want
+                assert document_of(new, tail) == want.encode()
             seen_zero_row |= any(not entry["shares"] for entry in new["jobs"].values())
             seen_vector |= alloc.cluster.is_multiresource
             # plain Python numbers throughout: nothing numpy leaks into the document
@@ -74,7 +82,7 @@ class TestRendererMatchesReference:
     @pytest.mark.parametrize("status", ["active", "pending", "all"])
     def test_jobs_listing_bytes_equal_the_reference(self, status):
         alloc = random_allocations()[-1]
-        payload = allocation_payload(served_of(alloc))
+        payload = allocation_payload(served_of(alloc))[0]
         before = copy.deepcopy(payload)
         active = list(payload["jobs"])
         pending = ["queued-1", active[1], "queued-2"]  # one pending name is also active
@@ -155,7 +163,7 @@ class TestPublishSemantics:
             status, answer = http(srv, "POST", "/v1/allocate", {"name": "z", "workload": {"b": 1.0}})
             assert status == 200 and json.loads(answer)["cached"] is False
             _, read = http(srv, "GET", "/v1/allocate?fresh=false")
-            assert read == json.dumps(allocation_payload(srv.service.allocation(fresh=False))).encode()
+            assert read == json.dumps(allocation_payload(srv.service.allocation(fresh=False))[0]).encode()
             assert json.loads(read)["cached"] is True and mask(read) == mask(answer[: answer.rindex(b', "queued_jobs"')] + b"}")
         finally:
             srv.shutdown()
