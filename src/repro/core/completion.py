@@ -14,8 +14,14 @@ split optimizers over the *same* aggregate vector:
     completion-time analogue of max-min fairness and is robust to
     heterogeneous job sizes.
 
+``stretch1``
+    The first stage of ``stretch`` only, solved exactly: the smallest
+    common stretch and a split that meets it, without the recursion below
+    the critical jobs.  The dynamic simulator re-solves at every event, so
+    ``amf-ct-quick`` runs this mode.
+
 ``makespan``
-    Minimize the absolute makespan ``max_i T_i`` only (single round).
+    Minimize the absolute makespan ``max_i T_i`` only (single stage).
 
 ``lexicographic``
     Lexicographically minimize absolute completion times (min the makespan,
@@ -26,80 +32,40 @@ split optimizers over the *same* aggregate vector:
     over-committed sites.  Loses aggregate mass at hot sites, which is
     exactly the behaviour the add-on exists to avoid (ablation T3).
 
-Feasibility of a completion-time target vector reduces to a circulation:
-``SRC -> job_i`` pinned to ``[A_i, A_i]``, support edges carrying lower
-bounds ``w_ij / T_i`` and caps ``d_ij``, sites capped by ``c_j``
-(:func:`repro.flownet.bounded.bounded_flow`), built from the cluster's
-support arrays.
-
-The lexicographic engine prunes criticality probes with a *witness*: a job
-whose realized completion time at the optimum is already strictly below the
-bound is witnessed non-critical, so only boundary jobs pay a probe flow.
+Feasibility of a deadline vector is a bounded circulation: ``SRC -> job_i``
+pinned to ``[A_i, A_i]``, support edges carrying lower bounds
+``w_ij / T_i`` and caps ``d_ij``, sites capped by ``c_j``
+(:func:`repro.flownet.bounded.bounded_flow`).  A stage asks every active job
+to finish by ``t * ref_i``; with ``λ = 1 / t`` its lower bounds
+``λ * w_ij / ref_i`` are linear in ``λ``, so by Hoffman's condition every
+node set ``X`` is one affine constraint ``a_X - λ b_X >= 0``.  The stage
+runs discrete Newton (Dinkelbach) on those cuts: start at the local bound
+``t_0``; while the circulation is infeasible, jump to the root ``a_X / b_X``
+of the violated cut it returns.  ``t`` rises strictly and lands on the
+stage optimum exactly.  The active jobs with an edge into the last violated
+cut are critical (raising any one alone re-violates it) and are pinned; if
+``t_0`` was already feasible, the jobs attaining it are.  A violated cut
+that is tight at zero lower bounds starves its entering edges in every
+split with these aggregates: those jobs are pinned at ``T_i = inf``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._util import ABS_TOL, require
+from repro._util import ABS_TOL, feq, fle, require
 from repro.core.allocation import Allocation, scrub_matrix
 from repro.flownet.bounded import bounded_flow
 from repro.model.cluster import Cluster
 
 __all__ = ["optimize_completion_times", "proportional_split", "minimal_stretch"]
 
-#: Relative precision of the binary searches on stretch / makespan.
-CT_SEARCH_RTOL = 1e-7
 
-
-# ----------------------------------------------------------------------
-# Feasibility of deadline vectors
-# ----------------------------------------------------------------------
-
-
-def _solve_targets(cluster: Cluster, levels: np.ndarray, deadlines: np.ndarray) -> np.ndarray | None:
-    """Allocation matrix meeting ``deadlines`` with aggregates ``levels``, or ``None``.
-
-    Jobs with a positive level get ``src -> job_i`` pinned to
-    ``[A_i, A_i]`` and one ``[w_ij / T_i, d_ij]`` edge per support site;
-    jobs at level 0 have no split to optimize.  A deadline that is locally
-    impossible (a lower bound above its edge cap, or lower bounds summing
-    past the job's aggregate) is refused without running a flow.
-    """
-    n, m = cluster.n_jobs, cluster.n_sites
-    served = np.flatnonzero(levels > ABS_TOL)
-    rows, cols = np.nonzero(cluster.support)
-    keep = levels[rows] > ABS_TOL
-    rows, cols = rows[keep], cols[keep]
-    work = cluster.workloads[rows, cols]
-    caps = cluster.demand_caps[rows, cols]
-    due = deadlines[rows]
-    timed = np.isfinite(due) & (work > 0.0)
-    lower = np.zeros(rows.size)
-    lower[timed] = work[timed] / due[timed]
-    if bool((lower > caps * (1 + 1e-12) + ABS_TOL).any()):
-        return None
-    lower = np.minimum(lower, caps)
-    lower_sum = np.bincount(rows, weights=lower, minlength=n)[served]
-    if bool((lower_sum > levels[served] * (1 + 1e-9) + ABS_TOL).any()):
-        return None
-    # nodes: src 0, jobs 1..n, sites n+1..n+m, snk n+m+1
-    snk = n + m + 1
-    sites = np.arange(m)
-    flows = bounded_flow(
-        n + m + 2,
-        np.concatenate([np.zeros(served.size, dtype=np.int64), 1 + rows, 1 + n + sites]),
-        np.concatenate([1 + served, 1 + n + cols, np.full(m, snk)]),
-        np.concatenate([levels[served], lower, np.zeros(m)]),
-        np.concatenate([levels[served], caps, cluster.capacities]),
-        0,
-        snk,
-    )
-    if flows is None:
-        return None
-    matrix = np.zeros((n, m))
-    matrix[rows, cols] = flows[served.size : served.size + rows.size]
-    return scrub_matrix(cluster, matrix)
+def _checked_levels(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
+    levels = np.asarray(levels, dtype=float)
+    require(levels.shape == (cluster.n_jobs,), "levels must have one entry per job")
+    require(bool((np.isfinite(levels) & (levels >= 0.0)).all()), "levels must be finite and non-negative")
+    return levels
 
 
 def _ideal_times(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
@@ -115,114 +81,77 @@ def _ideal_times(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _scaled_lower_bound(cluster: Cluster, levels: np.ndarray, ref: np.ndarray, active: np.ndarray) -> float:
-    """Smallest conceivable scale ``t``: per-job aggregate + per-edge cap bounds."""
-    W = cluster.workloads
-    caps = cluster.demand_caps
-    W_tot = W.sum(axis=1)
-    lo = 0.0
-    for i in np.flatnonzero(active):
-        lo = max(lo, (W_tot[i] / levels[i]) / ref[i])
-        for j in np.flatnonzero(cluster.support[i]):
-            if W[i, j] > 0.0:
-                need = np.inf if caps[i, j] <= ABS_TOL else W[i, j] / caps[i, j]
-                lo = max(lo, need / ref[i])
-    require(
-        np.isfinite(lo),
-        "a job has positive work at a site with zero demand cap: unbounded completion time",
-    )
-    return lo
-
-
-def _minimize_scaled(
-    cluster: Cluster,
-    levels: np.ndarray,
-    fixed_deadlines: np.ndarray,
-    active: np.ndarray,
-    ref: np.ndarray,
-    rtol: float = CT_SEARCH_RTOL,
-) -> tuple[float, np.ndarray]:
-    """Minimize ``t`` such that active jobs finish by ``t * ref_i`` (others keep fixed deadlines)."""
-
-    def deadlines(t: float) -> np.ndarray:
-        d = fixed_deadlines.copy()
-        d[active] = t * ref[active]
-        return d
-
-    lo = _scaled_lower_bound(cluster, levels, ref, active)
-    hi = max(lo, 1.0)
-    matrix = _solve_targets(cluster, levels, deadlines(hi))
-    guard = 0
-    while matrix is None:
-        guard += 1
-        require(guard <= 80, "no feasible deadline scale found — are the levels feasible?")
-        hi *= 2.0
-        matrix = _solve_targets(cluster, levels, deadlines(hi))
-    best_t, best = hi, matrix
-    lo_t = lo
-    while best_t - lo_t > rtol * best_t:
-        mid = 0.5 * (lo_t + best_t)
-        m = _solve_targets(cluster, levels, deadlines(mid))
-        if m is None:
-            lo_t = mid
-        else:
-            best_t, best = mid, m
-    return best_t, best
-
-
-def _completion_of(cluster: Cluster, matrix: np.ndarray) -> np.ndarray:
-    """Completion times of a raw matrix (inf where a work edge is starved)."""
-    W = cluster.workloads
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_edge = np.where(W > 0.0, W / np.maximum(matrix, 1e-300), 0.0)
-    return per_edge.max(axis=1)
-
-
 def _lex_engine(
-    cluster: Cluster,
-    levels: np.ndarray,
-    ref: np.ndarray,
-    *,
-    rounds: int | None = None,
-    rtol: float = CT_SEARCH_RTOL,
-) -> np.ndarray:
+    cluster: Cluster, levels: np.ndarray, ref: np.ndarray, *, rounds: int | None = None
+) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
     """Lexicographically minimize sorted ``T_i / ref_i``; ``rounds`` limits stages.
 
-    ``rounds=1`` reduces to plain min-max of the scaled deadline.
+    Returns the last stage's split and the pins in order: ``(t, jobs)``
+    per stage, and ``(inf, jobs)`` for jobs found starved.
     """
-    n = cluster.n_jobs
+    n, m = cluster.n_jobs, cluster.n_sites
+    served = np.flatnonzero(levels > 0.0)
+    rows, cols = np.nonzero(cluster.support & (levels > 0.0)[:, None])
+    work = cluster.workloads[rows, cols]
+    caps = cluster.demand_caps[rows, cols]
+    # nodes: src 0, jobs 1..n, sites n+1..n+m, snk n+m+1
+    snk = n + m + 1
+    tails = np.concatenate([np.zeros(served.size, dtype=np.int64), 1 + rows, 1 + n + np.arange(m)])
+    heads = np.concatenate([1 + served, 1 + n + cols, np.full(m, snk)])
+    upper = np.concatenate([levels[served], caps, cluster.capacities])
+    scale = max(1.0, float(tails.size))
+    on_work = slice(served.size, served.size + rows.size)
+
     active = (levels > ABS_TOL) & np.isfinite(ref) & (ref > 0.0)
-    fixed_deadlines = np.full(n, np.inf)
-    matrix = np.zeros((n, cluster.n_sites))
-    stage = 0
-    while active.any():
-        stage += 1
-        require(stage <= n + 2, "lexicographic CT optimization failed to converge")
-        t_star, matrix = _minimize_scaled(cluster, levels, fixed_deadlines, active, ref, rtol=rtol)
-        if rounds is not None and stage >= rounds:
-            fixed_deadlines[active] = t_star * ref[active]
-            active[:] = False
-            break
-        # Witness pruning: jobs already strictly inside the bound in the
-        # realized matrix can individually beat t_star, hence non-critical.
-        realized = _completion_of(cluster, matrix)
-        boundary = active & (realized >= t_star * ref * (1.0 - 1e-4))
-        critical = np.zeros(n, dtype=bool)
-        probe_scale = 1.0 - 100.0 * CT_SEARCH_RTOL
-        for i in np.flatnonzero(boundary):
-            d = fixed_deadlines.copy()
-            d[active] = t_star * ref[active]
-            d[i] = t_star * ref[i] * probe_scale
-            if _solve_targets(cluster, levels, d) is None:
-                critical[i] = True
-        if not critical.any():
-            # Degenerate tie (every boundary job can individually improve,
-            # but not jointly): pin the whole boundary to guarantee progress.
-            critical = boundary if boundary.any() else active.copy()
-        fixed_deadlines[critical] = t_star * ref[critical]
-        active &= ~critical
-    final = _solve_targets(cluster, levels, fixed_deadlines)
-    return final if final is not None else matrix
+    rate = work / np.where(active, ref, 1.0)[rows]
+    # local bound on t: a job cannot beat W_i / A_i, nor w_ij / d_ij at any edge
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(active, cluster.workloads.sum(axis=1) / levels, 0.0)
+        np.maximum.at(bound, rows, work / caps)
+        bound = np.where(active, bound / ref, 0.0)
+    const = np.concatenate([levels[served], np.zeros(rows.size + m)])  # lower bounds pinned so far
+    stages: list[tuple[float, np.ndarray]] = []
+    starved = active & np.isinf(bound)  # a zero demand cap on a work edge
+    if starved.any():
+        stages.append((np.inf, starved))
+        active &= ~starved
+
+    flows, lam, rounds_done = None, None, 0
+    while True:
+        if lam is None:  # a stage starts at the local bound
+            if not active.any() or rounds_done == rounds:
+                break
+            t0 = bound[active].max()
+            lam, tight = 1.0 / t0, active & (bound >= t0)
+        coef = np.where(active[rows], rate, 0.0)
+        lower = const.copy()
+        lower[on_work] = np.minimum(const[on_work] + lam * coef, caps)
+        flows, cut = bounded_flow(snk + 1, tails, heads, lower, upper, 0, snk)
+        if flows is not None:
+            stages.append((1.0 / lam, tight))
+            const[on_work] = np.where(tight[rows], lower[on_work], const[on_work])
+            active &= ~tight
+            lam, rounds_done = None, rounds_done + 1
+            continue
+        entering = ~cut[tails] & cut[heads]
+        upper_out = float(upper[cut[tails] & ~cut[heads]].sum())
+        const_in = float(const[entering].sum())
+        slope = float(coef[entering[on_work]].sum())
+        require(slope > 0.0 and fle(const_in, upper_out, scale=scale), "the levels are not feasible")
+        hit = active & (np.bincount(rows[entering[on_work]], minlength=n) > 0)
+        if feq(upper_out, const_in, scale=scale):  # tight at zero lower bounds: starved
+            stages.append((np.inf, hit))
+            active &= ~hit
+            lam = None
+            continue
+        step = (upper_out - const_in) / slope
+        require(step < lam, "the stage search stalled")
+        lam, tight = step, hit
+    if flows is None:  # no job was active, or the last ones starved
+        flows, _ = bounded_flow(snk + 1, tails, heads, const, upper, 0, snk)
+    matrix = np.zeros((n, m))
+    matrix[rows, cols] = flows[on_work]
+    return scrub_matrix(cluster, matrix), stages
 
 
 # ----------------------------------------------------------------------
@@ -233,20 +162,17 @@ def _lex_engine(
 def minimal_stretch(cluster: Cluster, levels: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest uniform stretch ``sigma`` with a feasible split, and that split.
 
-    Every job with a positive aggregate finishes by ``sigma * W_i / A_i``.
-    ``sigma = 1`` means a perfectly proportional split is simultaneously
-    feasible for everyone; site contention can force ``sigma > 1``.  (The
-    full ``stretch`` mode continues lexicographically below the critical
-    jobs; this helper exposes just the first-stage optimum.)
+    Every job with a positive aggregate finishes by ``sigma * W_i / A_i``,
+    except a job whose aggregates starve one of its work edges in every
+    split (its stretch is ``inf``).  ``sigma = 1`` means a perfectly
+    proportional split is simultaneously feasible for everyone; site
+    contention can force ``sigma > 1``.  (The full ``stretch`` mode
+    continues lexicographically below the critical jobs; this helper
+    exposes just the first-stage optimum.)
     """
-    levels = np.asarray(levels, dtype=float)
-    ideal = _ideal_times(cluster, levels)
-    active = (levels > ABS_TOL) & np.isfinite(ideal)
-    if not active.any():
-        return 1.0, np.zeros((cluster.n_jobs, cluster.n_sites))
-    fixed = np.full(cluster.n_jobs, np.inf)
-    sigma, matrix = _minimize_scaled(cluster, levels, fixed, active, ideal)
-    return sigma, matrix
+    levels = _checked_levels(cluster, levels)
+    matrix, stages = _lex_engine(cluster, levels, _ideal_times(cluster, levels), rounds=1)
+    return next((t for t, _ in stages if np.isfinite(t)), 1.0), matrix
 
 
 def optimize_completion_times(
@@ -264,28 +190,24 @@ def optimize_completion_times(
         The instance and a feasible aggregate vector (typically from
         :func:`repro.core.amf.amf_levels`).
     mode:
-        ``"stretch"`` (default), ``"makespan"`` or ``"lexicographic"`` —
-        see the module docstring.
+        ``"stretch"`` (default), ``"stretch1"``, ``"makespan"`` or
+        ``"lexicographic"`` — see the module docstring.
 
     Returns an :class:`~repro.core.allocation.Allocation` with the same
-    aggregates (up to flow tolerance) and optimized completion times.
+    aggregates and optimized completion times.
     """
-    levels = np.asarray(levels, dtype=float)
-    require(levels.shape == (cluster.n_jobs,), "levels must have one entry per job")
+    levels = _checked_levels(cluster, levels)
     ideal = _ideal_times(cluster, levels)
-    if mode == "stretch":
-        matrix = _lex_engine(cluster, levels, ideal)
-    elif mode == "stretch1":
-        # Single min-max-stretch round at a loose search tolerance: much
-        # cheaper, used per-event by the dynamic simulator where the
-        # allocation is recomputed constantly and 0.1% precision is noise.
-        matrix = _lex_engine(cluster, levels, ideal, rounds=1, rtol=1e-3)
-    elif mode == "makespan":
-        matrix = _lex_engine(cluster, levels, np.ones(cluster.n_jobs), rounds=1)
-    elif mode == "lexicographic":
-        matrix = _lex_engine(cluster, levels, np.ones(cluster.n_jobs))
-    else:
-        raise ValueError(f"unknown completion-time mode {mode!r}")
+    ones = np.ones(cluster.n_jobs)
+    engines = {
+        "stretch": (ideal, None),
+        "stretch1": (ideal, 1),
+        "makespan": (ones, 1),
+        "lexicographic": (ones, None),
+    }
+    require(mode in engines, f"unknown completion-time mode {mode!r}")
+    ref, rounds = engines[mode]
+    matrix, _ = _lex_engine(cluster, levels, ref, rounds=rounds)
     return Allocation(cluster, matrix, policy=f"amf{policy_suffix}:{mode}")
 
 
@@ -296,7 +218,7 @@ def proportional_split(cluster: Cluster, levels: np.ndarray) -> Allocation:
     contended sites — it is included to quantify what the add-on buys
     (benchmark T3), not as a real policy.
     """
-    levels = np.asarray(levels, dtype=float)
+    levels = _checked_levels(cluster, levels)
     W = cluster.workloads
     totals = W.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

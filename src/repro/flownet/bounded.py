@@ -12,6 +12,10 @@ than the deadline ``T``) while aggregates stay fixed.  That is the classic
   from ``u`` (netted per node);
 * an ``inf`` edge ``sink -> source`` closes the flow into a circulation;
 * a feasible flow exists iff the super max-flow saturates all supply.
+
+When it does not, the nodes the super-source still reaches form a set
+``X`` that violates Hoffman's condition: the upper bounds of the edges
+leaving ``X`` sum to less than the lower bounds of the edges entering it.
 """
 
 from __future__ import annotations
@@ -34,12 +38,15 @@ def bounded_flow(
     upper: Sequence[float],
     source: int,
     sink: int,
-) -> np.ndarray | None:
-    """Per-edge flows of a ``source -> sink`` flow within ``[lower, upper]``.
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``(flows, None)`` for a ``source -> sink`` flow within ``[lower, upper]``,
+    else ``(None, cut)``.
 
-    Nodes are ``0..n_nodes-1``; ``upper`` may be ``inf``.  Returns ``None``
-    when no feasible flow exists.  The saturation check is widened by the
-    edge count, since the supply is a sum of that many terms.
+    Nodes are ``0..n_nodes-1``; ``upper`` may be ``inf``.  ``cut`` is a
+    boolean node mask whose entering lower bounds exceed its leaving upper
+    bounds (the ``sink -> source`` closing edge counts as ``[0, inf]``).
+    The saturation check is widened by the edge count, since the supply is
+    a sum of that many terms.
     """
     tails_a = np.asarray(tails, dtype=np.int64)
     heads_a = np.asarray(heads, dtype=np.int64)
@@ -65,5 +72,5 @@ def bounded_flow(
     )
     supply = float(excess[fed].sum())
     if not feq(graph.max_flow(super_s, super_t, limit=supply), supply, scale=max(1.0, float(n_edges))):
-        return None
-    return lower_a + graph.flows(np.arange(n_edges) * 2)
+        return None, graph.reachable_from(super_s)[:n_nodes]
+    return lower_a + graph.flows(np.arange(n_edges) * 2), None

@@ -9,7 +9,11 @@ from repro.core.completion import (
     optimize_completion_times,
     proportional_split,
 )
+from repro.core.policies import POLICIES
+from repro.flownet.bounded import bounded_flow
 from repro.model.cluster import Cluster
+from repro.model.job import Job
+from repro.model.site import Site
 
 from tests.conftest import random_cluster
 
@@ -115,6 +119,57 @@ class TestOptimizeCompletionTimes:
     def test_wrong_levels_shape_rejected(self):
         with pytest.raises(ValueError, match="one entry per job"):
             optimize_completion_times(uncontended(), np.array([1.0]))
+
+
+class TestStarvedEdges:
+    """A work edge with a zero demand cap can never carry flow: its job never
+    finishes, and the other jobs' splits are still optimized."""
+
+    @staticmethod
+    def capped_out() -> Cluster:
+        sites = [Site("a", 2.0), Site("b", 2.0)]
+        jobs = [Job("x", {"a": 1.0, "b": 1.0}, demand={"b": 0.0}), Job("y", {"a": 1.0})]
+        return Cluster(sites, jobs)
+
+    @pytest.mark.parametrize("policy", ["amf-ct", "amf-ct-quick", "amf-ct-makespan", "amf-ct-lex", "amf-e-ct"])
+    def test_every_ct_policy_pins_the_job_at_inf(self, policy):
+        c = self.capped_out()
+        alloc = POLICIES[policy](c)
+        t = alloc.completion_times()
+        assert np.isinf(t[0]) and np.isfinite(t[1])
+        np.testing.assert_allclose(alloc.aggregates, amf_levels(c), rtol=0, atol=1e-12)
+
+    def test_minimal_stretch(self):
+        c = self.capped_out()
+        lv = amf_levels(c)
+        sigma, matrix = minimal_stretch(c, lv)
+        assert np.isfinite(sigma) and matrix[0, 1] == 0.0 and matrix[1, 0] > 0.0
+        np.testing.assert_allclose(matrix.sum(axis=1), lv, rtol=0, atol=1e-12)
+
+
+class TestLevelsValidated:
+    def test_infeasible_levels_refused_after_one_circulation(self, monkeypatch):
+        from repro.core import completion
+
+        calls = []
+        monkeypatch.setattr(completion, "bounded_flow", lambda *a: calls.append(a) or bounded_flow(*a))
+        c = uncontended()
+        with pytest.raises(ValueError, match="levels are not feasible"):
+            optimize_completion_times(c, 2.0 * amf_levels(c))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize(
+        "solve",
+        [optimize_completion_times, minimal_stretch, proportional_split],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_non_finite_or_negative_level_rejected(self, solve, bad):
+        c = uncontended()
+        levels = amf_levels(c)
+        levels[0] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            solve(c, levels)
 
 
 class TestProportionalSplit:

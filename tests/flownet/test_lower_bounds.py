@@ -9,13 +9,14 @@ from tests.flownet.dictflow.lower_bounds import BoundedEdge, feasible_flow_with_
 INF = float("inf")
 
 
-def solve(edges, source, sink):
-    """``bounded_flow`` over ``(tail, head, lower, upper)`` tuples on named nodes."""
+def solve_or_cut(edges, source, sink):
+    """``bounded_flow`` over ``(tail, head, lower, upper)`` tuples on named
+    nodes: ``(flows, None)``, or ``(None, cut)`` with the cut as a set of names."""
     names = {source: 0, sink: 1}
     for tail, head, *_ in edges:
         names.setdefault(tail, len(names))
         names.setdefault(head, len(names))
-    return bounded_flow(
+    flows, cut = bounded_flow(
         len(names),
         [names[e[0]] for e in edges],
         [names[e[1]] for e in edges],
@@ -24,6 +25,12 @@ def solve(edges, source, sink):
         0,
         1,
     )
+    return flows, None if cut is None else {name for name, k in names.items() if cut[k]}
+
+
+def solve(edges, source, sink):
+    """The flows of :func:`solve_or_cut`, ``None`` when infeasible."""
+    return solve_or_cut(edges, source, sink)[0]
 
 
 class TestBoundedEdge:
@@ -126,7 +133,10 @@ class TestFeasibleFlow:
     def test_verdicts_match_the_reference(self):
         """Random layered graphs with random bounds: feasible exactly when
         the dict-keyed reference finds a flow, and then within bounds with
-        conservation at every internal node."""
+        conservation at every internal node.  Otherwise the returned node
+        set violates Hoffman's condition: the lower bounds entering it
+        exceed the upper bounds leaving it (the closing ``t -> s`` edge
+        counts as ``[0, inf]``)."""
         rng = np.random.default_rng(21)
         verdicts = set()
         for _ in range(200):
@@ -139,11 +149,15 @@ class TestFeasibleFlow:
                 a, b = rng.integers(0, n_mid, 2)
                 if a != b:
                     edges.append((int(a), int(b), 0.0, float(rng.uniform(0, 1.0))))
-            flows = solve(edges, "s", "t")
+            flows, cut = solve_or_cut(edges, "s", "t")
             ref = feasible_flow_with_lower_bounds([BoundedEdge(*e) for e in edges], "s", "t")
-            assert (flows is None) == (ref is None)
+            assert (flows is None) == (ref is None) == (cut is not None)
             verdicts.add(flows is None)
             if flows is None:
+                closing = [("t", "s", 0.0, INF)]
+                lower_in = sum(lo for tail, head, lo, _ in edges + closing if tail not in cut and head in cut)
+                upper_out = sum(up for tail, head, _, up in edges + closing if tail in cut and head not in cut)
+                assert upper_out < lower_in - 1e-9
                 continue
             flows_valid(edges, flows)
             net = {}
