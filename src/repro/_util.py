@@ -10,7 +10,7 @@ residue as a fairness violation.  All modules import :data:`ABS_TOL` /
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -72,16 +72,3 @@ def nonneg(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.size and float(arr.min()) < -ABS_TOL:
         raise ValueError(f"{name} must be non-negative, found {float(arr.min())}")
     return np.maximum(arr, 0.0)
-
-
-def stable_unique_levels(values: Sequence[float]) -> list[float]:
-    """Collapse ``values`` into sorted representatives that differ beyond tolerance.
-
-    Used by water-filling code to enumerate candidate breakpoints without
-    duplicating levels that differ only by float noise.
-    """
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or not feq(out[-1], v):
-            out.append(v)
-    return out

@@ -65,7 +65,6 @@ from repro._util import ABS_TOL, REL_TOL, require
 from repro.core.allocation import Allocation, scrub_matrix
 from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
-from repro.obs.instruments import record_shard_decomposition, record_shard_solve
 from repro.obs.tracing import span
 
 if TYPE_CHECKING:
@@ -459,7 +458,6 @@ def amf_levels(
     reduction a pure resource rename).  Irreducible vector clusters have
     no scalar level semantics — use :func:`solve_amf`.
     """
-    diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     if cluster.is_multiresource:
         from repro.multiresource.engine import scalar_reduction
 
@@ -470,27 +468,10 @@ def amf_levels(
         )
         scalar, k = red
         scaled = None if floors is None else np.asarray(floors, dtype=float) * k
-        return amf_levels(scalar, scaled, diag, bases)
-    from repro.core.sharding import decompose
+        return amf_levels(scalar, scaled, diagnostics, bases)
+    from repro.core.sharding import solve
 
-    floors = _job_floors(cluster, floors)
-    levels = np.zeros(cluster.n_jobs)
-    with span("amf.solve", variant="levels", jobs=cluster.n_jobs, sites=cluster.n_sites):
-        for shard in decompose(cluster):
-            if shard.n_jobs:
-                idx = list(shard.job_indices)
-                basis = bases.basis_for(shard.key) if bases is not None else None
-                levels[idx], _ = _fill_levels(shard.cluster, None if floors is None else floors[idx], diag, basis)
-    return levels
-
-
-def _job_floors(cluster: Cluster, floors: np.ndarray | None) -> np.ndarray | None:
-    """``floors`` as a float array with one entry per job (``None`` stays ``None``)."""
-    if floors is None:
-        return None
-    floors = np.asarray(floors, dtype=float)
-    require(floors.shape == (cluster.n_jobs,), "floors must have one entry per job")
-    return floors
+    return solve(cluster, None, floors=floors, bases=bases, diagnostics=diagnostics).result
 
 
 def _fill_levels(
@@ -706,36 +687,23 @@ def solve_amf(
     # ``solve_amf(expected, shards=True)``.  Every solve is per component;
     # the flag selects nothing and goes when that harness may be edited.
     require(shards is True, "solve_amf always solves per connected component; shards= accepts only True")
-    from repro.core.sharding import decompose, merge_diagnostics, solve_shards, stitch
+    from repro.core.sharding import solve
 
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
-    floors = _job_floors(cluster, floors)
-    parts = decompose(cluster)
-    record_shard_decomposition(len(parts))
-    totals = cluster.resource_totals if cluster.is_multiresource else None
-    with span("amf.solve", variant="solve", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(parts)):
-        results = solve_shards(parts, floors=floors, bases=bases, resource_totals=totals)
-        for res in results:
-            merge_diagnostics(diag, res.diagnostics)
-            record_shard_solve(res.shard.n_jobs, res.seconds)
-    matrix = stitch(cluster, [(res.shard, res.matrix) for res in results])
+    lps = diag.amrf_lps
+    matrix = solve(cluster, floors=floors, bases=bases, diagnostics=diag).result
     # a component the LP engine solved makes the allocation AMRF; scalar
     # components and exactly reducible vector ones are plain AMF
-    policy = "amrf" if any(res.diagnostics.amrf_lps for res in results) else "amf"
+    policy = "amrf" if diag.amrf_lps > lps else "amf"
     return Allocation(cluster, matrix, policy=policy if floors is None else policy + "+floors")
 
 
-def _solve_matrix(
-    cluster: Cluster,
-    floors: np.ndarray | None,
-    diag: AmfDiagnostics,
-    basis: CutBasis | None,
+def _flow_split(
+    cluster: Cluster, levels: np.ndarray, adapter: _FeasibilityAdapter, basis: CutBasis | None
 ) -> np.ndarray:
-    """The scalar solve body of one component: progressive filling, then
-    the split read off the warm oracle's final flow, or a cold realization
-    when the oracle cannot hand it back.  The split is kept in ``basis``
-    for the component's next warm fill to start its flow from."""
-    levels, adapter = _fill_levels(cluster, floors, diag, basis)
+    """The fill's own split: read off the warm oracle's final flow, or a
+    cold realization when the oracle cannot hand it back; kept in
+    ``basis`` for the component's next warm fill to start its flow from."""
     matrix = adapter.realize(levels)
     matrix = _realize(cluster, levels) if matrix is None else _finalize_matrix(cluster, levels, matrix)
     if basis is not None:

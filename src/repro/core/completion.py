@@ -51,6 +51,8 @@ split with these aggregates: those jobs are pinned at ``T_i = inf``.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro._util import ABS_TOL, feq, fle, require
@@ -58,7 +60,7 @@ from repro.core.allocation import Allocation, scrub_matrix
 from repro.flownet.bounded import bounded_flow
 from repro.model.cluster import Cluster
 
-__all__ = ["optimize_completion_times", "proportional_split", "minimal_stretch"]
+__all__ = ["optimize_completion_times", "proportional_split", "SPLITS"]
 
 
 def _checked_levels(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
@@ -159,28 +161,10 @@ def _lex_engine(
 # ----------------------------------------------------------------------
 
 
-def minimal_stretch(cluster: Cluster, levels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest uniform stretch ``sigma`` with a feasible split, and that split.
-
-    Every job with a positive aggregate finishes by ``sigma * W_i / A_i``,
-    except a job whose aggregates starve one of its work edges in every
-    split (its stretch is ``inf``).  ``sigma = 1`` means a perfectly
-    proportional split is simultaneously feasible for everyone; site
-    contention can force ``sigma > 1``.  (The full ``stretch`` mode
-    continues lexicographically below the critical jobs; this helper
-    exposes just the first-stage optimum.)
-    """
-    levels = _checked_levels(cluster, levels)
-    matrix, stages = _lex_engine(cluster, levels, _ideal_times(cluster, levels), rounds=1)
-    return next((t for t, _ in stages if np.isfinite(t)), 1.0), matrix
-
-
 def optimize_completion_times(
     cluster: Cluster,
     levels: np.ndarray,
     mode: str = "stretch",
-    *,
-    policy_suffix: str = "+ct",
 ) -> Allocation:
     """Re-split aggregate ``levels`` to optimize static completion times.
 
@@ -194,21 +178,14 @@ def optimize_completion_times(
         ``"lexicographic"`` — see the module docstring.
 
     Returns an :class:`~repro.core.allocation.Allocation` with the same
-    aggregates and optimized completion times.
+    aggregates and optimized completion times.  Each connected component
+    is re-split on its own (:func:`repro.core.sharding.solve`): every mode's
+    objective separates over components, and each circulation's accept
+    window is the component's, not the whole cluster's.  The modes read
+    scalar site capacities, so a vector component raises ``ValueError``.
     """
-    levels = _checked_levels(cluster, levels)
-    ideal = _ideal_times(cluster, levels)
-    ones = np.ones(cluster.n_jobs)
-    engines = {
-        "stretch": (ideal, None),
-        "stretch1": (ideal, 1),
-        "makespan": (ones, 1),
-        "lexicographic": (ones, None),
-    }
-    require(mode in engines, f"unknown completion-time mode {mode!r}")
-    ref, rounds = engines[mode]
-    matrix, _ = _lex_engine(cluster, levels, ref, rounds=rounds)
-    return Allocation(cluster, matrix, policy=f"amf{policy_suffix}:{mode}")
+    require(mode in SPLITS and mode != "proportional", f"unknown completion-time mode {mode!r}")
+    return Allocation(cluster, _per_component(cluster, levels, mode), policy=f"amf+ct:{mode}")
 
 
 def proportional_split(cluster: Cluster, levels: np.ndarray) -> Allocation:
@@ -216,9 +193,20 @@ def proportional_split(cluster: Cluster, levels: np.ndarray) -> Allocation:
 
     Unlike the flow-based optimizers this may *under-deliver* aggregates at
     contended sites — it is included to quantify what the add-on buys
-    (benchmark T3), not as a real policy.
+    (benchmark T3), not as a real policy.  Split per component, like the
+    add-on; a site's jobs all share its component, so the split is the
+    same as over the whole cluster.
     """
-    levels = _checked_levels(cluster, levels)
+    return Allocation(cluster, _per_component(cluster, levels, "proportional"), policy="amf+proportional")
+
+
+def _per_component(cluster: Cluster, levels: np.ndarray, split: str) -> np.ndarray:
+    from repro.core.sharding import solve
+
+    return solve(cluster, split, levels=_checked_levels(cluster, levels)).result
+
+
+def _proportional(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
     W = cluster.workloads
     totals = W.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -228,4 +216,16 @@ def proportional_split(cluster: Cluster, levels: np.ndarray) -> Allocation:
     over = usage > cluster.capacities
     for j in np.flatnonzero(over):
         matrix[:, j] *= cluster.capacities[j] / usage[j]
-    return Allocation(cluster, matrix, policy="amf+proportional")
+    return matrix
+
+
+#: The split rules that re-split given levels, one component at a time
+#: (:func:`repro.core.sharding.solve`): the four add-on modes and the
+#: proportional comparator.
+SPLITS: dict[str, Callable[[Cluster, np.ndarray], np.ndarray]] = {
+    "stretch": lambda c, lv: _lex_engine(c, lv, _ideal_times(c, lv))[0],
+    "stretch1": lambda c, lv: _lex_engine(c, lv, _ideal_times(c, lv), rounds=1)[0],
+    "makespan": lambda c, lv: _lex_engine(c, lv, np.ones(c.n_jobs), rounds=1)[0],
+    "lexicographic": lambda c, lv: _lex_engine(c, lv, np.ones(c.n_jobs))[0],
+    "proportional": _proportional,
+}

@@ -26,18 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.amf import AmfDiagnostics, amf_levels, solve_amf
+from repro.core.amf import AmfDiagnostics, solve_amf
 from repro.model.cluster import Cluster
 
 
 def sharing_incentive_floors(cluster: Cluster) -> np.ndarray:
     """Per-job floors: equal-partition entitlements clipped to aggregate demand."""
     return np.minimum(cluster.equal_partition_entitlements(), cluster.aggregate_demand)
-
-
-def amf_enhanced_levels(cluster: Cluster, diagnostics: AmfDiagnostics | None = None) -> np.ndarray:
-    """Aggregates of the enhanced-AMF allocation."""
-    return amf_levels(cluster, floors=sharing_incentive_floors(cluster), diagnostics=diagnostics)
 
 
 def solve_amf_enhanced(cluster: Cluster, diagnostics: AmfDiagnostics | None = None) -> Allocation:

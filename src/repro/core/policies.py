@@ -7,10 +7,16 @@ match the labels used in EXPERIMENTS.md:
 * ``amf`` — Aggregate Max-min Fairness (max-flow split),
 * ``amf-e`` — enhanced AMF (sharing-incentive floors),
 * ``amf-ct`` — AMF + completion-time add-on (uniform-stretch split),
-* ``amf-ct-makespan`` / ``amf-ct-lex`` — add-on variants (ablation T3),
+* ``amf-ct-quick`` / ``amf-ct-makespan`` / ``amf-ct-lex`` — add-on
+  variants (ablation T3),
+* ``amf-e-ct`` — AMF-E + the add-on,
 * ``amf-prop`` — AMF aggregates with the naive proportional split,
 * ``amf-resilient`` — AMF behind the solver fallback chain
   (:class:`ResilientPolicy`: AMF -> per-site max-min -> proportional).
+
+Every policy but ``psmf`` runs per connected component
+(:func:`repro.core.sharding.solve`); the add-on entries are
+:class:`Pipeline` values naming a floors choice and a split rule.
 
 The module also owns the **allocation-error taxonomy** and the
 **fallback chain** of the fault-tolerance subsystem (docs/robustness.md):
@@ -29,10 +35,10 @@ import numpy as np
 
 from repro._util import ABS_TOL, require
 from repro.core.allocation import Allocation, scrub_matrix
-from repro.core.amf import amf_levels, solve_amf
-from repro.core.completion import optimize_completion_times, proportional_split
+from repro.core.amf import solve_amf
 from repro.core.enhanced import sharing_incentive_floors, solve_amf_enhanced
 from repro.core.persite import solve_psmf
+from repro.core.sharding import solve
 from repro.model.cluster import Cluster
 
 PolicyFn = Callable[[Cluster], Allocation]
@@ -123,22 +129,19 @@ def validate_allocation(cluster: Cluster, alloc) -> Allocation:
 # ----------------------------------------------------------------------
 
 
-def _amf_ct(mode: str) -> PolicyFn:
-    def solve(cluster: Cluster) -> Allocation:
-        levels = amf_levels(cluster)
-        return optimize_completion_times(cluster, levels, mode=mode)
+class Pipeline:
+    """A policy that is one run of the per-component pipeline
+    (:func:`repro.core.sharding.solve`): AMF levels above ``floors``
+    (a function of the cluster, or none), re-split by the ``split`` rule,
+    labelled ``policy``."""
 
-    solve.__name__ = f"solve_amf_ct_{mode}"
-    return solve
+    def __init__(self, split: str, policy: str, floors: Callable[[Cluster], np.ndarray] | None = None):
+        self.split, self.policy, self.floors = split, policy, floors
+        self.__name__ = policy
 
-
-def _amf_e_ct(cluster: Cluster) -> Allocation:
-    levels = amf_levels(cluster, floors=sharing_incentive_floors(cluster))
-    return optimize_completion_times(cluster, levels, mode="stretch", policy_suffix="-e+ct")
-
-
-def _amf_prop(cluster: Cluster) -> Allocation:
-    return proportional_split(cluster, amf_levels(cluster))
+    def __call__(self, cluster: Cluster) -> Allocation:
+        floors = None if self.floors is None else self.floors(cluster)
+        return Allocation(cluster, solve(cluster, self.split, floors=floors).result, policy=self.policy)
 
 
 def proportional_fallback(cluster: Cluster) -> Allocation:
@@ -166,12 +169,12 @@ POLICIES: dict[str, PolicyFn] = {
     "psmf": solve_psmf,
     "amf": solve_amf,
     "amf-e": solve_amf_enhanced,
-    "amf-ct": _amf_ct("stretch"),
-    "amf-ct-quick": _amf_ct("stretch1"),
-    "amf-ct-makespan": _amf_ct("makespan"),
-    "amf-ct-lex": _amf_ct("lexicographic"),
-    "amf-e-ct": _amf_e_ct,
-    "amf-prop": _amf_prop,
+    "amf-ct": Pipeline("stretch", "amf+ct:stretch"),
+    "amf-ct-quick": Pipeline("stretch1", "amf+ct:stretch1"),
+    "amf-ct-makespan": Pipeline("makespan", "amf+ct:makespan"),
+    "amf-ct-lex": Pipeline("lexicographic", "amf+ct:lexicographic"),
+    "amf-e-ct": Pipeline("stretch", "amf-e+ct:stretch", floors=sharing_incentive_floors),
+    "amf-prop": Pipeline("proportional", "amf+proportional"),
 }
 
 

@@ -18,8 +18,12 @@ no constraint couples them.  Hence solving each component independently
 and stitching the blocks back together *is* the AMF allocation of the whole
 cluster (progressive filling over the whole graph just interleaves the
 components' rounds; in exact arithmetic the frozen levels per job are
-identical), and it is the only way :func:`~repro.core.amf.solve_amf` and
-:func:`~repro.core.amf.amf_levels` solve.
+identical).  The split separates the same way: each add-on objective is
+lexicographic over per-job times on a product of per-component
+polytopes, and a proportional split mixes only the jobs of one site.
+:func:`solve` is therefore the one pipeline of every policy but
+``psmf``: decompose once, run a *levels rule* and a *split rule* on each
+component, stitch.
 
 **Why nothing fills the whole graph at once.**  Besides costing more
 (every probe is a max-flow on the whole graph), it was less exact: the
@@ -31,39 +35,44 @@ region's 14 tied jobs anywhere in 1.5711675–1.5712625, where a sequential
 LP puts all of them at 1.5712537; per component the solve matches that LP
 to 4e-15 in every region, and capping the whole-graph scale at 100 (one
 region's ``n + m`` is about 20) closes the gap to 1.5e-13, confirming the
-cause (``tests/core/test_sharding.py::TestFederationGap``).
+cause (``tests/core/test_sharding.py::TestFederationGap``).  The add-on's
+circulation window grows the same way: there the whole-cluster add-on
+missed its levels by up to 3.2e-4, per component by 4.4e-15.
 
 Shards are solved serially in the calling thread: fanning them over a
 process pool measured no faster (docs/performance.md, "Removed").
 Per-shard :class:`~repro.core.amf.CutBasis` entries
 (:class:`ShardBasisPool`) keep warm starts *local*: churn inside one
-component never dilutes another component's cut pool, and the online
-service caches solved shard matrices by sub-cluster fingerprint so a delta
-re-solves only the shard it actually touches
+component never dilutes another component's cut pool, and a memo passed
+to :func:`solve` answers components by sub-cluster fingerprint, so the
+online service re-solves only the shard a delta actually touches
 (:class:`repro.service.solver.IncrementalAmfSolver`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro._util import require
-from repro.core.amf import AmfDiagnostics, CutBasis, _solve_matrix
+from repro.core.amf import AmfDiagnostics, CutBasis, _fill_levels, _flow_split
+from repro.core.completion import SPLITS
 from repro.model.cluster import Cluster
+from repro.obs.instruments import record_shard_decomposition, record_shard_solve
+from repro.obs.tracing import span
 
 __all__ = [
     "Shard",
     "ShardResult",
     "ShardBasisPool",
+    "Solved",
     "connected_components",
     "decompose",
     "stitch",
-    "solve_shards",
+    "solve",
 ]
 
 
@@ -90,11 +99,10 @@ class Shard:
 
 @dataclass(slots=True)
 class ShardResult:
-    """One solved shard: its sub-matrix plus how the solve went."""
+    """One solved shard: its levels and split, and how long they took."""
 
-    shard: Shard
-    matrix: np.ndarray  # (shard jobs, shard sites)
-    diagnostics: AmfDiagnostics
+    levels: np.ndarray  # (shard jobs,)
+    matrix: np.ndarray | None  # (shard jobs, shard sites); None under split=None
     seconds: float
 
 
@@ -242,55 +250,101 @@ class ShardBasisPool:
 
 def _solve_shard(
     shard: Shard,
+    split: str | None,
     floors: np.ndarray | None,
-    basis: CutBasis | None,
-    resource_totals: dict[str, float] | None = None,
+    levels: np.ndarray | None,
+    bases: ShardBasisPool | None,
+    resource_totals: dict[str, float] | None,
+    diag: AmfDiagnostics,
 ) -> ShardResult:
-    """Solve one shard, warm from (and recording into) its pooled ``basis``.
-
-    ``resource_totals`` carries the *federation-wide* per-resource
-    capacities for multi-resource shards — dominant-share denominators are
-    global constants, which is exactly what makes MR leximin separable
-    over components.
-    """
-    diag = AmfDiagnostics()
+    """The per-component body, given the whole cluster's ``floors`` and
+    ``levels``.  Levels rule: the caller's ``levels``, else progressive
+    filling above ``floors`` warm from the shard's basis in ``bases``, or
+    the AMRF engine on a vector component (under the federation's
+    ``resource_totals``: global dominant-share denominators are what make
+    MR leximin separable).  Split rule: ``"flow"`` is the levels rule's own
+    split, ``None`` none, and a :data:`~repro.core.completion.SPLITS` rule
+    re-splits the levels; those rules read scalar capacities, so a vector
+    component refuses them.  The counters go to the run's ``diag``."""
     t0 = time.perf_counter()
-    # No obs wrapper here: the caller records the merged per-shard counters once.
-    if shard.cluster.is_multiresource:
+    sub, idx = shard.cluster, list(shard.job_indices)
+    require(
+        split not in SPLITS or not sub.is_multiresource,
+        f"the {split!r} split needs scalar capacities; use solve_amf for resource vectors",
+    )
+    floors = None if floors is None else floors[idx]
+    levels = None if levels is None else levels[idx]
+    basis = None if bases is None else bases.basis_for(shard.key)
+    matrix = None
+    if levels is None and sub.is_multiresource:
         from repro.multiresource.engine import solve_multiresource
 
-        alloc = solve_multiresource(shard.cluster, floors, diag, basis, resource_totals=resource_totals)
-        matrix = np.array(alloc.matrix)
-    else:
-        matrix = _solve_matrix(shard.cluster, floors, diag, basis)
-    return ShardResult(shard=shard, matrix=matrix, diagnostics=diag, seconds=time.perf_counter() - t0)
+        matrix = np.array(solve_multiresource(sub, floors, diag, basis, resource_totals=resource_totals).matrix)
+        levels = matrix.sum(axis=1)
+    elif levels is None:
+        levels, adapter = _fill_levels(sub, floors, diag, basis)
+        if split == "flow":
+            matrix = _flow_split(sub, levels, adapter, basis)
+    if split in SPLITS:
+        matrix = SPLITS[split](sub, levels)
+    return ShardResult(levels, matrix, time.perf_counter() - t0)
 
 
-def merge_diagnostics(dst: AmfDiagnostics, src: AmfDiagnostics) -> None:
-    """Fold one shard's counters into the caller's record."""
-    for f in dataclasses.fields(AmfDiagnostics):
-        setattr(dst, f.name, getattr(dst, f.name) + getattr(src, f.name))
+@dataclass(slots=True)
+class Solved:
+    """One run of :func:`solve`."""
+
+    shards: list[Shard]  # the decomposition, job-less components included
+    entries: list[tuple[Shard, Any]]  # each job-bearing component and its memo entry (or ShardResult)
+    result: np.ndarray  # (n,) levels under split=None, else the stitched (n, m) matrix
 
 
-def solve_shards(
-    shards: list[Shard],
+def solve(
+    cluster: Cluster,
+    split: str | None = "flow",
     *,
     floors: np.ndarray | None = None,
+    levels: np.ndarray | None = None,
     bases: ShardBasisPool | None = None,
-    resource_totals: dict[str, float] | None = None,
-) -> list[ShardResult]:
-    """Solve every job-bearing shard, in order, in the calling thread.
+    memo=None,
+    diagnostics: AmfDiagnostics | None = None,
+) -> Solved:
+    """The one per-component pipeline: decompose ``cluster`` once, run
+    :func:`_solve_shard` on each job-bearing component, and stitch.
 
-    Results come back in ``shards`` order (job-less shards are skipped —
-    their block is identically zero).  When ``bases`` is given each shard
-    solves against its pooled basis, which seeds the solve and records the
-    cuts it discovers; the allocation is the same with or without it.
+    ``memo`` answers components seen before: ``memo.get(key)`` returns an
+    entry whose ``matrix`` is the block, or ``None``, and a solved block is
+    stored by ``memo.put(key, matrix)``, which returns its entry.  ``key``
+    is the component's fingerprint, plus the federation's resource totals
+    on vector clusters (the same sub-cluster under other totals solves to
+    another matrix).  A memo serves the AMF flow split above no floors.
     """
-    results = []
-    for sh in shards:
-        if sh.n_jobs == 0:
-            continue
-        sub_floors = None if floors is None else np.asarray(floors, dtype=float)[list(sh.job_indices)]
-        basis = bases.basis_for(sh.key) if bases is not None else None
-        results.append(_solve_shard(sh, sub_floors, basis, resource_totals))
-    return results
+    if floors is not None:
+        floors = np.asarray(floors, dtype=float)
+        require(floors.shape == (cluster.n_jobs,), "floors must have one entry per job")
+    require(split in SPLITS or (levels is None and split in (None, "flow")), f"no split rule {split!r} here")
+    require(memo is None or (split == "flow" and floors is None), "a memo answers the AMF flow split only")
+    diag = diagnostics if diagnostics is not None else AmfDiagnostics()
+    shards = decompose(cluster)
+    record_shard_decomposition(len(shards))
+    totals = cluster.resource_totals if cluster.is_multiresource else None
+    tag = "" if totals is None else "|T:" + ",".join(f"{res}={amount.hex()}" for res, amount in sorted(totals.items()))
+    entries: list[tuple[Shard, Any]] = []
+    with span("amf.solve", variant=split or "levels", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(shards)):
+        for sh in shards:
+            if not sh.n_jobs:
+                continue
+            key = None if memo is None else sh.cluster.fingerprint() + tag
+            entry = None if memo is None else memo.get(key)
+            if entry is None:
+                entry = _solve_shard(sh, split, floors, levels, bases, totals, diag)
+                record_shard_solve(sh.n_jobs, entry.seconds)
+                if memo is not None:
+                    entry = memo.put(key, entry.matrix)
+            entries.append((sh, entry))
+    if split is None:
+        out = np.zeros(cluster.n_jobs)
+        for sh, res in entries:
+            out[list(sh.job_indices)] = res.levels
+        return Solved(shards, entries, out)
+    return Solved(shards, entries, stitch(cluster, [(sh, entry.matrix) for sh, entry in entries]))

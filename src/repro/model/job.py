@@ -90,8 +90,7 @@ class Job:
         object.__setattr__(self, "resources", MappingProxyType(vec))
 
     def __reduce__(self):
-        # MappingProxyType does not pickle; rebuild from plain dicts so a
-        # job (and the ShardResult holding it) can cross a process pool.
+        # MappingProxyType does not pickle; rebuild from plain dicts.
         return (
             Job,
             (self.name, dict(self.workload), dict(self.demand), self.weight, self.arrival, dict(self.resources)),

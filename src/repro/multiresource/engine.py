@@ -43,7 +43,7 @@ import numpy as np
 
 from repro._util import require
 from repro.core.allocation import Allocation, scrub_matrix
-from repro.core.amf import AmfDiagnostics, CutBasis, _solve_matrix
+from repro.core.amf import AmfDiagnostics, CutBasis, _fill_levels, _flow_split
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
@@ -475,7 +475,8 @@ def solve_multiresource(
             scaled_floors = np.asarray(floors, dtype=float) * k
         policy = "amf" if floors is None else "amf+floors"
         # validated and clamped on the scalar cluster first, as a scalar solve is
-        sub = Allocation(scalar, _solve_matrix(scalar, scaled_floors, diag, basis), policy=policy)
+        levels, adapter = _fill_levels(scalar, scaled_floors, diag, basis)
+        sub = Allocation(scalar, _flow_split(scalar, levels, adapter, basis), policy=policy)
         safe_k = np.where(k > 0.0, k, 1.0)
         if (k == 1.0).all():
             # Identity change of variables (R=1 unit-demand spellings): the

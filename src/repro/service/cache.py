@@ -44,12 +44,14 @@ class ComponentEntry:
 
 
 class AllocationCache:
-    """LRU of ``component key -> ComponentEntry``."""
+    """LRU of ``component key -> ComponentEntry``, counting its lookups'
+    ``hits`` and ``misses`` (a :meth:`clear` keeps the counts)."""
 
     def __init__(self, max_entries: int = 128):
         require(max_entries >= 1, "max_entries must be at least 1")
         self.max_entries = max_entries
         self._entries: OrderedDict[str, ComponentEntry] = OrderedDict()
+        self.hits = self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -57,7 +59,10 @@ class AllocationCache:
     def get(self, key: str) -> ComponentEntry | None:
         """The entry for ``key`` (now the most recent one), or ``None``."""
         entry = self._entries.get(key)
-        if entry is not None:
+        if entry is None:
+            self.misses += 1
+        else:
+            self.hits += 1
             self._entries.move_to_end(key)
         return entry
 

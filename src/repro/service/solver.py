@@ -21,6 +21,11 @@ per-component decomposition every AMF solve uses (:mod:`repro.core.sharding`):
   changes iff the delta touched it.  The memo is also the service's only
   memory of solved states: a revisited state solves no component at all.
 
+Both ride on the one per-component pipeline
+(:func:`repro.core.sharding.solve`): a call is
+``solve(cluster, bases=<the pools>, memo=<the memo>)``, and the memo
+counts the pipeline's lookups.
+
 The solver is a plain ``Cluster -> Allocation`` callable, so it drops into
 :class:`~repro.core.policies.ResilientPolicy` as the primary of the chain
 
@@ -36,22 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.allocation import Allocation
-# Vestige with one reader: benchmarks/ledger/tracer.py patches
-# ``repro.service.solver.solve_amf`` for its ``amf.solve`` span, and a missing
-# target nulls ``amf.fill_ms`` on every workload.  Nothing here calls it; the
-# import goes when that harness may be edited.
+# Vestige: benchmarks/ledger/tracer.py looks ``solve_amf`` up here for its
+# ``amf.solve`` span (a missing target nulls ``amf.fill_ms``), though nothing
+# here calls it; the import goes when that harness may be edited.
 from repro.core.amf import AmfDiagnostics, solve_amf  # noqa: F401
-from repro.core.sharding import (
-    Shard,
-    ShardBasisPool,
-    decompose,
-    merge_diagnostics,
-    solve_shards,
-    stitch,
-)
+from repro.core.sharding import ShardBasisPool, solve
 from repro.model.cluster import Cluster
-from repro.obs.instruments import record_shard_decomposition, record_shard_solve
-from repro.obs.tracing import span
 from repro.service.cache import AllocationCache, ComponentEntry
 
 __all__ = ["IncrementalStats", "IncrementalAmfSolver"]
@@ -108,10 +103,11 @@ class IncrementalAmfSolver:
         self.memo.clear()
 
     def __call__(self, cluster: Cluster) -> Allocation:
-        diag = AmfDiagnostics()
         self.replayed = False
+        misses = self.memo.misses
         try:
-            return self._solve(cluster, diag)
+            # the pipeline adds every counter into the running sums
+            run = solve(cluster, bases=self.bases, memo=self.memo, diagnostics=self.stats)
         except Exception:
             # A numerically broken basis must not poison the next attempt;
             # drop all warm state and let the fallback chain take this solve cold.
@@ -119,55 +115,19 @@ class IncrementalAmfSolver:
             self.stats.failures += 1
             raise
         finally:
-            merge_diagnostics(self.stats, diag)
-
-    def _solve(self, cluster: Cluster, diag: AmfDiagnostics) -> Allocation:
-        shards = decompose(cluster)
-        record_shard_decomposition(len(shards))
-        self.stats.last_shards = len(shards)
-        # Multi-resource shards are only separable *given* the federation's
-        # resource totals (the dominant-share denominators), so the totals
-        # ride along to every shard solve — and into the memo key, because
-        # the same sub-cluster under different global totals solves to a
-        # different matrix.
-        totals = cluster.resource_totals if cluster.is_multiresource else None
-        totals_tag = (
-            ""
-            if totals is None
-            else "|T:" + ",".join(f"{res}={amount.hex()}" for res, amount in sorted(totals.items()))
-        )
-        pieces: list[tuple[Shard, ComponentEntry]] = []
-        with span(
-            "amf.solve", variant="sharded", jobs=cluster.n_jobs, sites=cluster.n_sites, shards=len(shards)
-        ):
-            misses = []
-            for sh in shards:
-                if sh.n_jobs == 0:
-                    continue
-                entry = self.memo.get(sh.cluster.fingerprint() + totals_tag)
-                if entry is not None:
-                    pieces.append((sh, entry))
-                else:
-                    misses.append(sh)
-            self.stats.shard_cache_hits += len(pieces)
-            self.stats.shard_cache_misses += len(misses)
-            if misses:
-                self.stats.solves += 1
-            results = solve_shards(misses, bases=self.bases, resource_totals=totals)
-            for res in results:
-                merge_diagnostics(diag, res.diagnostics)
-                record_shard_solve(res.shard.n_jobs, res.seconds)
-                self.stats.shard_solves += 1
-                pieces.append((res.shard, self.memo.put(res.shard.cluster.fingerprint() + totals_tag, res.matrix)))
-            self.stats.shard_evictions += self.memo.trim(keep=len(pieces))
-        matrix = stitch(cluster, [(sh, entry.matrix) for sh, entry in pieces])
-        self.replayed = not misses
+            self.stats.shard_cache_hits, self.stats.shard_cache_misses = self.memo.hits, self.memo.misses
+        solved = self.memo.misses - misses  # each miss solved its component
+        self.stats.last_shards = len(run.shards)
+        self.stats.solves += bool(solved)
+        self.stats.shard_solves += solved
+        self.replayed = not solved
+        self.stats.shard_evictions += self.memo.trim(keep=len(run.entries))
         # Only the entries this answer uses keep their rendered jobs: those
         # are as large as the component, and a state churned past is seldom
         # revisited (a revisit renders its components again).
-        used = {entry for _, entry in pieces}
+        used = {entry for _, entry in run.entries}
         for *_, entry in self.components:
             if entry not in used:
                 entry.rendered = None
-        self.components = tuple((sh.job_indices, sh.site_indices, entry) for sh, entry in pieces)
-        return Allocation(cluster, matrix, policy=self.__name__)
+        self.components = tuple((sh.job_indices, sh.site_indices, entry) for sh, entry in run.entries)
+        return Allocation(cluster, run.result, policy=self.__name__)

@@ -156,11 +156,6 @@ class ClusterState:
         self.version += 1
         self._snapshot = None
 
-    def offered_resources(self) -> frozenset[str]:
-        """Resource names any site offers (``{"slots"}`` when scalar); fixed
-        for the state's lifetime."""
-        return self._offered
-
     def _refuse_unoffered(self, job: Job) -> None:
         missing = set(job.resource_vector) - self._offered
         if missing:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import properties
 from repro.core.amf import amf_levels
-from repro.core.enhanced import amf_enhanced_levels, sharing_incentive_floors, solve_amf_enhanced
+from repro.core.enhanced import sharing_incentive_floors, solve_amf_enhanced
 from repro.core.amf import solve_amf
 
 from tests.conftest import random_cluster
@@ -28,7 +28,7 @@ class TestFloors:
         """The equal partition is a feasibility witness for the floors."""
         for _ in range(25):
             c = random_cluster(rng)
-            amf_enhanced_levels(c)  # would raise ValueError if floors infeasible
+            amf_levels(c, floors=sharing_incentive_floors(c))  # would raise ValueError if floors infeasible
 
 
 class TestPaperMotivatingViolation:
@@ -63,7 +63,7 @@ class TestEnhancedProperties:
         from repro.model.cluster import Cluster
 
         c = Cluster.uniform(4, 3, capacity=2.0)
-        assert np.allclose(amf_levels(c), amf_enhanced_levels(c), atol=1e-8)
+        assert np.allclose(amf_levels(c), amf_levels(c, floors=sharing_incentive_floors(c)), atol=1e-8)
 
     def test_policy_label(self, two_site_cluster):
         assert solve_amf_enhanced(two_site_cluster).policy == "amf-e"
@@ -72,13 +72,13 @@ class TestEnhancedProperties:
         for _ in range(15):
             c = random_cluster(rng, cap_prob=0.8)
             f = sharing_incentive_floors(c)
-            lv = amf_enhanced_levels(c)
+            lv = amf_levels(c, floors=sharing_incentive_floors(c))
             assert (lv >= f - 1e-7).all()
 
     def test_min_level_at_least_min_entitlement(self, rng):
         """The floors lower-bound every job, so the global min does not fall below the min floor."""
         for _ in range(10):
             c = random_cluster(rng, cap_prob=0.8)
-            lv = amf_enhanced_levels(c)
+            lv = amf_levels(c, floors=sharing_incentive_floors(c))
             f = sharing_incentive_floors(c)
             assert lv.min() >= f.min() - 1e-7

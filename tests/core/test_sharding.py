@@ -28,12 +28,12 @@ from hypothesis import strategies as st
 from repro._util import ABS_TOL
 from repro.core import sharding
 from repro.core.allocation import Allocation
-from repro.core.amf import AmfDiagnostics, _solve_matrix, amf_levels, solve_amf
+from repro.core.amf import AmfDiagnostics, _fill_levels, _flow_split, amf_levels, solve_amf
 from repro.core.sharding import (
     Shard,
     ShardBasisPool,
     decompose,
-    solve_shards,
+    solve,
     stitch,
 )
 from repro.model.cluster import Cluster
@@ -47,7 +47,8 @@ from tests.oracle import probe_fill_shares
 def monolithic(cluster: Cluster, floors: np.ndarray | None = None) -> Allocation:
     """Test reference: the component body (progressive filling plus the
     flow read) run once over the whole cluster, every component at once."""
-    matrix = _solve_matrix(cluster, floors, AmfDiagnostics(), None)
+    levels, adapter = _fill_levels(cluster, floors, AmfDiagnostics(), None)
+    matrix = _flow_split(cluster, levels, adapter, None)
     return Allocation(cluster, matrix, policy="amf" if floors is None else "amf+floors")
 
 
@@ -419,16 +420,15 @@ class TestShardBasisPool:
         merged = pool.basis_for(frozenset({"a", "b", "c"}))
         assert frozenset({"a"}) in merged.sets()
 
-    def test_solve_shards_reuses_pool(self):
+    def test_solve_reuses_pool(self):
         cluster = block_cluster([(3, 2), (3, 2)], seed=11)
-        shards = decompose(cluster)
         pool = ShardBasisPool()
-        first = solve_shards(shards, bases=pool)
-        warm_total = sum(r.diagnostics.warm_cuts_seeded for r in first)
-        assert warm_total == 0  # cold pool: nothing to seed
-        second = solve_shards(shards, bases=pool)
-        for cold, warm in zip(first, second):
-            np.testing.assert_array_equal(cold.matrix, warm.matrix)
+        cold = AmfDiagnostics()
+        first = solve(cluster, bases=pool, diagnostics=cold)
+        assert cold.warm_cuts_seeded == 0  # cold pool: nothing to seed
+        second = solve(cluster, bases=pool)
+        assert len(second.entries) == 2
+        np.testing.assert_array_equal(first.result, second.result)
 
     def test_clear(self):
         pool = ShardBasisPool()

@@ -6,6 +6,7 @@ import pytest
 from repro.core.amf import solve_amf
 from repro.model.job import Job
 from repro.model.site import Site
+from repro.service import solver as solver_mod
 from repro.service.daemon import SOLVE_WINDOW, AllocationService
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
 from tests.multiresource.test_engine import crossing_cluster
@@ -196,10 +197,11 @@ class TestComponentMemo:
     def test_fallback_answer_is_solved_again_on_revisit(self, monkeypatch):
         service, _ = make_service()
 
-        def boom(cluster, diag):
+        def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(service.incremental, "_solve", boom)
+        # the warm solver's pipeline call fails; the cold rung's solve_amf does not
+        monkeypatch.setattr(solver_mod, "solve", boom)
         service.submit(JobArrived(Job("x", {"a": 1.0})))
         answers = [service.allocation(), service.allocation()]
         assert [a.allocation.policy for a in answers] == ["amf", "amf"]

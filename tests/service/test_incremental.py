@@ -153,14 +153,15 @@ class TestSolverBehaviour:
         solver(cluster)
         assert solver.bases.total_cuts > 0
 
-        import repro.service.solver as solver_mod
+        from repro.core import sharding
 
         def poisoned(*args, **kwargs):
             raise RuntimeError("poisoned")
 
-        monkeypatch.setattr(solver_mod, "solve_shards", poisoned)
+        monkeypatch.setattr(sharding, "_solve_shard", poisoned)
         with pytest.raises(RuntimeError, match="poisoned"):
-            solver(cluster)
+            # a new capacity on "b" misses the memo, so the poisoned body runs
+            solver(Cluster([Site("a", 1.0), Site("b", 9.0)], cluster.jobs))
         monkeypatch.undo()
         assert solver.bases.total_cuts == 0
         assert solver.stats.failures == 1
@@ -287,14 +288,15 @@ class TestShardedSolver:
         solver(cluster)
         assert solver.shard_cache_entries == 2 and len(solver.bases) == 2
 
-        import repro.service.solver as solver_mod
+        from repro.core import sharding
 
         def poisoned(*args, **kwargs):
             raise RuntimeError("poisoned")
 
-        monkeypatch.setattr(solver_mod, "solve_shards", poisoned)
+        monkeypatch.setattr(sharding, "_solve_shard", poisoned)
         with pytest.raises(RuntimeError, match="poisoned"):
-            solver(cluster)
+            # {a, b} replays from the memo; the new capacity on "c" misses
+            solver(Cluster([*cluster.sites[:2], Site("c", 3.0)], cluster.jobs))
         monkeypatch.undo()
         assert solver.shard_cache_entries == 0 and len(solver.bases) == 0
         assert solver.stats.failures == 1
@@ -402,13 +404,13 @@ class TestComponentMemo:
         c = self.one_site(2.0)
         solver(c)
         assert solver.shard_cache_entries == 1
-        import repro.service.solver as solver_mod
+        from repro.core import sharding
 
         def poisoned(*args, **kwargs):
             raise RuntimeError("poisoned")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_mod, "solve_shards", poisoned)
+            mp.setattr(sharding, "_solve_shard", poisoned)
             with pytest.raises(RuntimeError, match="poisoned"):
                 solver(self.one_site(2.5))  # a miss, so the poisoned solve runs
         assert solver.shard_cache_entries == 0

@@ -23,7 +23,7 @@ from repro.obs.tracing import TRACER
 from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
 from repro.service.journal import open_journal
-from repro.service.solver import IncrementalAmfSolver
+from repro.service import solver as solver_mod
 from repro.service.state import ClusterState
 
 
@@ -100,10 +100,11 @@ class TestMetricsEqualStats:
             assert_agree(stats, samples)
 
     def test_fallback_served_write(self, monkeypatch):
-        def broken(self, cluster, diag):
+        def broken(*args, **kwargs):
             raise RuntimeError("primary down")
 
-        monkeypatch.setattr(IncrementalAmfSolver, "_solve", broken)
+        # the warm solver's pipeline call fails; the cold rung's solve_amf does not
+        monkeypatch.setattr(solver_mod, "solve", broken)
         with serving() as srv:
             post(srv, "/v1/allocate", {"name": "x", "workload": {"a": 1.0, "b": 1.0}})
             stats, samples = scrape(srv)

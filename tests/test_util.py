@@ -12,7 +12,6 @@ from repro._util import (
     flt,
     nonneg,
     require,
-    stable_unique_levels,
 )
 
 
@@ -91,15 +90,3 @@ class TestArrayHelpers:
     def test_nonneg_rejects_real_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             nonneg(np.array([-0.1]), "x")
-
-
-class TestStableUniqueLevels:
-    def test_collapses_duplicates(self):
-        out = stable_unique_levels([1.0, 1.0 + ABS_TOL / 10, 2.0])
-        assert out == [1.0, 2.0]
-
-    def test_sorts(self):
-        assert stable_unique_levels([3.0, 1.0, 2.0]) == [1.0, 2.0, 3.0]
-
-    def test_empty(self):
-        assert stable_unique_levels([]) == []
