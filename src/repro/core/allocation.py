@@ -1,4 +1,11 @@
-"""Allocation: a concrete job-site resource assignment plus derived views."""
+"""Allocation: a concrete job-site resource assignment plus derived views.
+
+The module also owns the one rule set every allocation is held to
+(:func:`check_matrix`) and the allocation-error taxonomy it raises: a
+bad matrix — NaN, negative, off-support, over a demand cap or over a
+site — is a typed :class:`AllocationError` instead of silent NaN
+propagation (docs/robustness.md).
+"""
 
 from __future__ import annotations
 
@@ -8,6 +15,94 @@ import numpy as np
 
 from repro._util import ABS_TOL, REL_TOL, require
 from repro.model.cluster import Cluster
+
+
+# ----------------------------------------------------------------------
+# Allocation-error taxonomy
+# ----------------------------------------------------------------------
+
+
+class AllocationError(ValueError):
+    """Base of the allocation-failure taxonomy (a solve that cannot be used)."""
+
+
+class SolverError(AllocationError):
+    """The solver raised (or returned something that is not an allocation);
+    the original exception, if any, is chained as ``__cause__``."""
+
+
+class NonFiniteAllocationError(AllocationError):
+    """The returned matrix contains NaN or infinite entries."""
+
+
+class NegativeAllocationError(AllocationError):
+    """The returned matrix has entries below zero beyond tolerance."""
+
+
+class SupportViolationError(AllocationError):
+    """Resource was allocated outside a job's workload support."""
+
+
+class DemandViolationError(AllocationError):
+    """A job-site entry exceeds its effective demand cap beyond tolerance."""
+
+
+class CapacityViolationError(AllocationError):
+    """A site's usage (of some resource, on a vector site) exceeds its capacity beyond tolerance."""
+
+
+def check_matrix(cluster: Cluster, matrix: np.ndarray, *, gate: bool = True) -> np.ndarray:
+    """The allocation rule set: ``matrix`` (shaped like ``cluster``) checked
+    and normalized; returns a new read-only array.
+
+    In order, raising the first violation as its :class:`AllocationError`
+    subclass: entries are finite; none is below ``-ABS_TOL`` (the rest are
+    clipped to 0); none outside a job's support exceeds ``ABS_TOL`` (they
+    are zeroed); none exceeds its effective demand cap by more than
+    ``ABS_TOL * scale``; and no site is over capacity, a vector site per
+    resource.  ``scale`` is ``max(1, n_jobs)`` of ``cluster``, so a
+    component checked against its own sub-cluster is held at least as
+    tight as inside any cluster containing it.
+
+    Capacity holds each site to ``fle(used, cap, scale=scale)``; with
+    ``gate`` (the serving gate: :func:`repro.core.policies.validate_allocation`
+    and every block :func:`repro.core.sharding.solve` solves) also to
+    ``cap * (1 + ABS_TOL) + ABS_TOL * scale``, the tighter bound on large
+    sites.  :class:`Allocation` itself holds only the first.
+    """
+    if not bool(np.isfinite(matrix).all()):
+        raise NonFiniteAllocationError("allocation contains NaN or infinite entries")
+    lowest = float(matrix.min(initial=0.0))
+    if lowest < -ABS_TOL:
+        raise NegativeAllocationError(f"allocation must be non-negative, found {lowest:g}")
+    matrix = np.maximum(matrix, 0.0)
+    off_support = matrix[~cluster.support]
+    if off_support.size and float(off_support.max()) > ABS_TOL:
+        raise SupportViolationError(
+            f"allocation of {float(off_support.max()):g} outside a job's workload support"
+        )
+    matrix[~cluster.support] = 0.0
+    scale = max(1.0, float(cluster.n_jobs))
+    over_demand = float((matrix - cluster.demand_caps).max(initial=0.0))
+    if over_demand > ABS_TOL * scale:
+        raise DemandViolationError(f"allocation exceeds a demand cap by {over_demand:g}")
+    if cluster.is_multiresource:
+        used = matrix.T @ cluster.job_resource_matrix  # (m, R)
+        caps = cluster.site_resource_matrix
+    else:
+        used, caps = matrix.sum(axis=0), cluster.capacities
+    # ``fle(used, caps, scale=scale)`` on every site (and resource) at once
+    over = used > caps + scale * np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(used), np.abs(caps)))
+    if gate:
+        over |= used > caps * (1.0 + ABS_TOL) + ABS_TOL * scale
+    if over.any():
+        at = tuple(np.argwhere(over)[0])  # (site[, resource]) of the first offender
+        on = f" on {cluster.resource_names[at[1]]!r}" if len(at) > 1 else ""
+        raise CapacityViolationError(
+            f"site {cluster.sites[at[0]].name!r} over-allocated{on}: {float(used[at]):g} > {float(caps[at]):g}"
+        )
+    matrix.flags.writeable = False
+    return matrix
 
 
 def scrub_matrix(cluster: Cluster, matrix: np.ndarray) -> np.ndarray:
@@ -40,55 +135,51 @@ def scrub_matrix(cluster: Cluster, matrix: np.ndarray) -> np.ndarray:
 class Allocation:
     """An ``(n, m)`` allocation matrix bound to its cluster.
 
-    Invariants enforced on construction (up to library tolerance):
-
-    * non-negative entries,
-    * zero outside each job's support,
-    * per-edge demand caps respected,
-    * per-site capacities respected.
+    Construction holds the matrix to :func:`check_matrix` (non-negative,
+    zero outside each job's support, within the demand caps and the site
+    capacities, up to library tolerance) and normalizes it.  The private
+    :meth:`_trusted` does not check: the per-component pipeline
+    (:func:`repro.core.sharding.solve`) stitches it from blocks that each
+    passed :func:`check_matrix` against their component's sub-cluster, so
+    a solve checks the component, not the federation (and never builds
+    the whole cluster's dense views).  Blocks replayed from a memo that
+    are no longer known-good are carried on the allocation, and
+    :func:`~repro.core.policies.validate_allocation` checks exactly those.
 
     The matrix is defensively copied and frozen; policies return new
     ``Allocation`` objects rather than mutating.
     """
 
+    #: ``None`` for an allocation checked whole at construction; for one
+    #: stitched by :meth:`_trusted`, the ``(component, entry)`` pairs whose
+    #: block is not known-good (empty when every block passed the rule set).
+    _unchecked: tuple | None = None
+
     def __init__(self, cluster: Cluster, matrix: np.ndarray, *, policy: str = "custom"):
-        matrix = np.array(matrix, dtype=float)
+        matrix = np.asarray(matrix, dtype=float)
         require(
             matrix.shape == (cluster.n_jobs, cluster.n_sites),
             f"allocation shape {matrix.shape} != ({cluster.n_jobs}, {cluster.n_sites})",
         )
-        require(bool(np.isfinite(matrix).all()), "allocation must be finite")
-        require(float(matrix.min(initial=0.0)) >= -ABS_TOL, "allocation must be non-negative")
-        matrix = np.maximum(matrix, 0.0)
-        off_support = matrix[~cluster.support]
-        require(
-            off_support.size == 0 or float(off_support.max()) <= ABS_TOL,
-            "allocation must be zero outside each job's workload support",
-        )
-        matrix[~cluster.support] = 0.0
-        scale = max(1.0, float(cluster.n_jobs))
-        over_cap = matrix - cluster.demand_caps
-        require(
-            float(over_cap.max(initial=0.0)) <= ABS_TOL * scale,
-            f"allocation exceeds a demand cap by {float(over_cap.max(initial=0.0)):g}",
-        )
-        if cluster.is_multiresource:
-            used = matrix.T @ cluster.job_resource_matrix  # (m, R)
-            caps = cluster.site_resource_matrix
-        else:
-            used, caps = matrix.sum(axis=0), cluster.capacities
-        # ``fle(used, caps, scale=scale)`` on every site (and resource) at once
-        over = used > caps + scale * np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(used), np.abs(caps)))
-        if over.any():
-            at = tuple(np.argwhere(over)[0])  # (site[, resource]) of the first offender
-            on = f" on {cluster.resource_names[at[1]]!r}" if len(at) > 1 else ""
-            raise ValueError(
-                f"site {cluster.sites[at[0]].name!r} over-allocated{on}: {float(used[at]):g} > {float(caps[at]):g}"
-            )
+        self.cluster = cluster
+        self.matrix = check_matrix(cluster, matrix, gate=False)
+        self.policy = policy
+
+    @classmethod
+    def _trusted(cls, cluster: Cluster, matrix: np.ndarray, *, policy: str, unchecked: tuple = ()) -> "Allocation":
+        """An allocation over ``matrix``, a fresh ``(n, m)`` array stitched from
+        per-component blocks, without checking it: every block passed
+        :func:`check_matrix` against its component, except the
+        ``(component, entry)`` pairs in ``unchecked`` (a component has
+        ``job_indices``, ``site_indices`` and its sub-``cluster``; an entry
+        has the block as ``matrix`` and a ``checked`` record)."""
+        self = object.__new__(cls)
         matrix.flags.writeable = False
         self.cluster = cluster
         self.matrix = matrix
         self.policy = policy
+        self._unchecked = tuple(unchecked)
+        return self
 
     # ------------------------------------------------------------------
     @cached_property

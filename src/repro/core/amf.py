@@ -510,9 +510,14 @@ def _fill_levels_inner(
     cut_sets: list[frozenset[int]],
     adapter: _FeasibilityAdapter,
 ) -> tuple[np.ndarray, _FeasibilityAdapter]:
-    ok, _, _ = adapter.feasible(adapter.targets_at(0.0))
-    if not ok:
-        raise ValueError("floors are infeasible for this cluster")
+    # Round one starts at the floors, so they must be jointly feasible.  No
+    # positive floor means the zero vector, feasible on every cluster, and
+    # that probe is skipped (it would leave the oracle's flow at zero, as a
+    # fresh oracle holds it).
+    if adapter.floors.any():
+        ok, _, _ = adapter.feasible(adapter.targets_at(0.0))
+        if not ok:
+            raise ValueError("floors are infeasible for this cluster")
 
     # Each cut is a site set S enforced in its tightest (Gale–Hoffman) form —
     # the seed S = all sites has zero crossing capacity, i.e. the plain
@@ -695,7 +700,7 @@ def solve_amf(
     # a component the LP engine solved makes the allocation AMRF; scalar
     # components and exactly reducible vector ones are plain AMF
     policy = "amrf" if diag.amrf_lps > lps else "amf"
-    return Allocation(cluster, matrix, policy=policy if floors is None else policy + "+floors")
+    return Allocation._trusted(cluster, matrix, policy=policy if floors is None else policy + "+floors")
 
 
 def _flow_split(

@@ -18,12 +18,13 @@ Every policy but ``psmf`` runs per connected component
 (:func:`repro.core.sharding.solve`); the add-on entries are
 :class:`Pipeline` values naming a floors choice and a split rule.
 
-The module also owns the **allocation-error taxonomy** and the
-**fallback chain** of the fault-tolerance subsystem (docs/robustness.md):
-:func:`validate_allocation` turns a bad solve — a raise, a NaN matrix, an
-over-committed site — into a typed :class:`AllocationError` instead of
-silent NaN propagation, and :class:`ResilientPolicy` catches those errors
-and falls back to progressively simpler (but infallible) policies.
+The module also owns the **fallback chain** of the fault-tolerance
+subsystem (docs/robustness.md): :func:`validate_allocation` turns a bad
+solve — a raise, a NaN matrix, an over-committed site — into a typed
+:class:`AllocationError` (the taxonomy and its one rule set,
+:func:`~repro.core.allocation.check_matrix`, live in
+:mod:`repro.core.allocation`), and :class:`ResilientPolicy` catches those
+errors and falls back to progressively simpler (but infallible) policies.
 """
 
 from __future__ import annotations
@@ -33,60 +34,63 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro._util import ABS_TOL, require
-from repro.core.allocation import Allocation, scrub_matrix
+from repro._util import require
+from repro.core.allocation import (
+    Allocation,
+    AllocationError,
+    CapacityViolationError,
+    DemandViolationError,
+    NegativeAllocationError,
+    NonFiniteAllocationError,
+    SolverError,
+    SupportViolationError,
+    check_matrix,
+    scrub_matrix,
+)
 from repro.core.amf import solve_amf
 from repro.core.enhanced import sharing_incentive_floors, solve_amf_enhanced
 from repro.core.persite import solve_psmf
 from repro.core.sharding import solve
 from repro.model.cluster import Cluster
 
+__all__ = [
+    "AllocationError",
+    "SolverError",
+    "NonFiniteAllocationError",
+    "NegativeAllocationError",
+    "SupportViolationError",
+    "DemandViolationError",
+    "CapacityViolationError",
+    "validate_allocation",
+    "Pipeline",
+    "proportional_fallback",
+    "POLICIES",
+    "get_policy",
+    "ResilienceStats",
+    "ResilientPolicy",
+]
+
 PolicyFn = Callable[[Cluster], Allocation]
 
 
-# ----------------------------------------------------------------------
-# Allocation-error taxonomy
-# ----------------------------------------------------------------------
-
-
-class AllocationError(ValueError):
-    """Base of the allocation-failure taxonomy (a solve that cannot be used)."""
-
-
-class SolverError(AllocationError):
-    """The solver raised (or returned something that is not an allocation);
-    the original exception, if any, is chained as ``__cause__``."""
-
-
-class NonFiniteAllocationError(AllocationError):
-    """The returned matrix contains NaN or infinite entries."""
-
-
-class NegativeAllocationError(AllocationError):
-    """The returned matrix has entries below zero beyond tolerance."""
-
-
-class SupportViolationError(AllocationError):
-    """Resource was allocated outside a job's workload support."""
-
-
-class DemandViolationError(AllocationError):
-    """A job-site entry exceeds its effective demand cap beyond tolerance."""
-
-
-class CapacityViolationError(AllocationError):
-    """A site's column sum exceeds its capacity beyond tolerance."""
-
-
 def validate_allocation(cluster: Cluster, alloc) -> Allocation:
-    """Check ``alloc`` against the cluster invariants; return it as an
-    :class:`~repro.core.allocation.Allocation`.
+    """Hold ``alloc`` to the serving gate of the one rule set
+    (:func:`~repro.core.allocation.check_matrix`) on ``cluster``; return it
+    as an :class:`~repro.core.allocation.Allocation`.
 
     Accepts any object with a ``matrix`` attribute (so broken third-party
     policies can be diagnosed), raising the matching
-    :class:`AllocationError` subclass on the first violated invariant.
-    Violations within the library float tolerance are *not* errors — they
-    are scrubbed exactly like :class:`Allocation` itself does.
+    :class:`AllocationError` subclass on the first violated invariant:
+
+    * an allocation of ``cluster`` stitched from per-component blocks
+      (:meth:`Allocation._trusted`, as :func:`~repro.core.amf.solve_amf`
+      and the warm solver build theirs) is checked block by block, each
+      against its component's sub-cluster, and only for the blocks that are
+      not known-good: a memo entry whose block was rebound since it passed.
+      Such a block is normalized once and recorded as checked;
+    * any other allocation of ``cluster`` is checked whole;
+    * anything else is checked whole, then its within-tolerance residue is
+      scrubbed as the solvers scrub theirs and it is rebuilt on ``cluster``.
     """
     matrix = getattr(alloc, "matrix", None)
     if matrix is None:
@@ -96,32 +100,22 @@ def validate_allocation(cluster: Cluster, alloc) -> Allocation:
         raise SolverError(
             f"allocation shape {matrix.shape} != ({cluster.n_jobs}, {cluster.n_sites})"
         )
-    if not bool(np.isfinite(matrix).all()):
-        raise NonFiniteAllocationError("allocation contains NaN or infinite entries")
-    scale = max(1.0, float(cluster.n_jobs))
-    lowest = float(matrix.min(initial=0.0))
-    if lowest < -ABS_TOL * scale:
-        raise NegativeAllocationError(f"allocation has negative entry {lowest:g}")
-    off_support = matrix[~cluster.support]
-    if off_support.size and float(off_support.max()) > ABS_TOL * scale:
-        raise SupportViolationError(
-            f"allocation of {float(off_support.max()):g} outside a job's workload support"
-        )
-    over_demand = float((matrix - cluster.demand_caps).max(initial=0.0))
-    if over_demand > ABS_TOL * scale:
-        raise DemandViolationError(f"allocation exceeds a demand cap by {over_demand:g}")
-    usage = matrix.sum(axis=0)
-    for j in np.flatnonzero(usage > cluster.capacities * (1.0 + ABS_TOL) + ABS_TOL * scale):
-        raise CapacityViolationError(
-            f"site {cluster.sites[j].name!r} over-allocated: {float(usage[j]):g} > {float(cluster.capacities[j]):g}"
-        )
-    if isinstance(alloc, Allocation) and alloc.cluster is cluster:
+    if not isinstance(alloc, Allocation) or alloc.cluster is not cluster:
+        checked = check_matrix(cluster, matrix)
+        return Allocation(cluster, scrub_matrix(cluster, checked), policy=str(getattr(alloc, "policy", "custom")))
+    if alloc._unchecked is None:  # checked whole at construction, to Allocation's own capacity bound
+        check_matrix(cluster, matrix)
+    if not alloc._unchecked:
         return alloc
-    return Allocation(
-        cluster,
-        scrub_matrix(cluster, np.maximum(matrix, 0.0)),
-        policy=str(getattr(alloc, "policy", "custom")),
-    )
+    matrix = np.array(matrix)
+    for part, entry in alloc._unchecked:
+        rows = np.array(part.job_indices, dtype=np.intp)[:, None]
+        cols = np.array(part.site_indices, dtype=np.intp)
+        block = check_matrix(part.cluster, matrix[rows, cols])
+        matrix[rows, cols] = block
+        entry.matrix = block  # the checked block, recorded as such
+        entry.checked = True
+    return Allocation._trusted(cluster, matrix, policy=alloc.policy)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +135,7 @@ class Pipeline:
 
     def __call__(self, cluster: Cluster) -> Allocation:
         floors = None if self.floors is None else self.floors(cluster)
-        return Allocation(cluster, solve(cluster, self.split, floors=floors).result, policy=self.policy)
+        return Allocation._trusted(cluster, solve(cluster, self.split, floors=floors).result, policy=self.policy)
 
 
 def proportional_fallback(cluster: Cluster) -> Allocation:

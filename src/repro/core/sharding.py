@@ -58,6 +58,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro._util import require
+from repro.core.allocation import check_matrix
 from repro.core.amf import AmfDiagnostics, CutBasis, _fill_levels, _flow_split
 from repro.core.completion import SPLITS
 from repro.model.cluster import Cluster
@@ -99,11 +100,14 @@ class Shard:
 
 @dataclass(slots=True)
 class ShardResult:
-    """One solved shard: its levels and split, and how long they took."""
+    """One solved shard: its levels and split, and how long they took.  The
+    split passed :func:`~repro.core.allocation.check_matrix` against the
+    shard's sub-cluster (``checked``, as a memo entry records it)."""
 
     levels: np.ndarray  # (shard jobs,)
-    matrix: np.ndarray | None  # (shard jobs, shard sites); None under split=None
+    matrix: np.ndarray | None  # (shard jobs, shard sites), read-only; None under split=None
     seconds: float
+    checked = True
 
 
 class _UnionFind:
@@ -265,7 +269,10 @@ def _solve_shard(
     MR leximin separable).  Split rule: ``"flow"`` is the levels rule's own
     split, ``None`` none, and a :data:`~repro.core.completion.SPLITS` rule
     re-splits the levels; those rules read scalar capacities, so a vector
-    component refuses them.  The counters go to the run's ``diag``."""
+    component refuses them.  The split is held to the rule set
+    (:func:`~repro.core.allocation.check_matrix`) against the shard's
+    sub-cluster, scaled by the shard's own job count, and normalized there,
+    once.  The counters go to the run's ``diag``."""
     t0 = time.perf_counter()
     sub, idx = shard.cluster, list(shard.job_indices)
     require(
@@ -279,7 +286,7 @@ def _solve_shard(
     if levels is None and sub.is_multiresource:
         from repro.multiresource.engine import solve_multiresource
 
-        matrix = np.array(solve_multiresource(sub, floors, diag, basis, resource_totals=resource_totals).matrix)
+        matrix = solve_multiresource(sub, floors, diag, basis, resource_totals=resource_totals).matrix
         levels = matrix.sum(axis=1)
     elif levels is None:
         levels, adapter = _fill_levels(sub, floors, diag, basis)
@@ -287,6 +294,8 @@ def _solve_shard(
             matrix = _flow_split(sub, levels, adapter, basis)
     if split in SPLITS:
         matrix = SPLITS[split](sub, levels)
+    if matrix is not None:
+        matrix = check_matrix(sub, matrix)
     return ShardResult(levels, matrix, time.perf_counter() - t0)
 
 
@@ -297,6 +306,12 @@ class Solved:
     shards: list[Shard]  # the decomposition, job-less components included
     entries: list[tuple[Shard, Any]]  # each job-bearing component and its memo entry (or ShardResult)
     result: np.ndarray  # (n,) levels under split=None, else the stitched (n, m) matrix
+
+    @property
+    def unchecked(self) -> list[tuple[Shard, Any]]:
+        """The entries whose block is not known-good: memo entries rebound
+        since they passed the rule set (every block solved here passed it)."""
+        return [(sh, entry) for sh, entry in self.entries if not entry.checked]
 
 
 def solve(
@@ -312,8 +327,15 @@ def solve(
     """The one per-component pipeline: decompose ``cluster`` once, run
     :func:`_solve_shard` on each job-bearing component, and stitch.
 
+    Every block solved here passed the rule set against its component
+    (:func:`_solve_shard`), so the stitched matrix needs no second,
+    full-width check: :meth:`Allocation._trusted
+    <repro.core.allocation.Allocation._trusted>` wraps it, carrying
+    :attr:`Solved.unchecked`.
+
     ``memo`` answers components seen before: ``memo.get(key)`` returns an
-    entry whose ``matrix`` is the block, or ``None``, and a solved block is
+    entry whose ``matrix`` is the block and whose ``checked`` records that
+    the block passed the rule set, or ``None``; a solved (checked) block is
     stored by ``memo.put(key, matrix)``, which returns its entry.  ``key``
     is the component's fingerprint, plus the federation's resource totals
     on vector clusters (the same sub-cluster under other totals solves to

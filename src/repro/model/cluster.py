@@ -74,10 +74,16 @@ class Cluster:
 
     @classmethod
     def _trusted(
-        cls, sites: tuple[Site, ...], jobs: tuple[Job, ...], components: tuple["Component", ...] | None = None
+        cls,
+        sites: tuple[Site, ...],
+        jobs: tuple[Job, ...],
+        components: tuple["Component", ...] | None = None,
+        multiresource: bool | None = None,
     ) -> "Cluster":
         """An instance over parts that were already checked, without checking;
-        ``components`` is the caller's partition of the job-site graph."""
+        ``components`` is the caller's partition of the job-site graph, and
+        ``multiresource`` the caller's :attr:`is_multiresource` of these
+        parts (walked on first read when ``None``)."""
         self = object.__new__(cls)
         self._sites = sites
         self._jobs = jobs
@@ -85,6 +91,8 @@ class Cluster:
         self._job_index = {job.name: k for k, job in enumerate(jobs)}
         if components is not None:
             self._components = components
+        if multiresource is not None:
+            self.__dict__["is_multiresource"] = multiresource
         return self
 
     def _subset(self, site_idx: Sequence[int], job_idx: Sequence[int]) -> "Cluster":
@@ -94,13 +102,13 @@ class Cluster:
         Skips validation: unique names and known sites are inherited from
         this (validated, immutable) cluster.  Offered resources are not — a
         subset offers only what its own sites do — so a vector cluster takes
-        the validating constructor.
+        the validating constructor.  A subset of a scalar cluster is scalar.
         """
         sites = tuple(self._sites[j] for j in site_idx)
         jobs = tuple(self._jobs[i] for i in job_idx)
         if self.is_multiresource:
             return Cluster(sites, jobs)
-        return Cluster._trusted(sites, jobs)
+        return Cluster._trusted(sites, jobs, multiresource=False)
 
     def _blocks(self) -> list[tuple["Component", tuple[int, ...], "Cluster"]] | None:
         """The carried components as ``(component, job indices, sub-instance)``.

@@ -10,6 +10,14 @@ the answer.  A delta changes the key of the component it touched and no
 other; a revisited state finds every component here and solves none.  This
 is the service's only memory of solved states.
 
+Each entry is checked once: the pipeline stores a block only after it
+passed the allocation rule set against its component
+(:func:`~repro.core.allocation.check_matrix`), held read-only, and the
+entry records that (``checked``).  A replay is stitched from such blocks
+with no second check.  Rebinding ``entry.matrix`` clears the record, so
+:func:`~repro.core.policies.validate_allocation` checks that block, and
+that block alone, before the replay is served.
+
 Each entry also keeps its component's rendered jobs once the HTTP edge has
 encoded them (:func:`repro.service.schema.allocation_payload`): the
 fingerprint covers every job name, site name and solver input the encoding
@@ -33,14 +41,27 @@ __all__ = ["ComponentEntry", "AllocationCache"]
 
 
 class ComponentEntry:
-    """One memoized component: its solved sub-matrix, and its jobs as the
-    renderer encoded them (``None`` until the first render)."""
+    """One memoized component: its solved sub-matrix (a read-only block that
+    passed the rule set, ``checked``), and its jobs as the renderer encoded
+    them (``None`` until the first render)."""
 
-    __slots__ = ("matrix", "rendered")
+    __slots__ = ("_matrix", "checked", "rendered")
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+        self._matrix = matrix
+        self.checked = True
         self.rendered: list | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @matrix.setter
+    def matrix(self, matrix: np.ndarray) -> None:
+        # a rebound block is not known-good, and its rendering is stale
+        self._matrix = matrix
+        self.checked = False
+        self.rendered = None
 
 
 class AllocationCache:
@@ -67,6 +88,7 @@ class AllocationCache:
         return entry
 
     def put(self, key: str, matrix: np.ndarray) -> ComponentEntry:
+        """Store ``matrix``, a read-only block that passed the rule set."""
         entry = self._entries[key] = ComponentEntry(matrix)
         self._entries.move_to_end(key)
         return entry

@@ -130,4 +130,6 @@ class IncrementalAmfSolver:
             if entry not in used:
                 entry.rendered = None
         self.components = tuple((sh.job_indices, sh.site_indices, entry) for sh, entry in run.entries)
-        return Allocation(cluster, run.result, policy=self.__name__)
+        # every solved block passed the rule set; a replayed one rebound
+        # since is carried for validate_allocation to check
+        return Allocation._trusted(cluster, run.result, policy=self.__name__, unchecked=run.unchecked)

@@ -1,7 +1,10 @@
 """ClusterState: delta application, rejection semantics, snapshot caching."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.service.state import (
@@ -114,3 +117,49 @@ class TestScheduleAdapter:
     def test_unknown_kind_rejected(self):
         with pytest.raises(StateError, match="unknown schedule kind"):
             events_from_schedule([(0.0, "explode", None)])
+
+
+class TestCarriedMultiresource:
+    """The snapshot's ``is_multiresource`` is carried (the state counts its
+    vector jobs; sites never change what they offer), and equals the walk
+    the validating constructor makes over the same sites and jobs."""
+
+    @staticmethod
+    def walked(snap) -> bool:
+        return Cluster(snap.sites, snap.jobs).is_multiresource
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vector_site=st.booleans(),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["arrive", "depart", "capacity"]), st.integers(0, 5), st.booleans()),
+            max_size=30,
+        ),
+    )
+    def test_carried_flag_equals_the_walk(self, vector_site, ops):
+        sites = [Site("a", 2.0), Site("b", 3.0)]
+        if vector_site:
+            sites.append(Site("v", {"slots": 4.0, "cpu": 8.0}))
+        state = ClusterState(sites)
+        for kind, k, vector in ops:
+            name = f"j{k}"
+            if kind == "arrive" and not state.has_job(name):
+                resources = {"slots": 2.0} if vector else {}
+                state.apply(JobArrived(Job(name, {"a": 1.0, sites[k % len(sites)].name: 2.0}, resources=resources)))
+            elif kind == "depart" and state.has_job(name):
+                state.apply(JobDeparted(name))
+            elif kind == "capacity":
+                state.apply(CapacityChanged("v", {"slots": 5.0, "cpu": 6.0}) if vector_site else CapacityChanged("a", 2.5))
+            snap = state.snapshot()
+            assert "is_multiresource" in vars(snap)  # carried, not walked on read
+            assert snap.is_multiresource == self.walked(snap)
+
+    def test_last_vector_job_departing_clears_the_flag(self):
+        state = make_state()
+        state.add_job(Job("x", {"a": 1.0}))
+        state.add_job(Job("y", {"a": 1.0, "b": 1.0}, resources={"slots": 2.0}))
+        assert state.snapshot().is_multiresource
+        state.remove_job("y")
+        assert not state.snapshot().is_multiresource and not self.walked(state.snapshot())
+        state.add_job(Job("y", {"b": 1.0}, resources={"slots": 0.5}))
+        assert state.snapshot().is_multiresource and self.walked(state.snapshot())
