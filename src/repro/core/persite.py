@@ -22,7 +22,17 @@ def solve_psmf(cluster: Cluster) -> Allocation:
     At site ``j``, the jobs with support there split ``c_j`` by weighted
     water-filling with their effective demand caps ``d_ij``.  Exact and
     ``O(m * n log n)``.
+
+    A multi-resource cluster has no scalar ``c_j`` to split (task rates
+    water-filled against a site's stand-in capacity over-commit its
+    resources), so it gets per-site max-min in its multi-resource form,
+    :func:`repro.multiresource.persite.solve_persite_drf`: this is what
+    keeps the ``psmf`` fallback rung valid on vector clusters.
     """
+    if cluster.is_multiresource:
+        from repro.multiresource.persite import solve_persite_drf
+
+        return solve_persite_drf(cluster)
     matrix = np.zeros((cluster.n_jobs, cluster.n_sites))
     caps = cluster.demand_caps
     weights = cluster.weights

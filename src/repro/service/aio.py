@@ -39,6 +39,7 @@ keeps running.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import json
 import math
 import queue
@@ -812,6 +813,34 @@ def _error_for(exc: Exception) -> _HttpError:
     return _HttpError(500, "internal", f"{type(exc).__name__}: {exc}")
 
 
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_receive_buffers_on_the_heap() -> None:
+    """Pin glibc's mmap threshold above the event loop's receive buffer.
+
+    asyncio receives every request into a fresh 256 KiB buffer (its socket
+    transport's ``max_size``), in the event loop's thread.  That is above
+    glibc's starting mmap threshold (128 KiB), so each read maps fresh
+    pages and faults them in (two minor faults a read, measured on the
+    ledger's ``churn_connected``) until the process happens to free a
+    larger mmapped chunk, which raises the threshold for good; whether a
+    server ever does depends on what else it allocates.  At 1 MiB,
+    trimming at 2 MiB (the ratio glibc's own adaptive rule keeps), the
+    buffer comes from the heap and its pages stay mapped.  A no-op where
+    ``mallopt`` is missing (any C library but glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 2 << 20)
+
+
 def serve_aio(
     service: AllocationService,
     host: str = "127.0.0.1",
@@ -826,10 +855,13 @@ def serve_aio(
 
     ``SIGTERM``/``SIGINT`` trigger the graceful stop: in-flight writes
     drain through the solver, the service closes (journal checkpoint
-    included) and the listener shuts down.
+    included) and the listener shuts down.  The process's malloc keeps
+    the edge's receive buffers on the heap
+    (:func:`_keep_receive_buffers_on_the_heap`).
     """
     import signal
 
+    _keep_receive_buffers_on_the_heap()
     stop = threading.Event()
     with AioServiceServer(
         service,

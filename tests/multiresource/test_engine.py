@@ -15,6 +15,7 @@ Three layers of guarantees:
 import numpy as np
 import pytest
 
+from repro.core.allocation import check_matrix
 from repro.core.amf import AmfDiagnostics, solve_amf
 from repro.model.cluster import Cluster
 from repro.model.job import Job
@@ -150,17 +151,17 @@ class TestEngineVsOracle:
     def test_matches_probe_fill_oracle_on_random_instances(self, rng):
         for _ in range(8):
             cluster = random_mr_cluster(rng)
-            alloc = solve_multiresource(cluster)
-            check_rates(cluster, alloc.matrix)
-            got = cluster.dominant_factor() * alloc.matrix.sum(axis=1)
+            matrix = check_matrix(cluster, solve_multiresource(cluster))
+            check_rates(cluster, matrix)
+            got = cluster.dominant_factor() * matrix.sum(axis=1)
             want, _ = probe_fill_shares(cluster)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
 
     def test_weighted_instances(self, rng):
         for _ in range(4):
             cluster = random_mr_cluster(rng, weights=True)
-            alloc = solve_multiresource(cluster)
-            got = cluster.dominant_factor() * alloc.matrix.sum(axis=1)
+            matrix = check_matrix(cluster, solve_multiresource(cluster))
+            got = cluster.dominant_factor() * matrix.sum(axis=1)
             want, _ = probe_fill_shares(cluster)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
 
@@ -183,11 +184,11 @@ class TestEngineVsOracle:
                 for j in c2.jobs
             ]
             merged = Cluster(sites, jobs)
-            mono = solve_multiresource(merged)  # the engine over both components at once
+            mono = check_matrix(merged, solve_multiresource(merged))  # the engine over both components at once
             shard = solve_amf(merged)
             dom = merged.dominant_factor()
             assert np.allclose(
-                dom * mono.matrix.sum(axis=1),
+                dom * mono.sum(axis=1),
                 dom * shard.matrix.sum(axis=1),
                 atol=1e-5,
             )
@@ -195,9 +196,9 @@ class TestEngineVsOracle:
     def test_floors_respected(self):
         c = crossing_cluster()
         floors = np.array([3.0, 0.0])
-        alloc = solve_multiresource(c, floors=floors)
-        assert alloc.matrix.sum(axis=1)[0] >= 3.0 - 1e-6
-        assert alloc.policy == "amrf+floors"
+        matrix = check_matrix(c, solve_multiresource(c, floors=floors))
+        assert matrix.sum(axis=1)[0] >= 3.0 - 1e-6
+        assert solve_amf(c, floors=floors).policy == "amrf+floors"
 
     def test_infeasible_floors_raise(self):
         # Each floor is individually feasible (below the job's run-alone
@@ -234,9 +235,9 @@ class TestFairnessProperties:
 
         for _ in range(4):
             c = self.capfree(rng)
-            alloc = solve_multiresource(c)
+            matrix = check_matrix(c, solve_multiresource(c))
             dom = c.dominant_factor()
-            shares = dom * alloc.matrix.sum(axis=1)
+            shares = dom * matrix.sum(axis=1)
             caps = c.demand_caps
             edges = [(i, j) for i in range(c.n_jobs) for j in range(c.n_sites) if caps[i, j] > 0]
             J, C = c.job_resource_matrix, c.site_resource_matrix
@@ -267,9 +268,9 @@ class TestFairnessProperties:
         """No job could run more tasks with another job's resource bundle."""
         for _ in range(6):
             c = self.capfree(rng)
-            alloc = solve_multiresource(c)
+            matrix = check_matrix(c, solve_multiresource(c))
             J = c.job_resource_matrix
-            agg = alloc.matrix.sum(axis=1)
+            agg = matrix.sum(axis=1)
             for i in range(c.n_jobs):
                 for k in range(c.n_jobs):
                     bundle = agg[k] * J[k]  # job k's aggregate usage vector
@@ -281,8 +282,8 @@ class TestFairnessProperties:
         is at least 1/n (what an equal split of every resource yields)."""
         for _ in range(6):
             c = self.capfree(rng, n=int(rng.integers(2, 5)), m=1)
-            alloc = solve_multiresource(c)
-            shares = c.dominant_factor() * alloc.matrix.sum(axis=1)
+            matrix = check_matrix(c, solve_multiresource(c))
+            shares = c.dominant_factor() * matrix.sum(axis=1)
             assert float(shares.min()) >= 1.0 / c.n_jobs - 1e-5
 
     def test_sharing_incentive_multi_site(self, rng):
@@ -291,9 +292,9 @@ class TestFairnessProperties:
         losses mean per-job 1/n is not achievable across sites)."""
         for _ in range(6):
             c = self.capfree(rng, n=int(rng.integers(2, 5)))
-            alloc = solve_multiresource(c)
+            matrix = check_matrix(c, solve_multiresource(c))
             dom = c.dominant_factor()
-            shares = dom * alloc.matrix.sum(axis=1)
+            shares = dom * matrix.sum(axis=1)
             J, C = c.job_resource_matrix, c.site_resource_matrix
             # job i alone on 1/n of every site runs sum_j min_r c_jr/(n r_ir)
             eq_tasks = (C[None, :, :] / (c.n_jobs * J[:, None, :])).min(axis=2).sum(axis=1)

@@ -1,9 +1,13 @@
 """Asyncio edge: read/write routes, admission, malformed requests, shutdown races."""
 
+import ctypes
 import json
 import logging
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -341,3 +345,50 @@ class TestShutdownRace:
         assert service.closed
         with pytest.raises(urllib.error.URLError):
             call(server, "GET", "/v1/health")
+
+
+RECEIVE_FAULTS = """
+import socket
+import threading
+from repro.service.aio import _keep_receive_buffers_on_the_heap
+
+def faults():
+    return int(open("/proc/self/stat").read().rsplit(")", 1)[1].split()[7])
+
+a, b = socket.socketpair()
+counts = []
+
+def reads(n=200):
+    # what the event loop's thread does per request: a small request
+    # received into a fresh 256 KiB buffer
+    before = faults()
+    for _ in range(n):
+        a.send(b"x" * 100)
+        b.recv(256 * 1024)
+    counts.append(faults() - before)
+
+def in_a_thread():
+    t = threading.Thread(target=reads)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+
+in_a_thread()
+_keep_receive_buffers_on_the_heap()
+in_a_thread()
+print(*counts)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the minor-fault count from /proc")
+def test_serve_keeps_receive_buffers_on_the_heap():
+    """A read cost a page fault (and an mmap/munmap pair) on glibc until the
+    mmap threshold rose by chance; ``serve`` pins it above the buffer."""
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("no glibc mallopt here")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", RECEIVE_FAULTS], env=env, capture_output=True, text=True, check=True)
+    cold, pinned = map(int, out.stdout.split())
+    if cold < 200:  # at least one fresh page a read, or there is nothing to show
+        pytest.skip(f"the mmap threshold had already risen in this process ({cold} faults over 200 reads)")
+    assert pinned <= 10
