@@ -104,7 +104,7 @@ class AmfDiagnostics:
     jobs_folded: int = 0  # degree-1 jobs folded out of the flow network
     # AMRF multi-resource engine (all zero on scalar / reduced solves)
     amrf_rounds: int = 0  # progressive-filling rounds (max-t LPs)
-    amrf_lps: int = 0  # LP solves paid: rounds + aggregate headroom LPs + 1 realization
+    amrf_lps: int = 0  # LP solves paid: rounds + aggregate headroom LPs
     amrf_probes: int = 0  # aggregate headroom LPs run for jobs the round LP left undecided
     amrf_probes_skipped: int = 0  # jobs decided with no LP: by a row dual or the vertex witness
 

@@ -8,15 +8,15 @@ vectors — the only multi-resource path in ``src/``:
   resource *dominates* every job at every site, the instance is an exact
   change of variables away from the scalar flow problem; it is handed to
   the scalar flow fast path and mapped back (:func:`scalar_reduction`).
-* **progressive filling with one max-``t`` LP per round** — instead of a
-  λ-bisection (tens of LPs) per bottleneck, one LP maximizes the common
-  weighted share ``t`` directly, and the same LP says who freezes at that
-  level: a job whose share row carries a positive dual is tight at every
-  optimum (complementary slackness), a job whose share in the optimal
-  vertex exceeds its target is not, and the few jobs neither test decides
-  (a degenerate vertex can give a tight row a zero dual) share one
-  aggregate headroom LP.  The per-job max-share probe this replaced is
-  the test referee ``tests/oracle.py::probe_fill_shares``.  Each LP goes to
+* **progressive filling with one max-``t`` LP per round** — one LP
+  maximizes the common weighted share ``t``, and the same LP says who
+  freezes at that level: a job whose share row carries a positive dual is
+  tight at every optimum (complementary slackness), a job whose share in
+  the optimal vertex exceeds its target is not, and the few jobs neither
+  test decides (a degenerate vertex can give a tight row a zero dual)
+  share one aggregate headroom LP.  The last round's optimal vertex is the
+  answer.  The per-job max-share probe this replaced is the test referee
+  ``tests/oracle.py::probe_fill_shares``.  Each LP goes to
   HiGHS through scipy's bundled binding as the same ``HighsLp``, options
   and post-check ``scipy.optimize.linprog(method="highs")`` would use, so
   its answer is ``linprog``'s bit for bit without the wrapper's cost.
@@ -250,7 +250,6 @@ class _EngineLP:
         held: np.ndarray,
         held_rhs: np.ndarray,
         *,
-        t_max: float | None,
         diag: AmfDiagnostics,
         fill: np.ndarray | None = None,
         n_slack: int = 0,
@@ -258,8 +257,8 @@ class _EngineLP:
     ) -> _LpResult:
         """One LP: minimise ``c @ (x, t, slacks)`` over the capacity block plus
         ``-s_i <= held_rhs[k]`` for ``i = held[k]``, then ``-s_i + w_i t <= 0``
-        for each ``i`` in ``fill``; the last ``n_slack`` of those rows each
-        gain their own slack column ``+delta``.
+        for each ``i`` in ``fill`` (``t`` is pinned to 0 without ``fill``); the
+        last ``n_slack`` of those rows each gain their own slack column ``+delta``.
 
         The matrix, bounds and options are the ones ``linprog(method="highs")``
         hands HiGHS for the same LP, and its feasibility post-check applies:
@@ -284,7 +283,7 @@ class _EngineLP:
         order = np.argsort(col, kind="stable")
         core = _highs()
         inf = core.kHighsInf
-        t_upper = inf if t_max is None else t_max
+        t_upper = 0.0 if fill is None else inf
         upper = np.concatenate([self.upper, [t_upper], np.full(n_slack, inf if slack_max is None else slack_max)])
         rhs = np.concatenate([self.cap_rhs, held_rhs, np.zeros(n_rows - held.size)])
         model = core.HighsLp()
@@ -312,12 +311,12 @@ class _EngineLP:
 
 
 def _amrf_fill(
-    cluster: Cluster,
     lp: _EngineLP,
     share_floors: np.ndarray,
     diag: AmfDiagnostics,
-) -> np.ndarray:
-    """Progressive filling over weighted dominant shares; returns shares.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Progressive filling over weighted dominant shares: ``(shares, x)``,
+    ``x`` the last round's optimal max-``t`` vertex (zeros if none ran).
 
     Each round solves one max-``t`` LP and decides from it who freezes:
     a job whose fill or floor row carries a positive dual is tight on the
@@ -325,13 +324,13 @@ def _amrf_fill(
     share exceeds its target is not, and whoever is left shares one
     aggregate headroom LP (``docs/multiresource.md``).
     """
-    n = cluster.n_jobs
-    weights = cluster.weights
+    n = lp.cluster.n_jobs
+    weights = lp.weights
     share_caps = lp.share_caps
     frozen = share_caps <= 0.0  # no usable edges: the job sits at 0
     shares = np.zeros(n)
-    c_t = np.zeros(lp.n_e + 1)
-    c_t[-1] = -1.0
+    x = np.zeros(lp.n_e + 1)
+    c_t = np.append(np.zeros(lp.n_e), -1.0)
     for _round in range(n + 1):
         if frozen.all():
             break
@@ -341,13 +340,14 @@ def _amrf_fill(
         base = np.where(frozen, shares, share_floors)  # s_i >= base_i
         held = np.flatnonzero(base > 0.0)
         # s_i >= base_i for the held, s_i >= w_i t for the active
-        res = lp.solve(c_t, held, -base[held], fill=act, t_max=None, diag=diag)
+        res = lp.solve(c_t, held, -base[held], fill=act, diag=diag)
         if not res.ok:
             if share_floors.any():
                 raise ValueError("AMRF floors are infeasible for this cluster")
             raise ValueError(f"AMRF max-t LP failed (numeric breakdown, {res.message})")
-        t_star = float(res.x[-1])
-        witness = lp.shares_of(res.x)
+        x = res.x
+        t_star = float(x[-1])
+        witness = lp.shares_of(x)
         # Dual weight of each job's own rows.  The t column's dual
         # constraint normalises sum_i w_i y_i = 1, so the threshold is
         # scale-free.
@@ -384,9 +384,7 @@ def _amrf_fill(
             order = np.concatenate([np.setdiff1d(np.flatnonzero(hold > 0.0), und), und])
             c_u = np.concatenate([np.zeros(lp.n_e + 1), -np.ones(und.size)])
             bound = _SPREAD * float(tol[und].sum())
-            res_u = lp.solve(
-                c_u, order, -hold[order], t_max=0.0, diag=diag, n_slack=und.size, slack_max=bound
-            )
+            res_u = lp.solve(c_u, order, -hold[order], diag=diag, n_slack=und.size, slack_max=bound)
             if not res_u.ok:
                 break  # as a failed probe did: freeze at the target
             delta = res_u.x[-und.size :]
@@ -402,7 +400,7 @@ def _amrf_fill(
         shares[newly] = target[newly]
         frozen |= newly
     require(bool(frozen.all()), "AMRF progressive filling failed to converge")
-    return shares
+    return shares, x
 
 
 def amrf_allocate(
@@ -431,7 +429,15 @@ def _amrf_rates(
     resource_totals: Mapping[str, float] | None,
     diagnostics: AmfDiagnostics | None,
 ) -> np.ndarray:
-    """:func:`amrf_allocate`'s scrubbed task-rate matrix, unchecked."""
+    """:func:`amrf_allocate`'s scrubbed task-rate matrix, unchecked: the
+    optimal vertex of the fill's last max-``t`` LP, exact with no LP of its
+    own.  In that round every job is held at its frozen share or at
+    ``w_i t*`` (or its floor), so the vertex's shares are ``>= s*``, the
+    leximin vector; a feasible share vector ``>= s*`` equals ``s*``, or it
+    would leximin-dominate ``s*``.  So the vertex realizes ``s*`` and is
+    Pareto-efficient, and AMF leaves the per-site split free.  No round
+    (no job has a usable edge) answers zeros.
+    """
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     totals = dict(resource_totals) if resource_totals is not None else cluster.resource_totals
     with span("amf.solve", variant="amrf", jobs=cluster.n_jobs, sites=cluster.n_sites):
@@ -444,15 +450,8 @@ def _amrf_rates(
             require(f.shape == (cluster.n_jobs,), "floors must have one entry per job")
             require(float(f.min(initial=0.0)) >= 0.0, "floors must be non-negative")
             share_floors = np.minimum(dom * f, lp.share_caps)
-        shares = _amrf_fill(cluster, lp, share_floors, diag)
-        # Realize a Pareto-efficient witness at the (slightly relaxed)
-        # share floors: maximize total rate subject to everyone keeping
-        # their fair share.
-        held = np.flatnonzero(shares > 0.0)
-        c_real = np.append(-np.ones(lp.n_e), 0.0)
-        res = lp.solve(c_real, held, -shares[held] * (1.0 - 1e-9), t_max=0.0, diag=diag)
-        require(res.ok, "AMRF shares could not be realized (numeric breakdown)")
-        return scrub_matrix(cluster, lp.rates_from(res.x))
+        _shares, x = _amrf_fill(lp, share_floors, diag)
+        return scrub_matrix(cluster, lp.rates_from(x))
 
 
 # ----------------------------------------------------------------------

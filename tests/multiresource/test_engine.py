@@ -155,7 +155,7 @@ class TestEngineVsOracle:
             check_rates(cluster, matrix)
             got = cluster.dominant_factor() * matrix.sum(axis=1)
             want, _ = probe_fill_shares(cluster)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_weighted_instances(self, rng):
         for _ in range(4):
@@ -163,7 +163,7 @@ class TestEngineVsOracle:
             matrix = check_matrix(cluster, solve_multiresource(cluster))
             got = cluster.dominant_factor() * matrix.sum(axis=1)
             want, _ = probe_fill_shares(cluster)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_sharded_equals_monolithic(self, rng):
         # Two disconnected components: disjoint sites and job supports.

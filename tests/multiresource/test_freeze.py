@@ -6,8 +6,9 @@ witness headroom, and settles whoever is left with one aggregate headroom
 LP.  The referee is the rule it replaced — one max-share probe LP per
 candidate job — kept as the repo's LP oracle, :func:`tests.oracle.probe_fill_shares`,
 which shares no code with the engine.  Compared here are the *fill* shares
-(what ``_amrf_fill`` returns): the realization LP behind ``amrf_allocate``
-relaxes them by 1e-9 and may trade that sliver between jobs.
+(what ``_amrf_fill`` returns) and, on the served path, the shares of the
+answer itself: the last round's optimal vertex, which ``amrf_allocate``
+returns with no LP of its own, and which must realize the fill's shares.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.site import Site
 from repro.multiresource import amrf_allocate, engine, scalar_reduction
+from repro.service.solver import IncrementalAmfSolver
 from repro.service.state import ClusterState
 from tests.oracle import probe_fill_shares
 from tests.multiresource.test_engine import random_mr_cluster
@@ -34,7 +36,7 @@ def engine_fill(cluster, floors=None, resource_totals=None):
     share_floors = np.zeros(cluster.n_jobs)
     if floors is not None:
         share_floors = np.minimum(dom * floors, lp.share_caps)
-    return engine._amrf_fill(cluster, lp, share_floors, diag), diag
+    return engine._amrf_fill(lp, share_floors, diag)[0], diag
 
 
 def corpus_draw(seed: int):
@@ -65,7 +67,7 @@ def assert_matches_probe_fill(cluster, floors=None, resource_totals=None) -> Amf
 @pytest.fixture
 def slack_columns(monkeypatch):
     """Records, per LP the engine solves, how many undecided jobs it asked
-    about (0 for a round's max-``t`` LP and for the realization LP)."""
+    about (0 for a round's max-``t`` LP)."""
     sizes: list[int] = []
     solve = engine._EngineLP.solve
 
@@ -139,8 +141,26 @@ class TestProbeFillDifferential:
         assert probes >= 50
 
 
+class TestServedStream:
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_served_shares_match_probe_fill(self, seed):
+        """The service's own solver (component memo, federation totals) on
+        the ``churn_vector`` stream: every answer's shares, solved or
+        replayed, are the oracle's to 1e-9."""
+        solver = IncrementalAmfSolver()
+        solved = 0
+        for cluster in vector_stream_states(seed, n_ops=40):
+            lps = solver.stats.amrf_lps
+            matrix = solver(cluster).matrix
+            solved += solver.stats.amrf_lps > lps
+            got = cluster.dominant_factor() * matrix.sum(axis=1)
+            want, _ = probe_fill_shares(cluster)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert solved >= 16
+
+
 class TestLpBudget:
-    def test_lps_are_rounds_plus_aggregate_lps_plus_realization(self):
+    def test_lps_are_rounds_plus_aggregate_lps(self):
         for seed in range(80):
             draw = corpus_draw(seed)
             if draw is None:
@@ -150,19 +170,33 @@ class TestLpBudget:
                 amrf_allocate(draw[0], floors=draw[1], diagnostics=diag)
             except ValueError:
                 continue
-            assert diag.amrf_lps == diag.amrf_rounds + diag.amrf_probes + 1
+            assert diag.amrf_lps == diag.amrf_rounds + diag.amrf_probes
             assert diag.amrf_probes_skipped <= diag.amrf_rounds * draw[0].n_jobs
 
-    def test_crossing_cluster_needs_at_most_four_lps(self):
+    def test_crossing_cluster_needs_at_most_three_lps(self):
         """One level freezes everyone on the ledger's vector cluster, and the
-        duals of that round's LP say so: 2 LPs where the per-job probes took
+        duals of that round's LP say so: 1 LP where the per-job probes took
         one more per job."""
         for cluster in vector_stream_states(seed=7, n_ops=12):
             diag = AmfDiagnostics()
             amrf_allocate(cluster, diagnostics=diag)
-            assert diag.amrf_lps == diag.amrf_rounds + diag.amrf_probes + 1
-            assert diag.amrf_lps <= 4, diag
+            assert diag.amrf_lps == diag.amrf_rounds + diag.amrf_probes
+            assert diag.amrf_lps <= 3, diag
             assert diag.amrf_probes_skipped >= cluster.n_jobs - 1
+
+    def test_no_usable_edge_answers_zeros_with_no_lp(self):
+        """Every job capped at 0 everywhere: no round runs, so no LP either."""
+        sites = [Site("a", {"cpu": 8.0, "mem": 16.0}), Site("b", {"cpu": 4.0, "mem": 32.0})]
+        jobs = [
+            Job("j0", {"a": 1.0, "b": 1.0}, demand={"a": 0.0, "b": 0.0}, resources={"cpu": 1.0, "mem": 4.0}),
+            Job("j1", {"a": 1.0}, demand={"a": 0.0}, resources={"cpu": 4.0, "mem": 1.0}),
+        ]
+        cluster = Cluster(sites, jobs)
+        assert scalar_reduction(cluster) is None
+        diag = AmfDiagnostics()
+        alloc = amrf_allocate(cluster, diagnostics=diag)
+        assert np.array_equal(alloc.matrix, np.zeros((2, 2)))
+        assert diag.amrf_lps == diag.amrf_rounds == 0
 
 
 class TestAggregatePasses:

@@ -17,14 +17,17 @@ import pytest
 from scipy.optimize import _linprog_highs, linprog
 from scipy.sparse import csc_array
 
+from repro.core.amf import AmfDiagnostics
 from repro.core.enhanced import sharing_incentive_floors
 from repro.multiresource import amrf_allocate, engine
 from tests.multiresource.test_freeze import corpus_draw, vector_stream_states
 
 
-def dense_lp(lp, c, held, held_rhs, *, t_max, fill=None, n_slack=0, slack_max=None, diag=None):
-    """``(c, A_ub, b_ub, bounds)`` of one engine LP, for ``linprog``."""
+def dense_lp(lp, c, held, held_rhs, *, fill=None, n_slack=0, slack_max=None, diag=None):
+    """``(c, A_ub, b_ub, bounds)`` of one engine LP, for ``linprog``; ``t``
+    is free with fill rows and pinned to 0 without."""
     cluster = lp.cluster
+    t_max = 0.0 if fill is None else None
     J, C = cluster.job_resource_matrix, cluster.site_resource_matrix
     fill = np.zeros(0, dtype=int) if fill is None else fill
     n_col = lp.n_e + 1 + n_slack
@@ -117,11 +120,13 @@ def assert_bit_identical(calls) -> None:
 
 @pytest.mark.parametrize("seed", [3, 8, 13])
 def test_churn_vector_states(seed, issued):
-    states = 0
+    states = budget = 0
     for cluster in vector_stream_states(seed, n_ops=24):
-        amrf_allocate(cluster)
+        diag = AmfDiagnostics()
+        amrf_allocate(cluster, diagnostics=diag)
         states += 1
-    assert states >= 16 and len(issued) >= 2 * states
+        budget += diag.amrf_rounds + diag.amrf_probes
+    assert states >= 16 and len(issued) == budget >= states
     assert_bit_identical(issued)
 
 
