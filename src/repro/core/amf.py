@@ -33,7 +33,10 @@ which suggests the exact algorithm implemented here:
 
 A round therefore ends only when a cut that has never bound binds: at most
 ``1 + pool size`` rounds (seed + warm-started + discovered cuts), however
-many jobs each cut pins.
+many jobs each cut pins.  The last round's feasible probe is at the final
+levels, so the oracle ends holding a max flow at exactly them and the split
+is read off it; the fill pays ``rounds + new cuts`` probes, plus one for the
+floors when some floor is positive.
 
 **A warm fill defers step 3.**  When a component's pool was seeded with
 cuts from an earlier solve (:class:`CutBasis`), every round ends on the
@@ -83,10 +86,11 @@ __all__ = [
 class AmfDiagnostics:
     """Solver instrumentation (reported by the scalability benchmark F8).
 
-    ``feasibility_solves`` counts every probe the solver *asked*;
-    the ``probes_*`` fields break down how the parametric oracle *answered*
-    them, so warm-reuse is observable all the way up to the service
-    ``/stats`` endpoint.
+    The parametric oracle counts straight into this record, under the field
+    names of :class:`~repro.flownet.parametric.ProbeStats`:
+    ``feasibility_solves`` is every probe the solver asked, and the
+    ``probes_*`` fields say how each flow solve started, so warm reuse is
+    observable all the way up to the service ``/stats`` endpoint.
     """
 
     rounds: int = 0
@@ -97,7 +101,6 @@ class AmfDiagnostics:
     warm_cuts_seeded: int = 0  # valid cuts replayed from a CutBasis
     deferred_checks: int = 0  # warm fills certified by one probe of their final levels
     deferred_refuted: int = 0  # of those, refuted: the per-round loop ran instead
-    probes_early_accept: int = 0  # probes answered by feasible-dominance
     probes_warm: int = 0  # flow solves continuing from existing flow
     probes_cold: int = 0  # flow solves starting from zero flow
     probe_rollbacks: int = 0  # probes that cancelled flow before solving
@@ -107,11 +110,6 @@ class AmfDiagnostics:
     amrf_lps: int = 0  # LP solves paid: rounds + aggregate headroom LPs
     amrf_probes: int = 0  # aggregate headroom LPs run for jobs the round LP left undecided
     amrf_probes_skipped: int = 0  # jobs decided with no LP: by a row dual or the vertex witness
-
-    @property
-    def probes_reused(self) -> int:
-        """Probes that avoided a cold flow solve (the warm-reuse headline)."""
-        return self.probes_early_accept + self.probes_warm
 
 
 class CutBasis:
@@ -345,21 +343,11 @@ class _FeasibilityAdapter:
     :func:`amf_levels_bisect`: the λ→targets map plus the warm
     :class:`ParametricFeasibility` oracle behind one interface (both solver
     variants used to carry near-identical ``targets_at`` / ``feasible``
-    closures).  The site cuts a solve knows live in the fill loop's
-    :class:`_SiteCuts`, not here.
+    closures).  The oracle counts into ``diag`` as it probes.  The site cuts
+    a solve knows live in the fill loop's :class:`_SiteCuts`, not here.
     """
 
-    __slots__ = (
-        "cluster",
-        "floors",
-        "caps",
-        "weights",
-        "levels",
-        "frozen",
-        "diag",
-        "oracle",
-        "_finished",
-    )
+    __slots__ = ("floors", "caps", "weights", "levels", "frozen", "oracle")
 
     def __init__(
         self,
@@ -368,15 +356,12 @@ class _FeasibilityAdapter:
         caps: np.ndarray,
         diag: AmfDiagnostics,
     ):
-        self.cluster = cluster
         self.floors = floors
         self.caps = caps  # the fill loop tightens this in place as cuts bind
         self.weights = cluster.weights
         self.levels = floors.copy()  # frozen jobs keep their entry; active entries are provisional
         self.frozen = np.zeros(cluster.n_jobs, dtype=bool)
-        self.diag = diag
-        self._finished = False
-        self.oracle = ParametricFeasibility(cluster)
+        self.oracle = ParametricFeasibility(cluster, diag)
 
     def restart(self, caps: np.ndarray) -> None:
         """Back to round one: nothing frozen, effective caps at ``caps``."""
@@ -392,32 +377,8 @@ class _FeasibilityAdapter:
     def feasible(self, targets: np.ndarray) -> tuple[bool, frozenset[int], frozenset[int]]:
         """One feasibility probe; an infeasible verdict carries its minimal
         min cut (see :meth:`ParametricFeasibility.probe`)."""
-        self.diag.feasibility_solves += 1
         out = self.oracle.probe(targets)
         return out.feasible, out.cut_jobs, out.cut_sites
-
-    def finish(self) -> None:
-        """Fold the oracle's reuse counters into the diagnostics record.
-
-        Idempotent: the fill loops call it from ``finally`` blocks so the
-        warm oracle's counters are never leaked on an error path, and a
-        happy-path call followed by the ``finally`` one must not
-        double-count.
-        """
-        if self._finished:
-            return
-        self._finished = True
-        st = self.oracle.stats
-        self.diag.probes_early_accept += st.early_accepts
-        self.diag.probes_warm += st.warm_solves
-        self.diag.probes_cold += st.cold_solves
-        self.diag.probe_rollbacks += st.rollbacks
-        self.diag.jobs_folded += st.folded_jobs
-
-    def realize(self, levels: np.ndarray) -> np.ndarray | None:
-        """The flow already carried by the oracle as a ``(n, m)`` split, when
-        it matches ``levels`` — saves :func:`solve_amf` a cold re-solve."""
-        return self.oracle.allocation_matrix(levels)
 
 
 def amf_levels(
@@ -479,10 +440,10 @@ def _fill_levels(
     floors: np.ndarray | None,
     diag: AmfDiagnostics,
     basis: CutBasis | None,
-) -> tuple[np.ndarray, _FeasibilityAdapter]:
+) -> tuple[np.ndarray, ParametricFeasibility]:
     """Progressive filling over one component; returns the levels plus the
-    warm adapter so the shard solve can realize the matrix from the
-    oracle's final flow."""
+    warm oracle, which holds a max flow at exactly those levels, so the
+    shard solve can read the matrix off it (:func:`_flow_split`)."""
     n = cluster.n_jobs
     caps = cluster.aggregate_demand
     if floors is None:
@@ -494,22 +455,6 @@ def _fill_levels(
 
     cut_sets = basis.instantiate(cluster) if basis is not None else []
     adapter = _FeasibilityAdapter(cluster, floors, caps.copy(), diag)
-    try:
-        return _fill_levels_inner(cluster, caps, diag, basis, cut_sets, adapter)
-    finally:
-        # every exit — including the guard-loop RuntimeErrors — must fold
-        # the warm oracle's probe counters into the diagnostics record
-        adapter.finish()
-
-
-def _fill_levels_inner(
-    cluster: Cluster,
-    caps: np.ndarray,
-    diag: AmfDiagnostics,
-    basis: CutBasis | None,
-    cut_sets: list[frozenset[int]],
-    adapter: _FeasibilityAdapter,
-) -> tuple[np.ndarray, _FeasibilityAdapter]:
     # Round one starts at the floors, so they must be jointly feasible.  No
     # positive floor means the zero vector, feasible on every cluster, and
     # that probe is skipped (it would leave the oracle's flow at zero, as a
@@ -526,14 +471,9 @@ def _fill_levels_inner(
     cuts.add(frozenset(range(cluster.n_sites)))
     seeded = sum(cuts.add(sites) for sites in cut_sets)
     diag.warm_cuts_seeded += seeded
-    if seeded and _certified_fill(cluster, caps, diag, basis, cuts, adapter):
-        return adapter.levels, adapter
-
-    _fill_rounds(cluster, caps, diag, basis, cuts, adapter, probe=True)
-    ok, _, _ = adapter.feasible(adapter.levels)
-    if not ok:  # pragma: no cover - guarded by construction
-        raise RuntimeError("AMF solver produced infeasible levels")
-    return adapter.levels, adapter
+    if not (seeded and _certified_fill(cluster, caps, diag, basis, cuts, adapter)):
+        _fill_rounds(cluster, caps, diag, basis, cuts, adapter, probe=True)
+    return adapter.levels, adapter.oracle
 
 
 def _certified_fill(
@@ -589,9 +529,10 @@ def _fill_rounds(
     """The progressive-filling rounds, freezing into ``adapter``'s state.
 
     With ``probe`` every round's proposal is checked by one max-flow and a
-    violated min cut joins the pool; without it the pool's proposal ends
-    the round and the caller certifies the final levels
-    (:func:`_certified_fill`).
+    violated min cut joins the pool; the last round's feasible probe is at
+    the final levels, so they need no check of their own.  Without it the
+    pool's proposal ends the round and the caller certifies the final
+    levels (:func:`_certified_fill`).
     """
     n = cluster.n_jobs
     floors, weights = adapter.floors, adapter.weights
@@ -684,9 +625,8 @@ def solve_amf(
     The returned split is *an* AMF allocation; the completion-time add-on
     (:func:`repro.core.completion.optimize_completion_times`) re-splits the
     same aggregates to optimize job completion times.  The realization is
-    usually free: the final verification probe leaves the oracle's residual
-    graph carrying a max flow at exactly the levels, so the matrix is read
-    off that flow instead of re-solving a fresh network.
+    free: the fill's last probe leaves the oracle's residual graph carrying
+    a max flow at exactly the levels, so the matrix is read off that flow.
     """
     # Vestige with one reader: benchmarks/ledger/rounds.py calls
     # ``solve_amf(expected, shards=True)``.  Every solve is per component;
@@ -694,34 +634,31 @@ def solve_amf(
     require(shards is True, "solve_amf always solves per connected component; shards= accepts only True")
     from repro.core.sharding import solve
 
-    diag = diagnostics if diagnostics is not None else AmfDiagnostics()
-    lps = diag.amrf_lps
-    matrix = solve(cluster, floors=floors, bases=bases, diagnostics=diag).result
-    # a component the LP engine solved makes the allocation AMRF; scalar
-    # components and exactly reducible vector ones are plain AMF
-    policy = "amrf" if diag.amrf_lps > lps else "amf"
-    return Allocation._trusted(cluster, matrix, policy=policy if floors is None else policy + "+floors")
+    run = solve(cluster, floors=floors, bases=bases, diagnostics=diagnostics)
+    # a component the scalar reduction cannot take goes to the AMRF engine
+    # and makes the allocation AMRF; scalar components and exactly
+    # reducible vector ones are plain AMF
+    policy = "amf"
+    if cluster.is_multiresource:
+        from repro.multiresource.engine import scalar_reduction
+
+        totals = cluster.resource_totals
+        if any(scalar_reduction(sh.cluster, totals) is None for sh, _ in run.entries):
+            policy = "amrf"
+    return Allocation._trusted(cluster, run.result, policy=policy if floors is None else policy + "+floors")
 
 
 def _flow_split(
-    cluster: Cluster, levels: np.ndarray, adapter: _FeasibilityAdapter, basis: CutBasis | None
+    cluster: Cluster, levels: np.ndarray, oracle: ParametricFeasibility, basis: CutBasis | None
 ) -> np.ndarray:
-    """The fill's own split: read off the warm oracle's final flow, or a
-    cold realization when the oracle cannot hand it back; kept in
+    """The fill's own split, read off the warm oracle's final flow; kept in
     ``basis`` for the component's next warm fill to start its flow from."""
-    matrix = adapter.realize(levels)
-    matrix = _realize(cluster, levels) if matrix is None else _finalize_matrix(cluster, levels, matrix)
+    matrix = oracle.allocation_matrix(levels)
+    require(matrix is not None, "levels are not feasible on this cluster")
+    matrix = _finalize_matrix(cluster, levels, matrix)
     if basis is not None:
         basis.keep_split(cluster, matrix)
     return matrix
-
-
-def _realize(cluster: Cluster, levels: np.ndarray) -> np.ndarray:
-    """Realize aggregate ``levels`` as a feasible job-site matrix on a cold
-    oracle: the fallback when the warm oracle cannot hand back its flow."""
-    matrix = ParametricFeasibility(cluster).allocation_matrix(levels)
-    require(matrix is not None, "levels are not feasible on this cluster")
-    return _finalize_matrix(cluster, levels, matrix)
 
 
 def _finalize_matrix(cluster: Cluster, levels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -768,21 +705,6 @@ def _bisect_levels(cluster: Cluster, tol: float, diag: AmfDiagnostics) -> np.nda
     caps = cluster.aggregate_demand.copy()
     weights = cluster.weights
     adapter = _FeasibilityAdapter(cluster, np.zeros(n), caps, diag)
-    try:
-        return _bisect_levels_inner(cluster, tol, diag, adapter, caps, weights)
-    finally:
-        adapter.finish()
-
-
-def _bisect_levels_inner(
-    cluster: Cluster,
-    tol: float,
-    diag: AmfDiagnostics,
-    adapter: _FeasibilityAdapter,
-    caps: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    n = cluster.n_jobs
     targets_at = adapter.targets_at
     levels = adapter.levels
     frozen = adapter.frozen

@@ -289,9 +289,9 @@ def _solve_shard(
         matrix = check_matrix(sub, solve_multiresource(sub, floors, diag, basis, resource_totals=resource_totals))
         return ShardResult(matrix.sum(axis=1), matrix, time.perf_counter() - t0)
     if levels is None:
-        levels, adapter = _fill_levels(sub, floors, diag, basis)
+        levels, oracle = _fill_levels(sub, floors, diag, basis)
         if split == "flow":
-            matrix = _flow_split(sub, levels, adapter, basis)
+            matrix = _flow_split(sub, levels, oracle, basis)
     if split in SPLITS:
         matrix = SPLITS[split](sub, levels)
     if matrix is not None:

@@ -18,12 +18,10 @@ retries).  :class:`ParametricFeasibility` answers that sequence on a single
   caps, scaled to the targets and the site spare), so a re-solve of a
   slightly changed cluster routes only what changed.
 
-One screen runs before the flow network is touched: **dominance
-early-accept** — targets elementwise below the last verified feasible
-vector are feasible by downward closure of the region.  Every other probe,
-and so every infeasible verdict, is a flow solve.  (The site cuts a solve
-knows are enforced analytically by the AMF fill loop's own pool,
-``repro.core.amf._SiteCuts``, before it probes.)
+Every probe is a flow solve.  The site cuts a solve knows are enforced
+analytically by the AMF fill loop's own pool (``repro.core.amf._SiteCuts``)
+before it probes, and the fill never probes a vector it has already
+certified.
 
 A preprocessing pass **folds degree-1 jobs** out of the network: a
 job supported by a single site must route its whole target through it, so
@@ -56,14 +54,18 @@ __all__ = ["ParametricFeasibility", "ProbeOutcome", "ProbeStats"]
 
 @dataclass(slots=True)
 class ProbeStats:
-    """How the oracle answered its probes (reuse observability)."""
+    """How the oracle answered its probes (reuse observability).
 
-    probes: int = 0
-    early_accepts: int = 0  # answered by the last-feasible dominance check
-    warm_solves: int = 0  # flow solves continuing from existing flow
-    cold_solves: int = 0  # flow solves starting from zero flow
-    rollbacks: int = 0  # probes that cancelled excess flow before solving
-    folded_jobs: int = 0  # degree-1 jobs folded into site capacity
+    The record a bare ``ParametricFeasibility(cluster)`` counts into; the
+    AMF fill loops pass their :class:`~repro.core.amf.AmfDiagnostics`
+    instead, which carries the same fields.
+    """
+
+    feasibility_solves: int = 0  # probes asked
+    probes_warm: int = 0  # flow solves continuing from existing flow
+    probes_cold: int = 0  # flow solves starting from zero flow
+    probe_rollbacks: int = 0  # flow solves that cancelled excess flow first
+    jobs_folded: int = 0  # degree-1 jobs folded into site capacity
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +82,7 @@ class ProbeOutcome:
     demanded: float
     cut_jobs: frozenset[int]
     cut_sites: frozenset[int]
-    mode: str  # "early-accept" | "flow-warm" | "flow-cold"
+    mode: str  # "flow-warm" | "flow-cold"
 
 
 class ParametricFeasibility:
@@ -91,13 +93,16 @@ class ParametricFeasibility:
     cluster:
         The instance; topology and demand caps are fixed for the oracle's
         lifetime (targets are the only moving part).
+    stats:
+        The record the oracle counts into as it works (``.stats``); a fresh
+        :class:`ProbeStats` when omitted.
 
     Degree-1 jobs are always folded into their site's sink-arc capacity.
     """
 
-    def __init__(self, cluster: Cluster):
+    def __init__(self, cluster: Cluster, stats: ProbeStats | None = None):
         self.cluster = cluster
-        self.stats = ProbeStats()
+        self.stats = ProbeStats() if stats is None else stats
         n, m = cluster.n_jobs, cluster.n_sites
         self._n, self._m = n, m
         self._scale = max(1.0, float(n + m))
@@ -115,7 +120,7 @@ class ParametricFeasibility:
         else:
             self._folded_site = np.zeros(0, dtype=np.int64)
             self._folded_cap = np.zeros(0)
-        self.stats.folded_jobs = int(self._folded_idx.size)
+        self.stats.jobs_folded += int(self._folded_idx.size)
 
         # Reduced network: src=0, multi jobs 1..K, sites K+1..K+m, snk last.
         # Edge order fixes the ids: K source arcs, then support arcs, then m
@@ -149,7 +154,6 @@ class ParametricFeasibility:
         self._source_eids_list = self._source_eids.tolist()
         self._site_eids_list = self._site_eids.tolist()
 
-        self._last_feasible: np.ndarray | None = None
         self._flow_targets: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -257,9 +261,8 @@ class ParametricFeasibility:
     def probe(self, targets: np.ndarray) -> ProbeOutcome:
         """Feasibility verdict for one aggregate target vector.
 
-        An infeasible verdict always comes from a flow solve and carries
-        its *minimal* min cut — the cutting-plane loop relies on that to see
-        each site set at most once.
+        An infeasible verdict carries its *minimal* min cut — the
+        cutting-plane loop relies on that to see each site set at most once.
         """
         if not TRACER.enabled:
             return self._probe_impl(targets)
@@ -271,21 +274,8 @@ class ParametricFeasibility:
 
     def _probe_impl(self, targets: np.ndarray) -> ProbeOutcome:
         targets = np.asarray(targets, dtype=float)
-        st = self.stats
-        st.probes += 1
+        self.stats.feasibility_solves += 1
         demanded = float(targets.sum())
-
-        # Exact elementwise dominance only: the feasible region is downward
-        # closed, so ``targets <= last_feasible`` is a proof.  No tolerance
-        # slack — bisection probes sit ~1e-9 apart, and a fuzzy accept here
-        # would flip verdicts the flow check (feq) decides the other way.
-        if self._last_feasible is not None:
-            if targets.shape == self._last_feasible.shape and bool(
-                (targets <= self._last_feasible).all()
-            ):
-                st.early_accepts += 1
-                return ProbeOutcome(True, demanded, demanded, frozenset(), frozenset(), "early-accept")
-
         delivered, t_eff, load, capped, overloaded, warm = self._flow_solve(targets)
         feasible = feq(delivered, demanded, scale=self._scale)
         if feasible:
@@ -293,7 +283,6 @@ class ParametricFeasibility:
             # probe's is the (near-empty) residual reach set no caller reads,
             # so skip the reachability sweep.
             cut_jobs, cut_sites = frozenset(), frozenset()
-            self._last_feasible = targets.copy()
         else:
             cut_jobs, cut_sites = self._map_cut(
                 self._graph.reachable_from(self._src), t_eff, capped, overloaded
@@ -366,15 +355,15 @@ class ParametricFeasibility:
 
         warm = bool((g.cap[self._source_eids + 1] > 0.0).any())
         if self._install(t_multi, spare):
-            st.rollbacks += 1
+            st.probe_rollbacks += 1
         # The flow can never exceed the source arcs' forward residual;
         # reaching that bound proves optimality without the final BFS.
         limit = float(g.cap[self._source_eids].sum())
         g.max_flow(self._src, self._snk, limit=limit)
         if warm:
-            st.warm_solves += 1
+            st.probes_warm += 1
         else:
-            st.cold_solves += 1
+            st.probes_cold += 1
         self._flow_targets = targets.copy()
 
         folded_delivered = float(np.minimum(load, self._capacities).sum())

@@ -485,8 +485,8 @@ def solve_multiresource(
     scalar, k = red
     scaled_floors = None if floors is None else np.asarray(floors, dtype=float) * k
     # validated and clamped on the scalar cluster first, as a scalar solve is
-    levels, adapter = _fill_levels(scalar, scaled_floors, diag, basis)
-    matrix = _flow_split(scalar, levels, adapter, basis)
+    levels, oracle = _fill_levels(scalar, scaled_floors, diag, basis)
+    matrix = _flow_split(scalar, levels, oracle, basis)
     if (k == 1.0).all():
         # Identity change of variables (R=1 unit-demand spellings): the
         # scalar result is already scrubbed against a float-identical

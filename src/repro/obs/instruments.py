@@ -78,7 +78,6 @@ STATS_METRICS: tuple[StatsMetric, ...] = tuple(
         ("repro_amf_warm_cuts_seeded_total", "counter", "cuts replayed from a CutBasis", "incremental.warm_cuts_seeded"),
         ("repro_amf_deferred_checks_total", "counter", "warm fills certified by one probe of their final levels", "incremental.deferred_checks"),
         ("repro_amf_deferred_refuted_total", "counter", "deferred checks refuted (the per-round loop ran instead)", "incremental.deferred_refuted"),
-        ("repro_flow_probes_early_accept_total", "counter", "probes answered by feasible-dominance", "incremental.probes_early_accept"),
         ("repro_flow_probes_warm_total", "counter", "flow solves continuing from existing flow", "incremental.probes_warm"),
         ("repro_flow_probes_cold_total", "counter", "flow solves starting from zero flow", "incremental.probes_cold"),
         ("repro_flow_probe_rollbacks_total", "counter", "probes that cancelled flow before solving", "incremental.probe_rollbacks"),

@@ -390,13 +390,11 @@ class AllocationService:
                     "frozen_by_cap": inc.frozen_by_cap,
                     "frozen_by_cut": inc.frozen_by_cut,
                     "basis_size": self.incremental.bases.total_cuts,
-                    # parametric-oracle reuse breakdown (docs/performance.md)
-                    "probes_reused": inc.probes_reused,
-                    "probes_early_accept": inc.probes_early_accept,
                     # Vestige with one reader: benchmarks/ledger/metrics.py's
                     # parametric.cut_reject row.  The oracle has no cut
                     # screen; the field reads 0 until that harness is edited.
                     "probes_cut_reject": 0,
+                    # parametric-oracle reuse breakdown (docs/performance.md)
                     "probes_warm": inc.probes_warm,
                     "probes_cold": inc.probes_cold,
                     "probe_rollbacks": inc.probe_rollbacks,

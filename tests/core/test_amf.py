@@ -349,9 +349,9 @@ class TestDiagnostics:
         assert d.rounds >= 1
         assert d.feasibility_solves >= d.rounds
 
-    def test_probe_counters_folded_when_fill_raises(self, two_site_cluster, monkeypatch):
-        """The finally arm must fold oracle stats even on a mid-fill fault;
-        without it an aborted solve silently leaks every probes_* counter."""
+    def test_probe_counters_kept_when_fill_raises(self, two_site_cluster, monkeypatch):
+        """The oracle counts into the record as it probes, so a mid-fill
+        fault still leaves every probe made before it in the record."""
         from repro.flownet.parametric import ParametricFeasibility
 
         real = ParametricFeasibility.probe
@@ -367,8 +367,7 @@ class TestDiagnostics:
         d = AmfDiagnostics()
         with pytest.raises(RuntimeError, match="mid-fill fault"):
             amf_levels(two_site_cluster, diagnostics=d)
-        folded = d.probes_early_accept + d.probes_warm + d.probes_cold
-        assert folded >= 1
+        assert d.probes_warm + d.probes_cold >= 1
 
     def test_solve_amf_policy_label(self, two_site_cluster):
         assert solve_amf(two_site_cluster).policy == "amf"
@@ -401,22 +400,6 @@ class TestFinalizeMatrix:
 
 
 class TestColdRealization:
-    """``_realize``: the cold-oracle split ``solve_amf`` falls back to."""
-
-    def test_fallback_realizes_the_warm_aggregates(self, rng, monkeypatch):
-        from repro.core import amf
-
-        clusters = [random_cluster(rng, cap_prob=p) for p in (0.0, 0.6) for _ in range(10)]
-        warm = [solve_amf(c) for c in clusters]
-        monkeypatch.setattr(amf._FeasibilityAdapter, "realize", lambda self, levels: None)
-        calls, real = [], amf._realize
-        monkeypatch.setattr(amf, "_realize", lambda c, levels: calls.append(c) or real(c, levels))
-        for c, w in zip(clusters, warm):
-            cold = solve_amf(c)
-            assert cold.policy == "amf"
-            np.testing.assert_allclose(cold.aggregates, w.aggregates, rtol=0, atol=1e-9)
-        assert calls == clusters  # every solve took the fallback
-
     def test_jobless_cluster(self):
         c = Cluster.from_matrices([1.0, 2.0], np.zeros((0, 2)))
         alloc = solve_amf(c)

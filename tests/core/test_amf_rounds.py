@@ -30,7 +30,7 @@ from repro.flownet.parametric import ParametricFeasibility
 from repro.model.cluster import Cluster
 from repro.model.site import Site
 from repro.service.state import ClusterState
-from repro.workload.generator import WorkloadSpec, generate_jobs, sites_for
+from repro.workload.generator import WorkloadSpec, generate_cluster, generate_jobs, sites_for
 from tests.core.reference_fill import SiteCutFill
 from tests.oracle import lp_feasible
 
@@ -177,3 +177,41 @@ class TestLedgerConnectedCluster:
             slow, slow_rounds = one_job_per_round_levels(cluster)
             assert np.abs(lv - slow).max() <= 1e-9 * max(1.0, float(np.abs(slow).max()))
             assert d.rounds <= 2 + d.warm_cuts_seeded + d.cuts_generated < slow_rounds
+
+
+class TestProbeCount:
+    """A cold fill pays one probe per round plus one per cut it discovers:
+    each round probes until a proposal is feasible, and the last round's
+    feasible probe is at the final levels, so nothing re-checks them.  A
+    component with a positive floor pays one more, the floors check."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = np.random.default_rng(4242)
+        out = []
+        for _ in range(120):
+            spec = WorkloadSpec(
+                n_jobs=int(rng.integers(4, 40)),
+                n_sites=int(rng.integers(2, 9)),
+                theta=float(rng.choice([0.0, 1.0, 1.5])),
+                site_spread=int(rng.integers(1, 4)),
+                weight_spread=float(rng.choice([0.0, 2.0])),
+            )
+            out.append(generate_cluster(spec, rng))
+        return out
+
+    def test_no_positive_floor_pays_rounds_plus_cuts(self, draws):
+        for cluster in draws:
+            for floors in (None, np.zeros(cluster.n_jobs)):
+                d = AmfDiagnostics()
+                amf_levels(cluster, floors, diagnostics=d)
+                assert d.feasibility_solves == d.rounds + d.cuts_generated
+
+    def test_a_positive_floor_pays_one_more_probe(self, draws):
+        for cluster in draws:
+            floors = sharing_incentive_floors(cluster)
+            floored = sum(bool(floors[list(sh.job_indices)].any()) for sh in decompose(cluster) if sh.n_jobs)
+            assert floored
+            d = AmfDiagnostics()
+            amf_levels(cluster, floors, diagnostics=d)
+            assert d.feasibility_solves == d.rounds + d.cuts_generated + floored

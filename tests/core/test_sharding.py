@@ -47,8 +47,8 @@ from tests.oracle import probe_fill_shares
 def monolithic(cluster: Cluster, floors: np.ndarray | None = None) -> Allocation:
     """Test reference: the component body (progressive filling plus the
     flow read) run once over the whole cluster, every component at once."""
-    levels, adapter = _fill_levels(cluster, floors, AmfDiagnostics(), None)
-    matrix = _flow_split(cluster, levels, adapter, None)
+    levels, oracle = _fill_levels(cluster, floors, AmfDiagnostics(), None)
+    matrix = _flow_split(cluster, levels, oracle, None)
     return Allocation(cluster, matrix, policy="amf" if floors is None else "amf+floors")
 
 

@@ -15,9 +15,9 @@ from repro.flownet.parametric import ParametricFeasibility, ProbeStats
 from repro.model.cluster import Cluster
 
 
-def reference_init(self, cluster: Cluster):
+def reference_init(self, cluster: Cluster, stats: ProbeStats | None = None):
     self.cluster = cluster
-    self.stats = ProbeStats()
+    self.stats = ProbeStats() if stats is None else stats
     n, m = cluster.n_jobs, cluster.n_sites
     self._n, self._m = n, m
     self._scale = max(1.0, float(n + m))
@@ -35,7 +35,7 @@ def reference_init(self, cluster: Cluster):
     else:
         self._folded_site = np.zeros(0, dtype=np.int64)
         self._folded_cap = np.zeros(0)
-    self.stats.folded_jobs = int(self._folded_idx.size)
+    self.stats.jobs_folded += int(self._folded_idx.size)
 
     # Reduced network: src=0, multi jobs 1..K, sites K+1..K+m, snk last.
     # Edge order fixes the ids: K source arcs, then support arcs, then m
@@ -82,7 +82,6 @@ def reference_init(self, cluster: Cluster):
     self._sup_job = np.asarray(sup_job, dtype=np.int64)
     self._sup_site = np.asarray(sup_site, dtype=np.int64)
 
-    self._last_feasible: np.ndarray | None = None
     self._flow_targets: np.ndarray | None = None
 
 

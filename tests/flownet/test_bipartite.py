@@ -103,7 +103,7 @@ class TestIncrementalTargets:
         out = oracle.probe(np.array([0.2, 0.2]))
         assert out.feasible
         assert out.flow_value == pytest.approx(0.4)
-        assert oracle.stats.rollbacks == 1
+        assert oracle.stats.probe_rollbacks == 1
 
     def test_interleaved_raises_and_drops(self):
         oracle = ParametricFeasibility(cluster2x2())

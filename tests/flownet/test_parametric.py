@@ -5,8 +5,7 @@ The acceptance bar for the warm engine: on any probe sequence, the
 *bit-identical* to what a cold ``build_network(...).solve()`` on the
 dict-keyed reference stack (fresh pointer graph + Dinic from zero flow)
 returns for the same targets — no matter in which order the probes
-arrive, and which internal answer mode (early-accept, warm or cold flow)
-produced the verdict.
+arrive, and whether the flow solve behind the verdict started warm or cold.
 """
 
 import numpy as np
@@ -57,8 +56,7 @@ def clusters_and_probes(draw):
     cluster = Cluster.from_matrices(caps, workloads)
     demand = cluster.aggregate_demand
     # Probe fractions both rising and falling, including the exact bounds
-    # bisection hits (0 and 1) — the sequence shape that broke fuzzy
-    # early-accept once already.
+    # bisection hits (0 and 1).
     n_probes = draw(st.integers(min_value=1, max_value=7))
     fractions = [
         draw(st.floats(min_value=0.0, max_value=1.2, allow_nan=False)) for _ in range(n_probes)
@@ -128,8 +126,8 @@ def test_falling_probes_roll_back_and_stay_bit_identical(case):
     and the verdicts (and minimal cuts) still bit-match cold solves.
 
     No rollback-count assertion here: degenerate draws legitimately skip the
-    arm (every job folded, or an early feasible probe lets the trailing zero
-    early-accept) — the deterministic test below pins that the arm fires.
+    arm (every job folded) — the deterministic test below pins that the arm
+    fires.
     """
     cluster, probes = case
     oracle = ParametricFeasibility(cluster)
@@ -139,7 +137,7 @@ def test_falling_probes_roll_back_and_stay_bit_identical(case):
         assert warm.feasible is cold.feasible
         _assert_cut_matches(warm, cold)
         assert warm.flow_value == pytest.approx(cold.flow_value, abs=1e-8)
-    assert oracle.stats.probes == len(probes)
+    assert oracle.stats.feasibility_solves == len(probes)
 
 
 def test_falling_probe_fires_the_rollback_arm():
@@ -153,7 +151,7 @@ def test_falling_probe_fires_the_rollback_arm():
         warm = oracle.probe(targets)
         assert warm.feasible is cold.feasible
         assert warm.flow_value == pytest.approx(cold.flow_value, abs=1e-9)
-    assert oracle.stats.rollbacks >= 1
+    assert oracle.stats.probe_rollbacks >= 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,7 +193,7 @@ def test_all_jobs_single_site_fold_entirely():
     """Degree-1 folding may leave an empty reduced network."""
     cluster = Cluster.from_matrices([2.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     oracle = ParametricFeasibility(cluster)
-    assert oracle.stats.folded_jobs == 3
+    assert oracle.stats.jobs_folded == 3
     assert oracle.probe(np.array([1.0, 1.0, 1.0])).feasible
     out = oracle.probe(np.array([2.0, 1.0, 2.0]))
     assert not out.feasible
@@ -239,13 +237,15 @@ def test_ascending_then_bisecting_schedule_matches_fresh_oracles(zipf_cluster):
 class _ColdFeasibility:
     """The reference oracle behind the solver's probe interface: every
     probe and every realization is a fresh ``FeasibilityNetwork`` + Dinic
-    from zero flow — no warm flow, no early accept, no folding."""
+    from zero flow — no warm flow, no folding.  It counts only the probes
+    it is asked into ``stats``, as the solver's oracle does."""
 
-    def __init__(self, cluster):
+    def __init__(self, cluster, stats=None):
         self.cluster = cluster
-        self.stats = ProbeStats()
+        self.stats = ProbeStats() if stats is None else stats
 
     def probe(self, targets):
+        self.stats.feasibility_solves += 1
         return _cold_outcome(self.cluster, targets)
 
     def allocation_matrix(self, levels):
@@ -262,11 +262,11 @@ def test_amf_levels_match_cold_reference(seed, monkeypatch):
     lv_par = amf_levels(cluster, diagnostics=d_par)
     bisect_par = amf_levels_bisect(cluster)
     agg_par = solve_amf(cluster).aggregates
-    assert d_par.probes_reused > 0  # the warm machinery actually engaged
+    assert d_par.probes_warm > 0  # the warm machinery actually engaged
 
     monkeypatch.setattr(amf, "ParametricFeasibility", _ColdFeasibility)
     lv_ref = amf_levels(cluster, diagnostics=d_ref)
-    assert d_ref.probes_reused == d_ref.probes_cold == 0  # the reference really is cold
+    assert d_ref.probes_warm == d_ref.probes_cold == 0  # the reference really is cold
     np.testing.assert_allclose(lv_par, lv_ref, atol=1e-8, rtol=1e-9)
     # identical probe-for-probe behaviour, not just identical answers
     assert d_par.feasibility_solves == d_ref.feasibility_solves
@@ -290,9 +290,20 @@ def test_probe_stats_track_reuse():
     cluster = Cluster.from_matrices([2.0, 2.0], [[1.0, 1.0], [1.0, 1.0]])
     oracle = ParametricFeasibility(cluster)
     oracle.probe(np.array([1.0, 1.0]))
-    oracle.probe(np.array([0.5, 0.5]))  # dominated by the last feasible probe
-    assert oracle.stats.early_accepts == 1
-    assert oracle.stats.probes == 2
+    out = oracle.probe(np.array([0.5, 0.5]))  # below the flow it holds: a warm solve after a rollback
+    assert out.feasible and out.mode == "flow-warm"
+    st = oracle.stats
+    assert (st.feasibility_solves, st.probes_cold, st.probes_warm, st.probe_rollbacks) == (2, 1, 1, 1)
+
+
+def test_counts_into_the_record_it_is_given():
+    """The fill passes its ``AmfDiagnostics``: the oracle counts straight into it."""
+    cluster = Cluster.from_matrices([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]])
+    diag = AmfDiagnostics(jobs_folded=2)
+    oracle = ParametricFeasibility(cluster, diag)
+    assert oracle.stats is diag and diag.jobs_folded == 3
+    oracle.probe(np.array([1.0, 1.0]))
+    assert (diag.feasibility_solves, diag.probes_cold, diag.probes_warm) == (1, 1, 0)
 
 
 # -- the array-built network is the edge-appending loop's network ---------
@@ -366,8 +377,8 @@ def test_reachability_sweep_runs_once_per_infeasible_probe(monkeypatch):
     monkeypatch.setattr(ParametricFeasibility, "probe", recorded)
     cluster = generate_cluster(WorkloadSpec(n_jobs=25, n_sites=6, theta=1.2), np.random.default_rng(1))
     amf_levels(cluster)
-    refuted = [out for out in outcomes if not out.feasible and out.mode.startswith("flow")]
-    accepted = [out for out in outcomes if out.feasible and out.mode.startswith("flow")]
+    refuted = [out for out in outcomes if not out.feasible]
+    accepted = [out for out in outcomes if out.feasible]
     assert refuted and accepted  # both kinds occurred
     assert len(sweeps) == len(refuted)
     assert all(out.cut_sites for out in refuted)

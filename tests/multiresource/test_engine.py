@@ -103,6 +103,35 @@ class TestRouting:
         assert diag.amrf_rounds > 0
         check_rates(c, alloc.matrix)
 
+    def test_policy_label_follows_the_route(self):
+        """A component the scalar reduction cannot take makes the allocation
+        AMRF, even when no job has a usable edge and no LP runs."""
+        sites = [Site("a", {"cpu": 8.0, "mem": 16.0}), Site("b", {"cpu": 4.0, "mem": 32.0})]
+
+        def jobs(cap):
+            return [
+                Job("j0", {"a": 1.0, "b": 1.0}, demand={"a": cap, "b": cap}, resources={"cpu": 1.0, "mem": 4.0}),
+                Job("j1", {"a": 1.0}, demand={"a": cap}, resources={"cpu": 4.0, "mem": 1.0}),
+            ]
+
+        for cap, lps in ((0.0, 0), (2.0, 1)):
+            c = Cluster(sites, jobs(cap))
+            assert scalar_reduction(c) is None
+            diag = AmfDiagnostics()
+            alloc = solve_amf(c, diagnostics=diag)
+            assert (alloc.policy, min(diag.amrf_lps, 1)) == ("amrf", lps)
+            assert solve_amf(c, floors=np.zeros(2)).policy == "amrf+floors"
+        # cpu dominates at every site for every job: the scalar route
+        reducible = Cluster(
+            [Site("a", {"cpu": 4.0, "mem": 100.0}), Site("b", {"cpu": 2.0, "mem": 100.0})],
+            [
+                Job("x", {"a": 10.0}, resources={"cpu": 2.0, "mem": 1.0}),
+                Job("y", {"a": 10.0, "b": 10.0}, resources={"cpu": 1.0, "mem": 0.5}),
+            ],
+        )
+        assert scalar_reduction(reducible) is not None
+        assert solve_amf(reducible).policy == "amf"
+
     def test_reduction_is_exact_change_of_variables(self):
         c = Cluster(
             [Site("a", {"cpu": 4.0})],

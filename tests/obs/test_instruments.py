@@ -72,7 +72,7 @@ class TestSpanNesting:
         probes = [ev for ev in TRACER.events() if ev["name"] == "flow.probe"]
         assert probes
         for ev in probes:
-            assert ev["args"]["mode"] in {"early-accept", "flow-warm", "flow-cold"}
+            assert ev["args"]["mode"] in {"flow-warm", "flow-cold"}
             assert isinstance(ev["args"]["feasible"], bool)
 
     def test_disabled_tracer_emits_nothing(self):

@@ -55,8 +55,6 @@ STATS_KEYS = {
     "incremental.probe_rollbacks",
     "incremental.probes_cold",
     "incremental.probes_cut_reject",
-    "incremental.probes_early_accept",
-    "incremental.probes_reused",
     "incremental.probes_warm",
     "incremental.rounds",
     "incremental.solves",
