@@ -7,7 +7,7 @@ each experiment's shape claim.
 
 from repro.analysis.tables import Table, fmt, render_table, series_table
 from repro.analysis.sweep import SweepResult, finite_mean, sweep1d
-from repro.analysis.parallel import default_workers, grid_map, parallel_map, set_default_workers
+from repro.analysis.parallel import default_workers, grid_map, parallel_map
 
 __all__ = [
     "Table",
@@ -20,5 +20,4 @@ __all__ = [
     "default_workers",
     "grid_map",
     "parallel_map",
-    "set_default_workers",
 ]

@@ -18,8 +18,8 @@ Two deliberate design points:
   platforms without ``fork`` (or inside a worker) the map silently runs
   serial; correctness never depends on parallelism.
 * **serial by default.**  ``workers=None`` resolves through
-  :func:`default_workers` (the ``REPRO_WORKERS`` environment variable or
-  :func:`set_default_workers`, else 1), so library callers see no
+  :func:`default_workers` (the ``REPRO_WORKERS`` environment variable,
+  else 1; ``experiment --workers N`` sets it), so library callers see no
   behavioural change unless they opt in.
 
 The fork fallback is silent in results but not in telemetry: the first
@@ -43,12 +43,10 @@ from repro.obs.instruments import record_parallel_fallback
 
 __all__ = [
     "default_workers",
-    "set_default_workers",
     "parallel_map",
     "grid_map",
 ]
 
-_DEFAULT_WORKERS: int | None = None  # set_default_workers override
 _IN_WORKER = False  # guards against nested pools (fork bombs)
 
 # The callable being mapped, published for fork inheritance.  Only ever set
@@ -58,9 +56,7 @@ _WORKER_FN: Callable | None = None
 
 
 def default_workers() -> int:
-    """The worker count used when ``workers=None``: override > env > 1."""
-    if _DEFAULT_WORKERS is not None:
-        return _DEFAULT_WORKERS
+    """The worker count used when ``workers=None``: ``REPRO_WORKERS``, else 1."""
     env = os.environ.get("REPRO_WORKERS", "").strip()
     if env:
         try:
@@ -68,12 +64,6 @@ def default_workers() -> int:
         except ValueError:
             return 1
     return 1
-
-
-def set_default_workers(n: int | None) -> None:
-    """Set the process-wide default worker count (``None`` restores env/1)."""
-    global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = None if n is None else max(1, int(n))
 
 
 def _resolve(workers: int | None) -> int:

@@ -30,9 +30,6 @@ class SweepResult:
         keys = metrics if metrics is not None else list(self.mean)
         return {k: self.mean[k] for k in keys}
 
-    def metric_at(self, metric: str, x) -> float:
-        return self.mean[metric][self.x_values.index(x)]
-
 
 def finite_mean(values) -> float:
     """Mean of the finite entries of ``values``; NaN when there are none.

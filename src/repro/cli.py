@@ -19,6 +19,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -80,11 +81,9 @@ def _spec(args) -> WorkloadSpec:
 
 def cmd_experiment(args) -> int:
     if args.workers:
-        from repro.analysis.parallel import set_default_workers
-
         # Experiments take no workers argument; raising the process-wide
         # default routes their internal sweep1d grids through the pool.
-        set_default_workers(args.workers)
+        os.environ["REPRO_WORKERS"] = str(args.workers)
     if args.list:
         for eid, fn in EXPERIMENTS.items():
             doc = (fn.__doc__ or "").strip().splitlines()[0]

@@ -230,10 +230,6 @@ class Allocation:
         """Aggregates divided by fairness weights (the quantity AMF equalizes)."""
         return self.aggregates / self.cluster.weights
 
-    def with_matrix(self, matrix: np.ndarray, *, policy: str | None = None) -> "Allocation":
-        """A new allocation on the same cluster (used by the CT add-on)."""
-        return Allocation(self.cluster, matrix, policy=policy or self.policy)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ags = self.aggregates
         return (

@@ -159,10 +159,6 @@ class CutBasis:
     def __len__(self) -> int:
         return len(self._cuts)
 
-    def clear(self) -> None:
-        self._cuts.clear()
-        self._split = None
-
     def keep_split(self, cluster: Cluster, matrix: np.ndarray) -> None:
         """Remember ``matrix``, a solved ``(n, m)`` split of ``cluster``."""
         self._split = (

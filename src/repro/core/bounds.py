@@ -1,28 +1,22 @@
-"""Reference bounds: what locality costs and what isolation guarantees.
+"""Reference bound: what locality costs.
 
-Two idealized references bracket every real policy:
-
-* :func:`locality_oblivious_levels` — the max-min fair allocation of one
-  *pooled* resource of size ``Σ_j c_j``, as if work could run anywhere.
-  This relaxes every cut constraint of the real system, so its common
-  water level upper-bounds the minimum level any feasible policy (AMF
-  included) can reach.  The gap between it and AMF is the **price of
-  locality** (extension experiment X4).
-* :func:`isolation_levels` — the static equal-partition outcome
-  (the sharing-incentive floors): what every job is guaranteed with no
-  sharing at all.  Any policy with the sharing-incentive property sits
-  pointwise above it.
+:func:`locality_oblivious_levels` is the max-min fair allocation of one
+*pooled* resource of size ``Σ_j c_j``, as if work could run anywhere.  This
+relaxes every cut constraint of the real system, so its common water level
+upper-bounds the minimum level any feasible policy (AMF included) can
+reach.  The gap between it and AMF is the **price of locality** (extension
+experiment X4).  The lower reference, the static equal partition, is
+:func:`repro.core.enhanced.sharing_incentive_floors`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.enhanced import sharing_incentive_floors
 from repro.core.waterfilling import water_fill
 from repro.model.cluster import Cluster
 
-__all__ = ["locality_oblivious_levels", "isolation_levels", "price_of_locality"]
+__all__ = ["locality_oblivious_levels", "price_of_locality"]
 
 
 def locality_oblivious_levels(cluster: Cluster) -> np.ndarray:
@@ -34,11 +28,6 @@ def locality_oblivious_levels(cluster: Cluster) -> np.ndarray:
     vector — an idealized upper reference, not a feasible allocation.
     """
     return water_fill(cluster.total_capacity, cluster.aggregate_demand, cluster.weights)
-
-
-def isolation_levels(cluster: Cluster) -> np.ndarray:
-    """Aggregates under a static equal partition of every site (no sharing)."""
-    return sharing_incentive_floors(cluster)
 
 
 def price_of_locality(cluster: Cluster, levels: np.ndarray) -> float:

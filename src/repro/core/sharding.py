@@ -223,13 +223,6 @@ class ShardBasisPool:
     def __len__(self) -> int:
         return len(self._bases)
 
-    def __contains__(self, key: frozenset[str]) -> bool:
-        return key in self._bases
-
-    def items(self):
-        """``(key, basis)`` pairs, LRU order (oldest first); read-only use."""
-        return self._bases.items()
-
     @property
     def total_cuts(self) -> int:
         return sum(len(b) for b in self._bases.values())

@@ -51,24 +51,6 @@ class DiscreteJob:
     def total_work(self) -> float:
         return sum(c * d for c, d in self.tasks.values())
 
-    def work_at(self, site: str) -> float:
-        count, duration = self.tasks.get(site, (0, 1.0))
-        return count * duration
-
-    def fluid_job(self) -> Job:
-        """The fluid equivalent: workload = slot-time, demand cap = task count.
-
-        A job can never run more simultaneous tasks at a site than it has
-        tasks there, so the task count *is* the fluid demand cap.
-        """
-        return Job(
-            name=self.name,
-            workload={s: c * d for s, (c, d) in self.tasks.items()},
-            demand={s: float(c) for s, (c, _) in self.tasks.items()},
-            weight=self.weight,
-            arrival=self.arrival,
-        )
-
 
 def discretize_jobs(jobs: Sequence[Job], granularity: float) -> list[DiscreteJob]:
     """Work-preserving discretization of fluid jobs.
@@ -80,8 +62,7 @@ def discretize_jobs(jobs: Sequence[Job], granularity: float) -> list[DiscreteJob
 
     In the discrete world a job's parallelism limit at a site *is* its
     remaining task count there (each task needs one slot), so fluid demand
-    caps are not carried over separately; the round-trip
-    ``DiscreteJob.fluid_job()`` re-derives them from the task counts.
+    caps are not carried over separately.
     """
     require(granularity > 0.0, "granularity must be positive")
     out = []

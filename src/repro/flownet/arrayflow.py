@@ -102,11 +102,6 @@ class ArrayFlowGraph:
     # ------------------------------------------------------------------
     # Capacity management
     # ------------------------------------------------------------------
-    @property
-    def n_edges(self) -> int:
-        """Number of directed edges added (residual twins not counted)."""
-        return self.to.size // 2
-
     def reset_flow(self) -> None:
         """Restore all residual capacities to the original capacities."""
         self.cap[:] = self.orig

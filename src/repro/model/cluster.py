@@ -159,12 +159,6 @@ class Cluster:
     def job_index(self, name: str) -> int:
         return self._job_index[name]
 
-    def job(self, name: str) -> Job:
-        return self._jobs[self._job_index[name]]
-
-    def site(self, name: str) -> Site:
-        return self._sites[self._site_index[name]]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cluster(n_jobs={self.n_jobs}, n_sites={self.n_sites}, total_capacity={self.total_capacity:g})"
 

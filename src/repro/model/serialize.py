@@ -26,8 +26,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro._util import require
 from repro.core.allocation import Allocation
 from repro.model.cluster import Cluster
@@ -133,21 +131,6 @@ def allocation_to_dict(alloc: Allocation) -> dict[str, Any]:
     }
 
 
-def allocation_from_dict(data: dict[str, Any]) -> Allocation:
-    """Rebuild an allocation; re-validates every invariant on load."""
-    require(
-        data.get("format") == ALLOCATION_FORMAT,
-        f"unsupported allocation format {data.get('format')!r}",
-    )
-    cluster = cluster_from_dict(data["cluster"])
-    return Allocation(cluster, np.asarray(data["matrix"], dtype=float), policy=data.get("policy", "loaded"))
-
-
 def save_allocation(alloc: Allocation, path: str | Path) -> None:
     """Write an allocation (with its cluster) to a JSON file."""
     Path(path).write_text(json.dumps(allocation_to_dict(alloc), indent=2))
-
-
-def load_allocation(path: str | Path) -> Allocation:
-    """Read an allocation from a JSON file (invariants re-checked)."""
-    return allocation_from_dict(json.loads(Path(path).read_text()))

@@ -89,15 +89,6 @@ class Site:
             return {SLOTS: self.capacity}
         return dict(self.resources)
 
-    def capacity_of(self, resource: str, default: float = 0.0) -> float:
-        """Capacity of one resource (``default`` when not offered)."""
-        if self.resources is None:
-            return self.capacity if resource == SLOTS else default
-        for res, amount in self.resources:
-            if res == resource:
-                return amount
-        return default
-
     def scaled(self, factor: float) -> "Site":
         """Return a copy of this site with all capacities multiplied by ``factor``."""
         require(factor > 0.0, "scale factor must be positive")

@@ -4,12 +4,12 @@ Two process-global singletons, both **off by default** with a
 one-attribute-read fast path on every hot call site:
 
 * :data:`~repro.obs.registry.REGISTRY` — counters / gauges / histograms,
-  rendered as Prometheus text (:func:`render_prometheus`).  ``GET
+  rendered as Prometheus text by its ``render_prometheus()``.  ``GET
   /v1/metrics`` appends :func:`~repro.obs.instruments.render_stats`: the
   service's own counters, read from the ``/v1/stats`` snapshot it publishes.
 * :data:`~repro.obs.tracing.TRACER` — a ring buffer of recent spans with
   parent-child nesting (``amf.solve`` → ``flow.probe`` → ``flow.max_flow``),
-  exported as Chrome-trace JSON (``GET /traces``, ``--trace-out``).
+  exported as Chrome-trace JSON (``GET /v1/traces``, ``--trace-out``).
 
 Turn both on with :func:`enable`; the service daemon does this by default
 and the CLI does under ``--trace-out``.  See docs/observability.md for the
@@ -23,12 +23,9 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
-    parse_prometheus,
-    render_prometheus,
 )
 from repro.obs.simobs import SimObserver
-from repro.obs.tracing import TRACER, Tracer, get_tracer, span, traced
+from repro.obs.tracing import TRACER, Tracer, span
 
 __all__ = [
     "REGISTRY",
@@ -41,14 +38,9 @@ __all__ = [
     "Tracer",
     "disable",
     "enable",
-    "get_registry",
-    "get_tracer",
-    "parse_prometheus",
     "record_queue_flush",
-    "render_prometheus",
     "render_stats",
     "span",
-    "traced",
 ]
 
 

@@ -43,9 +43,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
-    "render_prometheus",
-    "parse_prometheus",
 ]
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:")
@@ -102,12 +99,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def reset(self) -> None:
         self.value = 0.0
@@ -220,14 +211,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help, start=start, factor=factor, buckets=buckets)
 
-    def get(self, name: str) -> Counter | Gauge | Histogram | None:
-        with self._lock:
-            return self._metrics.get(name)
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     # -- export ---------------------------------------------------------
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (0.0.4) of every instrument."""
@@ -241,58 +224,6 @@ class MetricsRegistry:
             lines.extend(metric.render())
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def snapshot(self) -> dict[str, float | dict]:
-        """JSON-ready dump (counters/gauges as floats, histograms as dicts)."""
-        with self._lock:
-            metrics = list(self._metrics.values())
-        out: dict[str, float | dict] = {}
-        for metric in metrics:
-            if isinstance(metric, Histogram):
-                out[metric.name] = {
-                    "sum": metric.sum,
-                    "count": metric.count,
-                    "buckets": dict(zip([_fmt(b) for b in metric.bounds] + ["+Inf"], metric.counts)),
-                }
-            else:
-                out[metric.name] = metric.value
-        return out
-
 
 #: The process-global registry every built-in instrument binds to.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
-
-
-def render_prometheus() -> str:
-    """Render the global registry (module-level convenience)."""
-    return REGISTRY.render_prometheus()
-
-
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Parse Prometheus text format into ``{sample_name_with_labels: value}``.
-
-    A strict-enough validator for tests and CI smoke checks: raises
-    :class:`ValueError` on any line that is neither a comment nor a
-    ``name[{labels}] value`` sample, and on non-float sample values.
-    """
-    samples: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.rsplit(None, 1)
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: not a sample: {line!r}")
-        key, raw = parts
-        name = key.split("{", 1)[0]
-        if "{" in key and not key.endswith("}"):
-            raise ValueError(f"line {lineno}: unterminated label set: {line!r}")
-        _check_name(name)
-        try:
-            value = float(raw.replace("+Inf", "inf").replace("-Inf", "-inf"))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad sample value {raw!r}") from exc
-        samples[key] = value
-    return samples

@@ -17,30 +17,25 @@ Design points:
   the Chrome export nests by time containment within a thread track.
 * **Bounded memory**: completed spans land in a ``deque(maxlen=...)``;
   a long-lived daemon keeps the most recent ``max_events`` spans and
-  forgets the rest.  ``GET /traces`` on the service serves this ring.
+  forgets the rest.  ``GET /v1/traces`` on the service serves this ring.
 
-Use :func:`span` as a context manager (fast path built in) and
-:func:`traced` as a decorator::
+Use :func:`span` as a context manager (fast path built in)::
 
     with span("amf.solve", jobs=cluster.n_jobs):
         ...
-
-    @traced("report.experiment")
-    def run(): ...
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-__all__ = ["SpanRecord", "Tracer", "TRACER", "get_tracer", "span", "traced"]
+__all__ = ["SpanRecord", "Tracer", "TRACER", "span"]
 
 
 class SpanRecord(dict):
@@ -183,28 +178,8 @@ class Tracer:
 TRACER = Tracer()
 
 
-def get_tracer() -> Tracer:
-    return TRACER
-
-
 def span(name: str, **args: Any) -> _Span | _NoopSpan:
     """Context manager around a timed section (no-op when tracing is off)."""
     if not TRACER.enabled:
         return _NOOP
     return TRACER.span(name, **args)
-
-
-def traced(name: str) -> Callable:
-    """Decorator form of :func:`span`; the enabled check runs per call."""
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not TRACER.enabled:
-                return fn(*args, **kwargs)
-            with TRACER.span(name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -327,10 +327,6 @@ class AllocationService:
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Graceful shutdown: drain the queue, then refuse new work.
 

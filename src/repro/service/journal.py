@@ -219,11 +219,6 @@ class WriteAheadJournal:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def dirty(self) -> bool:
-        """Whether acknowledged events are still waiting for an fsync."""
-        return self._unsynced > 0
-
     def append(self, events: Sequence[ClusterEvent]) -> int:
         """Journal ``events`` in order; returns the sequence number after.
 

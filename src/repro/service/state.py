@@ -143,14 +143,6 @@ class ClusterState:
     def n_jobs(self) -> int:
         return len(self._jobs)
 
-    @property
-    def job_names(self) -> list[str]:
-        return list(self._jobs)
-
-    @property
-    def site_names(self) -> list[str]:
-        return list(self._sites)
-
     def has_job(self, name: str) -> bool:
         return name in self._jobs
 

@@ -33,14 +33,12 @@ from repro.sim.trace import CapacityChange, FaultEvent, SiteFailure, SiteRecover
 
 
 class Observer:
-    """Interface: called once per simulated interval, before time advances.
+    """Interface: ``observe(t, dt, snapshot, alloc)`` is called once per
+    simulated interval, before time advances.
 
-    Subclasses override :meth:`observe`; the fault-tolerance hooks below
+    Subclasses define ``observe``; the fault-tolerance hooks below
     default to no-ops so fault-oblivious observers stay one-method classes.
     """
-
-    def observe(self, t: float, dt: float, snapshot: Cluster, alloc: Allocation) -> None:
-        raise NotImplementedError
 
     def observe_capacity(self, t: float, dt: float, effective: float, nominal: float) -> None:
         """Called every interval with total effective vs nominal capacity."""
@@ -218,17 +216,6 @@ class AvailabilityObserver(Observer):
         """Solver-fallback activations of the linked :class:`ResilientPolicy`."""
         stats = getattr(self.policy, "stats", None)
         return int(getattr(stats, "fallback_activations", 0))
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "availability": self.availability,
-            "work_lost": self.work_lost,
-            "work_requeued": self.work_requeued,
-            "work_migrated": self.work_migrated,
-            "n_failures": float(self.n_failures),
-            "n_recoveries": float(self.n_recoveries),
-            "fallback_activations": float(self.fallback_activations),
-        }
 
 
 @dataclass(slots=True)

@@ -137,9 +137,6 @@ class Trace:
             return
         self.events.append(event)
 
-    def of_kind(self, kind: EventKind) -> list[SimEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def render(self, limit: int = 50) -> str:
         lines = [str(e) for e in self.events[:limit]]
         extra = len(self.events) - limit + self.dropped

@@ -18,7 +18,7 @@ provides:
   traces for the fault-tolerance experiments (X8, docs/robustness.md).
 """
 
-from repro.workload.zipf import zipf_probabilities, zipf_sample
+from repro.workload.zipf import zipf_probabilities
 from repro.workload.generator import (
     WorkloadSpec,
     generate_cluster,
@@ -31,7 +31,6 @@ from repro.workload.failures import FailureSpec, generate_failure_trace
 
 __all__ = [
     "zipf_probabilities",
-    "zipf_sample",
     "WorkloadSpec",
     "generate_cluster",
     "generate_jobs",

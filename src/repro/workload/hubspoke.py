@@ -79,37 +79,3 @@ def hub_and_spoke_cluster(spec: HubSpokeSpec, rng: np.random.Generator) -> Clust
             demand[sat] = cap
         jobs.append(Job(f"j{i}", workload, demand))
     return Cluster(sites, jobs)
-
-
-def predicted_violators(spec: HubSpokeSpec, cluster: Cluster) -> list[str]:
-    """Closed-form prediction of which jobs AMF leaves below entitlement.
-
-    Satellites are private, so Pareto efficiency forces every job to its
-    full satellite cap; the hub then water-fills *on top of the caps*:
-    every job ends at ``A_i = max(lam, d_i)`` where ``lam`` solves
-    ``sum_i max(lam - d_i, 0) = c_hub``.  Job ``i``'s entitlement is
-    ``c_hub / n + min(d_i, c_sat / n)``; the predicted violators are the
-    jobs whose entitlement exceeds their ``A_i``.  Used by tests to
-    cross-check the actual flow-based solver against paper math.
-    """
-    caps = np.array(
-        [job.demand_at(f"sat{k}", 0.0) if f"sat{k}" in job.workload else 0.0 for k, job in enumerate(cluster.jobs)]
-    )
-    n = cluster.n_jobs
-    # solve sum_i max(lam - d_i, 0) = c_hub  (piecewise linear in lam)
-    order = np.sort(caps)
-    lam = None
-    for k in range(n):
-        # suppose exactly jobs with d < order[k] .. try lam in segment
-        below = order[: k + 1]
-        candidate = (spec.hub_capacity + below.sum()) / (k + 1)
-        upper = order[k + 1] if k + 1 < n else np.inf
-        if order[k] <= candidate <= upper:
-            lam = candidate
-            break
-    if lam is None:  # pragma: no cover - the segments cover all cases
-        lam = (spec.hub_capacity + caps.sum()) / n
-    aggregates = np.maximum(lam, caps)
-    sat_share = spec.effective_satellite_capacity / n
-    entitlements = spec.hub_capacity / n + np.minimum(caps, sat_share)
-    return [cluster.jobs[i].name for i in range(n) if entitlements[i] > aggregates[i] + 1e-9]

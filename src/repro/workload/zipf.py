@@ -24,18 +24,3 @@ def zipf_probabilities(n: int, theta: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks**-theta
     return weights / weights.sum()
-
-
-def zipf_sample(rng: np.random.Generator, n: int, theta: float, size: int) -> np.ndarray:
-    """Sample ``size`` ranks in ``[0, n)`` from the bounded Zipf law."""
-    return rng.choice(n, size=size, p=zipf_probabilities(n, theta))
-
-
-def permuted_zipf(rng: np.random.Generator, n: int, theta: float) -> np.ndarray:
-    """Zipf probabilities with ranks randomly assigned to indices.
-
-    Used when each *job* should have its own popular sites rather than all
-    jobs piling onto site 0.
-    """
-    p = zipf_probabilities(n, theta)
-    return p[rng.permutation(n)]

@@ -42,6 +42,7 @@ from repro.analysis.experiments import (
 from repro.analysis.sweep import finite_mean as _finite_mean
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
+from tests.analysis.sweeps import metric_at
 
 
 @pytest.fixture(autouse=True)
@@ -65,14 +66,14 @@ def _at_least(metric, winner="amf", loser="psmf", slack=1e-9):
     def check(data):
         sw = data["sweep"]
         for x in sw.x_values:
-            assert sw.metric_at(f"{winner}/{metric}", x) >= sw.metric_at(f"{loser}/{metric}", x) - slack, x
+            assert metric_at(sw, f"{winner}/{metric}", x) >= metric_at(sw, f"{loser}/{metric}", x) - slack, x
 
     return check
 
 
 def _f3_amf_drains_no_worse_at_high_skew(data):
     sw = data["sweep"]
-    assert sw.metric_at("amf/mean_jct", 2.0) <= sw.metric_at("psmf/mean_jct", 2.0) * 1.15
+    assert metric_at(sw, "amf/mean_jct", 2.0) <= metric_at(sw, "psmf/mean_jct", 2.0) * 1.15
 
 
 def _f4_deciles_non_decreasing(data):
@@ -83,7 +84,7 @@ def _f4_deciles_non_decreasing(data):
 def _f7_jct_grows_with_load(data):
     sw = data["sweep"]
     for p in ("psmf", "amf"):
-        assert sw.metric_at(f"{p}/mean_jct", 0.9) >= sw.metric_at(f"{p}/mean_jct", 0.4) * 0.8
+        assert metric_at(sw, f"{p}/mean_jct", 0.9) >= metric_at(sw, f"{p}/mean_jct", 0.4) * 0.8
 
 
 def _f8_cutting_planes_beat_bisection(data):
@@ -138,16 +139,16 @@ def _x2_psmf_is_cheapest_and_all_interactive(data):
 
 def _x3_aggregates_track_weights(data):
     sw = data["sweep"]
-    assert sw.metric_at("measured_ratio", 1.0) == pytest.approx(1.0, rel=0.15)
-    assert 2.0 < sw.metric_at("measured_ratio", 4.0) <= 4.5
+    assert metric_at(sw, "measured_ratio", 1.0) == pytest.approx(1.0, rel=0.15)
+    assert 2.0 < metric_at(sw, "measured_ratio", 4.0) <= 4.5
 
 
 def _x4_amf_pays_less_for_locality(data):
     sw = data["sweep"]
     for theta in sw.x_values:
-        assert sw.metric_at("amf/min_level", theta) <= sw.metric_at("oblivious/min_level", theta) * 1.001
-        assert sw.metric_at("amf/locality_price", theta) <= sw.metric_at("psmf/locality_price", theta) + 1e-9
-    assert sw.metric_at("psmf/locality_price", 2.0) > sw.metric_at("psmf/locality_price", 0.0)
+        assert metric_at(sw, "amf/min_level", theta) <= metric_at(sw, "oblivious/min_level", theta) * 1.001
+        assert metric_at(sw, "amf/locality_price", theta) <= metric_at(sw, "psmf/locality_price", theta) + 1e-9
+    assert metric_at(sw, "psmf/locality_price", 2.0) > metric_at(sw, "psmf/locality_price", 0.0)
 
 
 def _x5_churn_is_bounded(data):
@@ -157,11 +158,11 @@ def _x5_churn_is_bounded(data):
 
 def _x6_discrete_converges_and_keeps_the_order(data):
     sw = data["sweep"]
-    coarse, fine = sw.metric_at("amf/gap_pct", 0.2), sw.metric_at("amf/gap_pct", 5.0)
+    coarse, fine = metric_at(sw, "amf/gap_pct", 0.2), metric_at(sw, "amf/gap_pct", 5.0)
     assert fine <= coarse + 1e-9
     assert fine < 10.0
     for g in sw.x_values:
-        assert sw.metric_at("amf/discrete_jct", g) <= sw.metric_at("psmf/discrete_jct", g) * 1.08
+        assert metric_at(sw, "amf/discrete_jct", g) <= metric_at(sw, "psmf/discrete_jct", g) * 1.08
 
 
 def _x7_amrf_dominates_per_site_drf(data):
@@ -275,7 +276,8 @@ def _cell(value):
 
 
 def _untimed(out) -> list[dict]:
-    """``out``'s tables as JSON, without the columns and rows ``out.timed`` names."""
+    """``out``'s tables as JSON, without the columns and rows ``out.timed``
+    names; a table's ``note`` is kept when it has one."""
     tables = []
     for table in out.tables:
         keep = [c for c, name in enumerate(table.header) if name not in out.timed]
@@ -285,6 +287,7 @@ def _untimed(out) -> list[dict]:
                 "title": table.title,
                 "header": [table.header[c] for c in keep],
                 "rows": [[_cell(row[c]) for c in keep] for row in rows],
+                **({"note": table.note} if table.note else {}),
             }
         )
     return tables
@@ -297,9 +300,9 @@ def _same(got, want) -> bool:
 
 
 def _moved(tables: list[dict], entry: dict) -> list[str]:
-    """Every cell of ``tables`` that differs from the golden ``entry``: from
-    its ``"expected"`` value where the entry lists one, else from its
-    ``"parent"`` value."""
+    """Every cell and note of ``tables`` that differs from the golden
+    ``entry``: a cell from its ``"expected"`` value where the entry lists
+    one, else from its ``"parent"`` value."""
     parent, expected = entry["parent"], entry.get("expected", {})
 
     def shape(ts):
@@ -309,6 +312,8 @@ def _moved(tables: list[dict], entry: dict) -> list[str]:
         return [f"tables {shape(tables)} != golden {shape(parent)}"]
     moved = []
     for t, (got, want) in enumerate(zip(tables, parent)):
+        if got.get("note") != want.get("note"):
+            moved.append(f"{want['title']} note: {got.get('note')!r} != {want.get('note')!r}")
         for r, (got_row, want_row) in enumerate(zip(got["rows"], want["rows"])):
             for c, (cell, golden_cell) in enumerate(zip(got_row, want_row)):
                 golden_cell = expected.get(f"{t}/{r}/{c}", golden_cell)
@@ -376,6 +381,13 @@ class TestGoldenCompare:
 
     def test_a_lost_row_is_caught(self):
         assert _moved(self._tables(), self.ENTRY)
+
+    def test_a_changed_note_is_caught(self):
+        noted = {"parent": [{**self.ENTRY["parent"][0], "note": "served by: amf=3"}]}
+        (table,) = self._tables(["amf", 1.0, 3, "10/10"])
+        assert _moved([{**table, "note": "served by: amf=3"}], noted) == []
+        assert len(_moved([{**table, "note": "served by: amf=2, psmf=1"}], noted)) == 1
+        assert len(_moved([table], noted)) == 1
 
     def test_expected_replaces_parent(self):
         entry = {**self.ENTRY, "expected": {"0/0/1": 2.0}, "why": {"0/0/1": "moved on purpose"}}
@@ -476,16 +488,16 @@ class TestSmoke:
         out = EXPERIMENTS["X8"](scale=0.15, seeds=(0,), mtbf_factors=(2.0,), policies=("psmf", "amf"))
         sw = out.data["sweep"]
         for name in ("psmf", "amf"):
-            jain = sw.metric_at(f"{name}/time_avg_jain", 2.0)
+            jain = metric_at(sw, f"{name}/time_avg_jain", 2.0)
             assert 0.0 <= jain <= 1.0 + 1e-9
-            assert sw.metric_at(f"{name}/mean_jct", 2.0) > 0.0
+            assert metric_at(sw, f"{name}/mean_jct", 2.0) > 0.0
 
 
 class TestShapes:
     def test_f1_amf_dominates_at_high_skew(self):
         out = run_f1_balance_vs_skew(scale=0.3, seeds=(0, 1), thetas=(1.5,))
         sw = out.data["sweep"]
-        assert sw.metric_at("amf/jain", 1.5) >= sw.metric_at("psmf/jain", 1.5)
+        assert metric_at(sw, "amf/jain", 1.5) >= metric_at(sw, "psmf/jain", 1.5)
 
 
 class TestHelpers:

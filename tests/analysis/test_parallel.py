@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import parallel
-from repro.analysis.parallel import default_workers, grid_map, parallel_map, set_default_workers
+from repro.analysis.parallel import default_workers, grid_map, parallel_map
 from repro.analysis.sweep import sweep1d
 
 
@@ -63,18 +63,11 @@ def test_grid_map_seeds_are_independent():
 
 def test_default_workers_env(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    set_default_workers(None)
     assert default_workers() == 1
     monkeypatch.setenv("REPRO_WORKERS", "5")
     assert default_workers() == 5
     monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
     assert default_workers() == 1
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    set_default_workers(7)  # explicit override beats the environment
-    try:
-        assert default_workers() == 7
-    finally:
-        set_default_workers(None)
 
 
 def test_worker_guard_prevents_nesting(monkeypatch):
@@ -104,7 +97,6 @@ def test_closures_cross_the_fork_boundary():
 
 def test_repro_workers_env_used_when_unset(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "1")
-    set_default_workers(None)
     assert os.environ["REPRO_WORKERS"] == "1"
     assert parallel_map(_square, [2], workers=None) == [4]
 

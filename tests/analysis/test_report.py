@@ -41,6 +41,12 @@ class TestGenerate:
         with pytest.raises(RuntimeError):
             generate_report(scale=0.2, experiments=["T2"], keep_going=False)
 
+    def test_workers_fan_out_keeps_order_and_text(self):
+        serial = generate_report(scale=0.15, experiments=["T2", "T4"])
+        fanned = generate_report(scale=0.15, experiments=["T2", "T4"], workers=2)
+        assert [sec.experiment for sec in fanned.sections] == ["T2", "T4"]
+        assert [sec.output.text for sec in fanned.sections] == [sec.output.text for sec in serial.sections]
+
 
 class TestMarkdown:
     def test_renders_sections_and_header(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.sweep import finite_mean, sweep1d
+from tests.analysis.sweeps import metric_at
 
 
 class TestFiniteMean:
@@ -23,7 +24,7 @@ class TestSweep1d:
 
     def test_metric_at(self):
         sw = sweep1d("x", [1, 2], lambda x, rng: {"y": float(x)}, seeds=[0])
-        assert sw.metric_at("y", 2) == 2.0
+        assert metric_at(sw, "y", 2) == 2.0
 
     def test_series_selection(self):
         sw = sweep1d("x", [1], lambda x, rng: {"a": 1.0, "b": 2.0}, seeds=[0])

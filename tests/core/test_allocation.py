@@ -113,12 +113,6 @@ class TestDerived:
         a = Allocation(c, [[1.0], [2.0]])
         assert np.allclose(a.normalized_aggregates(), [1.0, 1.0])
 
-    def test_with_matrix_keeps_policy(self):
-        a = Allocation(cluster(), [[1.0, 0.0], [0.0, 0.0]], policy="amf")
-        b = a.with_matrix([[0.5, 0.0], [0.0, 0.0]])
-        assert b.policy == "amf"
-        assert b.aggregates[0] == pytest.approx(0.5)
-
     def test_pretty_renders(self):
         text = Allocation(cluster(), [[1.0, 0.0], [0.0, 0.0]], policy="demo").pretty()
         assert "policy=demo" in text

@@ -1,11 +1,10 @@
-"""Tests for the reference bounds (locality-oblivious / isolation)."""
+"""Tests for the locality-oblivious reference bound and the price of locality."""
 
 import numpy as np
 import pytest
 
 from repro.core.amf import amf_levels, solve_amf
-from repro.core.bounds import isolation_levels, locality_oblivious_levels, price_of_locality
-from repro.core.enhanced import sharing_incentive_floors
+from repro.core.bounds import locality_oblivious_levels, price_of_locality
 from repro.model.cluster import Cluster
 
 from tests.conftest import random_cluster
@@ -37,11 +36,6 @@ class TestLocalityOblivious:
     def test_matches_amf_on_fully_connected_uncapped(self):
         c = Cluster.from_matrices([2.0, 3.0], np.ones((4, 2)))
         assert np.allclose(locality_oblivious_levels(c), amf_levels(c), atol=1e-8)
-
-
-class TestIsolation:
-    def test_alias_of_floors(self, two_site_cluster):
-        assert np.allclose(isolation_levels(two_site_cluster), sharing_incentive_floors(two_site_cluster))
 
 
 class TestPriceOfLocality:

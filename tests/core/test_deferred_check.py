@@ -100,7 +100,8 @@ class TestRefutation:
         jobs = refutation_jobs()
         pool = ShardBasisPool()
         amf_levels(Cluster([Site("a", 4.0), Site("b", 4.0), Site("c", 4.0)], jobs), bases=pool)
-        ((_, basis),) = pool.items()
+        assert len(pool) == 1
+        basis = pool.basis_for(frozenset({"a", "b", "c"}))
         assert basis.sets() == (frozenset({"b"}),)
 
         dropped = Cluster([Site("a", 4.0), Site("b", 4.0), Site("c", 1.0)], jobs)

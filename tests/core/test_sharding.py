@@ -201,7 +201,7 @@ class TestSubset:
         busy, idle = decompose(cluster)
         assert busy.cluster is not cluster  # two components: neither is the cluster
         assert idle.n_jobs == 0 and idle.key == frozenset({"idle0"})
-        assert_same_cluster(idle.cluster, Cluster([cluster.site("idle0")], []))
+        assert_same_cluster(idle.cluster, Cluster([cluster.sites[cluster.site_index("idle0")]], []))
         assert idle.cluster.workloads.shape == (0, 1)
 
     def test_vector_subset_rechecks_its_own_offered_resources(self):
@@ -313,8 +313,8 @@ class TestEquivalence:
 
 
 def test_shard_solves_stay_in_the_calling_process(monkeypatch):
-    """A raised process-wide worker default (``REPRO_WORKERS`` /
-    ``set_default_workers``, which experiment sweeps read) must not reach
+    """A raised process-wide worker default (``REPRO_WORKERS``, which
+    experiment sweeps read) must not reach
     the shard-solve path: the service's solver and ``solve_amf`` both solve
     every shard in the calling process.  Where a fork pool could engage
     (>= 2 cores and fork), a fanned-out solve would show other PIDs.
@@ -323,7 +323,6 @@ def test_shard_solves_stay_in_the_calling_process(monkeypatch):
         pytest.skip("a fork pool needs >= 2 cores to engage")
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("a fork pool needs the fork start method")
-    from repro.analysis.parallel import set_default_workers
     from repro.service.solver import IncrementalAmfSolver
 
     cluster = block_cluster([(3, 2), (2, 3), (2, 2)], seed=9)
@@ -337,12 +336,9 @@ def test_shard_solves_stay_in_the_calling_process(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sharding, "_solve_shard", recorded)
-        set_default_workers(4)
-        try:
-            IncrementalAmfSolver()(cluster)
-            solve_amf(cluster)
-        finally:
-            set_default_workers(None)
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        IncrementalAmfSolver()(cluster)
+        solve_amf(cluster)
         pids = calls.read_text().split()
     assert pids == [str(os.getpid())] * 6
 
@@ -407,11 +403,11 @@ class TestShardBasisPool:
     def test_lru_eviction(self):
         pool = ShardBasisPool(max_shards=2)
         a = pool.basis_for(frozenset({"a"}))
-        pool.basis_for(frozenset({"b"}))
+        b = pool.basis_for(frozenset({"b"}))
         assert pool.basis_for(frozenset({"a"})) is a  # refreshed, not evicted
         pool.basis_for(frozenset({"c"}))  # evicts "b" (least recent)
         assert len(pool) == 2
-        assert frozenset({"b"}) not in pool
+        assert pool.basis_for(frozenset({"b"})) is not b  # a miss builds a new basis
 
     def test_merge_warming_seeds_from_subset_keys(self):
         pool = ShardBasisPool()

@@ -13,8 +13,6 @@ class TestDiscreteJob:
         j = DiscreteJob("x", {"A": (4, 0.5), "B": (2, 1.0)})
         assert j.total_tasks == 6
         assert j.total_work == pytest.approx(4.0)
-        assert j.work_at("A") == pytest.approx(2.0)
-        assert j.work_at("C") == 0.0
 
     def test_zero_count_sites_dropped(self):
         j = DiscreteJob("x", {"A": (3, 1.0), "B": (0, 1.0)})
@@ -31,13 +29,6 @@ class TestDiscreteJob:
     def test_rejects_zero_duration(self):
         with pytest.raises(ValueError):
             DiscreteJob("x", {"A": (2, 0.0)})
-
-    def test_fluid_job_roundtrip(self):
-        j = DiscreteJob("x", {"A": (4, 0.5)}, weight=2.0, arrival=1.0)
-        f = j.fluid_job()
-        assert f.workload["A"] == pytest.approx(2.0)
-        assert f.demand_at("A") == 4.0  # parallelism = task count
-        assert f.weight == 2.0 and f.arrival == 1.0
 
     def test_pickle_round_trip(self):
         job = DiscreteJob("j", {"A": (2, 1.5), "B": (1, 0.5)}, weight=2.0, arrival=1.0)

@@ -356,7 +356,7 @@ def test_network_matches_reference_on_deciding_cases():
     assert zero._site_edges[2] == []
     # every job single-site: k_multi == 0, only the m sink arcs remain
     folded = _assert_same_network(Cluster(sites, [Job("x", {"A": 1.0}), Job("y", {"B": 1.0})]))
-    assert folded._sup_eids.size == 0 and folded._graph.n_edges == 3
+    assert folded._sup_eids.size == 0 and folded._graph.to.size == 2 * 3
     _assert_same_network(Cluster(sites, []))  # n_jobs == 0
 
 

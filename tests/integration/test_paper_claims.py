@@ -24,6 +24,7 @@ from repro.analysis.experiments import (
 from repro.core import properties
 from repro.core.policies import get_policy
 from repro.workload.generator import WorkloadSpec, generate_cluster
+from tests.analysis.sweeps import metric_at
 
 
 class TestPropertyClaims:
@@ -60,16 +61,16 @@ class TestBalanceClaims:
 
     def test_amf_never_less_balanced(self, f1):
         for theta in (0.0, 1.0, 2.0):
-            assert f1.metric_at("amf/jain", theta) >= f1.metric_at("psmf/jain", theta) - 1e-9
+            assert metric_at(f1, "amf/jain", theta) >= metric_at(f1, "psmf/jain", theta) - 1e-9
 
     def test_gap_grows_with_skew(self, f1):
-        gap_low = f1.metric_at("amf/jain", 0.0) - f1.metric_at("psmf/jain", 0.0)
-        gap_high = f1.metric_at("amf/jain", 2.0) - f1.metric_at("psmf/jain", 2.0)
+        gap_low = metric_at(f1, "amf/jain", 0.0) - metric_at(f1, "psmf/jain", 0.0)
+        gap_high = metric_at(f1, "amf/jain", 2.0) - metric_at(f1, "psmf/jain", 2.0)
         assert gap_high > gap_low
 
     def test_amf_significantly_better_at_high_skew(self, f1):
-        assert f1.metric_at("amf/jain", 2.0) > f1.metric_at("psmf/jain", 2.0) * 1.05
-        assert f1.metric_at("amf/cov", 2.0) < f1.metric_at("psmf/cov", 2.0) * 0.8
+        assert metric_at(f1, "amf/jain", 2.0) > metric_at(f1, "psmf/jain", 2.0) * 1.05
+        assert metric_at(f1, "amf/cov", 2.0) < metric_at(f1, "psmf/cov", 2.0) * 0.8
 
 
 class TestJctClaims:
@@ -83,10 +84,10 @@ class TestJctClaims:
 
     def test_amf_jct_competitive_at_high_skew(self, f3):
         """AMF (with dynamics) does not lose to PSMF on mean JCT under skew."""
-        assert f3.metric_at("amf/mean_jct", 1.5) <= f3.metric_at("psmf/mean_jct", 1.5) * 1.10
+        assert metric_at(f3, "amf/mean_jct", 1.5) <= metric_at(f3, "psmf/mean_jct", 1.5) * 1.10
 
     def test_ct_addon_helps_over_plain_amf(self, f3):
         assert (
-            f3.metric_at("amf-ct-quick/mean_jct", 1.5)
-            <= f3.metric_at("amf/mean_jct", 1.5) * 1.02
+            metric_at(f3, "amf-ct-quick/mean_jct", 1.5)
+            <= metric_at(f3, "amf/mean_jct", 1.5) * 1.02
         )

@@ -78,8 +78,8 @@ class TestViews:
         c = small()
         assert c.job_index("y") == 1
         assert c.site_index("B") == 1
-        assert c.job("y").name == "y"
-        assert c.site("B").capacity == 3.0
+        assert c.jobs[c.job_index("y")].name == "y"
+        assert c.sites[c.site_index("B")].capacity == 3.0
 
 
 class TestDerivedInstances:
@@ -98,7 +98,7 @@ class TestDerivedInstances:
 
     def test_replace_job(self):
         c = small().replace_job(Job("x", {"B": 9.0}))
-        assert c.job("x").support == {"B"}
+        assert c.jobs[c.job_index("x")].support == {"B"}
         assert c.n_jobs == 2
 
     def test_replace_preserves_order(self):
@@ -213,7 +213,7 @@ class TestViewsMatchReference:
             assert c.is_multiresource
             seen_zero |= any(0.0 in j.demand.values() for j in c.jobs)
             seen_unoffered |= any(
-                "mem" in j.resources and "mem" not in c.site(s).resource_vector for j in c.jobs for s in j.workload
+                "mem" in j.resources and "mem" not in c.sites[c.site_index(s)].resource_vector for j in c.jobs for s in j.workload
             )
         assert seen_zero and seen_unoffered  # the draws reach both deciding cases
 

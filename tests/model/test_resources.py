@@ -89,8 +89,6 @@ class TestCanonicalScalarForms:
         s = Site("s", {"cpu": 4.0, "mem": 8.0})
         assert s.is_multiresource
         assert s.resource_vector == {"cpu": 4.0, "mem": 8.0}
-        assert s.capacity_of("cpu") == 4.0
-        assert s.capacity_of("gpu") == 0.0
 
     def test_vector_site_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -8,14 +8,13 @@ import pytest
 from repro.core.amf import solve_amf
 from repro.model.cluster import Cluster
 from repro.model.job import Job
+from repro.core.allocation import Allocation
 from repro.model.serialize import (
-    allocation_from_dict,
     allocation_to_dict,
     cluster_from_dict,
     cluster_to_dict,
     job_from_dict,
     job_to_dict,
-    load_allocation,
     load_cluster,
     save_allocation,
     save_cluster,
@@ -43,7 +42,7 @@ class TestClusterRoundtrip:
         assert np.allclose(c2.workloads, c.workloads)
         assert np.allclose(c2.demand_caps, c.demand_caps)
         assert np.allclose(c2.weights, c.weights)
-        assert c2.job("a").arrival == 1.5
+        assert c2.jobs[c2.job_index("a")].arrival == 1.5
 
     def test_dict_is_json_safe(self):
         text = json.dumps(cluster_to_dict(rich_cluster()))
@@ -102,17 +101,24 @@ class TestGoldenBytes:
             assert job_to_dict(job_from_dict(entry)) == entry
 
 
+def rebuilt(doc: dict) -> Allocation:
+    """The allocation a ``repro-allocation-v1`` document describes, its invariants re-checked."""
+    return Allocation(cluster_from_dict(doc["cluster"]), np.asarray(doc["matrix"], dtype=float), policy=doc["policy"])
+
+
 class TestAllocationRoundtrip:
     def test_roundtrip(self):
         c = rich_cluster()
         a = solve_amf(c)
-        a2 = allocation_from_dict(allocation_to_dict(a))
+        a2 = rebuilt(allocation_to_dict(a))
         assert np.allclose(a2.matrix, a.matrix, atol=1e-12)
         assert a2.policy == "amf"
 
     def test_bad_format_rejected(self):
-        with pytest.raises(ValueError, match="unsupported allocation format"):
-            allocation_from_dict({"format": "nope"})
+        doc = allocation_to_dict(solve_amf(rich_cluster()))
+        assert doc["format"] == "repro-allocation-v1"
+        with pytest.raises(ValueError, match="unsupported cluster format"):
+            rebuilt({**doc, "cluster": {**doc["cluster"], "format": "nope"}})
 
     def test_tampered_matrix_rejected_on_load(self, tmp_path):
         c = rich_cluster()
@@ -120,11 +126,11 @@ class TestAllocationRoundtrip:
         d = allocation_to_dict(a)
         d["matrix"][0][0] = 99.0  # violates site capacity
         with pytest.raises(ValueError):
-            allocation_from_dict(d)
+            rebuilt(d)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "alloc.json"
         a = solve_amf(rich_cluster())
         save_allocation(a, path)
-        a2 = load_allocation(path)
+        a2 = rebuilt(json.loads(path.read_text()))
         assert np.allclose(a2.aggregates, a.aggregates)

@@ -11,11 +11,12 @@ from repro.model.job import Job
 from repro.model.site import Site
 from repro.obs import instruments
 from repro.obs.instruments import STATS_METRICS, render_stats
-from repro.obs.registry import REGISTRY, parse_prometheus
+from repro.obs.registry import REGISTRY
 from repro.obs.simobs import SimObserver
 from repro.obs.tracing import TRACER
 from repro.service.daemon import AllocationService
 from repro.service.state import CapacityChanged, ClusterState, JobArrived
+from tests.obs.prometheus import metric_names, parse_prometheus
 
 
 def small_cluster(cap_a: float = 2.0) -> Cluster:
@@ -37,7 +38,8 @@ class TestLibrarySolves:
         amf_levels_bisect(small_cluster(), diagnostics=diag)
         solve_amf(small_cluster(2.5), diagnostics=diag)
         assert diag.rounds > 0
-        assert not [name for name in REGISTRY.names() if name.startswith(("repro_amf_", "repro_flow_"))]
+        names = metric_names(REGISTRY.render_prometheus())
+        assert not [name for name in names if name.startswith(("repro_amf_", "repro_flow_"))]
         # only the shard histograms moved; every counter reads as before
         after = parse_prometheus(REGISTRY.render_prometheus())
         for key, value in parse_prometheus(before).items():
@@ -109,7 +111,7 @@ class TestStatsMetrics:
         stats["admission"] = {"admitted": 0, "shed": 0}  # the aio edge adds this section
         names = [metric.name for metric in STATS_METRICS]
         assert len(set(names)) == len(names)
-        assert not set(names) & set(REGISTRY.names())
+        assert not set(names) & set(metric_names(REGISTRY.render_prometheus()))
         for metric in STATS_METRICS:
             section, key = metric.path.split(".")
             assert stats[section] is None or key in stats[section], metric.path

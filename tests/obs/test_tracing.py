@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs.tracing import _NOOP, TRACER, Tracer, span, traced
+from repro.obs.tracing import _NOOP, TRACER, Tracer, span
 
 
 class TestSpanRecording:
@@ -112,6 +112,17 @@ class TestChromeExport:
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 1e-3
 
 
+    def test_cli_trace_out_exports_the_run(self, tmp_path, capsys):
+        """``--trace-out`` switches the layer on for the run and writes its spans."""
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        assert main(["solve", "--jobs", "6", "--sites", "3", "--trace-out", str(path)]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        assert "amf.solve" in {ev["name"] for ev in events}
+        assert f"wrote {len(events)} trace spans" in capsys.readouterr().out
+
+
 class TestDisabledPath:
     def test_module_span_returns_noop_when_disabled(self):
         assert not TRACER.enabled
@@ -127,23 +138,3 @@ class TestDisabledPath:
         with span("live"):
             pass
         assert [ev["name"] for ev in TRACER.events()] == ["live"]
-
-
-class TestTraced:
-    def test_decorator_records_when_enabled(self):
-        TRACER.enable()
-
-        @traced("fn.call")
-        def fn(x):
-            return x + 1
-
-        assert fn(1) == 2
-        assert [ev["name"] for ev in TRACER.events()] == ["fn.call"]
-
-    def test_decorator_free_when_disabled(self):
-        @traced("fn.call")
-        def fn(x):
-            return x + 1
-
-        assert fn(1) == 2
-        assert TRACER.events() == []

@@ -16,11 +16,11 @@ import urllib.request
 import pytest
 
 from repro.model.site import Site
-from repro.obs.registry import parse_prometheus
 from repro.service.aio import AioServiceServer
-from repro.service.daemon import AllocationService
+from repro.service.daemon import AllocationService, ServiceClosed
 from repro.service.state import ClusterState
 from tests.service.wire import exchange
+from tests.obs.prometheus import parse_prometheus
 
 
 def make_service(**kwargs):
@@ -335,14 +335,16 @@ class TestShutdownRace:
         assert set(results) <= {202, 503}
         # every accepted event is either applied or rejected - nothing
         # half-applied, nothing lost
-        assert service.closed
+        with pytest.raises(ServiceClosed):
+            service.submit_all(())
         assert service.events_accepted == service.state.version + service.events_rejected
 
     def test_shutdown_is_idempotent_and_closes_service(self, server):
         service = server.service
         server.shutdown()
         server.shutdown()
-        assert service.closed
+        with pytest.raises(ServiceClosed):
+            service.submit_all(())
         with pytest.raises(urllib.error.URLError):
             call(server, "GET", "/v1/health")
 

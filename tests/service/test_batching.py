@@ -145,26 +145,27 @@ class TestCoalesceBatch:
     def test_arrive_then_depart_vanishes(self):
         state = make_state()
         assert flush([arrive("x"), JobDeparted("x")], state) == []
-        assert state.job_names == [] and state.version == 2
+        assert state.n_jobs == 0 and state.version == 2
 
     def test_last_capacity_wins(self):
         state = make_state()
         batch = [CapacityChanged("a", 1.0), CapacityChanged("a", 2.0), CapacityChanged("a", 3.0)]
         assert flush(batch, state) == []
-        assert state.snapshot().site("a").capacity == 3.0
+        assert state.snapshot().capacities[0] == 3.0
 
     def test_invalid_capacity_does_not_shadow_valid(self):
         state = make_state()
         rejections = flush([CapacityChanged("a", 2.5), CapacityChanged("a", -1.0)], state)
         assert rejections == ["site 'a': capacity must be positive and finite, got -1.0"]
-        assert state.snapshot().site("a").capacity == 2.5
+        assert state.snapshot().capacities[0] == 2.5
 
     def test_present_job_cycle_becomes_replacement_pair(self):
         state = make_state([Job("x", {"a": 1.0}), Job("y", {"a": 1.0})])
         assert flush([JobDeparted("x"), arrive("x", site="b")], state) == []
         # the re-arrived job takes its new spec and its re-arrival position
-        assert state.job_names == ["y", "x"]
-        assert dict(state.snapshot().job("x").workload) == {"b": 1.0}
+        snap = state.snapshot()
+        assert [job.name for job in snap.jobs] == ["y", "x"]
+        assert dict(snap.jobs[1].workload) == {"b": 1.0}
 
     def test_duplicate_arrival_rejected_with_state_phrasing(self):
         state = make_state([Job("x", {"a": 1.0})])
@@ -173,7 +174,7 @@ class TestCoalesceBatch:
     def test_unknown_site_arrival_rejected(self):
         state = make_state()
         assert flush([arrive("x", site="zz")], state) == ["job 'x' references unknown sites ['zz']"]
-        assert state.job_names == []
+        assert state.n_jobs == 0
 
     def test_unknown_departure_rejected(self):
         assert flush([JobDeparted("ghost")], make_state()) == ["unknown job 'ghost'"]

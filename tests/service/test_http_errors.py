@@ -21,12 +21,13 @@ from repro.model.job import Job
 from repro.model.serialize import job_to_dict
 from repro.model.site import Site
 from repro.obs.instruments import STATS_METRICS
-from repro.obs.registry import REGISTRY, parse_prometheus
+from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
 from repro.service.aio import AioServiceServer
-from repro.service.daemon import AllocationService
+from repro.service.daemon import AllocationService, ServiceClosed
 from repro.service.schema import MAX_BODY_BYTES, JobSpec
 from repro.service.state import ClusterState, StateError
+from tests.obs.prometheus import parse_prometheus
 
 
 @pytest.fixture
@@ -388,7 +389,8 @@ class TestGracefulShutdown503:
             release.set()
             stopper.join(timeout=30)
         assert not stopper.is_alive()
-        assert service.closed
+        with pytest.raises(ServiceClosed):
+            service.submit_all(())
         assert service.pending() == 0  # queue drained into the state
 
     def test_close_drains_queue_and_flushes_journal(self):

@@ -18,13 +18,14 @@ from repro.core.amf import solve_amf
 from repro.model.cluster import Cluster
 from repro.model.site import Site
 from repro.obs.instruments import STATS_METRICS
-from repro.obs.registry import REGISTRY, parse_prometheus
+from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER
 from repro.service.aio import AioServiceServer
 from repro.service.daemon import AllocationService
 from repro.service.journal import open_journal
 from repro.service import solver as solver_mod
 from repro.service.state import ClusterState
+from tests.obs.prometheus import parse_prometheus
 
 
 @contextmanager

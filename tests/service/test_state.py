@@ -74,7 +74,7 @@ class TestDeltas:
         )
         assert applied == 2
         assert len(rejected) == 1 and "ghost" in rejected[0]
-        assert st.job_names == ["x", "y"]
+        assert [job.name for job in st.snapshot().jobs] == ["x", "y"]
 
 
 class TestVersioningAndSnapshots:

@@ -18,7 +18,7 @@ class TestTrace:
         t.record(SimEvent(0.0, "arrival", "a"))
         t.record(SimEvent(1.0, "completion", "a"))
         assert len(t.events) == 2
-        assert [e.job for e in t.of_kind("arrival")] == ["a"]
+        assert [e.job for e in t.events if e.kind == "arrival"] == ["a"]
 
     def test_bounded_trace_drops(self):
         t = Trace(max_events=1)

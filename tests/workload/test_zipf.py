@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.workload.zipf import permuted_zipf, zipf_probabilities, zipf_sample
+from repro.workload.generator import WorkloadSpec, generate_jobs
+from repro.workload.zipf import zipf_probabilities
 
 
 class TestProbabilities:
@@ -35,18 +36,18 @@ class TestProbabilities:
 
 
 class TestSampling:
+    """The generator draws each job's sites from the law (one site a job here)."""
+
+    @staticmethod
+    def _sites(n_sites: int, theta: float, n_jobs: int) -> np.ndarray:
+        spec = WorkloadSpec(n_jobs=n_jobs, n_sites=n_sites, theta=theta, site_spread=1)
+        jobs = generate_jobs(spec, np.random.default_rng(0))
+        return np.array([int(site[1:]) for job in jobs for site in job.workload])
+
     def test_sample_range(self):
-        rng = np.random.default_rng(0)
-        s = zipf_sample(rng, 6, 1.0, 500)
+        s = self._sites(6, 1.0, 500)
         assert s.min() >= 0 and s.max() < 6
 
     def test_sample_skew_matches_law(self):
-        rng = np.random.default_rng(0)
-        s = zipf_sample(rng, 5, 2.0, 5000)
-        counts = np.bincount(s, minlength=5)
+        counts = np.bincount(self._sites(5, 2.0, 5000), minlength=5)
         assert counts[0] > counts[4] * 3
-
-    def test_permuted_zipf_same_multiset(self):
-        rng = np.random.default_rng(0)
-        p = permuted_zipf(rng, 7, 1.3)
-        assert np.allclose(sorted(p), sorted(zipf_probabilities(7, 1.3)))
