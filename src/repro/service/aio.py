@@ -3,9 +3,9 @@
 The service's one HTTP front-end (``repro.cli serve``).  No read takes
 the daemon's lock:
 
-* **One event loop** (own thread) parses HTTP/1.1 and serves every read
-  endpoint (``GET /v1/health``, ``/v1/stats``, ``/v1/metrics``,
-  ``/v1/jobs``, ``/v1/allocate?fresh=false``) from a
+* **One event loop** (own thread) frames HTTP/1.1 and answers every read
+  endpoint (``GET /v1/health``, ``/v1/stats``, ``/v1/metrics``, ``/v1/jobs``,
+  ``/v1/allocate?fresh=false``) in the callback that received it, from a
   :class:`PublishedView` — an immutable snapshot with pre-rendered
   response bytes.  Swapping the view is a single attribute assignment
   (atomic under the GIL), so reads never take a lock, never block on the
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import ctypes
+import functools
 import json
 import math
 import queue
@@ -88,12 +89,15 @@ _JSON = "application/json"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 _STOP = object()  # intake sentinel: solver loop exits after the final drain
 
-#: Header-count bound, matching ``http.client``'s cap (per-line size is
-#: bounded separately by the StreamReader limit).
+#: Header-count bound, matching ``http.client``'s cap.
 _MAX_HEADERS = 100
 
-#: Seconds shutdown waits for closed connections' handlers to end before
-#: cancelling the rest.
+#: Longest line the edge frames, in bytes before its ``\n``: asyncio's
+#: ``StreamReader`` limit, whose refusal messages :func:`_line_end` keeps.
+_MAX_LINE = 1 << 16
+
+#: Seconds shutdown waits for closed connections to flush before aborting
+#: the rest.
 _SHUTDOWN_GRACE = 2.0
 
 
@@ -213,26 +217,181 @@ class _Work(NamedTuple):
     call: Callable[[Any], Any]
     payload: Any
     future: asyncio.Future
-    loop: asyncio.AbstractEventLoop
 
 
-class _Connection(asyncio.StreamReaderProtocol):
-    """One accepted connection's stream protocol, holding its transport in
-    ``open_transports`` from accept to loss so shutdown can close it."""
+def _line_end(buf: bytearray, start: int, eof: bool) -> int | None:
+    """Where the line at ``start`` ends (past its ``\\n``; at EOF the buffer's end), or ``None`` until it arrives."""
+    end = buf.find(b"\n", start)
+    if end < 0:
+        if len(buf) - start > _MAX_LINE:
+            raise ValueError("Separator is not found, and chunk exceed the limit")
+        return len(buf) if eof else None
+    if end - start > _MAX_LINE:
+        raise ValueError("Separator is found, but chunk is longer than limit")
+    return end + 1
 
-    def __init__(self, handler: Callable, open_transports: set):
-        super().__init__(asyncio.StreamReader(), handler)
-        self._open = open_transports
-        self._tracked: asyncio.BaseTransport | None = None
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self._tracked = transport
-        self._open.add(transport)
-        super().connection_made(transport)
+def _frame(buf: bytearray, eof: bool = False) -> tuple[int, str, str, dict[str, str], bytes | None] | None:
+    """The request ``buf`` starts with, ``(consumed, method, target, headers, body)``: ``None``
+    until its head is in, ``body`` ``None`` until its body is (after ``eof`` a missing line is
+    blank).  A refusal raises once its bytes are in.  Only ``Content-Length`` frames a body:
+    bytes the edge cannot delimit must never run as the next request."""
+    pos = _line_end(buf, 0, eof)
+    if pos is None:
+        return None
+    parts = buf[:pos].decode("latin-1").split(None, 2)
+    if len(parts) != 3:
+        raise _HttpError(400, "bad_request", "malformed request line")
+    headers: dict[str, str] = {}
+    for lines in range(_MAX_HEADERS + 1):
+        end = _line_end(buf, pos, eof)
+        if end is None:
+            return None
+        line, pos = buf[pos:end], end
+        if line in (b"\r\n", b"\n", b""):
+            break
+        if lines == _MAX_HEADERS:
+            raise _HttpError(431, "headers_too_large", f"more than {_MAX_HEADERS} header lines")
+        key, _, value = line.decode("latin-1").partition(":")
+        key, value = key.strip().lower(), value.strip()
+        if key == "content-length" and headers.get(key, value) != value:
+            raise _HttpError(400, "bad_request", f"conflicting Content-Length {headers[key]!r} and {value!r}")
+        headers[key] = value
+    if "transfer-encoding" in headers:
+        raise _HttpError(400, "bad_request", "Transfer-Encoding is not supported; send Content-Length")
+    declared = headers.get("content-length", "0")
+    if not (declared.isascii() and declared.isdigit()):
+        raise _HttpError(400, "bad_request", f"malformed Content-Length {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise _HttpError(413, "payload_too_large", f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+    short = len(buf) - pos < length
+    if short and eof:
+        why = f"{len(buf) - pos} bytes read on a total of {length} expected bytes"
+        raise _HttpError(408, "request_timeout", f"timed out reading request: {why}")
+    return pos + length, parts[0].upper(), parts[1], headers, None if short else bytes(buf[pos : pos + length])
+
+
+class _HttpProtocol(asyncio.Protocol):
+    """One accepted connection, answering its requests in order: a read in the
+    callback that received it, a write once the solver's future resolves.
+    Framing stops while a write waits or the transport is over its high-water
+    mark.  One timer keeps the deadline (``idle_timeout`` to a request line,
+    then ``request_timeout`` to its last body byte), re-armed only when the
+    deadline moves earlier."""
+
+    def __init__(self, server: "AioServiceServer"):
+        self._server, self._loop = server, server._loop
+        self._buf = bytearray()
+        self._eof = self._paused = False  # _paused: the transport is over its high-water mark
+        self._waiting = False  # on the solver's answer to the last request
+        self._t0: float | None = None  # when a partial request's line arrived
+        self._need: int | None = None  # its length, once its head is in
+        self._deadline: float | None = None
+        self._timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._server._conns.add(self)
+        self._arm(self._server.idle_timeout)
 
     def connection_lost(self, exc: Exception | None) -> None:
-        self._open.discard(self._tracked)
-        super().connection_lost(exc)
+        self._server._conns.discard(self)
+        if self._timer is not None:
+            self._timer.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        buf = self._buf
+        buf += data
+        # framed again once these bytes can decide it: the body is in, or a head line ended or outgrew the limit
+        if (len(buf) >= self._need) if self._need else (b"\n" in data or len(buf) - buf.rfind(b"\n") > _MAX_LINE + 1):
+            self._next()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._next()
+        return True  # keep writing the answers still owed
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        # a turn later: a close inside the transport's write callback loses the connection twice
+        self._loop.call_soon(self._next)
+
+    def _next(self) -> None:
+        """Answer buffered requests in order until one waits, the transport pauses or closes, or bytes run out."""
+        server, buf, transport = self._server, self._buf, self.transport
+        while not (self._waiting or self._paused or transport.is_closing()):
+            if buf.startswith((b"\n", b"\r\n")) or (self._eof and not buf):
+                return transport.close()  # a blank line or the end: no more requests
+            t0 = self._t0 or time.perf_counter()
+            try:
+                framed = _frame(buf, self._eof)
+                if framed is None or framed[4] is None:
+                    self._need = None if framed is None else framed[0]
+                    break
+                consumed, method, target, headers, body = framed
+                route, query = server._route(target)
+            except Exception as exc:  # noqa: BLE001 - no request framed: answer, hang up
+                return self._write(server._fail(exc, True, t0), True)
+            del buf[:consumed]
+            self._t0 = self._deadline = self._need = None
+            close = headers.get("connection", "").lower() == "close"
+            answer = server._dispatch(method, route, query, target, body, close=close, t0=t0)
+            if isinstance(answer, bytes):
+                self._write(answer, close)
+            else:
+                self._waiting = True
+                answer.add_done_callback(functools.partial(self._answered, close, t0))
+        else:  # waiting, paused or closing: past the bound, stop reading too
+            if len(buf) > 2 * _MAX_LINE and not self._eof:
+                transport.pause_reading()
+            return
+        if self._t0 is None and b"\n" in buf:  # awaiting bytes, the request line is in
+            self._t0 = time.perf_counter()
+            self._arm(server.request_timeout)
+        elif self._t0 is None and self._deadline is None:  # awaiting the next request
+            self._arm(server.idle_timeout)
+        transport.resume_reading()
+
+    def _answered(self, close: bool, t0: float, future: asyncio.Future) -> None:
+        """Write the solver's result: ``(status, body)`` or the exception it raised."""
+        self._waiting = False
+        result, server = future.result(), self._server
+        if not self.transport.is_closing():
+            if isinstance(result, Exception):
+                self._write(server._fail(result, close, t0), close)
+            else:
+                self._write(server._ok(result[1], close, t0, status=result[0]), close)
+            self._next()
+
+    def _write(self, answer: bytes, close: bool) -> None:
+        self.transport.write(answer)
+        # a 503 always closes (see _error); a prefix check keeps reads allocation-free
+        if close or answer.startswith(b"HTTP/1.1 503 "):
+            self.transport.close()
+
+    def _arm(self, timeout: float | None) -> None:
+        """Move the deadline to ``timeout`` seconds from now (``None``: none)."""
+        self._deadline = when = None if timeout is None else self._loop.time() + timeout
+        if when is not None and (self._timer is None or when < self._timer.when()):
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = self._loop.call_at(when, self._expire)
+
+    def _expire(self) -> None:
+        self._timer = None
+        if self._deadline is None or self.transport.is_closing():
+            return
+        if self._loop.time() < self._deadline:  # moved later since armed
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+        elif self._t0 is None:
+            self.transport.close()  # idle keep-alive expired: drop silently
+        else:
+            late = _HttpError(408, "request_timeout", "timed out reading request: ")
+            self._write(self._server._fail(late, True, self._t0), True)
 
 
 class AioServiceServer:
@@ -296,7 +455,7 @@ class AioServiceServer:
         self._loop_ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._transports: set[asyncio.BaseTransport] = set()  # accepted and not yet lost
+        self._conns: set[_HttpProtocol] = set()  # accepted and not yet lost
         self._port: int | None = None
         self._solver_thread = threading.Thread(target=self._solver_loop, name="amf-aio-solver", daemon=True)
         self._loop_thread = threading.Thread(target=self._run_loop, name="amf-aio-loop", daemon=True)
@@ -352,9 +511,7 @@ class AioServiceServer:
         asyncio.set_event_loop(loop)
         try:
             self._server = loop.run_until_complete(
-                loop.create_server(
-                    lambda: _Connection(self._handle_conn, self._transports), self.host, self._requested_port
-                )
+                loop.create_server(lambda: _HttpProtocol(self), self.host, self._requested_port)
             )
             self._port = self._server.sockets[0].getsockname()[1]
             self._loop_ready.set()
@@ -379,22 +536,15 @@ class AioServiceServer:
             await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
-        # Close every connection and let its handler end on the EOF; a
-        # connection still being set up has its transport a turn later, so
-        # repeat until no task is left.  Cancelling is the last resort: a
-        # handler cancelled before its first step never closes its
-        # transport.
-        current = asyncio.current_task()
+        # Close every connection (a transport writes out what it holds first);
+        # one still being set up has its transport a turn later, so repeat.
         deadline = loop.time() + _SHUTDOWN_GRACE
-        while (tasks := [t for t in asyncio.all_tasks() if t is not current]) and loop.time() < deadline:
-            for transport in list(self._transports):
-                transport.close()
-            await asyncio.wait(tasks, timeout=0.01)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        for transport in list(self._transports):
-            transport.abort()  # still flushing to a client that stopped reading
+        while self._conns and loop.time() < deadline:
+            for conn in list(self._conns):
+                conn.transport.close()
+            await asyncio.sleep(0.01)
+        for conn in list(self._conns):
+            conn.transport.abort()  # still flushing to a client that stopped reading
         # a socket closes in its transport's connection_lost callback, which
         # runs on the loop's next turn: take that turn before stopping
         await asyncio.sleep(0)
@@ -486,12 +636,8 @@ class AioServiceServer:
         return 200, body
 
     def _resolve(self, item: _Work, result: Any) -> None:
-        def _set() -> None:
-            if not item.future.done():
-                item.future.set_result(result)
-
-        try:
-            item.loop.call_soon_threadsafe(_set)
+        try:  # once per item, and nothing cancels the future
+            item.future.get_loop().call_soon_threadsafe(item.future.set_result, result)
         except RuntimeError:  # pragma: no cover - loop already closed
             pass
 
@@ -592,8 +738,7 @@ class AioServiceServer:
                 {"retry_after_seconds": retry},
                 (("Retry-After", str(max(1, math.ceil(retry)))),),
             )
-        loop = asyncio.get_running_loop()
-        work = _Work(call, payload, loop.create_future(), loop)
+        work = _Work(call, payload, asyncio.get_running_loop().create_future())
         self._intake.put(work)
         self.admitted += 1
         if self._solver_done:
@@ -602,82 +747,8 @@ class AioServiceServer:
         return work.future
 
     # ------------------------------------------------------------------
-    # HTTP plumbing (event loop)
+    # Routing
     # ------------------------------------------------------------------
-    async def _handle_conn(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                t0 = None
-                try:
-                    try:
-                        async with asyncio.timeout(self.idle_timeout):
-                            line = await reader.readline()
-                    except TimeoutError:
-                        break  # idle keep-alive expired: drop silently
-                    if line in (b"", b"\r\n", b"\n"):
-                        break
-                    t0 = time.perf_counter()
-                    parts = line.decode("latin-1").split(None, 2)
-                    if len(parts) != 3:
-                        raise _HttpError(400, "bad_request", "malformed request line")
-                    method, target = parts[0].upper(), parts[1]
-                    # one deadline for the whole request, not one per line:
-                    # a client cannot hold the connection by dribbling headers
-                    async with asyncio.timeout(self.request_timeout):
-                        headers = await self._read_headers(reader)
-                        body = await self._read_body(reader, headers)
-                    route, query = self._route(target)
-                except ConnectionError:
-                    raise  # the client went away: nobody to answer
-                except Exception as exc:  # noqa: BLE001 - no request framed: answer, hang up
-                    writer.write(self._fail(exc, True, t0))
-                    break
-                close = headers.get("connection", "").lower() == "close"
-                raw = await self._dispatch(method, route, query, target, body, close=close, t0=t0)
-                writer.write(raw)
-                await writer.drain()
-                # a 503 always closes (see _error); the prefix check keeps
-                # the fast path allocation-free
-                if close or raw.startswith(b"HTTP/1.1 503 "):
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
-
-    async def _read_headers(self, reader: asyncio.StreamReader) -> dict[str, str]:
-        headers: dict[str, str] = {}
-        lines = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                return headers
-            lines += 1
-            if lines > _MAX_HEADERS:
-                raise _HttpError(431, "headers_too_large", f"more than {_MAX_HEADERS} header lines")
-            key, _, value = line.decode("latin-1").partition(":")
-            key, value = key.strip().lower(), value.strip()
-            if key == "content-length" and headers.get(key, value) != value:
-                raise _HttpError(400, "bad_request", f"conflicting Content-Length {headers[key]!r} and {value!r}")
-            headers[key] = value
-
-    async def _read_body(self, reader: asyncio.StreamReader, headers: dict[str, str]) -> bytes:
-        """The body ``Content-Length`` frames, refusing any other framing:
-        bytes the edge cannot delimit must never run as the next request."""
-        if "transfer-encoding" in headers:
-            raise _HttpError(400, "bad_request", "Transfer-Encoding is not supported; send Content-Length")
-        declared = headers.get("content-length", "0")
-        if not (declared.isascii() and declared.isdigit()):
-            raise _HttpError(400, "bad_request", f"malformed Content-Length {declared!r}")
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(413, "payload_too_large", f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
-        return await reader.readexactly(length) if length else b""
-
     @staticmethod
     def _count(status: int, t0: float | None) -> None:
         if not REGISTRY.enabled:
@@ -688,9 +759,6 @@ class AioServiceServer:
         if t0 is not None:
             instruments.SERVICE_REQUEST_SECONDS.observe(time.perf_counter() - t0)
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
     def _route(self, target: str) -> tuple[str | None, dict[str, str]]:
         """The route under ``/v1`` and the query; ``None`` off ``/v1``."""
         parts = urlsplit(target)
@@ -700,17 +768,17 @@ class AioServiceServer:
             return path[3:] or "/", query
         return None, query
 
-    async def _dispatch(
+    def _dispatch(
         self, method: str, route: str | None, query: dict[str, str], target: str, body: bytes, *, close: bool, t0: float
-    ) -> bytes:
-        """Answer one framed request: every route, and every way it fails."""
+    ) -> bytes | asyncio.Future:
+        """Answer one framed request, or give the future of the solver's: every route, every way it fails."""
         try:
             if route is not None and method in ("GET", "POST", "DELETE"):
                 if self._closing:
                     raise ServiceClosed("service is shutting down")
                 if method == "GET":
                     if route == "/allocate" and parse_fresh(query, default=False):
-                        return await self._roundtrip(self._allocate, ((), None), close, t0)
+                        return self._admit(self._allocate, ((), None))
                     kind = _VIEW_READS.get(route)
                     if kind is not None:
                         # the fast path: a published response, written verbatim
@@ -745,16 +813,16 @@ class AioServiceServer:
                             raise SchemaError("request body must be a JSON object")
                     if route == "/allocate":
                         request = AllocateRequest.from_json(data)
-                        return await self._roundtrip(self._allocate, self._events_from(request), close, t0)
+                        return self._admit(self._allocate, self._events_from(request))
                     if route == "/jobs":
                         request = AllocateRequest.from_json(data, require_jobs=True)
-                        return await self._roundtrip(self._submit, self._events_from(request), close, t0)
+                        return self._admit(self._submit, self._events_from(request))
                     if route == "/capacity":
                         spec = CapacitySpec.from_json(data)
                         event = CapacityChanged(spec.site, spec.capacity)
-                        return await self._roundtrip(self._submit, ((event,), None), close, t0)
+                        return self._admit(self._submit, ((event,), None))
                 elif route.startswith("/jobs/") and len(route) > len("/jobs/"):
-                    return await self._roundtrip(self._depart, unquote(route[len("/jobs/"):]), close, t0)
+                    return self._admit(self._depart, unquote(route[len("/jobs/"):]))
             raise _HttpError(404, "not_found", f"unknown path {target!r}")
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
             return self._fail(exc, close, t0)
@@ -785,13 +853,6 @@ class AioServiceServer:
         jobs = [spec.to_job() for spec in request.jobs]
         return tuple(JobArrived(job) for job in jobs), [job.name for job in jobs]
 
-    async def _roundtrip(self, call: Callable[[Any], Any], payload: Any, close: bool, t0: float) -> bytes:
-        result = await self._admit(call, payload)
-        if isinstance(result, Exception):
-            raise result
-        status, body = result
-        return self._ok(body, close, t0, status=status)
-
 
 def _error_for(exc: Exception) -> _HttpError:
     """The error answer for ``exc``: the one exception map of every request
@@ -800,15 +861,13 @@ def _error_for(exc: Exception) -> _HttpError:
         return exc
     if isinstance(exc, ServiceClosed):
         return _HttpError(503, "unavailable", str(exc))
-    if isinstance(exc, (TimeoutError, asyncio.IncompleteReadError)):
-        return _HttpError(408, "request_timeout", f"timed out reading request: {exc}")
     if isinstance(exc, ResourceMismatchError):
         return _HttpError(400, "resource_mismatch", str(exc))
     if isinstance(exc, UnknownResourceError):
         return _HttpError(400, "unknown_resource", str(exc))
     if isinstance(exc, ValueError):
         # SchemaError, StateError, JSONDecodeError, UnicodeDecodeError, a line
-        # over the StreamReader's limit, a target urlsplit rejects, ...
+        # over _MAX_LINE, a target urlsplit rejects, ...
         return _HttpError(400, "bad_request", str(exc))
     return _HttpError(500, "internal", f"{type(exc).__name__}: {exc}")
 
@@ -891,4 +950,5 @@ def serve_aio(
             stop.wait()
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             pass
-    print("\nshutting down: writes drained, service closed")
+    if not quiet:  # a supervisor may have closed the pipe after the banner
+        print("\nshutting down: writes drained, service closed")

@@ -1,10 +1,12 @@
-"""Asyncio edge: read/write routes, admission, malformed requests, shutdown races."""
+"""Asyncio edge: read/write routes, admission, malformed requests, pipelining,
+backpressure, shutdown races."""
 
 import ctypes
 import json
 import logging
 import math
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -13,13 +15,18 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from benchmarks.ledger import workloads
+from repro.model.cluster import Cluster
+from repro.model.serialize import save_cluster
 from repro.model.site import Site
-from repro.service.aio import AioServiceServer
+from repro.service.aio import _MAX_LINE, AioServiceServer
 from repro.service.daemon import AllocationService, ServiceClosed
+from repro.service.journal import recover_state
 from repro.service.state import ClusterState
-from tests.service.wire import exchange
+from tests.service.wire import body_of, exchange, request, split_responses
 from tests.obs.prometheus import parse_prometheus
 
 
@@ -243,6 +250,13 @@ class TestMalformedRequests:
         assert status == 200
         assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
 
+    def test_a_line_past_the_limit_is_refused_before_it_ends(self, server):
+        # no newline and no EOF: the line is refused once it outgrows 64 KiB,
+        # not when the client stops sending
+        raw = raw_request(server, b"GET /" + b"a" * (_MAX_LINE + 10))
+        assert raw.startswith(b"HTTP/1.1 400 ") and b"Connection: close" in raw
+        assert b"Separator is not found, and chunk exceed the limit" in raw
+
     def test_malformed_request_line_is_counted(self, server):
         before = errors_total(server)
         raw = raw_request(server, b"GARBAGE\r\n\r\n")
@@ -301,6 +315,111 @@ class TestMalformedRequests:
             assert raw.startswith(b"HTTP/1.1 408 ") and b"request_timeout" in raw
         finally:
             srv.shutdown()
+
+
+class TestPipelining:
+    def test_pipelined_requests_are_answered_in_order_and_read_their_write(self, server):
+        arrival = json.dumps({"jobs": [{"name": "late", "workload": {"a": 1.0}}]}).encode()
+        raw = (
+            request("GET", "/v1/health")
+            + request("POST", "/v1/allocate", arrival)
+            + request("GET", "/v1/allocate?fresh=false")
+        )
+        health, allocated, view = (json.loads(body_of(r)) for r in exchange(server.port, raw))
+        assert health["status"] == "ok" and health["jobs"] == 0  # answered before the write ran
+        assert allocated["queued_jobs"] == ["late"] and "late" in allocated["jobs"]
+        # the read waited for the write's answer, so it sees the arrival
+        assert "queued_jobs" not in view and "late" in view["jobs"]
+
+
+class TestBackpressure:
+    """A client that pipelines large reads and reads nothing back: the
+    connection stops framing at the transport's high-water mark, stops
+    reading the socket once its request bytes pass the buffer bound, and
+    every other connection is still served."""
+
+    def test_an_unread_pipeline_pauses_its_connection_only(self):
+        cluster = workloads.federation(np.random.default_rng([workloads.CLUSTER_SEED, 0]))  # 384 jobs
+        service = AllocationService(ClusterState(cluster.sites, cluster.jobs), max_delay=0.005)
+        srv = AioServiceServer(service, port=0, quiet=True).start()
+        framed = []
+        dispatch = srv._dispatch
+
+        def counted(*args, **kwargs):
+            framed.append(args[1])
+            return dispatch(*args, **kwargs)
+
+        srv._dispatch = counted
+        pad = ("X-Pad: " + "p" * 3000,)  # what is left unframed at the pause passes the buffer bound
+        n = 200
+        routes = ["/v1/health" if i == n // 2 else "/v1/allocate?fresh=false" for i in range(n)]
+        raw = b"".join(request("GET", route, headers=pad) for route in routes)
+        try:
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)  # no receive autotuning
+                sock.settimeout(10)
+                sock.connect(("127.0.0.1", srv.port))
+                sender = threading.Thread(target=sock.sendall, args=(raw,), daemon=True)
+                sender.start()
+                deadline = time.monotonic() + 10
+                while not [c for c in srv._conns if c._paused] and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                (conn,) = srv._conns
+                assert conn._paused, "the transport never passed its high-water mark"
+                stalled = len(framed)
+                time.sleep(0.2)
+                assert len(framed) == stalled < n  # no framing while paused
+                high_water = conn.transport.get_write_buffer_limits()[1]
+                assert conn.transport.get_write_buffer_size() <= high_water + len(srv.view.allocate_resp)
+                # reading stopped within one receive (at most 256 KiB) past the bound
+                assert 2 * _MAX_LINE < len(conn._buf) <= 2 * _MAX_LINE + 256 * 1024
+                assert not conn.transport.is_reading()
+
+                t0 = time.perf_counter()
+                (health,) = exchange(srv.port, request("GET", "/v1/health"))
+                assert time.perf_counter() - t0 < 0.05
+                assert health.startswith(b"HTTP/1.1 200 ")
+
+                view = srv.view  # no write ran: every answer is this view's bytes
+                expected = [view.health_resp if route == "/v1/health" else view.allocate_resp for route in routes]
+                stream = bytearray()
+                while len(stream) < sum(map(len, expected)):
+                    chunk = sock.recv(1 << 20)
+                    assert chunk, f"connection closed after {len(stream)} bytes"
+                    stream += chunk
+                sender.join(timeout=10)
+            assert split_responses(bytes(stream)) == expected  # all of them, in order
+            assert len(framed) == n + 1  # the pipeline and the other connection's read
+        finally:
+            srv.shutdown()
+
+
+class TestQuietServe:
+    def test_quiet_serve_exits_0_after_its_reader_closes_stdout(self, tmp_path):
+        """A supervisor reads the banner, then closes the pipe: a SIGTERM
+        drain must still exit 0 with the write journaled."""
+        save_cluster(Cluster([Site("a", 2.0)], []), tmp_path / "cluster.json")
+        argv = [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0", "--quiet",
+                "--load", "cluster.json", "--journal", "j"]  # fmt: skip
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            banner = proc.stdout.readline()
+            assert b"listening on http://" in banner, proc.communicate(timeout=30)
+            assert proc.stdout.readline().startswith(b"endpoints:")
+            job = json.dumps({"jobs": [{"name": "kept", "workload": {"a": 1.0}}]}).encode()
+            (answer,) = exchange(int(banner.rsplit(b":", 1)[1]), request("POST", "/v1/jobs", job))
+            assert answer.startswith(b"HTTP/1.1 202 ")
+            proc.stdout.close()
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err.decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        state, _ = recover_state(tmp_path / "j")
+        assert state.has_job("kept")
 
 
 class TestShutdownRace:

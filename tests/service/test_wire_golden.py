@@ -179,24 +179,27 @@ def _normalised(case: Case, responses: list[bytes]) -> list[str]:
     return [cut(r).decode("latin-1") for r in responses]
 
 
-def run_corpus() -> dict[str, list[str]]:
-    """Each case's normalised responses, in corpus order on fresh servers."""
+def corpus_server(kind: str) -> AioServiceServer:
+    """A started server of ``kind``: ``"main"``, ``"shed"`` or ``"drained"`` (see :class:`Case`)."""
     from repro.service import aio
 
-    out: dict[str, list[str]] = {}
-    servers = {
-        "main": AioServiceServer(_service(), port=0, quiet=True),
-        "shed": AioServiceServer(_service(), port=0, max_pending=0, quiet=True),
-        "drained": AioServiceServer(_service(), port=0, quiet=True),
-    }
-    try:
-        for srv in servers.values():
-            srv.start()
+    shed = {"max_pending": 0} if kind == "shed" else {}
+    srv = AioServiceServer(_service(), port=0, quiet=True, **shed).start()
+    if kind == "drained":
         # the race shutdown() guards against, held open: the solver took its
         # final drain and exited while the edge still admits writes
-        drained = servers["drained"]
-        drained._intake.put(aio._STOP)
-        drained._solver_thread.join(timeout=30.0)
+        srv._intake.put(aio._STOP)
+        srv._solver_thread.join(timeout=30.0)
+    return srv
+
+
+def run_corpus() -> dict[str, list[str]]:
+    """Each case's normalised responses, in corpus order on fresh servers."""
+    out: dict[str, list[str]] = {}
+    servers: dict[str, AioServiceServer] = {}
+    try:
+        for kind in ("main", "shed", "drained"):
+            servers[kind] = corpus_server(kind)
         for case in CORPUS:
             out[case.name] = _normalised(case, exchange(servers[case.server].port, case.raw))
     finally:
