@@ -28,9 +28,11 @@ def show(service: AllocationService, note: str) -> None:
 
 def main() -> None:
     state = ClusterState([Site("east", 4.0), Site("west", 2.0)])
-    service = AllocationService(state, max_delay=0.0)  # apply deltas immediately
+    # every accepted delta is in the state at once; a zero delay makes each
+    # read re-solve whatever arrived since the last one (show() reads fresh anyway)
+    service = AllocationService(state, max_delay=0.0)
 
-    # A burst of arrivals coalesces into one batch -> one warm re-solve.
+    # A burst of arrivals is one batch -> one warm re-solve.
     service.submit_all(
         [
             JobArrived(Job("miner", {"east": 1.0})),
@@ -38,7 +40,7 @@ def main() -> None:
             JobArrived(Job("ranker", {"east": 1.0, "west": 1.0}, demand={"west": 0.5})),
         ]
     )
-    show(service, "three jobs arrive (one coalesced batch)")
+    show(service, "three jobs arrive (one batch)")
     show(service, "read again with no churn")  # served from the component memo
 
     service.submit(JobArrived(Job("crawler", {"west": 1.0})))

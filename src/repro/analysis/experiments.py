@@ -1058,14 +1058,14 @@ def run_x9_service(
         for event in events:
             now[0] = event.time
             service.submit(event)
-            if service.queue.due():
+            if service.due():
                 drain()
         now[0] = float("inf")
         drain()
 
         inc = service.incremental.stats
         warm = service.solve_stats
-        qstats = service.queue.stats
+        qstats = service.batch_stats
         out = {
             "events": float(service.events_accepted),
             "batches": float(qstats.batches),

@@ -5,8 +5,13 @@ caps so that the capped-share vector is max-min fair.  Exact (closed-form
 per round, no search): sort agents by ``cap / weight`` and peel off the ones
 that saturate below the common level.
 
-Used directly by the per-site baseline (:mod:`repro.core.persite`) and as
-the piecewise-linear "solve for the level" primitive inside the AMF solver.
+:func:`water_fill` is the per-site max-min split of PSMF
+(:mod:`repro.core.persite`) and the single-pool bound of
+:mod:`repro.core.bounds`; :func:`solve_capped_level`, the piecewise-linear
+"solve for the level" primitive, sets each resource's level in per-site
+DRF (:mod:`repro.multiresource.persite`).  The AMF solver does not use
+either: its levels come from ``repro.core.amf`` (``_RoundPool``,
+``_max_levels``).
 """
 
 from __future__ import annotations
@@ -83,8 +88,8 @@ def solve_capped_level(target: float, caps: np.ndarray, weights: np.ndarray) -> 
     non-decreasing from 0 to ``sum(caps)``); with ``target`` above the
     total cap the result saturates everyone.  Runs in ``O(n log n)``.
 
-    This is the exact "snap" primitive of the AMF solver: binding equalities
-    extracted from min cuts have precisely this shape.
+    Per-site DRF (:mod:`repro.multiresource.persite`) solves each
+    resource's level with it.
     """
     require(target >= 0.0, "target must be non-negative")
     caps = np.asarray(caps, dtype=float)

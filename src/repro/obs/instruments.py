@@ -10,9 +10,9 @@ in ``_total``, histograms of durations in ``_seconds`` (Prometheus base
 units), gauges are bare nouns.
 
 Two sources, one rule: a counter or gauge whose value a per-service record
-already holds (the solver's diagnostics, the memo, the batching queue, the
-journal, the edge's admission counts) is *not* an instrument.  It is a row
-of :data:`STATS_METRICS`, rendered by :func:`render_stats` from the same
+already holds (the solver's diagnostics, the memo, the daemon's batch
+stats, the journal, the edge's admission counts) is *not* an instrument.
+It is a row of :data:`STATS_METRICS`, rendered by :func:`render_stats` from the same
 ``/v1/stats`` dict the service publishes, so ``/v1/metrics`` and
 ``/v1/stats`` read one snapshot and cannot disagree.  Only what has no
 other home — histograms, the edge's request counters, the flush-error
@@ -95,10 +95,10 @@ STATS_METRICS: tuple[StatsMetric, ...] = tuple(
         ("repro_shard_solves_total", "counter", "individual shard solves (job-bearing components)", "sharding.shard_solves"),
         ("repro_shard_cache_hits_total", "counter", "component memo hits", "sharding.shard_cache_hits"),
         ("repro_shard_cache_misses_total", "counter", "component memo misses", "sharding.shard_cache_misses"),
-        # coalescing queue
-        ("repro_queue_depth", "gauge", "events pending in the coalescing queue", "state.pending_events"),
-        ("repro_queue_batches_total", "counter", "batches drained from the coalescing queue", "batching.batches"),
-        ("repro_queue_coalesced_events_total", "counter", "events drained in batches", "batching.coalesced_events"),
+        # solve timer: events accepted since the last solve, and the batches solves took
+        ("repro_queue_depth", "gauge", "events accepted since the last solve", "state.pending_events"),
+        ("repro_queue_batches_total", "counter", "solves that took accepted events", "batching.batches"),
+        ("repro_queue_coalesced_events_total", "counter", "events taken by those solves", "batching.coalesced_events"),
         # admission control (repro.service.aio)
         ("repro_admission_accepted_total", "counter", "write requests admitted past the intake queue", "admission.admitted"),
         ("repro_admission_shed_total", "counter", "write requests shed with 429 (intake queue full)", "admission.shed"),
@@ -125,9 +125,9 @@ def render_stats(stats: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- service: batching / daemon / HTTP ----------------------------------
+# -- service: daemon / HTTP ----------------------------------------------
 QUEUE_FLUSH_SECONDS = REGISTRY.histogram(
-    "repro_queue_flush_seconds", "batch apply latency (drain + state apply)"
+    "repro_queue_flush_seconds", "state apply latency of one accepted write"
 )
 
 SERVICE_REQUESTS = REGISTRY.counter("repro_service_requests_total", "HTTP requests handled")
@@ -158,7 +158,7 @@ ADMISSION_RETRY_AFTER_SECONDS = REGISTRY.histogram(
 
 # -- background flush (the aio edge's solver loop) ----------------------
 FLUSH_ERRORS = REGISTRY.counter(
-    "repro_flush_errors_total", "background flush cycles that raised (flusher keeps running)"
+    "repro_flush_errors_total", "due solves that raised (the solver loop keeps running)"
 )
 
 # -- analysis fan-out ----------------------------------------------------

@@ -14,8 +14,8 @@ the daemon's lock:
   :class:`~repro.service.daemon.AllocationService`.  Writes (``POST
   /v1/jobs``, ``/v1/capacity``, ``/v1/allocate``, ``DELETE
   /v1/jobs/<name>``, ``GET /v1/allocate?fresh=true``) travel to it
-  through a bounded intake queue and come back as asyncio futures; the
-  coalescing queue stays the only path into the state.
+  through a bounded intake queue and come back as asyncio futures;
+  ``AllocationService.submit_all`` stays the only path into the state.
 * **Admission control**: when the intake queue holds ``max_pending``
   items the edge sheds new writes with ``429 too_many_requests`` and a
   ``Retry-After`` hint derived from the published solve p50 and the
@@ -24,16 +24,16 @@ the daemon's lock:
   ``admission`` counts both outcomes).  Reads are never shed.
 
 The solver thread publishes a fresh view after every batch of work it
-processes and every queue flush, *before* resolving the write futures —
-so by the time a client sees its 202, the published view already reflects
-at least that state; everything in a view (``uptime_seconds`` included)
-is as of its publish, and ``/v1/metrics`` renders the service's counters
-from the same view's stats.  Every route lives under ``/v1/``: any other
+processes and every due solve, *before* resolving the write futures — so
+by the time a client sees its 202, the published view already counts it
+pending; everything in a view (``uptime_seconds`` included) is as of its
+publish, and ``/v1/metrics`` renders the service's counters from the
+same view's stats.  Every route lives under ``/v1/``: any other
 path answers the 404 envelope.  Every failure — framing, validation, the
 solver's — is mapped by ``_error_for`` and rendered by ``_error``; a
 request the edge cannot frame is answered 400 and its connection closed.
-A poisoned flush is counted in ``repro_flush_errors_total`` and the loop
-keeps running.
+A due solve that raised is counted in ``repro_flush_errors_total`` and
+the loop keeps running.
 """
 
 from __future__ import annotations
@@ -277,8 +277,9 @@ class _HttpProtocol(asyncio.Protocol):
     callback that received it, a write once the solver's future resolves.
     Framing stops while a write waits or the transport is over its high-water
     mark.  One timer keeps the deadline (``idle_timeout`` to a request line,
-    then ``request_timeout`` to its last body byte), re-armed only when the
-    deadline moves earlier."""
+    then ``request_timeout`` to its last body byte, and ``idle_timeout`` for
+    a paused transport to drain), re-armed only when the deadline moves
+    earlier."""
 
     def __init__(self, server: "AioServiceServer"):
         self._server, self._loop = server, server._loop
@@ -314,9 +315,11 @@ class _HttpProtocol(asyncio.Protocol):
 
     def pause_writing(self) -> None:
         self._paused = True
+        self._arm(self._server.idle_timeout)  # a client that stops reading is cut off
 
     def resume_writing(self) -> None:
         self._paused = False
+        self._deadline = None  # _next arms the next one
         # a turn later: a close inside the transport's write callback loses the connection twice
         self._loop.call_soon(self._next)
 
@@ -387,6 +390,8 @@ class _HttpProtocol(asyncio.Protocol):
             return
         if self._loop.time() < self._deadline:  # moved later since armed
             self._timer = self._loop.call_at(self._deadline, self._expire)
+        elif self._paused:
+            self.transport.abort()  # close() would wait on a buffer the client never reads
         elif self._t0 is None:
             self.transport.close()  # idle keep-alive expired: drop silently
         else:
@@ -442,7 +447,7 @@ class AioServiceServer:
         self.view: PublishedView | None = None
         # One slot, replaced, solver thread only: the state version of the
         # last allocation the service handed over, with the payload and the
-        # encoded document it re-publishes as until that version moves.
+        # encoded document it re-publishes as until the next solve.
         self._answer: tuple[int, dict[str, Any], bytes] | None = None
         self._intake: queue.Queue = queue.Queue()
         self.admitted = 0
@@ -558,7 +563,7 @@ class AioServiceServer:
             self._publish()
         finally:
             self._view_ready.set()
-        idle = max(0.002, (self.service.queue.max_delay or 0.01) / 2)
+        idle = max(0.002, (self.service.max_delay or 0.01) / 2)
         while True:
             wait = self.service.seconds_until_due()
             timeout = idle if wait is None else max(0.0, min(wait, idle))
@@ -575,23 +580,19 @@ class AioServiceServer:
                 stop = True
                 batch = [item for item in batch if item is not _STOP]
             results = [(item, self._process(item)) for item in batch]
-            flushed = 0
-            try:
-                flushed = self.service.flush(force=stop)
-            except ServiceClosed:
-                pass
-            except Exception:  # noqa: BLE001 - the flusher must survive
-                instruments.record_flush_error()
-                if not self.quiet:
-                    traceback.print_exc()
-            view = self.view
-            if (
-                batch
-                or flushed
-                or view is None
-                or view.version != self.service.state.version
-                or view.pending != self.service.pending()
-            ):
+            # a solve only when one is due, and a last one at shutdown;
+            # otherwise the publish below re-uses the answer held
+            due = stop or self.service.due()
+            if due:
+                try:
+                    self._rendered(self.service.allocation(fresh=True))
+                except ServiceClosed:
+                    pass
+                except Exception:  # noqa: BLE001 - the solver loop must survive
+                    instruments.record_flush_error()
+                    if not self.quiet:
+                        traceback.print_exc()
+            if batch or due:
                 try:
                     self._publish()
                 except Exception:  # noqa: BLE001 - reads outlive a bad publish
@@ -622,7 +623,7 @@ class AioServiceServer:
         return 202, body
 
     def _depart(self, name: str) -> tuple[int, dict[str, Any]]:
-        if not self.service.has_job(name):
+        if not self.service.state.has_job(name):
             raise _HttpError(404, "not_found", f"unknown job {name!r}")
         return 202, {"pending_events": self.service.submit(JobDeparted(name))}
 
@@ -666,9 +667,9 @@ class AioServiceServer:
 
     def _publish(self) -> None:
         service = self.service
-        if self._answer is None or self._answer[0] != service.state.version:
-            # a due batch flushed (or first boot): the state moved past the
-            # last answer, so ask again; otherwise that answer is the view
+        if self._answer is None or self._answer[0] != service.solved_version:
+            # first boot, or a due solve that took its batch and then raised:
+            # ask again; otherwise the answer held is the view's
             allocate, document = self._rendered(service.allocation(fresh=False))
         else:
             _, allocate, document = self._answer
@@ -719,9 +720,9 @@ class AioServiceServer:
         view = self.view
         p50 = None if view is None else view.solve_p50_s
         if p50 is None or p50 <= 0.0:
-            p50 = max(self.service.queue.max_delay, 1e-3)
+            p50 = max(self.service.max_delay, 1e-3)
         backlog = self._intake.qsize() + (view.pending if view is not None else 0) + 1
-        batches = max(1, math.ceil(backlog / self.service.queue.max_batch))
+        batches = max(1, math.ceil(backlog / self.service.max_batch))
         return max(self.retry_floor, batches * p50)
 
     def _admit(self, call: Callable[[Any], Any], payload: Any) -> asyncio.Future:
@@ -906,8 +907,6 @@ def serve_aio(
     port: int = 8080,
     *,
     max_pending: int = 1024,
-    request_timeout: float | None = 30.0,
-    idle_timeout: float | None = None,
     quiet: bool = False,
 ) -> None:
     """Blocking entry point of ``python -m repro.cli serve``.
@@ -922,15 +921,7 @@ def serve_aio(
 
     _keep_receive_buffers_on_the_heap()
     stop = threading.Event()
-    with AioServiceServer(
-        service,
-        host,
-        port,
-        max_pending=max_pending,
-        request_timeout=request_timeout,
-        idle_timeout=idle_timeout,
-        quiet=quiet,
-    ) as server:
+    with AioServiceServer(service, host, port, max_pending=max_pending, quiet=quiet) as server:
         print(f"repro-amf asyncio service listening on http://{host}:{server.port}")
         print(
             "endpoints: GET /v1/health /v1/stats /v1/metrics /v1/traces /v1/jobs /v1/spec "

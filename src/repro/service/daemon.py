@@ -1,16 +1,20 @@
-"""The allocation daemon: state + batching + resilient warm solver.
+"""The allocation daemon: state + solve timer + resilient warm solver.
 
 :class:`AllocationService` is the synchronous core of the online service —
 everything the HTTP front-end (:mod:`repro.service.aio`) does is a thin
 JSON wrapper over these methods, and the closed-loop experiment X9 drives the
 same object directly with a virtual clock.  One re-solve pipeline:
 
-1. deltas land in a :class:`~repro.service.batching.CoalescingQueue`;
-2. when the batch is due (or a caller demands freshness) it is applied to
-   the :class:`~repro.service.state.ClusterState` event by event;
+1. each accepted delta is journaled, then applied to the
+   :class:`~repro.service.state.ClusterState` at once — the state is the
+   only place an accepted event waits;
+2. the events accepted since the last solve are *due* a solve once the
+   oldest has waited ``max_delay`` or ``max_batch`` of them piled up, so a
+   burst of churn costs one re-solve, not one per event; until then a
+   passive read re-answers the last solved snapshot;
 3. the :class:`~repro.core.policies.ResilientPolicy` chain
-   ``incremental AMF -> cold AMF -> psmf -> proportional`` answers the
-   resulting snapshot.  The warm solver replays every component it finds in
+   ``incremental AMF -> cold AMF -> psmf -> proportional`` answers that
+   snapshot.  The warm solver replays every component it finds in
    its component memo (keyed by component fingerprint) and solves the rest
    from its cut pools, so a revisited state solves no component and is
    served as ``cached``.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,13 +40,12 @@ from repro.core.policies import ResilienceStats, ResilientPolicy
 from repro.obs import instruments
 from repro.obs.registry import REGISTRY
 from repro.obs.tracing import TRACER, span
-from repro.service.batching import CoalescingQueue
 from repro.service.journal import WriteAheadJournal
 from repro.service.solver import IncrementalAmfSolver
-from repro.service.state import ClusterEvent, ClusterState, JobArrived
+from repro.service.state import ClusterEvent, ClusterState
 from repro.sim.scheduler import SolveStats
 
-__all__ = ["ServedAllocation", "ServiceClosed", "AllocationService"]
+__all__ = ["BatchStats", "ServedAllocation", "ServiceClosed", "AllocationService"]
 
 #: Solves the ``/v1/stats`` latency percentiles are taken over (the most
 #: recent ones): a window keeps the stats bounded however long the daemon
@@ -52,6 +56,24 @@ SOLVE_WINDOW = 1024
 #: The chain behind the incremental solver: cold AMF, then per-site
 #: max-min (proportional is always the implicit last rung).
 FALLBACKS = ("amf", "psmf")
+
+
+@dataclass(slots=True)
+class BatchStats:
+    """Batch-size accounting: the events each solve took, over the service's lifetime."""
+
+    events: int = 0
+    batches: int = 0
+    max_batch: int = 0
+
+    @property
+    def mean_batch(self) -> float:
+        return self.events / self.batches if self.batches else 0.0
+
+    def record(self, size: int) -> None:
+        self.events += size
+        self.batches += 1
+        self.max_batch = max(self.max_batch, size)
 
 
 class ServiceClosed(RuntimeError):
@@ -95,8 +117,8 @@ class AllocationService:
     state:
         The mutable cluster store (must contain the sites; jobs optional).
     max_delay / max_batch:
-        Coalescing knobs — how long an event may wait, and how many one
-        re-solve may take.
+        Solve-timer knobs — how long an accepted event may wait for a
+        solve, and how many may pile up before one is due.
     cache_size:
         LRU entries in the warm solver's component memo (one per distinct
         component state solved).
@@ -107,12 +129,12 @@ class AllocationService:
         component it touches).
     journal:
         Optional :class:`~repro.service.journal.WriteAheadJournal`.  When
-        given, every accepted delta is journaled *before* it is queued
+        given, every accepted delta is journaled *before* it is applied
         (write-ahead ordering: an acknowledged event is always on disk),
-        the journal is group-commit-synced after each flush, and
-        checkpoints are taken whenever the flushed state makes the queue
-        empty — see :func:`repro.service.journal.open_journal` for the
-        recovery boot path.  The service takes ownership: :meth:`close`
+        so the journal and the state move in lockstep; the journal is
+        group-commit-synced at each solve, which also takes a checkpoint
+        when one is due — see :func:`repro.service.journal.open_journal`
+        for the recovery boot path.  The service takes ownership: :meth:`close`
         checkpoints and closes it.
     clock:
         Injectable monotone clock (virtual time in tests/benchmarks).
@@ -155,8 +177,19 @@ class AllocationService:
         if observability:
             REGISTRY.enable()
             TRACER.enable()
+        require(max_delay >= 0.0, "max_delay must be non-negative")
+        require(max_batch >= 1, "max_batch must be at least 1")
         self.state = state
-        self.queue = CoalescingQueue(max_delay=max_delay, max_batch=max_batch, clock=clock)
+        self.max_delay = max_delay
+        self.max_batch = max_batch
+        self.batch_stats = BatchStats()
+        self._pending = 0  # events accepted since the last solve, rejected ones included
+        self._oldest: float | None = None  # when the first of them was accepted
+        # what a passive read answers until a solve is due: the snapshot the
+        # last solve took, its version, and the state's arrival count then
+        self.solved = state.snapshot()
+        self.solved_version = state.version
+        self._arrivals_mark = state.arrivals
         self.incremental = IncrementalAmfSolver(max_cuts=max_cuts, shard_cache_size=cache_size)
         self.resilience = ResilienceStats()
         self.policy = ResilientPolicy(self.incremental, FALLBACKS, stats=self.resilience)
@@ -185,51 +218,33 @@ class AllocationService:
             raise ServiceClosed("service is shutting down")
 
     def submit(self, event: ClusterEvent) -> int:
-        """Queue one delta; returns the number of pending events."""
+        """Accept one delta; returns the number of events pending a solve."""
         return self.submit_all((event,))
 
     def submit_all(self, events: Sequence[ClusterEvent]) -> int:
-        """Queue a delta sequence; returns the number of pending events.
+        """Accept a delta sequence; returns the number of events pending a solve.
 
-        Write-ahead ordering: the whole sequence is journaled before the
-        first push, so an *acknowledged* event is always on disk.  If a
-        push raises mid-sequence (classic WAL semantics: the caller must
-        treat an errored request's outcome as unknown), the accept count
-        still reflects exactly what was enqueued.
+        Write-ahead ordering: the whole sequence is journaled, then applied
+        to the state event by event with
+        :meth:`~repro.service.state.ClusterState.apply_all`, the call
+        journal recovery replays, so after every acknowledged call a
+        recovery reaches the live state.  A rejected event (duplicate
+        arrival, unknown departure or site, ...) is logged, not raised.
         """
         with self._lock:
             self._check_open()
             # Resource-shape violations are rejected synchronously (edges
-            # answer 400 with resource codes) and never reach the journal —
-            # their verdict cannot change by flush time, so refusing here
-            # loses nothing and keeps the WAL free of doomed events.
+            # answer 400 with resource codes) and never reach the journal.
             for event in events:
                 self.state.validate_event(event)
             if self.journal is not None:
                 self.journal.append(events)
-            accepted = 0
-            try:
-                for event in events:
-                    self.queue.push(event)
-                    accepted += 1
-            finally:
-                self.events_accepted += accepted
-            return len(self.queue)
-
-    def flush(self, *, force: bool = False) -> int:
-        """Apply the pending batch if due (or ``force``); returns events applied."""
-        with self._lock:
-            if not (force or self.queue.due()):
-                return 0
-            batch = self.queue.drain()
-            if not batch:
-                return 0
+            if events and not self._pending:
+                self._oldest = self._clock()
+            self._pending += len(events)
+            self.events_accepted += len(events)
             t0 = time.perf_counter()
-            # Event by event, as journal recovery replays it.  A shard's
-            # matrix is cached by its sub-cluster fingerprint, which depends
-            # on the final state only, so a batch re-solves exactly the
-            # shards whose final state it changed.
-            applied, rejected = self.state.apply_all(batch)
+            _, rejected = self.state.apply_all(events)
             instruments.record_queue_flush(time.perf_counter() - t0)
             for message in rejected:
                 self.events_rejected += 1
@@ -237,47 +252,40 @@ class AllocationService:
                     self.rejections.append(message)
                 else:
                     self.rejections_dropped += 1
-            if self.journal is not None:
-                # The queue is empty and every journaled event <= seq is
-                # applied to the state — the only moment a checkpoint is
-                # sound.  sync() first: group commit must not outlive the
-                # batch that rode on it.
-                self.journal.sync()
-                self.journal.maybe_checkpoint(self.state)
-            return applied
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self.queue)
-
-    def has_job(self, name: str) -> bool:
-        """Whether ``name`` is in the state *or* queued to arrive.
-
-        The HTTP front-end uses this to answer ``DELETE /jobs/<name>`` with
-        a synchronous 404 for unknown jobs — a plain ``state.has_job`` check
-        would race the coalescing queue (a just-POSTed job is deletable
-        before its batch flushes).
-        """
-        with self._lock:
-            if self.state.has_job(name):
-                return True
-            return any(
-                isinstance(ev, JobArrived) and ev.job.name == name for ev in self.queue.peek()
-            )
-
-    def pending_job_names(self) -> list[str]:
-        """Names of jobs queued to arrive but not yet applied, in arrival
-        order (``GET /v1/jobs?status=pending`` reads this)."""
-        with self._lock:
-            names: list[str] = []
-            for ev in self.queue.peek():
-                if isinstance(ev, JobArrived) and ev.job.name not in names:
-                    names.append(ev.job.name)
-            return names
+            return self._pending
 
     def seconds_until_due(self) -> float | None:
+        """How long until the pending events are due a solve (``None``: none pending)."""
         with self._lock:
-            return self.queue.seconds_until_due()
+            if not self._pending:
+                return None
+            if self._pending >= self.max_batch:
+                return 0.0
+            assert self._oldest is not None
+            return max(0.0, self.max_delay - (self._clock() - self._oldest))
+
+    def due(self) -> bool:
+        """Whether the pending events are due a solve now."""
+        return self.seconds_until_due() == 0.0
+
+    def pending_job_names(self) -> list[str]:
+        """Arrivals accepted since the last solve that the live state holds,
+        in arrival order (``GET /v1/jobs?status=pending`` reads this)."""
+        with self._lock:
+            return self.state.arrived_since(self._arrivals_mark)
+
+    def _settle(self) -> None:
+        """Take the live state as the one answers are solved on: the events
+        accepted since the last solve become one batch."""
+        if self._pending:
+            self.batch_stats.record(self._pending)
+        self._pending, self._oldest = 0, None
+        self._arrivals_mark = self.state.arrivals
+        self.solved, self.solved_version = self.state.snapshot(), self.state.version
+        if self.journal is not None:
+            # group commit must not outlive the batch that rode on it
+            self.journal.sync()
+            self.journal.maybe_checkpoint(self.state)
 
     # ------------------------------------------------------------------
     # Serving
@@ -285,16 +293,16 @@ class AllocationService:
     def allocation(self, *, fresh: bool = True) -> ServedAllocation:
         """Current allocation.
 
-        ``fresh=True`` (the ``/allocate`` semantics) forces any pending
-        deltas to apply first; ``fresh=False`` (passive reads) serves the
-        batch-delayed state, flushing only if the batch is already due.
+        ``fresh=True`` (the ``/allocate`` semantics) solves the live state;
+        ``fresh=False`` (passive reads) re-answers the last solved snapshot
+        (a memo replay) until the pending events are due a solve.
         """
         with self._lock:
             self._check_open()
-            self.flush(force=fresh)
-            cluster = self.state.snapshot()
+            if fresh or self.due():
+                self._settle()
+            cluster, version = self.solved, self.solved_version
             fp = cluster.fingerprint()
-            version = self.state.version
             if cluster.n_jobs == 0:
                 empty = Allocation(cluster, np.zeros((0, cluster.n_sites)), policy="empty")
                 return ServedAllocation(empty, cached=True, seconds=0.0, version=version, fingerprint=fp)
@@ -328,17 +336,16 @@ class AllocationService:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Graceful shutdown: drain the queue, then refuse new work.
+        """Graceful shutdown: checkpoint the journal, then refuse new work.
 
-        The pending batch is applied to the state first — so a restart
-        from the same state store resumes exactly where the daemon
-        stopped — then :class:`ServiceClosed` guards all intake/serve
-        paths (HTTP answers 503).  Idempotent.
+        Every accepted event is already in the state, so a restart from the
+        same state store resumes exactly where the daemon stopped; then
+        :class:`ServiceClosed` guards all intake/serve paths (HTTP answers
+        503).  Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
-            self.flush(force=True)
             if self.journal is not None and not self.journal.closed:
                 self.journal.checkpoint(self.state)
                 self.journal.close()
@@ -358,10 +365,11 @@ class AllocationService:
             return {
                 "uptime_seconds": self._clock() - self._started,
                 "state": {
-                    "version": self.state.version,
-                    "jobs": self.state.n_jobs,
+                    # the state the published answer was solved on
+                    "version": self.solved_version,
+                    "jobs": self.solved.n_jobs,
                     "sites": self.state.n_sites,
-                    "pending_events": len(self.queue),
+                    "pending_events": self._pending,
                     "events_accepted": self.events_accepted,
                     "events_rejected": self.events_rejected,
                     "rejections_logged": len(self.rejections),
@@ -410,15 +418,15 @@ class AllocationService:
                     "evictions": inc.shard_evictions,
                 },
                 "batching": {
-                    "batches": self.queue.stats.batches,
-                    "coalesced_events": self.queue.stats.events,
+                    "batches": self.batch_stats.batches,
+                    "coalesced_events": self.batch_stats.events,
                     # Vestige with one reader: benchmarks/ledger/metrics.py's
-                    # batching.folded row.  Batches are applied as drained;
+                    # batching.folded row.  Events are applied as accepted;
                     # the field reads 0 until that harness is edited.
                     "folded_events": 0,
-                    "mean_batch": self.queue.stats.mean_batch,
-                    "max_batch": self.queue.stats.max_batch,
-                    "max_delay": self.queue.max_delay,
+                    "mean_batch": self.batch_stats.mean_batch,
+                    "max_batch": self.batch_stats.max_batch,
+                    "max_delay": self.max_delay,
                 },
                 "sharding": {
                     "last_shards": inc.last_shards,

@@ -1,12 +1,10 @@
 """Write-ahead journal: crash durability for the allocation daemon.
 
-The coalescing queue makes the service fast; it also makes it forgetful —
-an accepted delta lives only in memory until its batch flushes, and the
-state itself never leaves the process.  :class:`WriteAheadJournal` fixes
-both: every *accepted* event is appended to an on-disk JSONL segment
-before the daemon acknowledges it, and periodic *checkpoints* write the
-full cluster snapshot so recovery replays a bounded tail instead of the
-whole history.
+The daemon's cluster state lives in memory and never leaves the process.
+:class:`WriteAheadJournal` makes it durable: every *accepted* event is
+appended to an on-disk JSONL segment before the daemon applies and
+acknowledges it, and periodic *checkpoints* write the full cluster
+snapshot so recovery replays a bounded tail instead of the whole history.
 
 Layout of a journal directory::
 
@@ -24,24 +22,26 @@ Layout of a journal directory::
 * A **checkpoint** (:meth:`WriteAheadJournal.checkpoint`) serializes the
   current :class:`~repro.service.state.ClusterState` at the journal's
   sequence number, fsyncs it into place via an atomic rename, starts a
-  fresh segment, and deletes every older file.  The daemon checkpoints
-  only when the coalescing queue is empty (right after a flush), so a
-  snapshot at ``seq`` provably contains the effect of every journaled
-  event ``<= seq``.
+  fresh segment, and deletes every older file.  The daemon applies each
+  event to the state as soon as it is journaled, so whenever it
+  checkpoints (at a solve, once ``checkpoint_every`` events accrued), a
+  snapshot at ``seq`` contains the effect of every journaled event
+  ``<= seq``.
 
 Recovery (:func:`recover_journal` / :func:`recover_state`) loads the
 newest readable snapshot, replays every following segment line in order,
 and *discards the torn tail*: the first line that fails to parse (a crash
 mid-write) ends the replay.  Replayed events go through the same
 best-effort :meth:`ClusterState.apply_all` the live daemon uses, so an
-event the live run rejected at apply time is rejected identically on
-replay — the recovered state is bit-identical (same
-:meth:`~repro.model.cluster.Cluster.fingerprint`) to the pre-crash state,
-which ``tests/service/test_journal.py`` proves with hypothesis and the CI
-journal-smoke proves across a real SIGKILL.
+event the live run rejected is rejected identically on replay — the
+recovered state is bit-identical (same
+:meth:`~repro.model.cluster.Cluster.fingerprint`) to the pre-crash state
+after every acknowledged write, which ``tests/service/test_journal.py``
+proves with hypothesis and the CI journal-smoke proves across a real
+SIGKILL.
 
 The journal is *not* internally locked: the daemon serializes every call
-behind its own lock (append on accept, sync + checkpoint on flush), and
+behind its own lock (append on accept, sync + checkpoint at a solve), and
 the asyncio edge funnels all writes through one solver thread.
 """
 
@@ -259,9 +259,8 @@ class WriteAheadJournal:
         """Snapshot ``state`` at the current sequence number and compact.
 
         MUST only be called when every journaled event is reflected in
-        ``state`` (i.e. the daemon's coalescing queue is empty) — the
-        daemon guarantees this by checkpointing right after a full flush.
-        The snapshot is written to a temp file, fsynced, atomically
+        ``state`` — always so for the daemon, which applies each event as
+        soon as it is journaled.  The snapshot is written to a temp file, fsynced, atomically
         renamed into place, and the directory entry fsynced; only then are
         older segments and snapshots unlinked, so a crash at any point
         leaves a recoverable directory.

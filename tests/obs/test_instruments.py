@@ -125,7 +125,7 @@ class TestStatsMetrics:
         """HELP and TYPE lines as the registry writes them; a section the
         dict lacks (here every one but ``batching``) renders as 0."""
         text = render_stats({"batching": {"batches": 3, "coalesced_events": 7}})
-        assert "# HELP repro_queue_batches_total batches drained from the coalescing queue\n" in text
+        assert "# HELP repro_queue_batches_total solves that took accepted events\n" in text
         assert "# TYPE repro_queue_batches_total counter\nrepro_queue_batches_total 3\n" in text
         assert "# TYPE repro_queue_depth gauge\nrepro_queue_depth 0\n" in text
 

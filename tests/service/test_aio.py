@@ -22,7 +22,7 @@ from benchmarks.ledger import workloads
 from repro.model.cluster import Cluster
 from repro.model.serialize import save_cluster
 from repro.model.site import Site
-from repro.service.aio import _MAX_LINE, AioServiceServer
+from repro.service.aio import _MAX_LINE, AioServiceServer, _HttpProtocol
 from repro.service.daemon import AllocationService, ServiceClosed
 from repro.service.journal import recover_state
 from repro.service.state import ClusterState
@@ -131,7 +131,7 @@ class TestWriteEndpoints:
         assert payload["pending_events"] >= 0
         assert payload["queued_jobs"] == ["x", "y"]
         # the solver publishes the post-write view before resolving the
-        # future, so a follow-up read sees the jobs once flushed
+        # future, so a follow-up read sees the jobs once solved
         deadline = 50
         while deadline:
             _, listing, _ = call(server, "GET", "/v1/jobs")
@@ -187,7 +187,7 @@ class TestAdmission:
     def test_retry_after_floor_and_backlog_scaling(self):
         service = make_service(max_delay=0.05)
         srv = AioServiceServer(service, max_pending=0, retry_floor=0.1)
-        # no published view yet: p50 falls back to the coalescing delay,
+        # no published view yet: p50 falls back to the solve delay,
         # backlog is the single incoming request -> the floor wins
         assert srv._retry_after() == pytest.approx(0.1)
         slow = AioServiceServer(make_service(max_delay=0.5), max_pending=0, retry_floor=0.1)
@@ -230,7 +230,7 @@ class TestMalformedRequests:
         status, payload, _ = call(server, "POST", "/v1/allocate", {"name": "victim", "workload": {"a": 1.0}})
         assert status == 200 and "victim" in payload["jobs"]
         responses = exchange(server.port, b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n" + framing + b"\r\n" + SMUGGLED)
-        status, payload, _ = call(server, "POST", "/v1/allocate", {})  # applies anything queued
+        status, payload, _ = call(server, "POST", "/v1/allocate", {})  # solves anything pending
         assert "victim" in payload["jobs"]
         assert len(responses) == 1
         assert responses[0].startswith(b"HTTP/1.1 400 ")
@@ -332,16 +332,30 @@ class TestPipelining:
         assert "queued_jobs" not in view and "late" in view["jobs"]
 
 
+def federation_server(**kwargs) -> AioServiceServer:
+    """A started edge over the ledger's 384-job federation: ~52 KB an allocation."""
+    cluster = workloads.federation(np.random.default_rng([workloads.CLUSTER_SEED, 0]))
+    service = AllocationService(ClusterState(cluster.sites, cluster.jobs), max_delay=0.005)
+    return AioServiceServer(service, port=0, quiet=True, **kwargs).start()
+
+
+def slow_client(port: int) -> socket.socket:
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)  # no receive autotuning
+    sock.settimeout(10)
+    sock.connect(("127.0.0.1", port))
+    return sock
+
+
 class TestBackpressure:
     """A client that pipelines large reads and reads nothing back: the
     connection stops framing at the transport's high-water mark, stops
     reading the socket once its request bytes pass the buffer bound, and
-    every other connection is still served."""
+    every other connection is still served.  A transport paused longer
+    than ``idle_timeout`` is aborted; one that keeps draining never is."""
 
     def test_an_unread_pipeline_pauses_its_connection_only(self):
-        cluster = workloads.federation(np.random.default_rng([workloads.CLUSTER_SEED, 0]))  # 384 jobs
-        service = AllocationService(ClusterState(cluster.sites, cluster.jobs), max_delay=0.005)
-        srv = AioServiceServer(service, port=0, quiet=True).start()
+        srv = federation_server()
         framed = []
         dispatch = srv._dispatch
 
@@ -355,10 +369,7 @@ class TestBackpressure:
         routes = ["/v1/health" if i == n // 2 else "/v1/allocate?fresh=false" for i in range(n)]
         raw = b"".join(request("GET", route, headers=pad) for route in routes)
         try:
-            with socket.socket() as sock:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)  # no receive autotuning
-                sock.settimeout(10)
-                sock.connect(("127.0.0.1", srv.port))
+            with slow_client(srv.port) as sock:
                 sender = threading.Thread(target=sock.sendall, args=(raw,), daemon=True)
                 sender.start()
                 deadline = time.monotonic() + 10
@@ -390,6 +401,52 @@ class TestBackpressure:
                 sender.join(timeout=10)
             assert split_responses(bytes(stream)) == expected  # all of them, in order
             assert len(framed) == n + 1  # the pipeline and the other connection's read
+        finally:
+            srv.shutdown()
+
+    def test_an_unread_pipeline_is_cut_off_after_the_idle_deadline(self):
+        srv = federation_server(idle_timeout=0.5)
+        try:
+            with slow_client(srv.port) as sock:
+                sock.sendall(request("GET", "/v1/allocate?fresh=false") * 200)  # ~10 MB of answers
+                deadline = time.monotonic() + 10
+                while not (paused := [c for c in list(srv._conns) if c._paused]) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                (conn,) = paused
+                t0 = time.monotonic()
+                while conn in srv._conns and time.monotonic() - t0 < 5.0:
+                    (health,) = exchange(srv.port, request("GET", "/v1/health"))  # answered throughout
+                    assert health.startswith(b"HTTP/1.1 200 ")
+                    time.sleep(0.05)
+                assert conn not in srv._conns, "the paused connection was never cut off"
+                assert time.monotonic() - t0 < 0.5 + 1.0  # about one deadline after the pause
+                assert conn.transport.is_closing()
+        finally:
+            srv.shutdown()
+
+    def test_a_slow_steady_reader_is_never_cut_off(self, monkeypatch):
+        pauses = []
+        pause_writing = _HttpProtocol.pause_writing
+
+        def counted(protocol):
+            pauses.append(time.monotonic())
+            pause_writing(protocol)
+
+        monkeypatch.setattr(_HttpProtocol, "pause_writing", counted)
+        srv = federation_server(idle_timeout=0.5)
+        n = 200
+        try:
+            expected = [srv.view.allocate_resp] * n  # no write runs: every answer is this view's
+            with slow_client(srv.port) as sock:
+                sock.sendall(request("GET", "/v1/allocate?fresh=false") * n)
+                stream = bytearray()
+                while len(stream) < sum(map(len, expected)):
+                    chunk = sock.recv(1 << 16)
+                    assert chunk, f"connection closed after {len(stream)} bytes"
+                    stream += chunk
+                    time.sleep(0.002)  # slower than the edge writes, never 0.5 s behind
+            assert split_responses(bytes(stream)) == expected
+            assert pauses, "the transport never paused: the reader was not slow"
         finally:
             srv.shutdown()
 

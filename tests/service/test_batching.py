@@ -1,12 +1,14 @@
-"""CoalescingQueue on a fully controlled virtual clock, and what the daemon
-does with a drained batch."""
+"""The daemon's solve timer on a fully controlled virtual clock, and what
+a batch of accepted events does to the state."""
 
 import pickle
 
 import pytest
 
-from repro.service.batching import CoalescingQueue
-from repro.service.state import JobDeparted
+from repro.model.job import Job
+from repro.model.site import Site
+from repro.service.daemon import AllocationService
+from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted
 
 
 class FakeClock:
@@ -17,119 +19,118 @@ class FakeClock:
         return self.now
 
 
-def make_queue(**kwargs):
+def make_state(jobs=(), sites=(("a", 2.0), ("b", 3.0))):
+    return ClusterState([Site(name, cap) for name, cap in sites], jobs)
+
+
+def make_service(**kwargs):
+    """A service on a virtual clock; its events are departures of unknown
+    jobs, rejected on arrival, so no solve ever has a job to solve."""
     clock = FakeClock()
-    return CoalescingQueue(clock=clock, **kwargs), clock
+    return AllocationService(make_state(), clock=clock, observability=False, **kwargs), clock
 
 
 class TestDueness:
     def test_empty_queue_never_due(self):
-        q, _ = make_queue(max_delay=0.1)
-        assert not q.due()
-        assert q.seconds_until_due() is None
-        assert q.drain() == []
+        service, _ = make_service(max_delay=0.1)
+        assert not service.due()
+        assert service.seconds_until_due() is None
+        service.allocation(fresh=False)
+        assert service.batch_stats.batches == 0
 
     def test_batch_due_after_max_delay(self):
-        q, clock = make_queue(max_delay=0.1)
-        q.push(JobDeparted("x"))
-        assert not q.due()
-        assert q.seconds_until_due() == pytest.approx(0.1)
+        service, clock = make_service(max_delay=0.1)
+        service.submit(JobDeparted("x"))
+        assert not service.due()
+        assert service.seconds_until_due() == pytest.approx(0.1)
         clock.now = 0.09
-        assert not q.due()
+        assert not service.due()
         clock.now = 0.1
-        assert q.due()
-        assert q.seconds_until_due() == 0.0
+        assert service.due()
+        assert service.seconds_until_due() == 0.0
 
     def test_age_measured_from_oldest_event(self):
-        q, clock = make_queue(max_delay=0.1)
-        q.push(JobDeparted("x"))
+        service, clock = make_service(max_delay=0.1)
+        service.submit(JobDeparted("x"))
         clock.now = 0.08
-        q.push(JobDeparted("y"))  # newer event does not reset the deadline
+        service.submit(JobDeparted("y"))  # newer event does not reset the deadline
         clock.now = 0.1
-        assert q.due()
+        assert service.due()
 
     def test_full_batch_due_immediately(self):
-        q, _ = make_queue(max_delay=1e9, max_batch=3)
+        service, _ = make_service(max_delay=1e9, max_batch=3)
         for name in "abc":
-            q.push(JobDeparted(name))
-        assert q.due()
-        assert q.seconds_until_due() == 0.0
+            service.submit(JobDeparted(name))
+        assert service.due()
+        assert service.seconds_until_due() == 0.0
 
     def test_zero_delay_means_every_event_due(self):
-        q, _ = make_queue(max_delay=0.0)
-        q.push(JobDeparted("x"))
-        assert q.due()
+        service, _ = make_service(max_delay=0.0)
+        service.submit(JobDeparted("x"))
+        assert service.due()
 
 
 class TestDrainAndStats:
     def test_drain_takes_everything_and_resets(self):
-        q, clock = make_queue(max_delay=0.1)
-        q.push(JobDeparted("x"))
-        q.push(JobDeparted("y"))
-        batch = q.drain()
-        assert [e.name for e in batch] == ["x", "y"]
-        assert len(q) == 0 and not q.due()
-        # the next push starts a fresh delay window
+        service, clock = make_service(max_delay=0.1)
+        service.submit(JobDeparted("x"))
+        service.submit(JobDeparted("y"))
+        service.allocation(fresh=True)
+        assert service.batch_stats.events == 2
+        assert service.stats()["state"]["pending_events"] == 0 and not service.due()
+        # the next event starts a fresh delay window
         clock.now = 5.0
-        q.push(JobDeparted("z"))
-        assert q.seconds_until_due() == pytest.approx(0.1)
+        service.submit(JobDeparted("z"))
+        assert service.seconds_until_due() == pytest.approx(0.1)
 
     def test_stats_accumulate(self):
-        q, _ = make_queue(max_delay=0.0)
+        service, _ = make_service(max_delay=0.0)
         for size in (2, 3):
-            for i in range(size):
-                q.push(JobDeparted(f"j{size}-{i}"))
-            q.drain()
-        assert q.stats.batches == 2
-        assert q.stats.events == 5
-        assert q.stats.max_batch == 3
-        assert q.stats.mean_batch == pytest.approx(2.5)
+            service.submit_all([JobDeparted(f"j{size}-{i}") for i in range(size)])
+            service.allocation(fresh=False)  # due: a zero delay
+        stats = service.batch_stats
+        assert stats.batches == 2
+        assert stats.events == 5
+        assert stats.max_batch == 3
+        assert stats.mean_batch == pytest.approx(2.5)
 
     def test_stats_stay_the_same_size_however_many_drains(self):
         """The counters are all the stats keep: no per-batch record grows
-        with uptime.  (300 and 10 000 drains both pickle their counts as
+        with uptime.  (300 and 10 000 solves both pickle their counts as
         two-byte ints, so equal lengths mean nothing else was kept.)"""
-        q, _ = make_queue(max_delay=0.0)
+        service, _ = make_service(max_delay=0.0)
         sizes = {}
         for n in range(1, 10_001):
-            q.push(JobDeparted("x"))
-            q.drain()
+            service.submit(JobDeparted("x"))
+            service.allocation(fresh=True)
             if n in (300, 10_000):
-                sizes[n] = len(pickle.dumps(q.stats))
+                sizes[n] = len(pickle.dumps(service.batch_stats))
         assert sizes[300] == sizes[10_000]
 
     def test_empty_drain_not_counted(self):
-        q, _ = make_queue()
-        q.drain()
-        assert q.stats.batches == 0
+        service, _ = make_service()
+        service.allocation(fresh=True)
+        assert service.batch_stats.batches == 0
 
 
 class TestValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
-            CoalescingQueue(max_delay=-1.0)
+            make_service(max_delay=-1.0)
         with pytest.raises(ValueError):
-            CoalescingQueue(max_batch=0)
+            make_service(max_batch=0)
 
 
-# -- a drained batch applied by the daemon -------------------------------
-
-from repro.model.job import Job  # noqa: E402
-from repro.model.site import Site  # noqa: E402
-from repro.service.daemon import AllocationService  # noqa: E402
-from repro.service.state import CapacityChanged, ClusterState, JobArrived  # noqa: E402
-
-
-def make_state(jobs=(), sites=(("a", 2.0), ("b", 3.0))):
-    return ClusterState([Site(name, cap) for name, cap in sites], jobs)
+# -- a batch of accepted events applied by the daemon ----------------------
 
 
 def flush(batch, state):
-    """Queue ``batch`` on a daemon over ``state``, flush it as one batch and
-    return the daemon's rejection log."""
+    """Submit ``batch`` to a daemon over ``state``, solve it as one batch
+    and return the daemon's rejection log."""
     service = AllocationService(state, max_delay=60.0, observability=False)
     service.submit_all(batch)
-    service.flush(force=True)
+    service.allocation(fresh=True)
+    assert service.batch_stats.events == len(batch)
     assert service.events_accepted == state.version + service.events_rejected
     return service.rejections
 
@@ -139,8 +140,8 @@ def arrive(name, site="a"):
 
 
 class TestCoalesceBatch:
-    """A coalesced batch leaves the state, and the rejection log, exactly
-    where applying its events one by one does."""
+    """A batch of accepted events leaves the state, and the rejection log,
+    exactly where applying its events one by one does."""
 
     def test_arrive_then_depart_vanishes(self):
         state = make_state()
@@ -184,7 +185,7 @@ class TestCoalesceBatch:
 
 
 def test_mixed_batch_is_applied_as_drained_and_routes_one_shard():
-    """One flush of every case at once: an arrive/depart pair, a present
+    """One batch of every case at once: an arrive/depart pair, a present
     job's depart/re-arrive cycle, two capacity changes to one site, a
     duplicate arrival and an unknown departure.  The state and rejections
     are ``apply_all`` of the raw batch, and only the shard the batch

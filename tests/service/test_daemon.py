@@ -285,8 +285,7 @@ class TestAccountingRegressions:
         service, _ = make_service()
         service.max_rejections = 2
         service.submit_all([JobDeparted(f"ghost{i}") for i in range(5)])
-        service.flush(force=True)
-        assert service.events_rejected == 5
+        assert service.events_rejected == 5  # counted on acceptance, before any solve
         assert len(service.rejections) == 2
         assert service.rejections_dropped == 3
         stats = service.stats()["state"]
@@ -295,24 +294,27 @@ class TestAccountingRegressions:
         assert stats["rejections_dropped"] == 3
 
     def test_submit_all_partial_failure_accounting(self):
-        # a push raising mid-sequence must still count the events that
-        # made it in (events_accepted used to come up short)
+        # an apply raising mid-sequence: the request's outcome is unknown to
+        # its caller, but the accept count and the pending count still say
+        # what was journaled, and the events before the failure are applied
         service, _ = make_service()
-        real_push = service.queue.push
+        real_apply = service.state.apply
         calls = {"n": 0}
 
-        def flaky_push(event):
+        def flaky_apply(event):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise RuntimeError("queue blew up")
-            return real_push(event)
+                raise RuntimeError("state blew up")
+            return real_apply(event)
 
-        service.queue.push = flaky_push
+        service.state.apply = flaky_apply
         events = [JobArrived(Job(f"j{i}", {"a": 1.0})) for i in range(4)]
-        with pytest.raises(RuntimeError, match="queue blew up"):
+        with pytest.raises(RuntimeError, match="state blew up"):
             service.submit_all(events)
-        assert service.events_accepted == 2
-        service.queue.push = real_push
+        assert service.events_accepted == 4
+        assert service.stats()["state"]["pending_events"] == 4
+        assert service.state.n_jobs == 2
+        service.state.apply = real_apply
         # the daemon keeps working after the failed request
         service.submit(JobArrived(Job("late", {"b": 1.0})))
         assert service.allocation().allocation.cluster.n_jobs == 3

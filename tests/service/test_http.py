@@ -190,29 +190,29 @@ class TestKeepAliveLatency:
 
 class TestFlusherResilience:
     def test_flusher_survives_a_poisoned_flush(self, server):
-        # one raising flush() must not stop the solver loop, or every
-        # later batch would strand in the queue
+        # one raising due solve must not stop the solver loop, or every
+        # later event would never reach a published allocation
         from repro.obs.instruments import FLUSH_ERRORS
         from repro.obs.registry import REGISTRY
 
         service = server.service
-        real_flush = service.flush
+        real_allocation = service.allocation
         blew = threading.Event()
 
-        def poisoned_flush(**kwargs):
-            if not blew.is_set():
+        def poisoned_allocation(*, fresh=True):
+            if fresh and not blew.is_set():
                 blew.set()
                 raise RuntimeError("poisoned batch")
-            return real_flush(**kwargs)
+            return real_allocation(fresh=fresh)
 
         was_enabled, errors_before = REGISTRY.enabled, FLUSH_ERRORS.value
         REGISTRY.enabled = True
-        service.flush = poisoned_flush
+        service.allocation = poisoned_allocation
         try:
             status, _ = call(server, "POST", "/v1/jobs", {"jobs": [{"name": "x", "workload": {"a": 1.0}}]})
             assert status == 202
             assert blew.wait(timeout=5.0)
-            # the loop kept running: the queued job still lands
+            # the loop kept running: the next due solve publishes the job
             deadline = 100
             while deadline:
                 _, listing = call(server, "GET", "/v1/jobs")
@@ -223,7 +223,7 @@ class TestFlusherResilience:
             assert set(listing["jobs"]) == {"x"}
             assert FLUSH_ERRORS.value >= errors_before + 1
         finally:
-            service.flush = real_flush
+            service.allocation = real_allocation
             REGISTRY.enabled = was_enabled
 
 

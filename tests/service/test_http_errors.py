@@ -159,11 +159,14 @@ class TestDeleteJob:
         assert_alive(server)
 
     def test_queued_but_unflushed_job_is_deletable(self, server):
-        # the arrival may still be in the coalescing queue when the DELETE
-        # lands; has_job must see pending events, not answer 404
+        # the arrival may not be solved yet when the DELETE lands; it is in
+        # the state from its 202 on, so the DELETE is not answered 404
         call(server, "POST", "/v1/jobs", {"name": "q", "workload": {"a": 1.0}})
         status, _ = call(server, "DELETE", "/v1/jobs/q")
         assert status == 202
+        # its departure is in the state too: a second DELETE finds no job
+        status, payload = call(server, "DELETE", "/v1/jobs/q")
+        assert status == 404 and "unknown job" in payload["error"]["message"]
 
     def test_bare_jobs_path_404(self, server):
         status, _ = call(server, "DELETE", "/v1/jobs/")
@@ -363,17 +366,17 @@ class TestGracefulShutdown503:
         service = server.service
         status, payload = call(server, "POST", "/v1/jobs", {"name": "j", "workload": {"a": 1.0}})
         assert status == 202
-        # hold shutdown's final forced flush open so requests land mid-drain
+        # hold shutdown's final solve open so requests land mid-drain
         draining, release = threading.Event(), threading.Event()
-        real_flush = service.flush
+        real_allocation = service.allocation
 
-        def held_flush(*, force=False):
-            if force:
+        def held_allocation(*, fresh=True):
+            if server._closing:
                 draining.set()
                 release.wait(timeout=10)
-            return real_flush(force=force)
+            return real_allocation(fresh=fresh)
 
-        service.flush = held_flush
+        service.allocation = held_allocation
         stopper = threading.Thread(target=server.shutdown)
         stopper.start()
         try:
@@ -391,7 +394,7 @@ class TestGracefulShutdown503:
         assert not stopper.is_alive()
         with pytest.raises(ServiceClosed):
             service.submit_all(())
-        assert service.pending() == 0  # queue drained into the state
+        assert service.stats()["state"]["pending_events"] == 0  # the final solve took the pending event
 
     def test_close_drains_queue_and_flushes_journal(self):
         state = ClusterState([Site("a", 2.0)])
@@ -401,10 +404,9 @@ class TestGracefulShutdown503:
                 Job(f"j{i}", {"a": 1.0})
             ) for i in range(3)]
         )
-        version_before = state.version
+        assert state.version == 3  # one version per event, applied on acceptance
         service.close()
-        assert state.n_jobs == 3  # pending batch applied, not dropped
-        assert state.version == version_before + 3  # one version per event
+        assert state.n_jobs == 3 and state.version == 3  # the unsolved batch is kept, not dropped
         service.close()  # idempotent
 
     def test_submit_after_close_raises(self):

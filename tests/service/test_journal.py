@@ -333,29 +333,62 @@ class TestReplayEquivalence:
         for i, event in enumerate(stream):
             service.submit(event)
             if (i + 1) % flush_every == 0:
-                service.flush(force=True)
+                service.allocation(fresh=True)
         # simulate a crash: no close(), no final checkpoint — recovery
         # must replay the journaled tail
-        live_fp = None
-        service.flush(force=True)
         live_fp = service.state.snapshot().fingerprint()
         recovered, rec = recover_state(tmp_path)
         assert recovered.snapshot().fingerprint() == live_fp
 
     def test_unflushed_events_survive_via_journal(self, tmp_path):
-        """Write-ahead ordering: an acknowledged-but-unflushed event is on
-        disk and lands in the recovered state even though the live state
-        never saw it (the crash window the journal exists for)."""
+        """Write-ahead ordering: an acknowledged-but-unsolved event is on
+        disk and lands in the recovered state even though no answer has
+        shown it yet (the crash window the journal exists for)."""
         clock = FakeClock()
         state, journal, _ = open_journal(tmp_path, fallback_sites=SITES, fsync_batch=1, clock=clock)
         service = AllocationService(
             state, journal=journal, clock=clock, max_delay=1e9, observability=False
         )
         service.submit(JobArrived(Job("x", {"a": 1.0})))
-        assert service.state.n_jobs == 0  # still coalescing — crash now
+        assert service.allocation(fresh=False).allocation.cluster.n_jobs == 0  # not solved yet — crash now
         recovered, rec = recover_state(tmp_path)
         assert recovered.n_jobs == 1
         assert len(rec.events) == 1
+        assert recovered.snapshot().fingerprint() == service.state.snapshot().fingerprint()
+
+
+_POOL = ["p", "q", "r"]  # few names: duplicate arrivals and known departures are common
+
+
+@st.composite
+def lockstep_events(draw):
+    """Arrivals, departures and capacity changes, rejectable ones mixed in:
+    duplicate names, departures of jobs never seen, an unknown site ``zz``
+    and a non-positive capacity."""
+    kind = draw(st.sampled_from(["arrive", "depart", "capacity"]))
+    if kind == "arrive":
+        support = draw(st.lists(st.sampled_from([*SITE_NAMES, "zz"]), min_size=1, max_size=3, unique=True))
+        return JobArrived(Job(draw(st.sampled_from(_POOL)), {s: draw(_floats) for s in support}))
+    if kind == "depart":
+        return JobDeparted(draw(st.sampled_from([*_POOL, "ghost"])))
+    return CapacityChanged(draw(st.sampled_from([*SITE_NAMES, "zz"])), draw(st.one_of(_floats, st.just(-1.0))))
+
+
+class TestLockstep:
+    @given(requests=st.lists(st.lists(lockstep_events(), min_size=1, max_size=4), min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_journal_and_state_move_in_lockstep(self, tmp_path_factory, requests):
+        """No solve runs, yet after every acknowledged ``submit_all`` a
+        recovery from the journal reaches the live state: an accepted event
+        waits nowhere between the journal and the state."""
+        tmp_path = tmp_path_factory.mktemp("lockstep")
+        state, journal, _ = open_journal(tmp_path, fallback_sites=SITES, fsync_batch=1)
+        service = AllocationService(state, journal=journal, max_delay=1e9, observability=False)
+        for events in requests:
+            service.submit_all(events)
+            recovered, _ = recover_state(tmp_path)
+            assert recovered.snapshot().fingerprint() == service.state.snapshot().fingerprint()
+        assert service.batch_stats.batches == 0  # no solve took a batch
 
 
 # ----------------------------------------------------------------------
@@ -381,8 +414,7 @@ _CRASH_CHILD = textwrap.dedent(
         if i % 7 == 6:
             service.submit(CapacityChanged("b", 3.0 + i))
         if i % 5 == 4:
-            service.flush(force=True)
-    service.flush(force=True)
+            service.allocation(fresh=True)
     print(json.dumps({"fingerprint": state.snapshot().fingerprint()}), flush=True)
     os.kill(os.getpid(), signal.SIGKILL)  # no close(), no atexit, nothing
     """

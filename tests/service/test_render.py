@@ -169,7 +169,7 @@ class TestPublishSemantics:
             srv.shutdown()
 
     def test_a_202_republishes_stats_and_health_only(self):
-        srv = self.start(max_delay=30.0)  # nothing flushes on its own
+        srv = self.start(max_delay=30.0)  # no solve falls due on its own
         try:
             http(srv, "POST", "/v1/allocate", {})
             pending = 0

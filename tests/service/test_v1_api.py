@@ -236,11 +236,11 @@ class TestPagination:
         assert status == 400 and payload["error"]["code"] == "bad_request"
 
     def test_pending_filter_sees_queued_jobs(self, server):
-        # queue without flushing: max_delay keeps the batch pending briefly
+        # accepted without solving: max_delay keeps the arrival pending briefly
         call(server, "POST", "/v1/jobs", {"name": "p1", "workload": {"a": 1.0}})
         _, payload, _ = call(server, "GET", "/v1/jobs?status=pending")
         names = {n for n, e in payload["jobs"].items() if e["status"] == "pending"}
-        # the flusher may have landed the batch already; either way the
+        # a due solve may have taken it already; either way the
         # filter answers without error and never lists it as active
         assert names <= {"p1"}
         assert all(e["status"] == "pending" for e in payload["jobs"].values())

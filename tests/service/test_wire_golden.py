@@ -168,7 +168,7 @@ CORPUS: tuple[Case, ...] = (
 
 
 def _service() -> AllocationService:
-    # no timer flush in the corpus's lifetime: a batch is applied only when
+    # no timed solve in the corpus's lifetime: a batch is solved only when
     # a request forces it, so pending counts are part of the bytes
     state = ClusterState([Site("a", 2.0), Site("b", 3.0)], [Job("x", {"a": 1.0}), Job("y", {"b": 1.0})])
     return AllocationService(state, max_delay=3600.0)
