@@ -144,8 +144,8 @@ class CutBasis:
     constraints from clusters that no longer resemble the present one.
 
     The basis also keeps the component's last solved split
-    (:meth:`keep_split`), keyed by job and site names: the one max-flow that
-    certifies a warm fill starts from it (:meth:`split_on`).
+    (:meth:`keep_split`): the one max-flow that certifies a warm fill starts
+    from it (:meth:`split_on`).
     """
 
     __slots__ = ("_cuts", "max_cuts", "_split")
@@ -154,31 +154,44 @@ class CutBasis:
         require(max_cuts >= 1, "max_cuts must be at least 1")
         self.max_cuts = max_cuts
         self._cuts: OrderedDict[frozenset[str], None] = OrderedDict()
-        self._split: tuple[tuple[str, ...], tuple[str, ...], np.ndarray] | None = None
+        self._split: tuple[tuple, tuple[str, ...], np.ndarray | None, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._cuts)
 
     def keep_split(self, cluster: Cluster, matrix: np.ndarray) -> None:
         """Remember ``matrix``, a solved ``(n, m)`` split of ``cluster``."""
-        self._split = (
-            tuple(job.name for job in cluster.jobs),
-            tuple(site.name for site in cluster.sites),
-            matrix,
-        )
+        self._split = (cluster.jobs, tuple(site.name for site in cluster.sites), cluster.arrival_numbers(), matrix)
 
     def split_on(self, cluster: Cluster) -> np.ndarray | None:
         """The kept split re-indexed onto ``cluster``: rows of departed jobs
-        and columns of vanished sites dropped, new jobs and sites zero."""
+        and columns of vanished sites dropped, new jobs and sites zero.
+
+        Jobs are matched by name; two components of one store by their
+        arrival numbers (:meth:`Cluster.arrival_numbers`), one gather, so a
+        job that left and came back under its name starts from zero there.
+        """
         if self._split is None:
             return None
-        jobs, sites, matrix = self._split
-        job_at = {name: i for i, name in enumerate(jobs)}
-        site_at = {name: j for j, name in enumerate(sites)}
-        rows = np.array([job_at.get(job.name, -1) for job in cluster.jobs], dtype=np.intp)
-        cols = np.array([site_at.get(site.name, -1) for site in cluster.sites], dtype=np.intp)
-        kept_rows, kept_cols = rows >= 0, cols >= 0
+        jobs, sites, arrivals, matrix = self._split
+        numbers = cluster.arrival_numbers()
+        if arrivals is not None and numbers is not None:
+            # both ascending: each new number's place among the kept ones
+            rows = np.searchsorted(arrivals, numbers)
+            kept_rows = rows < arrivals.size
+            kept_rows[kept_rows] = arrivals[rows[kept_rows]] == numbers[kept_rows]
+        else:
+            job_at = {job.name: i for i, job in enumerate(jobs)}
+            rows = np.array([job_at.get(job.name, -1) for job in cluster.jobs], dtype=np.intp)
+            kept_rows = rows >= 0
         out = np.zeros((cluster.n_jobs, cluster.n_sites))
+        names = tuple(site.name for site in cluster.sites)
+        if names == sites:  # the component's sites, as kept: every column stays
+            out[kept_rows] = matrix[rows[kept_rows]]
+            return out
+        site_at = {name: j for j, name in enumerate(sites)}
+        cols = np.array([site_at.get(name, -1) for name in names], dtype=np.intp)
+        kept_cols = cols >= 0
         out[np.ix_(kept_rows, kept_cols)] = matrix[np.ix_(rows[kept_rows], cols[kept_cols])]
         return out
 

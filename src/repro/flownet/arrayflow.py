@@ -89,7 +89,11 @@ class ArrayFlowGraph:
         tail_of = np.empty(2 * n_edges, dtype=np.int32)
         tail_of[0::2] = tails_a
         tail_of[1::2] = heads_a
-        rev = np.argsort(tail_of[::-1], kind="stable")
+        keys = tail_of[::-1]
+        if self.n_nodes <= 1 << 16:
+            # the same stable order; numpy radix-sorts 16-bit keys (~3x faster)
+            keys = keys.astype(np.uint16)
+        rev = np.argsort(keys, kind="stable")
         self.adj = (tail_of.size - 1 - rev).astype(np.int32)
         counts = np.bincount(tail_of, minlength=self.n_nodes)
         self.indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
@@ -160,8 +164,12 @@ class ArrayFlowGraph:
             if nxt.size == 0:
                 break
             level[nxt] = depth
+            if level[t] >= 0:  # t's layer: stop there (see _bfs_levels_py)
+                level[nxt] = -1
+                level[t] = depth
+                return level
             frontier = nxt.astype(np.int64)
-        return level if level[t] >= 0 else None
+        return None
 
     def _bfs_levels_py(self, s: int, t: int, cap: list[float]) -> list[int] | None:
         """List-based level construction for small graphs.
@@ -169,6 +177,14 @@ class ArrayFlowGraph:
         Per-frontier numpy dispatch costs more than it saves below a few
         thousand edges — exactly the size of the per-probe bipartite graphs
         — so the scalar loop wins there (see _VECTOR_THRESHOLD).
+
+        The search stops at the layer that labels ``t``, and unlabels that
+        layer's other nodes: a node at or beyond ``t``'s depth has no arc to
+        a deeper node that could still reach ``t``, so the blocking flow's
+        DFS would only dead-end there.  It therefore pushes the same paths
+        in the same order, and leaves the same residual capacities, as on
+        the full level graph; it just no longer labels what it would
+        discard.
         """
         to = self._to_list
         adj = self._adj_list
@@ -187,8 +203,13 @@ class ArrayFlowGraph:
                     if level[v] < 0 and cap[e] > ABS_TOL:
                         level[v] = depth
                         nxt.append(v)
+            if level[t] >= 0:
+                for v in nxt:
+                    level[v] = -1
+                level[t] = depth
+                return level
             frontier = nxt
-        return level if level[t] >= 0 else None
+        return None
 
     def _blocking_flow(self, s: int, t: int, level: list[int], cap: list[float]) -> float:
         """Sequential DFS blocking flow over list mirrors (mutates ``cap``)."""

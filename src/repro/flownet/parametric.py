@@ -107,19 +107,16 @@ class ParametricFeasibility:
         self._n, self._m = n, m
         self._scale = max(1.0, float(n + m))
         self._capacities = cluster.capacities
-        support = cluster.support
-        dcaps = cluster.demand_caps
+        # every support edge, job by job with each job's sites ascending —
+        # the order that fixes every edge id below
+        rows, cols, dcaps = cluster.support_edges()
 
-        degree = support.sum(axis=1)
-        folded = degree == 1
+        folded = np.bincount(rows, minlength=n) == 1
         self._folded_idx = np.flatnonzero(folded)
         self._multi_idx = np.flatnonzero(~folded)
-        if self._folded_idx.size:
-            self._folded_site = support[self._folded_idx].argmax(axis=1).astype(np.int64)
-            self._folded_cap = dcaps[self._folded_idx, self._folded_site]
-        else:
-            self._folded_site = np.zeros(0, dtype=np.int64)
-            self._folded_cap = np.zeros(0)
+        on_folded = folded[rows]
+        self._folded_site = cols[on_folded].astype(np.int64)
+        self._folded_cap = dcaps[on_folded]
         self.stats.jobs_folded += int(self._folded_idx.size)
 
         # Reduced network: src=0, multi jobs 1..K, sites K+1..K+m, snk last.
@@ -129,41 +126,50 @@ class ParametricFeasibility:
         self._src = 0
         self._site0 = k_multi + 1
         self._snk = k_multi + m + 1
-        # The support arcs in row-major order: job by job, each job's sites
-        # ascending — the order that fixes every edge id below.
-        ks, js = np.nonzero(support[self._multi_idx])
-        jobs_of = self._multi_idx[ks]
+        on_multi = ~on_folded
+        jobs_of, js = rows[on_multi].astype(np.int64), cols[on_multi].astype(np.int64)
+        ks = (np.cumsum(~folded) - 1)[jobs_of]  # each multi-job's position among them
         sites_m = np.arange(m, dtype=np.int64)
         self._source_eids = np.arange(k_multi, dtype=np.int64) * 2
         self._sup_eids = np.arange(ks.size, dtype=np.int64) * 2 + 2 * k_multi
         self._site_eids = sites_m * 2 + 2 * (k_multi + ks.size)
-        self._sup_job, self._sup_site = jobs_of.astype(np.int64), js.astype(np.int64)
+        self._sup_job, self._sup_site = jobs_of, js
         self._graph = ArrayFlowGraph(
             self._snk + 1,
             np.concatenate([np.zeros(k_multi, dtype=np.int64), 1 + ks, self._site0 + sites_m]),
             np.concatenate([1 + np.arange(k_multi), self._site0 + js, np.full(m, self._snk)]),
-            np.concatenate([np.zeros(k_multi), dcaps[jobs_of, js], np.zeros(m)]),
+            np.concatenate([np.zeros(k_multi), dcaps[on_multi], np.zeros(m)]),
         )
-        # Rollback walks: per multi-job its (edge, site) arcs, per site its
-        # (edge, job) arcs, both in edge order.
-        self._job_edges: list[list[tuple[int, int]]] = [[] for _ in range(k_multi)]
-        self._site_edges: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for eid, k, j in zip(self._sup_eids.tolist(), ks.tolist(), js.tolist()):
-            self._job_edges[k].append((eid, j))
-            self._site_edges[j].append((eid, k))
-        self._source_eids_list = self._source_eids.tolist()
-        self._site_eids_list = self._site_eids.tolist()
+        # the rollback walks (_walks), built by the first rollback
+        self._job_edges: list[list[tuple[int, int]]] | None = None
+        self._site_edges: list[list[tuple[int, int]]] | None = None
 
         self._flow_targets: np.ndarray | None = None
+
+    def _walks(self) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+        """The rollback walks: per multi-job its (edge, site) arcs, per site
+        its (edge, job) arcs, both in edge order.  Most oracles never roll
+        back, so the first rollback builds them."""
+        if self._job_edges is None:
+            self._job_edges = [[] for _ in range(self._multi_idx.size)]
+            self._site_edges = [[] for _ in range(self._m)]
+            ks = np.searchsorted(self._multi_idx, self._sup_job)
+            for eid, k, j in zip(self._sup_eids.tolist(), ks.tolist(), self._sup_site.tolist()):
+                self._job_edges[k].append((eid, j))
+                self._site_edges[j].append((eid, k))
+            self._source_eids_list = self._source_eids.tolist()
+            self._site_eids_list = self._site_eids.tolist()
+        return self._job_edges, self._site_edges
 
     # ------------------------------------------------------------------
     # Flow-state maintenance
     # ------------------------------------------------------------------
     def _cancel_at_site(self, j: int, excess: float) -> None:
         """Cancel ``excess`` flow through site ``j`` (walks incoming arcs)."""
+        site_edges = self._walks()[1][j]
         cap = self._graph.cap
         te = self._site_eids_list[j]
-        for eid, k in self._site_edges[j]:
+        for eid, k in site_edges:
             if excess <= 1e-15:
                 return
             f = cap[eid + 1]
@@ -181,9 +187,10 @@ class ParametricFeasibility:
 
     def _cancel_at_job(self, k: int, excess: float) -> None:
         """Cancel ``excess`` flow leaving multi-job ``k`` (walks its arcs)."""
+        job_edges = self._walks()[0][k]
         cap = self._graph.cap
         se = self._source_eids_list[k]
-        for eid, j in self._job_edges[k]:
+        for eid, j in job_edges:
             if excess <= 1e-15:
                 return
             f = cap[eid + 1]

@@ -9,6 +9,7 @@ advice applied at the model boundary.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -45,6 +46,13 @@ class Cluster:
     #: (:class:`~repro.service.state.ClusterState`); ``None`` otherwise.
     #: :func:`~repro.core.sharding.decompose` returns them without a walk.
     _components: tuple["Component", ...] | None = None
+
+    #: The support edges of the instance as the store's component record
+    #: keeps them (:class:`SupportEdges`), when the instance is a component
+    #: of such a store (or a snapshot holding one component); ``None``
+    #: otherwise.  A scalar instance scatters its dense views from them and
+    #: hands them to the flow network instead of walking its jobs.
+    _edges: "SupportEdges | None" = None
 
     def __init__(self, sites: Sequence[Site], jobs: Sequence[Job]):
         sites = tuple(sites)
@@ -91,6 +99,8 @@ class Cluster:
         self._job_index = {job.name: k for k, job in enumerate(jobs)}
         if components is not None:
             self._components = components
+            if len(components) == 1:  # the component spans every site and job
+                self._edges = components[0].edges
         if multiresource is not None:
             self.__dict__["is_multiresource"] = multiresource
         return self
@@ -131,6 +141,7 @@ class Cluster:
             job_idx = tuple(map(index.__getitem__, part.jobs))
             if part.cluster is None:
                 part.cluster = self._subset(part.sites, job_idx)
+                part.cluster._edges = part.edges
             blocks.append((part, job_idx, part.cluster))
         return blocks
 
@@ -182,21 +193,49 @@ class Cluster:
     def _edge_views(self) -> tuple[np.ndarray, np.ndarray]:
         """``(workloads, demand_caps)``, both cached by the one call.
 
-        An instance carrying several components writes each component's
-        views into its block, the way :func:`~repro.core.sharding.stitch`
-        writes matrices: an untouched component's views carry over from the
+        A scalar component a store keeps scatters its views from the edge
+        arrays the store patched by each event (:class:`SupportEdges`).  An
+        instance carrying several components writes each component's views
+        into its block, the way :func:`~repro.core.sharding.stitch` writes
+        matrices: an untouched component's views carry over from the
         snapshot that built them.  Anything else walks its support edges.
         A vector instance always walks: its components offer only their own
         sites' resources and are validated when built, which is the
         solver's business (``decompose``), not the views'.
         """
-        blocks = None if self.is_multiresource else self._blocks()
-        if blocks is not None and len(blocks) > 1:
-            views = self._assembled_views(blocks)
-        else:
+        if self.is_multiresource:
             views = self._walked_views()
+        elif self._edges is not None:
+            rows, cols, caps = self.support_edges()
+            views = self._dense(rows, cols, self._edges.arrays[2]), self._dense(rows, cols, caps)
+        else:
+            blocks = self._blocks()
+            views = self._assembled_views(blocks) if blocks is not None and len(blocks) > 1 else self._walked_views()
         self.__dict__["workloads"], self.__dict__["demand_caps"] = views
         return views
+
+    def _dense(self, rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
+        """A read-only ``(n, m)`` matrix holding ``values`` at the edges, 0 elsewhere."""
+        mat = np.zeros((self.n_jobs, self.n_sites), dtype=float)
+        mat[rows, cols] = values
+        mat.flags.writeable = False
+        return mat
+
+    def support_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, caps)``: each support edge's job and site index and
+        effective demand cap, job by job with each job's sites ascending
+        (``np.nonzero(support)`` order).  A scalar component a store keeps
+        hands over its edge arrays; anything else reads its dense views."""
+        if self._edges is not None and not self.is_multiresource:
+            rows, cols, _, declared, _ = self._edges.arrays
+            return rows, cols, np.minimum(declared, self.capacities[cols])  # uncapped: the site alone bounds it
+        rows, cols = np.nonzero(self.support)
+        return rows, cols, self.demand_caps[rows, cols]
+
+    def arrival_numbers(self) -> np.ndarray | None:
+        """The jobs' arrival numbers in the store this instance is a
+        component of (:class:`SupportEdges`), or ``None``."""
+        return None if self._edges is None else self._edges.arrays[4]
 
     def _assembled_views(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         work = np.zeros((self.n_jobs, self.n_sites), dtype=float)
@@ -229,14 +268,7 @@ class Cluster:
             need = self.job_resource_matrix[rows]
             with np.errstate(divide="ignore", invalid="ignore"):
                 alone = np.where(need > 0.0, self.site_resource_matrix[cols] / need, inf).min(axis=1)
-
-        def dense(values) -> np.ndarray:
-            mat = np.zeros((self.n_jobs, self.n_sites), dtype=float)
-            mat[rows, cols] = values
-            mat.flags.writeable = False
-            return mat
-
-        return dense(work), dense(np.minimum(declared, alone))
+        return self._dense(rows, cols, work), self._dense(rows, cols, np.minimum(declared, alone))
 
     @cached_property
     def workloads(self) -> np.ndarray:
@@ -476,21 +508,139 @@ class Cluster:
         return np.where(self.support, banked, 0.0).sum(axis=1)
 
 
+class SupportEdges:
+    """A component's support edges as arrays, one entry per (job, site) edge.
+
+    ``arrays`` is ``(rows, cols, work, declared, arrivals)``.  Job by job in
+    the component's job order (``jobs``), each job's sites ascending:
+    ``rows`` is the job's position in the component, ``cols`` the site's,
+    ``work`` the job's work there and ``declared`` its declared demand cap
+    (``inf`` when uncapped); the effective cap
+    ``min(declared, capacity)`` is taken against the instance's capacities
+    when read (:meth:`Cluster.support_edges`), so a capacity change leaves
+    the edges as they are.  ``arrivals`` holds one entry per job: the number
+    the store gave it on arrival, ascending, which identifies the job within
+    that store.
+
+    A store patches the edges by each event (:meth:`with_job`,
+    :meth:`without_job`) without touching an array: the successor records
+    what changed since the last edges that were built, and builds its
+    arrays from those when it is first read — once per solve, however many
+    events the solve takes.  Edges nobody reads (a vector component's) are
+    built once the arrivals they record outnumber their jobs, so what they
+    hold stays in proportion to the component.  A job's own edges,
+    ``(arrival, cols, work, declared)`` in the component's site positions,
+    are computed once, on arrival.  The arrays are never written in place,
+    so every record keeps its own.
+    """
+
+    __slots__ = ("jobs", "_arrays", "_base", "_added", "_pending", "_kept")
+
+    def __init__(
+        self,
+        jobs: tuple[str, ...],
+        arrays: tuple[np.ndarray, ...] | None = None,
+        *,
+        base: "SupportEdges | None" = None,
+        added=None,
+        pending: int = 0,
+        kept: int = 0,
+    ):
+        self.jobs = jobs
+        self._arrays = arrays  # (rows, cols, work, declared, arrivals), once built
+        # until then: the last built edges, the jobs arrived since (a linked
+        # list of ``pending`` entries, newest first: ((name, edges), rest))
+        # and how many of the base's jobs are still here (first in ``jobs``)
+        self._base = base
+        self._added = added
+        self._pending = pending
+        self._kept = kept
+
+    @classmethod
+    def of(cls, jobs: tuple[str, ...], rows, cols, work, declared, arrivals) -> "SupportEdges":
+        return cls(jobs, (rows, cols, work, declared, arrivals))
+
+    def _since(self):
+        if self._arrays is not None:
+            return self, None, 0, len(self.jobs)
+        return self._base, self._added, self._pending, self._kept
+
+    def with_job(self, name: str, edges: tuple) -> "SupportEdges":
+        """These edges plus job ``name``'s, last: ``edges`` is
+        ``(arrival, cols, work, declared)``."""
+        base, added, pending, kept = self._since()
+        jobs = (*self.jobs, name)
+        return SupportEdges(jobs, base=base, added=((name, edges), added), pending=pending + 1, kept=kept)._bounded()
+
+    def without_job(self, position: int) -> "SupportEdges":
+        """These edges without the job at ``position``."""
+        base, added, pending, kept = self._since()
+        jobs = self.jobs[:position] + self.jobs[position + 1 :]
+        return SupportEdges(jobs, base=base, added=added, pending=pending, kept=kept - (position < kept))._bounded()
+
+    def _bounded(self) -> "SupportEdges":
+        if self._pending > len(self.jobs):
+            self._build()
+        return self
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        if self._arrays is None:
+            self._build()
+        return self._arrays
+
+    def _build(self) -> None:
+        """Build the arrays from the base's and drop the chain."""
+        self._arrays = self._patched()
+        self._base, self._added, self._pending = None, None, 0
+
+    def _patched(self) -> tuple[np.ndarray, ...]:
+        rows, cols, work, declared, arrivals = self._base.arrays
+        if self._kept < len(self._base.jobs):  # some of the base's jobs left
+            here = set(self.jobs[: self._kept])
+            keep = np.fromiter((name in here for name in self._base.jobs), dtype=bool, count=len(self._base.jobs))
+            on = keep[rows]
+            rows = (np.cumsum(keep) - 1)[rows[on]]
+            cols, work, declared, arrivals = cols[on], work[on], declared[on], arrivals[keep]
+        # each arrived job still here, from its newest arrival
+        latest: dict[str, tuple] = {}
+        node = self._added
+        while node is not None:
+            (name, edges), node = node
+            latest.setdefault(name, edges)
+        new = [latest[name] for name in self.jobs[self._kept :]]
+        if not new:
+            return rows, cols, work, declared, arrivals
+        degree = [len(job_cols) for _, job_cols, _, _ in new]
+        return (
+            np.concatenate((rows, np.repeat(np.arange(self._kept, len(self.jobs)), degree))),
+            np.concatenate((cols, np.fromiter(itertools.chain.from_iterable(e[1] for e in new), np.intp, sum(degree)))),
+            np.concatenate((work, np.fromiter(itertools.chain.from_iterable(e[2] for e in new), float, sum(degree)))),
+            np.concatenate((declared, np.fromiter(itertools.chain.from_iterable(e[3] for e in new), float, sum(degree)))),
+            np.concatenate((arrivals, np.fromiter((e[0] for e in new), np.intp, len(new)))),
+        )
+
+
 class Component:
     """One connected component of a job-site graph, as a long-lived store keeps it.
 
     ``key`` is the component's site-name set, ``sites`` its site indices
-    (ascending) and ``jobs`` its job names in the instance's job order.
+    (ascending), ``edges`` its :class:`SupportEdges` (positions within the
+    component) and ``jobs`` their job names, in the instance's job order.
     ``cluster`` caches the sub-instance once a snapshot has built it
     (:meth:`Cluster._blocks`).  The store replaces a record whenever its
     component changes, so every snapshot carrying a record agrees with its
     cache.
     """
 
-    __slots__ = ("key", "sites", "jobs", "cluster")
+    __slots__ = ("key", "sites", "edges", "cluster")
 
-    def __init__(self, key: frozenset[str], sites: tuple[int, ...], jobs: tuple[str, ...]):
+    def __init__(self, key: frozenset[str], sites: tuple[int, ...], edges: SupportEdges):
         self.key = key
         self.sites = sites
-        self.jobs = jobs
+        self.edges = edges
         self.cluster: Cluster | None = None
+
+    @property
+    def jobs(self) -> tuple[str, ...]:
+        return self.edges.jobs

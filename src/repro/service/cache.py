@@ -24,6 +24,9 @@ fingerprint covers every job name, site name and solver input the encoding
 reads, so a replayed component is not encoded again either.  The solver
 drops them from entries its latest answer no longer uses, so rendered jobs
 cost memory for the current state only, not for every entry the LRU holds.
+A new entry of a component the last answer also held carries that
+answer's rendering of it (``prior``) until its own render, which reuses
+the encoding of every job whose cells did not move.
 
 Bounded LRU; entries from component states the churn has left behind age
 out, but never one the current call uses (:meth:`AllocationCache.trim`).
@@ -42,15 +45,18 @@ __all__ = ["ComponentEntry", "AllocationCache"]
 
 class ComponentEntry:
     """One memoized component: its solved sub-matrix (a read-only block that
-    passed the rule set, ``checked``), and its jobs as the renderer encoded
-    them (``None`` until the first render)."""
+    passed the rule set, ``checked``), its jobs as the renderer encoded
+    them (a :class:`~repro.service.schema.RenderedBlock`, ``None`` until the
+    first render), and the last answer's rendering of the same component
+    key, until then (``prior``)."""
 
-    __slots__ = ("_matrix", "checked", "rendered")
+    __slots__ = ("_matrix", "checked", "rendered", "prior")
 
     def __init__(self, matrix: np.ndarray):
         self._matrix = matrix
         self.checked = True
-        self.rendered: list | None = None
+        self.rendered = None
+        self.prior = None
 
     @property
     def matrix(self) -> np.ndarray:

@@ -283,7 +283,10 @@ def allocation_payload(served) -> tuple[dict[str, Any], bytes]:
     Jobs are rendered per component (``served.components``, else the whole
     allocation as one block), and a component whose memo entry already
     holds its rendered jobs is not rendered again: the tail's ``jobs`` is
-    a join, in job order, of each job's encoded ``"name": {...}``.
+    a join, in job order, of each job's encoded ``"name": {...}``.  A
+    component rendered anew reuses the encoding of each job whose cells
+    are bit-equal to those of the last render of that component key
+    (``entry.prior``, see :class:`RenderedBlock`).
     """
     alloc = served.allocation
     cluster = alloc.cluster
@@ -293,12 +296,12 @@ def allocation_payload(served) -> tuple[dict[str, Any], bytes]:
         blocks = ((range(cluster.n_jobs), range(cluster.n_sites), None),)
     rendered: list = [None] * cluster.n_jobs
     for job_idx, site_idx, entry in blocks:
-        jobs = None if entry is None else entry.rendered
-        if jobs is None:
-            jobs = _render_jobs(alloc, sites, job_idx, site_idx)
+        done = None if entry is None else entry.rendered
+        if done is None:
+            done = RenderedBlock(alloc, sites, job_idx, site_idx, None if entry is None else entry.prior)
             if entry is not None:
-                entry.rendered = jobs
-        for i, job in zip(job_idx, jobs):
+                entry.rendered, entry.prior = done, None
+        for i, job in zip(job_idx, done.jobs):
             rendered[i] = job
     site_usage = dict(zip(sites, alloc.site_usage.tolist()))
     utilization = alloc.utilization if cluster.n_jobs else 0.0
@@ -318,33 +321,58 @@ def allocation_payload(served) -> tuple[dict[str, Any], bytes]:
     return payload, tail.encode()
 
 
-def _render_jobs(alloc, sites: list[str], job_idx, site_idx) -> list[tuple[str, dict[str, Any], str]]:
-    """``(name, entry, '"name": entry' encoded)`` of each job of one block.
+class RenderedBlock:
+    """One block of an allocation as rendered: its site names, per job the
+    aggregate and cells it encodes (``cells``, ``[aggregate, *shares]``),
+    its row by job name (``index``), and ``jobs``, each job's ``(name,
+    entry, '"name": entry' encoded)``.
 
-    Costs O(positive cells): one ``nonzero`` over the block walked in
-    row-major order, which is each job's site order.  The aggregate is
-    the job's full-width row sum (``alloc.aggregates``): a sum over the
-    block's columns alone can differ from it in the last bit.  The text is
-    what ``json.dumps`` writes for this one shape — names through its
-    ASCII string encoder, floats (all finite) through ``float.__repr__`` —
+    ``prior`` is an earlier render of the same component key, or ``None``.
+    A job whose aggregate and cells equal its row there, over the same
+    sites, keeps that row's encoding: the text is a function of the name,
+    the site names, the positive cells and the aggregate alone (a zero
+    aggregate must also keep its sign, which ``repr`` shows).  The rest are
+    encoded at O(their positive cells): one ``nonzero`` walked in row-major
+    order, which is each job's site order.  The aggregate is the job's
+    full-width row sum (``alloc.aggregates``): a sum over the block's
+    columns alone can differ from it in the last bit.  The text is what
+    ``json.dumps`` writes for this one shape — names through its ASCII
+    string encoder, floats (all finite) through ``float.__repr__`` —
     without its per-call cost, which a per-job ``json.dumps`` pays twice.
     """
-    rows, cols = list(job_idx), list(site_idx)
-    block = alloc.matrix[np.ix_(rows, cols)]
-    block_sites = [sites[j] for j in cols]
-    quoted = [_quote(site) for site in block_sites]
-    cells: list[list[tuple[int, float]]] = [[] for _ in rows]
-    hit_rows, hit_cols = np.nonzero(block > 0.0)
-    for k, j, share in zip(hit_rows.tolist(), hit_cols.tolist(), block[hit_rows, hit_cols].tolist()):
-        cells[k].append((j, share))
-    jobs = alloc.cluster.jobs
-    out = []
-    for i, aggregate, row in zip(rows, alloc.aggregates[rows].tolist(), cells):
-        name = jobs[i].name
-        entry = {"aggregate": aggregate, "shares": {block_sites[j]: share for j, share in row}}
-        shares = ", ".join(f"{quoted[j]}: {share!r}" for j, share in row)
-        out.append((name, entry, f'{_quote(name)}: {{"aggregate": {aggregate!r}, "shares": {{{shares}}}}}'))
-    return out
+
+    __slots__ = ("sites", "cells", "index", "jobs")
+
+    def __init__(self, alloc, sites: list[str], job_idx, site_idx, prior: "RenderedBlock | None" = None):
+        rows, cols = list(job_idx), list(site_idx)
+        values = np.empty((len(rows), 1 + len(cols)))
+        values[:, 0] = alloc.aggregates[rows]
+        values[:, 1:] = alloc.matrix[np.ix_(rows, cols)]
+        self.cells = cells = values.tolist()
+        self.sites = block_sites = [sites[j] for j in cols]
+        jobs = alloc.cluster.jobs
+        self.index = index = {jobs[i].name: k for k, i in enumerate(rows)}
+        out: list = [None] * len(rows)
+        if prior is not None and prior.sites == block_sites:
+            for name, k in index.items():
+                was = prior.index.get(name)
+                if was is not None:
+                    row, old = cells[k], prior.cells[was]
+                    if row == old and (row[0] or math.copysign(1.0, row[0]) == math.copysign(1.0, old[0])):
+                        out[k] = prior.jobs[was]
+        shares: list[list[int]] = [[] for _ in rows]
+        hit_rows, hit_cols = np.nonzero(values[:, 1:] > 0.0)
+        for k, j in zip(hit_rows.tolist(), hit_cols.tolist()):
+            shares[k].append(j)
+        quoted = [_quote(site) for site in block_sites]
+        for (name, k), row in zip(index.items(), shares):
+            if out[k] is not None:
+                continue
+            aggregate, cell = cells[k][0], cells[k]
+            entry = {"aggregate": aggregate, "shares": {block_sites[j]: cell[j + 1] for j in row}}
+            text = ", ".join(f"{quoted[j]}: {cell[j + 1]!r}" for j in row)
+            out[k] = (name, entry, f'{_quote(name)}: {{"aggregate": {aggregate!r}, "shares": {{{text}}}}}')
+        self.jobs = out
 
 
 def jobs_listing_payload(

@@ -91,6 +91,7 @@ class IncrementalAmfSolver:
         self.stats = IncrementalStats()
         self.replayed = False
         self.components: tuple[tuple[tuple[int, ...], tuple[int, ...], ComponentEntry], ...] = ()
+        self._answered: dict[frozenset[str], ComponentEntry] = {}  # the last call's entries by component key
         self.__name__ = "amf-incremental"
 
     @property
@@ -122,13 +123,21 @@ class IncrementalAmfSolver:
         self.stats.shard_solves += solved
         self.replayed = not solved
         self.stats.shard_evictions += self.memo.trim(keep=len(run.entries))
+        # An entry not rendered yet takes the last answer's rendering of its
+        # component key, so its render re-encodes only the jobs that moved.
         # Only the entries this answer uses keep their rendered jobs: those
         # are as large as the component, and a state churned past is seldom
         # revisited (a revisit renders its components again).
-        used = {entry for _, entry in run.entries}
-        for *_, entry in self.components:
+        answered = {sh.key: entry for sh, entry in run.entries}
+        for key, entry in answered.items():
+            last = self._answered.get(key)
+            if entry.rendered is None and last is not None and last is not entry:
+                entry.prior = last.prior if last.rendered is None else last.rendered
+        used = set(answered.values())
+        for entry in self._answered.values():
             if entry not in used:
-                entry.rendered = None
+                entry.rendered = entry.prior = None
+        self._answered = answered
         self.components = tuple((sh.job_indices, sh.site_indices, entry) for sh, entry in run.entries)
         # every solved block passed the rule set; a replayed one rebound
         # since is carried for validate_allocation to check

@@ -10,11 +10,23 @@ daemon's solve timer, component memo) can tell "nothing changed" from
 
 The state also keeps the connected components of the job-site graph
 between versions (:mod:`repro.core.sharding`): an arrival unions the
-components its sites touch, a departure re-splits the component it leaves,
-and a capacity change renews the one component holding the site.  Every
-other component keeps its record — and with it the sub-instance, views and
-fingerprint some earlier snapshot built — so a delta costs the component it
-touches, not the federation.
+components its sites touch, a departure re-splits the component it leaves
+when it can split, and a capacity change renews the one component holding
+the site.  Every other component keeps its record — and with it the
+sub-instance, views and fingerprint some earlier snapshot built — so a
+delta costs the component it touches, not the federation.
+
+Inside the component it touches, a delta costs the event: each record
+carries its support edges (:class:`~repro.model.cluster.SupportEdges`),
+which a job's arrival extends by its own edges, computed once, and its
+departure compacts; a capacity change leaves them as they are.  The arrays
+are built from the last ones read when a solve reads them, so the dense
+views and the flow network of a scalar component are built without
+walking its jobs, and an event costs no array work until then.
+And for each pair of sites the state counts the jobs spanning both: the
+job-site graph's components are those of the graph on the sites joined by
+a positive count, so a departure that leaves every count of its pairs
+positive cannot split its component and skips the re-partition.
 
 Events are plain frozen dataclasses so they can be generated by workload
 models, carried over HTTP, or replayed from a trace.
@@ -22,14 +34,17 @@ models, carried over HTTP, or replayed from a trace.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
 from repro._util import require
 from repro.core.sharding import connected_components
-from repro.model.cluster import Cluster, Component
+from repro.model.cluster import Cluster, Component, SupportEdges
 from repro.model.job import Job
 from repro.model.resources import (
     ResourceError,
@@ -111,6 +126,7 @@ class ClusterState:
             self._sites[site.name] = site
         require(len(self._sites) > 0, "service state needs at least one site")
         self._site_index = {name: k for k, name in enumerate(self._sites)}
+        self._names = list(self._sites)
         # sites are fixed and a capacity update keeps each site's resource
         # names, so what the sites offer never changes
         self._offered = frozenset(itertools.chain.from_iterable(s.resource_vector for s in self._sites.values()))
@@ -126,10 +142,14 @@ class ClusterState:
         self.arrivals = 0
         # the partition: component records by their smallest site index, and
         # each site's component (every site starts alone)
+        no_edges = SupportEdges.of((), *(np.zeros(0, dtype=np.intp),) * 2, *(np.zeros(0),) * 2, np.zeros(0, dtype=np.intp))
         self._components: dict[int, Component] = {
-            k: Component(frozenset((name,)), (k,), ()) for k, name in enumerate(self._sites)
+            k: Component(frozenset((name,)), (k,), no_edges) for k, name in enumerate(self._sites)
         }
         self._root = list(range(len(self._sites)))
+        # jobs spanning each pair of sites (site indices, ascending), for the
+        # pairs some job spans
+        self._pairs: dict[tuple[int, int], int] = {}
         self.version = 0
         self._snapshot: Cluster | None = None
         for job in jobs:
@@ -173,6 +193,10 @@ class ClusterState:
                 f"(sites offer {sorted(self._offered)})"
             )
 
+    def _support(self, job: Job) -> list[int]:
+        """The job's site indices, ascending."""
+        return sorted(map(self._site_index.__getitem__, job.workload))
+
     def add_job(self, job: Job) -> None:
         if job.name in self._jobs:
             raise StateError(f"job {job.name!r} already present")
@@ -182,24 +206,46 @@ class ClusterState:
         self._refuse_unoffered(job)
         self._jobs[job.name] = job
         self._vector_jobs += job.is_multiresource
-        self._arrival[job.name] = self.arrivals
+        arrival = self._arrival[job.name] = self.arrivals
         self.arrivals += 1
+        support = self._support(job)
+        for pair in itertools.combinations(support, 2):
+            self._pairs[pair] = self._pairs.get(pair, 0) + 1
+        names = [self._names[j] for j in support]
+        work = tuple(job.workload[site] for site in names)
+        declared = tuple(job.demand.get(site, math.inf) for site in names)
         # union: the components the job's sites lie in become one, with the
         # job last (it is the newest arrival)
-        roots = sorted({self._root[self._site_index[site]] for site in job.workload})
-        parts = [self._components.pop(root) for root in roots]
+        parts = [self._components.pop(root) for root in sorted({self._root[j] for j in support})]
         if len(parts) == 1:
             (part,) = parts
-            self._place(Component(part.key, part.sites, (*part.jobs, job.name)))
-        else:
-            jobs = sorted(itertools.chain.from_iterable(p.jobs for p in parts), key=self._arrival.__getitem__)
-            self._place(
-                Component(
-                    frozenset().union(*(p.key for p in parts)),
-                    tuple(sorted(itertools.chain.from_iterable(p.sites for p in parts))),
-                    (*jobs, job.name),
-                )
-            )
+            cols = tuple(bisect.bisect_left(part.sites, j) for j in support)
+            self._place(Component(part.key, part.sites, part.edges.with_job(job.name, (arrival, cols, work, declared))))
+            self._mutated()
+            return
+        jobs = sorted(itertools.chain.from_iterable(p.jobs for p in parts), key=self._arrival.__getitem__)
+        sites = tuple(sorted(itertools.chain.from_iterable(p.sites for p in parts)))
+        local = np.empty(len(self._sites), dtype=np.intp)
+        local[list(sites)] = np.arange(len(sites))
+        position = {name: k for k, name in enumerate(jobs)}
+        arrays = [p.edges.arrays for p in parts]
+        rows = [np.array([position[name] for name in p.jobs], dtype=np.intp)[a[0]] for p, a in zip(parts, arrays)]
+        cols = [local[np.array(p.sites, dtype=np.intp)[a[1]]] for p, a in zip(parts, arrays)]
+        # each part lists a job's edges together, its sites ascending, and
+        # the union keeps the sites' order: a stable sort by job is job-major
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")
+        merged = SupportEdges.of(
+            tuple(jobs),
+            rows[order],
+            np.concatenate(cols)[order],
+            np.concatenate([a[2] for a in arrays])[order],
+            np.concatenate([a[3] for a in arrays])[order],
+            np.array([self._arrival[name] for name in jobs], dtype=np.intp),
+        )
+        cols = tuple(local[support].tolist())
+        key = frozenset().union(*(p.key for p in parts))
+        self._place(Component(key, sites, merged.with_job(job.name, (arrival, cols, work, declared))))
         self._mutated()
 
     def remove_job(self, name: str) -> Job:
@@ -209,23 +255,64 @@ class ClusterState:
             raise StateError(f"unknown job {name!r}") from None
         del self._arrival[name]
         self._vector_jobs -= job.is_multiresource
-        # re-split the component the job leaves, and it alone
-        part = self._components.pop(self._root[self._site_index[next(iter(job.workload))]])
-        rest = tuple(other for other in part.jobs if other != name)
-        local = {j: k for k, j in enumerate(part.sites)}
-        groups = connected_components(
-            len(part.sites),
-            ([local[self._site_index[site]] for site in self._jobs[other].workload] for other in rest),
-        )
-        if len(groups) == 1:
-            self._place(Component(part.key, part.sites, rest))
+        support = self._support(job)
+        emptied = False
+        for pair in itertools.combinations(support, 2):
+            count = self._pairs[pair] - 1
+            if count:
+                self._pairs[pair] = count
+            else:
+                del self._pairs[pair]
+                emptied = True
+        root = self._root[support[0]]
+        part = self._components.pop(root)
+        edges = part.edges.without_job(part.jobs.index(name))
+        # only a site pair the job alone joined can split the component: then
+        # re-partition it on its site graph (the pairs some job still spans)
+        groups = None
+        if emptied:
+            local = {j: k for k, j in enumerate(part.sites)}
+            joined = [(local[a], local[b]) for a, b in self._pairs if self._root[a] == root]
+            groups = connected_components(len(part.sites), joined)
+        if groups is None or len(groups) == 1:
+            self._place(Component(part.key, part.sites, edges))
         else:
-            names = list(self._sites)
-            for site_pos, job_pos in groups:
-                sites = tuple(part.sites[k] for k in site_pos)
-                self._place(Component(frozenset(names[j] for j in sites), sites, tuple(rest[i] for i in job_pos)))
+            self._split(part.sites, edges, [site_pos for site_pos, _ in groups])
         self._mutated()
         return job
+
+    def _split(self, sites: tuple[int, ...], edges: SupportEdges, groups: list[tuple[int, ...]]) -> None:
+        """Place the components ``edges`` fall into, on ``groups`` of the
+        positions in ``sites``."""
+        rows, cols, work, declared, arrivals = edges.arrays
+        label = np.empty(len(sites), dtype=np.intp)
+        renumber_sites = np.empty(len(sites), dtype=np.intp)
+        for g, site_pos in enumerate(groups):
+            label[list(site_pos)] = g
+            renumber_sites[list(site_pos)] = np.arange(len(site_pos))
+        edge_label = label[cols]
+        job_label = np.empty(len(edges.jobs), dtype=np.intp)
+        job_label[rows] = edge_label
+        renumber_jobs = np.empty(len(edges.jobs), dtype=np.intp)
+        for g, site_pos in enumerate(groups):
+            job_pos = np.flatnonzero(job_label == g)
+            renumber_jobs[job_pos] = np.arange(job_pos.size)
+            on = edge_label == g
+            group = tuple(sites[k] for k in site_pos)
+            self._place(
+                Component(
+                    frozenset(self._names[j] for j in group),
+                    group,
+                    SupportEdges.of(
+                        tuple(edges.jobs[i] for i in job_pos.tolist()),
+                        renumber_jobs[rows[on]],
+                        renumber_sites[cols[on]],
+                        work[on],
+                        declared[on],
+                        arrivals[job_pos],
+                    ),
+                )
+            )
 
     def _place(self, part: Component) -> None:
         root = part.sites[0]
@@ -263,9 +350,10 @@ class ClusterState:
             raise StateError(f"site {site!r}: capacity must be positive and finite, got {capacity}")
         vec = self._checked_shape(site, capacity)
         self._sites[site] = Site(old.name, float(capacity) if vec is None else vec, old.tags)
-        # renew the site's component: same sites and jobs, a fresh sub-instance
+        # renew the site's component: same sites, jobs and edges (an edge's
+        # effective cap is read against the capacities), a fresh sub-instance
         part = self._components[self._root[self._site_index[site]]]
-        self._place(Component(part.key, part.sites, part.jobs))
+        self._place(Component(part.key, part.sites, part.edges))
         self._mutated()
 
     def validate_event(self, event: ClusterEvent) -> None:

@@ -332,6 +332,9 @@ def _assert_same_network(cluster):
     for name in _ORACLE_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # the rollback walks are built by the first rollback, not by the constructor
+    assert got._job_edges is None and got._site_edges is None
+    got._walks()
     for name in _ORACLE_LISTS:
         assert getattr(got, name) == getattr(want, name), name
     assert (got._src, got._site0, got._snk) == (want._src, want._site0, want._snk)

@@ -18,12 +18,20 @@ sites and jobs:
 * the service's allocation document equals the reference render byte for
   byte, every write of the ledger streams;
 * a write of the ledger's ``churn_sharded`` stream reads and builds only
-  the components its event touched.
+  the components its event touched;
+* the state's own bookkeeping — each component's edge arrays, the dense
+  views scattered from them, the site-pair counts and the partition —
+  equals what a walk from scratch (``Cluster(sites, jobs)`` plus
+  ``connected_components``) computes after every event, and a departure
+  re-partitions only when it empties a site pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,14 +39,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.ledger import workloads
-from repro.core.sharding import decompose
+from repro.core.sharding import connected_components, decompose
 from repro.model.cluster import Cluster
 from repro.model.job import Job
 from repro.model.resources import ResourceError, ResourceMismatchError
 from repro.model.site import Site
 from repro.service.aio import AioServiceServer
-from repro.service.daemon import AllocationService
+from repro.service.daemon import AllocationService, ServedAllocation
+from repro.service.schema import allocation_payload
+from repro.service.solver import IncrementalAmfSolver
 from repro.service.state import CapacityChanged, ClusterState, JobArrived, JobDeparted, StateError
+from tests.model import reference_views
 from tests.service import reference_render
 
 
@@ -61,6 +72,48 @@ def assert_matches_the_validated_build(snap: Cluster) -> None:
         assert np.array_equal(getattr(snap, view), getattr(cold, view)), view
     assert snap.is_multiresource == cold.is_multiresource
     assert [snap.job_index(j.name) for j in snap.jobs] == list(range(snap.n_jobs))
+
+
+def assert_bookkeeping_matches_a_walk(state: ClusterState) -> None:
+    """The state's partition, pair counts, per-component edge arrays and the
+    views a component scatters from them, against a walk from scratch."""
+    snap = state.snapshot()
+    cold = Cluster(snap.sites, snap.jobs)
+    supports = [sorted(cold.site_index(site) for site in job.workload) for job in cold.jobs]
+    groups = connected_components(cold.n_sites, supports)
+    parts = [state._components[root] for root in sorted(state._components)]
+    # edges not read yet hold no more arrivals than their component has jobs
+    assert all(p.edges._pending <= len(p.jobs) for p in parts)
+    assert [(p.sites, p.jobs) for p in parts] == [
+        (sites, tuple(cold.jobs[i].name for i in jobs)) for sites, jobs in groups
+    ]
+    pairs = Counter(pair for support in supports for pair in itertools.combinations(support, 2))
+    assert state._pairs == dict(pairs)
+    for part, (sites, jobs) in zip(parts, groups):
+        edges = part.edges
+        # job by job in the component's order, each job's sites ascending
+        want = [
+            (r, c, job.workload[cold.sites[sites[c]].name], job.demand.get(cold.sites[sites[c]].name, math.inf))
+            for r, job in enumerate(cold.jobs[i] for i in jobs)
+            for c in range(len(sites))
+            if cold.sites[sites[c]].name in job.workload
+        ]
+        rows, cols, work, declared, arrivals = edges.arrays
+        assert list(zip(rows.tolist(), cols.tolist(), work.tolist(), declared.tolist())) == want
+        assert edges.jobs == part.jobs
+        assert arrivals.tolist() == [state._arrival[name] for name in part.jobs]
+        assert arrivals.tolist() == sorted(arrivals.tolist())
+    if snap.is_multiresource:
+        return
+    for shard in decompose(snap):
+        sub = shard.cluster
+        assert sub._edges is state._components[shard.site_indices[0]].edges
+        walked = reference_views.workloads(sub), reference_views.demand_caps(sub)
+        assert np.array_equal(sub.workloads, walked[0]) and np.array_equal(sub.demand_caps, walked[1])
+        rows, cols = np.nonzero(walked[0] > 0.0)
+        got = sub.support_edges()
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+        assert np.array_equal(got[2], walked[1][rows, cols])
 
 
 # ----------------------------------------------------------------------
@@ -134,11 +187,15 @@ class TestRandomStreams:
         @given(events=event_streams(vector))
         def check(events):
             state = ClusterState(initial_sites(vector))
+            # the same events, its edges read only at the end: each record
+            # then builds its arrays from a chain of events
+            unread = ClusterState(initial_sites(vector))
             sites = {s.name: s for s in state.snapshot().sites}
             jobs: dict[str, Job] = {}
             snapshots = []
             for event in events:
                 want = validated_outcome(sites, jobs, event)
+                unread.apply_all([event])
                 try:
                     state.apply(event)
                 except (StateError, ResourceError) as exc:
@@ -163,10 +220,12 @@ class TestRandomStreams:
                 assert snap.sites == tuple(sites.values()) and snap.jobs == tuple(jobs.values())
                 assert snap.fingerprint() == want.fingerprint()
                 assert_matches_the_validated_build(snap)
+                assert_bookkeeping_matches_a_walk(state)
                 snapshots.append(snap)
             # a later event never rewrites what an earlier snapshot carries
             for snap in snapshots:
                 assert_matches_the_validated_build(snap)
+            assert_bookkeeping_matches_a_walk(unread)
 
         check()
 
@@ -195,7 +254,43 @@ class TestRandomStreams:
         for name in names:
             state.remove_job(name)
             assert_matches_the_validated_build(state.snapshot())
+            assert_bookkeeping_matches_a_walk(state)
         assert len(decompose(state.snapshot())) == len(sites)
+
+    @pytest.mark.parametrize(
+        "leaves, splits",
+        [
+            ("bridge", True),  # the one job spanning r0s1-r1s0: the pair empties and the component splits
+            ("ring", False),  # empties s0-s1, but s0-s2-s1 still joins them
+            ("twin", False),  # s2-s3 is spanned twice: no pair empties
+        ],
+    )
+    def test_a_departure_repartitions_only_when_it_empties_a_pair(self, monkeypatch, leaves, splits):
+        sites = [Site(name, 2.0) for name in ("s0", "s1", "s2", "s3", "r0s1", "r1s0")]
+        state = ClusterState(sites)
+        for job in (
+            Job("ring", {"s0": 1.0, "s1": 1.0}),
+            Job("ring2", {"s0": 1.0, "s2": 1.0}),
+            Job("ring3", {"s1": 1.0, "s2": 1.0}),
+            Job("twin", {"s2": 1.0, "s3": 2.0}),
+            Job("twin2", {"s3": 1.0, "s2": 0.5}, demand={"s2": 0.25}),
+            Job("r0", {"r0s1": 1.0}),
+            Job("r1", {"r1s0": 1.0, "s3": 1.0}),
+            Job("bridge", {"r0s1": 1.0, "r1s0": 3.0}),
+        ):
+            state.add_job(job)
+        assert_bookkeeping_matches_a_walk(state)
+        before = len(state._components)
+        walks = []
+        real = connected_components
+        monkeypatch.setattr(
+            "repro.service.state.connected_components", lambda *args: walks.append(1) or real(*args)
+        )
+        state.remove_job(leaves)
+        assert len(walks) == (leaves != "twin")
+        assert len(state._components) == before + splits
+        assert_matches_the_validated_build(state.snapshot())
+        assert_bookkeeping_matches_a_walk(state)
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +314,42 @@ def test_ledger_streams_match_the_cold_oracles(workload):
         snap = served.allocation.cluster
         assert snap is service.state.snapshot()
         assert_matches_the_validated_build(snap)
+        assert_bookkeeping_matches_a_walk(service.state)
         _, document = edge._rendered(served)
         assert document == json.dumps(reference_render.allocation_payload(served)).encode()
     assert served.components is not None  # the documents above were assembled per component
+
+
+@pytest.mark.parametrize("workload", ["churn_connected", "churn_sharded"])
+def test_snapshots_serve_the_bits_validated_rebuilds_serve(workload):
+    """Two warm solvers, one fed the state's snapshots (views scattered from
+    its edge arrays, networks built from them, splits moved by arrival
+    number), one fed ``Cluster(sites, jobs)`` rebuilds of the same states
+    (walked views, name-matched splits): the same levels, splits and
+    document bytes after every op."""
+    cluster, events = ledger_events(workload, seed=7, n_ops=100)
+    state = ClusterState(cluster.sites, cluster.jobs)
+    from_arrays, from_walks = IncrementalAmfSolver(), IncrementalAmfSolver()
+    for version, event in enumerate([None, *events]):
+        if event is not None:
+            state.apply(event)
+        snap = state.snapshot()
+        cold = Cluster(snap.sites, snap.jobs)
+        assert cold.arrival_numbers() is None
+        assert snap.arrival_numbers() is not None or len(decompose(snap)) > 1
+        answers = []
+        for solver, instance in ((from_arrays, snap), (from_walks, cold)):
+            alloc = solver(instance)
+            served = ServedAllocation(
+                alloc,
+                cached=solver.replayed,
+                seconds=0.0,
+                version=version,
+                fingerprint=instance.fingerprint(),
+                components=solver.components,
+            )
+            answers.append((alloc.aggregates.tobytes(), alloc.matrix.tobytes(), allocation_payload(served)[1]))
+        assert answers[0] == answers[1], (version, event)
 
 
 # ----------------------------------------------------------------------
