@@ -106,6 +106,7 @@ class AmfDiagnostics:
     probe_rollbacks: int = 0  # probes that cancelled flow before solving
     jobs_folded: int = 0  # degree-1 jobs folded out of the flow network
     # AMRF multi-resource engine (all zero on scalar / reduced solves)
+    amrf_components: int = 0  # vector components no scalar reduction took: the engine solved them
     amrf_rounds: int = 0  # progressive-filling rounds (max-t LPs)
     amrf_lps: int = 0  # LP solves paid: rounds + aggregate headroom LPs
     amrf_probes: int = 0  # aggregate headroom LPs run for jobs the round LP left undecided
@@ -643,17 +644,13 @@ def solve_amf(
     require(shards is True, "solve_amf always solves per connected component; shards= accepts only True")
     from repro.core.sharding import solve
 
-    run = solve(cluster, floors=floors, bases=bases, diagnostics=diagnostics)
+    diag = diagnostics if diagnostics is not None else AmfDiagnostics()
+    engine_runs = diag.amrf_components
+    run = solve(cluster, floors=floors, bases=bases, diagnostics=diag)
     # a component the scalar reduction cannot take goes to the AMRF engine
     # and makes the allocation AMRF; scalar components and exactly
     # reducible vector ones are plain AMF
-    policy = "amf"
-    if cluster.is_multiresource:
-        from repro.multiresource.engine import scalar_reduction
-
-        totals = cluster.resource_totals
-        if any(scalar_reduction(sh.cluster, totals) is None for sh, _ in run.entries):
-            policy = "amrf"
+    policy = "amrf" if diag.amrf_components > engine_runs else "amf"
     return Allocation._trusted(cluster, run.result, policy=policy if floors is None else policy + "+floors")
 
 

@@ -168,24 +168,30 @@ def decompose(cluster: Cluster) -> list[Shard]:
     A :class:`~repro.service.state.ClusterState` snapshot carries the
     partition the state keeps between versions, and gets it back without a
     walk (sub-instances of untouched components included); any other
-    cluster is walked here, which makes this walk the oracle for that one.
+    cluster's partition is read off its support edges, and each
+    sub-instance gets its slice of them (:meth:`SupportEdges.split
+    <repro.model.cluster.SupportEdges.split>`).
     """
     blocks = cluster._blocks()
     if blocks is not None:
         return [Shard(part.key, part.sites, job_idx, sub) for part, job_idx, sub in blocks]
-    groups = connected_components(
-        cluster.n_sites, ([cluster.site_index(name) for name in job.workload] for job in cluster.jobs)
-    )
+    edges = cluster._edges
+    rows, cols = edges.arrays[:2]
+    # each job's sites: its run of the job-major edge list
+    bounds = np.searchsorted(rows, np.arange(cluster.n_jobs + 1)).tolist()
+    sites = cols.tolist()
+    groups = connected_components(cluster.n_sites, (sites[a:b] for a, b in zip(bounds, bounds[1:])))
+    # one component spanning every site is the cluster itself: same sites,
+    # jobs and order, so the same fingerprint and views
+    parts = [None] if len(groups) == 1 else edges.split([site_idx for site_idx, _ in groups])
     return [
         Shard(
             key=frozenset(cluster.sites[j].name for j in site_idx),
             site_indices=site_idx,
             job_indices=job_idx,
-            # one component spanning every site is the cluster itself:
-            # same sites, jobs and order, so the same fingerprint and views
-            cluster=cluster if len(groups) == 1 else cluster._subset(site_idx, job_idx),
+            cluster=cluster if part is None else cluster._subset(site_idx, job_idx, part),
         )
-        for site_idx, job_idx in groups
+        for (site_idx, job_idx), part in zip(groups, parts)
     ]
 
 

@@ -3,22 +3,29 @@
 All solvers in :mod:`repro.core` consume a :class:`Cluster` and operate on
 its dense NumPy views (capacities, workload matrix, effective demand caps).
 The views are computed once and cached — the guides' "views, not copies"
-advice applied at the model boundary.
+advice applied at the model boundary.  Each instance has one list of
+support edges (:class:`SupportEdges`), and the views, the flow network and
+the partition are all read off it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro._util import as_float_array, as_float_matrix, nonneg, require
 from repro.model.job import Job
-from repro.model.resources import UnknownResourceError
+from repro.model.resources import SLOTS, UnknownResourceError
 from repro.model.site import Site
+
+
+_ONE_SLOT = MappingProxyType({SLOTS: 1.0})  # a scalar job's resource vector
 
 
 class Cluster:
@@ -47,13 +54,6 @@ class Cluster:
     #: :func:`~repro.core.sharding.decompose` returns them without a walk.
     _components: tuple["Component", ...] | None = None
 
-    #: The support edges of the instance as the store's component record
-    #: keeps them (:class:`SupportEdges`), when the instance is a component
-    #: of such a store (or a snapshot holding one component); ``None``
-    #: otherwise.  A scalar instance scatters its dense views from them and
-    #: hands them to the flow network instead of walking its jobs.
-    _edges: "SupportEdges | None" = None
-
     def __init__(self, sites: Sequence[Site], jobs: Sequence[Job]):
         sites = tuple(sites)
         jobs = tuple(jobs)
@@ -62,19 +62,11 @@ class Cluster:
         require(len(set(site_names)) == len(site_names), "site names must be unique")
         job_names = [j.name for j in jobs]
         require(len(set(job_names)) == len(job_names), "job names must be unique")
-        known = set(site_names)
-        offered: set[str] = set()
-        for site in sites:
-            offered.update(site.resource_vector)
+        known, offered = set(site_names), _offered(sites)
         for job in jobs:
             unknown = set(job.workload) - known
             require(not unknown, f"job {job.name!r} references unknown sites {sorted(unknown)}")
-            missing = set(job.resource_vector) - offered
-            if missing:
-                raise UnknownResourceError(
-                    f"job {job.name!r} demands unknown resources {sorted(missing)} "
-                    f"(cluster offers {sorted(offered)})"
-                )
+            _refuse_unoffered(job, offered)
         self._sites = sites
         self._jobs = jobs
         self._site_index = {name: k for k, name in enumerate(site_names)}
@@ -87,11 +79,12 @@ class Cluster:
         jobs: tuple[Job, ...],
         components: tuple["Component", ...] | None = None,
         multiresource: bool | None = None,
+        edges: "SupportEdges | None" = None,
     ) -> "Cluster":
         """An instance over parts that were already checked, without checking;
         ``components`` is the caller's partition of the job-site graph, and
-        ``multiresource`` the caller's :attr:`is_multiresource` of these
-        parts (walked on first read when ``None``)."""
+        ``multiresource`` and ``edges`` its :attr:`is_multiresource` and
+        :attr:`_edges` of these parts (each walked on first read when ``None``)."""
         self = object.__new__(cls)
         self._sites = sites
         self._jobs = jobs
@@ -100,25 +93,33 @@ class Cluster:
         if components is not None:
             self._components = components
             if len(components) == 1:  # the component spans every site and job
-                self._edges = components[0].edges
+                edges = components[0].edges
         if multiresource is not None:
             self.__dict__["is_multiresource"] = multiresource
+        if edges is not None:
+            self.__dict__["_edges"] = edges
         return self
 
-    def _subset(self, site_idx: Sequence[int], job_idx: Sequence[int]) -> "Cluster":
-        """The sub-instance on those sites and jobs, in their present order;
-        every chosen job's support must lie inside ``site_idx``.
+    def _subset(self, site_idx: Sequence[int], job_idx: Sequence[int], edges: "SupportEdges") -> "Cluster":
+        """The sub-instance on those sites and jobs, in their present order,
+        with support edges ``edges``; every chosen job's support must lie
+        inside ``site_idx``.
 
         Skips validation: unique names and known sites are inherited from
         this (validated, immutable) cluster.  Offered resources are not — a
-        subset offers only what its own sites do — so a vector cluster takes
-        the validating constructor.  A subset of a scalar cluster is scalar.
+        subset offers only what its own sites do — so a vector cluster's
+        subset refuses a job demanding a resource its sites do not offer.
+        A subset of a scalar cluster is scalar.  No job's edges are read: a
+        scalar twin's jobs are labels (``scalar_reduction``).
         """
         sites = tuple(self._sites[j] for j in site_idx)
         jobs = tuple(self._jobs[i] for i in job_idx)
         if self.is_multiresource:
-            return Cluster(sites, jobs)
-        return Cluster._trusted(sites, jobs, multiresource=False)
+            offered = _offered(sites)
+            for job in jobs:
+                _refuse_unoffered(job, offered)
+            return Cluster._trusted(sites, jobs, edges=edges)
+        return Cluster._trusted(sites, jobs, multiresource=False, edges=edges)
 
     def _blocks(self) -> list[tuple["Component", tuple[int, ...], "Cluster"]] | None:
         """The carried components as ``(component, job indices, sub-instance)``.
@@ -140,8 +141,7 @@ class Cluster:
         for part in parts:
             job_idx = tuple(map(index.__getitem__, part.jobs))
             if part.cluster is None:
-                part.cluster = self._subset(part.sites, job_idx)
-                part.cluster._edges = part.edges
+                part.cluster = self._subset(part.sites, job_idx, part.edges)
             blocks.append((part, job_idx, part.cluster))
         return blocks
 
@@ -190,85 +190,51 @@ class Cluster:
         arr.flags.writeable = False
         return arr
 
-    def _edge_views(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(workloads, demand_caps)``, both cached by the one call.
+    @cached_property
+    def _edges(self) -> "SupportEdges":
+        """The instance's support edges (:class:`SupportEdges`): a store's
+        component record when the instance is one (:meth:`_trusted`), else
+        walked once from the jobs (:func:`job_edges`), with no arrival
+        numbers.  Everything that reads the job-site graph reads these."""
+        per_job = [job_edges(job, self._site_index) for job in self._jobs]
+        return SupportEdges.of(tuple(self._job_index), *_stacked(per_job, 0), None)
 
-        A scalar component a store keeps scatters its views from the edge
-        arrays the store patched by each event (:class:`SupportEdges`).  An
-        instance carrying several components writes each component's views
-        into its block, the way :func:`~repro.core.sharding.stitch` writes
-        matrices: an untouched component's views carry over from the
-        snapshot that built them.  Anything else walks its support edges.
-        A vector instance always walks: its components offer only their own
-        sites' resources and are validated when built, which is the
-        solver's business (``decompose``), not the views'.
-        """
-        if self.is_multiresource:
-            views = self._walked_views()
-        elif self._edges is not None:
-            rows, cols, caps = self.support_edges()
-            views = self._dense(rows, cols, self._edges.arrays[2]), self._dense(rows, cols, caps)
-        else:
-            blocks = self._blocks()
-            views = self._assembled_views(blocks) if blocks is not None and len(blocks) > 1 else self._walked_views()
+    def _edge_views(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(workloads, demand_caps)``, both cached by the one call: the
+        support edges' work and effective caps scattered, 0 elsewhere."""
+        rows, cols, caps = self.support_edges()
+        views = np.zeros((2, self.n_jobs, self.n_sites), dtype=float)
+        views[0, rows, cols], views[1, rows, cols] = self._edges.arrays[2], caps
+        views.flags.writeable = False
+        views = tuple(views)
         self.__dict__["workloads"], self.__dict__["demand_caps"] = views
         return views
 
-    def _dense(self, rows: np.ndarray, cols: np.ndarray, values) -> np.ndarray:
-        """A read-only ``(n, m)`` matrix holding ``values`` at the edges, 0 elsewhere."""
-        mat = np.zeros((self.n_jobs, self.n_sites), dtype=float)
-        mat[rows, cols] = values
-        mat.flags.writeable = False
-        return mat
-
     def support_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, caps)``: each support edge's job and site index and
-        effective demand cap, job by job with each job's sites ascending
-        (``np.nonzero(support)`` order).  A scalar component a store keeps
-        hands over its edge arrays; anything else reads its dense views."""
-        if self._edges is not None and not self.is_multiresource:
-            rows, cols, _, declared, _ = self._edges.arrays
-            return rows, cols, np.minimum(declared, self.capacities[cols])  # uncapped: the site alone bounds it
-        rows, cols = np.nonzero(self.support)
-        return rows, cols, self.demand_caps[rows, cols]
+        effective demand cap (:attr:`_edge_caps`), job by job with each
+        job's sites ascending (``np.nonzero(support)`` order)."""
+        rows, cols = self._edges.arrays[:2]
+        return rows, cols, self._edge_caps
+
+    @cached_property
+    def _edge_caps(self) -> np.ndarray:
+        """Each support edge's effective demand cap (:attr:`demand_caps`)."""
+        rows, cols, _, declared, _ = self._edges.arrays
+        if not self.is_multiresource:
+            alone = self.capacities[cols]
+        else:
+            need = self.job_resource_matrix[rows]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alone = np.where(need > 0.0, self.site_resource_matrix[cols] / need, np.inf).min(axis=1)
+        caps = np.minimum(declared, alone)
+        caps.flags.writeable = False
+        return caps
 
     def arrival_numbers(self) -> np.ndarray | None:
         """The jobs' arrival numbers in the store this instance is a
         component of (:class:`SupportEdges`), or ``None``."""
-        return None if self._edges is None else self._edges.arrays[4]
-
-    def _assembled_views(self, blocks) -> tuple[np.ndarray, np.ndarray]:
-        work = np.zeros((self.n_jobs, self.n_sites), dtype=float)
-        caps = np.zeros((self.n_jobs, self.n_sites), dtype=float)
-        for part, job_idx, sub in blocks:
-            if job_idx:
-                rows, cols = np.array(job_idx, dtype=np.intp)[:, None], np.array(part.sites, dtype=np.intp)
-                work[rows, cols] = sub.workloads
-                caps[rows, cols] = sub.demand_caps
-        work.flags.writeable = False
-        caps.flags.writeable = False
-        return work, caps
-
-    def _walked_views(self) -> tuple[np.ndarray, np.ndarray]:
-        index, inf = self._site_index, float("inf")
-        rows, cols, work, declared = [], [], [], []
-        for i, job in enumerate(self._jobs):
-            demand = job.demand
-            for site, amount in job.workload.items():
-                rows.append(i)
-                cols.append(index[site])
-                work.append(amount)
-                declared.append(demand.get(site, inf))  # uncapped: the site alone bounds it
-        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-        if not self.is_multiresource:
-            alone = self.capacities[cols]
-        else:
-            # the rate the site sustains if the job ran alone: min over the
-            # resources the job consumes (its strictly positive amounts)
-            need = self.job_resource_matrix[rows]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alone = np.where(need > 0.0, self.site_resource_matrix[cols] / need, inf).min(axis=1)
-        return self._dense(rows, cols, work), self._dense(rows, cols, np.minimum(declared, alone))
+        return self._edges.arrays[4]
 
     @cached_property
     def workloads(self) -> np.ndarray:
@@ -313,24 +279,18 @@ class Cluster:
     @cached_property
     def site_resource_matrix(self) -> np.ndarray:
         """``(m, R)`` site capacities per resource (0 where not offered)."""
-        names = self.resource_names
-        mat = np.zeros((self.n_sites, len(names)), dtype=float)
-        for j, site in enumerate(self._sites):
-            vec = site.resource_vector
-            for r, res in enumerate(names):
-                mat[j, r] = vec.get(res, 0.0)
-        mat.flags.writeable = False
-        return mat
+        return self._resource_matrix(site.resource_vector for site in self._sites)
 
     @cached_property
     def job_resource_matrix(self) -> np.ndarray:
         """``(n, R)`` per-task resource demands (0 where not consumed)."""
+        # each job's ``resource_vector``, read without copying it
+        return self._resource_matrix(job.resources or _ONE_SLOT for job in self._jobs)
+
+    def _resource_matrix(self, vectors: Iterable[Mapping[str, float]]) -> np.ndarray:
         names = self.resource_names
-        mat = np.zeros((self.n_jobs, len(names)), dtype=float)
-        for i, job in enumerate(self._jobs):
-            vec = job.resource_vector
-            for r, res in enumerate(names):
-                mat[i, r] = vec.get(res, 0.0)
+        mat = np.array([[vec.get(res, 0.0) for res in names] for vec in vectors], dtype=float)
+        mat = mat.reshape(-1, len(names))  # no rows: (0, R)
         mat.flags.writeable = False
         return mat
 
@@ -469,7 +429,7 @@ class Cluster:
             D = np.asarray(demand_caps, dtype=float)
             require(D.shape == (n, m), f"demand_caps shape {D.shape} != workloads shape {W.shape}")
             require(not bool(np.isnan(D).any()), "demand_caps must not contain NaN")
-            require(float(np.where(np.isinf(D), 0.0, D).min(initial=0.0)) >= 0.0, "demand_caps must be non-negative")
+            require(not bool((D < 0.0).any()), "demand_caps must be non-negative")  # -inf included
 
         sites = [Site(site_names[j], float(cap[j])) for j in range(m)]
         jobs = []
@@ -508,26 +468,61 @@ class Cluster:
         return np.where(self.support, banked, 0.0).sum(axis=1)
 
 
+def job_edges(job: Job, site_index: Mapping[str, int]) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """``(cols, work, declared)``: ``job``'s support edges, its sites'
+    indices (``site_index``) ascending, and at each its work and declared
+    demand cap (``inf`` when uncapped).  The one walk of a job's edges."""
+    inf = math.inf
+    edges = sorted((site_index[site], work, job.demand.get(site, inf)) for site, work in job.workload.items())
+    return tuple(zip(*edges))  # type: ignore[return-value]
+
+
+def _stacked(per_job: list, first_row: int) -> tuple[np.ndarray, ...]:
+    """``(rows, cols, work, declared)`` of the jobs' edges, each job's
+    ``(cols, work, declared)`` (:func:`job_edges`), numbered from ``first_row``."""
+    degree = [len(edges[0]) for edges in per_job]
+    total = sum(degree)
+
+    def flat(k: int, dtype) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(edges[k] for edges in per_job), dtype, total)
+
+    rows = np.repeat(np.arange(first_row, first_row + len(per_job), dtype=np.intp), degree)
+    return rows, flat(0, np.intp), flat(1, float), flat(2, float)
+
+
+def _offered(sites: Iterable[Site]) -> set[str]:
+    return set().union(*(site.resource_vector for site in sites))
+
+
+def _refuse_unoffered(job: Job, offered: set[str]) -> None:
+    """Raise when ``job`` demands a resource outside ``offered``."""
+    vector = job.resources or _ONE_SLOT  # its ``resource_vector``, not copied
+    if not offered.issuperset(vector):
+        missing = set(vector) - offered
+        raise UnknownResourceError(
+            f"job {job.name!r} demands unknown resources {sorted(missing)} (cluster offers {sorted(offered)})"
+        )
+
+
 class SupportEdges:
-    """A component's support edges as arrays, one entry per (job, site) edge.
+    """An instance's support edges as arrays, one entry per (job, site) edge.
 
     ``arrays`` is ``(rows, cols, work, declared, arrivals)``.  Job by job in
     the component's job order (``jobs``), each job's sites ascending:
     ``rows`` is the job's position in the component, ``cols`` the site's,
     ``work`` the job's work there and ``declared`` its declared demand cap
-    (``inf`` when uncapped); the effective cap
-    ``min(declared, capacity)`` is taken against the instance's capacities
-    when read (:meth:`Cluster.support_edges`), so a capacity change leaves
-    the edges as they are.  ``arrivals`` holds one entry per job: the number
-    the store gave it on arrival, ascending, which identifies the job within
-    that store.
+    (``inf`` when uncapped); the effective cap is taken against the
+    instance's capacities when read (:meth:`Cluster.support_edges`), so a
+    capacity change leaves the edges as they are.  ``arrivals`` holds one
+    entry per job of a store's component: the number the store gave it on
+    arrival, ascending, which identifies the job within that store (``None``
+    for edges walked from an instance's jobs).
 
     A store patches the edges by each event (:meth:`with_job`,
     :meth:`without_job`) without touching an array: the successor records
     what changed since the last edges that were built, and builds its
     arrays from those when it is first read — once per solve, however many
-    events the solve takes.  Edges nobody reads (a vector component's) are
-    built once the arrivals they record outnumber their jobs, so what they
+    events the solve takes.  Edges nobody reads are built once the arrivals they record outnumber their jobs, so what they
     hold stays in proportion to the component.  A job's own edges,
     ``(arrival, cols, work, declared)`` in the component's site positions,
     are computed once, on arrival.  The arrays are never written in place,
@@ -559,6 +554,37 @@ class SupportEdges:
     @classmethod
     def of(cls, jobs: tuple[str, ...], rows, cols, work, declared, arrivals) -> "SupportEdges":
         return cls(jobs, (rows, cols, work, declared, arrivals))
+
+    def split(self, groups: Sequence[Sequence[int]]) -> list["SupportEdges"]:
+        """These edges on each group of site positions, renumbered within
+        it; ``groups`` partitions the sites and every job's sites lie in one
+        group.  Jobs and edges keep their order."""
+        rows, cols, work, declared, arrivals = self.arrays
+        label = np.empty(sum(map(len, groups)), dtype=np.intp)
+        renumber_sites = np.empty(label.size, dtype=np.intp)
+        for g, site_pos in enumerate(groups):
+            label[list(site_pos)] = g
+            renumber_sites[list(site_pos)] = np.arange(len(site_pos))
+        edge_label = label[cols]
+        job_label = np.empty(len(self.jobs), dtype=np.intp)
+        job_label[rows] = edge_label
+        renumber_jobs = np.empty(len(self.jobs), dtype=np.intp)
+        parts = []
+        for g in range(len(groups)):
+            job_pos = np.flatnonzero(job_label == g)
+            renumber_jobs[job_pos] = np.arange(job_pos.size)
+            on = edge_label == g
+            parts.append(
+                SupportEdges.of(
+                    tuple(self.jobs[i] for i in job_pos.tolist()),
+                    renumber_jobs[rows[on]],
+                    renumber_sites[cols[on]],
+                    work[on],
+                    declared[on],
+                    None if arrivals is None else arrivals[job_pos],
+                )
+            )
+        return parts
 
     def _since(self):
         if self._arrays is not None:
@@ -611,13 +637,10 @@ class SupportEdges:
         new = [latest[name] for name in self.jobs[self._kept :]]
         if not new:
             return rows, cols, work, declared, arrivals
-        degree = [len(job_cols) for _, job_cols, _, _ in new]
+        stacked = _stacked([edges[1:] for edges in new], self._kept)
         return (
-            np.concatenate((rows, np.repeat(np.arange(self._kept, len(self.jobs)), degree))),
-            np.concatenate((cols, np.fromiter(itertools.chain.from_iterable(e[1] for e in new), np.intp, sum(degree)))),
-            np.concatenate((work, np.fromiter(itertools.chain.from_iterable(e[2] for e in new), float, sum(degree)))),
-            np.concatenate((declared, np.fromiter(itertools.chain.from_iterable(e[3] for e in new), float, sum(degree)))),
-            np.concatenate((arrivals, np.fromiter((e[0] for e in new), np.intp, len(new)))),
+            *(np.concatenate(pair) for pair in zip((rows, cols, work, declared), stacked)),
+            np.concatenate((arrivals, np.fromiter((edges[0] for edges in new), np.intp, len(new)))),
         )
 
 

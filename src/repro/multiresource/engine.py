@@ -44,8 +44,7 @@ import numpy as np
 from repro._util import require
 from repro.core.allocation import Allocation, check_matrix, scrub_matrix
 from repro.core.amf import AmfDiagnostics, CutBasis, _fill_levels, _flow_split
-from repro.model.cluster import Cluster
-from repro.model.job import Job
+from repro.model.cluster import Cluster, SupportEdges
 from repro.model.site import Site
 from repro.obs.tracing import span
 
@@ -87,6 +86,14 @@ def scalar_reduction(
     ``R = 1`` is the degenerate case where the single resource dominates
     trivially.  Returns ``(scalar_cluster, k)`` or ``None`` when no
     resource dominates (the progressive-filling engine takes over).
+
+    The scalar twin is the cluster's own support edges with each declared
+    cap replaced by ``k_i`` times the effective one, on sites offering
+    ``c_jr*`` (for ``R = 1`` the cluster's sites, whose capacity already is
+    that amount).  It shares the cluster's jobs as labels (names, weights):
+    their workloads, demands and resources are the vector cluster's, so a
+    caller reads the twin's views, never its jobs, and keys no memo by its
+    fingerprint.
     """
     names = cluster.resource_names
     if not names:
@@ -94,7 +101,7 @@ def scalar_reduction(
     J = cluster.job_resource_matrix  # (n, R)
     C = cluster.site_resource_matrix  # (m, R)
     T: np.ndarray | None = None
-    if resource_totals is not None:
+    if resource_totals is not None and len(names) > 1:
         own = cluster.resource_totals
         T = np.array([float(resource_totals.get(res, own[res])) for res in names])
     star: int | None = None
@@ -103,6 +110,9 @@ def scalar_reduction(
             continue
         if cluster.n_jobs and not (J[:, r] > 0.0).all():
             continue
+        if len(names) == 1:  # each inequality below compares a product with itself
+            star = r
+            break
         # r_ir * c_jr* <= r_ir* * c_jr  for all i, j, r
         lhs = J[:, None, :] * C[None, :, r : r + 1]  # (n, m, R)
         rhs = J[:, None, r : r + 1] * C[None, :, :]  # (n, m, R)
@@ -122,26 +132,15 @@ def scalar_reduction(
     if star is None:
         return None
     k = J[:, star] if cluster.n_jobs else np.zeros(0)
-    caps = cluster.demand_caps
-    sites = [
-        Site(site.name, float(C[j, star]), site.tags)
-        for j, site in enumerate(cluster.sites)
-    ]
-    jobs = []
-    for i, job in enumerate(cluster.jobs):
-        j_caps = {
-            site: float(k[i] * caps[i, cluster.site_index(site)]) for site in job.workload
-        }
-        jobs.append(
-            Job(
-                name=job.name,
-                workload=dict(job.workload),
-                demand=j_caps,
-                weight=job.weight,
-                arrival=job.arrival,
-            )
-        )
-    return Cluster(sites, jobs), k
+    # a site offering one resource already has that amount as its capacity
+    sites = cluster.sites
+    if len(names) > 1:
+        sites = tuple(Site(site.name, float(C[j, star]), site.tags) for j, site in enumerate(sites))
+    rows, cols, caps = cluster.support_edges()
+    edges = cluster._edges
+    _, _, work, _, arrivals = edges.arrays
+    twin = SupportEdges.of(edges.jobs, rows, cols, work, k[rows] * caps, arrivals)
+    return Cluster._trusted(sites, cluster.jobs, multiresource=False, edges=twin), k
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +480,7 @@ def solve_multiresource(
     diag = diagnostics if diagnostics is not None else AmfDiagnostics()
     red = scalar_reduction(cluster, resource_totals)
     if red is None:
+        diag.amrf_components += 1
         return _amrf_rates(cluster, floors, resource_totals, diag)
     scalar, k = red
     scaled_floors = None if floors is None else np.asarray(floors, dtype=float) * k

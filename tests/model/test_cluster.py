@@ -129,6 +129,12 @@ class TestFromMatrices:
         with pytest.raises(ValueError, match="NaN"):
             Cluster.from_matrices([1.0], [[1.0]], [[np.nan]])
 
+    @pytest.mark.parametrize("cap", [-np.inf, -1.0])
+    def test_rejects_negative_caps_infinite_included(self, cap):
+        # -inf is not "uncapped": it would otherwise be served up to the site
+        with pytest.raises(ValueError, match="demand_caps must be non-negative"):
+            Cluster.from_matrices([4.0, 4.0], [[1.0, 1.0]], [[cap, 1.0]])
+
     def test_names(self):
         c = Cluster.from_matrices([1.0], [[1.0]], site_names=["east"], job_names=["spark"])
         assert c.sites[0].name == "east"

@@ -385,8 +385,8 @@ def test_a_sharded_write_reads_and_builds_only_the_components_it_touches(monkeyp
 
     subset = Cluster._subset
 
-    def counted_subset(self, site_idx, job_idx):
-        sub = subset(self, site_idx, job_idx)
+    def counted_subset(self, site_idx, job_idx, edges):
+        sub = subset(self, site_idx, job_idx, edges)
         if recording:
             built.append(frozenset(s.name for s in sub.sites))
         return sub
