@@ -1,7 +1,8 @@
 """Flow-network substrate: one max-flow kernel.
 
 Every flow question in the library runs on :class:`ArrayFlowGraph`, a
-from-scratch Dinic over numpy edge arrays with a CSR adjacency:
+from-scratch Dinic with one level search, over numpy capacity arrays and a
+CSR adjacency:
 
 * :class:`ParametricFeasibility` answers the AMF solver's aggregate-target
   probes warm on one residual graph, and realizes the final split from it;

@@ -1,12 +1,12 @@
 """Array-native residual flow graph: the library's one max-flow kernel.
 
-Paired-edge layout (edge ``e`` and its residual twin at ``e ^ 1``) stored
-in numpy ``int32`` / ``float64`` arrays with a CSR adjacency, so the BFS
-level construction of Dinic's algorithm — the phase that touches every
-edge — runs vectorized.
-The blocking-flow DFS is inherently sequential; it runs over plain Python
-lists (scalar indexing into numpy arrays is an order of magnitude slower
-than list indexing) and syncs the capacity array back once per phase.
+Paired-edge layout (edge ``e`` and its residual twin at ``e ^ 1``): the
+capacities live in numpy ``float64`` arrays that callers read and update
+in bulk, and a CSR adjacency is built once with numpy.  Dinic's level
+search, blocking-flow DFS and residual reach are sequential; they run
+over plain Python lists (scalar indexing into numpy arrays is an order of
+magnitude slower than list indexing), and one solve copies the residual
+capacities out and back once.
 
 The structure is static after construction: nodes are dense integer ids
 ``0..n_nodes-1`` and the edge set is fixed.  Only capacities change, which
@@ -26,13 +26,9 @@ from repro.obs.tracing import TRACER, span
 
 __all__ = ["ArrayFlowGraph"]
 
-# Below this many residual edges the scalar (list-based) BFS/DFS beats the
-# vectorized path: per-frontier numpy dispatch dominates on small graphs.
-_VECTOR_THRESHOLD = 4096
-
 
 class ArrayFlowGraph:
-    """A fixed-topology residual graph with vectorized max-flow.
+    """A fixed-topology residual graph with Dinic max-flow.
 
     Parameters
     ----------
@@ -48,8 +44,6 @@ class ArrayFlowGraph:
         "to",
         "cap",
         "orig",
-        "indptr",
-        "adj",
         "_to_list",
         "_adj_list",
         "_indptr_list",
@@ -79,8 +73,9 @@ class ArrayFlowGraph:
         self.cap = cap
         self.orig = cap.copy()
 
-        # CSR adjacency over the paired-edge array: adj[indptr[u]:indptr[u+1]]
-        # lists every edge id (forward or twin) whose tail is u, in
+        # CSR adjacency over the paired-edge array, as the lists every search
+        # reads: _adj_list[_indptr_list[u]:_indptr_list[u+1]] lists every
+        # edge id (forward or twin) whose tail is u, in
         # *descending* insertion order — the order a head/next linked list
         # yields.  The order matters for speed, not correctness: bipartite
         # builders append the site->sink arc after all job->site arcs, so a
@@ -94,14 +89,10 @@ class ArrayFlowGraph:
             # the same stable order; numpy radix-sorts 16-bit keys (~3x faster)
             keys = keys.astype(np.uint16)
         rev = np.argsort(keys, kind="stable")
-        self.adj = (tail_of.size - 1 - rev).astype(np.int32)
         counts = np.bincount(tail_of, minlength=self.n_nodes)
-        self.indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
-
-        # list mirrors for the sequential blocking-flow inner loop
         self._to_list = to.tolist()
-        self._adj_list = self.adj.tolist()
-        self._indptr_list = self.indptr.tolist()
+        self._adj_list = (tail_of.size - 1 - rev).tolist()
+        self._indptr_list = [0, *np.cumsum(counts).tolist()]
 
     # ------------------------------------------------------------------
     # Capacity management
@@ -110,73 +101,22 @@ class ArrayFlowGraph:
         """Restore all residual capacities to the original capacities."""
         self.cap[:] = self.orig
 
-    def set_capacity(self, e: int, capacity: float) -> None:
-        """Re-set forward edge ``e``'s capacity, discarding its flow."""
-        require(capacity >= 0.0, "capacity must be non-negative")
-        self.cap[e] = capacity
-        self.orig[e] = capacity
-        self.cap[e ^ 1] = 0.0
-        self.orig[e ^ 1] = 0.0
-
     def increase_capacity(self, e: int, delta: float) -> None:
         """Raise forward edge ``e``'s capacity by ``delta``, keeping its flow."""
         require(delta >= 0.0, "capacity increase must be non-negative")
         self.cap[e] += delta
         self.orig[e] += delta
 
-    def edge_flow(self, e: int) -> float:
-        """Current flow on forward edge ``e`` (clamped non-negative)."""
-        return float(max(self.cap[e ^ 1] - self.orig[e ^ 1], 0.0))
-
     def flows(self, eids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`edge_flow` over an array of forward edge ids."""
+        """Current flow on each forward edge of ``eids`` (clamped non-negative)."""
         tw = np.bitwise_xor(np.asarray(eids, dtype=np.int64), 1)
         return np.maximum(self.cap[tw] - self.orig[tw], 0.0)
 
     # ------------------------------------------------------------------
     # Max-flow
     # ------------------------------------------------------------------
-    def _frontier_edges(self, frontier: np.ndarray) -> np.ndarray:
-        """Edge ids leaving every node of ``frontier``, gathered from CSR."""
-        starts = self.indptr[frontier]
-        counts = self.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int32)
-        cum = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        return self.adj[np.repeat(starts, counts) + offsets]
-
-    def _bfs_levels(self, s: int, t: int) -> np.ndarray | None:
-        """Vectorized level construction; ``None`` when ``t`` is unreachable."""
-        level = np.full(self.n_nodes, -1, dtype=np.int64)
-        level[s] = 0
-        frontier = np.array([s], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            depth += 1
-            eids = self._frontier_edges(frontier)
-            if eids.size == 0:
-                break
-            heads = self.to[eids]
-            usable = (self.cap[eids] > ABS_TOL) & (level[heads] < 0)
-            nxt = np.unique(heads[usable])
-            if nxt.size == 0:
-                break
-            level[nxt] = depth
-            if level[t] >= 0:  # t's layer: stop there (see _bfs_levels_py)
-                level[nxt] = -1
-                level[t] = depth
-                return level
-            frontier = nxt.astype(np.int64)
-        return None
-
-    def _bfs_levels_py(self, s: int, t: int, cap: list[float]) -> list[int] | None:
-        """List-based level construction for small graphs.
-
-        Per-frontier numpy dispatch costs more than it saves below a few
-        thousand edges — exactly the size of the per-probe bipartite graphs
-        — so the scalar loop wins there (see _VECTOR_THRESHOLD).
+    def _bfs_levels(self, s: int, t: int, cap: list[float]) -> list[int] | None:
+        """Level construction; ``None`` when ``t`` is unreachable.
 
         The search stops at the layer that labels ``t``, and unlabels that
         layer's other nodes: a node at or beyond ``t``'s depth has no arc to
@@ -197,8 +137,7 @@ class ArrayFlowGraph:
             depth += 1
             nxt = []
             for u in frontier:
-                for pos in range(indptr[u], indptr[u + 1]):
-                    e = adj[pos]
+                for e in adj[indptr[u] : indptr[u + 1]]:
                     v = to[e]
                     if level[v] < 0 and cap[e] > ABS_TOL:
                         level[v] = depth
@@ -280,16 +219,10 @@ class ArrayFlowGraph:
         total = 0.0
         if limit is not None and limit <= ABS_TOL:
             return total
-        small = self.to.size <= _VECTOR_THRESHOLD
         cap_list = self.cap.tolist()
         try:
             while True:
-                if small:
-                    level = self._bfs_levels_py(s, t, cap_list)
-                else:
-                    self.cap[:] = cap_list
-                    lv = self._bfs_levels(s, t)
-                    level = None if lv is None else lv.tolist()
+                level = self._bfs_levels(s, t, cap_list)
                 if level is None:
                     return total
                 pushed = self._blocking_flow(s, t, level, cap_list)
@@ -309,35 +242,18 @@ class ArrayFlowGraph:
         warm-started probes of :mod:`repro.flownet.parametric` return the
         same cuts as a cold solve.
         """
-        if self.to.size <= _VECTOR_THRESHOLD:
-            to = self._to_list
-            adj = self._adj_list
-            indptr = self._indptr_list
-            cap = self.cap.tolist()
-            seen = bytearray(self.n_nodes)
-            seen[s] = 1
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for pos in range(indptr[u], indptr[u + 1]):
-                    e = adj[pos]
-                    v = to[e]
-                    if not seen[v] and cap[e] > ABS_TOL:
-                        seen[v] = 1
-                        stack.append(v)
-            return np.frombuffer(bytes(seen), dtype=np.uint8).astype(bool)
-        seen = np.zeros(self.n_nodes, dtype=bool)
-        seen[s] = True
-        frontier = np.array([s], dtype=np.int64)
-        while frontier.size:
-            eids = self._frontier_edges(frontier)
-            if eids.size == 0:
-                break
-            heads = self.to[eids]
-            usable = (self.cap[eids] > ABS_TOL) & ~seen[heads]
-            nxt = np.unique(heads[usable])
-            if nxt.size == 0:
-                break
-            seen[nxt] = True
-            frontier = nxt.astype(np.int64)
-        return seen
+        to = self._to_list
+        adj = self._adj_list
+        indptr = self._indptr_list
+        cap = self.cap.tolist()
+        seen = bytearray(self.n_nodes)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for e in adj[indptr[u] : indptr[u + 1]]:
+                v = to[e]
+                if not seen[v] and cap[e] > ABS_TOL:
+                    seen[v] = 1
+                    stack.append(v)
+        return np.frombuffer(bytes(seen), dtype=np.uint8).astype(bool)

@@ -229,12 +229,14 @@ class WriteAheadJournal:
         require(not self._closed, "journal is closed")
         if not events:
             return self.seq
+        # Encode the whole batch before the sequence moves: a refused event
+        # must not leave a gap that recovery would reject.
         chunks = []
-        for event in events:
-            self.seq += 1
-            record = {"seq": self.seq, **event_to_json(event)}
+        for seq, event in enumerate(events, start=self.seq + 1):
+            record = {"seq": seq, **event_to_json(event)}
             chunks.append(json.dumps(record, separators=(",", ":")).encode() + b"\n")
         blob = b"".join(chunks)
+        self.seq += len(events)
         self._file.write(blob)
         self._file.flush()
         self._unsynced += len(events)

@@ -1,13 +1,11 @@
-"""Reference level graph: Dinic's BFS as ``ArrayFlowGraph._bfs_levels_py``
+"""Reference level graph: Dinic's BFS as ``ArrayFlowGraph._bfs_levels``
 ran before it stopped at the sink's depth — it labels every node the
-residual graph reaches.  :class:`ReferenceFlowGraph` solves on it, always
-through this scalar search, and is the differential oracle for the shipped
-kernel's residual capacities (``test_level_graph``); nothing under
-``src/`` imports it."""
+residual graph reaches.  :class:`ReferenceFlowGraph` solves on it and is
+the differential oracle for the shipped kernel's residual capacities
+(``test_level_graph``, ``test_large_networks``); nothing under ``src/``
+imports it."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro._util import ABS_TOL
 from repro.flownet.arrayflow import ArrayFlowGraph
@@ -36,14 +34,9 @@ def full_levels(graph: ArrayFlowGraph, s: int, t: int, cap: list[float]) -> list
 
 
 class ReferenceFlowGraph(ArrayFlowGraph):
-    """An ``ArrayFlowGraph`` whose phases run on the full level graph,
-    whichever path the edge count selects."""
+    """An ``ArrayFlowGraph`` whose phases run on the full level graph."""
 
     __slots__ = ()
 
-    def _bfs_levels_py(self, s: int, t: int, cap: list[float]) -> list[int] | None:
+    def _bfs_levels(self, s: int, t: int, cap: list[float]) -> list[int] | None:
         return full_levels(self, s, t, cap)
-
-    def _bfs_levels(self, s: int, t: int) -> np.ndarray | None:
-        level = full_levels(self, s, t, self.cap.tolist())
-        return None if level is None else np.array(level, dtype=np.int64)

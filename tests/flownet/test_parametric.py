@@ -308,7 +308,8 @@ def test_counts_into_the_record_it_is_given():
 
 # -- the array-built network is the edge-appending loop's network ---------
 
-_GRAPH_ARRAYS = ("to", "orig", "cap", "adj", "indptr")
+_GRAPH_ARRAYS = ("to", "orig", "cap")
+_GRAPH_LISTS = ("_adj_list", "_indptr_list")
 _ORACLE_ARRAYS = (
     "_source_eids",
     "_site_eids",
@@ -328,6 +329,8 @@ def _assert_same_network(cluster):
     for name in _GRAPH_ARRAYS:
         a, b = getattr(got._graph, name), getattr(want._graph, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in _GRAPH_LISTS:
+        assert getattr(got._graph, name) == getattr(want._graph, name), name
     assert got._graph.n_nodes == want._graph.n_nodes
     for name in _ORACLE_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)

@@ -356,6 +356,20 @@ class TestReplayEquivalence:
         assert len(rec.events) == 1
         assert recovered.snapshot().fingerprint() == service.state.snapshot().fingerprint()
 
+    def test_refused_append_leaves_no_sequence_gap(self, tmp_path):
+        """A batch the journal cannot encode writes nothing, applies nothing
+        and moves no sequence number, so the next accepted event recovers."""
+        state, journal, _ = open_journal(tmp_path, fallback_sites=SITES, fsync_batch=1)
+        service = AllocationService(state, journal=journal, max_delay=1e9, observability=False)
+        with pytest.raises(JournalError):
+            service.submit_all([JobArrived(Job("x", {"a": 1.0})), "not-an-event"])
+        assert journal.seq == 0 and service.state.n_jobs == 0
+        service.submit(JobArrived(Job("y", {"b": 1.0})))
+        assert journal.seq == 1
+        recovered, rec = recover_state(tmp_path)
+        assert [e.job.name for e in rec.events] == ["y"]
+        assert recovered.snapshot().fingerprint() == service.state.snapshot().fingerprint()
+
 
 _POOL = ["p", "q", "r"]  # few names: duplicate arrivals and known departures are common
 

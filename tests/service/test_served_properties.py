@@ -10,8 +10,13 @@ Scalar only: the checkers do not model resource vectors, so AMRF's served
 check is the LP-oracle comparison in ``tests/multiresource``.
 """
 
+import numpy as np
+import pytest
+
 from benchmarks.ledger import workloads
 from repro.core import properties
+from repro.model.job import Job
+from repro.model.site import Site
 from repro.service.daemon import AllocationService
 from repro.service.state import ClusterState
 
@@ -34,3 +39,30 @@ def test_warm_served_allocations_satisfy_the_properties():
     # the warm certified fill is what answered, not a cold re-solve
     assert service.incremental.stats.deferred_checks >= 5
     service.close()
+
+
+@pytest.mark.parametrize(
+    "capacity",
+    [
+        # served as amf-incremental aggregates [0, 1e-300]: s1 sits idle
+        pytest.param(1e-300, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 25")),
+        # the capacity sum overflows and the service falls back to psmf
+        pytest.param(1e308, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 25")),
+    ],
+)
+def test_extreme_capacity_units_are_served_amf_and_pareto(capacity):
+    """Two sites of capacity ``c``, job ``a`` on both and job ``b`` on
+    ``s0``: the answer is AMF's at any unit, and uses every site.  Each
+    site carries a job without a demand cap, so Pareto efficiency means
+    every site is full, which is checked relative to ``c``."""
+    state = ClusterState(
+        [Site("s0", capacity), Site("s1", capacity)],
+        [Job("a", {"s0": 1.0, "s1": 1.0}), Job("b", {"s0": 1.0})],
+    )
+    service = AllocationService(state, observability=False)
+    alloc = service.allocation().allocation
+    service.close()
+    assert alloc.policy in ("amf", "amf-incremental")
+    assert service.resilience.fallback_activations == 0
+    assert properties.is_pareto_efficient(alloc)
+    np.testing.assert_allclose(alloc.matrix.sum(axis=0), [capacity, capacity], rtol=1e-9, atol=0.0)
